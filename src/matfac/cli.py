@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cyclo import CycloElem, cyclotomic_field
 from .errors import MatfacError, Refusal, UndecidableError
@@ -84,7 +84,6 @@ class ProblemDoc:
     factorizations: dict
     morphisms: dict
     commands: list
-    raw_commands: list = field(default_factory=list)
 
 
 def _expect(cond: bool, where: str, what: str):
@@ -193,7 +192,6 @@ def parse_document(data: dict) -> ProblemDoc:
         factorizations=factorizations,
         morphisms=morphisms,
         commands=list(commands),
-        raw_commands=list(commands),
     )
 
 
@@ -215,7 +213,7 @@ def serialize_document(doc: ProblemDoc) -> dict:
             for name, x in doc.factorizations.items()
         },
         "morphisms": {},
-        "commands": doc.raw_commands,
+        "commands": doc.commands,
     }
     for name, a in doc.morphisms.items():
         src = next(n for n, x in doc.factorizations.items() if x == a.source)

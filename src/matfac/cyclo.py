@@ -21,6 +21,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .errors import MatfacError
+
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder in Q[x]; dense coefficient lists, low degree first."""
@@ -53,7 +55,8 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     for k in range(1, m):
         if m % k == 0:
             poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(k)))
-            assert not rem, f"cyclotomic recursion left a remainder at m={m}, k={k}"
+            if rem:
+                raise MatfacError(f"cyclotomic recursion left a remainder at m={m}, k={k}")
     return tuple(poly)
 
 
@@ -77,7 +80,8 @@ class CycloField:
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = len(self.modulus) - 1
-        assert self.degree == _totient(m)
+        if self.degree != _totient(m):
+            raise MatfacError(f"cyclotomic polynomial of conductor {m} has the wrong degree")
         # Reduction table: z^k for k in [degree, 2*degree - 2] as vectors over
         # the power basis.  Multiplication produces raw degree <= 2*degree - 2.
         table = []
@@ -91,6 +95,13 @@ class CycloField:
             table.append(tuple(nxt))
             prev = nxt
         self._power_table = table
+        # zeta^0, ..., zeta^(m-1): each power is the previous one times the
+        # reduced generator, so no raw degree ever exceeds the table's reach.
+        z = CycloElem(self, self._reduce([Fraction(0), Fraction(1)]))
+        powers = [self.one()]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * z)
+        self._zeta_powers = powers
 
     def __repr__(self):
         return f"CycloField({self.m})"
@@ -122,12 +133,7 @@ class CycloField:
 
     def zeta(self, power: int = 1) -> CycloElem:
         """zeta_m^power, for any integer power (negative allowed)."""
-        return self.one() * self._zeta_vec(power % self.m)
-
-    def _zeta_vec(self, k: int) -> CycloElem:
-        # Repeated squaring is pointless at these sizes; reduce directly.
-        raw = [Fraction(0)] * k + [Fraction(1)]
-        return CycloElem(self, self._reduce(raw))
+        return self._zeta_powers[power % self.m]
 
     def root_of_unity(self, order: int, power: int = 1) -> CycloElem:
         """A primitive `order`-th root of unity, namely zeta_m^(m/order * power).

@@ -16,6 +16,7 @@ direct sums and make summand bookkeeping uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cyclo import CycloElem
@@ -26,7 +27,7 @@ from .rings import Jet, Polynomial, PolynomialRing
 
 @dataclass
 class ValidationEntry:
-    start: int          # the cyclic product begins at phi_start
+    start: int          # the slot checked; a cyclic product begins at phi_start
     ok: bool
     detail: str | None = None
 
@@ -38,6 +39,35 @@ class ValidationReport:
 
     def __bool__(self):
         return self.passed
+
+
+def _check_slots(pairs) -> ValidationReport:
+    """The package's one slot-by-slot identity check: slot i holds when the
+    i-th pair (got, want) of matrices are equal.
+
+    Failures are entries, not errors; a failing slot names its first wrong
+    entry (row, column and the value found there).  Pairs are consumed one
+    at a time, so a generator keeps only one slot's products alive.
+    """
+    entries = []
+    for i, (g, w) in enumerate(pairs):
+        ok = g == w
+        detail = None
+        if not ok:
+            bad = next(((r, c) for r in range(g.nrows) for c in range(g.ncols)
+                        if g[r, c] != w[r, c]), None)
+            if bad is not None:
+                detail = f"entry ({bad[0]},{bad[1]}): got {g[bad]}"
+        entries.append(ValidationEntry(start=i, ok=ok, detail=detail))
+    return ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+
+
+def _run_product(x, start: int, count: int) -> Matrix:
+    """phi_start phi_{start+1} ... phi_{start+count-1}: count consecutive factors."""
+    prod = x.phi(start)
+    for k in range(start + 1, start + count):
+        prod = prod @ x.phi(k)
+    return prod
 
 
 class MatFac:
@@ -95,31 +125,10 @@ class MatFac:
 
     # -- the defining identity --------------------------------------------------
 
-    def cyclic_product(self, start: int) -> Matrix:
-        """phi_start phi_{start+1} ... phi_{start+d-1} (all d factors)."""
-        prod = self.phi(start)
-        for k in range(start + 1, start + self.d):
-            prod = prod @ self.phi(k)
-        return prod
-
     def validate(self) -> ValidationReport:
         """Check all d cyclic products against f*I.  Failures are entries, not errors."""
         target = Matrix.scalar(self.ring, self.n, self.f)
-        entries = []
-        for i in range(self.d):
-            prod = self.cyclic_product(i)
-            ok = prod == target
-            detail = None
-            if not ok:
-                for r in range(self.n):
-                    for c in range(self.n):
-                        if prod[r, c] != target[r, c]:
-                            detail = f"entry ({r},{c}): got {prod[r, c]}"
-                            break
-                    if detail:
-                        break
-            entries.append(ValidationEntry(start=i, ok=ok, detail=detail))
-        return ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+        return _check_slots((_run_product(self, i, self.d), target) for i in range(self.d))
 
     # -- structural operations ----------------------------------------------------
 
@@ -163,10 +172,7 @@ class MatFac:
         over the hypersurface ring of f.  ell ranges over 1..d (ell = d gives f*I)."""
         if not 1 <= ell <= self.d:
             raise ValueError(f"ell must be in 1..{self.d}, got {ell}")
-        prod = self.phi(k)
-        for j in range(k + 1, k + ell):
-            prod = prod @ self.phi(j)
-        return PresentationMatrix(matrix=prod, ring=self.ring, f=self.f)
+        return PresentationMatrix(matrix=_run_product(self, k, ell), ring=self.ring, f=self.f)
 
     def to_jets(self, precision: int) -> JetMatFac:
         return JetMatFac(
@@ -232,14 +238,7 @@ class JetMatFac:
         """Cyclic products == f*I modulo degree N, for every start."""
         space = JetSpace(self.ring, self.precision)
         target = Matrix.scalar(space, self.n, Jet(self.f, self.precision))
-        entries = []
-        for i in range(self.d):
-            prod = self.phi(i)
-            for k in range(i + 1, i + self.d):
-                prod = prod @ self.phi(k)
-            ok = prod == target
-            entries.append(ValidationEntry(start=i, ok=ok))
-        return ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+        return _check_slots((_run_product(self, i, self.d), target) for i in range(self.d))
 
     def __repr__(self):
         return f"JetMatFac(d={self.d}, n={self.n}, f={self.f}, N={self.precision})"
@@ -273,10 +272,7 @@ def scale_by_units(x: MatFac, units):
     if len(units) != x.d:
         raise ValueError(f"need {x.d} units, got {len(units)}")
     units = [u if isinstance(u, CycloElem) else x.ring.field.rational(u) for u in units]
-    prod = x.ring.field.one()
-    for u in units:
-        prod = prod * u
-    if not prod.is_one():
+    if not math.prod(units, start=x.ring.field.one()).is_one():
         raise MatfacError("unit scaling requires the product of the units to be 1")
     scaled = MatFac(
         x.ring, x.f, [m.scale(x.ring.scalar(u)) for m, u in zip(x.mats, units)]

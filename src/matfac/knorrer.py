@@ -35,7 +35,7 @@ from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
 from .factorization import MatFac, ValidationEntry, ValidationReport
 from .linalg import Matrix, inverse_field
-from .morphisms import Morphism
+from .morphisms import Morphism, _intertwining_report
 from .rings import PolynomialRing
 from .tensor import tensor
 
@@ -95,8 +95,10 @@ def omega_context(d: int, omega: CycloElem | None = None,
     field = omega.field
     zeta_sq = omega * omega
     # sanity: the defining identities of the context
-    assert (omega ** d) == -field.one()
-    assert zeta_sq.multiplicative_order(limit=2 * d) == d
+    if omega ** d != -field.one():
+        raise MatfacError(f"omega^{d} is not -1")
+    if zeta_sq.multiplicative_order(limit=2 * d) != d:
+        raise MatfacError(f"omega^2 is not a primitive {d}-th root of unity")
     return OmegaContext(d=d, omega=omega, zeta=zeta_sq,
                         inv_d=field.rational(Fraction(1, d)))
 
@@ -129,7 +131,8 @@ def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
     for j in range(d):
         s = s + ctx.omega_pow(-j * j + t * j)
         conj = conj + ctx.omega_pow(j * j - t * j)
-    assert s * conj == field.rational(d), "root sum product identity failed"
+    if s * conj != field.rational(d):
+        raise MatfacError("root sum product identity failed")
     return s
 
 
@@ -150,7 +153,8 @@ def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     for s in range(1, d + 1):
         factor = ctx.omega_pow(2 * s * k) * root_sum(ctx, d + 2 * s)
         expected_det = expected_det * factor
-    assert mat.det() == expected_det, "circulant determinant mismatch"
+    if mat.det() != expected_det:
+        raise MatfacError("circulant determinant mismatch")
     return mat
 
 
@@ -173,7 +177,8 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
 
     where Phi'_k is block diagonal with blocks a - w^(2k + 2I - 1) b and the
     alphas are the circulant scalar matrices blown up to block size.
-    Returns (alphas, diag_blocks, report) indexed by k in Z_d.
+    Returns (alphas, diag_blocks, report): alphas and diag_blocks are indexed
+    by k in Z_d, and report entry p checks the identity at k = p + 1.
     """
     if not a.is_square() or a.nrows != b.nrows or a.ncols != b.ncols:
         raise MatfacError("need square matrices of equal size")
@@ -203,15 +208,8 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
                   for i in range(d)]
         diag_blocks.append(Matrix.block_diagonal(space, blocks))
 
-    entries = []
-    for k in range(d):
-        lhs = alphas[(k - 1) % d] @ phi
-        rhs = diag_blocks[k] @ alphas[k]
-        ok = lhs == rhs
-        entries.append(ValidationEntry(start=k, ok=ok,
-                                       detail=None if ok else
-                                       f"conjugation identity fails at k={k}"))
-    report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+    report = _intertwining_report(alphas, [phi] * d,
+                                  [diag_blocks[(p + 1) % d] for p in range(d)])
     return alphas, diag_blocks, report
 
 
@@ -297,14 +295,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     forward = Morphism(source=t, target=total, comps=alpha_blocks)
     backward = Morphism(source=total, target=t, comps=alpha_inv_blocks)
 
-    entries = []
-    for k in range(d):
-        lhs = forward.comps[(k - 1) % d] @ t.mats[(k - 1) % d]
-        rhs = total.mats[(k - 1) % d] @ forward.comps[k % d]
-        ok = lhs == rhs
-        entries.append(ValidationEntry(start=k, ok=ok,
-                                       detail=None if ok else
-                                       f"conjugation identity fails at k={k}"))
+    # forward's intertwining law is the conjugation identity, slot by slot
+    entries = _intertwining_report(forward.comps, t.mats, total.mats).entries
     entries.append(ValidationEntry(
         start=-1, ok=summand.validate().passed, detail="summand validates"))
     entries.append(ValidationEntry(

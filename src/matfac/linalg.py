@@ -9,7 +9,7 @@ dispatch on the space type:
 * determinants: exact Gaussian elimination over a field; fraction-free
   Bareiss elimination (with row-swap sign tracking and exact division) over a
   polynomial ring;
-* rref / rank / nullspace / solve / inverse: field matrices only;
+* rref / rank / sparse nullspace / solve / inverse: field matrices only;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
 
@@ -53,14 +53,11 @@ class JetSpace:
         return f"JetSpace({self.ring!r}, N={self.precision})"
 
 
-def _is_zero_scalar(x) -> bool:
-    return x.is_zero()
-
-
 class Matrix:
     """Immutable rectangular matrix over a scalar space."""
 
-    __slots__ = ("space", "rows", "nrows", "ncols")
+    # _det is set on the first det() call and absent until then
+    __slots__ = ("space", "rows", "nrows", "ncols", "_det")
 
     def __init__(self, space, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -225,9 +222,6 @@ class Matrix:
         """Entrywise multiplication by a scalar of the space (or coercible)."""
         return Matrix(self.space, [[a * c for a in r] for r in self.rows])
 
-    def transpose(self) -> Matrix:
-        return Matrix(self.space, list(zip(*self.rows)) if self.rows else [])
-
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product: block (i,j) is self[i][j] * other."""
         self._check(other)
@@ -301,31 +295,25 @@ class Matrix:
             raise TypeError("to_jets applies to polynomial matrices")
         return self.map(lambda p: Jet(p, precision), JetSpace(self.space, precision))
 
-    def jet_polys(self) -> Matrix:
-        """Forget jet truncation: the underlying polynomial representatives."""
-        if not isinstance(self.space, JetSpace):
-            raise TypeError("jet_polys applies to jet matrices")
-        return self.map(lambda j: j.poly, self.space.ring)
-
-    def embed_scalars(self, ring: PolynomialRing) -> Matrix:
-        """Lift a field-constant matrix into a polynomial ring over the same field."""
-        if not isinstance(self.space, CycloField):
-            raise TypeError("embed_scalars applies to field matrices")
-        if ring.field != self.space:
-            raise ValueError("ring is over a different field")
-        return self.map(ring.scalar, ring)
-
     # -- determinants ----------------------------------------------------------
 
     def det(self):
-        """Exact determinant; dispatches on the scalar space."""
+        """Exact determinant; dispatches on the scalar space.
+
+        Computed once per matrix: a Matrix is immutable, so the stored value
+        cannot go stale.
+        """
+        if hasattr(self, "_det"):
+            return self._det
         if not self.is_square():
             raise ValueError(f"determinant of a non-square {self.shape} matrix")
         if isinstance(self.space, CycloField):
-            return _det_field(self)
-        if isinstance(self.space, PolynomialRing):
-            return det_bareiss(self)
-        raise TypeError(f"no determinant over {self.space!r}")
+            self._det = _det_field(self)
+        elif isinstance(self.space, PolynomialRing):
+            self._det = det_bareiss(self)
+        else:
+            raise TypeError(f"no determinant over {self.space!r}")
+        return self._det
 
 
 # -- field linear algebra (CycloElem entries) ---------------------------------
@@ -369,28 +357,13 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def nullspace(m: Matrix) -> list[tuple[CycloElem, ...]]:
-    """Basis of the right kernel, one vector per free column of rref."""
-    _require_field(m)
-    R, pivots = rref(m)
-    field = m.space
-    free = [c for c in range(m.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero()] * m.ncols
-        vec[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = -R.rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
 def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloField) -> list[dict[int, CycloElem]]:
     """Right-kernel basis of a sparsely given matrix (one dict col->coeff per row).
 
     Performs reduced row echelon elimination on the sparse rows; the result is
-    the same canonical basis `nullspace` produces (one vector per free column,
-    unit at its free column), so dense and sparse paths are interchangeable.
+    the canonical basis of the kernel: one vector per free column, with a unit
+    at its free column.  The tests compare it with the dense textbook oracle
+    `nullspace` in tests/oracles.py.
     """
     zero = field.zero()
     pivots: dict[int, dict[int, CycloElem]] = {}
@@ -557,45 +530,3 @@ def jet_inverse(m: Matrix) -> Matrix:
         y = y @ (two - m @ y)
         order *= 2
     return y
-
-
-def unimodular_inverse(m: Matrix) -> Matrix:
-    """Exact polynomial inverse of a matrix whose determinant is a nonzero constant.
-
-    Computed as adjugate / det.  Matrices with non-constant unit determinant
-    (units of the local but not the polynomial ring) are refused: their
-    inverses are not polynomial — use jets for those.
-    """
-    ring = m.space
-    if not isinstance(ring, PolynomialRing):
-        raise TypeError("unimodular_inverse requires polynomial entries")
-    if not m.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    d = det_bareiss(m)
-    if d.is_zero() or not d.is_constant():
-        raise MatfacError(
-            f"matrix determinant {d} is not a nonzero constant; "
-            "only unimodular matrices have polynomial inverses"
-        )
-    n = m.nrows
-    dc_inv = ring.scalar(d.constant_term().inverse())
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = m.submatrix(
-                [r for r in range(n) if r != j], [c for c in range(n) if c != i]
-            )
-            cof = det_bareiss(minor)
-            row.append(cof * dc_inv if (i + j) % 2 == 0 else -cof * dc_inv)
-        rows.append(row)
-    return Matrix(ring, rows)
-
-
-def is_unit_matrix(m: Matrix) -> bool:
-    """True iff a polynomial/jet matrix is invertible over the local ring at 0,
-    i.e. its constant-term matrix is invertible over the field."""
-    if not m.is_square():
-        return False
-    c = m.constant_terms()
-    return not c.det().is_zero()

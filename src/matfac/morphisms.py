@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 from .cyclo import CycloElem
 from .errors import MatfacError
-from .factorization import JetMatFac, MatFac, default_precision
+from .factorization import (
+    JetMatFac,
+    MatFac,
+    ValidationReport,
+    _check_slots,
+    default_precision,
+)
 from .linalg import (
     JetSpace,
     Matrix,
@@ -36,9 +42,25 @@ from .linalg import (
     rref,
     solve_right,
     sparse_nullspace,
-    unimodular_inverse,
 )
 from .rings import Jet, Polynomial, PolynomialRing, grlex_key
+
+
+def _intertwining_report(comps, src, tgt) -> ValidationReport:
+    """The law comps[p] @ src[p] == tgt[p] @ comps[(p+1) % d], slot by slot."""
+    d = len(comps)
+    return _check_slots((comps[p] @ src[p], tgt[p] @ comps[(p + 1) % d])
+                        for p in range(d))
+
+
+def _is_isomorphism(alpha) -> bool:
+    """True iff alpha is a morphism and every component is invertible over
+    the local ring at the origin (constant-term determinant nonzero)."""
+    if alpha.source.n != alpha.target.n:
+        return False
+    if not alpha.is_morphism():
+        return False
+    return all(not c.constant_terms().det().is_zero() for c in alpha.comps)
 
 
 class Morphism:
@@ -75,12 +97,7 @@ class Morphism:
         return cls(source=x, target=x, comps=[ident] * x.d)
 
     def is_morphism(self) -> bool:
-        d = self.source.d
-        return all(
-            self.comps[p] @ self.source.mats[p]
-            == self.target.mats[p] @ self.comps[(p + 1) % d]
-            for p in range(d)
-        )
+        return _intertwining_report(self.comps, self.source.mats, self.target.mats).passed
 
     def compose(self, other: Morphism) -> Morphism:
         """self after other (source of self must be target of other)."""
@@ -119,14 +136,7 @@ class Morphism:
 
     # -- invertibility -----------------------------------------------------------
 
-    def is_isomorphism(self) -> bool:
-        """True iff this is a morphism and every component is invertible over
-        the local ring at the origin (constant-term determinant nonzero)."""
-        if self.source.n != self.target.n:
-            return False
-        if not self.is_morphism():
-            return False
-        return all(not c.constant_terms().det().is_zero() for c in self.comps)
+    is_isomorphism = _is_isomorphism
 
     def inverse_jets(self, precision: int | None = None) -> JetMorphism:
         """Inverse witness at jet precision (the exact inverse need not be
@@ -152,15 +162,13 @@ class Morphism:
 
 def _mats_as_jets(x, precision: int):
     """Factor matrices of a MatFac or JetMatFac, as jets at the given precision."""
-    if isinstance(x, MatFac):
-        return tuple(m.to_jets(precision) for m in x.mats)
-    if isinstance(x, JetMatFac):
-        if x.precision < precision:
-            raise MatfacError(
-                f"factorization known only to degree {x.precision} < requested {precision}"
-            )
-        return tuple(m.to_jets(precision) for m in x.mats)
-    raise TypeError(f"expected a factorization, got {type(x).__name__}")
+    if not isinstance(x, (MatFac, JetMatFac)):
+        raise TypeError(f"expected a factorization, got {type(x).__name__}")
+    if isinstance(x, JetMatFac) and x.precision < precision:
+        raise MatfacError(
+            f"factorization known only to degree {x.precision} < requested {precision}"
+        )
+    return tuple(m.to_jets(precision) for m in x.mats)
 
 
 class JetMorphism:
@@ -192,20 +200,11 @@ class JetMorphism:
         return self.comps[k % self.source.d]
 
     def is_morphism(self) -> bool:
-        d = self.source.d
         src = _mats_as_jets(self.source, self.precision)
         tgt = _mats_as_jets(self.target, self.precision)
-        return all(
-            self.comps[p] @ src[p] == tgt[p] @ self.comps[(p + 1) % d]
-            for p in range(d)
-        )
+        return _intertwining_report(self.comps, src, tgt).passed
 
-    def is_isomorphism(self) -> bool:
-        if self.source.n != self.target.n:
-            return False
-        if not self.is_morphism():
-            return False
-        return all(not c.constant_terms().det().is_zero() for c in self.comps)
+    is_isomorphism = _is_isomorphism
 
     def __repr__(self):
         return (
@@ -426,46 +425,6 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
         if Matrix(tring, rows).det().is_zero():
             return False
     return True
-
-
-# -- component conjugation ---------------------------------------------------
-
-
-def conjugate_component(alpha: Morphism, k: int, a: Matrix, b: Matrix):
-    """Replace alpha_k by A alpha_k B, adjusting the endpoint factorizations.
-
-    The source picks up the basis change B on its degree-k piece
-    (phi_k -> phi_k B, phi_{k+1} -> B^{-1} phi_{k+1}); the target picks up
-    A^{-1} on its degree-k piece (phi'_k -> phi'_k A^{-1},
-    phi'_{k+1} -> A phi'_{k+1}).  Returns (morphism, new_source, new_target).
-
-    A and B must be unimodular (nonzero constant determinant) so that their
-    inverses stay polynomial; general local-ring units are refused.
-    """
-    d = alpha.source.d
-    k = k % d
-    if a.shape != (alpha.target.n, alpha.target.n):
-        raise ValueError("A must be square of the target's rank")
-    if b.shape != (alpha.source.n, alpha.source.n):
-        raise ValueError("B must be square of the source's rank")
-    a_inv = unimodular_inverse(a)
-    b_inv = unimodular_inverse(b)
-
-    src_mats = list(alpha.source.mats)
-    slot_k = (k - 1) % d       # storage slot of phi_k
-    slot_k1 = k % d            # storage slot of phi_{k+1}
-    src_mats[slot_k] = src_mats[slot_k] @ b
-    src_mats[slot_k1] = b_inv @ src_mats[slot_k1]
-    new_source = MatFac(alpha.source.ring, alpha.source.f, src_mats)
-
-    tgt_mats = list(alpha.target.mats)
-    tgt_mats[slot_k] = tgt_mats[slot_k] @ a_inv
-    tgt_mats[slot_k1] = a @ tgt_mats[slot_k1]
-    new_target = MatFac(alpha.target.ring, alpha.target.f, tgt_mats)
-
-    comps = list(alpha.comps)
-    comps[k] = a @ comps[k] @ b
-    return Morphism(new_source, new_target, comps), new_source, new_target
 
 
 # -- idempotent splitting -----------------------------------------------------

@@ -123,9 +123,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return self == self.ring.one()
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
@@ -225,8 +222,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square beyond the last bit: it is the costliest product
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -379,9 +377,6 @@ class Jet:
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
-
-    def is_unit(self) -> bool:
-        return self.precision > 0 and not self.poly.constant_term().is_zero()
 
     def _coerce(self, other) -> Jet | None:
         if isinstance(other, Jet):

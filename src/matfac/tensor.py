@@ -43,13 +43,8 @@ from .rings import Polynomial
 def _check_primitive(zeta: CycloElem, d: int, field):
     if zeta.field != field:
         raise MatfacError("twist scalar lives in a different field than the ring")
-    acc = zeta
-    for k in range(1, d):
-        if acc.is_one():
-            raise MatfacError(f"twist scalar has order {k} < d = {d}; need a primitive d-th root")
-        acc = acc * zeta
-    if not acc.is_one():
-        raise MatfacError(f"twist scalar is not a d-th root of unity (d = {d})")
+    if zeta.multiplicative_order(limit=d) != d:
+        raise MatfacError(f"twist scalar is not a primitive d-th root of unity (d = {d})")
 
 
 def _require_validated(*xs: MatFac):

@@ -26,7 +26,8 @@ strongly indecomposable, making the Ulrich modules indecomposable as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .cyclo import CycloElem
@@ -88,15 +89,11 @@ class SumOfProducts:
         if any(len(row) != self.d for row in self.factors):
             out.append("rows have unequal lengths")
             return out
-        total = self.ring.zero()
         for row in self.factors:
-            prod = self.ring.one()
             for g in row:
                 if not g.constant_term().is_zero():
                     out.append(f"factor {g} is a unit (nonzero constant term)")
-                prod = prod * g
-            total = total + prod
-        if total != self.f:
+        if _sum_of_row_products(self.ring, self.factors) != self.f:
             out.append("the declared f is not the sum of the row products")
         if self.partition is not None:
             if len(self.partition) != self.n_terms:
@@ -124,34 +121,35 @@ class SumOfProducts:
     def row_factorization(self, i: int) -> MatFac:
         """The rank-one factorization of the i-th row product."""
         row = self.factors[i]
+        one = self.ring.one()
         if self.partition is None:
             entries = list(row)
         else:
-            entries = []
-            for group in self.partition[i]:
-                prod = self.ring.one()
-                for j in group:
-                    prod = prod * row[j]
-                entries.append(prod)
-        f_i = self.ring.one()
-        for g in row:
-            f_i = f_i * g
+            entries = [math.prod((row[j] for j in group), start=one)
+                       for group in self.partition[i]]
+        f_i = math.prod(row, start=one)
         return MatFac(self.ring, f_i, [Matrix(self.ring, [[g]]) for g in entries])
+
+
+def _sum_of_row_products(ring: PolynomialRing, factors) -> Polynomial:
+    """f = sum over rows of the product of the row's factors."""
+    return sum((math.prod(row, start=ring.one()) for row in factors), ring.zero())
 
 
 def sum_of_products(ring: PolynomialRing, rows, partition=None) -> SumOfProducts:
     """Build a SumOfProducts with f computed as the sum of the row products."""
     factors = tuple(tuple(row) for row in rows)
-    f = ring.zero()
-    for row in factors:
-        prod = ring.one()
-        for g in row:
-            prod = prod * g
-        f = f + prod
+    f = _sum_of_row_products(ring, factors)
     return SumOfProducts(ring=ring, f=f, factors=factors, partition=partition)
 
 
 # -- building factorizations from sums ----------------------------------------------
+
+
+def _signed_powers(f: Polynomial, s: int) -> tuple[Polynomial, Polynomial]:
+    """(f^s, -f^s): the two values a determinant +-f^s can take."""
+    power = f ** s
+    return power, -power
 
 
 @dataclass
@@ -191,16 +189,13 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
         x = tensor(x, spec.row_factorization(i), zeta)
     rank_expected = k ** (n_terms - 1)
     det_exponent = k ** (n_terms - 2)
-    power = spec.ring.one()
-    for _ in range(det_exponent):
-        power = power * spec.f
-    minus_one = spec.ring.scalar(spec.ring.field.rational(-1))
+    plus, minus = _signed_powers(spec.f, det_exponent)
     signs = []
     for p in range(k):
         det = x.mats[p].det()
-        if det == power:
+        if det == plus:
             signs.append("+")
-        elif det == power * minus_one:
+        elif det == minus:
             signs.append("-")
         else:
             raise MatfacError(
@@ -272,11 +267,7 @@ def mcm_stats(
     if deg_f <= 0 or deg_det % deg_f:
         raise MatfacError("determinant is not a pure signed power of f")
     s = deg_det // deg_f
-    power = x.ring.one()
-    for _ in range(s):
-        power = power * x.f
-    minus_one = x.ring.scalar(x.ring.field.rational(-1))
-    if det != power and det != power * minus_one:
+    if det not in _signed_powers(x.f, s):
         raise MatfacError("determinant is not a pure signed power of f")
     ord_f = x.f.order_of()
     e_r = ord_f * s
@@ -309,18 +300,10 @@ def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
         raise MatfacError("sum-of-products build failed verification")
     stats = mcm_stats(x, 1, irreducible=True)
     if spec.k != stats.ord_f:
-        stats = ModuleStats(
-            mu=stats.mu,
-            rank_R=stats.rank_R,
-            e_R=stats.e_R,
-            ord_f=stats.ord_f,
-            ulrich=stats.ulrich,
-            irreducible_asserted=stats.irreducible_asserted,
-            note=(
-                f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
-                "the Ulrich guarantee does not apply, MCM statistics only"
-            ),
-        )
+        stats = replace(stats, note=(
+            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
+            "the Ulrich guarantee does not apply, MCM statistics only"
+        ))
     return x.cokernel_presentation(1, 1), stats
 
 
@@ -413,23 +396,17 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
         cert = propagate_strong_ind(
             cert, coprime_rank_one_cert(spec.row_factorization(i)), zeta
         )
-    x = cert.subject
-    if x != build_from_sum(spec, zeta)[0]:
+    # Continue with the direct build, equal to the certified tensor as data:
+    # its factors already carry their determinants from build_from_sum.
+    x = build_from_sum(spec, zeta)[0]
+    if x != cert.subject:
         raise MatfacError("certified tensor differs from the direct build")
     stats = mcm_stats(x, 1, irreducible=True)
     if spec.k != stats.ord_f:
-        stats = ModuleStats(
-            mu=stats.mu,
-            rank_R=stats.rank_R,
-            e_R=stats.e_R,
-            ord_f=stats.ord_f,
-            ulrich=stats.ulrich,
-            irreducible_asserted=stats.irreducible_asserted,
-            note=(
-                f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
-                "indecomposable MCM claims only, not Ulrich"
-            ),
-        )
+        stats = replace(stats, note=(
+            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
+            "indecomposable MCM claims only, not Ulrich"
+        ))
     consequences = strong_ind_consequences(cert)
     uc_bound = spec.k ** (spec.n_terms - 2)
     return UlrichBuild(

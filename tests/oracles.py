@@ -81,3 +81,25 @@ def rref(rows: list[list], field: CycloField) -> list[list]:
             if not factor.is_zero():
                 reduced[j] = [a - factor * b for a, b in zip(reduced[j], reduced[i])]
     return reduced
+
+
+def nullspace(m: Matrix) -> list[tuple]:
+    """Basis of the right kernel of a field matrix, one vector per free column.
+
+    Built on `rref` above: each reduced row's first nonzero column is a
+    pivot, and the vector for a free column has a one there and minus that
+    column's entries of the reduced rows at their pivots.
+    """
+    field = m.space
+    reduced = rref([list(r) for r in m.rows], field)
+    pivots = [next(c for c, a in enumerate(row) if not a.is_zero()) for row in reduced]
+    basis = []
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        vec = [field.zero()] * m.ncols
+        vec[fc] = field.one()
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        basis.append(tuple(vec))
+    return basis

@@ -240,3 +240,23 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "0 failed" in proc.stdout
+
+
+def test_conductor_four_tensor_with_third_power_twist(tmp_path, capsys):
+    # --zeta 3 on conductor 4 twists by zeta^3 = -zeta, also a primitive 4th root
+    names = ("1", "2", "3", "0")
+    doc = {
+        "ring": {"conductor": 4,
+                 "variables": [f"x{i}" for i in names] + [f"y{i}" for i in names]},
+        "factorizations": {
+            v.upper(): {"f": "*".join(f"{v}{i}" for i in names),
+                        "matrices": [[[f"{v}{i}"]] for i in names]}
+            for v in ("x", "y")
+        },
+        "commands": [
+            {"op": "tensor", "left": "X", "right": "Y", "out": "XY"},
+            {"op": "validate", "subject": "XY"},
+        ],
+    }
+    assert main(["run", write_doc(tmp_path, doc), "--zeta", "3"]) == 0
+    assert "2 commands, 0 failed" in capsys.readouterr().out

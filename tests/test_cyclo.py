@@ -125,3 +125,21 @@ def test_str_is_reparseable_shape():
     x = F.element([1, -2, Fraction(1, 3)])
     s = str(x)
     assert "z" in s and "1/3" in s
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 12])
+def test_zeta_every_power(m):
+    F = cyclotomic_field(m)
+    for p in range(-m, 2 * m):
+        assert F.zeta(p) == F.zeta(1) ** (p % m)
+    if m % 2 == 0:
+        assert F.zeta(m // 2) == F.rational(-1)
+
+
+def test_high_powers_of_zeta_reduce():
+    F4 = cyclotomic_field(4)
+    assert F4.zeta(3) == -F4.zeta(1)
+    assert F4.root_of_unity(4, 3) == -F4.zeta(1)
+    F12 = cyclotomic_field(12)
+    for p in range(7, 12):
+        assert F12.zeta(p) == -F12.zeta(p - 6)

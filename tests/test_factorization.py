@@ -3,6 +3,8 @@
 import pytest
 
 from matfac import (
+    Jet,
+    JetMatFac,
     MatFac,
     MatfacError,
     Matrix,
@@ -141,3 +143,18 @@ def test_default_precision_covers_entries():
 def test_rank_mismatch_rejected():
     with pytest.raises((MatfacError, ValueError)):
         MatFac(R, a * b, [Matrix(R, [[a]]), Matrix(R, [[b], [a]])])
+
+
+def test_jet_validate_pinpoints_corruption():
+    xx = rank_one(a, b, c).direct_sum(rank_one(a, b, c)).to_jets(4)
+    assert xx.validate().passed
+    mats = list(xx.mats)
+    rows = [list(r) for r in mats[2].rows]
+    rows[1][0] = Jet(a, 4)
+    mats[2] = Matrix(mats[2].space, rows)
+    bad = JetMatFac(R, xx.f, 4, mats)
+    rep = bad.validate()
+    assert not rep.passed
+    # every cyclic product carries the stray a into entry (1,0) as a^2*b
+    assert all(not e.ok for e in rep.entries)
+    assert {e.detail for e in rep.entries} == {f"entry (1,0): got {Jet(a * a * b, 4)}"}

@@ -1,6 +1,8 @@
 """Symmetric tensor products split into shifted copies of a linear pencil:
 root-of-unity sums, circulant base changes, and the decomposition itself."""
 
+from fractions import Fraction
+
 import pytest
 
 from matfac import (
@@ -8,6 +10,7 @@ from matfac import (
     MatfacError,
     Matrix,
     Morphism,
+    OmegaContext,
     PolynomialRing,
     alpha_matrix,
     block_diagonalize,
@@ -172,3 +175,13 @@ def test_decompose_requires_strict_symmetry():
     ctx = omega_context(3, zeta=F.zeta(1))
     with pytest.raises(MatfacError):
         decompose_symmetric(asym, Y, ctx)
+
+
+def test_root_sum_rejects_a_non_root_omega():
+    # hand-built context bypassing omega_context's checks: omega = 1 gives
+    # sums 3 and 3, whose product 9 is not d = 3
+    fld = cyclotomic_field(6)
+    bad = OmegaContext(d=3, omega=fld.one(), zeta=fld.one(),
+                       inv_d=fld.rational(Fraction(1, 3)))
+    with pytest.raises(MatfacError, match="root sum product identity failed"):
+        root_sum(bad, 1)

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matfac import Matrix, PolynomialRing, cyclotomic_field
-from matfac.linalg import det_bareiss, inverse_field, nullspace, solve_right, sparse_nullspace
+from matfac.linalg import det_bareiss, inverse_field, solve_right, sparse_nullspace
 
-from oracles import det_cofactor, rref
+from oracles import det_cofactor, nullspace, rref
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y"))

@@ -14,6 +14,7 @@ from matfac import (
     scale_by_units,
     split_idempotent,
 )
+from matfac.morphisms import _intertwining_report
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -133,3 +134,20 @@ def test_split_idempotent_rejects_non_idempotent():
     two = Morphism(X, X, [Matrix(R, [[R.scalar(2)]])] * 3)
     with pytest.raises(MatfacError):
         split_idempotent(X, two)
+
+
+def test_corrupted_component_names_slot_and_entry():
+    # one wrong entry in component 1 of an identity breaks exactly the two
+    # slots whose law involves that component: p = 0 and p = 1
+    xx = X.direct_sum(X)
+    comps = list(Morphism.identity(xx).comps)
+    comps[1] = Matrix(R, [[R.one(), a], [R.zero(), R.one()]])
+    bad = Morphism(xx, xx, comps)
+    assert not bad.is_morphism()
+    assert not bad.is_isomorphism()
+    rep = _intertwining_report(bad.comps, bad.source.mats, bad.target.mats)
+    assert not rep.passed
+    assert [e.start for e in rep.entries if not e.ok] == [0, 1]
+    assert rep.entries[0].detail == "entry (0,1): got 0"
+    assert rep.entries[1].detail == f"entry (0,1): got {a * b}"
+    assert rep.entries[2].ok and rep.entries[2].detail is None

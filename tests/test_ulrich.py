@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import matfac.linalg as linalg
 from matfac import (
     MatfacError,
     PolynomialRing,
@@ -219,3 +220,21 @@ def test_malformed_sums_rejected():
     assert any("not the sum" in p for p in wrong_f.problems())
     with pytest.raises(MatfacError):
         build_from_sum(sp)
+
+
+def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch):
+    # build_from_sum already holds det phi_1; mcm_stats must not redo it
+    ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
+    rows = [[ring.variable(f"{v}1"), ring.variable(f"{v}2")] for v in "xyz"]
+    spec = sum_of_products(ring, rows)
+    calls = []
+    original = linalg.det_bareiss
+
+    def counting(m):
+        calls.append(m.nrows)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "det_bareiss", counting)
+    pres, stats = build_ulrich(spec)
+    assert stats.ulrich and pres.size == 4
+    assert calls == [4] * spec.k
