@@ -91,6 +91,11 @@ def _expect(cond: bool, where: str, what: str):
         raise DocumentError(f"{where}: {what}")
 
 
+def _is_int(value) -> bool:
+    """An integer document value; JSON true/false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_poly(ring: PolynomialRing, text, where: str) -> Polynomial:
     _expect(isinstance(text, str), where, f"expected an expression string, got {text!r}")
     try:
@@ -118,7 +123,7 @@ def parse_document(data: dict) -> ProblemDoc:
 
     rd = data["ring"]
     _expect(isinstance(rd, dict), "ring", "must be an object")
-    _expect(isinstance(rd.get("conductor"), int), "ring", "needs an integer 'conductor'")
+    _expect(_is_int(rd.get("conductor")), "ring", "needs an integer 'conductor'")
     variables = rd.get("variables")
     _expect(
         isinstance(variables, list) and variables
@@ -286,15 +291,17 @@ class Runner:
             raise DocumentError(f"{where}: out name {name!r} is already in use")
         self.facs[name] = value
 
-    def twist(self, d: int) -> CycloElem:
+    def twist(self, order: int) -> CycloElem:
+        """The --zeta power of the canonical primitive `order`-th root; a
+        field without one fails the command rather than the run."""
         try:
-            return self.ring.field.root_of_unity(d, self.zeta_power)
+            return self.ring.field.root_of_unity(order, self.zeta_power)
         except ValueError as e:
             raise MatfacError(str(e)) from e
 
     def cmd_precision(self, cmd) -> int | None:
         p = cmd.get("precision", self.precision)
-        if p is not None and (not isinstance(p, int) or p < 1):
+        if p is not None and (not _is_int(p) or p < 1):
             raise DocumentError("'precision' must be a positive integer")
         return p
 
@@ -361,7 +368,7 @@ class Runner:
     def op_shift(self, cmd, where):
         x = self.fac(cmd, "subject", where)
         steps = cmd.get("steps", 1)
-        _expect(isinstance(steps, int), where, "'steps' must be an integer")
+        _expect(_is_int(steps), where, "'steps' must be an integer")
         y = x.shift(steps)
         ok = y.validate().passed
         self.store(cmd, y, where)
@@ -422,7 +429,7 @@ class Runner:
         d = x.d
         fld = self.ring.field
         if fld.m % (2 * d) == 0:
-            ctx = omega_context(d, omega=fld.root_of_unity(2 * d, self.zeta_power))
+            ctx = omega_context(d, omega=self.twist(2 * d))
         else:
             ctx = omega_context(d, zeta=self.twist(d))
         dec = decompose_symmetric(x, y, ctx)
@@ -517,7 +524,7 @@ class Runner:
 
     def op_ulrich(self, cmd, where):
         spec = self.rows_spec(cmd, where)
-        zeta = self.ring.field.root_of_unity(spec.k, self.zeta_power)
+        zeta = self.twist(spec.k)
         if cmd.get("certify", True):
             ub = indecomposable_ulrich(spec, zeta)
             self.store(cmd, ub.certificate.subject, where)
@@ -549,12 +556,12 @@ class Runner:
 
     def op_extension_ses(self, cmd, where):
         spec = self.rows_spec(cmd, where)
-        zeta = self.ring.field.root_of_unity(spec.k, self.zeta_power)
+        zeta = self.twist(spec.k)
         x, rep = build_from_sum(spec, zeta)
         if not rep.passed:
             raise MatfacError("sum-of-products build failed verification")
         start = cmd.get("start", 1)
-        _expect(isinstance(start, int), where, "'start' must be an integer")
+        _expect(_is_int(start), where, "'start' must be an integer")
         ses = extension_ses(x, start)
         data = {
             "squares_commute": ses.squares_commute,

@@ -78,7 +78,8 @@ class MatFac:
     inspected).
     """
 
-    __slots__ = ("ring", "f", "mats", "d", "n")
+    # _report is set on the first validate() call and absent until then
+    __slots__ = ("ring", "f", "mats", "d", "n", "_report")
 
     def __init__(self, ring: PolynomialRing, f: Polynomial, mats):
         mats = tuple(mats)
@@ -126,9 +127,16 @@ class MatFac:
     # -- the defining identity --------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check all d cyclic products against f*I.  Failures are entries, not errors."""
-        target = Matrix.scalar(self.ring, self.n, self.f)
-        return _check_slots((_run_product(self, i, self.d), target) for i in range(self.d))
+        """Check all d cyclic products against f*I.  Failures are entries, not errors.
+
+        Computed once per factorization: a MatFac is immutable, so the stored
+        report cannot go stale.
+        """
+        if not hasattr(self, "_report"):
+            target = Matrix.scalar(self.ring, self.n, self.f)
+            self._report = _check_slots(
+                (_run_product(self, i, self.d), target) for i in range(self.d))
+        return self._report
 
     # -- structural operations ----------------------------------------------------
 
@@ -209,7 +217,8 @@ class JetMatFac:
     identity is asserted modulo degree N.
     """
 
-    __slots__ = ("ring", "f", "precision", "mats", "d", "n")
+    # _report is set on the first validate() call and absent until then
+    __slots__ = ("ring", "f", "precision", "mats", "d", "n", "_report")
 
     def __init__(self, ring: PolynomialRing, f: Polynomial, precision: int, mats):
         mats = tuple(mats)
@@ -235,10 +244,13 @@ class JetMatFac:
         return self.n
 
     def validate(self) -> ValidationReport:
-        """Cyclic products == f*I modulo degree N, for every start."""
-        space = JetSpace(self.ring, self.precision)
-        target = Matrix.scalar(space, self.n, Jet(self.f, self.precision))
-        return _check_slots((_run_product(self, i, self.d), target) for i in range(self.d))
+        """Cyclic products == f*I modulo degree N, for every start (computed once)."""
+        if not hasattr(self, "_report"):
+            space = JetSpace(self.ring, self.precision)
+            target = Matrix.scalar(space, self.n, Jet(self.f, self.precision))
+            self._report = _check_slots(
+                (_run_product(self, i, self.d), target) for i in range(self.d))
+        return self._report
 
     def __repr__(self):
         return f"JetMatFac(d={self.d}, n={self.n}, f={self.f}, N={self.precision})"

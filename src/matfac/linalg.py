@@ -6,9 +6,13 @@ scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
-* determinants: exact Gaussian elimination over a field; fraction-free
-  Bareiss elimination (with row-swap sign tracking and exact division) over a
-  polynomial ring;
+* determinants: exact Gaussian elimination over a field; over a polynomial
+  ring, `det_bareiss` first cuts a block-cyclic matrix with scalar diagonal
+  blocks (every factor of a tensor product with a rank-one right operand) to
+  an n x n one by the commuting-block identity
+  det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
+  Gazette 84, 2000), then runs fraction-free Bareiss elimination (with
+  row-swap sign tracking and exact division) on what is left;
 * rref / rank / sparse nullspace / solve / inverse: field matrices only;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
@@ -470,16 +474,72 @@ def _det_field(m: Matrix) -> CycloElem:
 # -- polynomial determinant -----------------------------------------------------
 
 
+def _is_block_cyclic(rows, d: int) -> bool:
+    """True iff the square grid `rows`, cut into d x d blocks of size n, has a
+    scalar matrix c_I * I_n in every diagonal block (I, I), anything in the
+    blocks (I, (I+1) mod d), and zeros everywhere else."""
+    n = len(rows) // d
+    for r, row in enumerate(rows):
+        block = r // n
+        c = rows[block * n][block * n]
+        lo = (block + 1) % d * n
+        for j, a in enumerate(row):
+            if lo <= j < lo + n:
+                continue
+            if j == r:
+                if a != c:
+                    return False
+            elif not a.is_zero():
+                return False
+    return True
+
+
+def _block_cyclic_cut(m: Matrix) -> Matrix | None:
+    """The n x n matrix c_0...c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1}, whose
+    determinant is det m, for the smallest d >= 2 that cuts m into the
+    block-cyclic shape of `_is_block_cyclic` (A_I is block (I, (I+1) mod d));
+    None if no d does."""
+    size = m.nrows
+    for d in range(2, size + 1):
+        if size % d or not _is_block_cyclic(m.rows, d):
+            continue
+        n = size // d
+        c = m.space.one()
+        prod = None
+        for block in range(d):
+            r, j = block * n, (block + 1) % d * n
+            c = c * m.rows[r][r]
+            a = m.submatrix(range(r, r + n), range(j, j + n))
+            prod = a if prod is None else prod @ a
+        scalar = Matrix.scalar(m.space, n, c)
+        return scalar - prod if d % 2 == 0 else scalar + prod
+    return None
+
+
 def det_bareiss(m: Matrix) -> Polynomial:
     """Fraction-free determinant of a polynomial matrix.
 
-    Bareiss elimination: every interior division is exact (entries stay
-    minors of the original matrix), so the computation never leaves the ring.
-    Row swaps are allowed and tracked by sign.
+    First, while the matrix is block-cyclic with central diagonal blocks
+    (see `_is_block_cyclic`; every factor of a tensor product with a rank-one
+    right operand is), it is cut to n x n by the commuting-block identity
+
+        det M = det(c_0 c_1 ... c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1})
+
+    (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000):
+    over the fraction field M = C(I + C^-1 S) with C = diag(c_I I_n) central,
+    and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for block-cyclic B; both
+    sides are polynomials in the c_I, so it also holds when some c_I is 0.
+    For a valid factorization the product is f I, so the cut ends at 1 x 1.
+
+    What is left goes to Bareiss elimination: every interior division is
+    exact (entries stay minors of the original matrix), so the computation
+    never leaves the ring.  Row swaps are allowed and tracked by sign.
     """
     ring = m.space
     if not isinstance(ring, PolynomialRing):
         raise TypeError("det_bareiss requires polynomial entries")
+    while (cut := _block_cyclic_cut(m)) is not None:
+        m = cut
     n = m.nrows
     if n == 0:
         return ring.one()

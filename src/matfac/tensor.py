@@ -257,7 +257,13 @@ class DetCheckReport:
 
 
 def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
-    """Verify det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm} for every k."""
+    """Verify det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm} for every k.
+
+    With a rank-one right operand every Phi_k is block-cyclic with scalar
+    diagonal blocks, and `det_bareiss` reduces it to an n x n determinant
+    (1 x 1 for a valid X) instead of eliminating the whole rank-dnm matrix;
+    wider right operands still pay for full elimination.
+    """
     if x.f.is_zero() or y.f.is_zero():
         raise MatfacError("determinant check requires nonzero f and g")
     t = tensor(x, y, zeta)

@@ -171,7 +171,10 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     factorization of f, and verify its rank and determinants.
 
     The result has rank k^(N-1) (k entries per row, N rows) and each factor
-    matrix has determinant +-f^(k^(N-2)), both checked exactly.  zeta
+    matrix has determinant +-f^(k^(N-2)), both checked exactly.  Each step
+    tensors with a rank-one row factorization, so every factor is
+    block-cyclic and `det_bareiss` cuts it down to 1 x 1 without
+    elimination; the cost lies in the tensor products and in `validate`.  zeta
     defaults to the first primitive k-th root of unity of the coefficient
     field; the field must contain one.
 

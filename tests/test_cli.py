@@ -260,3 +260,53 @@ def test_conductor_four_tensor_with_third_power_twist(tmp_path, capsys):
     }
     assert main(["run", write_doc(tmp_path, doc), "--zeta", "3"]) == 0
     assert "2 commands, 0 failed" in capsys.readouterr().out
+
+
+def run_machine(tmp_path, capsys, doc, *flags):
+    rc = main(["run", write_doc(tmp_path, doc), "--format", "machine", *flags])
+    return rc, json.loads(capsys.readouterr().out) if rc != 2 else capsys.readouterr().err
+
+
+THREE_ROWS = [["x1", "x2", "x0"], ["y1", "y2", "y0"]]
+
+
+@pytest.mark.parametrize("op", ["ulrich", "extension-ses"])
+def test_missing_root_of_unity_fails_the_command(tmp_path, capsys, op):
+    # Q(zeta_2) = Q holds no primitive cube root, which rows of 3 entries need
+    doc = {
+        "ring": {"conductor": 2, "variables": ["x1", "x2", "x0", "y1", "y2", "y0"]},
+        "commands": [{"op": op, "rows": THREE_ROWS}],
+    }
+    rc, rep = run_machine(tmp_path, capsys, doc)
+    assert rc == 1
+    assert rep["commands"][0]["status"] == "fail"
+    assert "no primitive root of order 3" in rep["commands"][0]["summary"]
+
+
+def test_knorrer_with_non_primitive_power_fails_the_command(tmp_path, capsys):
+    # conductor 4 = 2d: omega is the --zeta power of zeta_4, and zeta_4^2 = -1
+    # is not a primitive 4th root
+    doc = dict(KNORRER_DOC, commands=[{"op": "knorrer", "left": "X", "right": "Y"}])
+    rc, rep = run_machine(tmp_path, capsys, doc, "--zeta", "2")
+    assert rc == 1
+    assert rep["commands"][0]["status"] == "fail"
+    assert "power 2" in rep["commands"][0]["summary"]
+
+
+@pytest.mark.parametrize("cmd", [
+    {"op": "shift", "subject": "X", "steps": True},
+    {"op": "extension-ses", "rows": THREE_ROWS, "start": True},
+    {"op": "hom-jets", "source": "X", "target": "X", "precision": True},
+])
+def test_bool_is_not_an_integer(tmp_path, capsys, cmd):
+    doc = dict(PIPELINE_DOC, commands=[cmd])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "must be" in err
+
+
+def test_bool_conductor_rejected(tmp_path, capsys):
+    doc = {"ring": {"conductor": True, "variables": ["x"]}, "commands": []}
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "conductor" in err

@@ -158,3 +158,24 @@ def test_jet_validate_pinpoints_corruption():
     # every cyclic product carries the stray a into entry (1,0) as a^2*b
     assert all(not e.ok for e in rep.entries)
     assert {e.detail for e in rep.entries} == {f"entry (1,0): got {Jet(a * a * b, 4)}"}
+
+
+def test_validate_report_is_computed_once(monkeypatch):
+    # MatFac and JetMatFac are immutable, so a second validate() reuses the
+    # stored report and runs no matrix product
+    subjects = [rank_one(a, b, c).direct_sum(rank_one(a, b, c))]
+    subjects.append(subjects[0].to_jets(4))
+    products = []
+    original = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append(self.shape)
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    for x in subjects:
+        first = x.validate()
+        assert first.passed and products
+        products.clear()
+        assert x.validate() is first
+        assert products == []

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matfac import Matrix, PolynomialRing, cyclotomic_field
-from matfac.linalg import det_bareiss, inverse_field, solve_right, sparse_nullspace
+from matfac import Matrix, PolynomialRing, build_from_sum, cyclotomic_field, sum_of_products
+from matfac.linalg import (
+    _block_cyclic_cut,
+    det_bareiss,
+    inverse_field,
+    solve_right,
+    sparse_nullspace,
+)
 
 from oracles import det_cofactor, nullspace, rref
 
@@ -162,3 +168,86 @@ def test_max_degree_and_constant_terms():
     consts = m.constant_terms()
     assert consts[0, 0] == F.one()
     assert consts[1, 1] == F.rational(4)
+
+
+# -- block-cyclic reduction inside det_bareiss ------------------------------------
+
+
+def block_cyclic(cs, blocks, n):
+    """c_I * I_n on the diagonal blocks, A_I in block (I, (I+1) mod d), zeros elsewhere."""
+    d = len(cs)
+    zero = Matrix.zero(R, n, n)
+    grid = [[zero] * d for _ in range(d)]
+    for i in range(d):
+        grid[i][i] = Matrix.scalar(R, n, cs[i])
+        grid[i][(i + 1) % d] = blocks[i]
+    return Matrix.block(R, grid)
+
+
+def nonzero_entry():
+    # constant term 1..4 keeps every entry nonzero
+    return st.tuples(st.integers(1, 4), st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda t: R.scalar(t[0]) + R.scalar(t[1]) * x + R.scalar(t[2]) * y
+    )
+
+
+@st.composite
+def block_cyclic_parts(draw, entry=poly_entry(), ds=(2, 3, 4), max_n=3):
+    d = draw(st.sampled_from(ds))
+    n = draw(st.integers(1, max_n))
+    cs = [draw(st.one_of(st.just(R.zero()), poly_entry())) for _ in range(d)]
+    blocks = [Matrix(R, [[draw(entry) for _ in range(n)] for _ in range(n)])
+              for _ in range(d)]
+    return cs, blocks, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_cyclic_parts())
+def test_block_cyclic_reduction_matches_cofactor_oracle(parts):
+    # random blocks: non-commuting A_I, non-scalar products, some c_I zero
+    m = block_cyclic(*parts)
+    assert _block_cyclic_cut(m) is not None
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(block_cyclic_parts(entry=nonzero_entry(), ds=(3, 4), max_n=2), st.data())
+def test_stray_entry_falls_back_to_elimination(parts, data):
+    cs, blocks, n = parts
+    rows = [list(r) for r in block_cyclic(cs, blocks, n).rows]
+    # a nonzero entry in block (0, 2), which must be zero for d >= 3
+    rows[data.draw(st.integers(0, n - 1))][2 * n + data.draw(st.integers(0, n - 1))] = x
+    m = Matrix(R, rows)
+    assert _block_cyclic_cut(m) is None
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+@settings(max_examples=15, deadline=None)
+@given(block_cyclic_parts(entry=nonzero_entry(), max_n=2), st.data())
+def test_unequal_diagonal_falls_back_to_elimination(parts, data):
+    cs, blocks, n = parts
+    if n == 1:  # a 1 x 1 block is always scalar; widen to 2 x 2
+        n = 2
+        blocks = [Matrix(R, [[R.one(), x], [y, R.one()]])] * len(cs)
+    rows = [list(r) for r in block_cyclic(cs, blocks, n).rows]
+    # the last diagonal entry of a diagonal block differs from its first
+    r = data.draw(st.integers(0, len(cs) - 1)) * n + n - 1
+    rows[r][r] = rows[r][r] + R.one()
+    m = Matrix(R, rows)
+    assert _block_cyclic_cut(m) is None
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+@pytest.mark.parametrize("n_rows,k", [(3, 3), (4, 2)])
+def test_tensor_factor_determinants_match_elimination(n_rows, k):
+    # cofactor expansion is too slow at these ranks; swapping rows 0 and 1
+    # breaks the block-cyclic shape, so elimination sees the negated matrix
+    ring = PolynomialRing(cyclotomic_field(k),
+                          tuple(f"x{i}_{j}" for i in range(n_rows) for j in range(k)))
+    rows = [[ring.variable(f"x{i}_{j}") for j in range(k)] for i in range(n_rows)]
+    fac, report = build_from_sum(sum_of_products(ring, rows))
+    assert report.passed
+    for m in fac.mats:
+        swapped = Matrix(ring, [m.rows[1], m.rows[0], *m.rows[2:]])
+        assert _block_cyclic_cut(m) is not None and _block_cyclic_cut(swapped) is None
+        assert det_bareiss(m) == -det_bareiss(swapped)
