@@ -8,8 +8,9 @@ their morphisms and direct-sum structure through jet truncations, and reports
 on the maximal Cohen-Macaulay / Ulrich modules they present.
 
 Everything is exact: coefficients live in Q(zeta_m) represented over the
-power basis with Fraction coordinates, polynomials are sparse dicts keyed by
-exponent tuples, and all linear algebra is fraction-free or field-exact.
+power basis as integer numerators over one common denominator, polynomials
+are sparse dicts keyed by exponent tuples, and all linear algebra is
+fraction-free or field-exact.
 """
 
 from .cyclo import CycloElem, CycloField, cyclotomic_field, cyclotomic_polynomial, embed

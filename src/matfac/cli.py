@@ -67,11 +67,24 @@ class DocumentError(MatfacError):
     or a reference to a name that does not exist."""
 
 
-KNOWN_OPS = (
-    "validate", "tensor", "shift", "scale", "reduce", "det-check",
-    "knorrer", "split-idempotent", "hom-jets", "certify", "bound",
-    "ulrich", "extension-ses", "report",
-)
+# The keys each op accepts besides "op"; any other key is a document error.
+OP_KEYS = {
+    "validate": ("subject",),
+    "tensor": ("left", "right", "out"),
+    "shift": ("subject", "steps", "out"),
+    "scale": ("subject", "units", "out"),
+    "reduce": ("left", "right", "side"),
+    "det-check": ("left", "right"),
+    "knorrer": ("left", "right", "out"),
+    "split-idempotent": ("subject", "idempotent", "precision"),
+    "hom-jets": ("source", "target", "precision", "check_invertible"),
+    "certify": ("subject", "spot_check", "consequences"),
+    "bound": ("left", "right", "refute_shifts", "precision", "asymmetric"),
+    "ulrich": ("rows", "partition", "certify", "out"),
+    "extension-ses": ("rows", "partition", "start"),
+    "report": (),
+}
+KNOWN_OPS = tuple(OP_KEYS)
 
 
 # -- document parsing --------------------------------------------------------------
@@ -190,6 +203,11 @@ def parse_document(data: dict) -> ProblemDoc:
         op = cmd.get("op")
         _expect(op in KNOWN_OPS, f"commands[{i}]",
                 f"unknown op {op!r}; known ops: {', '.join(KNOWN_OPS)}")
+        allowed = OP_KEYS[op]
+        for key in cmd:
+            _expect(key == "op" or key in allowed, f"commands[{i}]",
+                    f"unknown key {key!r} for op {op!r}; allowed: "
+                    + (", ".join(allowed) or "none"))
 
     return ProblemDoc(
         ring=ring,

@@ -1,11 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-An element is represented by its coordinate vector over the power basis
-1, z, z^2, ..., z^(phi(m)-1), where z is a fixed primitive m-th root of
-unity and phi is Euler's totient.  Coordinates are `fractions.Fraction`s,
-so every operation is exact.  Reduction happens modulo the m-th cyclotomic
-polynomial, which is computed once per conductor by the classical
-"divide x^m - 1 by the proper divisors' cyclotomic polynomials" recursion.
+An element is represented over the power basis 1, z, z^2, ..., z^(phi(m)-1),
+where z is a fixed primitive m-th root of unity and phi is Euler's totient,
+as a tuple of integer numerators over one positive integer denominator (the
+layout FLINT uses for `fmpq_poly`).  Elements are kept in lowest terms:
+gcd(den, *num) == 1 and zero is (0, ..., 0)/1, so equal elements have equal
+numerators and denominators.
+
+Reduction happens modulo the m-th cyclotomic polynomial, which is computed
+once per conductor by the classical "divide x^m - 1 by the proper divisors'
+cyclotomic polynomials" recursion.  It is monic with integer coefficients,
+so the reduction table of z^phi(m), ..., z^(2 phi(m) - 2) is integral too: a
+product is an integer convolution reduced through the table, over the
+product of the denominators, brought to lowest terms by one gcd.
 
 Inverses go through the extended Euclidean algorithm in Q[x] against the
 cyclotomic modulus; since the modulus is irreducible over Q, any nonzero
@@ -20,15 +27,19 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import MatfacError
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder in Q[x]; dense coefficient lists, low degree first."""
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder in Q[x]; dense coefficient lists, low degree first.
+
+    Integer inputs with a monic divisor give integer outputs.
+    """
     num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    inv_lead = 1 / den[-1]
+    q = [0] * max(len(num) - len(den) + 1, 1)
+    inv_lead = 1 if den[-1] == 1 else Fraction(1, den[-1])
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1] * inv_lead
         if c:
@@ -42,19 +53,18 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients (low degree first) of the m-th cyclotomic polynomial.
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients (low degree first) of the m-th cyclotomic polynomial.
 
     Computed by exact division: Phi_m = (x^m - 1) / prod_{k | m, k < m} Phi_k.
-    The result has integer coefficients; they are returned as Fractions for
-    uniformity with the field arithmetic.
+    Every divisor is monic, so the quotients stay integral.
     """
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (m - 1) + [1]
     for k in range(1, m):
         if m % k == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(k)))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(k))
             if rem:
                 raise MatfacError(f"cyclotomic recursion left a remainder at m={m}, k={k}")
     return tuple(poly)
@@ -79,26 +89,29 @@ class CycloField:
     def __init__(self, m: int):
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
-        self.degree = len(self.modulus) - 1
-        if self.degree != _totient(m):
+        self.degree = deg = len(self.modulus) - 1
+        if deg != _totient(m):
             raise MatfacError(f"cyclotomic polynomial of conductor {m} has the wrong degree")
-        # Reduction table: z^k for k in [degree, 2*degree - 2] as vectors over
-        # the power basis.  Multiplication produces raw degree <= 2*degree - 2.
-        table = []
-        # z^degree = -(modulus without leading coeff); modulus is monic.
-        prev = [-c for c in self.modulus[:-1]]
-        table.append(tuple(prev))
-        for _ in range(self.degree - 2):
-            shifted = [Fraction(0)] + prev[:-1]
-            lead = prev[-1]
-            nxt = [s + lead * t for s, t in zip(shifted, table[0])]
-            table.append(tuple(nxt))
-            prev = nxt
-        self._power_table = table
+        # Reduction table: z^k for k in [degree, 2*degree - 2], each as the
+        # sparse (index, integer coefficient) pairs of its power-basis vector.
+        # A product of reduced elements has raw degree <= 2*degree - 2.
+        rows = []
+        vec = [-c for c in self.modulus[:-1]]  # z^degree; the modulus is monic
+        for k in range(deg, 2 * deg - 1):
+            rows.append((k, tuple((i, c) for i, c in enumerate(vec) if c)))
+            lead = vec[-1]
+            vec = [0] + vec[:-1]
+            if lead:
+                vec = [v - lead * c for v, c in zip(vec, self.modulus)]
+        self._reduction = tuple(rows)
+        self._zero_tail = (0,) * (deg - 1)
+        self._zero = CycloElem(self, (0,) * deg, 1)
+        self._one = CycloElem(self, (1,) + self._zero_tail, 1)
         # zeta^0, ..., zeta^(m-1): each power is the previous one times the
-        # reduced generator, so no raw degree ever exceeds the table's reach.
-        z = CycloElem(self, self._reduce([Fraction(0), Fraction(1)]))
-        powers = [self.one()]
+        # generator, so no raw degree ever exceeds the table's reach.  In
+        # degree one the generator is the root of x + modulus[0] itself.
+        z = self.element([0, 1]) if deg > 1 else self.rational(-self.modulus[0])
+        powers = [self._one]
         for _ in range(m - 1):
             powers.append(powers[-1] * z)
         self._zeta_powers = powers
@@ -119,17 +132,25 @@ class CycloField:
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError(f"coordinate vector longer than field degree {self.degree}")
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return CycloElem(self, tuple(vec))
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it: each prime power of the lcm is some coordinate's whole
+        # denominator, and that coordinate's numerator is prime to it.
+        den = math.lcm(*(q.denominator for q in vec))
+        num = [q.numerator * (den // q.denominator) for q in vec]
+        num += [0] * (self.degree - len(num))
+        return CycloElem(self, tuple(num), den)
 
     def zero(self) -> CycloElem:
-        return self.element([])
+        return self._zero
 
     def one(self) -> CycloElem:
-        return self.element([1])
+        return self._one
 
     def rational(self, a) -> CycloElem:
-        return self.element([Fraction(a)])
+        if type(a) is int:
+            return CycloElem(self, (a,) + self._zero_tail, 1)
+        q = a if isinstance(a, Fraction) else Fraction(a)
+        return CycloElem(self, (q.numerator,) + self._zero_tail, q.denominator)
 
     def zeta(self, power: int = 1) -> CycloElem:
         """zeta_m^power, for any integer power (negative allowed)."""
@@ -151,57 +172,62 @@ class CycloField:
             raise ValueError(f"power {power} does not give a primitive {order}-th root")
         return self.zeta((self.m // order) * power)
 
-    # -- internal reduction --------------------------------------------------
-
-    def _reduce(self, raw: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a raw coefficient list (any length < 2*degree) mod the cyclotomic polynomial."""
-        deg = self.degree
-        out = list(raw[:deg]) + [Fraction(0)] * max(0, deg - len(raw))
-        for k in range(deg, len(raw)):
-            c = raw[k]
-            if c:
-                row = self._power_table[k - deg]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
-
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(m: int) -> CycloField:
     return CycloField(m)
 
 
+def _lowest_terms(field: CycloField, num, den: int) -> CycloElem:
+    """The element num/den (den > 0) brought to lowest terms."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return CycloElem(field, tuple(num), den)
+    return CycloElem(field, tuple(c // g for c in num), den // g)
+
+
 class CycloElem:
-    """An element of Q(zeta_m).  Immutable; full exact arithmetic."""
+    """An element of Q(zeta_m).  Immutable; full exact arithmetic.
 
-    __slots__ = ("field", "coeffs")
+    `num` holds the integer numerators over the power basis and `den` the
+    common positive denominator, in lowest terms.  Construct elements through
+    the field (`element`, `rational`, `zeta`, ...) or by arithmetic.
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coordinates over the power basis."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.num == self.field._one.num
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> CycloElem | None:
         if isinstance(other, CycloElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError(
                     f"field mismatch: Q(zeta_{self.field.m}) vs Q(zeta_{other.field.m})"
                 )
@@ -211,18 +237,36 @@ class CycloElem:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other
+        if type(o) is not CycloElem or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(add, self.num, o.num))
+            if da == 1:
+                return CycloElem(self.field, num, 1)
+            return _lowest_terms(self.field, num, da)
+        return _lowest_terms(self.field, [a * db + b * da for a, b in zip(self.num, o.num)],
+                             da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        o = other
+        if type(o) is not CycloElem or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(sub, self.num, o.num))
+            if da == 1:
+                return CycloElem(self.field, num, 1)
+            return _lowest_terms(self.field, num, da)
+        return _lowest_terms(self.field, [a * db - b * da for a, b in zip(self.num, o.num)],
+                             da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -231,20 +275,34 @@ class CycloElem:
         return o - self
 
     def __neg__(self):
-        return CycloElem(self.field, tuple(-a for a in self.coeffs))
+        return CycloElem(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        raw = [Fraction(0)] * (2 * len(a) - 1)
+        o = other
+        if type(o) is not CycloElem or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        field = self.field
+        a, b = self.num, o.num
+        deg = len(a)
+        # Integer convolution over the power basis, then the reduction table.
+        raw = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in enumerate(b, i):
                     if bj:
-                        raw[i + j] += ai * bj
-        return CycloElem(self.field, self.field._reduce(raw))
+                        raw[j] += ai * bj
+        out = raw[:deg]
+        for k, row in field._reduction:
+            c = raw[k]
+            if c:
+                for i, t in row:
+                    out[i] += c * t
+        den = self.den * o.den
+        if den == 1:
+            return CycloElem(field, tuple(out), 1)
+        return _lowest_terms(field, out, den)
 
     __rmul__ = __mul__
 
@@ -253,31 +311,32 @@ class CycloElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         if self.is_rational():
-            return self.field.rational(1 / self.coeffs[0])
-        # Maintain r = s * self (mod modulus); stop when r is a nonzero constant.
+            return self.field.rational(Fraction(self.den, self.num[0]))
+        # (num/den)^-1 = den * num^-1.  Maintain r = s * num (mod modulus);
+        # stop when r is a nonzero constant.
         r0 = list(self.field.modulus)
-        r1 = [c for c in self.coeffs]
+        r1 = list(self.num)
         while r1 and not r1[-1]:
             r1.pop()
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
+        s0: list = []
+        s1: list = [1]
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             # s_next = s0 - q * s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
+            prod = [0] * (len(q) + len(s1) - 1)
             for i, qi in enumerate(q):
                 if qi:
                     for j, sj in enumerate(s1):
                         prod[i + j] += qi * sj
             s_next = [
-                (s0[i] if i < len(s0) else Fraction(0)) - (prod[i] if i < len(prod) else Fraction(0))
+                (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
                 for i in range(max(len(s0), len(prod)))
             ]
             r0, r1 = r1, r
             s0, s1 = s1, s_next
         if not r1:
             raise ZeroDivisionError("element shares a factor with the modulus (not a field?)")
-        scale = 1 / r1[0]
+        scale = Fraction(self.den) / r1[0]
         return self.field.element([c * scale for c in s1])
 
     def __truediv__(self, other):
@@ -308,12 +367,12 @@ class CycloElem:
         o = self._coerce(other) if not isinstance(other, CycloElem) else other
         if o is None or not isinstance(o, CycloElem):
             return NotImplemented
-        if o.field != self.field:
+        if o.field is not self.field and o.field != self.field:
             return False
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.m, self.coeffs))
+        return hash((self.field.m, self.num, self.den))
 
     def multiplicative_order(self, limit: int = 1000) -> int | None:
         """Order of the element in the unit group, or None if it exceeds `limit`."""
@@ -359,7 +418,7 @@ def embed(elem: CycloElem, target: CycloField) -> CycloElem:
         raise ValueError(f"no standard embedding of Q(zeta_{m}) into Q(zeta_{m2})")
     step = m2 // m
     out = target.zero()
-    for i, c in enumerate(elem.coeffs):
+    for i, c in enumerate(elem.num):
         if c:
             out = out + target.zeta(i * step) * c
-    return out
+    return out * Fraction(1, elem.den)

@@ -51,6 +51,8 @@ class PolynomialRing:
         return f"PolynomialRing(Q(zeta_{self.field.m}), {list(self.vars)})"
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, PolynomialRing)
             and other.field == self.field
@@ -316,9 +318,10 @@ def _format_term(c: CycloElem, mono: str) -> str:
     Rational and single-power-of-z coefficients print bare; anything else is
     parenthesized.  A leading '-' is used by the caller to choose the joiner.
     """
-    nz = [i for i, a in enumerate(c.coeffs) if a]
+    coeffs = c.coeffs
+    nz = [i for i, a in enumerate(coeffs) if a]
     if c.is_rational():
-        q = c.coeffs[0]
+        q = coeffs[0]
         if not mono:
             return str(q)
         if q == 1:
@@ -326,10 +329,10 @@ def _format_term(c: CycloElem, mono: str) -> str:
         if q == -1:
             return f"-{mono}"
         return f"{q}*{mono}"
-    if len(nz) == 1 and abs(c.coeffs[nz[0]]) == 1:
+    if len(nz) == 1 and abs(coeffs[nz[0]]) == 1:
         k = nz[0]
         zs = "z" if k == 1 else f"z^{k}"
-        sign = "-" if c.coeffs[k] < 0 else ""
+        sign = "-" if coeffs[k] < 0 else ""
         return f"{sign}{zs}*{mono}" if mono else f"{sign}{zs}"
     body = f"({c})"
     return f"{body}*{mono}" if mono else body

@@ -1,11 +1,86 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately naive: cofactor expansion for determinants, textbook row
-reduction for kernels.  Slow is fine; these only run on small inputs.
+reduction for kernels, `Fraction`-coordinate vectors for cyclotomic field
+arithmetic.  Slow is fine; these only run on small inputs.
 """
+
+from fractions import Fraction
 
 from matfac import Matrix
 from matfac.cyclo import CycloField
+
+
+# -- cyclotomic field arithmetic on Fraction coordinate vectors --------------
+
+
+def cyclo_power_table(field: CycloField) -> list[tuple[Fraction, ...]]:
+    """z^k for k in [degree, 2*degree - 2] as dense Fraction vectors."""
+    modulus = [Fraction(c) for c in field.modulus]
+    table = []
+    # z^degree = -(modulus without leading coeff); modulus is monic.
+    prev = [-c for c in modulus[:-1]]
+    table.append(tuple(prev))
+    for _ in range(field.degree - 2):
+        shifted = [Fraction(0)] + prev[:-1]
+        lead = prev[-1]
+        nxt = [s + lead * t for s, t in zip(shifted, table[0])]
+        table.append(tuple(nxt))
+        prev = nxt
+    return table
+
+
+def cyclo_reduce(field: CycloField, raw: list[Fraction]) -> tuple[Fraction, ...]:
+    """Reduce a raw coefficient list (any length < 2*degree) mod the cyclotomic polynomial."""
+    deg = field.degree
+    table = cyclo_power_table(field)
+    out = list(raw[:deg]) + [Fraction(0)] * max(0, deg - len(raw))
+    for k in range(deg, len(raw)):
+        c = raw[k]
+        if c:
+            row = table[k - deg]
+            for i in range(deg):
+                if row[i]:
+                    out[i] += c * row[i]
+    return tuple(out)
+
+
+def cyclo_mul(field: CycloField, a, b) -> tuple[Fraction, ...]:
+    """Product of two Fraction coordinate vectors in Q(zeta_m)."""
+    raw = [Fraction(0)] * (2 * len(a) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    raw[i + j] += ai * bj
+    return cyclo_reduce(field, raw)
+
+
+def cyclo_str(coeffs) -> str:
+    """The display form of a coordinate vector: `1 - 2*z + 1/3*z^2`."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mono = "z" if i == 1 else f"z^{i}"
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
+
+
+# -- matrices ------------------------------------------------------------------
 
 
 def det_cofactor(mat: Matrix):

@@ -305,6 +305,18 @@ def test_bool_is_not_an_integer(tmp_path, capsys, cmd):
     assert "must be" in err
 
 
+@pytest.mark.parametrize("cmd, key", [
+    ({"op": "shift", "subject": "X", "by": "a"}, "by"),
+    ({"op": "validate", "subject": "X", "bogus": 1}, "bogus"),
+    ({"op": "report", "out": "R"}, "out"),
+])
+def test_unknown_command_key_rejected(tmp_path, capsys, cmd, key):
+    doc = dict(PIPELINE_DOC, commands=[{"op": "validate", "subject": "X"}, cmd])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "commands[1]" in err and repr(key) in err
+
+
 def test_bool_conductor_rejected(tmp_path, capsys):
     doc = {"ring": {"conductor": True, "variables": ["x"]}, "commands": []}
     rc, err = run_machine(tmp_path, capsys, doc)

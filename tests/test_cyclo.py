@@ -1,10 +1,12 @@
 """Cyclotomic field arithmetic: construction, inverses, roots of unity."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cyclo_mul, cyclo_str
 
 from matfac import cyclotomic_field, cyclotomic_polynomial, embed
 from matfac.cyclo import _totient
@@ -143,3 +145,80 @@ def test_high_powers_of_zeta_reduce():
     F12 = cyclotomic_field(12)
     for p in range(7, 12):
         assert F12.zeta(p) == -F12.zeta(p - 6)
+
+
+ORACLE_CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 12, 14]
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=36),
+)
+
+
+@st.composite
+def _field_and_vectors(draw):
+    """A field and two Fraction coordinate vectors, the zero vector included."""
+    field = cyclotomic_field(draw(st.sampled_from(ORACLE_CONDUCTORS)))
+    zero = (Fraction(0),) * field.degree
+    vec = st.lists(_rationals, min_size=field.degree, max_size=field.degree).map(tuple)
+    return field, draw(st.one_of(st.just(zero), vec)), draw(st.one_of(st.just(zero), vec))
+
+
+def _assert_canonical(x):
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.num)
+    assert len(x.num) == x.field.degree
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_and_vectors())
+def test_arithmetic_matches_fraction_oracle(case):
+    field, a, b = case
+    x, y = field.element(a), field.element(b)
+    assert x.coeffs == a and y.coeffs == b
+    cases = [
+        (x + y, tuple(p + q for p, q in zip(a, b))),
+        (x - y, tuple(p - q for p, q in zip(a, b))),
+        (-x, tuple(-p for p in a)),
+        (x * y, cyclo_mul(field, a, b)),
+        (x * Fraction(3, 4), tuple(Fraction(3, 4) * p for p in a)),
+        (Fraction(-2, 5) - y, tuple((Fraction(-2, 5) if i == 0 else 0) - q
+                                    for i, q in enumerate(b))),
+    ]
+    for got, want in cases + [(x, a), (y, b)]:
+        _assert_canonical(got)
+        assert got.coeffs == want
+        assert str(got) == cyclo_str(want)
+    assert (x == y) == (a == b)
+    # the same value reached two ways is the same key
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)
+    assert hash(x * y) == hash(y * x)
+    if any(a):
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert cyclo_mul(field, a, inv.coeffs) == (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+
+
+def test_canonical_zero_and_one():
+    for m in ORACLE_CONDUCTORS:
+        F = cyclotomic_field(m)
+        half = F.rational(Fraction(1, 2))
+        zero = half - half
+        assert zero.num == (0,) * F.degree and zero.den == 1
+        assert zero == F.zero() and hash(zero) == hash(F.zero())
+        one = half + half
+        assert one.den == 1 and one.is_one() and hash(one) == hash(F.one())
+        assert F.rational(Fraction(6, 4)).den == 2
+
+
+def test_cyclotomic_polynomial_is_integral():
+    for m in ORACLE_CONDUCTORS + [15, 30]:
+        assert all(type(c) is int for c in cyclotomic_polynomial(m))

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import matfac
@@ -16,6 +19,24 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_acceptance_gate_passes_under_optimize():
+    # `python -O` also sets __debug__ to False: a check guarded by it would
+    # switch off there.  The acceptance gate checks good inputs only, so the
+    # tests that feed corrupted factorizations, morphisms and root contexts
+    # to the checks run under -O as well.
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    files = ["test_acceptance.py", "test_factorization.py", "test_morphisms.py",
+             "test_knorrer.py"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(root / "tests" / f) for f in files)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def tracer_entries() -> dict:
