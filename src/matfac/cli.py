@@ -84,7 +84,6 @@ OP_KEYS = {
     "extension-ses": ("rows", "partition", "start"),
     "report": (),
 }
-KNOWN_OPS = tuple(OP_KEYS)
 
 
 # -- document parsing --------------------------------------------------------------
@@ -201,8 +200,8 @@ def parse_document(data: dict) -> ProblemDoc:
     for i, cmd in enumerate(commands):
         _expect(isinstance(cmd, dict), f"commands[{i}]", "must be an object")
         op = cmd.get("op")
-        _expect(op in KNOWN_OPS, f"commands[{i}]",
-                f"unknown op {op!r}; known ops: {', '.join(KNOWN_OPS)}")
+        _expect(isinstance(op, str) and op in OP_KEYS, f"commands[{i}]",
+                f"unknown op {op!r}; known ops: {', '.join(OP_KEYS)}")
         allowed = OP_KEYS[op]
         for key in cmd:
             _expect(key == "op" or key in allowed, f"commands[{i}]",
