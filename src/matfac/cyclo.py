@@ -99,6 +99,7 @@ class CycloField:
         vec = [-c for c in self.modulus[:-1]]  # z^degree; the modulus is monic
         for k in range(deg, 2 * deg - 1):
             rows.append((k, tuple((i, c) for i, c in enumerate(vec) if c)))
+            # times z: the overflowing lead * z^degree is -lead * (modulus minus its top)
             lead = vec[-1]
             vec = [0] + vec[:-1]
             if lead:
