@@ -59,7 +59,7 @@ from .structure import (
     summand_bound,
 )
 from .tensor import TensorMatFac, det_check, tensor
-from .ulrich import build_from_sum, build_ulrich, extension_ses, indecomposable_ulrich, sum_of_products
+from .ulrich import _ulrich_build, build_from_sum, extension_ses, indecomposable_ulrich, sum_of_products
 
 
 class DocumentError(MatfacError):
@@ -121,8 +121,17 @@ def _parse_matrix(ring: PolynomialRing, rows, where: str) -> Matrix:
     out = []
     for i, row in enumerate(rows):
         _expect(isinstance(row, list) and row, f"{where}[{i}]", "expected a nonempty row")
+        _expect(len(row) == len(rows[0]), f"{where}[{i}]",
+                f"row has {len(row)} entries, row 0 has {len(rows[0])}")
         out.append([_parse_poly(ring, s, f"{where}[{i}][{j}]") for j, s in enumerate(row)])
     return Matrix(ring, out)
+
+
+def _section(data: dict, key: str) -> dict:
+    """An optional top-level section: an object, or absent / null for none."""
+    value = data.get(key)
+    _expect(value is None or isinstance(value, dict), key, "must be an object")
+    return value or {}
 
 
 def parse_document(data: dict) -> ProblemDoc:
@@ -142,6 +151,8 @@ def parse_document(data: dict) -> ProblemDoc:
         and all(isinstance(v, str) for v in variables),
         "ring", "needs a nonempty 'variables' array of strings",
     )
+    _expect("z" not in variables, "ring",
+            "'z' is reserved for the root of unity and cannot be a variable")
     try:
         fld = cyclotomic_field(rd["conductor"])
         ring = PolynomialRing(fld, tuple(variables))
@@ -156,12 +167,12 @@ def parse_document(data: dict) -> ProblemDoc:
         taken.add(name)
 
     polynomials = {}
-    for name, text in (data.get("polynomials") or {}).items():
+    for name, text in _section(data, "polynomials").items():
         claim(name, "polynomials")
         polynomials[name] = _parse_poly(ring, text, f"polynomials.{name}")
 
     factorizations = {}
-    for name, spec in (data.get("factorizations") or {}).items():
+    for name, spec in _section(data, "factorizations").items():
         claim(name, "factorizations")
         where = f"factorizations.{name}"
         _expect(isinstance(spec, dict), where, "must be an object")
@@ -177,14 +188,14 @@ def parse_document(data: dict) -> ProblemDoc:
             raise DocumentError(f"{where}: {e}") from e
 
     morphisms = {}
-    for name, spec in (data.get("morphisms") or {}).items():
+    for name, spec in _section(data, "morphisms").items():
         claim(name, "morphisms")
         where = f"morphisms.{name}"
         _expect(isinstance(spec, dict), where, "must be an object")
         for key in ("source", "target", "components"):
             _expect(key in spec, where, f"needs {key!r}")
         for end in ("source", "target"):
-            _expect(spec[end] in factorizations, where,
+            _expect(isinstance(spec[end], str) and spec[end] in factorizations, where,
                     f"{end} {spec[end]!r} is not a declared factorization")
         comps_in = spec["components"]
         _expect(isinstance(comps_in, list), f"{where}.components", "expected an array")
@@ -559,8 +570,7 @@ class Runner:
             }
             stats = ub.stats
         else:
-            pres, stats = build_ulrich(spec, zeta)
-            x, _ = build_from_sum(spec, zeta)
+            x, pres, stats = _ulrich_build(spec, zeta)
             self.store(cmd, x, where)
             data = {
                 "f": str(spec.f),

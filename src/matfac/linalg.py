@@ -6,14 +6,18 @@ scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
-* determinants: exact Gaussian elimination over a field; over a polynomial
-  ring, `det_bareiss` first cuts a block-cyclic matrix with scalar diagonal
-  blocks (every factor of a tensor product with a rank-one right operand) to
-  an n x n one by the commuting-block identity
+* determinants: over a field, `_det_field` on the one field elimination
+  below; over a polynomial ring, `det_bareiss` first cuts a block-cyclic
+  matrix with scalar diagonal blocks (every factor of a tensor product with
+  a rank-one right operand) to an n x n one by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
   Gazette 84, 2000), then runs fraction-free Bareiss elimination (with
   row-swap sign tracking and exact division) on what is left;
-* rref / rank / sparse nullspace / solve / inverse: field matrices only;
+* field linear algebra: one elimination, `_Echelon`, builds the reduced
+  row echelon form one sparse row (col -> CycloElem) at a time.  `rref`
+  reads R and the pivots off it (`rank`, `solve_right` and `inverse_field`
+  work on `rref`), `sparse_nullspace` reads a kernel basis off its pivot
+  rows, and `_det_field` multiplies the leads it divides out;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
 
@@ -22,8 +26,6 @@ translate their own 1-based block conventions at the boundary.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -328,32 +330,79 @@ def _require_field(m: Matrix):
         raise TypeError("field linear algebra requires CycloElem entries")
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with deterministic greedy-leftmost pivoting.
+class _Echelon:
+    """Reduced row echelon form of the sparse rows added so far: the one
+    Gaussian elimination over the field.
 
-    Returns (R, pivot_columns).  Pivot choice: scan columns left to right,
-    take the topmost unused row with a nonzero entry.
+    `pivots` maps each pivot column to its row (col -> CycloElem, zeros left
+    out), in the order the pivots were found.  A pivot row has a one at its
+    own pivot column and nothing at any other pivot column, so one sweep over
+    the pivot columns of a row reduces it.
+    """
+
+    __slots__ = ("zero", "pivots")
+
+    def __init__(self, field: CycloField):
+        self.zero = field.zero()
+        self.pivots: dict[int, dict[int, CycloElem]] = {}
+
+    def _subtract(self, target: dict, factor: CycloElem, source: dict, skip: int):
+        """target -= factor * source, leaving out column `skip`."""
+        zero = self.zero
+        for cc, v in source.items():
+            if cc == skip:
+                continue
+            nv = target.get(cc, zero) - factor * v
+            if nv.is_zero():
+                target.pop(cc, None)
+            else:
+                target[cc] = nv
+
+    def reduce(self, row: dict) -> dict:
+        """What is left of `row` (col -> coeff) after clearing every pivot
+        column: a new dict, empty iff the row lies in the span of the pivot
+        rows."""
+        r = {c: v for c, v in row.items() if not v.is_zero()}
+        pivots = self.pivots
+        for pc in sorted(c for c in r if c in pivots):
+            self._subtract(r, r.pop(pc), pivots[pc], pc)
+        return r
+
+    def add(self, row: dict) -> tuple[int, CycloElem] | None:
+        """Reduce `row`; if anything is left, normalize it, clear its pivot
+        column from the other pivot rows and keep it.  Returns (pivot column,
+        the lead coefficient divided out), or None when the row was
+        dependent."""
+        r = self.reduce(row)
+        if not r:
+            return None
+        c = min(r)
+        lead = r[c]
+        inv = lead.inverse()
+        r = {cc: v * inv for cc, v in r.items()}
+        for p in self.pivots.values():
+            f = p.pop(c, None)
+            if f is not None:
+                self._subtract(p, f, r, c)
+        self.pivots[c] = r
+        return c, lead
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and its pivot columns, ascending.
+
+    The rows of m go through `_Echelon` in order; R lists the pivot rows by
+    pivot column, then m.nrows - rank zero rows.  The RREF of a matrix is
+    unique, so R does not depend on the order of elimination.
     """
     _require_field(m)
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        piv = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    ech = _Echelon(m.space)
+    for row in m.rows:
+        ech.add(dict(enumerate(row)))
+    pivots = sorted(ech.pivots)
+    zero = m.space.zero()
+    rows = [[ech.pivots[c].get(j, zero) for j in range(m.ncols)] for c in pivots]
+    rows += [[zero] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Matrix(m.space, rows), pivots
 
 
@@ -364,55 +413,24 @@ def rank(m: Matrix) -> int:
 def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloField) -> list[dict[int, CycloElem]]:
     """Right-kernel basis of a sparsely given matrix (one dict col->coeff per row).
 
-    Performs reduced row echelon elimination on the sparse rows; the result is
-    the canonical basis of the kernel: one vector per free column, with a unit
-    at its free column.  The tests compare it with the dense textbook oracle
-    `nullspace` in tests/oracles.py.
+    The rows go through `_Echelon` in order, and the basis is read off its
+    pivot rows: one vector per free column, ascending, with a unit at its
+    free column and minus that column's pivot-row entries at the pivots (in
+    the order the pivots were found).  The tests compare it with the dense
+    textbook oracle `nullspace` in tests/oracles.py.
     """
-    zero = field.zero()
-    pivots: dict[int, dict[int, CycloElem]] = {}
-
-    def subtract(target: dict, factor: CycloElem, source: dict, skip: int):
-        for cc, v in source.items():
-            if cc == skip:
-                continue
-            nv = target.get(cc, zero) - factor * v
-            if nv.is_zero():
-                target.pop(cc, None)
-            else:
-                target[cc] = nv
-
+    ech = _Echelon(field)
     for row in rows:
-        r = {c: v for c, v in row.items() if not v.is_zero()}
-        # clear every pivot column from the incoming row (pivot rows carry no
-        # other pivot columns, so one sweep per remaining pivot col suffices)
-        while True:
-            pcols = sorted(c for c in r if c in pivots)
-            if not pcols:
-                break
-            for pc in pcols:
-                f = r.pop(pc, None)
-                if f is not None and not f.is_zero():
-                    subtract(r, f, pivots[pc], pc)
-        if not r:
-            continue
-        c = min(r)
-        inv = r[c].inverse()
-        r = {cc: v * inv for cc, v in r.items()}
-        for p in pivots.values():
-            f = p.pop(c, None)
-            if f is not None and not f.is_zero():
-                subtract(p, f, r, c)
-        pivots[c] = r
+        ech.add(row)
+    one = field.one()
     basis = []
-    pivot_cols = set(pivots)
     for fc in range(ncols):
-        if fc in pivot_cols:
+        if fc in ech.pivots:
             continue
-        vec: dict[int, CycloElem] = {fc: field.one()}
-        for pc, prow in pivots.items():
+        vec: dict[int, CycloElem] = {fc: one}
+        for pc, prow in ech.pivots.items():
             v = prow.get(fc)
-            if v is not None and not v.is_zero():
+            if v is not None:
                 vec[pc] = -v
         basis.append(vec)
     return basis
@@ -449,26 +467,23 @@ def inverse_field(m: Matrix) -> Matrix:
 
 
 def _det_field(m: Matrix) -> CycloElem:
+    """Determinant of a square field matrix on `_Echelon`: the product of the
+    leads divided out, times the sign of the permutation taking each row to
+    its pivot column; zero as soon as a row is dependent.  (Reducing a row by
+    earlier ones and clearing a pivot column keep the determinant; what is
+    left at the end is that permutation matrix.)"""
     field = m.space
-    n = m.nrows
-    if n == 0:
-        return field.one()
-    rows = [list(r) for r in m.rows]
+    ech = _Echelon(field)
     det = field.one()
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not rows[i][c].is_zero()), None)
-        if piv is None:
+    cols = []
+    for row in m.rows:
+        found = ech.add(dict(enumerate(row)))
+        if found is None:
             return field.zero()
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+        cols.append(found[0])
+        det = det * found[1]
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return -det if inversions % 2 else det
 
 
 # -- polynomial determinant -----------------------------------------------------

@@ -34,15 +34,7 @@ from .factorization import (
     _check_slots,
     default_precision,
 )
-from .linalg import (
-    JetSpace,
-    Matrix,
-    jet_inverse,
-    rank,
-    rref,
-    solve_right,
-    sparse_nullspace,
-)
+from .linalg import JetSpace, Matrix, _Echelon, jet_inverse, rref, sparse_nullspace
 from .rings import Jet, Polynomial, PolynomialRing, grlex_key
 
 
@@ -278,18 +270,10 @@ class JetHomBasis:
 
     def contains_truncation(self, alpha: Morphism) -> bool:
         """Whether alpha's truncation below N lies in the span of the basis."""
-        field = self.source.ring.field
-        w = self.vectorize(alpha)
-        if not self.vectors:
-            return not w
-        support = sorted(set().union(*[set(v) for v in self.vectors], set(w)))
-        zero = field.zero()
-        cols = Matrix(
-            field,
-            [[v.get(idx, zero) for v in self.vectors] for idx in support],
-        )
-        rhs = Matrix(field, [[w.get(idx, zero)] for idx in support])
-        return solve_right(cols, rhs) is not None
+        ech = _Echelon(self.source.ring.field)
+        for v in self.vectors:
+            ech.add(v)
+        return not ech.reduce(self.vectorize(alpha))
 
 
 def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None) -> JetHomBasis:
@@ -441,19 +425,15 @@ class SplitResult:
 def _greedy_columns(candidates: Matrix, seed: list, want: int) -> list[int]:
     """Indices of columns of `candidates` that extend `seed` to an independent
     family, chosen greedily left to right.  `seed` is a list of column tuples."""
-    field = candidates.space
+    ech = _Echelon(candidates.space)
+    for col in seed:
+        ech.add(dict(enumerate(col)))
     chosen: list[int] = []
-    current = list(seed)
-    current_rank = rank(Matrix(field, [list(c) for c in zip(*current)])) if current else 0
     for j in range(candidates.ncols):
         if len(chosen) == want:
             break
-        trial = current + [candidates.column(j)]
-        r = rank(Matrix(field, [list(c) for c in zip(*trial)]))
-        if r > current_rank:
+        if ech.add(dict(enumerate(candidates.column(j)))) is not None:
             chosen.append(j)
-            current = trial
-            current_rank = r
     if len(chosen) != want:
         raise MatfacError("could not select enough independent columns")
     return chosen
@@ -482,12 +462,12 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
         precision = default_precision(x, *e.comps)
 
     ring = x.ring
-    field = ring.field
     n = x.n
     d = x.d
     ident = Matrix.identity(ring, n)
 
-    ranks = [rank(c.constant_terms()) for c in e.comps]
+    e_pivots = [rref(c.constant_terms())[1] for c in e.comps]
+    ranks = [len(p) for p in e_pivots]
     if len(set(ranks)) > 1:
         raise MatfacError(
             f"origin-ranks of idempotent components disagree: {ranks} (corrupted input)"
@@ -499,8 +479,7 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
         ek = e.comps[k]
         fk = ident - ek
         e0 = ek.constant_terms()
-        _, e_pivots = rref(e0)
-        e_cols = list(e_pivots)  # exactly r of them: rank checked above
+        e_cols = e_pivots[k]  # exactly r of them: ranks checked above
         seed = [e0.column(j) for j in e_cols]
         f_cols = _greedy_columns(fk.constant_terms(), seed, n - r)
         cols = [ek.column(j) for j in e_cols] + [fk.column(j) for j in f_cols]

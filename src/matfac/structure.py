@@ -133,33 +133,25 @@ def reduce_tensor_witness(x: MatFac, y: MatFac, zeta: CycloElem, side: str):
     if side == "left":
         if not x.is_reduced():
             raise MatfacError("left reduction requires the left factor to be reduced")
-        kill = variable_support(x)
-        reduced = t.reduce_mod_vars(kill)
-        total = None
-        for i in range(t.d):
-            block = _contiguous_copies(y, x.n, zeta**i, i)
-            total = block if total is None else total.direct_sum(block)
-        witness = Morphism(
-            source=reduced,
-            target=total,
-            comps=[Matrix.identity(t.ring, t.n)] * t.d,
-        )
-        matches = reduced == total
+        kill, survivor, copies, unit = variable_support(x), y, x.n, zeta
     else:
         if not y.is_reduced():
             raise MatfacError("right reduction requires the right factor to be reduced")
-        kill = variable_support(y)
-        reduced = t.reduce_mod_vars(kill)
-        zinv = zeta.inverse()
-        total = None
-        for i in range(t.d):
-            block = _contiguous_copies(x, y.n, zinv**i, i)
-            total = block if total is None else total.direct_sum(block)
+        kill, survivor, copies, unit = variable_support(y), x, y.n, zeta.inverse()
+    reduced = t.reduce_mod_vars(kill)
+    total = None
+    for i in range(t.d):
+        block = _contiguous_copies(survivor, copies, unit**i, i)
+        total = block if total is None else total.direct_sum(block)
+    if side == "left":
+        comps = [Matrix.identity(t.ring, t.n)] * t.d
+        matches = reduced == total
+    else:
         # The swap components are constant matrices, so they survive the
         # reduction unchanged and still intertwine the reduced factors.
-        swap = swap_witness(x, y, zeta)
-        witness = Morphism(source=reduced, target=total, comps=swap.comps)
-        matches = tensor(y, x, zinv).reduce_mod_vars(kill) == total
+        comps = swap_witness(x, y, zeta).comps
+        matches = tensor(y, x, unit).reduce_mod_vars(kill) == total
+    witness = Morphism(source=reduced, target=total, comps=comps)
     report = ReductionReport(
         side=side,
         killed=tuple(sorted(kill)),
@@ -291,27 +283,18 @@ def summand_bound(x: MatFac, y: MatFac, sym_flags=(False, False)) -> DecompBound
         "both factors reduced (checked)",
         "both factors indecomposable (caller-asserted)",
     ]
-    if x_flag and y_flag:
+    asymmetric = x_flag and y_flag
+    if asymmetric:
         hyps.append("no nonzero shift of either factor is isomorphic to it")
-        return DecompBound(
-            n=n,
-            m=m,
-            d=d,
-            r=r,
-            bound=r,
-            basis="fully-asymmetric",
-            hypotheses=tuple(hyps),
-            min_summand_rank=d * n * m // r,
-        )
     return DecompBound(
         n=n,
         m=m,
         d=d,
         r=r,
-        bound=d * r,
-        basis="general",
+        bound=r if asymmetric else d * r,
+        basis="fully-asymmetric" if asymmetric else "general",
         hypotheses=tuple(hyps),
-        min_summand_rank=n * m // r,
+        min_summand_rank=(d if asymmetric else 1) * n * m // r,
     )
 
 

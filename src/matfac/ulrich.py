@@ -287,6 +287,21 @@ def mcm_stats(
 # -- the Ulrich constructions ----------------------------------------------------------
 
 
+def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
+    """`build_ulrich`, also returning the factorization it took the cokernel
+    of: (factorization, presentation, stats)."""
+    x, report = build_from_sum(spec, zeta)
+    if not report.passed:
+        raise MatfacError("sum-of-products build failed verification")
+    stats = mcm_stats(x, 1, irreducible=True)
+    if spec.k != stats.ord_f:
+        stats = replace(stats, note=(
+            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
+            "the Ulrich guarantee does not apply, MCM statistics only"
+        ))
+    return x, x.cokernel_presentation(1, 1), stats
+
+
 def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
     """Presentation of an Ulrich module: build the tensor factorization and
     take the cokernel of a single factor.
@@ -298,16 +313,7 @@ def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
 
     Returns (presentation, stats).
     """
-    x, report = build_from_sum(spec, zeta)
-    if not report.passed:
-        raise MatfacError("sum-of-products build failed verification")
-    stats = mcm_stats(x, 1, irreducible=True)
-    if spec.k != stats.ord_f:
-        stats = replace(stats, note=(
-            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
-            "the Ulrich guarantee does not apply, MCM statistics only"
-        ))
-    return x.cokernel_presentation(1, 1), stats
+    return _ulrich_build(spec, zeta)[1:]
 
 
 @dataclass

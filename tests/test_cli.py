@@ -322,3 +322,60 @@ def test_bool_conductor_rejected(tmp_path, capsys):
     rc, err = run_machine(tmp_path, capsys, doc)
     assert rc == 2
     assert "conductor" in err
+
+
+RING = {"conductor": 3, "variables": ["x", "y"]}
+FAC = {"f": "x*y", "matrices": [[["x"]], [["y"]]]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"ring": RING, "commands": [],
+      "factorizations": {"X": {"f": "x*y", "matrices": [[["x", "0"], ["y"]], [["y"]]]}}},
+     "factorizations.X.matrices[0][1]"),
+    ({"ring": {"conductor": 3, "variables": ["x", "z"]}, "polynomials": {"f": "x"},
+      "commands": []}, "ring"),
+    ({"ring": RING, "commands": [], "factorizations": {"X": FAC},
+      "morphisms": {"e": {"source": ["X"], "target": "X",
+                          "components": [[["1"]], [["1"]]]}}},
+     "morphisms.e"),
+    ({"ring": RING, "commands": [], "polynomials": ["x"]}, "polynomials"),
+    ({"ring": RING, "commands": [], "factorizations": [FAC]}, "factorizations"),
+    ({"ring": RING, "commands": [], "morphisms": "e"}, "morphisms"),
+])
+def test_malformed_document_exits_2_with_location(tmp_path, capsys, doc, where):
+    # each of these used to escape as a ValueError, TypeError or
+    # AttributeError traceback (exit 1, which reads as a failed verification)
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith(f"error: {where}: ")
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap every binding of fn in the matfac modules; returns the call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "matfac" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_uncertified_ulrich_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
+    from matfac.tensor import tensor
+    from matfac.ulrich import build_from_sum
+
+    builds = count_calls(monkeypatch, build_from_sum)
+    tensors = count_calls(monkeypatch, tensor)
+    rows = [["x1", "x2", "x0"], ["y1", "y2", "y0"], ["z1", "z2", "z0"]]
+    doc = dict(PIPELINE_DOC, commands=[
+        {"op": "ulrich", "rows": rows, "certify": False, "out": "U"},
+        {"op": "validate", "subject": "U"},
+    ])
+    rc, report = run_machine(tmp_path, capsys, doc)
+    assert rc == 0 and [c["status"] for c in report["commands"]] == ["pass", "pass"]
+    assert len(builds) == 1
+    assert len(tensors) == len(rows) - 1

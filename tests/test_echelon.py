@@ -1,0 +1,187 @@
+"""Property tests for the one field elimination (`linalg._Echelon`).
+
+Every routine built on it is compared with the dense textbook oracles in
+tests/oracles.py over Q(zeta_m), m in {3, 4, 12}, on matrices up to 6 x 6
+with zero rows, repeated rows and rows that combine earlier ones.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matfac import MatFac, Matrix, Morphism, PolynomialRing, cyclotomic_field
+from matfac.errors import MatfacError
+from matfac.linalg import inverse_field, rank, rref, solve_right
+from matfac.morphisms import JetHomBasis, _greedy_columns, _monomials_below
+
+import oracles
+
+FIELDS = {m: cyclotomic_field(m) for m in (3, 4, 12)}
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def entries(field):
+    """Small elements, many of them zero."""
+    coords = st.lists(st.integers(-3, 3), min_size=field.degree, max_size=field.degree)
+    return st.one_of(st.just(field.zero()), coords.map(field.element))
+
+
+@st.composite
+def rows_over(draw, field, nrows, ncols, kinds=("free", "free", "zero", "copy", "combo")):
+    """nrows x ncols rows in which some rows are zero, copies of an earlier
+    row, or an earlier row plus a multiple of another."""
+    entry = entries(field)
+    rows = []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            rows.append([field.zero()] * ncols)
+        elif kind == "copy" and i:
+            rows.append(list(rows[draw(st.integers(0, i - 1))]))
+        elif kind == "combo" and i:
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c = draw(entry)
+            rows.append([p + c * q for p, q in zip(rows[a], rows[b])])
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return rows
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows = draw(st.integers(1, 6))
+    if not square:
+        return Matrix(field, draw(rows_over(field, nrows, draw(st.integers(1, 6)))))
+    # square: half of them free rows (mostly invertible), in shuffled order
+    # so that the pivot columns come in every order
+    kinds = ("free",) if draw(st.booleans()) else ("free", "free", "zero", "copy", "combo")
+    rows = draw(rows_over(field, nrows, nrows, kinds))
+    return Matrix(field, [rows[i] for i in draw(st.permutations(range(nrows)))])
+
+
+def oracle_rank(vectors, field) -> int:
+    return len(oracles.rref([list(v) for v in vectors], field))
+
+
+def leading_column(row) -> int:
+    return next(c for c, a in enumerate(row) if not a.is_zero())
+
+
+@SETTINGS
+@given(field_matrices())
+def test_rref_matches_oracle(m):
+    R, pivots = rref(m)
+    reduced = oracles.rref([list(r) for r in m.rows], m.space)
+    assert R.shape == m.shape
+    assert [list(r) for r in R.rows[:len(pivots)]] == reduced
+    assert Matrix(m.space, R.rows[len(pivots):]).is_zero()
+    assert pivots == [leading_column(row) for row in reduced]
+    assert rank(m) == len(reduced)
+
+
+@SETTINGS
+@given(field_matrices(square=True))
+def test_det_matches_cofactor(m):
+    assert m.det() == oracles.det_cofactor(m)
+
+
+def test_det_of_empty_matrix_is_one():
+    field = FIELDS[3]
+    assert Matrix(field, []).det() == field.one()
+
+
+@SETTINGS
+@given(field_matrices(square=True))
+def test_inverse_field(m):
+    field = m.space
+    if oracles.det_cofactor(m).is_zero():
+        with pytest.raises(MatfacError):
+            inverse_field(m)
+        return
+    inv = inverse_field(m)
+    eye = Matrix.identity(field, m.nrows)
+    assert m @ inv == eye and inv @ m == eye
+
+
+@SETTINGS
+@given(field_matrices(), st.booleans(), st.data())
+def test_solve_right(m, consistent, data):
+    field = m.space
+    width = data.draw(st.integers(1, 2))
+    if consistent:  # rhs in the column space
+        x = Matrix(field, data.draw(rows_over(field, m.ncols, width)))
+        rhs = m @ x
+    else:
+        rhs = Matrix(field, data.draw(rows_over(field, m.nrows, width)))
+    aug = [list(r) + list(s) for r, s in zip(m.rows, rhs.rows)]
+    solvable = oracle_rank(aug, field) == oracle_rank(m.rows, field)
+    assert solvable or not consistent
+    sol = solve_right(m, rhs)
+    if solvable:
+        assert sol is not None and m @ sol == rhs
+    else:
+        assert sol is None
+
+
+@SETTINGS
+@given(field_matrices(), st.data())
+def test_greedy_columns_match_brute_force(candidates, data):
+    field = candidates.space
+    seed = [tuple(r) for r in data.draw(
+        rows_over(field, data.draw(st.integers(0, 3)), candidates.nrows))]
+    # greedy left to right, deciding each column by the oracle rank
+    brute: list[int] = []
+    for j in range(candidates.ncols):
+        family = seed + [candidates.column(i) for i in brute]
+        if oracle_rank(family + [candidates.column(j)], field) > oracle_rank(family, field):
+            brute.append(j)
+    want = data.draw(st.integers(0, len(brute)))
+    assert _greedy_columns(candidates, seed, want) == brute[:want]
+    with pytest.raises(MatfacError):
+        _greedy_columns(candidates, seed, len(brute) + 1)
+
+
+# -- span membership of jet-level hom bases ------------------------------------
+
+PRECISION = 2
+
+
+def rank_one_factorization(field):
+    ring = PolynomialRing(field, ("x", "y"))
+    x, y = ring.variable("x"), ring.variable("y")
+    return MatFac(ring, x * y, [Matrix(ring, [[x]]), Matrix(ring, [[y]])])
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(FIELDS)), st.booleans(), st.data())
+def test_contains_truncation(m, member, data):
+    field = FIELDS[m]
+    X = rank_one_factorization(field)
+    ring = X.ring
+    monos = _monomials_below(ring, PRECISION)
+    nunk = X.d * len(monos)  # rank one: one entry per component
+    vectors = data.draw(rows_over(field, data.draw(st.integers(0, 6)), nunk))
+    if member:  # a combination of the basis vectors
+        coeffs = data.draw(rows_over(field, 1, len(vectors)))[0]
+        w = [sum((c * v[i] for c, v in zip(coeffs, vectors)), field.zero())
+             for i in range(nunk)]
+    else:
+        w = data.draw(rows_over(field, 1, nunk))[0]
+    expected = oracle_rank(vectors + [w], field) == oracle_rank(vectors, field)
+    assert expected or not member
+    # components carry w below the precision and a term at it, which the
+    # truncation drops
+    x2 = ring.variable("x") ** PRECISION
+    comps = []
+    for k in range(X.d):
+        entry = x2
+        for midx, mono in enumerate(monos):
+            entry = entry + ring.scalar(w[k * len(monos) + midx]) * ring.monomial(mono)
+        comps.append(Matrix(ring, [[entry]]))
+    basis = JetHomBasis(
+        source=X, target=X, precision=PRECISION, monomials=monos,
+        vectors=[{i: c for i, c in enumerate(v) if not c.is_zero()} for v in vectors],
+        basis=[],
+    )
+    assert basis.contains_truncation(Morphism(X, X, comps)) == expected
