@@ -342,6 +342,8 @@ class Runner:
             _expect(isinstance(row, list) and row, f"{where}.rows[{i}]", "expected a nonempty array")
             rows.append([_parse_poly(self.ring, s, f"{where}.rows[{i}][{j}]")
                          for j, s in enumerate(row)])
+        _expect(all(len(r) == len(rows[0]) for r in rows), f"{where}.rows",
+                "rows have unequal lengths")
         partition = cmd.get("partition")
         if partition is not None:
             try:

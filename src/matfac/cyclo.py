@@ -14,9 +14,9 @@ so the reduction table of z^phi(m), ..., z^(2 phi(m) - 2) is integral too: a
 product is an integer convolution reduced through the table, over the
 product of the denominators, brought to lowest terms by one gcd.
 
-Inverses go through the extended Euclidean algorithm in Q[x] against the
-cyclotomic modulus; since the modulus is irreducible over Q, any nonzero
-element is invertible.
+An inverse is the product of the other Galois conjugates z |-> z^a over the
+norm, all in integers; since the modulus is irreducible over Q, the norm of a
+nonzero element is a nonzero rational.
 
 Fields of different conductors never mix silently: `embed` moves an element
 of Q(zeta_m) into Q(zeta_m2) for m | m2 via z_m |-> z_m2^(m2/m).
@@ -33,15 +33,12 @@ from .errors import MatfacError
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder in Q[x]; dense coefficient lists, low degree first.
-
-    Integer inputs with a monic divisor give integer outputs.
-    """
+    """Quotient and remainder in Z[x] by a monic divisor; dense coefficient
+    lists, low degree first."""
     num = list(num)
     q = [0] * max(len(num) - len(den) + 1, 1)
-    inv_lead = 1 if den[-1] == 1 else Fraction(1, den[-1])
     for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
+        c = num[i + len(den) - 1]
         if c:
             q[i] = c
             for j, dj in enumerate(den):
@@ -308,37 +305,40 @@ class CycloElem:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloElem:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse as the product of the other Galois
+        conjugates over the norm.
+
+        sigma_a (a prime to m) sends z to z^a, and x * prod_{a != 1}
+        sigma_a(x) = N(x) is a positive rational.  Everything stays in
+        integers: each conjugate of the numerator vector is summed from the
+        table of powers of z, and the norm of that algebraic integer is an
+        integer, so (num/den)^-1 = den * prod_{a != 1} sigma_a(num) / N(num).
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
+        field = self.field
         if self.is_rational():
-            return self.field.rational(Fraction(self.den, self.num[0]))
-        # (num/den)^-1 = den * num^-1.  Maintain r = s * num (mod modulus);
-        # stop when r is a nonzero constant.
-        r0 = list(self.field.modulus)
-        r1 = list(self.num)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0: list = []
-        s1: list = [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            # s_next = s0 - q * s1
-            prod = [0] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            s_next = [
-                (s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
-                for i in range(max(len(s0), len(prod)))
-            ]
-            r0, r1 = r1, r
-            s0, s1 = s1, s_next
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus (not a field?)")
-        scale = Fraction(self.den) / r1[0]
-        return self.field.element([c * scale for c in s1])
+            return field.rational(Fraction(self.den, self.num[0]))
+        m, deg, powers = field.m, field.degree, field._zeta_powers
+        terms = [(i, c) for i, c in enumerate(self.num) if c]
+        prod = None
+        for a in range(2, m):
+            if math.gcd(a, m) != 1:
+                continue
+            conj = [0] * deg
+            for i, c in terms:
+                for j, t in enumerate(powers[a * i % m].num):
+                    if t:
+                        conj[j] += c * t
+            conj = CycloElem(field, tuple(conj), 1)
+            prod = conj if prod is None else prod * conj
+        # Q(zeta_m) of degree >= 2 is totally imaginary, so the norm, a
+        # product of |sigma(x)|^2 over conjugate pairs, is positive.
+        norm = CycloElem(field, self.num, 1) * prod
+        n = norm.num[0]
+        if not norm.is_rational() or n <= 0:
+            raise MatfacError(f"norm of {self} is not a positive rational: {norm}")
+        return _lowest_terms(field, [c * self.den for c in prod.num], n)
 
     def __truediv__(self, other):
         o = self._coerce(other)

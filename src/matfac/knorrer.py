@@ -158,15 +158,6 @@ def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     return mat
 
 
-def _lift_scalar_matrix(mat: Matrix, space) -> Matrix:
-    """View a field matrix inside `space` (a polynomial ring or the field)."""
-    if isinstance(space, PolynomialRing):
-        return mat.map(space.scalar, space)
-    if space is not mat.space:
-        raise MatfacError("scalar matrix lives over a different field")
-    return mat
-
-
 def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
     """Conjugate the cyclic block matrix built on a commuting pair to pencils.
 
@@ -197,11 +188,13 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
         grid[i][(i + 1) % d] = a
     phi = Matrix.block(space, grid)
 
+    scalars = [alpha_matrix(ctx, k) for k in range(d)]
+    if isinstance(space, PolynomialRing):
+        scalars = [s.map(space.scalar, space) for s in scalars]
+    elif space != ctx.field:
+        raise MatfacError("scalar matrix lives over a different field")
     ident = Matrix.identity(space, n)
-    alphas = [
-        _lift_scalar_matrix(alpha_matrix(ctx, k), space).kron(ident)
-        for k in range(d)
-    ]
+    alphas = [s.kron(ident) for s in scalars]
     diag_blocks = []
     for k in range(d):
         blocks = [a - b.scale(ctx.omega_pow(2 * k + 2 * i - 1))
@@ -243,6 +236,13 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     equal to kron(phi, I) - w^(2p+1) kron(I, psi); the direct sum of its
     shifts T^0 Z, ..., T^(d-1) Z literally equals the conjugated diagonal
     form, and the circulant alphas give exact isomorphisms both ways.
+
+    The report holds forward's intertwining law (entries 0..d-1, the same
+    report `forward.is_morphism()` keeps), the validation of Z (start -1)
+    and of the sum of shifts (start -2), and the round trip (start -3).  The
+    witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, so the round trip
+    is certified over the field: alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1
+    for every k, d x d, instead of composing the rank-dnm morphisms.
     """
     if x.ring is not y.ring and x.ring != y.ring:
         raise MatfacError("factors live over different rings")
@@ -284,25 +284,26 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     # the whole isomorphism.
     nm = x.n * y.n
     ident_nm = Matrix.identity(ring, nm)
-    alpha_blocks = []
-    alpha_inv_blocks = []
-    for k in range(d):
-        scalar = alpha_matrix(ctx, k)
-        alpha_blocks.append(_lift_scalar_matrix(scalar, ring).kron(ident_nm))
-        alpha_inv_blocks.append(
-            _lift_scalar_matrix(inverse_field(scalar), ring).kron(ident_nm))
-
-    forward = Morphism(source=t, target=total, comps=alpha_blocks)
-    backward = Morphism(source=total, target=t, comps=alpha_inv_blocks)
+    alphas = [alpha_matrix(ctx, k) for k in range(d)]
+    alpha_invs = [inverse_field(alpha) for alpha in alphas]
+    forward = Morphism(source=t, target=total, comps=[
+        alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas])
+    backward = Morphism(source=total, target=t, comps=[
+        inv.map(ring.scalar, ring).kron(ident_nm) for inv in alpha_invs])
 
     # forward's intertwining law is the conjugation identity, slot by slot
-    entries = _intertwining_report(forward.comps, t.mats, total.mats).entries
+    forward.is_morphism()
+    entries = list(forward._report.entries)
     entries.append(ValidationEntry(
         start=-1, ok=summand.validate().passed, detail="summand validates"))
     entries.append(ValidationEntry(
         start=-2, ok=total.validate().passed, detail="sum of shifts validates"))
-    round_trip = (backward.compose(forward) == Morphism.identity(t)
-                  and forward.compose(backward) == Morphism.identity(total))
+    # Lifting into the ring and taking kron with I_nm is a ring homomorphism
+    # on d x d field matrices, so the field identities below are the round
+    # trips backward o forward = id and forward o backward = id.
+    ident_d = Matrix.identity(ctx.field, d)
+    round_trip = all(inv @ alpha == ident_d and alpha @ inv == ident_d
+                     for alpha, inv in zip(alphas, alpha_invs))
     entries.append(ValidationEntry(
         start=-3, ok=round_trip, detail="witnesses are mutually inverse"))
     report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))

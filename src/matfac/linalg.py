@@ -6,6 +6,10 @@ scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
+* products: `@` is Gustavson's row-sparse product (ACM TOMS 4(3), 1978):
+  each row of the result accumulates a_ik * B[k] over the nonzero a_ik
+  only, so block-diagonal and kron-with-identity operands cost what their
+  nonzeros cost;
 * determinants: over a field, `_det_field` on the one field elimination
   below; over a polynomial ring, `det_bareiss` first cuts a block-cyclic
   matrix with scalar diagonal blocks (every factor of a tensor product with
@@ -205,23 +209,31 @@ class Matrix:
         return Matrix(self.space, [[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
+        """Row-sparse product (Gustavson, "Two fast algorithms for sparse
+        matrices", ACM TOMS 4(3), 1978).
+
+        Row i of the product accumulates a_ik * B[k] over the nonzero a_ik
+        only, into a col -> value dict; the nonzeros of each row of B are
+        read once per call.  Work is proportional to the nonzero products,
+        so the circulant and block-diagonal operands of the Knorrer
+        witnesses cost what their nonzeros cost.
+        """
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         z = self.space.zero()
-        cols = list(zip(*other.rows)) if other.rows else []
+        ncols = other.ncols
+        b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
+                  for row in other.rows]
         out = []
         for row in self.rows:
-            out_row = []
-            for col in (cols or [()] * other.ncols):
-                acc = z
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        if not self.rows:
-            return Matrix(self.space, [])
+            acc = {}
+            for a, b_row in zip(row, b_rows):
+                if b_row and not a.is_zero():
+                    for j, b in b_row:
+                        prev = acc.get(j)
+                        acc[j] = a * b if prev is None else prev + a * b
+            out.append([acc.get(j, z) for j in range(ncols)])
         return Matrix(self.space, out)
 
     def scale(self, c) -> Matrix:

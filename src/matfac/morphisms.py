@@ -58,7 +58,8 @@ def _is_isomorphism(alpha) -> bool:
 class Morphism:
     """A morphism of d-fold factorizations with exact polynomial components."""
 
-    __slots__ = ("source", "target", "comps")
+    # _report is set on the first is_morphism() call and absent until then
+    __slots__ = ("source", "target", "comps", "_report")
 
     def __init__(self, source: MatFac, target: MatFac, comps):
         comps = tuple(comps)
@@ -89,7 +90,15 @@ class Morphism:
         return cls(source=x, target=x, comps=[ident] * x.d)
 
     def is_morphism(self) -> bool:
-        return _intertwining_report(self.comps, self.source.mats, self.target.mats).passed
+        """The intertwining law, slot by slot.
+
+        Computed once per morphism: the components and endpoints are
+        immutable, so the report kept in `_report` cannot go stale.
+        """
+        if not hasattr(self, "_report"):
+            self._report = _intertwining_report(self.comps, self.source.mats,
+                                                self.target.mats)
+        return self._report.passed
 
     def compose(self, other: Morphism) -> Morphism:
         """self after other (source of self must be target of other)."""
@@ -170,7 +179,8 @@ class JetMorphism:
     are asserted modulo degree N.
     """
 
-    __slots__ = ("source", "target", "comps", "precision")
+    # _report is set on the first is_morphism() call and absent until then
+    __slots__ = ("source", "target", "comps", "precision", "_report")
 
     def __init__(self, source, target, comps, precision: int):
         comps = tuple(comps)
@@ -192,9 +202,12 @@ class JetMorphism:
         return self.comps[k % self.source.d]
 
     def is_morphism(self) -> bool:
-        src = _mats_as_jets(self.source, self.precision)
-        tgt = _mats_as_jets(self.target, self.precision)
-        return _intertwining_report(self.comps, src, tgt).passed
+        """The intertwining law modulo degree N, slot by slot (computed once)."""
+        if not hasattr(self, "_report"):
+            self._report = _intertwining_report(
+                self.comps, _mats_as_jets(self.source, self.precision),
+                _mats_as_jets(self.target, self.precision))
+        return self._report.passed
 
     is_isomorphism = _is_isomorphism
 

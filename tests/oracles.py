@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately naive: cofactor expansion for determinants, textbook row
-reduction for kernels, `Fraction`-coordinate vectors for cyclotomic field
-arithmetic.  Slow is fine; these only run on small inputs.
+reduction for kernels, the dense triple loop for matrix products,
+`Fraction`-coordinate vectors and the extended Euclidean algorithm for
+cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
 """
 
 from fractions import Fraction
@@ -56,6 +57,45 @@ def cyclo_mul(field: CycloField, a, b) -> tuple[Fraction, ...]:
     return cyclo_reduce(field, raw)
 
 
+def _qpoly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder in Q[x]; Fraction lists, low degree first."""
+    num = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] / den[-1]
+        if c:
+            q[i] = c
+            for j, dj in enumerate(den):
+                num[i + j] -= c * dj
+    r = num[: len(den) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def cyclo_inverse(field: CycloField, a) -> tuple[Fraction, ...]:
+    """Inverse of a nonzero Fraction coordinate vector: the extended Euclidean
+    algorithm in Q[x] against the cyclotomic modulus, keeping r = s * a."""
+    r0 = [Fraction(c) for c in field.modulus]
+    r1 = list(a)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _qpoly_divmod(r0, r1)
+        prod = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                prod[i + j] += qi * sj
+        width = max(len(s0), len(prod))
+        s_next = [(s0[i] if i < len(s0) else 0) - (prod[i] if i < len(prod) else 0)
+                  for i in range(width)]
+        r0, r1 = r1, r
+        s0, s1 = s1, s_next
+    out = [c / r1[0] for c in s1]
+    return tuple(out) + (Fraction(0),) * (field.degree - len(out))
+
+
 def cyclo_str(coeffs) -> str:
     """The display form of a coordinate vector: `1 - 2*z + 1/3*z^2`."""
     parts = []
@@ -81,6 +121,23 @@ def cyclo_str(coeffs) -> str:
 
 
 # -- matrices ------------------------------------------------------------------
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Dense textbook product: entry (i, j) sums a[i, k] * b[k, j] over every k."""
+    if a.space != b.space or a.ncols != b.nrows:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    zero = a.space.zero()
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = zero
+            for k in range(a.ncols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(a.space, rows)
 
 
 def det_cofactor(mat: Matrix):

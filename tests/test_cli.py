@@ -341,10 +341,15 @@ FAC = {"f": "x*y", "matrices": [[["x"]], [["y"]]]}
     ({"ring": RING, "commands": [], "polynomials": ["x"]}, "polynomials"),
     ({"ring": RING, "commands": [], "factorizations": [FAC]}, "factorizations"),
     ({"ring": RING, "commands": [], "morphisms": "e"}, "morphisms"),
+    ({"ring": RING, "commands": [{"op": "ulrich", "rows": [["x", "y"], ["y"]]}]},
+     "commands[0].rows"),
+    ({"ring": RING, "commands": [{"op": "extension-ses", "rows": [["x"], ["x", "y"]]}]},
+     "commands[0].rows"),
 ])
 def test_malformed_document_exits_2_with_location(tmp_path, capsys, doc, where):
-    # each of these used to escape as a ValueError, TypeError or
-    # AttributeError traceback (exit 1, which reads as a failed verification)
+    # each of these used to exit 1, which reads as a failed verification:
+    # as a ValueError, TypeError or AttributeError traceback, or (unequal
+    # rows) as a FAIL report
     rc, err = run_machine(tmp_path, capsys, doc)
     assert rc == 2
     assert err.startswith(f"error: {where}: ")

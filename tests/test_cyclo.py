@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cyclo_mul, cyclo_str
+from oracles import cyclo_inverse, cyclo_mul, cyclo_str
 
-from matfac import cyclotomic_field, cyclotomic_polynomial, embed
-from matfac.cyclo import _totient
+from matfac import MatfacError, cyclotomic_field, cyclotomic_polynomial, embed
+from matfac.cyclo import CycloField, _totient
 
 
 def test_cyclotomic_polynomial_known_values():
@@ -57,6 +57,16 @@ def test_inverse_small_cases():
     assert x * x.inverse() == F.one()
     with pytest.raises(ZeroDivisionError):
         F.zero().inverse()
+
+
+def test_inverse_checks_the_norm():
+    # a private field whose table of powers of z has two entries swapped:
+    # the product of the "conjugates" is no longer the norm, and the check
+    # that it is a positive rational must say so
+    F = CycloField(12)
+    F._zeta_powers[5], F._zeta_powers[7] = F._zeta_powers[7], F._zeta_powers[5]
+    with pytest.raises(MatfacError, match="is not a positive rational"):
+        F.element([1, 2, 0, 1]).inverse()
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,6 +211,7 @@ def test_arithmetic_matches_fraction_oracle(case):
     if any(a):
         inv = x.inverse()
         _assert_canonical(inv)
+        assert inv.coeffs == cyclo_inverse(field, a)
         assert cyclo_mul(field, a, inv.coeffs) == (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
     else:
         with pytest.raises(ZeroDivisionError):

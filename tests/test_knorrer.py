@@ -21,6 +21,7 @@ from matfac import (
     tensor,
 )
 
+from matfac import knorrer, morphisms
 from oracles import det_cofactor
 
 
@@ -185,3 +186,48 @@ def test_root_sum_rejects_a_non_root_omega():
                        inv_d=fld.rational(Fraction(1, 3)))
     with pytest.raises(MatfacError, match="root sum product identity failed"):
         root_sum(bad, 1)
+
+
+def three_fold_inputs():
+    F = cyclotomic_field(3)
+    R = PolynomialRing(F, ("x", "y"))
+    x_var, y_var = R.variable("x"), R.variable("y")
+    X = MatFac(R, x_var ** 3, [Matrix(R, [[x_var]])] * 3)
+    Y = MatFac(R, y_var ** 3, [Matrix(R, [[y_var]])] * 3)
+    return X, Y, omega_context(3, zeta=F.zeta(1))
+
+
+def test_decompose_computes_forward_law_once(monkeypatch):
+    laws = []
+    original = morphisms._intertwining_report
+
+    def counted(comps, src, tgt):
+        laws.append(comps)
+        return original(comps, src, tgt)
+
+    monkeypatch.setattr(morphisms, "_intertwining_report", counted)
+    monkeypatch.setattr(knorrer, "_intertwining_report", counted)
+    dec = decompose_symmetric(*three_fold_inputs())
+    assert dec.forward.is_morphism() and dec.forward.is_isomorphism()
+    assert [c is dec.forward.comps for c in laws] == [True]
+    # the report's law entries are the ones the morphism keeps
+    assert dec.report.entries[:3] == dec.forward._report.entries
+    assert dec.backward.is_morphism() and dec.backward.is_isomorphism()
+    assert [c is dec.backward.comps for c in laws] == [False, True]
+
+
+def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):
+    # alpha^-1 with two unequal entries of its first row swapped
+    original = knorrer.inverse_field
+
+    def corrupted(m):
+        rows = [list(r) for r in original(m).rows]
+        j = next(j for j in range(1, m.ncols) if rows[0][j] != rows[0][0])
+        rows[0][0], rows[0][j] = rows[0][j], rows[0][0]
+        return Matrix(m.space, rows)
+
+    monkeypatch.setattr(knorrer, "inverse_field", corrupted)
+    dec = decompose_symmetric(*three_fold_inputs())
+    assert not dec.report.passed
+    assert [e.start for e in dec.report.entries if not e.ok] == [-3]
+    assert not dec.backward.is_morphism()

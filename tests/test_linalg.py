@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 
 from matfac import Matrix, PolynomialRing, build_from_sum, cyclotomic_field, sum_of_products
 from matfac.linalg import (
+    JetSpace,
     _block_cyclic_cut,
     det_bareiss,
     inverse_field,
     solve_right,
     sparse_nullspace,
 )
+from matfac.rings import Jet
 
-from oracles import det_cofactor, nullspace, rref
+from oracles import det_cofactor, matmul, nullspace, rref
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y"))
@@ -35,6 +37,53 @@ def test_matmul_identity_zero():
     assert eye @ m == m
     assert (m - m).is_zero()
     assert Matrix.zero(R, 2, 2).is_zero()
+
+
+# Scalars of the three spaces a product runs over; each pool holds zero and
+# a value together with its negative, so entries of a product can cancel.
+_z = F.zeta(1)
+_POLYS = [R.zero(), R.one(), x, -x, y, x * y + R.scalar(2), R.scalar(_z) * y - x]
+_JETS = JetSpace(R, 2)
+PRODUCT_SPACES = {
+    "field": (F, [F.zero(), F.one(), -F.one(), _z, F.element([2, -3]), F.element([-2, 3])]),
+    "poly": (R, _POLYS),
+    "jet": (_JETS, [Jet(p, 2) for p in _POLYS]),
+}
+
+
+@st.composite
+def _sparse_matrix(draw, space, pool, nrows, ncols):
+    """An nrows x ncols matrix over `space`, entries from `pool`, with some
+    rows and columns zeroed, or all of it."""
+    zero = pool[0]
+    rows = [[draw(st.sampled_from(pool)) for _ in range(ncols)] for _ in range(nrows)]
+    if draw(st.booleans()):
+        dead_rows = draw(st.sets(st.integers(0, 4)))
+        dead_cols = draw(st.sets(st.integers(0, 4)))
+        rows = [[zero if i in dead_rows or j in dead_cols else e for j, e in enumerate(r)]
+                for i, r in enumerate(rows)]
+    if draw(st.integers(0, 5)) == 0:
+        rows = [[zero] * ncols for _ in range(nrows)]
+    return Matrix(space, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_SPACES)), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_matmul_matches_dense_oracle(kind, n, k, m, data):
+    # n x 0 operands and 0 x 0 ones (a matrix without rows has no columns)
+    # are what rank-0 factorizations multiply
+    space, pool = PRODUCT_SPACES[kind]
+    a = data.draw(_sparse_matrix(space, pool, n, k))
+    b = data.draw(_sparse_matrix(space, pool, a.ncols, m))
+    got = a @ b
+    assert got.shape == (a.nrows, b.ncols)
+    assert got == matmul(a, b)
+    bad = Matrix(space, [[pool[1]] * max(m, 1) for _ in range(a.ncols + 1)])
+    with pytest.raises(ValueError):
+        a @ bad
+    with pytest.raises(ValueError):
+        matmul(a, bad)
 
 
 def test_scalar_and_diagonal():

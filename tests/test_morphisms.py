@@ -151,3 +151,33 @@ def test_corrupted_component_names_slot_and_entry():
     assert rep.entries[0].detail == "entry (0,1): got 0"
     assert rep.entries[1].detail == f"entry (0,1): got {a * b}"
     assert rep.entries[2].ok and rep.entries[2].detail is None
+
+
+def count_matmuls(monkeypatch):
+    """Count Matrix products from here on; returns the call list."""
+    calls = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append((self.shape, other.shape))
+        return original(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
+
+
+def test_law_is_checked_once_per_morphism(monkeypatch):
+    z = F.zeta(1)
+    _, witness = scale_by_units(X, [z, z, z])
+    jet_inverse = witness.inverse_jets(precision=2)
+    first = [(m.is_morphism(), m.is_isomorphism()) for m in (witness, jet_inverse)]
+    assert first == [(True, True), (True, True)]
+    calls = count_matmuls(monkeypatch)
+    again = [(m.is_morphism(), m.is_isomorphism()) for m in (witness, jet_inverse)]
+    assert again == first
+    assert calls == []
+    # a failing law is kept as well, entries and all
+    bad = Morphism(X, X, [Matrix(R, [[R.one()]]), Matrix(R, [[a]]), Matrix(R, [[R.one()]])])
+    assert not bad.is_morphism() and not bad.is_isomorphism()
+    assert [e.start for e in bad._report.entries if not e.ok] == [0, 1]
+    assert len(calls) == 6
