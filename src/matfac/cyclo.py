@@ -216,11 +216,6 @@ class CycloElem:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other) -> CycloElem | None:

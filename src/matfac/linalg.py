@@ -95,13 +95,6 @@ class Matrix:
         return cls(space, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, space, entries) -> Matrix:
-        entries = list(entries)
-        z = space.zero()
-        n = len(entries)
-        return cls(space, [[entries[i] if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
     def scalar(cls, space, n: int, value) -> Matrix:
         """value * identity, n x n."""
         z = space.zero()

@@ -287,11 +287,6 @@ class Polynomial:
             self.ring, {e: c for e, c in self.terms.items() if sum(e) < precision}
         )
 
-    def homogeneous_part(self, degree: int) -> Polynomial:
-        return Polynomial(
-            self.ring, {e: c for e, c in self.terms.items() if sum(e) == degree}
-        )
-
     # -- display --------------------------------------------------------------
 
     def __str__(self):

@@ -22,6 +22,10 @@ between two Ulrich modules, so the Ulrich modules are not closed under
 extensions unless R is regular.  When the rows are pairwise coprime
 monomials in disjoint variables, the structure module certifies the tensor
 strongly indecomposable, making the Ulrich modules indecomposable as well.
+
+Every build is verified once, whichever route made it: rank, validation,
+reducedness and the factor determinants.  A failed check raises MatfacError
+rather than returning a failing report.
 """
 
 from __future__ import annotations
@@ -154,6 +158,9 @@ def _signed_powers(f: Polynomial, s: int) -> tuple[Polynomial, Polynomial]:
 
 @dataclass
 class BuildReport:
+    """What the verification of a sum-of-products build checked.  A build
+    that fails a check raises instead, so a returned report has passed."""
+
     rank_expected: int
     rank_ok: bool
     validates: bool
@@ -166,54 +173,61 @@ class BuildReport:
         return self.rank_ok and self.validates and self.reduced
 
 
+def _checked_zeta(spec: SumOfProducts, zeta: CycloElem | None) -> CycloElem:
+    """Reject a malformed spec; default zeta to the field's first primitive
+    k-th root of unity."""
+    problems = spec.problems()
+    if problems:
+        raise MatfacError("malformed sum of products: " + "; ".join(problems))
+    return spec.ring.field.root_of_unity(spec.k, 1) if zeta is None else zeta
+
+
+def _verify_build(spec: SumOfProducts, x: MatFac) -> BuildReport:
+    """Check the tensor built from spec: rank k^(N-1), validation,
+    reducedness, and every factor's determinant +-f^(k^(N-2)).  Raises
+    MatfacError on any failure."""
+    rank = spec.k ** (spec.n_terms - 1)
+    validates, reduced = x.validate().passed, x.is_reduced()
+    if x.n != rank or not validates or not reduced:
+        raise MatfacError(
+            f"sum-of-products build failed verification: rank {x.n} "
+            f"(expected {rank}), validates={validates}, reduced={reduced}"
+        )
+    det_exponent = spec.k ** (spec.n_terms - 2)
+    plus, minus = _signed_powers(spec.f, det_exponent)
+    signs = []
+    for p, m in enumerate(x.mats):
+        det = m.det()
+        if det not in (plus, minus):
+            raise MatfacError(
+                f"factor {p}: determinant is not +-f^{det_exponent} "
+                "(hypothesis failure in the sum-of-products input)"
+            )
+        signs.append("+" if det == plus else "-")
+    return BuildReport(rank_expected=rank, rank_ok=True, validates=True, reduced=True,
+                       det_exponent=det_exponent, det_signs=tuple(signs))
+
+
 def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     """Tensor the row factorizations of a sum of products into one
     factorization of f, and verify its rank and determinants.
 
     The result has rank k^(N-1) (k entries per row, N rows) and each factor
-    matrix has determinant +-f^(k^(N-2)), both checked exactly.  Each step
-    tensors with a rank-one row factorization, so every factor is
+    matrix has determinant +-f^(k^(N-2)); both are checked exactly, together
+    with validation and reducedness, and a failed check raises MatfacError.
+    Each step tensors with a rank-one row factorization, so every factor is
     block-cyclic and `det_bareiss` cuts it down to 1 x 1 without
     elimination; the cost lies in the tensor products and in `validate`.  zeta
     defaults to the first primitive k-th root of unity of the coefficient
     field; the field must contain one.
 
-    Returns (factorization, report).
+    Returns (factorization, report); the report records the checks passed.
     """
-    problems = spec.problems()
-    if problems:
-        raise MatfacError("malformed sum of products: " + "; ".join(problems))
-    k = spec.k
-    n_terms = spec.n_terms
-    if zeta is None:
-        zeta = spec.ring.field.root_of_unity(k, 1)
+    zeta = _checked_zeta(spec, zeta)
     x = spec.row_factorization(0)
-    for i in range(1, n_terms):
+    for i in range(1, spec.n_terms):
         x = tensor(x, spec.row_factorization(i), zeta)
-    rank_expected = k ** (n_terms - 1)
-    det_exponent = k ** (n_terms - 2)
-    plus, minus = _signed_powers(spec.f, det_exponent)
-    signs = []
-    for p in range(k):
-        det = x.mats[p].det()
-        if det == plus:
-            signs.append("+")
-        elif det == minus:
-            signs.append("-")
-        else:
-            raise MatfacError(
-                f"factor {p}: determinant is not +-f^{det_exponent} "
-                "(hypothesis failure in the sum-of-products input)"
-            )
-    report = BuildReport(
-        rank_expected=rank_expected,
-        rank_ok=x.n == rank_expected,
-        validates=x.validate().passed,
-        reduced=x.is_reduced(),
-        det_exponent=det_exponent,
-        det_signs=tuple(signs),
-    )
-    return x, report
+    return x, _verify_build(spec, x)
 
 
 # -- module statistics ----------------------------------------------------------------
@@ -287,18 +301,23 @@ def mcm_stats(
 # -- the Ulrich constructions ----------------------------------------------------------
 
 
-def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
-    """`build_ulrich`, also returning the factorization it took the cokernel
-    of: (factorization, presentation, stats)."""
-    x, report = build_from_sum(spec, zeta)
-    if not report.passed:
-        raise MatfacError("sum-of-products build failed verification")
+def _noted_stats(spec: SumOfProducts, x: MatFac, downgrade: str) -> ModuleStats:
+    """mcm_stats of the first factor's cokernel, with a note (ending in
+    `downgrade`) when the entries per row differ from ord(f)."""
     stats = mcm_stats(x, 1, irreducible=True)
     if spec.k != stats.ord_f:
         stats = replace(stats, note=(
-            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
-            "the Ulrich guarantee does not apply, MCM statistics only"
+            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; {downgrade}"
         ))
+    return stats
+
+
+def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
+    """`build_ulrich`, also returning the factorization it took the cokernel
+    of: (factorization, presentation, stats)."""
+    x, _ = build_from_sum(spec, zeta)
+    stats = _noted_stats(
+        spec, x, "the Ulrich guarantee does not apply, MCM statistics only")
     return x, x.cokernel_presentation(1, 1), stats
 
 
@@ -387,35 +406,27 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
     products in pairwise disjoint variables.
 
     Each row must give a rank-one factorization with pairwise coprime
-    monomial entries (certified, refusal propagates); distinct rows must use
-    disjoint variables (checked by the propagation step).  The cokernel of
-    any single factor of the certified tensor is then indecomposable; it is
-    Ulrich exactly when the entries-per-row count equals ord(f).  Calling
-    this asserts f irreducible.  The rank of the presentation also bounds
-    the Ulrich complexity of f from above; whether anything smaller is
-    possible cannot be seen from this construction alone.
+    monomial entries (certified, refusal propagates); every row is certified
+    before any tensor is built.  Distinct rows must use disjoint variables
+    (checked by the propagation step).  The certificate's subject is the
+    build itself: it gets the checks of `build_from_sum`, and a failed check
+    raises MatfacError.  The cokernel of any single factor of the certified
+    tensor is then indecomposable; it is Ulrich exactly when the
+    entries-per-row count equals ord(f).  Calling this asserts f irreducible.
+    The rank of the presentation also bounds the Ulrich complexity of f from
+    above; whether anything smaller is possible cannot be seen from this
+    construction alone.
     """
-    problems = spec.problems()
-    if problems:
-        raise MatfacError("malformed sum of products: " + "; ".join(problems))
-    if zeta is None:
-        zeta = spec.ring.field.root_of_unity(spec.k, 1)
-    cert = coprime_rank_one_cert(spec.row_factorization(0))
-    for i in range(1, spec.n_terms):
-        cert = propagate_strong_ind(
-            cert, coprime_rank_one_cert(spec.row_factorization(i)), zeta
-        )
-    # Continue with the direct build, equal to the certified tensor as data:
-    # its factors already carry their determinants from build_from_sum.
-    x = build_from_sum(spec, zeta)[0]
-    if x != cert.subject:
-        raise MatfacError("certified tensor differs from the direct build")
-    stats = mcm_stats(x, 1, irreducible=True)
-    if spec.k != stats.ord_f:
-        stats = replace(stats, note=(
-            f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; "
-            "indecomposable MCM claims only, not Ulrich"
-        ))
+    zeta = _checked_zeta(spec, zeta)
+    # Certify every row before building anything: a row that cannot be
+    # certified refuses without a tensor product.
+    certs = [coprime_rank_one_cert(spec.row_factorization(i)) for i in range(spec.n_terms)]
+    cert = certs[0]
+    for row_cert in certs[1:]:
+        cert = propagate_strong_ind(cert, row_cert, zeta)
+    x = cert.subject
+    _verify_build(spec, x)
+    stats = _noted_stats(spec, x, "indecomposable MCM claims only, not Ulrich")
     consequences = strong_ind_consequences(cert)
     uc_bound = spec.k ** (spec.n_terms - 2)
     return UlrichBuild(

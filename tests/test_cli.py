@@ -306,6 +306,26 @@ def test_bool_is_not_an_integer(tmp_path, capsys, cmd):
 
 
 @pytest.mark.parametrize("cmd, key", [
+    # read by truthiness, a string would run the certified path or the
+    # invertibility check, or assert both shift-asymmetry hypotheses (which
+    # sharpens the bound from d*r to r)
+    ({"op": "ulrich", "rows": THREE_ROWS, "certify": "false"}, "certify"),
+    ({"op": "certify", "subject": "X", "consequences": "yes"}, "consequences"),
+    ({"op": "certify", "subject": "X", "spot_check": 1}, "spot_check"),
+    ({"op": "hom-jets", "source": "X", "target": "X", "precision": 1,
+      "check_invertible": "no"}, "check_invertible"),
+    ({"op": "bound", "left": "X", "right": "Y", "refute_shifts": None}, "refute_shifts"),
+    ({"op": "bound", "left": "X", "right": "Y", "asymmetric": ["no", "no"]}, "asymmetric"),
+    ({"op": "bound", "left": "X", "right": "Y", "asymmetric": [True, 0]}, "asymmetric"),
+])
+def test_boolean_key_must_be_a_json_boolean(tmp_path, capsys, cmd, key):
+    doc = dict(PIPELINE_DOC, commands=[{"op": "validate", "subject": "X"}, cmd])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "commands[1]" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("cmd, key", [
     ({"op": "shift", "subject": "X", "by": "a"}, "by"),
     ({"op": "validate", "subject": "X", "bogus": 1}, "bogus"),
     ({"op": "report", "out": "R"}, "out"),

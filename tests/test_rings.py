@@ -98,8 +98,6 @@ def test_divexact():
 def test_truncate_and_homogeneous_part():
     f = R.one() + x + x * y + x * y * w
     assert f.truncate(2) == R.one() + x
-    assert f.homogeneous_part(2) == x * y
-    assert f.homogeneous_part(5).is_zero()
 
 
 def test_monomial_coprime():

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 import matfac.linalg as linalg
+import matfac.structure as structure
+import matfac.ulrich as ulrich
 from matfac import (
+    MatFac,
     MatfacError,
     PolynomialRing,
     Refusal,
@@ -18,6 +21,8 @@ from matfac import (
     mcm_stats,
     sum_of_products,
 )
+from matfac.factorization import ValidationReport
+from matfac.tensor import tensor
 
 F3 = cyclotomic_field(3)
 R9 = PolynomialRing(F3, ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0"))
@@ -136,6 +141,8 @@ def test_indecomposable_ulrich(trinomial):
     assert ub.uc_bound == 3
     assert ub.certificate.problems() == []
     assert ub.presentation.size == 9
+    # the presentation is a factor of the certified subject, not of a second build
+    assert ub.presentation.matrix is ub.certificate.subject.mats[0]
     claims = [c.claim for c in ub.consequences.claims]
     assert claims.count("indecomposable") == 1
     assert claims.count("shift_inequivalent") == 2
@@ -222,6 +229,19 @@ def test_malformed_sums_rejected():
         build_from_sum(sp)
 
 
+def count_tensors(monkeypatch) -> list:
+    """Count tensor() calls made by the Ulrich and certificate code."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return tensor(*args)
+
+    for module in (structure, ulrich):
+        monkeypatch.setattr(module, "tensor", counting)
+    return calls
+
+
 def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch):
     # build_from_sum already holds det phi_1; mcm_stats must not redo it
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
@@ -238,3 +258,35 @@ def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch):
     pres, stats = build_ulrich(spec)
     assert stats.ulrich and pres.size == 4
     assert calls == [4] * spec.k
+    # the certified route builds the chain once (N - 1 tensors), the
+    # certificate's re-verification rebuilds it once more, and each factor's
+    # determinant is still computed once
+    calls.clear()
+    tensors = count_tensors(monkeypatch)
+    ub = indecomposable_ulrich(spec)
+    assert ub.stats.ulrich and ub.presentation.size == 4
+    assert len(tensors) == 2 * (spec.n_terms - 1)
+    assert calls == [4] * spec.k
+
+
+def test_uncertifiable_row_refuses_before_any_tensor(monkeypatch):
+    rows = ROWS[:2] + [[R9.variable("z1") + R9.variable("z2"), R9.variable("z2"),
+                        R9.variable("z0")]]
+    tensors = count_tensors(monkeypatch)
+    with pytest.raises(Refusal):
+        indecomposable_ulrich(sum_of_products(R9, rows))
+    assert tensors == []
+
+
+def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
+    # the rank-one rows validate (tensor() requires it); the built tensor does not
+    original = MatFac.validate
+
+    def failing_above_rank_one(self):
+        if self.n == 1:
+            return original(self)
+        return ValidationReport(entries=[], passed=False)
+
+    monkeypatch.setattr(MatFac, "validate", failing_above_rank_one)
+    with pytest.raises(MatfacError, match="validates=False"):
+        build_from_sum(sum_of_products(R9, ROWS[:2]))
