@@ -50,10 +50,10 @@ from .morphisms import (
 )
 from .rings import Polynomial, PolynomialRing
 from .structure import (
+    _propagated,
     constant_term_spot_check,
     coprime_rank_one_cert,
     jet_refute_shift_iso,
-    propagate_strong_ind,
     reduce_tensor_witness,
     strong_ind_consequences,
     summand_bound,
@@ -353,10 +353,12 @@ class Runner:
                 "rows have unequal lengths")
         partition = cmd.get("partition")
         if partition is not None:
-            try:
-                partition = tuple(tuple(tuple(int(i) for i in grp) for grp in row) for row in partition)
-            except (TypeError, ValueError) as e:
-                raise DocumentError(f"{where}: malformed partition: {e}") from e
+            _expect(isinstance(partition, list)
+                    and all(isinstance(row, list) for row in partition)
+                    and all(isinstance(grp, list) and all(map(_is_int, grp))
+                            for row in partition for grp in row), f"{where}.partition",
+                    "expected an array of rows, each an array of blocks of integer indices")
+            partition = tuple(tuple(tuple(grp) for grp in row) for row in partition)
         spec = sum_of_products(self.ring, rows, partition)
         problems = spec.problems()
         if problems:
@@ -505,8 +507,9 @@ class Runner:
         return ("pass", summary, data)
 
     def _certify(self, x: MatFac):
+        # the tree's nodes are the stored tensors, not rebuilt copies
         if isinstance(x, TensorMatFac):
-            return propagate_strong_ind(self._certify(x.left), self._certify(x.right), x.zeta)
+            return _propagated(self._certify(x.left), self._certify(x.right), x.zeta, x)
         return coprime_rank_one_cert(x)
 
     def op_certify(self, cmd, where):

@@ -26,10 +26,10 @@ indecomposability bookkeeping built on top of it:
 * strong-indecomposability certificates: rank-one factorizations with
   pairwise coprime monomial entries are strongly indecomposable (axiom case),
   and the property propagates through tensor products over disjoint variable
-  sets.  Certificates are explicit trees that re-verify on demand; their
-  consequences (indecomposability, shift-inequivalence, indecomposable
-  cokernels, scalar residue endomorphisms) are emitted as claims, not
-  recomputed facts.
+  sets.  Certificates are explicit trees, verified once, on the first
+  `problems()` call; their consequences (indecomposability,
+  shift-inequivalence, indecomposable cokernels, scalar residue
+  endomorphisms) are emitted as claims, not recomputed facts.
 
 Nothing here decides strong indecomposability from the definition -- that
 quantifies over all pairs of homomorphisms over the power-series ring.  The
@@ -129,15 +129,17 @@ def reduce_tensor_witness(x: MatFac, y: MatFac, zeta: CycloElem, side: str):
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _require_disjoint(x, y)
-    t = tensor(x, y, zeta)
     if side == "left":
         if not x.is_reduced():
             raise MatfacError("left reduction requires the left factor to be reduced")
         kill, survivor, copies, unit = variable_support(x), y, x.n, zeta
+        t = tensor(x, y, zeta)
     else:
         if not y.is_reduced():
             raise MatfacError("right reduction requires the right factor to be reduced")
         kill, survivor, copies, unit = variable_support(y), x, y.n, zeta.inverse()
+        swap = swap_witness(x, y, zeta)
+        t = swap.source
     reduced = t.reduce_mod_vars(kill)
     total = None
     for i in range(t.d):
@@ -149,8 +151,8 @@ def reduce_tensor_witness(x: MatFac, y: MatFac, zeta: CycloElem, side: str):
     else:
         # The swap components are constant matrices, so they survive the
         # reduction unchanged and still intertwine the reduced factors.
-        comps = swap_witness(x, y, zeta).comps
-        matches = tensor(y, x, unit).reduce_mod_vars(kill) == total
+        comps = swap.comps
+        matches = swap.target.reduce_mod_vars(kill) == total
     witness = Morphism(source=reduced, target=total, comps=comps)
     report = ReductionReport(
         side=side,
@@ -353,14 +355,23 @@ class StrongIndCert:
     """Certificate that `subject` is strongly indecomposable.
 
     The certificate is a tree: leaves are coprime rank-one axioms, inner
-    nodes are disjoint-variable tensor propagations.  `problems()` re-verifies
+    nodes are disjoint-variable tensor propagations.  `problems()` verifies
     the whole tree and returns a list of violations (empty means valid).
+    The first call keeps the verdict, which cannot go stale (the certificate
+    is frozen and its subject immutable); each call returns a fresh list.
     """
 
     subject: MatFac
     basis: AxiomCoprimeRankOne | TensorPropagation
 
     def problems(self) -> list[str]:
+        if not hasattr(self, "_problems"):
+            object.__setattr__(self, "_problems", tuple(self._verify()))
+        return list(self._problems)
+
+    def _verify(self) -> list[str]:
+        # rebuilding each propagation node's tensor is the one independent
+        # check that the subject is what the tree claims
         out: list[str] = []
         if not self.subject.validate().passed:
             out.append("subject does not validate")
@@ -424,11 +435,12 @@ def coprime_rank_one_cert(x: MatFac) -> StrongIndCert:
     return StrongIndCert(subject=x, basis=AxiomCoprimeRankOne(entries=entries))
 
 
-def propagate_strong_ind(
-    cx: StrongIndCert, cy: StrongIndCert, zeta: CycloElem
+def _propagated(
+    cx: StrongIndCert, cy: StrongIndCert, zeta: CycloElem, subject: MatFac
 ) -> StrongIndCert:
-    """Tensor two certified subjects over disjoint variables; the tensor
-    product is again strongly indecomposable."""
+    """Certify `subject`, the zeta-twisted tensor of the two certified
+    subjects, by propagation: check and record their disjoint variables.
+    The subject is taken as given; `problems()` rebuilds it to compare."""
     lsup = variable_support(cx.subject)
     rsup = variable_support(cy.subject)
     if lsup & rsup:
@@ -436,12 +448,19 @@ def propagate_strong_ind(
             f"certified subjects must use disjoint variables; both use "
             f"{sorted(lsup & rsup)}"
         )
-    subject = tensor(cx.subject, cy.subject, zeta)
     split = VarSplit(left_vars=lsup, right_vars=rsup)
     return StrongIndCert(
         subject=subject,
         basis=TensorPropagation(left=cx, right=cy, split=split, zeta=zeta),
     )
+
+
+def propagate_strong_ind(
+    cx: StrongIndCert, cy: StrongIndCert, zeta: CycloElem
+) -> StrongIndCert:
+    """Tensor two certified subjects over disjoint variables; the tensor
+    product is again strongly indecomposable."""
+    return _propagated(cx, cy, zeta, tensor(cx.subject, cy.subject, zeta))
 
 
 @dataclass(frozen=True)
@@ -459,12 +478,14 @@ class ConsequenceReport:
 
 
 def strong_ind_consequences(cert: StrongIndCert) -> ConsequenceReport:
-    """The structural consequences of a (re-verified) certificate.
+    """The structural consequences of a verified certificate.
 
-    The claims are emitted, not recomputed: indecomposability of the subject,
-    inequivalence with every nonzero shift, indecomposability of each factor's
-    cokernel over the hypersurface ring, and scalar residue of the
-    endomorphism rings.
+    Raises MatfacError naming the problems the certificate's kept verdict
+    lists (verified on the first `cert.problems()`).  The claims are
+    emitted, not recomputed: indecomposability of the subject, inequivalence
+    with every nonzero shift, indecomposability of each factor's cokernel
+    over the hypersurface ring, and scalar residue of the endomorphism
+    rings.
     """
     problems = cert.problems()
     if problems:

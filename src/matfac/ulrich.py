@@ -24,8 +24,9 @@ monomials in disjoint variables, the structure module certifies the tensor
 strongly indecomposable, making the Ulrich modules indecomposable as well.
 
 Every build is verified once, whichever route made it: rank, validation,
-reducedness and the factor determinants.  A failed check raises MatfacError
-rather than returning a failing report.
+reducedness and the factor determinants, whose verified exponent gives the
+statistics.  A failed check raises MatfacError rather than returning a
+failing report.
 """
 
 from __future__ import annotations
@@ -286,6 +287,12 @@ def mcm_stats(
     s = deg_det // deg_f
     if det not in _signed_powers(x.f, s):
         raise MatfacError("determinant is not a pure signed power of f")
+    return _module_stats(x, s)
+
+
+def _module_stats(x: MatFac, s: int) -> ModuleStats:
+    """Stats of a cokernel of the reduced factorization x whose presentation
+    has determinant +-f^s (irreducibility of f asserted by the caller)."""
     ord_f = x.f.order_of()
     e_r = ord_f * s
     return ModuleStats(
@@ -294,17 +301,19 @@ def mcm_stats(
         e_R=e_r,
         ord_f=ord_f,
         ulrich=x.n == e_r,
-        irreducible_asserted=irreducible,
+        irreducible_asserted=True,
     )
 
 
 # -- the Ulrich constructions ----------------------------------------------------------
 
 
-def _noted_stats(spec: SumOfProducts, x: MatFac, downgrade: str) -> ModuleStats:
-    """mcm_stats of the first factor's cokernel, with a note (ending in
+def _noted_stats(spec: SumOfProducts, x: MatFac, report: BuildReport,
+                 downgrade: str) -> ModuleStats:
+    """Stats of the first factor's cokernel, read from the determinant
+    exponent that `_verify_build` checked, with a note (ending in
     `downgrade`) when the entries per row differ from ord(f)."""
-    stats = mcm_stats(x, 1, irreducible=True)
+    stats = _module_stats(x, report.det_exponent)
     if spec.k != stats.ord_f:
         stats = replace(stats, note=(
             f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; {downgrade}"
@@ -315,9 +324,9 @@ def _noted_stats(spec: SumOfProducts, x: MatFac, downgrade: str) -> ModuleStats:
 def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
     """`build_ulrich`, also returning the factorization it took the cokernel
     of: (factorization, presentation, stats)."""
-    x, _ = build_from_sum(spec, zeta)
+    x, report = build_from_sum(spec, zeta)
     stats = _noted_stats(
-        spec, x, "the Ulrich guarantee does not apply, MCM statistics only")
+        spec, x, report, "the Ulrich guarantee does not apply, MCM statistics only")
     return x, x.cokernel_presentation(1, 1), stats
 
 
@@ -325,10 +334,11 @@ def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
     """Presentation of an Ulrich module: build the tensor factorization and
     take the cokernel of a single factor.
 
-    Calling this asserts that f is irreducible.  The Ulrich guarantee needs
-    the number of entries per row to equal ord(f); when it does not, the
-    presentation and statistics are still returned, with a note recording
-    that only the MCM claims survive.
+    Calling this asserts that f is irreducible.  The statistics are read
+    from the determinant exponent the build verified.  The Ulrich guarantee
+    needs the number of entries per row to equal ord(f); when it does not,
+    the presentation and statistics are still returned, with a note
+    recording that only the MCM claims survive.
 
     Returns (presentation, stats).
     """
@@ -410,7 +420,9 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
     before any tensor is built.  Distinct rows must use disjoint variables
     (checked by the propagation step).  The certificate's subject is the
     build itself: it gets the checks of `build_from_sum`, and a failed check
-    raises MatfacError.  The cokernel of any single factor of the certified
+    raises MatfacError.  The statistics are read from the determinant
+    exponent those checks verified; the certificate is verified once and
+    keeps its verdict.  The cokernel of any single factor of the certified
     tensor is then indecomposable; it is Ulrich exactly when the
     entries-per-row count equals ord(f).  Calling this asserts f irreducible.
     The rank of the presentation also bounds the Ulrich complexity of f from
@@ -425,8 +437,8 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
     for row_cert in certs[1:]:
         cert = propagate_strong_ind(cert, row_cert, zeta)
     x = cert.subject
-    _verify_build(spec, x)
-    stats = _noted_stats(spec, x, "indecomposable MCM claims only, not Ulrich")
+    stats = _noted_stats(spec, x, _verify_build(spec, x),
+                         "indecomposable MCM claims only, not Ulrich")
     consequences = strong_ind_consequences(cert)
     uc_bound = spec.k ** (spec.n_terms - 2)
     return UlrichBuild(

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from matfac.cli import (
+    Runner,
     canonical_json,
     main,
     machine_report,
@@ -375,26 +376,11 @@ def test_malformed_document_exits_2_with_location(tmp_path, capsys, doc, where):
     assert err.startswith(f"error: {where}: ")
 
 
-def count_calls(monkeypatch, fn):
-    """Wrap every binding of fn in the matfac modules; returns the call list."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "matfac" and getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
-
-
-def test_uncertified_ulrich_builds_the_tensor_once(tmp_path, capsys, monkeypatch):
-    from matfac.tensor import tensor
+def test_uncertified_ulrich_builds_the_tensor_once(tmp_path, capsys, count_calls,
+                                                   count_tensors):
     from matfac.ulrich import build_from_sum
 
-    builds = count_calls(monkeypatch, build_from_sum)
-    tensors = count_calls(monkeypatch, tensor)
+    builds = count_calls(build_from_sum)
     rows = [["x1", "x2", "x0"], ["y1", "y2", "y0"], ["z1", "z2", "z0"]]
     doc = dict(PIPELINE_DOC, commands=[
         {"op": "ulrich", "rows": rows, "certify": False, "out": "U"},
@@ -403,4 +389,37 @@ def test_uncertified_ulrich_builds_the_tensor_once(tmp_path, capsys, monkeypatch
     rc, report = run_machine(tmp_path, capsys, doc)
     assert rc == 0 and [c["status"] for c in report["commands"]] == ["pass", "pass"]
     assert len(builds) == 1
-    assert len(tensors) == len(rows) - 1
+    assert len(count_tensors) == len(rows) - 1
+
+
+def test_certify_rebuilds_each_tensor_once(count_tensors):
+    # the certificate's nodes are the stored tensors; verifying it rebuilds
+    # XY and XYZ once each, and the consequences reuse that verdict
+    commands = PIPELINE_DOC["commands"]
+    runner = Runner(parse_document(PIPELINE_DOC), None, 1)
+    for i in (1, 8):  # tensor XY, then tensor XYZ
+        runner.run_command(i, commands[i])
+    count_tensors.clear()
+    assert commands[9] == {"op": "certify", "subject": "XYZ", "consequences": True}
+    result = runner.run_command(9, commands[9])
+    assert result.status == "pass" and result.data["problems"] == []
+    assert len(count_tensors) == 2
+
+
+@pytest.mark.parametrize("partition", [
+    [[[0], [1.9, 2]], [["0"], [True, 2]]],  # int() read both rows as [[0], [1, 2]]
+    [["0", "12"], [[0], [1, 2]]],           # a string block read as its digits
+    [[[0], [1, 2.0]], [[0], [1, 2]]],
+    [[[0], 1], [[0], [1, 2]]],
+    "0|12",
+])
+def test_partition_indices_must_be_json_integers(tmp_path, capsys, partition):
+    doc = dict(PIPELINE_DOC, commands=[
+        {"op": "ulrich", "rows": THREE_ROWS, "partition": [[[0], [1, 2]]] * 2},
+        {"op": "ulrich", "rows": THREE_ROWS, "partition": partition},
+    ])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith("error: commands[1].partition: ")
+    rc, report = run_machine(tmp_path, capsys, dict(doc, commands=doc["commands"][:1]))
+    assert rc == 0 and report["commands"][0]["status"] == "pass"

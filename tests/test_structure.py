@@ -1,16 +1,21 @@
 """Reductions modulo one side's variables, summand bounds, strong
 indecomposability certificates, and shift-isomorphism refutations."""
 
+import re
+
 import pytest
 
 from matfac import (
+    AxiomCoprimeRankOne,
     MatFac,
     MatfacError,
     Matrix,
     Morphism,
     PolynomialRing,
     Refusal,
+    StrongIndCert,
     TensorMatFac,
+    TensorPropagation,
     UndecidableError,
     admits_invertible_combination,
     constant_term_spot_check,
@@ -29,6 +34,7 @@ from matfac import (
     tensor_morphism_right,
     variable_support,
 )
+from matfac.structure import VarSplit
 
 F = cyclotomic_field(3)
 ZETA = F.zeta(1)
@@ -52,9 +58,12 @@ def test_variable_support():
     assert variable_support(X.direct_sum(X.shift(1))) == frozenset({"x1", "x2", "x0"})
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_reduce_tensor_witness(side):
+@pytest.mark.parametrize("side, tensors", [("left", 1), ("right", 2)],
+                         ids=["left", "right"])
+def test_reduce_tensor_witness(side, tensors, count_tensors):
     w, rep = reduce_tensor_witness(X, Y, ZETA, side)
+    # the right reduction reads both tensors off the swap witness
+    assert len(count_tensors) == tensors
     assert rep.passed
     assert rep.side == side
     assert w.is_morphism()
@@ -218,6 +227,51 @@ def test_propagate_rejects_shared_variables():
     cx = coprime_rank_one_cert(X)
     with pytest.raises(MatfacError):
         propagate_strong_ind(cx, cx, ZETA)
+
+
+def test_certificate_is_verified_once(count_tensors):
+    cx, cy, cz = (coprime_rank_one_cert(w) for w in (X, Y, Z))
+    cert = propagate_strong_ind(propagate_strong_ind(cx, cy, ZETA), cz, ZETA)
+    count_tensors.clear()
+    first = cert.problems()
+    # one rebuild per propagation node, then the kept verdict
+    assert first == [] and len(count_tensors) == 2
+    first.append("edited by the caller")
+    assert cert.problems() == []
+    strong_ind_consequences(cert)
+    assert len(count_tensors) == 2
+
+
+def _tampered_certificates():
+    cx, cy = coprime_rank_one_cert(X), coprime_rank_one_cert(Y)
+    split = VarSplit(left_vars=variable_support(X), right_vars=variable_support(Y))
+
+    def prop(subject, left=cx, right=cy, split=split):
+        return StrongIndCert(subject=subject, basis=TensorPropagation(
+            left=left, right=right, split=split, zeta=ZETA))
+
+    wrong_entries = StrongIndCert(subject=X, basis=AxiomCoprimeRankOne(
+        entries=tuple(m[0, 0] for m in Y.mats)))
+    entries_problem = "recorded entries differ from the subject's entries"
+    not_the_tensor = "subject is not the tensor of the child subjects"
+    swapped_split = VarSplit(left_vars=split.right_vars, right_vars=split.left_vars)
+    return [
+        pytest.param(wrong_entries, entries_problem, id="axiom-entries"),
+        pytest.param(prop(tensor(X, Y, ZETA ** 2)), not_the_tensor, id="other-zeta"),
+        pytest.param(prop(tensor(Y, X, ZETA)), not_the_tensor, id="swapped-children"),
+        pytest.param(prop(tensor(X, Y, ZETA), split=swapped_split),
+                     "recorded variable split differs from the subjects' supports",
+                     id="wrong-split"),
+        pytest.param(prop(tensor(X, Y, ZETA), left=wrong_entries),
+                     "left: " + entries_problem, id="tampered-child"),
+    ]
+
+
+@pytest.mark.parametrize("cert, problem", _tampered_certificates())
+def test_tampered_certificate_reports_its_problem(cert, problem):
+    assert problem in cert.problems()
+    with pytest.raises(MatfacError, match=re.escape(problem)):
+        strong_ind_consequences(cert)
 
 
 def test_strong_ind_consequences_claims():

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import matfac.linalg as linalg
-import matfac.structure as structure
 import matfac.ulrich as ulrich
 from matfac import (
     MatFac,
@@ -22,7 +21,6 @@ from matfac import (
     sum_of_products,
 )
 from matfac.factorization import ValidationReport
-from matfac.tensor import tensor
 
 F3 = cyclotomic_field(3)
 R9 = PolynomialRing(F3, ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0"))
@@ -229,21 +227,8 @@ def test_malformed_sums_rejected():
         build_from_sum(sp)
 
 
-def count_tensors(monkeypatch) -> list:
-    """Count tensor() calls made by the Ulrich and certificate code."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return tensor(*args)
-
-    for module in (structure, ulrich):
-        monkeypatch.setattr(module, "tensor", counting)
-    return calls
-
-
-def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch):
-    # build_from_sum already holds det phi_1; mcm_stats must not redo it
+def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch, count_tensors):
+    # the build already verified det phi_1; the stats must not take it again
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
     rows = [[ring.variable(f"{v}1"), ring.variable(f"{v}2")] for v in "xyz"]
     spec = sum_of_products(ring, rows)
@@ -259,23 +244,50 @@ def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch):
     assert stats.ulrich and pres.size == 4
     assert calls == [4] * spec.k
     # the certified route builds the chain once (N - 1 tensors), the
-    # certificate's re-verification rebuilds it once more, and each factor's
+    # certificate's verification rebuilds it once more, and each factor's
     # determinant is still computed once
     calls.clear()
-    tensors = count_tensors(monkeypatch)
+    count_tensors.clear()
     ub = indecomposable_ulrich(spec)
     assert ub.stats.ulrich and ub.presentation.size == 4
-    assert len(tensors) == 2 * (spec.n_terms - 1)
+    assert len(count_tensors) == 2 * (spec.n_terms - 1)
     assert calls == [4] * spec.k
+    # the certificate keeps its verdict: asking again rebuilds nothing
+    count_tensors.clear()
+    assert ub.certificate.problems() == []
+    assert count_tensors == []
 
 
-def test_uncertifiable_row_refuses_before_any_tensor(monkeypatch):
+def test_ulrich_builds_expand_the_power_of_f_once(monkeypatch):
+    # the stats are read from the determinant exponent the build verified,
+    # so f^s is expanded once and mcm_stats (the oracle) never runs
+    powers, stats_calls = [], []
+    signed_powers, oracle_stats = ulrich._signed_powers, ulrich.mcm_stats
+
+    def counting_powers(f, s):
+        powers.append(s)
+        return signed_powers(f, s)
+
+    def counting_stats(*args, **kwargs):
+        stats_calls.append(args)
+        return oracle_stats(*args, **kwargs)
+
+    monkeypatch.setattr(ulrich, "_signed_powers", counting_powers)
+    monkeypatch.setattr(ulrich, "mcm_stats", counting_stats)
+    spec = sum_of_products(R9, ROWS)
+    for build in (build_ulrich, indecomposable_ulrich):
+        powers.clear()
+        build(spec)
+        assert powers == [spec.k ** (spec.n_terms - 2)]
+        assert stats_calls == []
+
+
+def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
     rows = ROWS[:2] + [[R9.variable("z1") + R9.variable("z2"), R9.variable("z2"),
                         R9.variable("z0")]]
-    tensors = count_tensors(monkeypatch)
     with pytest.raises(Refusal):
         indecomposable_ulrich(sum_of_products(R9, rows))
-    assert tensors == []
+    assert count_tensors == []
 
 
 def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
