@@ -38,7 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from .cyclo import CycloElem, cyclotomic_field
-from .errors import MatfacError, Refusal, UndecidableError
+from .errors import MatfacError, Refusal
 from .factorization import MatFac, scale_by_units
 from .knorrer import decompose_symmetric, omega_context
 from .linalg import Matrix
@@ -373,7 +373,7 @@ class Runner:
         handler = getattr(self, "op_" + op.replace("-", "_"))
         try:
             status, summary, data = handler(cmd, where)
-        except (Refusal, UndecidableError) as e:
+        except Refusal as e:
             status, summary, data = "refused", str(e), {}
         except MatfacError as e:
             if isinstance(e, DocumentError):

@@ -29,7 +29,6 @@ exponents of w are reduced mod 2d (p(m) is well defined there).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -47,17 +46,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OmegaContext:
-    """A primitive 2d-th root of unity w, its square, and 1/d, in one field.
+    """A primitive 2d-th root of unity w and its square, in one field.
 
-    zeta is always w^2 (a primitive d-th root); inv_d is the inverse of d in
-    the coefficient field, carried along because the diagonalization lives
-    over a ring where d must be invertible.
+    zeta is always w^2 (a primitive d-th root).
     """
 
     d: int
     omega: CycloElem
     zeta: CycloElem
-    inv_d: CycloElem
 
     @property
     def field(self) -> CycloField:
@@ -99,8 +95,7 @@ def omega_context(d: int, omega: CycloElem | None = None,
         raise MatfacError(f"omega^{d} is not -1")
     if zeta_sq.multiplicative_order(limit=2 * d) != d:
         raise MatfacError(f"omega^2 is not a primitive {d}-th root of unity")
-    return OmegaContext(d=d, omega=omega, zeta=zeta_sq,
-                        inv_d=field.rational(Fraction(1, d)))
+    return OmegaContext(d=d, omega=omega, zeta=zeta_sq)
 
 
 def _pexp(d: int, m: int) -> int:

@@ -12,10 +12,11 @@ which is the single law everything in this module checks against.
 Two genuinely local computations are done at jet precision N:
 
 * `hom_space_jets` solves the intertwining equations on all jet coefficients
-  below degree N by exact elimination over the coefficient field.  Any exact
-  morphism truncates to a solution, so an empty (or too-small) solution space
-  soundly refutes existence; a solution found is only a candidate, since jet
-  solutions need not lift.
+  below degree N, numbered by the one layout `_JetLayout`, by exact
+  elimination over the coefficient field.  Any exact morphism truncates to a
+  solution, so an empty (or too-small) solution space soundly refutes
+  existence; a solution found is only a candidate, since jet solutions need
+  not lift.
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by columns of e and 1-e and inverting at
   precision N.
@@ -24,6 +25,7 @@ Two genuinely local computations are done at jet precision N:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 from .cyclo import CycloElem
 from .errors import MatfacError
@@ -225,22 +227,62 @@ def _monomials_below(ring: PolynomialRing, bound: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree < bound, in ascending graded-lex order."""
     nv = len(ring.vars)
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
     for total in range(bound):
-        start = len(out)
-        rec([], total, nv)
-        # keep only exact-degree tuples for this level, sorted grlex
-        level = [e for e in out[start:] if sum(e) == total]
-        del out[start:]
-        out.extend(sorted(level, key=grlex_key))
+        # each multiset of `total` variables is one exponent tuple of degree
+        # `total`; within one degree graded-lex order is lex order
+        out.extend(sorted(tuple(combo.count(v) for v in range(nv))
+                          for combo in combinations_with_replacement(range(nv), total)))
     return out
+
+
+@dataclass(frozen=True)
+class _JetLayout:
+    """Coordinates of the jet-morphism unknowns between two factorizations.
+
+    The coefficient of `monomials[midx]` in entry (i, j) of component k is
+    unknown `index(k, i, j, midx)`; `size` counts the unknowns.  The equations
+    of `hom_space_jets`, the decoding of its kernel vectors and
+    `JetHomBasis.vectorize` are all written against this one map.
+    """
+
+    source: MatFac
+    target: MatFac
+    monomials: list[tuple[int, ...]]
+
+    @property
+    def size(self) -> int:
+        return self.source.d * self.target.n * self.source.n * len(self.monomials)
+
+    def index(self, k: int, i: int, j: int, midx: int = 0) -> int:
+        return ((k * self.target.n + i) * self.source.n + j) * len(self.monomials) + midx
+
+    def encode(self, comps) -> dict[int, CycloElem]:
+        """Sparse coordinates of polynomial components on the layout's monomials."""
+        pos = {m: midx for midx, m in enumerate(self.monomials)}
+        vec: dict[int, CycloElem] = {}
+        for k, comp in enumerate(comps):
+            for i in range(self.target.n):
+                for j in range(self.source.n):
+                    base = self.index(k, i, j)
+                    for mono, c in comp[i, j].terms.items():
+                        if mono in pos:
+                            vec[base + pos[mono]] = c
+        return vec
+
+    def decode(self, vec: dict[int, CycloElem], space: JetSpace) -> tuple[Matrix, ...]:
+        """The jet components with coordinates `vec`: the inverse of `encode`."""
+
+        def entry(k, i, j):
+            base = self.index(k, i, j)
+            terms = {m: vec[base + midx] for midx, m in enumerate(self.monomials)
+                     if base + midx in vec}
+            return Jet(Polynomial(space.ring, terms), space.precision)
+
+        return tuple(
+            Matrix(space, [[entry(k, i, j) for j in range(self.source.n)]
+                           for i in range(self.target.n)])
+            for k in range(self.source.d)
+        )
 
 
 @dataclass
@@ -248,8 +290,7 @@ class JetHomBasis:
     """Basis of the space of jet-level morphism solutions below degree N.
 
     `basis[b]` is a d-tuple of jet matrices; `vectors[b]` is the same data as
-    a sparse coordinate map in the (k, i, j, monomial) unknown order recorded
-    in `monomials`.
+    a sparse map in the `_JetLayout` coordinates over `monomials`.
     """
 
     source: MatFac
@@ -263,23 +304,9 @@ class JetHomBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _unknown_index(self, k: int, i: int, j: int, midx: int) -> int:
-        nm = len(self.monomials)
-        return ((k * self.target.n + i) * self.source.n + j) * nm + midx
-
     def vectorize(self, alpha: Morphism) -> dict[int, CycloElem]:
         """Flatten a morphism's truncation into the unknown coordinate order."""
-        mono_pos = {m: idx for idx, m in enumerate(self.monomials)}
-        bound = self.precision
-        vec: dict[int, CycloElem] = {}
-        for k in range(self.source.d):
-            comp = alpha.comps[k]
-            for i in range(self.target.n):
-                for j in range(self.source.n):
-                    for mono, c in comp[i, j].terms.items():
-                        if sum(mono) < bound:
-                            vec[self._unknown_index(k, i, j, mono_pos[mono])] = c
-        return vec
+        return _JetLayout(self.source, self.target, self.monomials).encode(alpha.comps)
 
     def contains_truncation(self, alpha: Morphism) -> bool:
         """Whether alpha's truncation below N lies in the span of the basis."""
@@ -293,11 +320,12 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     """Solve the intertwining equations on jet coefficients below `precision`.
 
     Unknowns: all coefficients of all component entries on monomials of
-    degree < N.  Equations: the residual comps[p] @ src[p] - tgt[p] @ comps[p+1]
-    must vanish in every coefficient of degree < N + delta, where delta = 1
-    if both factorizations are reduced (their entries then raise degrees by
-    at least one, so a degree-N cutoff of a true morphism still satisfies the
-    degree-N equations; without reducedness delta = 0 keeps the system sound).
+    degree < N, numbered by `_JetLayout`.  Equations: the residual
+    comps[p] @ src[p] - tgt[p] @ comps[p+1] must vanish in every coefficient
+    of degree < N + delta, where delta = 1 if both factorizations are reduced
+    (their entries then raise degrees by at least one, so a degree-N cutoff of
+    a true morphism still satisfies the degree-N equations; without
+    reducedness delta = 0 keeps the system sound).
 
     Soundness: the truncation of any exact morphism solves this system, so
     dimension 0 here means there are no nonzero morphisms at all.
@@ -305,80 +333,38 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     if source.ring != target.ring or source.d != target.d or source.f != target.f:
         raise MatfacError("hom space endpoints must share ring, d, and f")
     ring = source.ring
-    field = ring.field
-    d = source.d
-    n_src, n_tgt = source.n, target.n
     if precision is None:
         precision = default_precision(source, target)
     monos = _monomials_below(ring, precision)
-    nm = len(monos)
-    mono_pos = {m: idx for idx, m in enumerate(monos)}
-    nunk = d * n_tgt * n_src * nm
-
-    def unk(k, i, j, midx):
-        return ((k * n_tgt + i) * n_src + j) * nm + midx
-
+    layout = _JetLayout(source, target, monos)
     delta = 1 if (source.is_reduced() and target.is_reduced()) else 0
     bound = precision + delta
 
-    # Assemble the equation rows, keyed by (p, i, j, residual monomial), each a
-    # sparse map from unknown index to coefficient.
+    # One equation row per (p, i, j, residual monomial), a sparse map from
+    # unknown to coefficient.  Residual entry (i, j) is sum_t comps[p][i, t]
+    # src[p][t, j] - sum_s tgt[p][i, s] comps[p+1][s, j].  The two sides hold
+    # different components (d >= 2) and an unknown meets a residual monomial
+    # through one term at most, so each coefficient is one term: none cancels.
     rows: list[dict[int, CycloElem]] = []
-    zero = field.zero()
-    for p in range(d):
-        a = source.mats[p]
-        b = target.mats[p]
-        q = (p + 1) % d
-        for i in range(n_tgt):
-            for j in range(n_src):
+    for p in range(source.d):
+        a, b, q = source.mats[p], target.mats[p], (p + 1) % source.d
+        for i in range(target.n):
+            for j in range(source.n):
+                sides = [(a[t, j], layout.index(p, i, t), 1) for t in range(source.n)]
+                sides += [(b[i, s], layout.index(q, s, j), -1) for s in range(target.n)]
                 acc: dict[tuple[int, ...], dict[int, CycloElem]] = {}
-                for t in range(n_src):
-                    poly = a[t, j]
+                for poly, base, sign in sides:
                     for e, c in poly.terms.items():
+                        c = c if sign > 0 else -c
                         for midx, m in enumerate(monos):
                             mu = tuple(x + y for x, y in zip(m, e))
                             if sum(mu) < bound:
-                                col = unk(p, i, t, midx)
-                                row = acc.setdefault(mu, {})
-                                row[col] = row.get(col, zero) + c
-                for s in range(n_tgt):
-                    poly = b[i, s]
-                    for e, c in poly.terms.items():
-                        for midx, m in enumerate(monos):
-                            mu = tuple(x + y for x, y in zip(m, e))
-                            if sum(mu) < bound:
-                                col = unk(q, s, j, midx)
-                                row = acc.setdefault(mu, {})
-                                row[col] = row.get(col, zero) - c
-                for mu in sorted(acc, key=grlex_key):
-                    colmap = {
-                        col: c for col, c in acc[mu].items() if not c.is_zero()
-                    }
-                    if colmap:
-                        rows.append(colmap)
+                                acc.setdefault(mu, {})[base + midx] = c
+                rows.extend(acc[mu] for mu in sorted(acc, key=grlex_key))
 
-    if nunk == 0:
-        return JetHomBasis(source, target, precision, monos, [], [])
-    kernel = sparse_nullspace(rows, nunk, field)
-
+    kernel = sparse_nullspace(rows, layout.size, ring.field)
     space = JetSpace(ring, precision)
-    basis = []
-    for vec in kernel:
-        comps = []
-        for k in range(d):
-            mat_rows = []
-            for i in range(n_tgt):
-                row = []
-                for j in range(n_src):
-                    terms = {}
-                    for midx, mono in enumerate(monos):
-                        c = vec.get(unk(k, i, j, midx))
-                        if c is not None and not c.is_zero():
-                            terms[mono] = c
-                    row.append(Jet(Polynomial(ring, terms), precision))
-                mat_rows.append(row)
-            comps.append(Matrix(space, mat_rows))
-        basis.append(tuple(comps))
+    basis = [layout.decode(vec, space) for vec in kernel]
     return JetHomBasis(source, target, precision, monos, kernel, basis)
 
 
@@ -496,8 +482,7 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
         seed = [e0.column(j) for j in e_cols]
         f_cols = _greedy_columns(fk.constant_terms(), seed, n - r)
         cols = [ek.column(j) for j in e_cols] + [fk.column(j) for j in f_cols]
-        u_mats.append(Matrix(ring, [list(rowvals) for rowvals in zip(*cols)]) if cols
-                      else Matrix(ring, [[] for _ in range(n)] if n else []))
+        u_mats.append(Matrix(ring, [list(rowvals) for rowvals in zip(*cols)]))
 
     u_jets = [u.to_jets(precision) for u in u_mats]
     v_jets = [jet_inverse(u) for u in u_jets]

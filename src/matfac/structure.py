@@ -397,9 +397,13 @@ class StrongIndCert:
                 out.append("recorded variable split differs from the subjects' supports")
             if lsup & rsup:
                 out.append(f"children share variables {sorted(lsup & rsup)}")
-            rebuilt = tensor(prop.left.subject, prop.right.subject, prop.zeta)
-            if rebuilt != self.subject:
-                out.append("subject is not the tensor of the child subjects")
+            try:
+                rebuilt = tensor(prop.left.subject, prop.right.subject, prop.zeta)
+            except MatfacError as exc:
+                out.append(f"subject cannot be rebuilt: {exc}")
+            else:
+                if rebuilt != self.subject:
+                    out.append("subject is not the tensor of the child subjects")
             out.extend(f"left: {p}" for p in prop.left.problems())
             out.extend(f"right: {p}" for p in prop.right.problems())
         return out

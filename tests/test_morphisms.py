@@ -1,5 +1,7 @@
 """Morphisms between factorizations, jet hom spaces, idempotent splitting."""
 
+from itertools import product
+
 import pytest
 
 from matfac import (
@@ -13,8 +15,10 @@ from matfac import (
     hom_space_jets,
     scale_by_units,
     split_idempotent,
+    tensor,
 )
-from matfac.morphisms import _intertwining_report
+from matfac.morphisms import _intertwining_report, _monomials_below
+from matfac.rings import grlex_key
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -112,6 +116,46 @@ def test_hom_space_of_direct_sum_counts_blocks():
     # constant endomorphisms of 1 (+) 1 are full 2x2 scalars: dimension 4
     assert len(basis.basis) == 4
     assert admits_invertible_combination(basis)
+
+
+@pytest.mark.parametrize("nv", range(1, 5))
+@pytest.mark.parametrize("bound", range(5))
+def test_monomials_below_matches_brute_force(nv, bound):
+    ring = PolynomialRing(F, [f"v{i}" for i in range(nv)])
+    oracle = sorted((e for e in product(range(bound), repeat=nv) if sum(e) < bound),
+                    key=grlex_key)
+    assert _monomials_below(ring, bound) == oracle
+
+
+def _swapped_tensors():
+    ring = PolynomialRing(F, ("x1", "x2", "x0", "y1", "y2", "y0"))
+    x, y = (MatFac(ring, ring.parse("*".join(names)),
+                   [Matrix(ring, [[ring.parse(v)]]) for v in names])
+            for names in (("x1", "x2", "x0"), ("y1", "y2", "y0")))
+    return tensor(x, y, F.zeta(1)), tensor(y, x, F.zeta(1))
+
+
+@pytest.mark.parametrize("source, target, precision", [
+    pytest.param(X, X, 2, id="end-X"),
+    pytest.param(*_swapped_tensors(), 2, id="hom-XY-YX"),
+    pytest.param(X.direct_sum(X), X.direct_sum(X), 1, id="end-X-plus-X"),
+])
+def test_hom_basis_coordinates_round_trip(source, target, precision):
+    hb = hom_space_jets(source, target, precision)
+    assert hb.dimension > 0
+    nm = len(hb.monomials)
+    for vec, comps in zip(hb.vectors, hb.basis):
+        polys = [m.map(lambda jet: jet.poly, source.ring) for m in comps]
+        assert hb.vectorize(Morphism(source, target, polys)) == vec
+        # the documented unknown order (k, i, j, monomial), written out
+        expected = {}
+        for k, m in enumerate(polys):
+            for i, j in product(range(target.n), range(source.n)):
+                for midx, mono in enumerate(hb.monomials):
+                    if mono in m[i, j].terms:
+                        col = ((k * target.n + i) * source.n + j) * nm + midx
+                        expected[col] = m[i, j].terms[mono]
+        assert vec == expected
 
 
 def test_split_idempotent_projection():

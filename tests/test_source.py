@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import matfac
@@ -19,6 +20,27 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_private_function_is_called():
+    # code that nothing calls is deleted: every private `def _name` (dunders
+    # aside) must be named somewhere in the package outside its own body
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(matfac.__file__).parent.rglob("*.py"))]
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    used = Counter(name for tree in trees for name in names(tree))
+    unused = [
+        f"{node.name} (line {node.lineno})"
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and used[node.name] == names(node).count(node.name)
+    ]
+    assert unused == []
 
 
 def test_acceptance_gate_passes_under_optimize():

@@ -246,12 +246,17 @@ def _tampered_certificates():
     cx, cy = coprime_rank_one_cert(X), coprime_rank_one_cert(Y)
     split = VarSplit(left_vars=variable_support(X), right_vars=variable_support(Y))
 
-    def prop(subject, left=cx, right=cy, split=split):
+    def prop(subject, left=cx, right=cy, split=split, zeta=ZETA):
         return StrongIndCert(subject=subject, basis=TensorPropagation(
-            left=left, right=right, split=split, zeta=ZETA))
+            left=left, right=right, split=split, zeta=zeta))
 
     wrong_entries = StrongIndCert(subject=X, basis=AxiomCoprimeRankOne(
         entries=tuple(m[0, 0] for m in Y.mats)))
+    # same variables as X, but x1 * x2 * x0^2 != f: the rebuild's tensor()
+    # refuses this child, and the problems are still listed
+    invalid = MatFac(R, X.f, [Matrix(R, [[R.parse(e)]]) for e in ("x1", "x2", "x0^2")])
+    invalid_child = StrongIndCert(subject=invalid, basis=AxiomCoprimeRankOne(
+        entries=tuple(m[0, 0] for m in invalid.mats)))
     entries_problem = "recorded entries differ from the subject's entries"
     not_the_tensor = "subject is not the tensor of the child subjects"
     swapped_split = VarSplit(left_vars=split.right_vars, right_vars=split.left_vars)
@@ -264,6 +269,11 @@ def _tampered_certificates():
                      id="wrong-split"),
         pytest.param(prop(tensor(X, Y, ZETA), left=wrong_entries),
                      "left: " + entries_problem, id="tampered-child"),
+        pytest.param(prop(tensor(X, Y, ZETA), zeta=F.one()),
+                     "subject cannot be rebuilt: twist scalar is not a primitive "
+                     "d-th root of unity (d = 3)", id="zeta-one"),
+        pytest.param(prop(tensor(X, Y, ZETA), left=invalid_child),
+                     "left: subject does not validate", id="invalid-child"),
     ]
 
 
