@@ -234,10 +234,13 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
 
     The report holds forward's intertwining law (entries 0..d-1, the same
     report `forward.is_morphism()` keeps), the validation of Z (start -1)
-    and of the sum of shifts (start -2), and the round trip (start -3).  The
-    witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, so the round trip
-    is certified over the field: alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1
-    for every k, d x d, instead of composing the rank-dnm morphisms.
+    and the round trip (start -3).  The sum of shifts needs no check of its
+    own: its cyclic product starting at slot p is block diagonal with blocks
+    Z's cyclic products starting at p, p+1, ..., p+d-1, which run through
+    all d slots, so it validates exactly when Z does.  The witnesses are
+    alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, so the round trip is certified
+    over the field: alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1 for every
+    k, d x d, instead of composing the rank-dnm morphisms.
     """
     if x.ring is not y.ring and x.ring != y.ring:
         raise MatfacError("factors live over different rings")
@@ -291,8 +294,6 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     entries = list(forward._report.entries)
     entries.append(ValidationEntry(
         start=-1, ok=summand.validate().passed, detail="summand validates"))
-    entries.append(ValidationEntry(
-        start=-2, ok=total.validate().passed, detail="sum of shifts validates"))
     # Lifting into the ring and taking kron with I_nm is a ring homomorphism
     # on d x d field matrices, so the field identities below are the round
     # trips backward o forward = id and forward o backward = id.

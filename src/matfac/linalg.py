@@ -19,8 +19,8 @@ dispatch on the space type:
   row-swap sign tracking and exact division) on what is left;
 * field linear algebra: one elimination, `_Echelon`, builds the reduced
   row echelon form one sparse row (col -> CycloElem) at a time.  `rref`
-  reads R and the pivots off it (`rank`, `solve_right` and `inverse_field`
-  work on `rref`), `sparse_nullspace` reads a kernel basis off its pivot
+  reads R and the pivots off it (`rank` and `inverse_field` work on
+  `rref`), `sparse_nullspace` reads a kernel basis off its pivot
   rows, and `_det_field` multiplies the leads it divides out;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
@@ -439,22 +439,6 @@ def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloF
                 vec[pc] = -v
         basis.append(vec)
     return basis
-
-
-def solve_right(m: Matrix, rhs: Matrix) -> Matrix | None:
-    """One solution of m @ X = rhs over the field, or None if inconsistent."""
-    _require_field(m)
-    m._check(rhs)
-    aug = Matrix(m.space, [list(r1) + list(r2) for r1, r2 in zip(m.rows, rhs.rows)])
-    R, pivots = rref(aug)
-    if any(p >= m.ncols for p in pivots):
-        return None
-    field = m.space
-    out = [[field.zero()] * rhs.ncols for _ in range(m.ncols)]
-    for r, pc in enumerate(pivots):
-        for j in range(rhs.ncols):
-            out[pc][j] = R.rows[r][m.ncols + j]
-    return Matrix(field, out)
 
 
 def inverse_field(m: Matrix) -> Matrix:

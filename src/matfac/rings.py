@@ -422,23 +422,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> Jet:
-        """Inverse of a unit jet: geometric series around the constant term."""
-        c = self.poly.constant_term()
-        if c.is_zero() or self.precision == 0:
-            raise MatfacError(f"jet {self} is not a unit; no inverse")
-        # self = c*(1 - t) with order(t) >= 1, so 1/self = (1/c)*sum t^k, k < N.
-        cinv = c.inverse()
-        t = Jet(self.ring.one() - self.poly * cinv, self.precision)
-        acc = Jet(self.ring.one(), self.precision)
-        power = acc
-        for _ in range(1, self.precision):
-            power = power * t
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * cinv
-
     def __eq__(self, other):
         if not isinstance(other, Jet):
             o = self._coerce(other)

@@ -24,9 +24,10 @@ monomials in disjoint variables, the structure module certifies the tensor
 strongly indecomposable, making the Ulrich modules indecomposable as well.
 
 Every build is verified once, whichever route made it: rank, validation,
-reducedness and the factor determinants, whose verified exponent gives the
-statistics.  A failed check raises MatfacError rather than returning a
-failing report.
+reducedness and the factor determinants, each compared with the tensor
+determinant law of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2); the
+verified exponent gives the statistics.  A failed check raises MatfacError
+rather than returning a failing report.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .structure import (
     propagate_strong_ind,
     strong_ind_consequences,
 )
-from .tensor import tensor
+from .tensor import TensorMatFac, _det_law, tensor
 
 
 # -- sums of products -------------------------------------------------------------
@@ -151,12 +152,6 @@ def sum_of_products(ring: PolynomialRing, rows, partition=None) -> SumOfProducts
 # -- building factorizations from sums ----------------------------------------------
 
 
-def _signed_powers(f: Polynomial, s: int) -> tuple[Polynomial, Polynomial]:
-    """(f^s, -f^s): the two values a determinant +-f^s can take."""
-    power = f ** s
-    return power, -power
-
-
 @dataclass
 class BuildReport:
     """What the verification of a sum-of-products build checked.  A build
@@ -167,7 +162,7 @@ class BuildReport:
     validates: bool
     reduced: bool
     det_exponent: int
-    det_signs: tuple[str, ...]  # one of "+", "-" per factor index 0..k-1
+    det_signs: tuple[str, ...]  # the law's sign, "+" or "-", per factor index 0..k-1
 
     @property
     def passed(self) -> bool:
@@ -183,10 +178,11 @@ def _checked_zeta(spec: SumOfProducts, zeta: CycloElem | None) -> CycloElem:
     return spec.ring.field.root_of_unity(spec.k, 1) if zeta is None else zeta
 
 
-def _verify_build(spec: SumOfProducts, x: MatFac) -> BuildReport:
+def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     """Check the tensor built from spec: rank k^(N-1), validation,
-    reducedness, and every factor's determinant +-f^(k^(N-2)).  Raises
-    MatfacError on any failure."""
+    reducedness, and every factor's determinant against the tensor
+    determinant law of its last step, +-f^(k^(N-2)) with the law's sign.
+    Raises MatfacError on any failure."""
     rank = spec.k ** (spec.n_terms - 1)
     validates, reduced = x.validate().passed, x.is_reduced()
     if x.n != rank or not validates or not reduced:
@@ -195,18 +191,16 @@ def _verify_build(spec: SumOfProducts, x: MatFac) -> BuildReport:
             f"(expected {rank}), validates={validates}, reduced={reduced}"
         )
     det_exponent = spec.k ** (spec.n_terms - 2)
-    plus, minus = _signed_powers(spec.f, det_exponent)
-    signs = []
+    sign, law = _det_law(x)
     for p, m in enumerate(x.mats):
-        det = m.det()
-        if det not in (plus, minus):
+        if m.det() != law:
             raise MatfacError(
                 f"factor {p}: determinant is not +-f^{det_exponent} "
                 "(hypothesis failure in the sum-of-products input)"
             )
-        signs.append("+" if det == plus else "-")
     return BuildReport(rank_expected=rank, rank_ok=True, validates=True, reduced=True,
-                       det_exponent=det_exponent, det_signs=tuple(signs))
+                       det_exponent=det_exponent,
+                       det_signs=("+" if sign == 1 else "-",) * x.d)
 
 
 def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
@@ -214,7 +208,8 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     factorization of f, and verify its rank and determinants.
 
     The result has rank k^(N-1) (k entries per row, N rows) and each factor
-    matrix has determinant +-f^(k^(N-2)); both are checked exactly, together
+    matrix has determinant (-1)^(s(k+1)) f^s, s = k^(N-2), by the tensor
+    determinant law of the last step; both are checked exactly, together
     with validation and reducedness, and a failed check raises MatfacError.
     Each step tensors with a rank-one row factorization, so every factor is
     block-cyclic and `det_bareiss` cuts it down to 1 x 1 without
@@ -285,7 +280,8 @@ def mcm_stats(
     if deg_f <= 0 or deg_det % deg_f:
         raise MatfacError("determinant is not a pure signed power of f")
     s = deg_det // deg_f
-    if det not in _signed_powers(x.f, s):
+    power = x.f ** s
+    if det != power and det != -power:
         raise MatfacError("determinant is not a pure signed power of f")
     return _module_stats(x, s)
 

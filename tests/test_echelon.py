@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from matfac import MatFac, Matrix, Morphism, PolynomialRing, cyclotomic_field
 from matfac.errors import MatfacError
-from matfac.linalg import inverse_field, rank, rref, solve_right
+from matfac.linalg import inverse_field, rank, rref
 from matfac.morphisms import JetHomBasis, _greedy_columns, _monomials_below
 
 import oracles
@@ -102,26 +102,6 @@ def test_inverse_field(m):
     inv = inverse_field(m)
     eye = Matrix.identity(field, m.nrows)
     assert m @ inv == eye and inv @ m == eye
-
-
-@SETTINGS
-@given(field_matrices(), st.booleans(), st.data())
-def test_solve_right(m, consistent, data):
-    field = m.space
-    width = data.draw(st.integers(1, 2))
-    if consistent:  # rhs in the column space
-        x = Matrix(field, data.draw(rows_over(field, m.ncols, width)))
-        rhs = m @ x
-    else:
-        rhs = Matrix(field, data.draw(rows_over(field, m.nrows, width)))
-    aug = [list(r) + list(s) for r, s in zip(m.rows, rhs.rows)]
-    solvable = oracle_rank(aug, field) == oracle_rank(m.rows, field)
-    assert solvable or not consistent
-    sol = solve_right(m, rhs)
-    if solvable:
-        assert sol is not None and m @ sol == rhs
-    else:
-        assert sol is None
 
 
 @SETTINGS

@@ -228,3 +228,26 @@ def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):
     assert not dec.report.passed
     assert [e.start for e in dec.report.entries if not e.ok] == [-3]
     assert not dec.backward.is_morphism()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_sum_of_shifts_validates_exactly_when_the_summand_does(d):
+    # decompose_symmetric checks Z alone: the sum of its shifts has, at each
+    # start, the block sum of Z's cyclic products over all d starts
+    fld = cyclotomic_field(2 * d)
+    R = PolynomialRing(fld, ("x", "y"))
+    x_var, y_var = R.variable("x"), R.variable("y")
+    X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
+    Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
+    dec = decompose_symmetric(X, Y, omega_context(d, omega=fld.zeta(1)))
+    assert dec.total.validate().passed == dec.summand.validate().passed
+    assert dec.report.passed
+    assert sorted(e.start for e in dec.report.entries if e.start < 0) == [-3, -1]
+
+    z = dec.summand
+    tampered = MatFac(R, z.f, [z.mats[0].scale(fld.rational(2))] + list(z.mats[1:]))
+    tampered_total = tampered
+    for i in range(1, d):
+        tampered_total = tampered_total.direct_sum(tampered.shift(i))
+    assert not tampered.validate().passed
+    assert not any(e.ok for e in tampered_total.validate().entries)

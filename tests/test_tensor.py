@@ -22,7 +22,7 @@ from matfac import (
     tensor_morphism_left,
     tensor_morphism_right,
 )
-from matfac.morphisms import Morphism
+from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
 from oracles import det_cofactor
 
@@ -207,3 +207,27 @@ def test_projective_tensor_recognition():
     assert t.validate().passed
     with pytest.raises(MatfacError):
         recognize_projective_sum(tensor(X, Y, ZETA))
+
+
+@pytest.mark.parametrize("d, rank_p", [(2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+def test_projective_tensor_on_grid(d, rank_p):
+    # P = P_0 (+) ... (+) P_{rank_p - 1} against a rank-one Y: each P_i (x) Y
+    # is the sum of all d shifted projectives
+    ring, fld, x1, y1 = grid_ring(d)
+    p = projective(ring, d, x1.f, 0)
+    for i in range(1, rank_p):
+        p = p.direct_sum(projective(ring, d, x1.f, i))
+    rep = is_projective_tensor(p, y1, fld.root_of_unity(d, 1))
+    assert rep.passed
+    assert rep.input_shifts == list(range(rank_p))
+    assert rep.shifts_found == sorted(list(range(d)) * rank_p)
+    assert rep.precision == 1
+
+
+def test_projective_tensor_decides_by_the_symbolic_test_alone(count_calls):
+    hom_calls = count_calls(hom_space_jets)
+    decider_calls = count_calls(admits_invertible_combination)
+    ring, fld, x1, y1 = grid_ring(3)
+    rep = is_projective_tensor(projective(ring, 3, x1.f, 0), y1, fld.root_of_unity(3, 1))
+    assert rep.passed
+    assert len(hom_calls) == 1 and len(decider_calls) == 1

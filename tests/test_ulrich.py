@@ -9,6 +9,7 @@ import matfac.ulrich as ulrich
 from matfac import (
     MatFac,
     MatfacError,
+    Polynomial,
     PolynomialRing,
     Refusal,
     SumOfProducts,
@@ -259,26 +260,27 @@ def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch, count_t
 
 
 def test_ulrich_builds_expand_the_power_of_f_once(monkeypatch):
-    # the stats are read from the determinant exponent the build verified,
-    # so f^s is expanded once and mcm_stats (the oracle) never runs
+    # the factor determinants are compared with the tensor determinant law,
+    # the stats are read from the exponent it verified, so f^s is expanded
+    # once and mcm_stats (the oracle) never runs
     powers, stats_calls = [], []
-    signed_powers, oracle_stats = ulrich._signed_powers, ulrich.mcm_stats
+    power, oracle_stats = Polynomial.__pow__, ulrich.mcm_stats
 
-    def counting_powers(f, s):
-        powers.append(s)
-        return signed_powers(f, s)
+    def counting_power(base, s):
+        powers.append((base, s))
+        return power(base, s)
 
     def counting_stats(*args, **kwargs):
         stats_calls.append(args)
         return oracle_stats(*args, **kwargs)
 
-    monkeypatch.setattr(ulrich, "_signed_powers", counting_powers)
+    monkeypatch.setattr(Polynomial, "__pow__", counting_power)
     monkeypatch.setattr(ulrich, "mcm_stats", counting_stats)
     spec = sum_of_products(R9, ROWS)
     for build in (build_ulrich, indecomposable_ulrich):
         powers.clear()
         build(spec)
-        assert powers == [spec.k ** (spec.n_terms - 2)]
+        assert powers == [(spec.f, spec.k ** (spec.n_terms - 2))]
         assert stats_calls == []
 
 
@@ -288,6 +290,25 @@ def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
     with pytest.raises(Refusal):
         indecomposable_ulrich(sum_of_products(R9, rows))
     assert count_tensors == []
+
+
+@pytest.mark.parametrize("corrupt", [lambda det: det + det, lambda det: -det],
+                         ids=["doubled", "negated"])
+def test_build_from_sum_raises_on_a_corrupted_factor_determinant(monkeypatch, corrupt):
+    # the determinant of factor 1 of the rank-3 build is corrupted; a negated
+    # one is still +-f, but not the sign the tensor determinant law gives
+    spec = sum_of_products(R9, ROWS[:2])
+    seen = []
+    original = linalg.det_bareiss
+
+    def corrupting(m):
+        det = original(m)
+        seen.append(m.nrows)
+        return corrupt(det) if seen.count(3) == 2 and m.nrows == 3 else det
+
+    monkeypatch.setattr(linalg, "det_bareiss", corrupting)
+    with pytest.raises(MatfacError, match=r"factor 1: determinant is not \+-f\^1"):
+        build_from_sum(spec)
 
 
 def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
