@@ -17,11 +17,14 @@ dispatch on the space type:
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
   Gazette 84, 2000), then runs fraction-free Bareiss elimination (with
   row-swap sign tracking and exact division) on what is left;
-* field linear algebra: one elimination, `_Echelon`, builds the reduced
-  row echelon form one sparse row (col -> CycloElem) at a time.  `rref`
-  reads R and the pivots off it (`rank` and `inverse_field` work on
-  `rref`), `sparse_nullspace` reads a kernel basis off its pivot
-  rows, and `_det_field` multiplies the leads it divides out;
+* field linear algebra: one elimination, `_Echelon`, keeps a row echelon
+  form of sparse rows (col -> CycloElem), adding a row at a time without
+  touching the older ones, and back-substitutes once into the reduced form
+  when asked (`_Echelon.reduced`; the forward-then-back split of Faugere and
+  Lachartre, PASCO 2010).  `rref` reads R and the pivots off the reduced
+  rows (`rank` and `inverse_field` work on `rref`), `sparse_nullspace`
+  reads a kernel basis off them, and `_det_field` multiplies the leads the
+  forward pass divides out;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
 
@@ -30,6 +33,8 @@ translate their own 1-based block conventions at the boundary.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -336,77 +341,108 @@ def _require_field(m: Matrix):
 
 
 class _Echelon:
-    """Reduced row echelon form of the sparse rows added so far: the one
-    Gaussian elimination over the field.
+    """Row echelon form of the sparse rows added so far: the one Gaussian
+    elimination over the field.
 
     `pivots` maps each pivot column to its row (col -> CycloElem, zeros left
     out), in the order the pivots were found.  A pivot row has a one at its
-    own pivot column and nothing at any other pivot column, so one sweep over
-    the pivot columns of a row reduces it.
+    own pivot column and entries only at later columns; older rows are never
+    touched when a row is added.  `reduced()` back-substitutes once, which
+    is the forward-then-back split of Faugere and Lachartre ("Parallel
+    Gaussian elimination for Groebner bases computations in finite fields",
+    PASCO 2010): a pivot column is cleared from the rows above it once, at
+    the end, not every time a pivot is found.
     """
 
-    __slots__ = ("zero", "pivots")
+    __slots__ = ("pivots",)
 
-    def __init__(self, field: CycloField):
-        self.zero = field.zero()
+    def __init__(self):
         self.pivots: dict[int, dict[int, CycloElem]] = {}
 
-    def _subtract(self, target: dict, factor: CycloElem, source: dict, skip: int):
-        """target -= factor * source, leaving out column `skip`."""
-        zero = self.zero
+    def _subtract(self, target: dict, factor: CycloElem, source: dict, skip: int) -> list[int]:
+        """target -= factor * source, leaving out column `skip`; returns the
+        columns target had no entry at before (the fill-in)."""
+        filled = []
+        neg = -factor
         for cc, v in source.items():
             if cc == skip:
                 continue
-            nv = target.get(cc, zero) - factor * v
+            old = target.get(cc)
+            if old is None:
+                target[cc] = neg * v
+                filled.append(cc)
+                continue
+            nv = old + neg * v
             if nv.is_zero():
-                target.pop(cc, None)
+                del target[cc]
             else:
                 target[cc] = nv
+        return filled
 
     def reduce(self, row: dict) -> dict:
         """What is left of `row` (col -> coeff) after clearing every pivot
         column: a new dict, empty iff the row lies in the span of the pivot
-        rows."""
+        rows.  The pivot columns are cleared in ascending order from a heap,
+        onto which the pivot columns a subtraction fills in are pushed; a
+        pivot row only reaches later columns, so none comes back once
+        cleared."""
         r = {c: v for c, v in row.items() if not v.is_zero()}
         pivots = self.pivots
-        for pc in sorted(c for c in r if c in pivots):
-            self._subtract(r, r.pop(pc), pivots[pc], pc)
+        heap = [c for c in r if c in pivots]
+        heapify(heap)
+        while heap:
+            pc = heappop(heap)
+            factor = r.pop(pc, None)
+            if factor is None:  # cancelled, or pushed twice
+                continue
+            for cc in self._subtract(r, factor, pivots[pc], pc):
+                if cc in pivots:
+                    heappush(heap, cc)
         return r
 
     def add(self, row: dict) -> tuple[int, CycloElem] | None:
-        """Reduce `row`; if anything is left, normalize it, clear its pivot
-        column from the other pivot rows and keep it.  Returns (pivot column,
-        the lead coefficient divided out), or None when the row was
-        dependent."""
+        """Reduce `row`; if anything is left, normalize it and keep it as the
+        pivot row of its first column.  Returns (pivot column, the lead
+        coefficient divided out), or None when the row was dependent."""
         r = self.reduce(row)
         if not r:
             return None
         c = min(r)
         lead = r[c]
         inv = lead.inverse()
-        r = {cc: v * inv for cc, v in r.items()}
-        for p in self.pivots.values():
-            f = p.pop(c, None)
-            if f is not None:
-                self._subtract(p, f, r, c)
-        self.pivots[c] = r
+        self.pivots[c] = {cc: v * inv for cc, v in r.items()}
         return c, lead
+
+    def reduced(self) -> dict[int, dict[int, CycloElem]]:
+        """Back-substitute the pivot rows into reduced row echelon form, in
+        place, and return `pivots`: afterwards no pivot row holds another
+        pivot column.  In descending pivot order, each row subtracts the rows
+        of the later pivot columns it holds, which are reduced already and so
+        fill in no pivot column."""
+        pivots = self.pivots
+        for pc in sorted(pivots, reverse=True):
+            row = pivots[pc]
+            for cc in [cc for cc in row if cc != pc and cc in pivots]:
+                self._subtract(row, row.pop(cc), pivots[cc], cc)
+        return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and its pivot columns, ascending.
 
-    The rows of m go through `_Echelon` in order; R lists the pivot rows by
-    pivot column, then m.nrows - rank zero rows.  The RREF of a matrix is
-    unique, so R does not depend on the order of elimination.
+    The rows of m go through `_Echelon` in order and are read back through
+    `_Echelon.reduced`; R lists the pivot rows by pivot column, then
+    m.nrows - rank zero rows.  The RREF of a matrix is unique, so R does not
+    depend on the order of elimination.
     """
     _require_field(m)
-    ech = _Echelon(m.space)
+    ech = _Echelon()
     for row in m.rows:
         ech.add(dict(enumerate(row)))
-    pivots = sorted(ech.pivots)
+    reduced = ech.reduced()
+    pivots = sorted(reduced)
     zero = m.space.zero()
-    rows = [[ech.pivots[c].get(j, zero) for j in range(m.ncols)] for c in pivots]
+    rows = [[reduced[c].get(j, zero) for j in range(m.ncols)] for c in pivots]
     rows += [[zero] * m.ncols for _ in range(m.nrows - len(pivots))]
     return Matrix(m.space, rows), pivots
 
@@ -419,26 +455,24 @@ def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloF
     """Right-kernel basis of a sparsely given matrix (one dict col->coeff per row).
 
     The rows go through `_Echelon` in order, and the basis is read off its
-    pivot rows: one vector per free column, ascending, with a unit at its
-    free column and minus that column's pivot-row entries at the pivots (in
-    the order the pivots were found).  The tests compare it with the dense
-    textbook oracle `nullspace` in tests/oracles.py.
+    reduced pivot rows: one vector per free column, ascending, with a unit at
+    its free column and minus that column's pivot-row entries at the pivots
+    (in the order the pivots were found).  A reduced pivot row holds free
+    columns only, so one pass over the rows, in the order the pivots were
+    found, transposes them into the basis.  The tests compare it with the
+    dense textbook oracle `nullspace` in tests/oracles.py.
     """
-    ech = _Echelon(field)
+    ech = _Echelon()
     for row in rows:
         ech.add(row)
+    reduced = ech.reduced()
     one = field.one()
-    basis = []
-    for fc in range(ncols):
-        if fc in ech.pivots:
-            continue
-        vec: dict[int, CycloElem] = {fc: one}
-        for pc, prow in ech.pivots.items():
-            v = prow.get(fc)
-            if v is not None:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in reduced}
+    for pc, prow in reduced.items():
+        for fc, v in prow.items():
+            if fc != pc:
+                basis[fc][pc] = -v
+    return list(basis.values())
 
 
 def inverse_field(m: Matrix) -> Matrix:
@@ -459,10 +493,10 @@ def _det_field(m: Matrix) -> CycloElem:
     """Determinant of a square field matrix on `_Echelon`: the product of the
     leads divided out, times the sign of the permutation taking each row to
     its pivot column; zero as soon as a row is dependent.  (Reducing a row by
-    earlier ones and clearing a pivot column keep the determinant; what is
-    left at the end is that permutation matrix.)"""
+    earlier ones keeps the determinant; the normalized rows, taken in pivot
+    order, form a unit upper triangular matrix.)"""
     field = m.space
-    ech = _Echelon(field)
+    ech = _Echelon()
     det = field.one()
     cols = []
     for row in m.rows:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import add
 
 from .cyclo import CycloElem
 from .errors import MatfacError
@@ -49,19 +50,24 @@ def _intertwining_report(comps, src, tgt) -> ValidationReport:
 
 def _is_isomorphism(alpha) -> bool:
     """True iff alpha is a morphism and every component is invertible over
-    the local ring at the origin (constant-term determinant nonzero)."""
-    if alpha.source.n != alpha.target.n:
-        return False
-    if not alpha.is_morphism():
-        return False
-    return all(not c.constant_terms().det().is_zero() for c in alpha.comps)
+    the local ring at the origin (constant-term determinant nonzero).
+
+    Decided once per morphism and kept in `_iso`: `constant_terms()` builds a
+    new matrix each time, so the per-matrix determinant memo would not hit.
+    """
+    if not hasattr(alpha, "_iso"):
+        alpha._iso = (alpha.source.n == alpha.target.n and alpha.is_morphism()
+                      and all(not c.constant_terms().det().is_zero()
+                              for c in alpha.comps))
+    return alpha._iso
 
 
 class Morphism:
     """A morphism of d-fold factorizations with exact polynomial components."""
 
-    # _report is set on the first is_morphism() call and absent until then
-    __slots__ = ("source", "target", "comps", "_report")
+    # _report and _iso are set on the first is_morphism() and
+    # is_isomorphism() calls and absent until then
+    __slots__ = ("source", "target", "comps", "_report", "_iso")
 
     def __init__(self, source: MatFac, target: MatFac, comps):
         comps = tuple(comps)
@@ -181,8 +187,9 @@ class JetMorphism:
     are asserted modulo degree N.
     """
 
-    # _report is set on the first is_morphism() call and absent until then
-    __slots__ = ("source", "target", "comps", "precision", "_report")
+    # _report and _iso are set on the first is_morphism() and
+    # is_isomorphism() calls and absent until then
+    __slots__ = ("source", "target", "comps", "precision", "_report", "_iso")
 
     def __init__(self, source, target, comps, precision: int):
         comps = tuple(comps)
@@ -272,11 +279,16 @@ class _JetLayout:
     def decode(self, vec: dict[int, CycloElem], space: JetSpace) -> tuple[Matrix, ...]:
         """The jet components with coordinates `vec`: the inverse of `encode`."""
 
+        # the terms of each entry, keyed by index(k, i, j) // nm; ascending
+        # keys put each entry's terms in monomial order
+        nm = len(self.monomials)
+        terms: dict[int, dict[tuple[int, ...], CycloElem]] = {}
+        for key in sorted(vec):
+            terms.setdefault(key // nm, {})[self.monomials[key % nm]] = vec[key]
+
         def entry(k, i, j):
-            base = self.index(k, i, j)
-            terms = {m: vec[base + midx] for midx, m in enumerate(self.monomials)
-                     if base + midx in vec}
-            return Jet(Polynomial(space.ring, terms), space.precision)
+            poly = Polynomial(space.ring, terms.get(self.index(k, i, j) // nm, {}))
+            return Jet(poly, space.precision)
 
         return tuple(
             Matrix(space, [[entry(k, i, j) for j in range(self.source.n)]
@@ -310,7 +322,7 @@ class JetHomBasis:
 
     def contains_truncation(self, alpha: Morphism) -> bool:
         """Whether alpha's truncation below N lies in the span of the basis."""
-        ech = _Echelon(self.source.ring.field)
+        ech = _Echelon()
         for v in self.vectors:
             ech.add(v)
         return not ech.reduce(self.vectorize(alpha))
@@ -339,6 +351,9 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     layout = _JetLayout(source, target, monos)
     delta = 1 if (source.is_reduced() and target.is_reduced()) else 0
     bound = precision + delta
+    # monos is graded: its first below[t] monomials are those of degree < t,
+    # so a term e meets exactly the first below[max(bound - deg e, 0)]
+    below = [sum(1 for m in monos if sum(m) < t) for t in range(bound + 1)]
 
     # One equation row per (p, i, j, residual monomial), a sparse map from
     # unknown to coefficient.  Residual entry (i, j) is sum_t comps[p][i, t]
@@ -356,10 +371,9 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
                 for poly, base, sign in sides:
                     for e, c in poly.terms.items():
                         c = c if sign > 0 else -c
-                        for midx, m in enumerate(monos):
-                            mu = tuple(x + y for x, y in zip(m, e))
-                            if sum(mu) < bound:
-                                acc.setdefault(mu, {})[base + midx] = c
+                        for midx in range(below[max(bound - sum(e), 0)]):
+                            mu = tuple(map(add, monos[midx], e))
+                            acc.setdefault(mu, {})[base + midx] = c
                 rows.extend(acc[mu] for mu in sorted(acc, key=grlex_key))
 
     kernel = sparse_nullspace(rows, layout.size, ring.field)
@@ -424,7 +438,7 @@ class SplitResult:
 def _greedy_columns(candidates: Matrix, seed: list, want: int) -> list[int]:
     """Indices of columns of `candidates` that extend `seed` to an independent
     family, chosen greedily left to right.  `seed` is a list of column tuples."""
-    ech = _Echelon(candidates.space)
+    ech = _Echelon()
     for col in seed:
         ech.add(dict(enumerate(col)))
     chosen: list[int] = []

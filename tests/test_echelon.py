@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from matfac import MatFac, Matrix, Morphism, PolynomialRing, cyclotomic_field
 from matfac.errors import MatfacError
-from matfac.linalg import inverse_field, rank, rref
+from matfac.linalg import _Echelon, inverse_field, rank, rref
 from matfac.morphisms import JetHomBasis, _greedy_columns, _monomials_below
 
 import oracles
@@ -120,6 +120,40 @@ def test_greedy_columns_match_brute_force(candidates, data):
     assert _greedy_columns(candidates, seed, want) == brute[:want]
     with pytest.raises(MatfacError):
         _greedy_columns(candidates, seed, len(brute) + 1)
+
+
+def test_rref_back_substitutes():
+    field = FIELDS[3]
+    one, zero = field.one(), field.zero()
+    R, pivots = rref(Matrix(field, [[one, one], [zero, one]]))
+    assert R == Matrix.identity(field, 2) and pivots == [0, 1]
+
+
+def test_reduce_clears_filled_in_pivot_columns():
+    # clearing column 0 fills in column 1, itself a pivot column
+    field = FIELDS[3]
+    one = field.one()
+    ech = _Echelon()
+    ech.add({0: one, 1: one})
+    ech.add({1: one, 2: one})
+    assert ech.reduce({0: one}) == {2: one}
+
+
+@SETTINGS
+@given(field_matrices())
+def test_pivot_rows_stay_in_echelon_form(m):
+    ech = _Echelon()
+    rows = [dict(enumerate(row)) for row in m.rows]
+    for row in rows:
+        ech.add(row)
+        # a one at its pivot and nothing at an earlier column
+        assert all(min(prow) == pc and prow[pc].is_one() for pc, prow in ech.pivots.items())
+    for row in rows:
+        assert ech.reduce(row) == {}
+    reduced = ech.reduced()
+    assert reduced is ech.pivots
+    assert all(min(prow) == pc and prow[pc].is_one() for pc, prow in reduced.items())
+    assert all(cc == pc or cc not in reduced for pc, prow in reduced.items() for cc in prow)
 
 
 # -- span membership of jet-level hom bases ------------------------------------

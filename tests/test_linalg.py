@@ -189,6 +189,41 @@ def test_sparse_nullspace_matches_dense(nrows, ncols, data):
     assert rref(dense_rows, F) == rref(sparse_dense, F)
 
 
+def leading_columns(rows) -> set[int]:
+    return {next(j for j, e in enumerate(row) if not e.is_zero()) for row in rows}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_sparse_nullspace_is_the_documented_basis(nrows, ncols, data):
+    # the exact kernel, not just its span: one vector per free column,
+    # ascending, its unit first, then minus the free column's entries of the
+    # reduced pivot rows, in the order the rows found their pivots
+    pool = st.one_of(st.just(F.zero()), field_entry())
+    entries = [[data.draw(pool) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans()):  # a dependent row
+        entries.append([p + q for p, q in zip(entries[0], entries[-1])])
+    sparse_rows = [
+        {j: e for j, e in enumerate(row) if not e.is_zero()} for row in entries
+    ]
+    found: list[int] = []
+    for i in range(len(entries)):
+        found += sorted(leading_columns(rref(entries[:i + 1], F)) - set(found))
+    reduced = {next(j for j, e in enumerate(row) if not e.is_zero()): row
+               for row in rref(entries, F)}
+    expected = [
+        [(fc, F.one())] + [(pc, -reduced[pc][fc]) for pc in found
+                           if not reduced[pc][fc].is_zero()]
+        for fc in range(ncols) if fc not in reduced
+    ]
+    basis = sparse_nullspace(sparse_rows, ncols, F)
+    assert [list(vec.items()) for vec in basis] == expected
+
+
 def test_inverse_field_of_a_triangular_matrix():
     m = Matrix(F, [[F.rational(2), F.zeta(1)], [F.zero(), F.rational(3)]])
     inv = inverse_field(m)

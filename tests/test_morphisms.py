@@ -1,5 +1,6 @@
 """Morphisms between factorizations, jet hom spaces, idempotent splitting."""
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -15,8 +16,10 @@ from matfac import (
     hom_space_jets,
     scale_by_units,
     split_idempotent,
+    sum_of_products,
     tensor,
 )
+from matfac.linalg import _det_field
 from matfac.morphisms import _intertwining_report, _monomials_below
 from matfac.rings import grlex_key
 
@@ -225,3 +228,43 @@ def test_law_is_checked_once_per_morphism(monkeypatch):
     assert not bad.is_morphism() and not bad.is_isomorphism()
     assert [e.start for e in bad._report.entries if not e.ok] == [0, 1]
     assert len(calls) == 6
+
+
+def coprime_tensor_rank_8():
+    """The tensor of the four rank-one factorizations x{i}_0 * x{i}_1 over Q
+    with twist -1: rank 8, the shape of the benchmark's `coprime_tensor`
+    with four rows of two."""
+    ring = PolynomialRing(cyclotomic_field(2), [f"x{i}_{j}" for i in range(4) for j in range(2)])
+    spec = sum_of_products(ring, [[ring.variable(f"x{i}_{j}") for j in range(2)]
+                                  for i in range(4)])
+    x = spec.row_factorization(0)
+    for i in range(1, 4):
+        x = tensor(x, spec.row_factorization(i), ring.field.root_of_unity(2))
+    return x
+
+
+# sha256 of the kernel vectors, keys and their order included, as the
+# elimination that cleared every new pivot column from every older pivot row
+# produced them
+RANK_8_SHIFT_KERNEL_SHA256 = "6c53702683ffeca5a16335856d8b4d822cd6070e888d049999e7fee18f1840f9"
+
+
+def test_hom_space_kernel_is_pinned():
+    x = coprime_tensor_rank_8()
+    assert x.n == 8
+    hb = hom_space_jets(x, x.shift(1), 2)
+    assert hb.dimension == 127
+    data = repr([[(k, c.num, c.den) for k, c in vec.items()] for vec in hb.vectors])
+    assert hashlib.sha256(data.encode()).hexdigest() == RANK_8_SHIFT_KERNEL_SHA256
+
+
+def test_isomorphism_verdict_is_kept(count_calls):
+    z = F.zeta(1)
+    _, witness = scale_by_units(X, [z, z, z])
+    jet_inverse = witness.inverse_jets(precision=2)
+    fresh = Morphism(witness.source, witness.target, witness.comps)
+    calls = count_calls(_det_field)
+    assert fresh.is_isomorphism() and jet_inverse.is_isomorphism()
+    assert len(calls) == 2 * X.d  # one constant-term determinant per component
+    assert fresh.is_isomorphism() and jet_inverse.is_isomorphism()
+    assert len(calls) == 2 * X.d

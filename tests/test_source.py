@@ -48,12 +48,14 @@ def test_acceptance_gate_passes_under_optimize():
     # switch off there.  The acceptance gate checks good inputs only, so the
     # tests that feed corrupted factorizations, morphisms, root contexts,
     # tampered certificates, failing sum-of-products builds and projective
-    # tensors to the checks run under -O as well.
+    # tensors to the checks run under -O as well, and so do the field
+    # elimination's and the matrices' property tests against their oracles.
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     files = ["test_acceptance.py", "test_factorization.py", "test_morphisms.py",
-             "test_knorrer.py", "test_structure.py", "test_tensor.py", "test_ulrich.py"]
+             "test_knorrer.py", "test_structure.py", "test_tensor.py", "test_ulrich.py",
+             "test_echelon.py", "test_linalg.py"]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *(str(root / "tests" / f) for f in files)],
