@@ -359,10 +359,11 @@ class _Echelon:
     def __init__(self):
         self.pivots: dict[int, dict[int, CycloElem]] = {}
 
-    def _subtract(self, target: dict, factor: CycloElem, source: dict, skip: int) -> list[int]:
-        """target -= factor * source, leaving out column `skip`; returns the
-        columns target had no entry at before (the fill-in)."""
-        filled = []
+    def _subtract(self, target: dict, factor: CycloElem, source: dict, skip: int,
+                  filled: list[int] | None = None) -> None:
+        """target -= factor * source, leaving out column `skip`; appends to
+        `filled`, when given, the columns target had no entry at before (the
+        fill-in)."""
         neg = -factor
         for cc, v in source.items():
             if cc == skip:
@@ -370,14 +371,14 @@ class _Echelon:
             old = target.get(cc)
             if old is None:
                 target[cc] = neg * v
-                filled.append(cc)
+                if filled is not None:
+                    filled.append(cc)
                 continue
             nv = old + neg * v
             if nv.is_zero():
                 del target[cc]
             else:
                 target[cc] = nv
-        return filled
 
     def reduce(self, row: dict) -> dict:
         """What is left of `row` (col -> coeff) after clearing every pivot
@@ -390,14 +391,17 @@ class _Echelon:
         pivots = self.pivots
         heap = [c for c in r if c in pivots]
         heapify(heap)
+        filled: list[int] = []
         while heap:
             pc = heappop(heap)
             factor = r.pop(pc, None)
             if factor is None:  # cancelled, or pushed twice
                 continue
-            for cc in self._subtract(r, factor, pivots[pc], pc):
+            self._subtract(r, factor, pivots[pc], pc, filled)
+            for cc in filled:
                 if cc in pivots:
                     heappush(heap, cc)
+            filled.clear()
         return r
 
     def add(self, row: dict) -> tuple[int, CycloElem] | None:
@@ -413,18 +417,17 @@ class _Echelon:
         self.pivots[c] = {cc: v * inv for cc, v in r.items()}
         return c, lead
 
-    def reduced(self) -> dict[int, dict[int, CycloElem]]:
+    def reduced(self) -> None:
         """Back-substitute the pivot rows into reduced row echelon form, in
-        place, and return `pivots`: afterwards no pivot row holds another
-        pivot column.  In descending pivot order, each row subtracts the rows
-        of the later pivot columns it holds, which are reduced already and so
-        fill in no pivot column."""
+        place: afterwards no pivot row holds another pivot column.  In
+        descending pivot order, each row subtracts the rows of the later pivot
+        columns it holds, which are reduced already and so fill in no pivot
+        column."""
         pivots = self.pivots
         for pc in sorted(pivots, reverse=True):
             row = pivots[pc]
             for cc in [cc for cc in row if cc != pc and cc in pivots]:
                 self._subtract(row, row.pop(cc), pivots[cc], cc)
-        return pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -439,7 +442,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     ech = _Echelon()
     for row in m.rows:
         ech.add(dict(enumerate(row)))
-    reduced = ech.reduced()
+    ech.reduced()
+    reduced = ech.pivots
     pivots = sorted(reduced)
     zero = m.space.zero()
     rows = [[reduced[c].get(j, zero) for j in range(m.ncols)] for c in pivots]
@@ -465,7 +469,8 @@ def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloF
     ech = _Echelon()
     for row in rows:
         ech.add(row)
-    reduced = ech.reduced()
+    ech.reduced()
+    reduced = ech.pivots
     one = field.one()
     basis = {fc: {fc: one} for fc in range(ncols) if fc not in reduced}
     for pc, prow in reduced.items():

@@ -50,24 +50,19 @@ def _intertwining_report(comps, src, tgt) -> ValidationReport:
 
 def _is_isomorphism(alpha) -> bool:
     """True iff alpha is a morphism and every component is invertible over
-    the local ring at the origin (constant-term determinant nonzero).
-
-    Decided once per morphism and kept in `_iso`: `constant_terms()` builds a
-    new matrix each time, so the per-matrix determinant memo would not hit.
-    """
-    if not hasattr(alpha, "_iso"):
-        alpha._iso = (alpha.source.n == alpha.target.n and alpha.is_morphism()
-                      and all(not c.constant_terms().det().is_zero()
-                              for c in alpha.comps))
-    return alpha._iso
+    the local ring at the origin (constant-term determinant nonzero)."""
+    if alpha.source.n != alpha.target.n:
+        return False
+    if not alpha.is_morphism():
+        return False
+    return all(not c.constant_terms().det().is_zero() for c in alpha.comps)
 
 
 class Morphism:
     """A morphism of d-fold factorizations with exact polynomial components."""
 
-    # _report and _iso are set on the first is_morphism() and
-    # is_isomorphism() calls and absent until then
-    __slots__ = ("source", "target", "comps", "_report", "_iso")
+    # _report is set on the first is_morphism() call and absent until then
+    __slots__ = ("source", "target", "comps", "_report")
 
     def __init__(self, source: MatFac, target: MatFac, comps):
         comps = tuple(comps)
@@ -187,9 +182,8 @@ class JetMorphism:
     are asserted modulo degree N.
     """
 
-    # _report and _iso are set on the first is_morphism() and
-    # is_isomorphism() calls and absent until then
-    __slots__ = ("source", "target", "comps", "precision", "_report", "_iso")
+    # _report is set on the first is_morphism() call and absent until then
+    __slots__ = ("source", "target", "comps", "precision", "_report")
 
     def __init__(self, source, target, comps, precision: int):
         comps = tuple(comps)

@@ -19,7 +19,6 @@ from matfac import (
     sum_of_products,
     tensor,
 )
-from matfac.linalg import _det_field
 from matfac.morphisms import _intertwining_report, _monomials_below
 from matfac.rings import grlex_key
 
@@ -257,14 +256,3 @@ def test_hom_space_kernel_is_pinned():
     data = repr([[(k, c.num, c.den) for k, c in vec.items()] for vec in hb.vectors])
     assert hashlib.sha256(data.encode()).hexdigest() == RANK_8_SHIFT_KERNEL_SHA256
 
-
-def test_isomorphism_verdict_is_kept(count_calls):
-    z = F.zeta(1)
-    _, witness = scale_by_units(X, [z, z, z])
-    jet_inverse = witness.inverse_jets(precision=2)
-    fresh = Morphism(witness.source, witness.target, witness.comps)
-    calls = count_calls(_det_field)
-    assert fresh.is_isomorphism() and jet_inverse.is_isomorphism()
-    assert len(calls) == 2 * X.d  # one constant-term determinant per component
-    assert fresh.is_isomorphism() and jet_inverse.is_isomorphism()
-    assert len(calls) == 2 * X.d
