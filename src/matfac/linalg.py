@@ -11,12 +11,16 @@ dispatch on the space type:
   only, so block-diagonal and kron-with-identity operands cost what their
   nonzeros cost;
 * determinants: over a field, `_det_field` on the one field elimination
-  below; over a polynomial ring, `det_bareiss` first cuts a block-cyclic
-  matrix with scalar diagonal blocks (every factor of a tensor product with
-  a rank-one right operand) to an n x n one by the commuting-block identity
+  below; over a polynomial ring, `_det_power` cuts a block-cyclic matrix
+  with scalar diagonal blocks (every factor of a tensor product with a
+  rank-one right operand) to an n x n one by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
-  Gazette 84, 2000), then runs fraction-free Bareiss elimination (with
-  row-swap sign tracking and exact division) on what is left;
+  Gazette 84, 2000) and stops as soon as the matrix is scalar, g * I_n,
+  keeping the determinant factored as (unit, g, n); a non-scalar rest goes
+  to fraction-free Bareiss elimination (with row-swap sign tracking and
+  exact division).  `det_bareiss` expands the factored value; the tensor
+  and Ulrich checks compare it with their determinant law factor by factor
+  (`_Power.equals`), so a power of f is never expanded just to compare it;
 * field linear algebra: one elimination, `_Echelon`, keeps a row echelon
   form of sparse rows (col -> CycloElem), adding a row at a time without
   touching the older ones, and back-substitutes once into the reduced form
@@ -35,6 +39,7 @@ translate their own 1-based block conventions at the boundary.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -71,8 +76,9 @@ class JetSpace:
 class Matrix:
     """Immutable rectangular matrix over a scalar space."""
 
-    # _det is set on the first det() call and absent until then
-    __slots__ = ("space", "rows", "nrows", "ncols", "_det")
+    # _det (set on the first det() call) and _power (a polynomial
+    # determinant in factored form, set by `_det_power`) are absent until then
+    __slots__ = ("space", "rows", "nrows", "ncols", "_det", "_power")
 
     def __init__(self, space, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -517,6 +523,47 @@ def _det_field(m: Matrix) -> CycloElem:
 # -- polynomial determinant -----------------------------------------------------
 
 
+class _Power(NamedTuple):
+    """A polynomial determinant in factored form, unit * base ** exponent
+    with unit +-1.
+
+    `rest` is 0 when the block-cyclic cut ended at the scalar matrix
+    base * I_exponent; otherwise it is the size of the non-scalar matrix the
+    cut ended at, base is that matrix's Bareiss determinant (row-swap sign
+    included) and the exponent is 1."""
+
+    unit: int
+    base: Polynomial
+    exponent: int
+    rest: int = 0
+
+    def value(self) -> Polynomial:
+        """unit * base ** exponent, expanded."""
+        power = self.base if self.exponent == 1 else self.base ** self.exponent
+        return power if self.unit == 1 else -power
+
+    def equals(self, other: _Power) -> bool:
+        """Whether both stand for the same polynomial.  With equal exponents
+        and bases equal up to sign, the factors decide without expanding
+        anything: (-g)^n = (-1)^n g^n, and g^n is not a zero divisor for
+        g != 0.  Otherwise both sides are expanded and compared."""
+        if self.exponent == other.exponent and not self.base.is_zero():
+            if self.base == other.base:
+                return self.unit == other.unit
+            if self.base == -other.base:
+                return self.unit == other.unit * (-1) ** self.exponent
+        return self.value() == other.value()
+
+
+def _is_scalar(rows) -> bool:
+    """True iff the nonempty square grid `rows` is g * I_n for g = rows[0][0]."""
+    if not rows:
+        return False
+    g = rows[0][0]
+    return all(a == g if i == j else a.is_zero()
+               for i, row in enumerate(rows) for j, a in enumerate(row))
+
+
 def _is_block_cyclic(rows, d: int) -> bool:
     """True iff the square grid `rows`, cut into d x d blocks of size n, has a
     scalar matrix c_I * I_n in every diagonal block (I, I), anything in the
@@ -559,12 +606,14 @@ def _block_cyclic_cut(m: Matrix) -> Matrix | None:
     return None
 
 
-def det_bareiss(m: Matrix) -> Polynomial:
-    """Fraction-free determinant of a polynomial matrix.
+def _det_power(m: Matrix) -> _Power:
+    """The determinant of a polynomial matrix in factored form, computed
+    once per matrix (kept in its `_power` slot).
 
-    First, while the matrix is block-cyclic with central diagonal blocks
-    (see `_is_block_cyclic`; every factor of a tensor product with a rank-one
-    right operand is), it is cut to n x n by the commuting-block identity
+    While the matrix is not scalar but block-cyclic with central diagonal
+    blocks (see `_is_block_cyclic`; every factor of a tensor product with a
+    rank-one right operand is), it is cut to n x n by the commuting-block
+    identity
 
         det M = det(c_0 c_1 ... c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1})
 
@@ -572,17 +621,33 @@ def det_bareiss(m: Matrix) -> Polynomial:
     over the fraction field M = C(I + C^-1 S) with C = diag(c_I I_n) central,
     and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for block-cyclic B; both
     sides are polynomials in the c_I, so it also holds when some c_I is 0.
-    For a valid factorization the product is f I, so the cut ends at 1 x 1.
+    The cut stops as soon as the matrix is scalar, g * I_n, and the result is
+    (1, g, n): g is never raised to the n-th power.  For a valid tensor
+    factor that happens after one cut, with g = +-f.
 
-    What is left goes to Bareiss elimination: every interior division is
-    exact (entries stay minors of the original matrix), so the computation
-    never leaves the ring.  Row swaps are allowed and tracked by sign.
+    A non-scalar matrix the cut cannot shrink goes to Bareiss elimination:
+    every interior division is exact (entries stay minors of the original
+    matrix), so the computation never leaves the ring.  Row swaps are
+    allowed and tracked by sign.
     """
-    ring = m.space
-    if not isinstance(ring, PolynomialRing):
+    if hasattr(m, "_power"):
+        return m._power
+    if not isinstance(m.space, PolynomialRing):
         raise TypeError("det_bareiss requires polynomial entries")
-    while (cut := _block_cyclic_cut(m)) is not None:
-        m = cut
+    rest = m
+    while not _is_scalar(rest.rows):
+        cut = _block_cyclic_cut(rest)
+        if cut is None:
+            m._power = _Power(1, _bareiss(rest), 1, rest.nrows)
+            return m._power
+        rest = cut
+    m._power = _Power(1, rest.rows[0][0], rest.nrows)
+    return m._power
+
+
+def _bareiss(m: Matrix) -> Polynomial:
+    """Fraction-free Bareiss determinant of a square polynomial matrix."""
+    ring = m.space
     n = m.nrows
     if n == 0:
         return ring.one()
@@ -605,6 +670,13 @@ def det_bareiss(m: Matrix) -> Polynomial:
         prev = pivot
     det = rows[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def det_bareiss(m: Matrix) -> Polynomial:
+    """Exact determinant of a polynomial matrix: the factored value of
+    `_det_power` (block-cyclic cuts down to a scalar g * I_n, Bareiss
+    elimination of a non-scalar rest), expanded."""
+    return _det_power(m).value()
 
 
 # -- jet matrices ----------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, projective
-from .linalg import Matrix, rank
+from .linalg import Matrix, _det_power, _Power, rank
 from .morphisms import Morphism, admits_invertible_combination, hom_space_jets
 from .rings import Polynomial
 
@@ -249,31 +249,34 @@ class DetCheckReport:
     passed: bool
 
 
-def _det_law(t: TensorMatFac) -> tuple[int, Polynomial]:
-    """(sign, value) of the determinant law det Phi_k = (-1)^{nm(d+1)}
-    (f+g)^{nm}, shared by every factor of the built tensor t; n and m are
-    the ranks of t.left and t.right."""
+def _det_law(t: TensorMatFac) -> _Power:
+    """The determinant law det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm}, shared by
+    every factor of the built tensor t, in factored form (sign, f + g, nm);
+    n and m are the ranks of t.left and t.right."""
     nm = t.left.n * t.right.n
-    sign = -1 if (nm * (t.d + 1)) % 2 else 1
-    power = t.f ** nm
-    return sign, power if sign == 1 else -power
+    return _Power(-1 if (nm * (t.d + 1)) % 2 else 1, t.f, nm)
 
 
 def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     """Verify det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm} for every k.
 
     The law is `_det_law`.  With a rank-one right operand every Phi_k is
-    block-cyclic with scalar diagonal blocks, and `det_bareiss` reduces it
-    to an n x n determinant (1 x 1 for a valid X) instead of eliminating the
-    whole rank-dnm matrix; wider right operands still pay for full elimination.
+    block-cyclic with scalar diagonal blocks, and its factored determinant
+    stops at a scalar g * I_nm (for a valid X after one cut); it is compared
+    with the law by its factors, g = +-(f+g) with the sign (-1)^{nm}
+    accounted for, and the report carries the law's value, expanded once.
+    A determinant the factors cannot match, and every Phi_k of a wider right
+    operand (which still pays for full elimination), is expanded and
+    compared by value.
     """
     if x.f.is_zero() or y.f.is_zero():
         raise MatfacError("determinant check requires nonzero f and g")
     t = tensor(x, y, zeta)
-    _, expected = _det_law(t)
+    law = _det_law(t)
+    expected = law.value()
     entries = []
-    for p in range(t.d):
-        det = t.mats[p].det()
+    for p, m in enumerate(t.mats):
+        det = expected if _det_power(m).equals(law) else m.det()
         entries.append(DetCheckEntry(k=(p + 1) % t.d, ok=(det == expected), determinant=det))
     return DetCheckReport(entries=entries, expected=expected, passed=all(e.ok for e in entries))
 

@@ -25,7 +25,8 @@ strongly indecomposable, making the Ulrich modules indecomposable as well.
 
 Every build is verified once, whichever route made it: rank, validation,
 reducedness and the factor determinants, each compared with the tensor
-determinant law of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2); the
+determinant law of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), in
+factored form (base, exponent and sign, without expanding f^s); the
 verified exponent gives the statistics.  A failed check raises MatfacError
 rather than returning a failing report.
 """
@@ -39,7 +40,7 @@ from fractions import Fraction
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, PresentationMatrix
-from .linalg import Matrix
+from .linalg import Matrix, _det_power
 from .rings import Polynomial, PolynomialRing
 from .structure import (
     ConsequenceReport,
@@ -182,7 +183,9 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     """Check the tensor built from spec: rank k^(N-1), validation,
     reducedness, and every factor's determinant against the tensor
     determinant law of its last step, +-f^(k^(N-2)) with the law's sign.
-    Raises MatfacError on any failure."""
+    Both determinants stay factored: a factor whose cut stops at g * I_n
+    passes when g = +-f, n = k^(N-2) and the signs agree, without f^n being
+    expanded.  Raises MatfacError on any failure, naming what the cut found."""
     rank = spec.k ** (spec.n_terms - 1)
     validates, reduced = x.validate().passed, x.is_reduced()
     if x.n != rank or not validates or not reduced:
@@ -191,16 +194,20 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
             f"(expected {rank}), validates={validates}, reduced={reduced}"
         )
     det_exponent = spec.k ** (spec.n_terms - 2)
-    sign, law = _det_law(x)
+    law = _det_law(x)
     for p, m in enumerate(x.mats):
-        if m.det() != law:
+        power = _det_power(m)
+        if not power.equals(law):
+            found = (f"the cut ended at a non-scalar {power.rest}x{power.rest}"
+                     if power.rest else
+                     f"found {'-' if power.unit < 0 else ''}({power.base})^{power.exponent}")
             raise MatfacError(
-                f"factor {p}: determinant is not +-f^{det_exponent} "
+                f"factor {p}: determinant is not +-f^{det_exponent}: {found} "
                 "(hypothesis failure in the sum-of-products input)"
             )
     return BuildReport(rank_expected=rank, rank_ok=True, validates=True, reduced=True,
                        det_exponent=det_exponent,
-                       det_signs=("+" if sign == 1 else "-",) * x.d)
+                       det_signs=("+" if law.unit == 1 else "-",) * x.d)
 
 
 def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
@@ -212,8 +219,10 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     determinant law of the last step; both are checked exactly, together
     with validation and reducedness, and a failed check raises MatfacError.
     Each step tensors with a rank-one row factorization, so every factor is
-    block-cyclic and `det_bareiss` cuts it down to 1 x 1 without
-    elimination; the cost lies in the tensor products and in `validate`.  zeta
+    block-cyclic: its determinant is cut, without elimination, to the scalar
+    matrix g * I_s and compared with the law as factors (g = +-f with the
+    sign (-1)^s accounted for), so f^s is never expanded; the cost lies in
+    the tensor products and in `validate`.  zeta
     defaults to the first primitive k-th root of unity of the coefficient
     field; the field must contain one.
 

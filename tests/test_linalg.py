@@ -8,6 +8,8 @@ from matfac import Matrix, PolynomialRing, build_from_sum, cyclotomic_field, sum
 from matfac.linalg import (
     JetSpace,
     _block_cyclic_cut,
+    _det_power,
+    _Power,
     det_bareiss,
     inverse_field,
     sparse_nullspace,
@@ -313,6 +315,61 @@ def test_unequal_diagonal_falls_back_to_elimination(parts, data):
     m = Matrix(R, rows)
     assert _block_cyclic_cut(m) is None
     assert det_bareiss(m) == det_cofactor(m)
+
+
+@st.composite
+def scalar_cut_parts(draw):
+    """Block-cyclic parts whose block product is the scalar a_0...a_{d-1} I_n,
+    so the cut reaches g * I_n: A_0 = a_0 P U and A_1 = a_1 U^-1 P^-1 for a
+    permutation P and a shear U = I + t E_ij, the other A_I = a_I I_n.  The
+    diagonal scalars are sometimes all equal, so the matrix is not scalar
+    only because of its off-diagonal blocks."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(1, 8 // d))
+    if draw(st.booleans()):
+        cs = [draw(poly_entry())] * d
+    else:
+        cs = [draw(st.one_of(st.just(R.zero()), poly_entry())) for _ in range(d)]
+    a = [draw(poly_entry()) for _ in range(d)]
+    perm = draw(st.permutations(range(n)))
+    p = Matrix.permutation(R, perm)
+    p_inv = Matrix.permutation(R, sorted(range(n), key=perm.__getitem__))
+    shear = [[R.one() if i == j else R.zero() for j in range(n)] for i in range(n)]
+    unshear = [list(r) for r in shear]
+    if n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        t = draw(poly_entry())
+        shear[i][j], unshear[i][j] = t, -t
+    blocks = [(p @ Matrix(R, shear)).scale(a[0]), (Matrix(R, unshear) @ p_inv).scale(a[1])]
+    blocks += [Matrix.scalar(R, n, c) for c in a[2:]]
+    return cs, blocks, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scalar_cut_parts(), block_cyclic_parts(max_n=2)))
+def test_factored_determinant_matches_oracles(parts):
+    # block-cyclic matrices of rank <= 8, many of whose cuts stop at g * I_n
+    # (n odd and even): the factored determinant, expanded, is the cofactor
+    # oracle's and minus the determinant of a row-swapped copy
+    m = block_cyclic(*parts)
+    power = _det_power(m)
+    det = det_cofactor(m)
+    assert power.value() == det
+    assert det == -det_bareiss(Matrix(R, [m.rows[1], m.rows[0], *m.rows[2:]]))
+    if power.rest == 0 and not power.base.is_zero():
+        # compared by its factors with the same value over the negated base,
+        # (-g)^n = (-1)^n g^n, and with the opposite value
+        n = power.exponent
+        flipped = _Power(power.unit * (-1) ** n, -power.base, n)
+        assert flipped.value() == det
+        assert power.equals(flipped) and flipped.equals(power)
+        assert not power.equals(flipped._replace(unit=-flipped.unit))
+
+
+def test_scalar_matrices_stop_before_any_cut():
+    g = x + y
+    for n in (1, 2, 3, 4):
+        assert _det_power(Matrix.scalar(R, n, g)) == _Power(1, g, n)
 
 
 @pytest.mark.parametrize("n_rows,k", [(3, 3), (4, 2)])

@@ -228,41 +228,56 @@ def test_malformed_sums_rejected():
         build_from_sum(sp)
 
 
-def test_build_ulrich_computes_each_factor_determinant_once(monkeypatch, count_tensors):
-    # the build already verified det phi_1; the stats must not take it again
+@pytest.mark.parametrize("n_rows,linear", [(7, False), (6, True)],
+                         ids=["monomial-7x2", "linear-6x2"])
+def test_build_ulrich_at_rank_64_and_32(n_rows, linear):
+    # rows x_i0 * x_i1, or (x_i0 + x_i1) * x_i1 with a dense linear factor;
+    # every factor's cut stops at (-f) * I_s with s = 2^(N-2)
+    names = [f"x{i}_{j}" for i in range(n_rows) for j in range(2)]
+    ring = PolynomialRing(cyclotomic_field(2), tuple(names))
+    var = ring.variable
+    rows = [[var(f"x{i}_0") + (var(f"x{i}_1") if linear else ring.zero()), var(f"x{i}_1")]
+            for i in range(n_rows)]
+    pres, stats = build_ulrich(sum_of_products(ring, rows))
+    assert pres.size == stats.mu == 2 ** (n_rows - 1)
+    assert stats.rank_R == 2 ** (n_rows - 2)
+    assert stats.ulrich and stats.note is None
+
+
+def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_tensors):
+    # each factor's determinant is taken once, in factored form, by the
+    # build's verification; the stats read the exponent it verified, and
+    # nothing expands it through det_bareiss
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
     rows = [[ring.variable(f"{v}1"), ring.variable(f"{v}2")] for v in "xyz"]
     spec = sum_of_products(ring, rows)
-    calls = []
-    original = linalg.det_bareiss
-
-    def counting(m):
-        calls.append(m.nrows)
-        return original(m)
-
-    monkeypatch.setattr(linalg, "det_bareiss", counting)
+    powers = count_calls(linalg._det_power)
+    expanded = count_calls(linalg.det_bareiss)
     pres, stats = build_ulrich(spec)
     assert stats.ulrich and pres.size == 4
-    assert calls == [4] * spec.k
+    assert [m.nrows for (m,) in powers] == [4] * spec.k
+    assert expanded == []
     # the certified route builds the chain once (N - 1 tensors), the
     # certificate's verification rebuilds it once more, and each factor's
     # determinant is still computed once
-    calls.clear()
+    powers.clear()
     count_tensors.clear()
     ub = indecomposable_ulrich(spec)
     assert ub.stats.ulrich and ub.presentation.size == 4
     assert len(count_tensors) == 2 * (spec.n_terms - 1)
-    assert calls == [4] * spec.k
+    assert [m.nrows for (m,) in powers] == [4] * spec.k
+    assert expanded == []
     # the certificate keeps its verdict: asking again rebuilds nothing
     count_tensors.clear()
     assert ub.certificate.problems() == []
     assert count_tensors == []
 
 
-def test_ulrich_builds_expand_the_power_of_f_once(monkeypatch):
-    # the factor determinants are compared with the tensor determinant law,
-    # the stats are read from the exponent it verified, so f^s is expanded
-    # once and mcm_stats (the oracle) never runs
+def test_ulrich_builds_expand_no_power_of_f(monkeypatch):
+    # the factor determinants stop at (+-f) * I_s and are compared with the
+    # tensor determinant law by their factors, and the stats are read from
+    # the exponent that comparison verified: no power of f is ever expanded
+    # and mcm_stats (the oracle) never runs
     powers, stats_calls = [], []
     power, oracle_stats = Polynomial.__pow__, ulrich.mcm_stats
 
@@ -278,9 +293,8 @@ def test_ulrich_builds_expand_the_power_of_f_once(monkeypatch):
     monkeypatch.setattr(ulrich, "mcm_stats", counting_stats)
     spec = sum_of_products(R9, ROWS)
     for build in (build_ulrich, indecomposable_ulrich):
-        powers.clear()
         build(spec)
-        assert powers == [(spec.f, spec.k ** (spec.n_terms - 2))]
+        assert powers == []
         assert stats_calls == []
 
 
@@ -292,22 +306,28 @@ def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
     assert count_tensors == []
 
 
-@pytest.mark.parametrize("corrupt", [lambda det: det + det, lambda det: -det],
-                         ids=["doubled", "negated"])
-def test_build_from_sum_raises_on_a_corrupted_factor_determinant(monkeypatch, corrupt):
-    # the determinant of factor 1 of the rank-3 build is corrupted; a negated
-    # one is still +-f, but not the sign the tensor determinant law gives
+@pytest.mark.parametrize("corrupt,found", [
+    (lambda power: power._replace(base=power.base + power.base),
+     r"found \(2\*x1\*x2\*x0 \+ 2\*y1\*y2\*y0\)\^1"),
+    (lambda power: power._replace(unit=-power.unit), r"found -\(x1\*x2\*x0 \+ y1\*y2\*y0\)\^1"),
+    # what Bareiss would give on a non-scalar 3 x 3 with determinant -f
+    (lambda power: linalg._Power(1, -power.base, 1, 3), "the cut ended at a non-scalar 3x3"),
+], ids=["doubled", "negated", "non-scalar"])
+def test_build_from_sum_raises_on_a_corrupted_factor_determinant(monkeypatch, corrupt, found):
+    # the factored determinant of factor 1 of the rank-3 build is corrupted;
+    # a negated one is still (+-f)^1, but not the sign the tensor
+    # determinant law gives.  The message names what the cut found.
     spec = sum_of_products(R9, ROWS[:2])
     seen = []
-    original = linalg.det_bareiss
+    original = linalg._det_power
 
     def corrupting(m):
-        det = original(m)
-        seen.append(m.nrows)
-        return corrupt(det) if seen.count(3) == 2 and m.nrows == 3 else det
+        power = original(m)
+        seen.append(m)
+        return corrupt(power) if len(seen) == 2 else power
 
-    monkeypatch.setattr(linalg, "det_bareiss", corrupting)
-    with pytest.raises(MatfacError, match=r"factor 1: determinant is not \+-f\^1"):
+    monkeypatch.setattr(ulrich, "_det_power", corrupting)
+    with pytest.raises(MatfacError, match=r"factor 1: determinant is not \+-f\^1: " + found):
         build_from_sum(spec)
 
 
