@@ -21,6 +21,17 @@ determinants factor into root sums, each of which multiplies with its
 conjugate sum to the integer d, so invertibility never rests on a numeric
 rank guess.
 
+`decompose_symmetric` certifies its witnesses alpha_k (x) I_nm and
+alpha_k^-1 (x) I_nm with two checked identities and derives the rest:
+
+* forward's intertwining law, checked at rank dnm slot by slot, ties the
+  witnesses to the tensor and to the sum of shifts;
+* the round trip alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1, checked by
+  d x d products for every k;
+* backward's law follows from both (multiply forward's slot p by
+  alpha_p^-1 on the left and alpha_(p+1)^-1 on the right), and so does
+  "isomorphism" for both witnesses: each has a two-sided inverse morphism.
+
 Index conventions match the rest of the package: matrices in a tuple are
 0-based with slot p holding the component whose 1-based label is p+1, and
 exponents of w are reduced mod 2d (p(m) is well defined there).
@@ -29,6 +40,7 @@ exponents of w are reduced mod 2d (p(m) is well defined there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -59,8 +71,16 @@ class OmegaContext:
     def field(self) -> CycloField:
         return self.omega.field
 
+    @cached_property
+    def _omega_powers(self) -> tuple[CycloElem, ...]:
+        """w^0, w^1, ..., w^(2d-1), each one multiplication from the last."""
+        powers = [self.field.one()]
+        for _ in range(2 * self.d - 1):
+            powers.append(powers[-1] * self.omega)
+        return tuple(powers)
+
     def omega_pow(self, e: int) -> CycloElem:
-        return self.omega ** (e % (2 * self.d))
+        return self._omega_powers[e % (2 * self.d)]
 
 
 def omega_context(d: int, omega: CycloElem | None = None,
@@ -221,6 +241,17 @@ class SymmetricDecomposition:
         return [self.forward, self.backward]
 
 
+def _rotate_rows(m: Matrix, k: int) -> Matrix:
+    """m with its rows moved up k places: row i is row (i + k) mod n of m."""
+    return Matrix(m.space, m.rows[k:] + m.rows[:k])
+
+
+def _rotate_cols(m: Matrix, k: int) -> Matrix:
+    """m with its columns moved left k places: column j is column (j + k)
+    mod n of m."""
+    return Matrix(m.space, [row[k:] + row[:k] for row in m.rows])
+
+
 def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDecomposition:
     """Split X (x) Y into the d shifts of one factorization Z.
 
@@ -237,10 +268,26 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     and the round trip (start -3).  The sum of shifts needs no check of its
     own: its cyclic product starting at slot p is block diagonal with blocks
     Z's cyclic products starting at p, p+1, ..., p+d-1, which run through
-    all d slots, so it validates exactly when Z does.  The witnesses are
-    alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, so the round trip is certified
-    over the field: alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1 for every
-    k, d x d, instead of composing the rank-dnm morphisms.
+    all d slots, so it validates exactly when Z does.
+
+    The witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm.  Only
+    forward's law is computed at rank dnm.  The round trip is certified over
+    the field, alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1 by d x d
+    products for every k: lifting into the ring and taking kron with I_nm is
+    a ring homomorphism, so these are the rank-dnm round trips.  Backward's
+    law is derived from the two: forward's slot p, alpha_p Phi_p =
+    Phi'_p alpha_(p+1), multiplied by alpha_p^-1 on the left and by
+    alpha_(p+1)^-1 on the right, is backward's slot p, Phi_p alpha_(p+1)^-1
+    = alpha_p^-1 Phi'_p.  backward's kept report has one entry per slot, ok
+    exactly when forward's entry and the round trip are.  Two morphisms
+    inverse to each other are isomorphisms, so `is_isomorphism()` of both
+    reads that same verdict and computes no determinant.
+
+    Only alpha_0 and its inverse are computed: alpha_k(i, j) = w^p(j-i-k)
+    is alpha_0 with its rows moved up k places, alpha_k = P_k alpha_0 for a
+    permutation P_k, so alpha_k^-1 = alpha_0^-1 P_k^-1 is alpha_0^-1 with
+    its columns moved left k places.  No verdict rests on that: a wrong
+    alpha_k fails forward's law, a wrong inverse the round trip.
     """
     if x.ring is not y.ring and x.ring != y.ring:
         raise MatfacError("factors live over different rings")
@@ -282,8 +329,10 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     # the whole isomorphism.
     nm = x.n * y.n
     ident_nm = Matrix.identity(ring, nm)
-    alphas = [alpha_matrix(ctx, k) for k in range(d)]
-    alpha_invs = [inverse_field(alpha) for alpha in alphas]
+    alpha_0 = alpha_matrix(ctx, 0)
+    alpha_0_inv = inverse_field(alpha_0)
+    alphas = [_rotate_rows(alpha_0, k) for k in range(d)]
+    alpha_invs = [_rotate_cols(alpha_0_inv, k) for k in range(d)]
     forward = Morphism(source=t, target=total, comps=[
         alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas])
     backward = Morphism(source=total, target=t, comps=[
@@ -294,15 +343,19 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     entries = list(forward._report.entries)
     entries.append(ValidationEntry(
         start=-1, ok=summand.validate().passed, detail="summand validates"))
-    # Lifting into the ring and taking kron with I_nm is a ring homomorphism
-    # on d x d field matrices, so the field identities below are the round
-    # trips backward o forward = id and forward o backward = id.
     ident_d = Matrix.identity(ctx.field, d)
     round_trip = all(inv @ alpha == ident_d and alpha @ inv == ident_d
                      for alpha, inv in zip(alphas, alpha_invs))
     entries.append(ValidationEntry(
         start=-3, ok=round_trip, detail="witnesses are mutually inverse"))
     report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+
+    certified = forward._report.passed and round_trip
+    backward._report = ValidationReport(entries=[
+        ValidationEntry(start=e.start, ok=e.ok and round_trip,
+                        detail=f"from forward's law at slot {e.start} and the round trip")
+        for e in forward._report.entries], passed=certified)
+    forward._iso = backward._iso = certified
     return SymmetricDecomposition(summand=summand, total=total,
                                   forward=forward, backward=backward,
                                   report=report)

@@ -9,7 +9,8 @@ dispatch on the space type:
 * products: `@` is Gustavson's row-sparse product (ACM TOMS 4(3), 1978):
   each row of the result accumulates a_ik * B[k] over the nonzero a_ik
   only, so block-diagonal and kron-with-identity operands cost what their
-  nonzeros cost;
+  nonzeros cost; `kron` likewise forms only products of two nonzero
+  entries and places the left entry itself against a one;
 * determinants: over a field, `_det_field` on the one field elimination
   below; over a polynomial ring, `_det_power` cuts a block-cyclic matrix
   with scalar diagonal blocks (every factor of a tensor product with a
@@ -245,15 +246,25 @@ class Matrix:
         return Matrix(self.space, [[a * c for a in r] for r in self.rows])
 
     def kron(self, other: Matrix) -> Matrix:
-        """Kronecker product: block (i,j) is self[i][j] * other."""
+        """Kronecker product: block (i,j) is self[i][j] * other.
+
+        Only the products of two nonzero entries are formed, and a right
+        entry equal to one places the left entry itself, so alpha (x) I_n
+        costs the nonzeros of alpha and multiplies nothing.
+        """
         self._check(other)
+        z, one = self.space.zero(), self.space.one()
+        width = other.ncols
+        b_rows = [[(j, b, b == one) for j, b in enumerate(row) if not b.is_zero()]
+                  for row in other.rows]
         out = []
-        for i in range(self.nrows):
-            for k in range(other.nrows):
-                row = []
-                for j in range(self.ncols):
-                    a = self.rows[i][j]
-                    row.extend(a * b for b in other.rows[k])
+        for a_row in self.rows:
+            a_nonzero = [(j * width, a) for j, a in enumerate(a_row) if not a.is_zero()]
+            for b_row in b_rows:
+                row = [z] * (self.ncols * width)
+                for offset, a in a_nonzero:
+                    for j, b, is_one in b_row:
+                        row[offset + j] = a if is_one else a * b
                 out.append(row)
         return Matrix(self.space, out)
 

@@ -50,7 +50,14 @@ def _intertwining_report(comps, src, tgt) -> ValidationReport:
 
 def _is_isomorphism(alpha) -> bool:
     """True iff alpha is a morphism and every component is invertible over
-    the local ring at the origin (constant-term determinant nonzero)."""
+    the local ring at the origin (constant-term determinant nonzero).
+
+    A verdict certified when the morphism was built is read first: a
+    `Morphism` whose `_iso` slot is set (by `decompose_symmetric`, from a
+    checked law and a checked two-sided inverse) answers from it."""
+    verdict = getattr(alpha, "_iso", None)
+    if verdict is not None:
+        return verdict
     if alpha.source.n != alpha.target.n:
         return False
     if not alpha.is_morphism():
@@ -61,8 +68,10 @@ def _is_isomorphism(alpha) -> bool:
 class Morphism:
     """A morphism of d-fold factorizations with exact polynomial components."""
 
-    # _report is set on the first is_morphism() call and absent until then
-    __slots__ = ("source", "target", "comps", "_report")
+    # _report is set on the first is_morphism() call and absent until then;
+    # _iso, a certified is_isomorphism() verdict, is set only by a
+    # constructor that checked it (see `_is_isomorphism`)
+    __slots__ = ("source", "target", "comps", "_report", "_iso")
 
     def __init__(self, source: MatFac, target: MatFac, comps):
         comps = tuple(comps)

@@ -40,7 +40,7 @@ from fractions import Fraction
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, PresentationMatrix
-from .linalg import Matrix, _det_power
+from .linalg import Matrix, _det_power, _Power
 from .rings import Polynomial, PolynomialRing
 from .structure import (
     ConsequenceReport,
@@ -281,16 +281,20 @@ def mcm_stats(
             "minimal-generator count needs a reduced factorization"
         )
     pres = x.cokernel_presentation(start, ell)
-    det = pres.det()
-    if det.is_zero():
+    # one factor keeps its determinant factored (a build has cut it already);
+    # a product of two is eliminated
+    power = _det_power(pres.matrix) if ell == 1 else _Power(1, pres.det(), 1)
+    if power.base.is_zero():
         raise MatfacError("presentation determinant is zero")
     deg_f = x.f.total_degree()
-    deg_det = det.total_degree()
+    deg_det = power.base.total_degree() * power.exponent
     if deg_f <= 0 or deg_det % deg_f:
         raise MatfacError("determinant is not a pure signed power of f")
     s = deg_det // deg_f
-    power = x.f ** s
-    if det != power and det != -power:
+    # +-f^s in the form whose factors can decide: (f, s) against a cut that
+    # ended at g * I_s, f^s expanded once against anything else
+    law = _Power(1, x.f, s) if power.exponent == s else _Power(1, x.f ** s, 1)
+    if not (power.equals(law) or power.equals(law._replace(unit=-1))):
         raise MatfacError("determinant is not a pure signed power of f")
     return _module_stats(x, s)
 

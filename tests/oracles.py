@@ -140,6 +140,17 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.space, rows)
 
 
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Dense Kronecker product: entry (i*p + k, j*q + l) is a[i, j] * b[k, l]
+    for b of shape p x q, every product formed."""
+    if a.space != b.space:
+        raise ValueError("matrices over different scalar spaces")
+    p, q = b.shape
+    return Matrix(a.space, [[a[r // p, c // q] * b[r % p, c % q]
+                             for c in range(a.ncols * q)]
+                            for r in range(a.nrows * p)])
+
+
 def det_cofactor(mat: Matrix):
     """Determinant by cofactor expansion along the first active row.
 

@@ -20,6 +20,7 @@ from matfac import (
 )
 
 from matfac import knorrer, morphisms
+from matfac.linalg import _det_field, inverse_field
 from oracles import det_cofactor
 
 
@@ -58,6 +59,14 @@ def test_alpha_matrix_determinants_are_units():
             assert det == alpha.det()
             assert not det.is_zero()
             assert det * det.inverse() == fld.one()
+
+
+def test_omega_pow_reads_the_power_table():
+    for d in range(2, 9):
+        fld = cyclotomic_field(2 * d)
+        ctx = omega_context(d, omega=fld.zeta(1))
+        for e in range(-4 * d, 4 * d + 1):
+            assert ctx.omega_pow(e) == ctx.omega ** (e % (2 * d))
 
 
 def test_odd_d_bootstrap_from_d_th_root():
@@ -194,7 +203,14 @@ def three_fold_inputs():
     return X, Y, omega_context(3, zeta=F.zeta(1))
 
 
+def four_verdicts(dec):
+    return (dec.forward.is_morphism(), dec.backward.is_morphism(),
+            dec.forward.is_isomorphism(), dec.backward.is_isomorphism())
+
+
 def test_decompose_computes_forward_law_once(monkeypatch):
+    # forward's law is the one law computed at rank dnm; backward's is derived
+    # from it and the d x d round trip
     laws = []
     original = morphisms._intertwining_report
 
@@ -205,12 +221,95 @@ def test_decompose_computes_forward_law_once(monkeypatch):
     monkeypatch.setattr(morphisms, "_intertwining_report", counted)
     monkeypatch.setattr(knorrer, "_intertwining_report", counted)
     dec = decompose_symmetric(*three_fold_inputs())
-    assert dec.forward.is_morphism() and dec.forward.is_isomorphism()
+    assert four_verdicts(dec) == (True, True, True, True)
     assert [c is dec.forward.comps for c in laws] == [True]
     # the report's law entries are the ones the morphism keeps
     assert dec.report.entries[:3] == dec.forward._report.entries
-    assert dec.backward.is_morphism() and dec.backward.is_isomorphism()
-    assert [c is dec.backward.comps for c in laws] == [False, True]
+    derived = dec.backward._report
+    assert derived.passed
+    assert [(e.start, e.ok) for e in derived.entries] == [(0, True), (1, True), (2, True)]
+    assert all("forward's law at slot" in e.detail for e in derived.entries)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_verdicts_compute_no_determinant_above_d(d, count_calls):
+    fld = cyclotomic_field(2 * d)
+    R = PolynomialRing(fld, ("x", "y"))
+    x_var, y_var = R.variable("x"), R.variable("y")
+    X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d).direct_sum(
+        MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d))
+    Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
+    dets = count_calls(_det_field)
+    dec = decompose_symmetric(X, Y, omega_context(d, omega=fld.zeta(1)))
+    assert four_verdicts(dec) == (True, True, True, True) and dec.report.passed
+    assert dec.forward.source.n == 2 * d
+    assert dets and max(m.nrows for (m,) in dets) <= d
+
+    # the same components outside decompose_symmetric take the determinant
+    # route, and agree
+    dets.clear()
+    for w in dec.witnesses:
+        plain = Morphism(source=w.source, target=w.target, comps=w.comps)
+        assert plain.is_isomorphism()
+    assert sorted(m.nrows for (m,) in dets) == [2 * d] * (2 * d)
+
+
+def test_witnesses_are_rotations_of_alpha_zero():
+    # alpha_k is alpha_0 with its rows moved up k places, and the backward
+    # components are the field inverses, for every k
+    for d in range(2, 9):
+        fld = cyclotomic_field(2 * d)
+        R = PolynomialRing(fld, ("x", "y"))
+        ctx = omega_context(d, omega=fld.zeta(1))
+        alpha_0 = alpha_matrix(ctx, 0)
+        for k in range(d):
+            assert knorrer._rotate_rows(alpha_0, k) == alpha_matrix(ctx, k)
+            assert (knorrer._rotate_cols(inverse_field(alpha_0), k)
+                    == inverse_field(alpha_matrix(ctx, k)))
+        x_var, y_var = R.variable("x"), R.variable("y")
+        X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
+        Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
+        dec = decompose_symmetric(X, Y, ctx)
+        assert [c.constant_terms() for c in dec.forward.comps] == [
+            alpha_matrix(ctx, k) for k in range(d)]
+        assert [c.constant_terms() for c in dec.backward.comps] == [
+            inverse_field(alpha_matrix(ctx, k)) for k in range(d)]
+
+
+def test_inverse_rotated_the_wrong_way_fails_every_derived_verdict(monkeypatch):
+    # alpha_0^-1 with its columns moved right instead of left: alpha_k^-1 is
+    # then wrong for k = 1, 2, which only the d x d round trip can see
+    original = knorrer._rotate_cols
+    monkeypatch.setattr(knorrer, "_rotate_cols", lambda m, k: original(m, -k))
+    dec = decompose_symmetric(*three_fold_inputs())
+    assert [e.start for e in dec.report.entries if not e.ok] == [-3]
+    assert dec.forward._report.passed
+    assert four_verdicts(dec) == (True, False, False, False)
+    assert not any(e.ok for e in dec.backward._report.entries)
+
+
+def test_corrupted_forward_component_fails_every_derived_verdict(monkeypatch):
+    # forward's component 1 doubled after the field matrices are built: the
+    # round trip still holds, and only forward's rank-dnm law sees it
+    built = []
+
+    def corrupting(source, target, comps):
+        comps = list(comps)
+        if not built:
+            comps[1] = comps[1].scale(2)
+        built.append(comps)
+        return Morphism(source=source, target=target, comps=comps)
+
+    monkeypatch.setattr(knorrer, "Morphism", corrupting)
+    dec = decompose_symmetric(*three_fold_inputs())
+    assert [e.start for e in dec.report.entries if not e.ok] == [0, 1]
+    assert four_verdicts(dec) == (False, False, False, False)
+    assert [e.ok for e in dec.backward._report.entries] == [False, False, True]
+    # built by hand, backward's components pass their own law: the verdict
+    # is derived, never read off how the components were made
+    plain = Morphism(source=dec.backward.source, target=dec.backward.target,
+                     comps=dec.backward.comps)
+    assert plain.is_morphism() and plain.is_isomorphism()
 
 
 def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):

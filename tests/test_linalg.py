@@ -16,7 +16,7 @@ from matfac.linalg import (
 )
 from matfac.rings import Jet
 
-from oracles import det_cofactor, matmul, nullspace, rref
+from oracles import det_cofactor, kron, matmul, nullspace, rref
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y"))
@@ -85,6 +85,27 @@ def test_matmul_matches_dense_oracle(kind, n, k, m, data):
         a @ bad
     with pytest.raises(ValueError):
         matmul(a, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_SPACES)), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_kron_matches_dense_oracle(kind, n, k, p, q, right_identity, data):
+    # non-square and empty operands, zeroed rows and columns, and an identity
+    # on the right, where the sparse product places the left entry itself
+    space, pool = PRODUCT_SPACES[kind]
+    a = data.draw(_sparse_matrix(space, pool, n, k))
+    b = (Matrix.identity(space, p) if right_identity
+         else data.draw(_sparse_matrix(space, pool, p, q)))
+    got = a.kron(b)
+    assert got.shape == (a.nrows * b.nrows, a.ncols * b.ncols)
+    assert got == kron(a, b)
+    assert Matrix.identity(space, p).kron(a) == kron(Matrix.identity(space, p), a)
+    if right_identity:
+        # a (x) I_p places a's entries themselves: nothing is multiplied
+        assert all(got[i * p + l, j * p + l] is a[i, j]
+                   for i in range(a.nrows) for j in range(a.ncols) for l in range(p)
+                   if not a[i, j].is_zero())
 
 
 def test_scalar_and_diagonal():

@@ -110,6 +110,38 @@ def test_extension_ses(trinomial):
     assert ses2.passed and ses2.m_stats.ratio == Fraction(1, 2)
 
 
+def test_extension_ses_expands_no_single_factor_power(monkeypatch):
+    # L and N present by one factor each (ell = 1), whose determinant the
+    # build holds as (+-f)^3 and compares by factors; only M's product of two
+    # factors (ell = 2) is eliminated and compared with the expanded f^6
+    x, _ = build_from_sum(sum_of_products(R9, ROWS))
+    exponents = []
+    original = Polynomial.__pow__
+
+    def counted(self, e):
+        exponents.append(e)
+        return original(self, e)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counted)
+    ses = extension_ses(x)
+    assert ses.passed
+    assert (ses.l_stats.rank_R, ses.m_stats.rank_R, ses.n_stats.rank_R) == (3, 6, 3)
+    assert exponents == [6]
+
+
+def test_mcm_stats_rejects_a_determinant_off_by_a_scalar(trinomial):
+    # phi_1 doubled and phi_2 halved still validate and stay reduced, but
+    # det(phi_1) = 2^9 (+-f^3) is no signed power of f
+    _, x, _ = trinomial
+    scaled = MatFac(x.ring, x.f, [x.mats[0].scale(F3.rational(2)),
+                                  x.mats[1].scale(F3.rational(Fraction(1, 2))), x.mats[2]])
+    assert scaled.validate().passed and scaled.is_reduced()
+    for start in (1, 2):
+        with pytest.raises(MatfacError, match="not a pure signed power of f"):
+            mcm_stats(scaled, 1, irreducible=True, start=start)
+    assert mcm_stats(scaled, 2, irreducible=True, start=1).rank_R == 6
+
+
 def test_squared_factors_not_ulrich():
     rows_sq = [[g * g for g in row] for row in ROWS]
     spec_sq = sum_of_products(R9, rows_sq)
