@@ -235,37 +235,6 @@ def parse_document(data: dict) -> ProblemDoc:
     )
 
 
-def serialize_document(doc: ProblemDoc) -> dict:
-    """Canonical form of a document: every expression re-rendered in the
-    canonical term order.  parse . serialize is the identity on these."""
-
-    def mat_strings(m: Matrix):
-        return [[str(p) for p in row] for row in m.rows]
-
-    out = {
-        "ring": {
-            "conductor": doc.ring.field.m,
-            "variables": list(doc.ring.vars),
-        },
-        "polynomials": {name: str(p) for name, p in doc.polynomials.items()},
-        "factorizations": {
-            name: {"f": str(x.f), "matrices": [mat_strings(m) for m in x.mats]}
-            for name, x in doc.factorizations.items()
-        },
-        "morphisms": {},
-        "commands": doc.commands,
-    }
-    for name, a in doc.morphisms.items():
-        src = next(n for n, x in doc.factorizations.items() if x == a.source)
-        tgt = next(n for n, x in doc.factorizations.items() if x == a.target)
-        out["morphisms"][name] = {
-            "source": src,
-            "target": tgt,
-            "components": [mat_strings(c) for c in a.comps],
-        }
-    return out
-
-
 def canonical_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 

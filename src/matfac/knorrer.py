@@ -82,6 +82,12 @@ class OmegaContext:
     def omega_pow(self, e: int) -> CycloElem:
         return self._omega_powers[e % (2 * self.d)]
 
+    @cached_property
+    def _root_sums(self) -> tuple[CycloElem, ...]:
+        """root_sum(d + 2s) for s = 1..d, the factors of every alpha_k
+        determinant up to powers of w."""
+        return tuple(root_sum(self, self.d + 2 * s) for s in range(1, self.d + 1))
+
 
 def omega_context(d: int, omega: CycloElem | None = None,
                   zeta: CycloElem | None = None) -> OmegaContext:
@@ -158,6 +164,7 @@ def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     the d-th roots of unity into the sums w^(2sk) * root_sum(d + 2s),
     s = 1..d; each factor is a unit, and the computed determinant is checked
     against the product, so the returned matrix is certifiably invertible.
+    The root sums do not depend on k and are computed once per context.
     """
     d = ctx.d
     field = ctx.field
@@ -165,9 +172,8 @@ def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
             for i in range(d)]
     mat = Matrix(field, rows)
     expected_det = field.one()
-    for s in range(1, d + 1):
-        factor = ctx.omega_pow(2 * s * k) * root_sum(ctx, d + 2 * s)
-        expected_det = expected_det * factor
+    for s, root in enumerate(ctx._root_sums, start=1):
+        expected_det = expected_det * ctx.omega_pow(2 * s * k) * root
     if mat.det() != expected_det:
         raise MatfacError("circulant determinant mismatch")
     return mat

@@ -11,17 +11,19 @@ dispatch on the space type:
   only, so block-diagonal and kron-with-identity operands cost what their
   nonzeros cost; `kron` likewise forms only products of two nonzero
   entries and places the left entry itself against a one;
-* determinants: over a field, `_det_field` on the one field elimination
-  below; over a polynomial ring, `_det_power` cuts a block-cyclic matrix
-  with scalar diagonal blocks (every factor of a tensor product with a
-  rank-one right operand) to an n x n one by the commuting-block identity
+* determinants: `Matrix.det` is the one dispatch.  Over a field it is
+  `_det_field` on the one field elimination below; over a polynomial ring
+  it is `_det_power`, which cuts a block-cyclic matrix with scalar diagonal
+  blocks (every factor of a tensor product with a rank-one right operand)
+  to an n x n one by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
-  Gazette 84, 2000) and stops as soon as the matrix is scalar, g * I_n,
-  keeping the determinant factored as (unit, g, n); a non-scalar rest goes
-  to fraction-free Bareiss elimination (with row-swap sign tracking and
-  exact division).  `det_bareiss` expands the factored value; the tensor
-  and Ulrich checks compare it with their determinant law factor by factor
-  (`_Power.equals`), so a power of f is never expanded just to compare it;
+  Gazette 84, 2000), stops as soon as the matrix is scalar, g * I_n, and
+  keeps the determinant factored as (unit, g, n); a non-scalar rest goes to
+  `det_bareiss`, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
+  with row-swap sign tracking and exact division.  `det` expands the
+  factored value; the tensor and Ulrich checks compare it with their
+  determinant law factor by factor (`_Power.relative_sign`), so a power of
+  f is never expanded just to compare it;
 * field linear algebra: one elimination, `_Echelon`, keeps a row echelon
   form of sparse rows (col -> CycloElem), adding a row at a time without
   touching the older ones, and back-substitutes once into the reduced form
@@ -77,9 +79,9 @@ class JetSpace:
 class Matrix:
     """Immutable rectangular matrix over a scalar space."""
 
-    # _det (set on the first det() call) and _power (a polynomial
-    # determinant in factored form, set by `_det_power`) are absent until then
-    __slots__ = ("space", "rows", "nrows", "ncols", "_det", "_power")
+    # _det, absent until the determinant is first asked for, holds the field
+    # value of a field matrix and the `_Power` of a polynomial one
+    __slots__ = ("space", "rows", "nrows", "ncols", "_det")
 
     def __init__(self, space, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -333,19 +335,19 @@ class Matrix:
     def det(self):
         """Exact determinant; dispatches on the scalar space.
 
-        Computed once per matrix: a Matrix is immutable, so the stored value
-        cannot go stale.
+        Over a field it is `_det_field`; over a polynomial ring it is the
+        factored `_det_power`, expanded.  Either is computed once per matrix,
+        the polynomial one in factored form: a Matrix is immutable, so the
+        stored value cannot go stale.
         """
-        if hasattr(self, "_det"):
-            return self._det
         if not self.is_square():
             raise ValueError(f"determinant of a non-square {self.shape} matrix")
-        if isinstance(self.space, CycloField):
-            self._det = _det_field(self)
-        elif isinstance(self.space, PolynomialRing):
-            self._det = det_bareiss(self)
-        else:
+        if isinstance(self.space, PolynomialRing):
+            return _det_power(self).value()
+        if not isinstance(self.space, CycloField):
             raise TypeError(f"no determinant over {self.space!r}")
+        if not hasattr(self, "_det"):
+            self._det = _det_field(self)
         return self._det
 
 
@@ -553,17 +555,18 @@ class _Power(NamedTuple):
         power = self.base if self.exponent == 1 else self.base ** self.exponent
         return power if self.unit == 1 else -power
 
-    def equals(self, other: _Power) -> bool:
-        """Whether both stand for the same polynomial.  With equal exponents
-        and bases equal up to sign, the factors decide without expanding
-        anything: (-g)^n = (-1)^n g^n, and g^n is not a zero divisor for
-        g != 0.  Otherwise both sides are expanded and compared."""
+    def relative_sign(self, other: _Power) -> int:
+        """u in {1, -1} with self = u * other, or 0 when there is none.  With
+        equal exponents and bases equal up to sign, the factors decide
+        without expanding anything: (-g)^n = (-1)^n g^n, and g^n is not a
+        zero divisor for g != 0.  Otherwise each side is expanded once."""
         if self.exponent == other.exponent and not self.base.is_zero():
             if self.base == other.base:
-                return self.unit == other.unit
+                return self.unit * other.unit
             if self.base == -other.base:
-                return self.unit == other.unit * (-1) ** self.exponent
-        return self.value() == other.value()
+                return self.unit * other.unit * (-1) ** self.exponent
+        mine, theirs = self.value(), other.value()
+        return 1 if mine == theirs else -1 if mine == -theirs else 0
 
 
 def _is_scalar(rows) -> bool:
@@ -619,7 +622,7 @@ def _block_cyclic_cut(m: Matrix) -> Matrix | None:
 
 def _det_power(m: Matrix) -> _Power:
     """The determinant of a polynomial matrix in factored form, computed
-    once per matrix (kept in its `_power` slot).
+    once per matrix (kept in its `_det` slot).
 
     While the matrix is not scalar but block-cyclic with central diagonal
     blocks (see `_is_block_cyclic`; every factor of a tensor product with a
@@ -634,31 +637,35 @@ def _det_power(m: Matrix) -> _Power:
     sides are polynomials in the c_I, so it also holds when some c_I is 0.
     The cut stops as soon as the matrix is scalar, g * I_n, and the result is
     (1, g, n): g is never raised to the n-th power.  For a valid tensor
-    factor that happens after one cut, with g = +-f.
-
-    A non-scalar matrix the cut cannot shrink goes to Bareiss elimination:
-    every interior division is exact (entries stay minors of the original
-    matrix), so the computation never leaves the ring.  Row swaps are
-    allowed and tracked by sign.
+    factor that happens after one cut, with g = +-f.  A non-scalar matrix
+    the cut cannot shrink goes to `det_bareiss`.
     """
-    if hasattr(m, "_power"):
-        return m._power
     if not isinstance(m.space, PolynomialRing):
-        raise TypeError("det_bareiss requires polynomial entries")
+        raise TypeError("a polynomial determinant requires polynomial entries")
+    if hasattr(m, "_det"):
+        return m._det
     rest = m
     while not _is_scalar(rest.rows):
         cut = _block_cyclic_cut(rest)
         if cut is None:
-            m._power = _Power(1, _bareiss(rest), 1, rest.nrows)
-            return m._power
+            m._det = _Power(1, det_bareiss(rest), 1, rest.nrows)
+            return m._det
         rest = cut
-    m._power = _Power(1, rest.rows[0][0], rest.nrows)
-    return m._power
+    m._det = _Power(1, rest.rows[0][0], rest.nrows)
+    return m._det
 
 
-def _bareiss(m: Matrix) -> Polynomial:
-    """Fraction-free Bareiss determinant of a square polynomial matrix."""
+def det_bareiss(m: Matrix) -> Polynomial:
+    """Fraction-free Bareiss elimination of a square polynomial matrix
+    ("Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22, 1968): every interior division is exact
+    (entries stay minors of the original matrix), so the computation never
+    leaves the ring.  Row swaps are allowed and tracked by sign.  It cuts
+    nothing: `Matrix.det` (through `_det_power`) is the determinant to ask
+    for, and calls this on what its cuts leave."""
     ring = m.space
+    if not isinstance(ring, PolynomialRing):
+        raise TypeError("det_bareiss requires polynomial entries")
     n = m.nrows
     if n == 0:
         return ring.one()
@@ -681,13 +688,6 @@ def _bareiss(m: Matrix) -> Polynomial:
         prev = pivot
     det = rows[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def det_bareiss(m: Matrix) -> Polynomial:
-    """Exact determinant of a polynomial matrix: the factored value of
-    `_det_power` (block-cyclic cuts down to a scalar g * I_n, Bareiss
-    elimination of a non-scalar rest), expanded."""
-    return _det_power(m).value()
 
 
 # -- jet matrices ----------------------------------------------------------------

@@ -343,13 +343,16 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     reducedness delta = 0 keeps the system sound).
 
     Soundness: the truncation of any exact morphism solves this system, so
-    dimension 0 here means there are no nonzero morphisms at all.
+    dimension 0 here means there are no nonzero morphisms at all.  It needs
+    N >= 1: below that there are no unknowns, and ValueError is raised.
     """
     if source.ring != target.ring or source.d != target.d or source.f != target.f:
         raise MatfacError("hom space endpoints must share ring, d, and f")
     ring = source.ring
     if precision is None:
         precision = default_precision(source, target)
+    if precision < 1:
+        raise ValueError(f"jet precision must be at least 1, got {precision}")
     monos = _monomials_below(ring, precision)
     layout = _JetLayout(source, target, monos)
     delta = 1 if (source.is_reduced() and target.is_reduced()) else 0

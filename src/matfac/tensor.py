@@ -266,8 +266,8 @@ def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     with the law by its factors, g = +-(f+g) with the sign (-1)^{nm}
     accounted for, and the report carries the law's value, expanded once.
     A determinant the factors cannot match, and every Phi_k of a wider right
-    operand (which still pays for full elimination), is expanded and
-    compared by value.
+    operand (which still pays for full elimination), is compared by value
+    and reported as its own expanded value.
     """
     if x.f.is_zero() or y.f.is_zero():
         raise MatfacError("determinant check requires nonzero f and g")
@@ -276,8 +276,10 @@ def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     expected = law.value()
     entries = []
     for p, m in enumerate(t.mats):
-        det = expected if _det_power(m).equals(law) else m.det()
-        entries.append(DetCheckEntry(k=(p + 1) % t.d, ok=(det == expected), determinant=det))
+        power = _det_power(m)
+        ok = power.relative_sign(law) == 1
+        entries.append(DetCheckEntry(k=(p + 1) % t.d, ok=ok,
+                                     determinant=expected if ok else power.value()))
     return DetCheckReport(entries=entries, expected=expected, passed=all(e.ok for e in entries))
 
 

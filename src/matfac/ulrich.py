@@ -197,7 +197,7 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     law = _det_law(x)
     for p, m in enumerate(x.mats):
         power = _det_power(m)
-        if not power.equals(law):
+        if power.relative_sign(law) != 1:
             found = (f"the cut ended at a non-scalar {power.rest}x{power.rest}"
                      if power.rest else
                      f"found {'-' if power.unit < 0 else ''}({power.base})^{power.exponent}")
@@ -263,9 +263,10 @@ def mcm_stats(
 
     mu is the rank of the factorization (the presentation is minimal because
     x is reduced); rank_R is the exponent s in det = +-f^s, read off the
-    determinant and verified exactly; e_R = ord(f) * rank_R.  The exponent
-    is only a module rank when f is irreducible, so the caller must pass
-    irreducible=True (the assertion is recorded, not checked).
+    factored determinant and verified exactly (`_cokernel_stats`); e_R =
+    ord(f) * rank_R.  The exponent is only a module rank when f is
+    irreducible, so the caller must pass irreducible=True (the assertion is
+    recorded, not checked).
     """
     if not 1 <= ell <= x.d - 1:
         raise MatfacError(f"ell must be in 1..{x.d - 1}, got {ell}")
@@ -276,14 +277,26 @@ def mcm_stats(
         )
     if not x.validate().passed:
         raise MatfacError("factorization does not validate")
+    _require_reduced(x)
+    return _cokernel_stats(x, x.cokernel_presentation(start, ell))
+
+
+def _require_reduced(x: MatFac) -> None:
+    """Raise unless x is reduced, which makes its cokernel presentations
+    minimal."""
     if not x.is_reduced():
         raise MatfacError(
             "minimal-generator count needs a reduced factorization"
         )
-    pres = x.cokernel_presentation(start, ell)
-    # one factor keeps its determinant factored (a build has cut it already);
-    # a product of two is eliminated
-    power = _det_power(pres.matrix) if ell == 1 else _Power(1, pres.det(), 1)
+
+
+def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
+    """Stats of cok(pres), pres a product of consecutive factors of the
+    validated, reduced x: s is the exponent in det(pres) = +-f^s, read off
+    the factored determinant (one factor, which a build has cut already,
+    stays factored; a product of two is eliminated) and verified against
+    f^s with either sign."""
+    power = _det_power(pres.matrix)
     if power.base.is_zero():
         raise MatfacError("presentation determinant is zero")
     deg_f = x.f.total_degree()
@@ -291,10 +304,7 @@ def mcm_stats(
     if deg_f <= 0 or deg_det % deg_f:
         raise MatfacError("determinant is not a pure signed power of f")
     s = deg_det // deg_f
-    # +-f^s in the form whose factors can decide: (f, s) against a cut that
-    # ended at g * I_s, f^s expanded once against anything else
-    law = _Power(1, x.f, s) if power.exponent == s else _Power(1, x.f ** s, 1)
-    if not (power.equals(law) or power.equals(law._replace(unit=-1))):
+    if not power.relative_sign(_Power(1, x.f, s)):
         raise MatfacError("determinant is not a pure signed power of f")
     return _module_stats(x, s)
 
@@ -383,6 +393,8 @@ def extension_ses(x: MatFac, start: int = 1) -> ExtensionSES:
     Needs d >= 3 so that the middle module uses two consecutive factors with
     ell = 2 <= d - 1.  On a build with entries-per-row = ord(f), L and N are
     Ulrich and M has mu/e = 1/2.  Calling this asserts f irreducible.
+    Validation and reducedness are checked once, and the three statistics
+    are read from the presentations built here, as `mcm_stats` reads them.
     """
     if x.d < 3:
         raise MatfacError(
@@ -393,6 +405,7 @@ def extension_ses(x: MatFac, start: int = 1) -> ExtensionSES:
         raise MatfacError("factorization does not validate")
     if x.f.order_of() < 2:
         raise MatfacError("f must have order at least 2 (else R is regular)")
+    _require_reduced(x)
     l = x.cokernel_presentation(start + 1, 1)
     n = x.cokernel_presentation(start, 1)
     m = x.cokernel_presentation(start, 2)
@@ -401,9 +414,9 @@ def extension_ses(x: MatFac, start: int = 1) -> ExtensionSES:
         l=l,
         m=m,
         n=n,
-        l_stats=mcm_stats(x, 1, irreducible=True, start=start + 1),
-        m_stats=mcm_stats(x, 2, irreducible=True, start=start),
-        n_stats=mcm_stats(x, 1, irreducible=True, start=start),
+        l_stats=_cokernel_stats(x, l),
+        m_stats=_cokernel_stats(x, m),
+        n_stats=_cokernel_stats(x, n),
         squares_commute=squares,
     )
 

@@ -8,12 +8,10 @@ import pytest
 
 from matfac.cli import (
     Runner,
-    canonical_json,
     main,
     machine_report,
     parse_document,
     run_document,
-    serialize_document,
 )
 
 PIPELINE_DOC = {
@@ -209,20 +207,6 @@ def test_knorrer_document(tmp_path, capsys):
     assert split["data"]["rank_image"] == 1
     assert split["data"]["rank_complement"] == 1
     assert split["data"]["rank_additive"]
-
-
-def test_serialize_parse_round_trip():
-    doc = parse_document(PIPELINE_DOC)
-    ser = serialize_document(doc)
-    again = serialize_document(parse_document(ser))
-    assert canonical_json(ser) == canonical_json(again)
-    # canonical form normalizes polynomial spelling but keeps every name
-    assert set(ser["factorizations"]) == {"X", "Y", "Z"}
-    assert set(ser["morphisms"]) == set() or "morphisms" not in ser
-    kn = serialize_document(parse_document(KNORRER_DOC))
-    again_kn = serialize_document(parse_document(kn))
-    assert canonical_json(kn) == canonical_json(again_kn)
-    assert kn["morphisms"]["e"]["source"] == "XX"
 
 
 def test_run_document_api(tmp_path):

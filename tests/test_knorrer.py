@@ -61,6 +61,17 @@ def test_alpha_matrix_determinants_are_units():
             assert det * det.inverse() == fld.one()
 
 
+@pytest.mark.parametrize("d", [7, 8])
+def test_alpha_matrices_share_the_root_sums_of_their_context(count_calls, d):
+    # the d root sums do not depend on k: one context computes each once for
+    # all d alpha matrices, which still check their own determinants
+    calls = count_calls(root_sum)
+    ctx = omega_context(d, omega=cyclotomic_field(2 * d).zeta(1))
+    for k in range(d):
+        alpha_matrix(ctx, k)
+    assert sorted(t for (_, t) in calls) == [d + 2 * s for s in range(1, d + 1)]
+
+
 def test_omega_pow_reads_the_power_table():
     for d in range(2, 9):
         fld = cyclotomic_field(2 * d)

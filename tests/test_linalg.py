@@ -270,7 +270,7 @@ def test_max_degree_and_constant_terms():
     assert consts[1, 1] == F.rational(4)
 
 
-# -- block-cyclic reduction inside det_bareiss ------------------------------------
+# -- block-cyclic reduction inside Matrix.det --------------------------------------
 
 
 def block_cyclic(cs, blocks, n):
@@ -307,7 +307,7 @@ def test_block_cyclic_reduction_matches_cofactor_oracle(parts):
     # random blocks: non-commuting A_I, non-scalar products, some c_I zero
     m = block_cyclic(*parts)
     assert _block_cyclic_cut(m) is not None
-    assert det_bareiss(m) == det_cofactor(m)
+    assert m.det() == det_cofactor(m)
 
 
 @settings(max_examples=15, deadline=None)
@@ -319,7 +319,7 @@ def test_stray_entry_falls_back_to_elimination(parts, data):
     rows[data.draw(st.integers(0, n - 1))][2 * n + data.draw(st.integers(0, n - 1))] = x
     m = Matrix(R, rows)
     assert _block_cyclic_cut(m) is None
-    assert det_bareiss(m) == det_cofactor(m)
+    assert m.det() == det_cofactor(m)
 
 
 @settings(max_examples=15, deadline=None)
@@ -335,7 +335,7 @@ def test_unequal_diagonal_falls_back_to_elimination(parts, data):
     rows[r][r] = rows[r][r] + R.one()
     m = Matrix(R, rows)
     assert _block_cyclic_cut(m) is None
-    assert det_bareiss(m) == det_cofactor(m)
+    assert m.det() == det_cofactor(m)
 
 
 @st.composite
@@ -383,8 +383,36 @@ def test_factored_determinant_matches_oracles(parts):
         n = power.exponent
         flipped = _Power(power.unit * (-1) ** n, -power.base, n)
         assert flipped.value() == det
-        assert power.equals(flipped) and flipped.equals(power)
-        assert not power.equals(flipped._replace(unit=-flipped.unit))
+        assert power.relative_sign(flipped) == flipped.relative_sign(power) == 1
+        assert power.relative_sign(flipped._replace(unit=-flipped.unit)) == -1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relative_sign_of_signed_powers(n):
+    # (-g)^n = (-1)^n g^n: decided by the factors at equal exponents, and by
+    # value (g^n expanded) when the exponents differ
+    g = x + y
+    for unit in (1, -1):
+        power = _Power(unit, g, n)
+        assert power.relative_sign(_Power(1, g, n)) == unit
+        assert power.relative_sign(_Power(1, -g, n)) == unit * (-1) ** n
+        assert power.relative_sign(_Power(-1, -g, n)) == -unit * (-1) ** n
+        assert power.relative_sign(_Power(1, g + g, n)) == 0
+        assert power.relative_sign(_Power(1, -(g ** n), 1)) == -unit
+        assert _Power(1, g ** n, 1).relative_sign(_Power(unit, -g, n)) == unit * (-1) ** n
+    assert _Power(1, g, n).relative_sign(_Power(1, g ** n + x, 1)) == 0
+
+
+def test_det_memo_holds_the_factored_power_of_a_polynomial_matrix():
+    # one slot: the field value of a field matrix, the factored power of a
+    # polynomial one; det() expands the power, which stays memoized
+    m = Matrix.scalar(R, 3, x + y)
+    assert m.det() == (x + y) ** 3
+    assert m._det == _Power(1, x + y, 3) and _det_power(m) is m._det
+    c = Matrix(F, [[F.rational(2), F.one()], [F.one(), F.one()]])
+    assert c.det() == F.one() == c._det
+    with pytest.raises(TypeError):
+        _det_power(c)
 
 
 def test_scalar_matrices_stop_before_any_cut():
@@ -405,4 +433,4 @@ def test_tensor_factor_determinants_match_elimination(n_rows, k):
     for m in fac.mats:
         swapped = Matrix(ring, [m.rows[1], m.rows[0], *m.rows[2:]])
         assert _block_cyclic_cut(m) is not None and _block_cyclic_cut(swapped) is None
-        assert det_bareiss(m) == -det_bareiss(swapped)
+        assert m.det() == -det_bareiss(swapped)

@@ -143,6 +143,28 @@ def test_str_round_trip_with_cyclotomic_coefficients():
     assert R.parse(str(f)) == f
 
 
+DOC_VARS = ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0")
+
+
+@pytest.mark.parametrize("conductor,variables,text", [
+    (3, DOC_VARS, "x1*x2*x0 + y1*y2*y0 + z1*z2*z0"),
+    (3, DOC_VARS, "y1*y2*y0"),
+    (3, DOC_VARS, "x0"),
+    (3, DOC_VARS, "z"),
+    (4, ("x", "y"), "x^2"),
+    (4, ("x", "y"), "x"),
+    (4, ("x", "y"), "0"),
+    (4, ("x", "y"), "1"),
+])
+def test_str_parse_round_trip_of_document_polynomials(conductor, variables, text):
+    # the polynomials of the CLI test documents: variable names with digits,
+    # the field generator z, conductor 4, and the zero and one entries
+    ring = PolynomialRing(cyclotomic_field(conductor), variables)
+    f = ring.parse(text)
+    assert ring.parse(str(f)) == f
+    assert str(ring.parse(str(f))) == str(f)
+
+
 def test_jets_truncate_arithmetic():
     f = Jet(R.one() + x, 3)
     g = Jet(R.one() - x, 3)

@@ -308,6 +308,18 @@ def test_jet_refutation_of_shift_isomorphisms():
     assert not any(r2.refuted.values())
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_jet_refutation_below_precision_one_raises(precision):
+    # (x, x, x) equals its shifts; below precision 1 the jet system has no
+    # unknowns, and its empty hom space must not read as a refutation
+    sym = rank1("x1", "x1", "x1")
+    with pytest.raises(ValueError, match="at least 1"):
+        hom_space_jets(sym, sym, precision)
+    with pytest.raises(ValueError, match="at least 1"):
+        jet_refute_shift_iso(sym, precision)
+    assert jet_refute_shift_iso(sym, 1).refuted == {1: False, 2: False}
+
+
 def test_tensor_and_swap_not_isomorphic():
     # same twist on both sides: the constant terms already obstruct
     t1 = tensor(X, Y, ZETA)

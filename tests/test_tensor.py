@@ -231,3 +231,13 @@ def test_projective_tensor_decides_by_the_symbolic_test_alone(count_calls):
     rep = is_projective_tensor(projective(ring, 3, x1.f, 0), y1, fld.root_of_unity(3, 1))
     assert rep.passed
     assert len(hom_calls) == 1 and len(decider_calls) == 1
+
+
+def test_projective_tensor_below_precision_one_raises():
+    # P_0 (x) Y is a sum of projectives (passed at precision 1); at precision
+    # 0 the jet hom space has no unknowns, which must not read as "refuted"
+    ring, fld, x1, y1 = grid_ring(3)
+    p, zeta = projective(ring, 3, x1.f, 0), fld.root_of_unity(3, 1)
+    assert is_projective_tensor(p, y1, zeta, precision=1).passed
+    with pytest.raises(ValueError, match="at least 1"):
+        is_projective_tensor(p, y1, zeta, precision=0)

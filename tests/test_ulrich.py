@@ -129,6 +129,36 @@ def test_extension_ses_expands_no_single_factor_power(monkeypatch):
     assert exponents == [6]
 
 
+def test_extension_ses_checks_once_and_eliminates_once(monkeypatch, count_calls):
+    # validation and reducedness are checked once; the statistics are read
+    # from the three presentations the sequence builds, and the only
+    # elimination is M's product of two factors
+    x, _ = build_from_sum(sum_of_products(R9, ROWS))
+    counts = {"cokernel_presentation": 0, "validate": 0, "is_reduced": 0}
+    for name in counts:
+        original = getattr(MatFac, name)
+
+        def counted(self, *args, name=name, original=original):
+            counts[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(MatFac, name, counted)
+    products = []
+    matmul = linalg.Matrix.__matmul__
+
+    def counted_matmul(a, b):
+        products.append((a.nrows, b.ncols))
+        return matmul(a, b)
+
+    monkeypatch.setattr(linalg.Matrix, "__matmul__", counted_matmul)
+    eliminations = count_calls(linalg.det_bareiss)
+    ses = extension_ses(x)
+    assert ses.passed and ses.m_stats.rank_R == 6
+    assert counts == {"cokernel_presentation": 3, "validate": 1, "is_reduced": 1}
+    assert products == [(9, 9), (9, 9)]  # M's product and the commuting square
+    assert [m.nrows for (m,) in eliminations] == [9]
+
+
 def test_mcm_stats_rejects_a_determinant_off_by_a_scalar(trinomial):
     # phi_1 doubled and phi_2 halved still validate and stay reduced, but
     # det(phi_1) = 2^9 (+-f^3) is no signed power of f
@@ -278,17 +308,17 @@ def test_build_ulrich_at_rank_64_and_32(n_rows, linear):
 
 def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_tensors):
     # each factor's determinant is taken once, in factored form, by the
-    # build's verification; the stats read the exponent it verified, and
-    # nothing expands it through det_bareiss
+    # build's verification; the stats read the exponent it verified, and a
+    # build eliminates nothing: det_bareiss never runs
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
     rows = [[ring.variable(f"{v}1"), ring.variable(f"{v}2")] for v in "xyz"]
     spec = sum_of_products(ring, rows)
     powers = count_calls(linalg._det_power)
-    expanded = count_calls(linalg.det_bareiss)
+    eliminations = count_calls(linalg.det_bareiss)
     pres, stats = build_ulrich(spec)
     assert stats.ulrich and pres.size == 4
     assert [m.nrows for (m,) in powers] == [4] * spec.k
-    assert expanded == []
+    assert eliminations == []
     # the certified route builds the chain once (N - 1 tensors), the
     # certificate's verification rebuilds it once more, and each factor's
     # determinant is still computed once
@@ -298,7 +328,7 @@ def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_t
     assert ub.stats.ulrich and ub.presentation.size == 4
     assert len(count_tensors) == 2 * (spec.n_terms - 1)
     assert [m.nrows for (m,) in powers] == [4] * spec.k
-    assert expanded == []
+    assert eliminations == []
     # the certificate keeps its verdict: asking again rebuilds nothing
     count_tensors.clear()
     assert ub.certificate.problems() == []
