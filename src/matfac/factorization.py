@@ -17,7 +17,7 @@ direct sums and make summand bookkeeping uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cyclo import CycloElem
 from .errors import MatfacError
@@ -141,9 +141,19 @@ class MatFac:
     # -- structural operations ----------------------------------------------------
 
     def shift(self, i: int = 1) -> MatFac:
-        """The i-th shift T^i X: rotate the stored tuple by i positions."""
+        """The i-th shift T^i X: rotate the stored tuple by i positions.
+
+        T^i X's cyclic product from slot s is X's from slot s + i, so a
+        validation X already holds is carried over, renumbered, not redone.
+        """
         d = self.d
-        return MatFac(self.ring, self.f, [self.mats[(p + i) % d] for p in range(d)])
+        out = MatFac(self.ring, self.f, [self.mats[(p + i) % d] for p in range(d)])
+        if hasattr(self, "_report"):
+            entries = self._report.entries
+            out._report = ValidationReport(
+                entries=[replace(entries[(s + i) % d], start=s) for s in range(d)],
+                passed=self._report.passed)
+        return out
 
     def direct_sum(self, other: MatFac) -> MatFac:
         if other.ring != self.ring or other.d != self.d or other.f != self.f:

@@ -16,7 +16,13 @@ Two genuinely local computations are done at jet precision N:
   elimination over the coefficient field.  Any exact morphism truncates to a
   solution, so an empty (or too-small) solution space soundly refutes
   existence; a solution found is only a candidate, since jet solutions need
-  not lift.
+  not lift.  The last slot's equations are implied by the others when both
+  endpoints validate and are reduced and the degree-one part L_p of every
+  target factor but the last has det L_p != 0: the residuals
+  E_p = comps[p] src[p] - tgt[p] comps[p+1] satisfy the telescoping
+  identity sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0.  Each
+  det L_p is certified nonzero by its value at one point, and then the
+  last slot's rows are not built (`_last_slot_implied`).
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by columns of e and 1-e and inverting at
   precision N.
@@ -331,16 +337,70 @@ class JetHomBasis:
         return not ech.reduce(self.vectorize(alpha))
 
 
+def _evaluation_point(field, count: int) -> list[CycloElem]:
+    """The fixed point of Q^count at which a determinant is certified
+    nonzero: the top 24 bits (plus one) of a 64-bit linear congruential
+    sequence (Knuth's MMIX constants).  Points such as t_b = b + 1 or
+    (b + 1)^2 lie on low-degree curves, on which the finite differences some
+    constant-term matrices are built from vanish; this one lies on none."""
+    point, state = [], 1
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        point.append(field.rational((state >> 40) + 1))
+    return point
+
+
+def _last_slot_implied(source: MatFac, target: MatFac) -> bool:
+    """Whether, for reduced endpoints (the caller checks), the equations of
+    slot d-1 follow from those of slots 0..d-2.
+
+    With E_p = comps[p] @ src[p] - tgt[p] @ comps[p+1], the sum over p of
+    tgt[0]...tgt[p-1] @ E_p @ src[p+1]...src[d-1] telescopes to
+    comps[0] f - f comps[0] = 0 once both endpoints validate.  If both are
+    also reduced and E_0..E_{d-2} vanish below degree B, the other terms
+    vanish below degree B + d - 1, and so does tgt[0]...tgt[d-2] @ E_{d-1};
+    its part of degree e + d - 1, for e the lowest degree of E_{d-1}, is
+    L_0...L_{d-2} times the lowest part of E_{d-1}, where L_p is the
+    degree-one part of tgt[p].  So when every det L_p is nonzero, E_{d-1}
+    vanishes below B as well.  det L_p is certified nonzero by its value at
+    `_evaluation_point`; a zero there only means the slot is kept.
+    """
+    if not (source.validate().passed and target.validate().passed):
+        return False
+    field = target.ring.field
+    point = _evaluation_point(field, len(target.ring.vars))
+    zero = field.zero()
+
+    def linear_part_at_point(p: Polynomial) -> CycloElem:
+        value = zero
+        for e, c in p.terms.items():
+            if sum(e) == 1:
+                value = value + c * point[e.index(1)]
+        return value
+
+    return all(not m.map(linear_part_at_point, field).det().is_zero()
+               for m in target.mats[:-1])
+
+
 def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None) -> JetHomBasis:
     """Solve the intertwining equations on jet coefficients below `precision`.
 
     Unknowns: all coefficients of all component entries on monomials of
     degree < N, numbered by `_JetLayout`.  Equations: the residual
-    comps[p] @ src[p] - tgt[p] @ comps[p+1] must vanish in every coefficient
-    of degree < N + delta, where delta = 1 if both factorizations are reduced
-    (their entries then raise degrees by at least one, so a degree-N cutoff of
-    a true morphism still satisfies the degree-N equations; without
-    reducedness delta = 0 keeps the system sound).
+    E_p = comps[p] @ src[p] - tgt[p] @ comps[p+1] must vanish in every
+    coefficient of degree < N + delta, where delta = 1 if both factorizations
+    are reduced (their entries then raise degrees by at least one, so a
+    degree-N cutoff of a true morphism still satisfies the degree-N
+    equations; without reducedness delta = 0 keeps the system sound).
+
+    The rows of the last slot, E_{d-1}, are left out when `_last_slot_implied`
+    certifies that they follow from the others: both endpoints validate and
+    are reduced, and the degree-one part L_p of target.mats[p] has a nonzero
+    determinant for every p <= d-2.  Then the telescoping identity
+    sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0 makes E_{d-1} vanish
+    below the bound whenever E_0..E_{d-2} do.  The left-out rows would come
+    last and lie in the span of the others, so the elimination, and every
+    kernel vector with its key order, is the same as with all d slots.
 
     Soundness: the truncation of any exact morphism solves this system, so
     dimension 0 here means there are no nonzero morphisms at all.  It needs
@@ -355,8 +415,9 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
         raise ValueError(f"jet precision must be at least 1, got {precision}")
     monos = _monomials_below(ring, precision)
     layout = _JetLayout(source, target, monos)
-    delta = 1 if (source.is_reduced() and target.is_reduced()) else 0
-    bound = precision + delta
+    reduced = source.is_reduced() and target.is_reduced()
+    bound = precision + (1 if reduced else 0)
+    slots = source.d - 1 if reduced and _last_slot_implied(source, target) else source.d
     # monos is graded: its first below[t] monomials are those of degree < t,
     # so a term e meets exactly the first below[max(bound - deg e, 0)]
     below = [sum(1 for m in monos if sum(m) < t) for t in range(bound + 1)]
@@ -367,7 +428,7 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     # different components (d >= 2) and an unknown meets a residual monomial
     # through one term at most, so each coefficient is one term: none cancels.
     rows: list[dict[int, CycloElem]] = []
-    for p in range(source.d):
+    for p in range(slots):
         a, b, q = source.mats[p], target.mats[p], (p + 1) % source.d
         for i in range(target.n):
             for j in range(source.n):
@@ -388,6 +449,23 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     return JetHomBasis(source, target, precision, monos, kernel, basis)
 
 
+def _combination(consts: list[Matrix], coeffs, zero) -> list[list]:
+    """The rows of sum_b coeffs[b] * consts[b], for square field matrices."""
+    n = consts[0].nrows
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry = zero
+            for t, m in zip(coeffs, consts):
+                c = m[i, j]
+                if not c.is_zero():
+                    entry = entry + t * c
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
 def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     """Whether some field combination of the basis has all components
     invertible at the origin.
@@ -397,6 +475,11 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     all components invertible exists iff every component's symbolic
     determinant is not identically zero: the field is infinite, and a finite
     product of nonzero polynomials has a non-vanishing point.
+
+    One fixed point, `_evaluation_point`, is tried first: a nonzero field
+    determinant there, for every component, certifies every symbolic
+    determinant nonzero, and True is returned without expanding one.
+    Otherwise the symbolic determinants decide.
 
     A True here is only a candidate (jet solutions need not lift to exact
     morphisms); a False at any valid precision is a sound refutation.
@@ -410,24 +493,16 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     if nb == 0:
         return False
     field = src.ring.field
+    consts = [[comps[k].constant_terms() for comps in hom_basis.basis]
+              for k in range(src.d)]
+    point = _evaluation_point(field, nb)
+    if all(not Matrix(field, _combination(cs, point, field.zero())).det().is_zero()
+           for cs in consts):
+        return True
     tring = PolynomialRing(field, [f"t{i + 1}" for i in range(nb)])
     tvars = [tring.variable(f"t{i + 1}") for i in range(nb)]
-    for k in range(src.d):
-        consts = [hom_basis.basis[b][k].constant_terms() for b in range(nb)]
-        rows = []
-        for i in range(src.n):
-            row = []
-            for j in range(src.n):
-                entry = tring.zero()
-                for b in range(nb):
-                    c = consts[b][i, j]
-                    if not c.is_zero():
-                        entry = entry + tvars[b] * c
-                row.append(entry)
-            rows.append(row)
-        if Matrix(tring, rows).det().is_zero():
-            return False
-    return True
+    return all(not Matrix(tring, _combination(cs, tvars, tring.zero())).det().is_zero()
+               for cs in consts)
 
 
 # -- idempotent splitting -----------------------------------------------------

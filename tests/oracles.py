@@ -7,8 +7,9 @@ cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
 """
 
 from fractions import Fraction
+from itertools import product
 
-from matfac import Matrix
+from matfac import Matrix, PolynomialRing
 from matfac.cyclo import CycloField
 
 
@@ -246,3 +247,87 @@ def nullspace(m: Matrix) -> list[tuple]:
             vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
+
+
+# -- jet hom spaces ----------------------------------------------------------------
+
+
+def hom_equation_rows(source, target, precision: int) -> list[list[dict]]:
+    """The jet intertwining equations of every slot, written out directly.
+
+    Unknown ((k * n_tgt + i) * n_src + j) * #monomials + midx is the
+    coefficient of the midx-th monomial of degree < precision (graded-lex
+    order) in entry (i, j) of component k.  Slot p's rows are the
+    coefficients of comps[p] @ src[p] - tgt[p] @ comps[p+1] of degree below
+    precision + 1 when no entry of either endpoint has a constant term, and
+    below precision otherwise: one sparse row per (i, j, monomial),
+    graded-lex within an entry, zero rows left out.  Returns one list of
+    rows per slot.
+    """
+    d, ns, nt = source.d, source.n, target.n
+    field = source.ring.field
+    nv = len(source.ring.vars)
+    monos = sorted((e for e in product(range(precision), repeat=nv) if sum(e) < precision),
+                   key=lambda e: (sum(e), e))
+    nm = len(monos)
+    reduced = all(p.constant_term().is_zero()
+                  for x in (source, target) for m in x.mats for row in m.rows for p in row)
+    bound = precision + (1 if reduced else 0)
+
+    def unknown(k, i, j, midx):
+        return ((k * nt + i) * ns + j) * nm + midx
+
+    def accumulate(coeffs, poly, k, r, c, sign):
+        """Add sign * poly * (unknown entry (r, c) of component k) to coeffs,
+        a map from residual monomial to {unknown: coefficient}."""
+        for e, val in poly.terms.items():
+            for midx, mono in enumerate(monos):
+                mu = tuple(a + b for a, b in zip(mono, e))
+                if sum(mu) >= bound:
+                    continue
+                row = coeffs.setdefault(mu, {})
+                col = unknown(k, r, c, midx)
+                total = row.get(col, field.zero()) + (val if sign > 0 else -val)
+                if total.is_zero():
+                    row.pop(col, None)
+                else:
+                    row[col] = total
+
+    slots = []
+    for p in range(d):
+        q = (p + 1) % d
+        rows = []
+        for i in range(nt):
+            for j in range(ns):
+                coeffs = {}
+                for t in range(ns):  # comps[p][i, t] * src[p][t, j]
+                    accumulate(coeffs, source.mats[p][t, j], p, i, t, 1)
+                for s in range(nt):  # tgt[p][i, s] * comps[p+1][s, j]
+                    accumulate(coeffs, target.mats[p][i, s], q, s, j, -1)
+                rows += [coeffs[mu] for mu in sorted(coeffs, key=lambda e: (sum(e), e))
+                         if coeffs[mu]]
+        slots.append(rows)
+    return slots
+
+
+def admits_invertible_combination_symbolic(hom_basis) -> bool:
+    """Whether every component's constant-term matrix sum_b t_b * B_b[k], over
+    fresh unknowns t_b, has a determinant that is not identically zero; by
+    cofactor expansion."""
+    src, tgt = hom_basis.source, hom_basis.target
+    if src.n != tgt.n:
+        return False
+    if src.n == 0:
+        return True
+    nb = hom_basis.dimension
+    if nb == 0:
+        return False
+    tring = PolynomialRing(src.ring.field, [f"t{b}" for b in range(nb)])
+    ts = [tring.variable(f"t{b}") for b in range(nb)]
+    for k in range(src.d):
+        consts = [comps[k].constant_terms() for comps in hom_basis.basis]
+        rows = [[sum((ts[b] * consts[b][i, j] for b in range(nb)), tring.zero())
+                 for j in range(src.n)] for i in range(src.n)]
+        if det_cofactor(Matrix(tring, rows)).is_zero():
+            return False
+    return True

@@ -179,3 +179,37 @@ def test_validate_report_is_computed_once(monkeypatch):
         products.clear()
         assert x.validate() is first
         assert products == []
+
+
+def test_shift_carries_the_validation_over(monkeypatch):
+    # T^i X's cyclic product from slot s is X's from slot s + i: the shift of
+    # a validated X holds X's report, renumbered, and runs no product; it
+    # equals a fresh validate() of the same matrices, entry by entry
+    good = rank_one(a, b, c).direct_sum(rank_one(a, b, c).shift(1))
+    mats = list(good.mats)
+    mats[0] = Matrix(R, [[a, c], [R.zero(), b]])
+    bad = MatFac(R, good.f, mats)
+    for x in (good, bad):
+        x.validate()
+    assert len({(e.ok, e.detail) for e in bad.validate().entries}) == 3
+    products = []
+    original = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append(self.shape)
+        return original(self, other)
+
+    for x in (good, bad):
+        for i in range(-3, 7):
+            monkeypatch.setattr(Matrix, "__matmul__", counting)
+            carried = x.shift(i).validate()
+            assert products == []
+            monkeypatch.setattr(Matrix, "__matmul__", original)
+            fresh = MatFac(R, x.f, x.shift(i).mats)
+            assert not hasattr(fresh, "_report")
+            assert carried == fresh.validate()
+            assert [e.start for e in carried.entries] == [0, 1, 2]
+    # a shift of a factorization not validated yet validates on demand
+    y = rank_one(a, b, c)
+    assert not hasattr(y.shift(1), "_report")
+    assert y.shift(1).validate().passed

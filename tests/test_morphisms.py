@@ -4,12 +4,16 @@ import hashlib
 from itertools import product
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from matfac import (
+    JetHomBasis,
     MatFac,
     MatfacError,
     Matrix,
     Morphism,
+    Polynomial,
     PolynomialRing,
     admits_invertible_combination,
     cyclotomic_field,
@@ -19,8 +23,16 @@ from matfac import (
     sum_of_products,
     tensor,
 )
-from matfac.morphisms import _intertwining_report, _monomials_below
+from matfac.linalg import _det_power, sparse_nullspace
+from matfac.morphisms import (
+    _evaluation_point,
+    _intertwining_report,
+    _last_slot_implied,
+    _monomials_below,
+)
 from matfac.rings import grlex_key
+
+import oracles
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -256,3 +268,158 @@ def test_hom_space_kernel_is_pinned():
     data = repr([[(k, c.num, c.den) for k, c in vec.items()] for vec in hb.vectors])
     assert hashlib.sha256(data.encode()).hexdigest() == RANK_8_SHIFT_KERNEL_SHA256
 
+
+
+# -- the implied last slot of the jet hom-space system ------------------------------
+
+
+def rank_one_over(ring, entries):
+    f = ring.one()
+    for e in entries:
+        f = f * e
+    return MatFac(ring, f, [Matrix(ring, [[e]]) for e in entries])
+
+
+def kernel_items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+def full_system_kernel(source, target, precision, slots=None):
+    """sparse_nullspace of the oracle's rows of the first `slots` slots (all d
+    by default), over the layout's unknowns."""
+    rows = oracles.hom_equation_rows(source, target, precision)[:slots]
+    ncols = source.d * target.n * source.n * len(_monomials_below(source.ring, precision))
+    return sparse_nullspace([r for slot in rows for r in slot], ncols, source.ring.field)
+
+
+def test_last_slot_is_kept_without_its_certificate():
+    # (xy, z^2, x) against its second shift (x, xy, z^2): the degree-one part
+    # of the target's slot 1 is zero, so the certificate fails and all three
+    # slots are solved; leaving the last one out would be unsound
+    ring = PolynomialRing(cyclotomic_field(2), ("x", "y", "z"))
+    x, y, z = (ring.variable(v) for v in "xyz")
+    xf = rank_one_over(ring, [x * y, z * z, x])
+    target = xf.shift(2)
+    assert not _last_slot_implied(xf, target)
+    dims = [hom_space_jets(xf, target, n).dimension for n in range(1, 5)]
+    assert dims == [1, 3, 7, 14]
+    assert [len(full_system_kernel(xf, target, n)) for n in range(1, 5)] == dims
+    assert [len(full_system_kernel(xf, target, n, slots=2)) for n in range(1, 5)] == [2, 7, 15, 27]
+
+
+def test_last_slot_is_kept_when_an_endpoint_does_not_validate():
+    # (a, b, 2c) does not factor f = abc, although its degree-one parts are
+    # nonsingular: the law forces c0 = c1 = c2 = 2 c0 = 0, and without the
+    # last slot c0 = c1 = c2 would survive
+    bad = MatFac(R, X.f, [Matrix(R, [[e]]) for e in (a, b, c * R.scalar(2))])
+    assert not bad.validate().passed
+    assert not _last_slot_implied(X, bad)
+    assert hom_space_jets(X, bad, 1).dimension == 0
+    assert len(full_system_kernel(X, bad, 1, slots=2)) == 1
+
+
+HOM_RINGS = {m: PolynomialRing(cyclotomic_field(m), ("x", "y", "z")) for m in (2, 3, 4)}
+ENTRY_MONOMIALS = [e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2]
+
+
+@st.composite
+def hom_pairs(draw):
+    """A reduced rank-one factorization with entries of one or two terms of
+    degree 1 or 2 (some with no linear part), or its sum with a shift of
+    itself; source and target are shifts of it, d = 2 or 3."""
+    ring = HOM_RINGS[draw(st.sampled_from(sorted(HOM_RINGS)))]
+    field = ring.field
+    coeffs = [field.one(), -field.one(), field.rational(2), field.zeta(1)]
+    d = draw(st.integers(2, 3))
+    entries = []
+    for _ in range(d):
+        monos = draw(st.lists(st.sampled_from(ENTRY_MONOMIALS), min_size=1, max_size=2,
+                              unique=True))
+        entries.append(Polynomial(ring, {e: draw(st.sampled_from(coeffs)) for e in monos}))
+    base = rank_one_over(ring, entries)
+    if draw(st.booleans()):
+        base = base.direct_sum(base.shift(draw(st.integers(1, d - 1))))
+    source = base.shift(draw(st.integers(0, d - 1)))
+    return source, base.shift(draw(st.integers(0, d - 1))), draw(st.integers(1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_pairs())
+def test_hom_space_kernel_matches_the_full_system(pair):
+    # with or without the last slot, the kernel vectors, keys and their order
+    # included, are those of the oracle's rows of all d slots
+    source, target, precision = pair
+    event("last slot left out" if _last_slot_implied(source, target) else "all slots")
+    hb = hom_space_jets(source, target, precision)
+    assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(source, target, precision))
+
+
+@pytest.mark.parametrize("source, target", [
+    pytest.param(*_swapped_tensors(), id="hom-XY-YX-d3"),
+    pytest.param(coprime_tensor_rank_8(), None, id="rank-8-shift-d2"),
+])
+def test_hom_space_jets_leaves_out_the_last_slot(count_calls, source, target):
+    # on coprime tensors the last slot is implied: the elimination receives
+    # the rows of slots 0..d-2 exactly, (d - 1)/d of all of them
+    target = source.shift(1) if target is None else target
+    calls = count_calls(sparse_nullspace)
+    hom_space_jets(source, target, 2)
+    (rows, _, _), = calls
+    slots = oracles.hom_equation_rows(source, target, 2)
+    d = source.d
+    assert len(rows) * d == sum(map(len, slots)) * (d - 1)
+    assert rows == [r for slot in slots[:-1] for r in slot]
+
+
+# -- invertible combinations: evaluation first, symbolic determinants for "no" ------
+
+
+def _jet_refute_hom_bases():
+    ring = PolynomialRing(F, ("x1",))
+    sym = rank_one_over(ring, [ring.variable("x1")] * 3)
+    xy, yx = _swapped_tensors()
+    coprime = coprime_tensor_rank_8()
+    return [hom_space_jets(sym, sym.shift(i), 2) for i in (1, 2)] + [
+        hom_space_jets(xy, yx, p) for p in (1, 2)] + [
+        hom_space_jets(coprime, coprime.shift(1), 2)]
+
+
+def test_invertible_combination_verdict_on_jet_refute_inputs():
+    # the symmetric rank-one is isomorphic to its shifts (True); the swapped
+    # tensors and the coprime tensor's shift are refuted (False) with nonzero
+    # hom spaces, which a decider accepting a zero determinant would miss
+    bases = _jet_refute_hom_bases()
+    verdicts = [admits_invertible_combination(hb) for hb in bases]
+    assert verdicts == [True, True, False, False, False]
+    assert [hb.dimension > 0 for hb in bases] == [True, True, False, True, True]
+    assert verdicts == [oracles.admits_invertible_combination_symbolic(hb) for hb in bases]
+
+
+def fabricated_basis(coeffs):
+    """A JetHomBasis of X = (a, b, c) onto itself whose b-th element is
+    coeffs[b] times the identity, as precision-1 jets."""
+    comps = [tuple(Matrix(R, [[R.scalar(c)]]).to_jets(1) for _ in range(3))
+             for c in coeffs]
+    return JetHomBasis(X, X, 1, [(0, 0, 0)], [], comps)
+
+
+def test_invertible_combination_falls_back_when_the_point_vanishes(count_calls):
+    # p2 t1 - p1 t2 vanishes at the evaluation point (p1, p2) but not
+    # identically: the symbolic determinants decide True, one per component;
+    # 0 t1 + 0 t2 vanishes identically: False at the first component
+    p1, p2 = _evaluation_point(F, 2)
+    assert p1 != p2
+    dets = count_calls(_det_power)
+    assert admits_invertible_combination(fabricated_basis([p2, -p1]))
+    assert len(dets) == 3
+    dets.clear()
+    assert not admits_invertible_combination(fabricated_basis([0, 0]))
+    assert len(dets) == 1
+
+
+def test_true_verdict_computes_no_symbolic_determinant(count_calls):
+    bases = _jet_refute_hom_bases()[:2]
+    dets = count_calls(_det_power)
+    assert all(admits_invertible_combination(hb) for hb in bases)
+    assert admits_invertible_combination(fabricated_basis([1, 3]))
+    assert dets == []

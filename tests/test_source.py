@@ -45,20 +45,19 @@ def test_every_private_function_is_called():
 
 def test_acceptance_gate_passes_under_optimize():
     # `python -O` also sets __debug__ to False: a check guarded by it would
-    # switch off there.  The acceptance gate checks good inputs only, so the
-    # tests that feed corrupted factorizations, morphisms, root contexts,
-    # tampered certificates, failing sum-of-products builds and projective
-    # tensors to the checks run under -O as well, and so do the field
-    # elimination's and the matrices' property tests against their oracles.
+    # switch off there.  The acceptance gate checks good inputs only, so every
+    # other test file runs under -O as well (all but this one, which would
+    # start itself again): the ones that feed corrupted factorizations,
+    # morphisms, root contexts, tampered certificates, failing builds and bad
+    # documents to the checks, and the property tests against the oracles.
     root = Path(__file__).resolve().parents[1]
     path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    files = ["test_acceptance.py", "test_factorization.py", "test_morphisms.py",
-             "test_knorrer.py", "test_structure.py", "test_tensor.py", "test_ulrich.py",
-             "test_echelon.py", "test_linalg.py"]
+    files = sorted(p for p in (root / "tests").glob("test_*.py")
+                   if p.name != Path(__file__).name)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(str(root / "tests" / f) for f in files)],
+         *map(str, files)],
         cwd=root, env=env, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -24,7 +24,9 @@ from matfac import (
 )
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
-from oracles import det_cofactor
+from matfac.linalg import _det_power
+
+from oracles import admits_invertible_combination_symbolic, det_cofactor
 
 F3 = cyclotomic_field(3)
 R9 = PolynomialRing(F3, ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0"))
@@ -209,19 +211,61 @@ def test_projective_tensor_recognition():
         recognize_projective_sum(tensor(X, Y, ZETA))
 
 
-@pytest.mark.parametrize("d, rank_p", [(2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
-def test_projective_tensor_on_grid(d, rank_p):
-    # P = P_0 (+) ... (+) P_{rank_p - 1} against a rank-one Y: each P_i (x) Y
-    # is the sum of all d shifted projectives
+def grid_projective_tensor(d, rank_p):
+    """is_projective_tensor of P = P_0 (+) ... (+) P_{rank_p - 1} against the
+    grid's rank-one Y."""
     ring, fld, x1, y1 = grid_ring(d)
     p = projective(ring, d, x1.f, 0)
     for i in range(1, rank_p):
         p = p.direct_sum(projective(ring, d, x1.f, i))
-    rep = is_projective_tensor(p, y1, fld.root_of_unity(d, 1))
+    return is_projective_tensor(p, y1, fld.root_of_unity(d, 1))
+
+
+@pytest.mark.parametrize("d, rank_p", [(2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+def test_projective_tensor_on_grid(d, rank_p):
+    # P = P_0 (+) ... (+) P_{rank_p - 1} against a rank-one Y: each P_i (x) Y
+    # is the sum of all d shifted projectives
+    rep = grid_projective_tensor(d, rank_p)
     assert rep.passed
     assert rep.input_shifts == list(range(rank_p))
     assert rep.shifts_found == sorted(list(range(d)) * rank_p)
     assert rep.precision == 1
+
+
+@pytest.mark.parametrize("d, rank_p", [(2, 2), (3, 1), (3, 2), (4, 1), (5, 1)])
+def test_projective_tensor_verdict_equals_the_symbolic_one(count_calls, d, rank_p):
+    # the decider answers True from one evaluation point; the cofactor
+    # expansion of the symbolic determinants agrees
+    decider_calls = count_calls(admits_invertible_combination)
+    assert grid_projective_tensor(d, rank_p).passed
+    (hom_basis,), = decider_calls
+    assert admits_invertible_combination_symbolic(hom_basis)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_shift_hom_verdict_equals_the_symbolic_one_on_grid(d, n, m):
+    # the tensors of the determinant-law grid against their shifts: True
+    # for the identity shift, and the symbolic verdict for every other one
+    ring, fld, x1, y1 = grid_ring(d)
+    t = tensor(grid_factor(x1, n), grid_factor(y1, m), fld.root_of_unity(d, 1))
+    verdicts = []
+    for i in range(d):
+        hb = hom_space_jets(t, t.shift(i), 1)
+        verdicts.append(admits_invertible_combination(hb))
+        assert verdicts[-1] == admits_invertible_combination_symbolic(hb)
+    assert verdicts[0]
+
+
+def test_projective_tensor_true_by_evaluation(count_calls):
+    # P_0 (+) P_1 (+) P_2 against a rank-one Y at d = 3: 81 basis vectors,
+    # whose symbolic 9 x 9 determinants took minutes; no polynomial
+    # determinant is computed for the True verdict
+    dets = count_calls(_det_power)
+    rep = grid_projective_tensor(3, 3)
+    assert rep.passed and rep.shifts_found == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert dets == []
 
 
 def test_projective_tensor_decides_by_the_symbolic_test_alone(count_calls):
