@@ -467,7 +467,7 @@ class Runner:
         s = self.fac(cmd, "source", where)
         t = self.fac(cmd, "target", where)
         basis = hom_space_jets(s, t, self.cmd_precision(cmd))
-        data = {"dimension": len(basis.basis), "precision": basis.precision}
+        data = {"dimension": basis.dimension, "precision": basis.precision}
         summary = f"hom space has dimension {data['dimension']} at precision {data['precision']}"
         if _flag(cmd, "check_invertible", where):
             inv = admits_invertible_combination(basis)

@@ -23,6 +23,12 @@ Two genuinely local computations are done at jet precision N:
   identity sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0.  Each
   det L_p is certified nonzero by its value at one point, and then the
   last slot's rows are not built (`_last_slot_implied`).
+  The kernel vectors, in `_JetLayout` coordinates, are the only stored form
+  of the solutions (`JetHomBasis.vectors`).  The layout's readers are
+  `_JetLayout.constants`, which gives the constant terms that
+  `admits_invertible_combination` and `constant_term_spot_check` decide on,
+  and `_JetLayout.decode`, which builds jet matrices only when
+  `JetHomBasis.basis` is read.
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by columns of e and 1-e and inverting at
   precision N.
@@ -30,7 +36,7 @@ Two genuinely local computations are done at jet precision N:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -256,9 +262,16 @@ class _JetLayout:
     """Coordinates of the jet-morphism unknowns between two factorizations.
 
     The coefficient of `monomials[midx]` in entry (i, j) of component k is
-    unknown `index(k, i, j, midx)`; `size` counts the unknowns.  The equations
-    of `hom_space_jets`, the decoding of its kernel vectors and
-    `JetHomBasis.vectorize` are all written against this one map.
+    unknown `index(k, i, j, midx)`; `size` counts the unknowns.  Everything
+    that reads or writes jet hom-space coordinates goes through this one map:
+
+    * the equations of `hom_space_jets`, whose kernel vectors are the stored
+      form of a `JetHomBasis`;
+    * `constants`, the constant terms of a kernel vector's components, which
+      `admits_invertible_combination` and `constant_term_spot_check` read;
+    * `decode`, the jet components themselves (`JetHomBasis.basis`, on
+      demand);
+    * `encode`, the inverse of `decode` (`JetHomBasis.vectorize`).
     """
 
     source: MatFac
@@ -285,8 +298,24 @@ class _JetLayout:
                             vec[base + pos[mono]] = c
         return vec
 
+    def constants(self, vec: dict[int, CycloElem]) -> list[dict[tuple[int, int], CycloElem]]:
+        """The constant terms of the components with coordinates `vec`, one
+        sparse map (i, j) -> value per component k.  `monomials[0]` is the
+        constant monomial, so const(comps[k])[i, j] is vec[index(k, i, j, 0)];
+        the nonzero coordinates are read, not the d * n * n entries."""
+        nm, ns = len(self.monomials), self.source.n
+        per_comp = self.target.n * ns
+        consts: list[dict[tuple[int, int], CycloElem]] = [{} for _ in range(self.source.d)]
+        for key, c in vec.items():
+            entry, midx = divmod(key, nm)
+            if midx == 0:
+                k, ij = divmod(entry, per_comp)
+                consts[k][divmod(ij, ns)] = c
+        return consts
+
     def decode(self, vec: dict[int, CycloElem], space: JetSpace) -> tuple[Matrix, ...]:
-        """The jet components with coordinates `vec`: the inverse of `encode`."""
+        """The jet components with coordinates `vec`: the inverse of `encode`.
+        Entries without coordinates share one zero jet."""
 
         # the terms of each entry, keyed by index(k, i, j) // nm; ascending
         # keys put each entry's terms in monomial order
@@ -294,10 +323,11 @@ class _JetLayout:
         terms: dict[int, dict[tuple[int, ...], CycloElem]] = {}
         for key in sorted(vec):
             terms.setdefault(key // nm, {})[self.monomials[key % nm]] = vec[key]
+        zero = space.zero()
 
         def entry(k, i, j):
-            poly = Polynomial(space.ring, terms.get(self.index(k, i, j) // nm, {}))
-            return Jet(poly, space.precision)
+            t = terms.get(self.index(k, i, j) // nm)
+            return zero if t is None else Jet(Polynomial(space.ring, t), space.precision)
 
         return tuple(
             Matrix(space, [[entry(k, i, j) for j in range(self.source.n)]
@@ -310,8 +340,9 @@ class _JetLayout:
 class JetHomBasis:
     """Basis of the space of jet-level morphism solutions below degree N.
 
-    `basis[b]` is a d-tuple of jet matrices; `vectors[b]` is the same data as
-    a sparse map in the `_JetLayout` coordinates over `monomials`.
+    `vectors[b]` is the b-th basis element as a sparse map in the `_JetLayout`
+    coordinates over `monomials`; it is the only stored form.  `basis[b]`, the
+    same element as a d-tuple of jet matrices, is decoded on first access.
     """
 
     source: MatFac
@@ -319,15 +350,28 @@ class JetHomBasis:
     precision: int
     monomials: list[tuple[int, ...]]
     vectors: list[dict[int, CycloElem]]
-    basis: list[tuple[Matrix, ...]]
+    _decoded: tuple[tuple[Matrix, ...], ...] | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+
+    @property
+    def _layout(self) -> _JetLayout:
+        return _JetLayout(self.source, self.target, self.monomials)
+
+    @property
+    def basis(self) -> tuple[tuple[Matrix, ...], ...]:
+        """The basis elements as jet components, decoded once, on first access."""
+        if self._decoded is None:
+            layout, space = self._layout, JetSpace(self.source.ring, self.precision)
+            self._decoded = tuple(layout.decode(vec, space) for vec in self.vectors)
+        return self._decoded
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
 
     def vectorize(self, alpha: Morphism) -> dict[int, CycloElem]:
         """Flatten a morphism's truncation into the unknown coordinate order."""
-        return _JetLayout(self.source, self.target, self.monomials).encode(alpha.comps)
+        return self._layout.encode(alpha.comps)
 
     def contains_truncation(self, alpha: Morphism) -> bool:
         """Whether alpha's truncation below N lies in the span of the basis."""
@@ -405,6 +449,9 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     Soundness: the truncation of any exact morphism solves this system, so
     dimension 0 here means there are no nonzero morphisms at all.  It needs
     N >= 1: below that there are no unknowns, and ValueError is raised.
+
+    The result holds the kernel vectors only; `JetHomBasis.basis` decodes
+    them into jet matrices when it is first read.
     """
     if source.ring != target.ring or source.d != target.d or source.f != target.f:
         raise MatfacError("hom space endpoints must share ring, d, and f")
@@ -427,43 +474,55 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     # src[p][t, j] - sum_s tgt[p][i, s] comps[p+1][s, j].  The two sides hold
     # different components (d >= 2) and an unknown meets a residual monomial
     # through one term at most, so each coefficient is one term: none cancels.
+    # A zero entry adds nothing, so each (i, j) visits only the nonzero
+    # entries of column j of src[p] and of row i of tgt[p], ascending, and
+    # each row keeps the key order of a walk over all entries.
+    shifted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def terms(poly: Polynomial, sign: int) -> list:
+        """(the residual monomials e + monos[midx] a term e meets, midx
+        ascending; its signed coefficient) for each term of poly."""
+        out = []
+        for e, c in poly.terms.items():
+            if e not in shifted:
+                shifted[e] = [tuple(map(add, m, e))
+                              for m in monos[:below[max(bound - sum(e), 0)]]]
+            out.append((shifted[e], c if sign > 0 else -c))
+        return out
+
     rows: list[dict[int, CycloElem]] = []
     for p in range(slots):
         a, b, q = source.mats[p], target.mats[p], (p + 1) % source.d
+        a_cols: list[list] = [[] for _ in range(source.n)]
+        for t, row in enumerate(a.rows):
+            for j, e in enumerate(row):
+                if not e.is_zero():
+                    a_cols[j].append((t, terms(e, 1)))
+        b_rows = [[(s, terms(e, -1)) for s, e in enumerate(row) if not e.is_zero()]
+                  for row in b.rows]
         for i in range(target.n):
             for j in range(source.n):
-                sides = [(a[t, j], layout.index(p, i, t), 1) for t in range(source.n)]
-                sides += [(b[i, s], layout.index(q, s, j), -1) for s in range(target.n)]
+                sides = [(layout.index(p, i, t), ts) for t, ts in a_cols[j]]
+                sides += [(layout.index(q, s, j), ts) for s, ts in b_rows[i]]
                 acc: dict[tuple[int, ...], dict[int, CycloElem]] = {}
-                for poly, base, sign in sides:
-                    for e, c in poly.terms.items():
-                        c = c if sign > 0 else -c
-                        for midx in range(below[max(bound - sum(e), 0)]):
-                            mu = tuple(map(add, monos[midx], e))
-                            acc.setdefault(mu, {})[base + midx] = c
+                for base, ts in sides:
+                    for mus, c in ts:
+                        for col, mu in enumerate(mus, base):
+                            acc.setdefault(mu, {})[col] = c
                 rows.extend(acc[mu] for mu in sorted(acc, key=grlex_key))
 
     kernel = sparse_nullspace(rows, layout.size, ring.field)
-    space = JetSpace(ring, precision)
-    basis = [layout.decode(vec, space) for vec in kernel]
-    return JetHomBasis(source, target, precision, monos, kernel, basis)
+    return JetHomBasis(source, target, precision, monos, kernel)
 
 
-def _combination(consts: list[Matrix], coeffs, zero) -> list[list]:
-    """The rows of sum_b coeffs[b] * consts[b], for square field matrices."""
-    n = consts[0].nrows
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = zero
-            for t, m in zip(coeffs, consts):
-                c = m[i, j]
-                if not c.is_zero():
-                    entry = entry + t * c
-            row.append(entry)
-        rows.append(row)
-    return rows
+def _combination(consts, coeffs, zero, n: int) -> list[list]:
+    """The rows of sum_b coeffs[b] * consts[b], for n x n constant terms given
+    as sparse maps (i, j) -> value (`_JetLayout.constants`)."""
+    acc = {}
+    for t, const in zip(coeffs, consts):
+        for ij, c in const.items():
+            acc[ij] = acc.get(ij, zero) + t * c
+    return [[acc.get((i, j), zero) for j in range(n)] for i in range(n)]
 
 
 def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
@@ -474,7 +533,9 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     sum_b t_b * const(basis[b][k]) over fresh scalars t_b.  A combination with
     all components invertible exists iff every component's symbolic
     determinant is not identically zero: the field is infinite, and a finite
-    product of nonzero polynomials has a non-vanishing point.
+    product of nonzero polynomials has a non-vanishing point.  The constant
+    terms are read from the kernel coordinates (`_JetLayout.constants`); no
+    basis element is decoded.
 
     One fixed point, `_evaluation_point`, is tried first: a nonzero field
     determinant there, for every component, certifies every symbolic
@@ -492,16 +553,16 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     nb = hom_basis.dimension
     if nb == 0:
         return False
-    field = src.ring.field
-    consts = [[comps[k].constant_terms() for comps in hom_basis.basis]
-              for k in range(src.d)]
+    field, n, layout = src.ring.field, src.n, hom_basis._layout
+    # consts[k][b]: the constant terms of component k of basis element b
+    consts = list(zip(*(layout.constants(vec) for vec in hom_basis.vectors)))
     point = _evaluation_point(field, nb)
-    if all(not Matrix(field, _combination(cs, point, field.zero())).det().is_zero()
+    if all(not Matrix(field, _combination(cs, point, field.zero(), n)).det().is_zero()
            for cs in consts):
         return True
     tring = PolynomialRing(field, [f"t{i + 1}" for i in range(nb)])
     tvars = [tring.variable(f"t{i + 1}") for i in range(nb)]
-    return all(not Matrix(tring, _combination(cs, tvars, tring.zero())).det().is_zero()
+    return all(not Matrix(tring, _combination(cs, tvars, tring.zero(), n)).det().is_zero()
                for cs in consts)
 
 

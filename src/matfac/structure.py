@@ -662,16 +662,18 @@ def constant_term_spot_check(x: MatFac) -> bool:
     shift must vanish at the origin.  A certificate subject failing this is a
     bug; passing it is evidence, not proof, of strength.
     """
-    field = x.ring.field
-    ident = Matrix.identity(field, x.n)
-    for tup in hom_space_jets(x, x, 1).basis:
-        consts = [c.constant_terms() for c in tup]
-        xi = consts[0][0, 0]
-        scaled = ident.scale(xi)
-        if any(c != scaled for c in consts):
+    # constant terms are read from the kernel coordinates as sparse maps
+    # (i, j) -> value, which hold no zeros (`_JetLayout.constants`)
+    end = hom_space_jets(x, x, 1)
+    for vec in end.vectors:
+        consts = end._layout.constants(vec)
+        xi = consts[0].get((0, 0))
+        scalar = {} if xi is None else {(i, i): xi for i in range(x.n)}
+        if any(c != scalar for c in consts):
             return False
     for i in range(1, x.d):
-        for tup in hom_space_jets(x, x.shift(i), 1).basis:
-            if any(not c.constant_terms().is_zero() for c in tup):
+        hb = hom_space_jets(x, x.shift(i), 1)
+        for vec in hb.vectors:
+            if any(hb._layout.constants(vec)):
                 return False
     return True

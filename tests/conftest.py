@@ -9,7 +9,8 @@ from matfac.tensor import tensor
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(fn) wraps every binding of fn in the matfac modules and
+    """count_calls(fn) wraps every binding of fn in the matfac modules, or
+    the class attribute when fn is a method such as `_JetLayout.decode`, and
     returns the list its calls are appended to."""
 
     def count(fn) -> list:
@@ -19,6 +20,10 @@ def count_calls(monkeypatch):
             calls.append(args)
             return fn(*args, **kwargs)
 
+        owner, _, attr = fn.__qualname__.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(sys.modules[fn.__module__], owner), attr, counted)
+            return calls
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "matfac" and getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, counted)

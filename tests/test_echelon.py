@@ -196,6 +196,5 @@ def test_contains_truncation(m, member, data):
     basis = JetHomBasis(
         source=X, target=X, precision=PRECISION, monomials=monos,
         vectors=[{i: c for i, c in enumerate(v) if not c.is_zero()} for v in vectors],
-        basis=[],
     )
     assert basis.contains_truncation(Morphism(X, X, comps)) == expected

@@ -16,16 +16,22 @@ from matfac import (
     Polynomial,
     PolynomialRing,
     admits_invertible_combination,
+    constant_term_spot_check,
     cyclotomic_field,
     hom_space_jets,
+    is_projective_tensor,
+    jet_refute_shift_iso,
+    projective,
     scale_by_units,
     split_idempotent,
     sum_of_products,
     tensor,
 )
+from matfac.cli import run_document
 from matfac.linalg import _det_power, sparse_nullspace
 from matfac.morphisms import (
     _evaluation_point,
+    _JetLayout,
     _intertwining_report,
     _last_slot_implied,
     _monomials_below,
@@ -354,6 +360,53 @@ def test_hom_space_kernel_matches_the_full_system(pair):
     assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(source, target, precision))
 
 
+def sparse_constants(m: Matrix) -> dict:
+    """The nonzero constant terms of a jet matrix, keyed by (i, j)."""
+    consts = m.constant_terms()
+    return {(i, j): consts[i, j] for i in range(consts.nrows) for j in range(consts.ncols)
+            if not consts[i, j].is_zero()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(hom_pairs())
+def test_constants_read_from_coordinates_equal_the_decoded_ones(pair):
+    # the one constant-term reader against constant_terms() of the lazily
+    # decoded basis, for every basis element and component
+    hb = hom_space_jets(*pair)
+    event("nonzero hom space" if hb.dimension else "zero hom space")
+    layout = _JetLayout(hb.source, hb.target, hb.monomials)
+    assert [layout.constants(vec) for vec in hb.vectors] == [
+        [sparse_constants(m) for m in comps] for comps in hb.basis]
+
+
+def test_no_verdict_decodes_the_basis(count_calls):
+    # jet refutation, projective tensors, the spot check and the CLI read
+    # constant terms and dimensions from the kernel coordinates; only
+    # JetHomBasis.basis decodes, each element once, on first access
+    decodes = count_calls(_JetLayout.decode)
+    x8 = coprime_tensor_rank_8()
+    assert jet_refute_shift_iso(x8, 2).all_refuted
+    sym = rank_one_over(R, [a, a, a])
+    assert jet_refute_shift_iso(sym, 2).refuted == {1: False, 2: False}
+    ring = PolynomialRing(F, ("u0", "u1", "u2", "v0", "v1", "v2"))
+    u, v = (rank_one_over(ring, [ring.variable(f"{s}{i}") for i in range(3)]) for s in "uv")
+    p = projective(ring, 3, u.f, 0).direct_sum(projective(ring, 3, u.f, 1))
+    assert is_projective_tensor(p, v, F.zeta(1)).passed
+    assert constant_term_spot_check(X) and not constant_term_spot_check(sym)
+    doc = {"ring": {"conductor": 3, "variables": ["a", "b", "c"]},
+           "factorizations": {"X": {"f": "a*b*c", "matrices": [[["a"]], [["b"]], [["c"]]]}},
+           "commands": [{"op": "hom-jets", "source": "X", "target": "X", "precision": 2,
+                         "check_invertible": True}]}
+    results, status = run_document(doc)
+    assert status == 0
+    assert results[0].data == {"dimension": hom_space_jets(X, X, 2).dimension,
+                               "precision": 2, "admits_invertible_combination": True}
+    assert decodes == []
+    hb = hom_space_jets(X, X, 2)
+    assert hb.basis is hb.basis
+    assert len(decodes) == hb.dimension
+
+
 @pytest.mark.parametrize("source, target", [
     pytest.param(*_swapped_tensors(), id="hom-XY-YX-d3"),
     pytest.param(coprime_tensor_rank_8(), None, id="rank-8-shift-d2"),
@@ -397,10 +450,13 @@ def test_invertible_combination_verdict_on_jet_refute_inputs():
 
 def fabricated_basis(coeffs):
     """A JetHomBasis of X = (a, b, c) onto itself whose b-th element is
-    coeffs[b] times the identity, as precision-1 jets."""
-    comps = [tuple(Matrix(R, [[R.scalar(c)]]).to_jets(1) for _ in range(3))
-             for c in coeffs]
-    return JetHomBasis(X, X, 1, [(0, 0, 0)], [], comps)
+    coeffs[b] times the identity, as precision-1 jets: coefficient c at
+    index(k, 0, 0, 0) of every component k, and no coordinate where c = 0."""
+    layout = _JetLayout(X, X, [(0, 0, 0)])
+    scalars = [R.scalar(c).constant_term() for c in coeffs]
+    vectors = [{layout.index(k, 0, 0, 0): c for k in range(3) if not c.is_zero()}
+               for c in scalars]
+    return JetHomBasis(X, X, 1, layout.monomials, vectors)
 
 
 def test_invertible_combination_falls_back_when_the_point_vanishes(count_calls):
