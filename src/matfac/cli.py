@@ -303,10 +303,10 @@ class Runner:
         except ValueError as e:
             raise MatfacError(str(e)) from e
 
-    def cmd_precision(self, cmd) -> int | None:
+    def cmd_precision(self, cmd, where) -> int | None:
         p = cmd.get("precision", self.precision)
-        if p is not None and (not _is_int(p) or p < 1):
-            raise DocumentError("'precision' must be a positive integer")
+        _expect(p is None or (_is_int(p) and p >= 1), where,
+                "'precision' must be a positive integer")
         return p
 
     def rows_spec(self, cmd, where):
@@ -453,7 +453,7 @@ class Runner:
     def op_split_idempotent(self, cmd, where):
         x = self.fac(cmd, "subject", where)
         e = self.mor(cmd, "idempotent", where)
-        res = split_idempotent(x, e, self.cmd_precision(cmd))
+        res = split_idempotent(x, e, self.cmd_precision(cmd, where))
         rank_c = res.complement.rank
         additive = res.rank_image + rank_c == x.n
         ok = (additive and res.image.validate().passed
@@ -466,7 +466,7 @@ class Runner:
     def op_hom_jets(self, cmd, where):
         s = self.fac(cmd, "source", where)
         t = self.fac(cmd, "target", where)
-        basis = hom_space_jets(s, t, self.cmd_precision(cmd))
+        basis = hom_space_jets(s, t, self.cmd_precision(cmd, where))
         data = {"dimension": basis.dimension, "precision": basis.precision}
         summary = f"hom space has dimension {data['dimension']} at precision {data['precision']}"
         if _flag(cmd, "check_invertible", where):
@@ -504,7 +504,7 @@ class Runner:
         x = self.fac(cmd, "left", where)
         y = self.fac(cmd, "right", where)
         if _flag(cmd, "refute_shifts", where):
-            p = self.cmd_precision(cmd) or 1
+            p = self.cmd_precision(cmd, where) or 1
             flags = (jet_refute_shift_iso(x, p).all_refuted,
                      jet_refute_shift_iso(y, p).all_refuted)
         else:
@@ -564,10 +564,10 @@ class Runner:
 
     def op_extension_ses(self, cmd, where):
         spec = self.rows_spec(cmd, where)
-        zeta = self.twist(spec.k)
-        x, _ = build_from_sum(spec, zeta)
         start = cmd.get("start", 1)
         _expect(_is_int(start), where, "'start' must be an integer")
+        zeta = self.twist(spec.k)
+        x, _ = build_from_sum(spec, zeta)
         ses = extension_ses(x, start)
         data = {
             "squares_commute": ses.squares_commute,

@@ -62,6 +62,19 @@ def _check_slots(pairs) -> ValidationReport:
     return ValidationReport(entries=entries, passed=all(e.ok for e in entries))
 
 
+def _derived(obj, entries: list[ValidationEntry]) -> ValidationReport:
+    """Store on obj, as its kept report, the entries a lemma gives without
+    computing them, and return that report.
+
+    The package's one writer of a report that is not computed; every caller
+    states the lemma its entries rest on.  `passed` is read from the entries,
+    as `_check_slots` reads it, and the memo method (`validate`,
+    `is_morphism`) returns the report from then on.
+    """
+    obj._report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+    return obj._report
+
+
 def _run_product(x, start: int, count: int) -> Matrix:
     """phi_start phi_{start+1} ... phi_{start+count-1}: count consecutive factors."""
     prod = x.phi(start)
@@ -78,7 +91,8 @@ class MatFac:
     inspected).
     """
 
-    # _report is set on the first validate() call and absent until then
+    # _report is set on the first validate() call, or by a construction that
+    # derives it (`_derived`), and absent until then
     __slots__ = ("ring", "f", "mats", "d", "n", "_report")
 
     def __init__(self, ring: PolynomialRing, f: Polynomial, mats):
@@ -143,16 +157,16 @@ class MatFac:
     def shift(self, i: int = 1) -> MatFac:
         """The i-th shift T^i X: rotate the stored tuple by i positions.
 
-        T^i X's cyclic product from slot s is X's from slot s + i, so a
-        validation X already holds is carried over, renumbered, not redone.
+        T^i X's cyclic product from slot s is X's from slot s + i, the same
+        product of the same matrices, so a validation X already holds is
+        carried over (`_derived`), renumbered, not redone: entry s of T^i X's
+        report is entry s + i of X's, detail included.
         """
         d = self.d
         out = MatFac(self.ring, self.f, [self.mats[(p + i) % d] for p in range(d)])
         if hasattr(self, "_report"):
             entries = self._report.entries
-            out._report = ValidationReport(
-                entries=[replace(entries[(s + i) % d], start=s) for s in range(d)],
-                passed=self._report.passed)
+            _derived(out, [replace(entries[(s + i) % d], start=s) for s in range(d)])
         return out
 
     def direct_sum(self, other: MatFac) -> MatFac:

@@ -44,7 +44,7 @@ from functools import cached_property
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
-from .factorization import MatFac, ValidationEntry, ValidationReport
+from .factorization import MatFac, ValidationEntry, ValidationReport, _derived
 from .linalg import Matrix, inverse_field
 from .morphisms import Morphism, _intertwining_report
 from .rings import PolynomialRing
@@ -284,10 +284,11 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     law is derived from the two: forward's slot p, alpha_p Phi_p =
     Phi'_p alpha_(p+1), multiplied by alpha_p^-1 on the left and by
     alpha_(p+1)^-1 on the right, is backward's slot p, Phi_p alpha_(p+1)^-1
-    = alpha_p^-1 Phi'_p.  backward's kept report has one entry per slot, ok
-    exactly when forward's entry and the round trip are.  Two morphisms
-    inverse to each other are isomorphisms, so `is_isomorphism()` of both
-    reads that same verdict and computes no determinant.
+    = alpha_p^-1 Phi'_p.  backward's kept report (`_derived`) has one
+    entry per slot, ok exactly when forward's entry and the round trip are.
+    Two morphisms inverse to each other are isomorphisms, so
+    `is_isomorphism()` of both reads that same verdict and computes no
+    determinant.
 
     Only alpha_0 and its inverse are computed: alpha_k(i, j) = w^p(j-i-k)
     is alpha_0 with its rows moved up k places, alpha_k = P_k alpha_0 for a
@@ -356,11 +357,10 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
         start=-3, ok=round_trip, detail="witnesses are mutually inverse"))
     report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))
 
-    certified = forward._report.passed and round_trip
-    backward._report = ValidationReport(entries=[
+    certified = _derived(backward, [
         ValidationEntry(start=e.start, ok=e.ok and round_trip,
                         detail=f"from forward's law at slot {e.start} and the round trip")
-        for e in forward._report.entries], passed=certified)
+        for e in forward._report.entries]).passed
     forward._iso = backward._iso = certified
     return SymmetricDecomposition(summand=summand, total=total,
                                   forward=forward, backward=backward,

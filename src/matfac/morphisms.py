@@ -80,7 +80,8 @@ def _is_isomorphism(alpha) -> bool:
 class Morphism:
     """A morphism of d-fold factorizations with exact polynomial components."""
 
-    # _report is set on the first is_morphism() call and absent until then;
+    # _report is set on the first is_morphism() call, or by a construction
+    # that derives it (`factorization._derived`), and absent until then;
     # _iso, a certified is_isomorphism() verdict, is set only by a
     # constructor that checked it (see `_is_isomorphism`)
     __slots__ = ("source", "target", "comps", "_report", "_iso")

@@ -23,12 +23,15 @@ extensions unless R is regular.  When the rows are pairwise coprime
 monomials in disjoint variables, the structure module certifies the tensor
 strongly indecomposable, making the Ulrich modules indecomposable as well.
 
-Every build is verified once, whichever route made it: rank, validation,
-reducedness and the factor determinants, each compared with the tensor
-determinant law of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), in
-factored form (base, exponent and sign, without expanding f^s); the
-verified exponent gives the statistics.  A failed check raises MatfacError
-rather than returning a failing report.
+Every build is verified once, whichever route made it: rank, reducedness
+and the factor determinants, each compared with the tensor determinant law
+of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), in factored form
+(base, exponent and sign, without expanding f^s); the verified exponent
+gives the statistics.  Validation is not recomputed: each tensor carries
+the verdict the tensor theorem gives it (see `tensor.tensor`), from
+validated operands and a primitive twist, while rank, reducedness and the
+determinants are computed from the built matrices.  A failed check raises
+MatfacError rather than returning a failing report.
 """
 
 from __future__ import annotations
@@ -180,9 +183,11 @@ def _checked_zeta(spec: SumOfProducts, zeta: CycloElem | None) -> CycloElem:
 
 
 def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
-    """Check the tensor built from spec: rank k^(N-1), validation,
-    reducedness, and every factor's determinant against the tensor
-    determinant law of its last step, +-f^(k^(N-2)) with the law's sign.
+    """Check the tensor built from spec: rank k^(N-1), reducedness, and
+    every factor's determinant against the tensor determinant law of its
+    last step, +-f^(k^(N-2)) with the law's sign.  These are computed here,
+    independently of how x was made; its validation is the verdict x
+    carries from `tensor`, read, not recomputed.
     Both determinants stay factored: a factor whose cut stops at g * I_n
     passes when g = +-f, n = k^(N-2) and the signs agree, without f^n being
     expanded.  Raises MatfacError on any failure, naming what the cut found."""
@@ -217,12 +222,16 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     The result has rank k^(N-1) (k entries per row, N rows) and each factor
     matrix has determinant (-1)^(s(k+1)) f^s, s = k^(N-2), by the tensor
     determinant law of the last step; both are checked exactly, together
-    with validation and reducedness, and a failed check raises MatfacError.
+    with reducedness, and a failed check raises MatfacError.  Validation is
+    carried: each row factorization is validated (rank one, d products of
+    1x1 matrices) when it is tensored, and each tensor derives its own
+    report from the tensor theorem, so no cyclic product of the
+    rank-k^(N-1) factors is formed.
     Each step tensors with a rank-one row factorization, so every factor is
     block-cyclic: its determinant is cut, without elimination, to the scalar
     matrix g * I_s and compared with the law as factors (g = +-f with the
     sign (-1)^s accounted for), so f^s is never expanded; the cost lies in
-    the tensor products and in `validate`.  zeta
+    the tensor products and in those cuts.  zeta
     defaults to the first primitive k-th root of unity of the coefficient
     field; the field must contain one.
 

@@ -151,7 +151,10 @@ def test_criterion_02_defining_identity_on_every_fixture():
         dec = decompose_symmetric(sx, sy, ctx)
         fixtures += [dec.summand, dec.total]
     for w in fixtures:
+        # a tensor and its shift carry a derived report: a fresh validation
+        # of the same matrices must give the same one
         assert w.validate().passed
+        assert MatFac(w.ring, w.f, w.mats).validate() == w.validate()
     print(f"criterion 02: PASS - validate passes on all {len(fixtures)} fixtures")
 
 

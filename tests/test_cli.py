@@ -407,3 +407,29 @@ def test_partition_indices_must_be_json_integers(tmp_path, capsys, partition):
     assert err.startswith("error: commands[1].partition: ")
     rc, report = run_machine(tmp_path, capsys, dict(doc, commands=doc["commands"][:1]))
     assert rc == 0 and report["commands"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("doc, cmd", [
+    (PIPELINE_DOC, {"op": "hom-jets", "source": "X", "target": "X"}),
+    (KNORRER_DOC, {"op": "split-idempotent", "subject": "XX", "idempotent": "e"}),
+])
+@pytest.mark.parametrize("precision", [0, True, "1"])
+def test_bad_precision_names_its_command(tmp_path, capsys, doc, cmd, precision):
+    doc = dict(doc, commands=[{"op": "validate", "subject": "X"},
+                              dict(cmd, precision=precision)])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith("error: commands[1]: 'precision' must be a positive integer")
+
+
+@pytest.mark.parametrize("start", [True, "1", None])
+def test_bad_start_is_rejected_before_the_build(tmp_path, capsys, count_calls, start):
+    from matfac.ulrich import build_from_sum
+
+    builds = count_calls(build_from_sum)
+    doc = dict(PIPELINE_DOC, commands=[
+        {"op": "extension-ses", "rows": THREE_ROWS, "start": start}])
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith("error: commands[0]: 'start' must be an integer")
+    assert builds == []

@@ -1,0 +1,232 @@
+"""Every report the package derives from a lemma instead of computing it,
+checked against a fresh computation of the same identity.
+
+`factorization._derived` is the one writer of such reports, so wrapping it
+records every derivation a construction makes.  A derived factorization
+report (a shift, a tensor) must equal a fresh `validate()` of the same
+matrices, entry by entry: start, ok and detail.  Knorrer's derived backward
+law rests on a sufficient condition (forward's law and the round trip), so
+it must never pass a slot whose fresh `_intertwining_report` fails, it
+equals the fresh law on valid inputs, and each entry names its lemma.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matfac import (
+    MatFac,
+    MatfacError,
+    Matrix,
+    PolynomialRing,
+    build_ulrich,
+    cyclotomic_field,
+    decompose_symmetric,
+    extension_ses,
+    indecomposable_ulrich,
+    omega_context,
+    sum_of_products,
+    tensor,
+)
+from matfac import knorrer
+from matfac.factorization import _derived
+from matfac.morphisms import Morphism, _intertwining_report
+
+GRID = [(d, n, m) for d in (2, 3, 4, 5) for n in (1, 2) for m in (1, 2)]
+
+
+@pytest.fixture
+def derivations(count_calls):
+    """The (object, entries) of every derivation, in order."""
+    return count_calls(_derived)
+
+
+def fresh(obj):
+    """The report obj's identity gives when computed from scratch."""
+    if isinstance(obj, Morphism):
+        return _intertwining_report(obj.comps, obj.source.mats, obj.target.mats)
+    return MatFac(obj.ring, obj.f, obj.mats).validate()
+
+
+def check_derivations(calls):
+    """Compare the kept report of every recorded derivation with a fresh
+    computation; returns the fresh reports."""
+    assert calls
+    out = []
+    for obj, _ in calls:
+        derived, computed = obj._report, fresh(obj)
+        out.append(computed)
+        if not isinstance(obj, Morphism):
+            assert derived == computed
+            continue
+        assert [e.start for e in derived.entries] == [e.start for e in computed.entries]
+        assert all(c.ok for e, c in zip(derived.entries, computed.entries) if e.ok)
+        assert [e.detail for e in derived.entries] == [
+            f"from forward's law at slot {e.start} and the round trip"
+            for e in derived.entries]
+    return out
+
+
+def rank_one(ring, entries):
+    f = ring.one()
+    for e in entries:
+        f = f * e
+    return MatFac(ring, f, [Matrix(ring, [[e]]) for e in entries])
+
+
+def doubled(x):
+    """x plus its shift: a rank-two factorization of the same f."""
+    return x.direct_sum(x.shift(1))
+
+
+def corrupted(d):
+    """A rank-two factorization of u0...u_{d-1} with a stray u1 in slot 0,
+    so that its cyclic products fail at different entries."""
+    ring = PolynomialRing(cyclotomic_field(d), tuple(f"u{i}" for i in range(d)))
+    good = doubled(rank_one(ring, [ring.variable(f"u{i}") for i in range(d)]))
+    mats = list(good.mats)
+    mats[0] = mats[0] + Matrix(ring, [[ring.zero(), ring.variable("u1")],
+                                      [ring.zero(), ring.zero()]])
+    return MatFac(ring, good.f, mats), good
+
+
+# -- the shift ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shift_carries_the_fresh_report(derivations, d):
+    bad, good = corrupted(d)
+    for x in (good, bad):
+        x.validate()
+        for i in range(-d, 2 * d):
+            x.shift(i)
+    assert len(derivations) == 2 * 3 * d
+    reports = check_derivations(derivations)
+    assert all(r.passed for r in reports[:3 * d])
+    assert not any(r.passed for r in reports[3 * d:])
+    # the failing entries differ, so a carry that renumbers wrongly shows
+    assert len({(e.ok, e.detail) for e in bad.validate().entries}) > 1
+
+
+def test_shift_of_an_unvalidated_factorization_derives_nothing(derivations):
+    bad, good = corrupted(3)
+    assert [bad.shift(1).validate().passed, good.shift(2).validate().passed] == [False, True]
+    assert derivations == []
+
+
+# -- the tensor -----------------------------------------------------------------
+
+
+@st.composite
+def twisted_rows(draw):
+    """Operands from the determinant-law grid with random rank-one rows:
+    each row is d random polynomials in u, v, w with small coefficients,
+    constants and zeros included."""
+    d, n, m = draw(st.sampled_from(GRID))
+    fld = cyclotomic_field(d)
+    ring = PolynomialRing(fld, ("u", "v", "w"))
+    monomials = [ring.one()] + [ring.variable(v) for v in "uvw"]
+    monomials += [a * b for a in monomials[1:] for b in monomials[1:]]
+
+    def entry():
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        picks = draw(st.lists(st.sampled_from(monomials), min_size=len(coeffs),
+                              max_size=len(coeffs)))
+        return sum((ring.scalar(fld.rational(c)) * mono for c, mono in zip(coeffs, picks)),
+                   ring.zero())
+
+    x = rank_one(ring, [entry() for _ in range(d)])
+    y = rank_one(ring, [entry() for _ in range(d)])
+    zeta = fld.root_of_unity(d, draw(st.sampled_from(
+        [p for p in range(1, d) if math.gcd(p, d) == 1])))
+    return (x if n == 1 else doubled(x)), (y if m == 1 else doubled(y)), zeta
+
+
+@settings(max_examples=40, deadline=None)
+@given(operands=twisted_rows())
+def test_tensor_report_equals_the_fresh_one_on_random_rows(operands):
+    x, y, zeta = operands
+    t = tensor(x, y, zeta)
+    assert t.validate() == fresh(t)
+    assert t.shift(1).validate() == fresh(t.shift(1))
+
+
+def test_tensor_of_tensors_and_the_ulrich_pipeline(derivations):
+    # every derivation of the Ulrich builds, the certificate's rebuilt
+    # nodes and the extension sequence, each against a fresh validation
+    ring = PolynomialRing(cyclotomic_field(3),
+                          tuple(f"{v}{i}" for v in "xyz" for i in range(3)))
+    spec = sum_of_products(ring, [[ring.variable(f"{v}{i}") for i in range(3)]
+                                  for v in "xyz"])
+    build_ulrich(spec)
+    ub = indecomposable_ulrich(spec)
+    assert extension_ses(ub.certificate.subject).passed
+    assert len(derivations) == 3 * (spec.n_terms - 1)
+    assert all(r.passed for r in check_derivations(derivations))
+
+
+def test_tensor_refuses_what_the_theorem_does_not_cover(derivations):
+    bad, good = corrupted(3)
+    zeta = good.ring.field.root_of_unity(3, 1)
+    with pytest.raises(MatfacError, match="does not validate"):
+        tensor(good, bad, zeta)
+    with pytest.raises(MatfacError, match="not a primitive"):
+        tensor(good, good, zeta ** 3)
+    assert derivations == []
+
+
+# -- Knorrer's backward witness ---------------------------------------------------
+
+
+def symmetric_inputs(d, n):
+    fld = cyclotomic_field(2 * d)
+    ring = PolynomialRing(fld, ("x", "y"))
+    xv, yv = ring.variable("x"), ring.variable("y")
+    x = MatFac(ring, xv ** d, [Matrix(ring, [[xv]])] * d)
+    y = MatFac(ring, yv ** d, [Matrix(ring, [[yv]])] * d)
+    for _ in range(n - 1):
+        x = x.direct_sum(MatFac(ring, xv ** d, [Matrix(ring, [[xv]])] * d))
+    return x, y, omega_context(d, omega=fld.zeta(1))
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1), (4, 1)])
+def test_backward_law_equals_the_fresh_one(derivations, d, n):
+    dec = decompose_symmetric(*symmetric_inputs(d, n))
+    backward = [obj for obj, _ in derivations if isinstance(obj, Morphism)]
+    assert backward == [dec.backward]
+    computed = check_derivations(derivations)
+    assert all(r.passed for r in computed)
+    assert [e.ok for e in dec.backward._report.entries] == [True] * d
+
+
+def test_backward_law_fails_where_the_round_trip_does(monkeypatch, derivations):
+    # alpha_0^-1 rotated the wrong way: forward's law holds, backward's
+    # components are wrong, and only the round trip sees it
+    original = knorrer._rotate_cols
+    monkeypatch.setattr(knorrer, "_rotate_cols", lambda m, k: original(m, -k))
+    dec = decompose_symmetric(*symmetric_inputs(3, 1))
+    assert dec.forward.is_morphism()
+    computed = check_derivations(derivations)
+    assert not computed[-1].passed
+    assert not any(e.ok for e in dec.backward._report.entries)
+
+
+def test_backward_law_fails_where_forward_does(monkeypatch, derivations):
+    # forward's component 1 doubled: backward's components still pass their
+    # own law, and the derived verdict stays on the safe side of it
+    built = []
+
+    def corrupting(source, target, comps):
+        comps = list(comps)
+        if not built:
+            comps[1] = comps[1].scale(2)
+        built.append(comps)
+        return Morphism(source=source, target=target, comps=comps)
+
+    monkeypatch.setattr(knorrer, "Morphism", corrupting)
+    dec = decompose_symmetric(*symmetric_inputs(3, 1))
+    computed = check_derivations(derivations)
+    assert computed[-1].passed
+    assert [e.ok for e in dec.backward._report.entries] == [False, False, True]

@@ -43,6 +43,35 @@ def test_every_private_function_is_called():
     assert unused == []
 
 
+def test_reports_are_written_by_memo_methods_or_derived():
+    # a kept `_report` is either computed by its memo method or derived from
+    # a stated lemma through `factorization._derived`: every assignment to
+    # an attribute of that name sits in one of these
+    writers = {"validate", "is_morphism", "_derived"}
+
+    def writes_report(node):
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        return any(isinstance(t, ast.Attribute) and t.attr == "_report"
+                   for target in targets for t in ast.walk(target))
+
+    def misplaced(node, func, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+        found = [f"{where}:{node.lineno} in {func}"] if (
+            writes_report(node) and func not in writers) else []
+        for child in ast.iter_child_nodes(node):
+            found += misplaced(child, func, where)
+        return found
+
+    found = []
+    for path in sorted(Path(matfac.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += misplaced(tree, "<module>", path.name)
+    assert found == []
+
+
 def test_acceptance_gate_passes_under_optimize():
     # `python -O` also sets __debug__ to False: a check guarded by it would
     # switch off there.  The acceptance gate checks good inputs only, so every

@@ -50,6 +50,14 @@ def as_matrix(rows):
     return Matrix(R9, [[R9.parse(s) for s in row] for row in rows])
 
 
+def carried_and_fresh(t):
+    """The report a tensor carries from its construction, after checking
+    that it equals a fresh validation of the same matrices."""
+    carried = t.validate()
+    assert MatFac(t.ring, t.f, t.mats).validate() == carried
+    return carried
+
+
 # The printed 3x3 triple for (x1,x2,x0) (x) (y1,y2,y0) at twist zeta,
 # diagonal carrying the zeta-scaled y entries and the x entries one block over.
 A1 = as_matrix([
@@ -75,7 +83,7 @@ def test_three_by_three_example_exact():
     assert t.mats[0] == A1
     assert t.mats[1] == A2
     assert t.mats[2] == A0
-    assert t.validate().passed
+    assert carried_and_fresh(t).passed
     assert t.f == X.f + Y.f
 
 
@@ -107,7 +115,7 @@ def test_nine_by_nine_example_exact():
     ]
     for p in range(3):
         assert t.mats[p] == expected[p]
-    assert t.validate().passed
+    assert carried_and_fresh(t).passed
 
 
 def test_tensor_remembers_factors():
@@ -149,7 +157,7 @@ def test_determinant_law_on_grid(d, n, m):
     assert rep.passed
     # independent oracle: cofactor expansion of each factor of the tensor
     t = tensor(x, y, zeta)
-    assert t.validate().passed
+    assert carried_and_fresh(t).passed
     nm = n * m
     expected = (x.f + y.f) ** nm
     if (nm * (d + 1)) % 2:
@@ -206,7 +214,7 @@ def test_projective_tensor_recognition():
     assert rep.input_shifts == [0]
     assert len(rep.shifts_found) == 3
     t = tensor(p, Y, ZETA)
-    assert t.validate().passed
+    assert carried_and_fresh(t).passed
     with pytest.raises(MatfacError):
         recognize_projective_sum(tensor(X, Y, ZETA))
 
