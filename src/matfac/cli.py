@@ -22,8 +22,9 @@ matrices are row-major arrays of such strings.  Commands run in order and
 may store results under fresh names via "out".  Exit status: 0 when every
 command passes or soundly refuses, 1 when any verification fails, 2 for
 unusable input (JSON or expression syntax errors, unresolved names, bad
-flags).  A refusal is not a failure: it means the toolkit declines to
-assert something it cannot decide, and the report says so.
+flags, a report path that cannot be written).  A refusal is not a failure:
+it means the toolkit declines to assert something it cannot decide, and the
+report says so.
 
 Machine reports are deterministic: the same document bytes produce the
 same report bytes, because every value is rendered through the canonical
@@ -684,8 +685,12 @@ def main(argv=None) -> int:
         for line in _human_lines(results):
             print(line)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(report))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(report))
+        except OSError as e:
+            print(f"error: cannot write report: {e}", file=sys.stderr)
+            return 2
     return status
 
 

@@ -183,12 +183,8 @@ class MatFac:
 
     def is_reduced(self) -> bool:
         """True iff every entry of every factor vanishes at the origin."""
-        return all(
-            p.constant_term().is_zero()
-            for m in self.mats
-            for row in m.rows
-            for p in row
-        )
+        return all(p.constant_term().is_zero()
+                   for m in self.mats for row in m.nonzero() for _, p in row)
 
     def reduce_mod_vars(self, kill) -> MatFac:
         """Set the named variables to zero in every entry and in f."""

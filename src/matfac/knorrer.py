@@ -249,13 +249,13 @@ class SymmetricDecomposition:
 
 def _rotate_rows(m: Matrix, k: int) -> Matrix:
     """m with its rows moved up k places: row i is row (i + k) mod n of m."""
-    return Matrix(m.space, m.rows[k:] + m.rows[:k])
+    return m.submatrix([(i + k) % m.nrows for i in range(m.nrows)], range(m.ncols))
 
 
 def _rotate_cols(m: Matrix, k: int) -> Matrix:
     """m with its columns moved left k places: column j is column (j + k)
     mod n of m."""
-    return Matrix(m.space, [row[k:] + row[:k] for row in m.rows])
+    return m.submatrix(range(m.nrows), [(j + k) % m.ncols for j in range(m.ncols)])
 
 
 def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDecomposition:

@@ -6,6 +6,13 @@ scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
+* entries: `Matrix.nonzero()` lists each row's nonzero entries with their
+  columns, ascending.  Every other module reads a matrix's nonzero entries
+  through it (or through the operations below), and none reads the dense
+  `rows`, so another storage of the entries would change this module only.
+  Here it serves `is_zero`, `max_degree`, the right operand of `@` and both
+  operands of `kron`; the left operand of `@` and the determinant's shape
+  tests walk the rows in place;
 * products: `@` is Gustavson's row-sparse product (ACM TOMS 4(3), 1978):
   each row of the result accumulates a_ik * B[k] over the nonzero a_ik
   only, so block-diagonal and kron-with-identity operands cost what their
@@ -176,8 +183,15 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    def nonzero(self) -> list[list[tuple[int, object]]]:
+        """Each row's nonzero entries as (column, entry) pairs, columns
+        ascending: how every other module reads which entries are nonzero.
+        It is computed on every call; nothing is kept."""
+        return [[(j, a) for j, a in enumerate(row) if not a.is_zero()]
+                for row in self.rows]
+
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.rows for x in row)
+        return not any(self.nonzero())
 
     def submatrix(self, row_indices, col_indices) -> Matrix:
         ri, ci = list(row_indices), list(col_indices)
@@ -230,8 +244,7 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         z = self.space.zero()
         ncols = other.ncols
-        b_rows = [[(j, b) for j, b in enumerate(row) if not b.is_zero()]
-                  for row in other.rows]
+        b_rows = other.nonzero()
         out = []
         for row in self.rows:
             acc = {}
@@ -257,14 +270,13 @@ class Matrix:
         self._check(other)
         z, one = self.space.zero(), self.space.one()
         width = other.ncols
-        b_rows = [[(j, b, b == one) for j, b in enumerate(row) if not b.is_zero()]
-                  for row in other.rows]
+        b_rows = [[(j, b, b == one) for j, b in row] for row in other.nonzero()]
         out = []
-        for a_row in self.rows:
-            a_nonzero = [(j * width, a) for j, a in enumerate(a_row) if not a.is_zero()]
+        for a_row in self.nonzero():
             for b_row in b_rows:
                 row = [z] * (self.ncols * width)
-                for offset, a in a_nonzero:
+                for ja, a in a_row:
+                    offset = ja * width
                     for j, b, is_one in b_row:
                         row[offset + j] = a if is_one else a * b
                 out.append(row)
@@ -300,12 +312,8 @@ class Matrix:
         """Max total degree over entries of a polynomial matrix; 0 if all zero."""
         if not isinstance(self.space, PolynomialRing):
             raise TypeError("max_degree applies to polynomial matrices")
-        best = 0
-        for row in self.rows:
-            for p in row:
-                if not p.is_zero():
-                    best = max(best, p.total_degree())
-        return best
+        return max((p.total_degree() for row in self.nonzero() for _, p in row),
+                   default=0)
 
     # -- conversions ---------------------------------------------------------
 

@@ -25,10 +25,11 @@ Two genuinely local computations are done at jet precision N:
   last slot's rows are not built (`_last_slot_implied`).
   The kernel vectors, in `_JetLayout` coordinates, are the only stored form
   of the solutions (`JetHomBasis.vectors`).  The layout's readers are
-  `_JetLayout.constants`, which gives the constant terms that
-  `admits_invertible_combination` and `constant_term_spot_check` decide on,
-  and `_JetLayout.decode`, which builds jet matrices only when
-  `JetHomBasis.basis` is read.
+  `JetHomBasis.constants()`, which gives the constant terms that
+  `admits_invertible_combination` and `constant_term_spot_check` decide on
+  (through `_JetLayout.constants`), and `JetHomBasis.basis`, which builds
+  jet matrices (`_JetLayout.decode`) only when it is read.  No other module
+  reads the layout.
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by columns of e and 1-e and inverting at
   precision N.
@@ -269,7 +270,8 @@ class _JetLayout:
     * the equations of `hom_space_jets`, whose kernel vectors are the stored
       form of a `JetHomBasis`;
     * `constants`, the constant terms of a kernel vector's components, which
-      `admits_invertible_combination` and `constant_term_spot_check` read;
+      `JetHomBasis.constants()` gives to `admits_invertible_combination` and
+      `constant_term_spot_check`;
     * `decode`, the jet components themselves (`JetHomBasis.basis`, on
       demand);
     * `encode`, the inverse of `decode` (`JetHomBasis.vectorize`).
@@ -291,10 +293,10 @@ class _JetLayout:
         pos = {m: midx for midx, m in enumerate(self.monomials)}
         vec: dict[int, CycloElem] = {}
         for k, comp in enumerate(comps):
-            for i in range(self.target.n):
-                for j in range(self.source.n):
+            for i, row in enumerate(comp.nonzero()):
+                for j, p in row:
                     base = self.index(k, i, j)
-                    for mono, c in comp[i, j].terms.items():
+                    for mono, c in p.terms.items():
                         if mono in pos:
                             vec[base + pos[mono]] = c
         return vec
@@ -369,6 +371,13 @@ class JetHomBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
+
+    def constants(self) -> list[list[dict[tuple[int, int], CycloElem]]]:
+        """The constant terms of every basis element, read from its
+        coordinates (`_JetLayout.constants`): one sparse map (i, j) -> value
+        per component, zeros left out.  Nothing is decoded."""
+        layout = self._layout
+        return [layout.constants(vec) for vec in self.vectors]
 
     def vectorize(self, alpha: Morphism) -> dict[int, CycloElem]:
         """Flatten a morphism's truncation into the unknown coordinate order."""
@@ -495,12 +504,10 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     for p in range(slots):
         a, b, q = source.mats[p], target.mats[p], (p + 1) % source.d
         a_cols: list[list] = [[] for _ in range(source.n)]
-        for t, row in enumerate(a.rows):
-            for j, e in enumerate(row):
-                if not e.is_zero():
-                    a_cols[j].append((t, terms(e, 1)))
-        b_rows = [[(s, terms(e, -1)) for s, e in enumerate(row) if not e.is_zero()]
-                  for row in b.rows]
+        for t, row in enumerate(a.nonzero()):
+            for j, e in row:
+                a_cols[j].append((t, terms(e, 1)))
+        b_rows = [[(s, terms(e, -1)) for s, e in row] for row in b.nonzero()]
         for i in range(target.n):
             for j in range(source.n):
                 sides = [(layout.index(p, i, t), ts) for t, ts in a_cols[j]]
@@ -518,7 +525,7 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
 
 def _combination(consts, coeffs, zero, n: int) -> list[list]:
     """The rows of sum_b coeffs[b] * consts[b], for n x n constant terms given
-    as sparse maps (i, j) -> value (`_JetLayout.constants`)."""
+    as sparse maps (i, j) -> value (`JetHomBasis.constants`)."""
     acc = {}
     for t, const in zip(coeffs, consts):
         for ij, c in const.items():
@@ -535,7 +542,7 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     all components invertible exists iff every component's symbolic
     determinant is not identically zero: the field is infinite, and a finite
     product of nonzero polynomials has a non-vanishing point.  The constant
-    terms are read from the kernel coordinates (`_JetLayout.constants`); no
+    terms are read from the kernel coordinates (`JetHomBasis.constants`); no
     basis element is decoded.
 
     One fixed point, `_evaluation_point`, is tried first: a nonzero field
@@ -554,9 +561,9 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     nb = hom_basis.dimension
     if nb == 0:
         return False
-    field, n, layout = src.ring.field, src.n, hom_basis._layout
+    field, n = src.ring.field, src.n
     # consts[k][b]: the constant terms of component k of basis element b
-    consts = list(zip(*(layout.constants(vec) for vec in hom_basis.vectors)))
+    consts = list(zip(*hom_basis.constants()))
     point = _evaluation_point(field, nb)
     if all(not Matrix(field, _combination(cs, point, field.zero(), n)).det().is_zero()
            for cs in consts):

@@ -16,7 +16,11 @@ are polynomial and exact.
 The expression grammar (see `parse_polynomial`): rational literals ``a`` or
 ``a/b``, the symbol ``z`` for the root of unity of the ring's field, variable
 identifiers, ``+ - * ^ ( )``, with ``^`` taking a nonnegative integer literal.
-Multiplication is always explicit.
+Multiplication is always explicit.  Literals are decimal digits
+(`str.isdecimal`, so ``²`` is not one).  Parentheses nest at most
+`_MAX_NESTING` = 100 deep: an opening parenthesis past that is a parse error
+at its position, raised before parsing starts and well before any caller's
+recursion limit.  A run of signs is read in a loop, at any length.
 """
 
 from __future__ import annotations
@@ -456,19 +460,24 @@ class PolyParseError(MatfacError):
 
 
 _TOKEN_CHARS = set("+-*^()/")
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens are (kind, value, position); kinds: int, ident, op."""
+    """Tokens are (kind, value, position); kinds: int, ident, op.  An opening
+    parenthesis more than `_MAX_NESTING` deep is refused here, before the
+    recursive descent starts, so the descent never nests deeper: up to the
+    first unmatched closing parenthesis, where the descent stops, the count
+    here is its depth."""
     tokens = []
-    i = 0
+    i = depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -479,6 +488,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("ident", text[i:j], i))
             i = j
         elif ch in _TOKEN_CHARS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                raise PolyParseError("expression nested too deeply", i)
             tokens.append(("op", ch, i))
             i += 1
         else:
@@ -534,12 +546,12 @@ class _Parser:
                 return value
 
     def factor(self) -> Polynomial:
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
+        negate = False
+        while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
             self._next()
-            value = self.factor()
-            return -value if tok[1] == "-" else value
-        return self.power()
+            negate ^= tok[1] == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> Polynomial:
         base = self.atom()

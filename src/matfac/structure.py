@@ -57,8 +57,8 @@ def variable_support(x: MatFac) -> frozenset[str]:
     """All variable names appearing in the factors or in f."""
     used = set(x.f.variables_used())
     for m in x.mats:
-        for row in m.rows:
-            for p in row:
+        for row in m.nonzero():
+            for _, p in row:
                 used |= p.variables_used()
     return frozenset(used)
 
@@ -663,17 +663,13 @@ def constant_term_spot_check(x: MatFac) -> bool:
     bug; passing it is evidence, not proof, of strength.
     """
     # constant terms are read from the kernel coordinates as sparse maps
-    # (i, j) -> value, which hold no zeros (`_JetLayout.constants`)
-    end = hom_space_jets(x, x, 1)
-    for vec in end.vectors:
-        consts = end._layout.constants(vec)
+    # (i, j) -> value, which hold no zeros (`JetHomBasis.constants`)
+    for consts in hom_space_jets(x, x, 1).constants():
         xi = consts[0].get((0, 0))
         scalar = {} if xi is None else {(i, i): xi for i in range(x.n)}
         if any(c != scalar for c in consts):
             return False
     for i in range(1, x.d):
-        hb = hom_space_jets(x, x.shift(i), 1)
-        for vec in hb.vectors:
-            if any(hb._layout.constants(vec)):
-                return False
+        if any(any(consts) for consts in hom_space_jets(x, x.shift(i), 1).constants()):
+            return False
     return True

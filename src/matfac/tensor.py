@@ -301,11 +301,8 @@ def recognize_projective_sum(p: MatFac) -> list[int]:
     """
     if p.f.is_one() or p.f.is_zero():
         raise MatfacError("projective recognition needs a nonunit, nonzero f")
-    for m in p.mats:
-        for i in range(m.nrows):
-            for j in range(m.ncols):
-                if i != j and not m[i, j].is_zero():
-                    raise MatfacError("not a sum of projectives: off-diagonal entry present")
+    if any(i != j for m in p.mats for i, row in enumerate(m.nonzero()) for j, _ in row):
+        raise MatfacError("not a sum of projectives: off-diagonal entry present")
     shifts = []
     one = p.ring.one()
     for pos in range(p.n):

@@ -1,11 +1,16 @@
 """End-to-end tests for the problem-document CLI."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from matfac import Polynomial, PolynomialRing, cyclotomic_field, parse_polynomial
 from matfac.cli import (
     Runner,
     main,
@@ -13,6 +18,7 @@ from matfac.cli import (
     parse_document,
     run_document,
 )
+from matfac.rings import PolyParseError
 
 PIPELINE_DOC = {
     "ring": {"conductor": 3,
@@ -156,6 +162,68 @@ def test_parse_error_carries_position(tmp_path, capsys):
     assert "position" in err
 
 
+def expression_doc(text):
+    return {"ring": {"conductor": 3, "variables": ["x1", "x2"]},
+            "polynomials": {"p": text}, "commands": []}
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("(" * 150 + "x1" + ")" * 150,
+                 "expression nested too deeply (at position 100)", id="depth-150"),
+    pytest.param("(" * 200 + "x1" + ")" * 200,
+                 "expression nested too deeply (at position 100)", id="depth-200"),
+    pytest.param("-(" * 200 + "x1" + ")" * 200,
+                 "expression nested too deeply (at position 201)", id="signed-depth-200"),
+    pytest.param("x1^\u00b2", "unexpected character '\u00b2' (at position 3)",
+                 id="superscript-exponent"),
+    pytest.param("\u00b2*x1", "unexpected character '\u00b2' (at position 0)",
+                 id="superscript-factor"),
+])
+def test_unparsable_expression_exits_2_with_its_location(tmp_path, capsys, text, message):
+    assert main(["run", write_doc(tmp_path, expression_doc(text))]) == 2
+    assert capsys.readouterr().err == f"error: polynomials.p: {message}\n"
+
+
+def test_long_run_of_signs_parses(tmp_path, capsys):
+    assert main(["run", write_doc(tmp_path, expression_doc("-" * 1001 + "x1"))]) == 0
+    capsys.readouterr()
+
+
+# literals end at a space, so that no exponent has two digits and no power
+# blows up; superscript two and Arabic-Indic three are digits but only the
+# second is decimal
+EXPRESSION_PIECES = ["x1", "x2", "x3", "z", "_", " ", "+", "-", "*", "^", "/", "(", ")",
+                     "0 ", "1 ", "2 ", "1/2 ", "\u0663 ", "\u00b2"]
+
+
+@st.composite
+def expression_texts(draw):
+    """Strings over the grammar's alphabet, some inside 100 or more levels of
+    parentheses or after a long run of signs."""
+    core = "".join(draw(st.lists(st.sampled_from(EXPRESSION_PIECES), max_size=16)))
+    depth = draw(st.sampled_from([0, 0, 0, 1, 100, 101, 200]))
+    opener = draw(st.sampled_from(["(", "-(", "+ ("]))
+    signs = "-" * draw(st.sampled_from([0, 0, 1, 2, 1000]))
+    return opener * depth + signs + core + ")" * max(depth - draw(st.integers(0, 1)), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=expression_texts())
+def test_no_expression_ends_in_a_traceback(tmp_path_factory, text):
+    # the parser returns a polynomial or raises its own error, and the CLI
+    # exits with one of its three statuses
+    try:
+        assert isinstance(parse_polynomial(text, PolynomialRing(cyclotomic_field(3),
+                                                                ("x1", "x2"))), Polynomial)
+    except PolyParseError as e:
+        event(str(e).rpartition(" (at")[0])
+    else:
+        event("parsed")
+    path = write_doc(tmp_path_factory.mktemp("expr"), expression_doc(text))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["run", path]) in (0, 1, 2)
+
+
 def test_unknown_op_rejected(tmp_path, capsys):
     doc = {
         "ring": {"conductor": 3, "variables": ["x1"]},
@@ -182,6 +250,15 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    doc = write_doc(tmp_path, expression_doc("x1"))
+    missing = tmp_path / "missing" / "r.json"
+    assert main(["run", doc, "--report", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ") and str(missing) in err
+    assert "Traceback" not in err and not missing.exists()
 
 
 def test_bad_precision_flag(tmp_path, capsys):

@@ -1,10 +1,20 @@
 """Exact matrices: construction, kron/blocks, determinants, kernels."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from matfac import Matrix, PolynomialRing, build_from_sum, cyclotomic_field, sum_of_products
+from matfac import (
+    MatFac,
+    MatfacError,
+    Matrix,
+    PolynomialRing,
+    build_from_sum,
+    cyclotomic_field,
+    recognize_projective_sum,
+    sum_of_products,
+    variable_support,
+)
 from matfac.linalg import (
     JetSpace,
     _block_cyclic_cut,
@@ -106,6 +116,83 @@ def test_kron_matches_dense_oracle(kind, n, k, p, q, right_identity, data):
         assert all(got[i * p + l, j * p + l] is a[i, j]
                    for i in range(a.nrows) for j in range(a.ncols) for l in range(p)
                    if not a[i, j].is_zero())
+
+
+# -- the one nonzero reader ---------------------------------------------------------
+
+
+def dense_nonzero(m: Matrix) -> list:
+    return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in m.rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_SPACES)), st.integers(0, 4), st.integers(0, 4),
+       st.data())
+def test_nonzero_is_the_dense_walk(kind, n, k, data):
+    # zeroed rows and columns, all-zero matrices, 1 x k rows and the 0 x 0
+    # matrix (a matrix without rows has no columns)
+    space, pool = PRODUCT_SPACES[kind]
+    m = data.draw(_sparse_matrix(space, pool, n, k))
+    assert m.nonzero() == dense_nonzero(m)
+    assert m.is_zero() == all(a.is_zero() for row in m.rows for a in row)
+
+
+def dense_projective_sum(p: MatFac) -> list[int]:
+    """Projective recognition as a walk over every (i, j): the shift of each
+    diagonal position, which must hold f in one slot and 1 in the others."""
+    for m in p.mats:
+        for i in range(m.nrows):
+            for j in range(m.ncols):
+                if i != j and not m[i, j].is_zero():
+                    raise MatfacError("not a sum of projectives: off-diagonal entry present")
+    shifts = []
+    for pos in range(p.n):
+        diag = [m[pos, pos] for m in p.mats]
+        for entry in diag:
+            if entry != p.f and entry != p.ring.one():
+                raise MatfacError(
+                    f"not a sum of projectives: diagonal entry {entry} is neither f nor 1")
+        if diag.count(p.f) != 1:
+            raise MatfacError("not a sum of projectives: expected exactly one f per position")
+        shifts.append((p.d - diag.index(p.f)) % p.d)
+    return sorted(shifts)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MatfacError as e:
+        return str(e)
+
+
+# f = x, so that y is in the variable support only through the entries
+_F = x
+_FACTOR_POOL = [R.zero(), R.one(), _F, -x, y, y + R.one(), R.scalar(_z) * x * y]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.integers(0, 3), st.booleans(), st.data())
+def test_nonzero_readers_match_dense_walks(d, n, diagonal, data):
+    # the readers that skip zeros through `Matrix.nonzero()` against the
+    # dense walks over every entry; `diagonal` keeps only diagonal entries of
+    # 0, 1 and f, so that projective recognition reaches its diagonal checks
+    pool = _FACTOR_POOL[:3] if diagonal else _FACTOR_POOL
+    mats = [data.draw(_sparse_matrix(R, pool, n, n)) for _ in range(d)]
+    if diagonal:
+        mats = [Matrix(R, [[a if i == j else R.zero() for j, a in enumerate(row)]
+                           for i, row in enumerate(m.rows)]) for m in mats]
+    p = MatFac(R, _F, mats)
+    entries = [a for m in mats for row in m.rows for a in row]
+    for m in mats:
+        assert m.max_degree() == max(
+            (a.total_degree() for row in m.rows for a in row if not a.is_zero()), default=0)
+        assert m.kron(mats[0]) == kron(m, mats[0])
+    assert p.is_reduced() == all(a.constant_term().is_zero() for a in entries)
+    assert variable_support(p) == frozenset(
+        _F.variables_used().union(*(a.variables_used() for a in entries)))
+    found = outcome(recognize_projective_sum, p)
+    event("recognized" if isinstance(found, list) else found.split(":")[-1])
+    assert found == outcome(dense_projective_sum, p)
 
 
 def test_scalar_and_diagonal():

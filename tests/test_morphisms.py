@@ -375,8 +375,9 @@ def test_constants_read_from_coordinates_equal_the_decoded_ones(pair):
     hb = hom_space_jets(*pair)
     event("nonzero hom space" if hb.dimension else "zero hom space")
     layout = _JetLayout(hb.source, hb.target, hb.monomials)
-    assert [layout.constants(vec) for vec in hb.vectors] == [
-        [sparse_constants(m) for m in comps] for comps in hb.basis]
+    decoded = [[sparse_constants(m) for m in comps] for comps in hb.basis]
+    assert [layout.constants(vec) for vec in hb.vectors] == decoded
+    assert hb.constants() == decoded
 
 
 def test_no_verdict_decodes_the_basis(count_calls):

@@ -17,6 +17,7 @@ from matfac import (
     parse_polynomial,
 )
 from matfac.linalg import JetSpace, jet_inverse
+from matfac.rings import PolyParseError
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y", "w"))
@@ -129,6 +130,26 @@ def test_parser_errors_carry_position():
         R.parse("unknown_var + 1")
     with pytest.raises(MatfacError):
         R.parse("x +")
+
+
+def test_parser_reads_decimal_digits_only():
+    # `int` reads decimal digits only: a superscript two is no literal, an
+    # Arabic-Indic three is
+    assert R.parse("x^\u0663") == x * x * x
+    for text, pos in (("x^\u00b2", 2), ("\u00b2*x", 0)):
+        with pytest.raises(PolyParseError) as e:
+            R.parse(text)
+        assert str(e.value) == f"unexpected character '\u00b2' (at position {pos})"
+
+
+def test_parser_refuses_deep_nesting_and_reads_any_run_of_signs():
+    assert R.parse("(" * 100 + "x" + ")" * 100) == x
+    for opener, depth, pos in (("(", 101, 100), ("(", 1000, 100), ("-(", 101, 201)):
+        with pytest.raises(PolyParseError) as e:
+            R.parse(opener * depth + "x" + ")" * depth)
+        assert str(e.value) == f"expression nested too deeply (at position {pos})"
+    assert R.parse("-" * 1001 + "x") == -x
+    assert R.parse("+-" * 5000 + "(-x)^2") == x * x
 
 
 @settings(max_examples=60, deadline=None)

@@ -72,6 +72,32 @@ def test_reports_are_written_by_memo_methods_or_derived():
     assert found == []
 
 
+def test_stored_forms_have_one_reader_module():
+    # the dense rows of a Matrix are read in linalg only (everything else
+    # asks `Matrix.nonzero()` or the rest of its API), and the jet hom-space
+    # layout in morphisms only (everything else asks `JetHomBasis`): another
+    # storage of either changes one module
+    owners = {"rows": "linalg.py", "_layout": "morphisms.py", "_JetLayout": "morphisms.py"}
+
+    def names(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, ast.alias):
+            return [node.name, node.asname]
+        return []
+
+    found = []
+    for path in sorted(Path(matfac.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                  for name in names(node)
+                  if name in owners and path.name != owners[name]
+                  and (name != "rows" or isinstance(node, ast.Attribute))]
+    assert found == []
+
+
 def test_acceptance_gate_passes_under_optimize():
     # `python -O` also sets __debug__ to False: a check guarded by it would
     # switch off there.  The acceptance gate checks good inputs only, so every
