@@ -671,6 +671,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as e:
         print(f"error: document is not valid JSON: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: document is nested too deeply", file=sys.stderr)
+        return 2
 
     try:
         results, status = run_document(data, args.precision, args.zeta)

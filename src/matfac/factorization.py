@@ -169,17 +169,16 @@ class MatFac:
             _derived(out, [replace(entries[(s + i) % d], start=s) for s in range(d)])
         return out
 
-    def direct_sum(self, other: MatFac) -> MatFac:
-        if other.ring != self.ring or other.d != self.d or other.f != self.f:
+    def direct_sum(self, *others: MatFac) -> MatFac:
+        """X (+) Y_1 (+) ... (+) Y_r: slot p is the block-diagonal matrix of
+        the summands' slots p, in order, formed once, so a sum of many
+        summands makes no intermediate sums.  `x.direct_sum(y)` is the
+        binary sum."""
+        if any(o.ring != self.ring or o.d != self.d or o.f != self.f for o in others):
             raise MatfacError("direct sum requires matching ring, d, and f")
-        return MatFac(
-            self.ring,
-            self.f,
-            [
-                Matrix.block_diagonal(self.ring, [a, b])
-                for a, b in zip(self.mats, other.mats)
-            ],
-        )
+        return MatFac(self.ring, self.f, [
+            Matrix.block_diagonal(self.ring, slot)
+            for slot in zip(self.mats, *(o.mats for o in others))])
 
     def is_reduced(self) -> bool:
         """True iff every entry of every factor vanishes at the origin."""

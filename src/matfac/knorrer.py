@@ -200,21 +200,16 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
         raise MatfacError("matrices do not commute; the diagonalization "
                           "identity needs AB = BA")
     d = ctx.d
-    n = a.nrows
     space = a.space
-    zero = Matrix.zero(space, n, n)
-    grid = [[zero for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        grid[i][i] = b.scale(ctx.omega_pow(2 * i))
-        grid[i][(i + 1) % d] = a
-    phi = Matrix.block(space, grid)
+    phi = Matrix.block_cyclic(space, [b.scale(ctx.omega_pow(2 * i)) for i in range(d)],
+                              [a] * d)
 
     scalars = [alpha_matrix(ctx, k) for k in range(d)]
     if isinstance(space, PolynomialRing):
         scalars = [s.map(space.scalar, space) for s in scalars]
     elif space != ctx.field:
         raise MatfacError("scalar matrix lives over a different field")
-    ident = Matrix.identity(space, n)
+    ident = Matrix.identity(space, a.nrows)
     alphas = [s.kron(ident) for s in scalars]
     diag_blocks = []
     for k in range(d):
@@ -327,9 +322,7 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
         a - b.scale(ctx.omega_pow(2 * p + 1)) for p in range(d)
     ])
 
-    total = summand
-    for i in range(1, d):
-        total = total.direct_sum(summand.shift(i))
+    total = summand.direct_sum(*(summand.shift(i) for i in range(1, d)))
 
     # The direct sum of the shifts is, slot for slot, the diagonalized form
     # of the (constant-in-k) tensor component, so the circulant alphas are

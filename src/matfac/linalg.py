@@ -6,6 +6,10 @@ scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
+* block shapes: `Matrix.block_diagonal` builds direct sums and
+  `Matrix.block_cyclic` the block-cyclic factors of tensor products, the
+  shape `_block_cyclic_cut` below recognizes; no other module assembles a
+  grid of blocks or a zero block (`Matrix.block`, `Matrix.zero`);
 * entries: `Matrix.nonzero()` lists each row's nonzero entries with their
   columns, ascending.  Every other module reads a matrix's nonzero entries
   through it (or through the operations below), and none reads the dense
@@ -163,12 +167,28 @@ class Matrix:
         rows = [[z] * total_c for _ in range(total_r)]
         r0 = c0 = 0
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    rows[r0 + i][c0 + j] = b.rows[i][j]
+            for i, row in enumerate(b.rows):
+                rows[r0 + i][c0:c0 + b.ncols] = row
             r0 += b.nrows
             c0 += b.ncols
         return cls(space, rows)
+
+    @classmethod
+    def block_cyclic(cls, space, diagonal, cyclic) -> Matrix:
+        """The d x d grid of n x n blocks with diagonal[I] at (I, I),
+        cyclic[I] at (I, (I+1) mod d) and zeros elsewhere, d >= 2: every
+        factor of a twisted tensor product has this shape (Knorrer; Yoshino,
+        Nagoya Math. J. 152, 1998).  With scalar diagonal blocks it is the
+        shape `_is_block_cyclic` recognizes and `_block_cyclic_cut` cuts."""
+        d = len(diagonal)
+        if d < 2 or len(cyclic) != d:
+            raise ValueError("a block-cyclic matrix needs d >= 2 diagonal "
+                             "and as many cyclic blocks")
+        zero = cls.zero(space, diagonal[0].nrows, diagonal[0].nrows)
+        if any(b.shape != zero.shape for b in (*diagonal, *cyclic)):
+            raise ValueError(f"block-cyclic blocks must all be {zero.nrows}x{zero.nrows}")
+        return cls.block(space, [[diagonal[i] if j == i else cyclic[i] if j == (i + 1) % d
+                                  else zero for j in range(d)] for i in range(d)])
 
     # -- access ---------------------------------------------------------------
 

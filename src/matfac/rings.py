@@ -17,7 +17,9 @@ The expression grammar (see `parse_polynomial`): rational literals ``a`` or
 ``a/b``, the symbol ``z`` for the root of unity of the ring's field, variable
 identifiers, ``+ - * ^ ( )``, with ``^`` taking a nonnegative integer literal.
 Multiplication is always explicit.  Literals are decimal digits
-(`str.isdecimal`, so ``²`` is not one).  Parentheses nest at most
+(`str.isdecimal`, so ``²`` is not one), no more than the interpreter
+converts to an integer (4,300 by default; a longer one is a parse error at
+its position).  Parentheses nest at most
 `_MAX_NESTING` = 100 deep: an opening parenthesis past that is a parse error
 at its position, raised before parsing starts and well before any caller's
 recursion limit.  A run of signs is read in a loop, at any length.
@@ -463,12 +465,15 @@ _TOKEN_CHARS = set("+-*^()/")
 _MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens are (kind, value, position); kinds: int, ident, op.  An opening
-    parenthesis more than `_MAX_NESTING` deep is refused here, before the
-    recursive descent starts, so the descent never nests deeper: up to the
-    first unmatched closing parenthesis, where the descent stops, the count
-    here is its depth."""
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
+    """Tokens are (kind, value, position); kinds: int, ident, op.  An int
+    token's value is the number itself, converted here and nowhere else, so
+    a literal longer than the interpreter converts (4,300 digits by default)
+    is refused at its position, whether it is a constant, an exponent or a
+    denominator.  An opening parenthesis more than `_MAX_NESTING` deep is
+    refused here, before the recursive descent starts, so the descent never
+    nests deeper: up to the first unmatched closing parenthesis, where the
+    descent stops, the count here is its depth."""
     tokens = []
     i = depth = 0
     while i < len(text):
@@ -479,7 +484,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past the interpreter's digit limit
+                raise PolyParseError("integer literal too long", i) from None
+            tokens.append(("int", value, i))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -521,7 +530,7 @@ class _Parser:
         value = self.expr()
         tok = self._peek()
         if tok is not None:
-            raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
+            raise PolyParseError(f"unexpected {str(tok[1])!r}", tok[2])
         return value
 
     def expr(self) -> Polynomial:
@@ -565,25 +574,24 @@ class _Parser:
                 raise PolyParseError("expected a nonnegative integer exponent",
                                      exp_tok[2] if exp_tok else self.text_len)
             self._next()
-            return base ** int(exp_tok[1])
+            return base ** exp_tok[1]
         return base
 
     def atom(self) -> Polynomial:
         tok = self._next()
         kind, value, pos = tok
         if kind == "int":
-            num = int(value)
             nxt = self._peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self._next()
                 den_tok = self._next()
                 if den_tok[0] != "int":
                     raise PolyParseError("expected an integer denominator", den_tok[2])
-                den = int(den_tok[1])
+                den = den_tok[1]
                 if den == 0:
                     raise PolyParseError("zero denominator", den_tok[2])
-                return self.ring.scalar(Fraction(num, den))
-            return self.ring.scalar(num)
+                return self.ring.scalar(Fraction(value, den))
+            return self.ring.scalar(value)
         if kind == "ident":
             if value == "z":
                 return self.ring.scalar(self.ring.field.zeta())

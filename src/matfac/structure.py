@@ -141,10 +141,8 @@ def reduce_tensor_witness(x: MatFac, y: MatFac, zeta: CycloElem, side: str):
         swap = swap_witness(x, y, zeta)
         t = swap.source
     reduced = t.reduce_mod_vars(kill)
-    total = None
-    for i in range(t.d):
-        block = _contiguous_copies(survivor, copies, unit**i, i)
-        total = block if total is None else total.direct_sum(block)
+    first, *rest = [_contiguous_copies(survivor, copies, unit**i, i) for i in range(t.d)]
+    total = first.direct_sum(*rest)
     if side == "left":
         comps = [Matrix.identity(t.ring, t.n)] * t.d
         matches = reduced == total

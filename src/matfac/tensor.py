@@ -11,14 +11,18 @@ The factor Phi_k mapping piece k to piece k-1 has block (I, J) equal to
     kron(phi_{I+1}, I_m)            if J == (I+1) % d   (superdiagonal, cyclic)
     0                               otherwise
 
-where phi, psi run through the factors of X and Y by the 1-based accessor.
+where phi, psi run through the factors of X and Y by the 1-based accessor:
+the block-cyclic shape (Knorrer; Yoshino, Nagoya Math. J. 152, 1998) that
+`Matrix.block_cyclic` builds, whose cyclic blocks are the same at every k.
 The twist scalar zeta must be a primitive d-th root of unity in the
 coefficient field and is always passed explicitly — the choice matters.
 
 All witnesses constructed here (swap, shift, distribution, associativity
-regrouping) are weighted permutation matrices on basis elements, derived by
+regrouping) are weighted permutations of the tensor's basis, derived by
 tracking degrees: an element x (x) y of degrees (|x|, |y|) sits in block
-J = |x| of piece |x| + |y|.
+J = |x| of piece |x| + |y|.  Each component is built one way,
+`_weighted_permutation`, from the target row and the unit weight of every
+basis element, and targets that are not a permutation are refused.
 """
 
 from __future__ import annotations
@@ -76,19 +80,17 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     ring = x.ring
     _check_primitive(zeta, d, ring.field)
     _require_validated(x, y)
-    n, m = x.n, y.n
-    eye_n = Matrix.identity(ring, n)
-    eye_m = Matrix.identity(ring, m)
-    zero_block = Matrix.zero(ring, n * m, n * m)
+    eye_n = Matrix.identity(ring, x.n)
+    eye_m = Matrix.identity(ring, y.n)
     zpow = [ring.scalar(zeta ** e) for e in range(d)]
-    mats = []
-    for p in range(d):
-        k = p + 1  # mats[p] is Phi_{p+1}
-        grid = [[zero_block for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            grid[i][i] = eye_n.kron(y.phi(k - i)).scale(zpow[i])
-            grid[i][(i + 1) % d] = x.phi(i + 1).kron(eye_m)
-        mats.append(Matrix.block(ring, grid))
+    # mats[p] is Phi_{p+1}: diagonal block I is zeta^I kron(I_n, psi_{p+1-I}),
+    # psi_{p+1-I} being y.mats[(p - I) % d]; the cyclic blocks
+    # kron(phi_{I+1}, I_m) are the same at every slot
+    cyclic = [x.phi(i + 1).kron(eye_m) for i in range(d)]
+    psis = [eye_n.kron(psi) for psi in y.mats]
+    mats = [Matrix.block_cyclic(ring, [psis[(p - i) % d].scale(zpow[i]) for i in range(d)],
+                                cyclic)
+            for p in range(d)]
     out = TensorMatFac(ring, x.f + y.f, mats)
     out.left, out.right, out.zeta = x, y, zeta
     _derived(out, [ValidationEntry(start=p, ok=True) for p in range(d)])
@@ -99,17 +101,15 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
 
 
 def tensor_morphism_left(alpha: Morphism, y: MatFac, zeta: CycloElem) -> Morphism:
-    """alpha (x) 1_Y: acts by alpha on the X-side of each block, no twist."""
+    """alpha (x) 1_Y: acts by alpha on the X-side of each block, no twist.
+    Block J of piece k carries alpha_J, whatever k, so all d components are
+    the same matrix."""
     src = tensor(alpha.source, y, zeta)
     tgt = tensor(alpha.target, y, zeta)
-    d = y.d
-    ring = y.ring
-    eye_m = Matrix.identity(ring, y.n)
-    comps = []
-    for _k in range(d):
-        blocks = [alpha.component(j).kron(eye_m) for j in range(d)]
-        comps.append(Matrix.block_diagonal(ring, blocks))
-    return Morphism(source=src, target=tgt, comps=comps)
+    eye_m = Matrix.identity(y.ring, y.n)
+    comp = Matrix.block_diagonal(y.ring, [alpha.component(j).kron(eye_m)
+                                          for j in range(y.d)])
+    return Morphism(source=src, target=tgt, comps=[comp] * y.d)
 
 
 def tensor_morphism_right(x: MatFac, beta: Morphism, zeta: CycloElem) -> Morphism:
@@ -129,6 +129,22 @@ def tensor_morphism_right(x: MatFac, beta: Morphism, zeta: CycloElem) -> Morphis
 # -- witnesses --------------------------------------------------------------------
 
 
+def _weighted_permutation(ring, images) -> Matrix:
+    """The witness component sending basis element j to w * e_i, for the
+    j-th pair (i, w) of `images`: column j holds the unit w in row i.  Every
+    witness below is built here; the rows i must be a permutation of the
+    basis, and anything else is refused."""
+    images = list(images)
+    n = len(images)
+    if sorted(i for i, _ in images) != list(range(n)):
+        raise ValueError(f"witness targets are not a permutation of 0..{n - 1}")
+    z = ring.zero()
+    rows = [[z] * n for _ in range(n)]
+    for j, (i, w) in enumerate(images):
+        rows[i][j] = w
+    return Matrix(ring, rows)
+
+
 def _commutation_perm(n: int, m: int) -> list[int]:
     """Permutation sending index a*m + b (x slower) to b*n + a (y slower)."""
     return [(s % m) * n + (s // m) for s in range(n * m)]
@@ -143,19 +159,15 @@ def swap_witness(x: MatFac, y: MatFac, zeta: CycloElem) -> Morphism:
     """
     src = tensor(x, y, zeta)
     tgt = tensor(y, x, zeta.inverse())
-    d, n, m = x.d, x.n, y.n
-    ring = x.ring
-    nm = n * m
-    kperm = _commutation_perm(n, m)
-    zero_block = Matrix.zero(ring, nm, nm)
+    d, ring, nm = x.d, x.ring, x.n * y.n
+    kperm = _commutation_perm(x.n, y.n)
     comps = []
     for k in range(d):
-        grid = [[zero_block for _ in range(d)] for _ in range(d)]
+        images = []
         for j in range(d):
-            i = (k - j) % d
-            scalar = ring.scalar(zeta ** (j * ((k - j) % d)))
-            grid[i][j] = Matrix.permutation(ring, kperm).scale(scalar)
-        comps.append(Matrix.block(ring, grid))
+            base, w = (k - j) % d * nm, ring.scalar(zeta ** (j * ((k - j) % d)))
+            images += [(base + s, w) for s in kperm]
+        comps.append(_weighted_permutation(ring, images))
     return Morphism(source=src, target=tgt, comps=comps)
 
 
@@ -170,18 +182,14 @@ def shift_witness(x: MatFac, y: MatFac, zeta: CycloElem):
     src = tensor(x.shift(1), y, zeta)
     txy = tensor(x, y, zeta).shift(1)
     equality = txy == tensor(x, y.shift(1), zeta)
-    d, n, m = x.d, x.n, y.n
-    ring = x.ring
-    nm = n * m
-    eye = Matrix.identity(ring, nm)
-    zero_block = Matrix.zero(ring, nm, nm)
+    d, ring, nm = x.d, x.ring, x.n * y.n
     comps = []
     for k in range(d):
-        grid = [[zero_block for _ in range(d)] for _ in range(d)]
+        images = []
         for j in range(d):
-            scalar = ring.scalar(zeta ** (j - k))
-            grid[(j + 1) % d][j] = eye.scale(scalar)
-        comps.append(Matrix.block(ring, grid))
+            base, w = (j + 1) % d * nm, ring.scalar(zeta ** (j - k))
+            images += [(base + s, w) for s in range(nm)]
+        comps.append(_weighted_permutation(ring, images))
     return Morphism(source=src, target=txy, comps=comps), equality
 
 
@@ -190,16 +198,16 @@ def distribute_witness(x: MatFac, x2: MatFac, y: MatFac, zeta: CycloElem) -> Mor
     src = tensor(x.direct_sum(x2), y, zeta)
     tgt = tensor(x, y, zeta).direct_sum(tensor(x2, y, zeta))
     d, n1, n2, m = x.d, x.n, x2.n, y.n
-    ring = x.ring
-    perm = []
+    one = x.ring.one()
+    images = []
     for j in range(d):
         for a in range(n1 + n2):
             for b in range(m):
                 if a < n1:
-                    perm.append(j * n1 * m + a * m + b)
+                    images.append((j * n1 * m + a * m + b, one))
                 else:
-                    perm.append(d * n1 * m + j * n2 * m + (a - n1) * m + b)
-    pmat = Matrix.permutation(ring, perm)
+                    images.append((d * n1 * m + j * n2 * m + (a - n1) * m + b, one))
+    pmat = _weighted_permutation(x.ring, images)
     return Morphism(source=src, target=tgt, comps=[pmat] * d)
 
 
@@ -215,10 +223,9 @@ def assoc_check(x: MatFac, y: MatFac, z: MatFac, zeta: CycloElem):
     left = tensor(tensor(x, y, zeta), z, zeta)
     right = tensor(x, tensor(y, z, zeta), zeta)
     d, n, m, p = x.d, x.n, y.n, z.n
-    ring = x.ring
-    n1 = d * n * m   # rank of X (x) Y
+    one = x.ring.one()
     n2 = d * m * p   # rank of Y (x) Z
-    perm = []
+    images = []
     for a_blk in range(d):
         for j_blk in range(d):
             for a in range(n):
@@ -233,8 +240,8 @@ def assoc_check(x: MatFac, y: MatFac, z: MatFac, zeta: CycloElem):
                             + b * p
                             + c
                         )
-                        perm.append(t)
-    sigma = Matrix.permutation(ring, perm)
+                        images.append((t, one))
+    sigma = _weighted_permutation(x.ring, images)
     regroup = Morphism(source=left, target=right, comps=[sigma] * d)
     return regroup.is_morphism(), regroup
 
@@ -368,9 +375,7 @@ def is_projective_tensor(
         (d - slot) % d for slot in range(d) for _ in range(counts[slot])
     )
     summands = [projective(ring, d, t.f, i) for i in shifts_found]
-    target = summands[0]
-    for s in summands[1:]:
-        target = target.direct_sum(s)
+    target = summands[0].direct_sum(*summands[1:])
     # Default to constant-level jets: invertibility of a morphism is decided
     # by its constant terms, and the forced shifts come from origin ranks, so
     # precision 1 already decides the candidate.  Callers who want the

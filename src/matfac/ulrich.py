@@ -26,8 +26,10 @@ strongly indecomposable, making the Ulrich modules indecomposable as well.
 Every build is verified once, whichever route made it: rank, reducedness
 and the factor determinants, each compared with the tensor determinant law
 of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), in factored form
-(base, exponent and sign, without expanding f^s); the verified exponent
-gives the statistics.  Validation is not recomputed: each tensor carries
+(base, exponent and sign, without expanding f^s).  Every cokernel's
+statistics, for every ell, are read one way (`_cokernel_stats`) from the
+factored determinant of its presentation; for a single factor of a build
+that is the determinant the verification cut, kept on the matrix.  Validation is not recomputed: each tensor carries
 the verdict the tensor theorem gives it (see `tensor.tensor`), from
 validated operands and a primitive twist, while rank, reducedness and the
 determinants are computed from the built matrices.  A failed check raises
@@ -315,47 +317,36 @@ def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
     s = deg_det // deg_f
     if not power.relative_sign(_Power(1, x.f, s)):
         raise MatfacError("determinant is not a pure signed power of f")
-    return _module_stats(x, s)
-
-
-def _module_stats(x: MatFac, s: int) -> ModuleStats:
-    """Stats of a cokernel of the reduced factorization x whose presentation
-    has determinant +-f^s (irreducibility of f asserted by the caller)."""
     ord_f = x.f.order_of()
-    e_r = ord_f * s
-    return ModuleStats(
-        mu=x.n,
-        rank_R=s,
-        e_R=e_r,
-        ord_f=ord_f,
-        ulrich=x.n == e_r,
-        irreducible_asserted=True,
-    )
+    return ModuleStats(mu=x.n, rank_R=s, e_R=ord_f * s, ord_f=ord_f,
+                       ulrich=x.n == ord_f * s, irreducible_asserted=True)
 
 
 # -- the Ulrich constructions ----------------------------------------------------------
 
 
-def _noted_stats(spec: SumOfProducts, x: MatFac, report: BuildReport,
-                 downgrade: str) -> ModuleStats:
-    """Stats of the first factor's cokernel, read from the determinant
-    exponent that `_verify_build` checked, with a note (ending in
-    `downgrade`) when the entries per row differ from ord(f)."""
-    stats = _module_stats(x, report.det_exponent)
+def _noted_stats(spec: SumOfProducts, x: MatFac,
+                 downgrade: str) -> tuple[PresentationMatrix, ModuleStats]:
+    """The first factor's cokernel and its stats, read as every cokernel's
+    are (`_cokernel_stats`): the build's verification cut that factor's
+    determinant already, so the exponent is a memo read.  The stats carry a
+    note (ending in `downgrade`) when the entries per row differ from
+    ord(f)."""
+    pres = x.cokernel_presentation(1, 1)
+    stats = _cokernel_stats(x, pres)
     if spec.k != stats.ord_f:
         stats = replace(stats, note=(
             f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; {downgrade}"
         ))
-    return stats
+    return pres, stats
 
 
 def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
     """`build_ulrich`, also returning the factorization it took the cokernel
     of: (factorization, presentation, stats)."""
-    x, report = build_from_sum(spec, zeta)
-    stats = _noted_stats(
-        spec, x, report, "the Ulrich guarantee does not apply, MCM statistics only")
-    return x, x.cokernel_presentation(1, 1), stats
+    x = build_from_sum(spec, zeta)[0]
+    return (x, *_noted_stats(
+        spec, x, "the Ulrich guarantee does not apply, MCM statistics only"))
 
 
 def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
@@ -363,7 +354,8 @@ def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
     take the cokernel of a single factor.
 
     Calling this asserts that f is irreducible.  The statistics are read
-    from the determinant exponent the build verified.  The Ulrich guarantee
+    from the factor determinant the build verified (kept on the matrix).
+    The Ulrich guarantee
     needs the number of entries per row to equal ord(f); when it does not,
     the presentation and statistics are still returned, with a note
     recording that only the MCM claims survive.
@@ -451,8 +443,8 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
     before any tensor is built.  Distinct rows must use disjoint variables
     (checked by the propagation step).  The certificate's subject is the
     build itself: it gets the checks of `build_from_sum`, and a failed check
-    raises MatfacError.  The statistics are read from the determinant
-    exponent those checks verified; the certificate is verified once and
+    raises MatfacError.  The statistics are read from the factor
+    determinant those checks verified; the certificate is verified once and
     keeps its verdict.  The cokernel of any single factor of the certified
     tensor is then indecomposable; it is Ulrich exactly when the
     entries-per-row count equals ord(f).  Calling this asserts f irreducible.
@@ -468,12 +460,12 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
     for row_cert in certs[1:]:
         cert = propagate_strong_ind(cert, row_cert, zeta)
     x = cert.subject
-    stats = _noted_stats(spec, x, _verify_build(spec, x),
-                         "indecomposable MCM claims only, not Ulrich")
+    _verify_build(spec, x)
+    presentation, stats = _noted_stats(spec, x, "indecomposable MCM claims only, not Ulrich")
     consequences = strong_ind_consequences(cert)
     uc_bound = spec.k ** (spec.n_terms - 2)
     return UlrichBuild(
-        presentation=x.cokernel_presentation(1, 1),
+        presentation=presentation,
         certificate=cert,
         stats=stats,
         consequences=consequences,

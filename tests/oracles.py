@@ -249,6 +249,69 @@ def nullspace(m: Matrix) -> list[tuple]:
     return basis
 
 
+# -- tensor factors and naturality witnesses, entry by entry -----------------------
+
+
+def _block_grid(ring, d: int, size: int, block) -> Matrix:
+    """The d x d grid of size x size blocks whose entry (r, c) is
+    block(I, J)[r % size, c % size] for I = r // size, J = c // size, a
+    zero where block(I, J) is None: the zero-grid assembly written out."""
+    zero = ring.zero()
+    blocks = {(i, j): block(i, j) for i in range(d) for j in range(d)}
+    return Matrix(ring, [[zero if blocks[r // size, c // size] is None
+                          else blocks[r // size, c // size][r % size, c % size]
+                          for c in range(d * size)] for r in range(d * size)])
+
+
+def tensor_factor(x, y, zeta, p: int) -> Matrix:
+    """Phi_{p+1} of X (x)_zeta Y: block (I, I) is zeta^I kron(I_n, psi_{p+1-I}),
+    block (I, I+1 mod d) is kron(phi_{I+1}, I_m), all else zero, with
+    phi_k = x.mats[(k - 1) % d] and psi likewise."""
+    ring, d = x.ring, x.d
+    eye_n, eye_m = Matrix.identity(ring, x.n), Matrix.identity(ring, y.n)
+
+    def block(i, j):
+        if j == i:
+            twist = ring.scalar(zeta ** i)
+            return kron(eye_n, y.mats[(p - i) % d]).map(lambda e: twist * e)
+        if j == (i + 1) % d:
+            return kron(x.mats[i % d], eye_m)
+        return None
+
+    return _block_grid(ring, d, x.n * y.n, block)
+
+
+def swap_component(x, y, zeta, k: int) -> Matrix:
+    """Component k of the swap X (x) Y -> Y (x)_{zeta^-1} X: block
+    ((k - J) mod d, J) is zeta^(J (k - J mod d)) times the commutation
+    matrix, whose entry (r, c) is 1 iff r = (c mod m) n + c div m."""
+    ring, d, n, m = x.ring, x.d, x.n, y.n
+    one, zero = ring.one(), ring.zero()
+    commute = Matrix(ring, [[one if r == (c % m) * n + c // m else zero
+                             for c in range(n * m)] for r in range(n * m)])
+
+    def block(i, j):
+        if i != (k - j) % d:
+            return None
+        twist = ring.scalar(zeta ** (j * ((k - j) % d)))
+        return commute.map(lambda e: twist * e)
+
+    return _block_grid(ring, d, n * m, block)
+
+
+def shift_component(x, y, zeta, k: int) -> Matrix:
+    """Component k of the shift witness TX (x) Y -> T(X (x) Y): block
+    (J + 1 mod d, J) is zeta^(J - k) times the identity."""
+    ring, d, nm = x.ring, x.d, x.n * y.n
+
+    def block(i, j):
+        if i != (j + 1) % d:
+            return None
+        return Matrix.scalar(ring, nm, ring.scalar(zeta ** (j - k)))
+
+    return _block_grid(ring, d, nm, block)
+
+
 # -- jet hom spaces ----------------------------------------------------------------
 
 

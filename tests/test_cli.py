@@ -178,6 +178,13 @@ def expression_doc(text):
                  id="superscript-exponent"),
     pytest.param("\u00b2*x1", "unexpected character '\u00b2' (at position 0)",
                  id="superscript-factor"),
+    # literals past the interpreter's 4,300-digit conversion limit
+    pytest.param("x1 + " + "7" * 5000, "integer literal too long (at position 5)",
+                 id="long-constant"),
+    pytest.param("x1^" + "9" * 5000, "integer literal too long (at position 3)",
+                 id="long-exponent"),
+    pytest.param("1/" + "3" * 5000, "integer literal too long (at position 2)",
+                 id="long-denominator"),
 ])
 def test_unparsable_expression_exits_2_with_its_location(tmp_path, capsys, text, message):
     assert main(["run", write_doc(tmp_path, expression_doc(text))]) == 2
@@ -250,6 +257,13 @@ def test_invalid_json_and_missing_file(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: document is nested too deeply\n"
 
 
 def test_unwritable_report_path_exits_2(tmp_path, capsys):

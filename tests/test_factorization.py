@@ -1,6 +1,8 @@
 """d-fold factorizations: the defining identity, shifts, sums, scaling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matfac import (
     Jet,
@@ -78,6 +80,48 @@ def test_direct_sum():
     assert s.phi(1)[0, 1].is_zero()
     with pytest.raises(MatfacError):
         x.direct_sum(rank_one(a, a, a))  # different f
+
+
+ENTRIES = [R.zero(), R.one(), a, b, c, a * b - c]
+
+
+@st.composite
+def factorizations(draw, d, f=a):
+    """A MatFac of f with d slots of rank 0-2 and arbitrary entries: a direct
+    sum needs matching shapes, not the defining identity."""
+    n = draw(st.integers(0, 2))
+    return MatFac(R, f, [Matrix(R, [[draw(st.sampled_from(ENTRIES)) for _ in range(n)]
+                                    for _ in range(n)]) for _ in range(d)])
+
+
+@st.composite
+def summands(draw):
+    d = draw(st.integers(2, 3))
+    return draw(st.lists(factorizations(d), min_size=1, max_size=4))
+
+
+def binary_sum(x, y):
+    """The two-summand sum, slot by slot, as one block-diagonal matrix."""
+    return MatFac(R, x.f, [Matrix.block_diagonal(R, [p, q]) for p, q in zip(x.mats, y.mats)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands(), st.data())
+def test_n_ary_direct_sum_is_the_left_fold(xs, data):
+    # one call forms X (+) Y_1 (+) ... (+) Y_r in order, as the binary sums do
+    first, *rest = xs
+    fold = first
+    for y in rest:
+        fold = binary_sum(fold, y)
+    total = first.direct_sum(*rest)
+    assert total == fold
+    assert total.n == sum(y.n for y in xs)
+    # one summand of another d or f anywhere refuses the whole sum
+    d = first.d
+    bad = data.draw(st.one_of(factorizations(d + 1), factorizations(d, f=b)))
+    at = data.draw(st.integers(0, len(rest)))
+    with pytest.raises(MatfacError):
+        first.direct_sum(*rest[:at], bad, *rest[at:])
 
 
 def test_is_reduced():

@@ -391,10 +391,24 @@ def block_cyclic_parts(draw, entry=poly_entry(), ds=(2, 3, 4), max_n=3):
 @settings(max_examples=30, deadline=None)
 @given(block_cyclic_parts())
 def test_block_cyclic_reduction_matches_cofactor_oracle(parts):
-    # random blocks: non-commuting A_I, non-scalar products, some c_I zero
-    m = block_cyclic(*parts)
+    # random blocks: non-commuting A_I, non-scalar products, some c_I zero;
+    # the library's builder gives the zero-grid assembly, which the cut takes
+    cs, blocks, n = parts
+    m = Matrix.block_cyclic(R, [Matrix.scalar(R, n, c) for c in cs], blocks)
+    assert m == block_cyclic(*parts)
     assert _block_cyclic_cut(m) is not None
     assert m.det() == det_cofactor(m)
+
+
+def test_block_cyclic_needs_d_at_least_two_and_equal_square_blocks():
+    a, b = Matrix(R, [[x]]), Matrix(R, [[y]])
+    with pytest.raises(ValueError):
+        Matrix.block_cyclic(R, [a], [b])
+    with pytest.raises(ValueError):
+        Matrix.block_cyclic(R, [a, a], [b])
+    with pytest.raises(ValueError):
+        Matrix.block_cyclic(R, [a, a], [b, Matrix(R, [[x, y], [y, x]])])
+    assert Matrix.block_cyclic(R, [a, a], [b, b]) == Matrix(R, [[x, y], [y, x]])
 
 
 @settings(max_examples=15, deadline=None)

@@ -98,6 +98,22 @@ def test_stored_forms_have_one_reader_module():
     assert found == []
 
 
+def test_block_grids_are_built_in_linalg_only():
+    # a grid of blocks, or a zero block to pad one, is assembled in linalg
+    # only (`Matrix.block_diagonal`, `Matrix.block_cyclic`), so each block
+    # shape keeps one builder module: no other module names `Matrix.block`
+    # or `Matrix.zero`
+    found = []
+    for path in sorted(Path(matfac.__file__).parent.rglob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno} Matrix.{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("block", "zero")
+                  and isinstance(node.value, ast.Name) and node.value.id == "Matrix"]
+    assert found == []
+
+
 def test_acceptance_gate_passes_under_optimize():
     # `python -O` also sets __debug__ to False: a check guarded by it would
     # switch off there.  The acceptance gate checks good inputs only, so every

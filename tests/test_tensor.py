@@ -25,8 +25,15 @@ from matfac import (
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
 from matfac.linalg import _det_power
+from matfac.tensor import _weighted_permutation
 
-from oracles import admits_invertible_combination_symbolic, det_cofactor
+from oracles import (
+    admits_invertible_combination_symbolic,
+    det_cofactor,
+    shift_component,
+    swap_component,
+    tensor_factor,
+)
 
 F3 = cyclotomic_field(3)
 R9 = PolynomialRing(F3, ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0"))
@@ -163,8 +170,33 @@ def test_determinant_law_on_grid(d, n, m):
     if (nm * (d + 1)) % 2:
         expected = -expected
     assert rep.expected == expected
-    for mat in t.mats:
+    for p, mat in enumerate(t.mats):
+        assert mat == tensor_factor(x, y, zeta, p)
         assert det_cofactor(mat) == expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_witness_components_are_the_grid_form(d, n, m):
+    # the swap and shift witnesses, built one basis element at a time, equal
+    # their block grids written out entry by entry
+    ring, fld, x1, y1 = grid_ring(d)
+    x, y = grid_factor(x1, n), grid_factor(y1, m)
+    zeta = fld.root_of_unity(d, 1)
+    swap = swap_witness(x, y, zeta)
+    shift, _ = shift_witness(x, y, zeta)
+    for k in range(d):
+        assert swap.comps[k] == swap_component(x, y, zeta, k)
+        assert shift.comps[k] == shift_component(x, y, zeta, k)
+
+
+@pytest.mark.parametrize("rows", [[0, 0], [1, 2], [2, 0, 1, 1]])
+def test_witness_constructor_refuses_non_permutations(rows):
+    one = R9.one()
+    with pytest.raises(ValueError, match="not a permutation"):
+        _weighted_permutation(R9, [(i, one) for i in rows])
+    assert _weighted_permutation(R9, [(1, one), (0, -one)]) == Matrix(
+        R9, [[R9.zero(), -one], [one, R9.zero()]])
 
 
 def test_swap_witness_is_isomorphism():

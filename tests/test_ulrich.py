@@ -307,27 +307,28 @@ def test_build_ulrich_at_rank_64_and_32(n_rows, linear):
 
 
 def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_tensors):
-    # each factor's determinant is taken once, in factored form, by the
-    # build's verification; the stats read the exponent it verified, and a
+    # each factor's determinant is computed once, in factored form, by one
+    # block-cyclic cut in the build's verification; the stats ask for the
+    # first factor's determinant again and read it from the matrix, and a
     # build eliminates nothing: det_bareiss never runs
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
     rows = [[ring.variable(f"{v}1"), ring.variable(f"{v}2")] for v in "xyz"]
     spec = sum_of_products(ring, rows)
-    powers = count_calls(linalg._det_power)
+    cuts = count_calls(linalg._block_cyclic_cut)
     eliminations = count_calls(linalg.det_bareiss)
     pres, stats = build_ulrich(spec)
     assert stats.ulrich and pres.size == 4
-    assert [m.nrows for (m,) in powers] == [4] * spec.k
+    assert [m.nrows for (m,) in cuts] == [4] * spec.k
     assert eliminations == []
     # the certified route builds the chain once (N - 1 tensors), the
     # certificate's verification rebuilds it once more, and each factor's
     # determinant is still computed once
-    powers.clear()
+    cuts.clear()
     count_tensors.clear()
     ub = indecomposable_ulrich(spec)
     assert ub.stats.ulrich and ub.presentation.size == 4
     assert len(count_tensors) == 2 * (spec.n_terms - 1)
-    assert [m.nrows for (m,) in powers] == [4] * spec.k
+    assert [m.nrows for (m,) in cuts] == [4] * spec.k
     assert eliminations == []
     # the certificate keeps its verdict: asking again rebuilds nothing
     count_tensors.clear()
