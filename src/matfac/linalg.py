@@ -128,14 +128,22 @@ class Matrix:
     @classmethod
     def permutation(cls, space, perm) -> Matrix:
         """P with P e_j = e_{perm[j]}: column j carries a 1 in row perm[j]."""
-        perm = list(perm)
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-        z, o = space.zero(), space.one()
+        o = space.one()
+        return cls.weighted_permutation(space, [(i, o) for i in perm])
+
+    @classmethod
+    def weighted_permutation(cls, space, images) -> Matrix:
+        """P with P e_j = w e_i for the j-th pair (i, w) of `images`: column j
+        holds w in row i.  The rows i must be a permutation of 0..n-1."""
+        images = list(images)
+        n = len(images)
+        targets = [i for i, _ in images]
+        if sorted(targets) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {targets}")
+        z = space.zero()
         rows = [[z] * n for _ in range(n)]
-        for j, i in enumerate(perm):
-            rows[i][j] = o
+        for j, (i, w) in enumerate(images):
+            rows[i][j] = w
         return cls(space, rows)
 
     @classmethod

@@ -465,9 +465,10 @@ _TOKEN_CHARS = set("+-*^()/")
 _MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
-    """Tokens are (kind, value, position); kinds: int, ident, op.  An int
-    token's value is the number itself, converted here and nowhere else, so
+def _tokenize(text: str) -> list[tuple[str, str | int, int, int]]:
+    """Tokens are (kind, value, start, end), with text[start:end] the source
+    they were read from; kinds: int, ident, op.  An int token's value is the
+    number itself, converted here and nowhere else, so
     a literal longer than the interpreter converts (4,300 digits by default)
     is refused at its position, whether it is a constant, an exponent or a
     denominator.  An opening parenthesis more than `_MAX_NESTING` deep is
@@ -488,19 +489,19 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
                 value = int(text[i:j])
             except ValueError:  # past the interpreter's digit limit
                 raise PolyParseError("integer literal too long", i) from None
-            tokens.append(("int", value, i))
+            tokens.append(("int", value, i, j))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(("ident", text[i:j], i))
+            tokens.append(("ident", text[i:j], i, j))
             i = j
         elif ch in _TOKEN_CHARS:
             depth += (ch == "(") - (ch == ")")
             if depth > _MAX_NESTING:
                 raise PolyParseError("expression nested too deeply", i)
-            tokens.append(("op", ch, i))
+            tokens.append(("op", ch, i, i + 1))
             i += 1
         else:
             raise PolyParseError(f"unexpected character {ch!r}", i)
@@ -510,11 +511,12 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
 class _Parser:
     """Recursive descent over the token list; builds Polynomial values directly."""
 
-    def __init__(self, tokens, ring: PolynomialRing, text_len: int):
+    def __init__(self, tokens, ring: PolynomialRing, text: str):
         self.tokens = tokens
         self.ring = ring
         self.pos = 0
-        self.text_len = text_len
+        self.text = text
+        self.text_len = len(text)
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -530,7 +532,7 @@ class _Parser:
         value = self.expr()
         tok = self._peek()
         if tok is not None:
-            raise PolyParseError(f"unexpected {str(tok[1])!r}", tok[2])
+            raise PolyParseError(f"unexpected {self.text[tok[2]:tok[3]]!r}", tok[2])
         return value
 
     def expr(self) -> Polynomial:
@@ -579,7 +581,7 @@ class _Parser:
 
     def atom(self) -> Polynomial:
         tok = self._next()
-        kind, value, pos = tok
+        kind, value, pos, _ = tok
         if kind == "int":
             nxt = self._peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
@@ -616,4 +618,4 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     if "z" in ring.vars:
         raise ValueError("'z' is reserved for the root of unity and cannot be a variable")
     tokens = _tokenize(text)
-    return _Parser(tokens, ring, len(text)).parse()
+    return _Parser(tokens, ring, text).parse()

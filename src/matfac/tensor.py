@@ -20,9 +20,10 @@ coefficient field and is always passed explicitly — the choice matters.
 All witnesses constructed here (swap, shift, distribution, associativity
 regrouping) are weighted permutations of the tensor's basis, derived by
 tracking degrees: an element x (x) y of degrees (|x|, |y|) sits in block
-J = |x| of piece |x| + |y|.  Each component is built one way,
-`_weighted_permutation`, from the target row and the unit weight of every
-basis element, and targets that are not a permutation are refused.
+J = |x| of piece |x| + |y|.  Each component is built one way, by
+`Matrix.weighted_permutation` (which `Matrix.permutation` also uses), from
+the target row and the unit weight of every basis element, and targets that
+are not a permutation are refused.
 """
 
 from __future__ import annotations
@@ -129,22 +130,6 @@ def tensor_morphism_right(x: MatFac, beta: Morphism, zeta: CycloElem) -> Morphis
 # -- witnesses --------------------------------------------------------------------
 
 
-def _weighted_permutation(ring, images) -> Matrix:
-    """The witness component sending basis element j to w * e_i, for the
-    j-th pair (i, w) of `images`: column j holds the unit w in row i.  Every
-    witness below is built here; the rows i must be a permutation of the
-    basis, and anything else is refused."""
-    images = list(images)
-    n = len(images)
-    if sorted(i for i, _ in images) != list(range(n)):
-        raise ValueError(f"witness targets are not a permutation of 0..{n - 1}")
-    z = ring.zero()
-    rows = [[z] * n for _ in range(n)]
-    for j, (i, w) in enumerate(images):
-        rows[i][j] = w
-    return Matrix(ring, rows)
-
-
 def _commutation_perm(n: int, m: int) -> list[int]:
     """Permutation sending index a*m + b (x slower) to b*n + a (y slower)."""
     return [(s % m) * n + (s // m) for s in range(n * m)]
@@ -167,7 +152,7 @@ def swap_witness(x: MatFac, y: MatFac, zeta: CycloElem) -> Morphism:
         for j in range(d):
             base, w = (k - j) % d * nm, ring.scalar(zeta ** (j * ((k - j) % d)))
             images += [(base + s, w) for s in kperm]
-        comps.append(_weighted_permutation(ring, images))
+        comps.append(Matrix.weighted_permutation(ring, images))
     return Morphism(source=src, target=tgt, comps=comps)
 
 
@@ -189,7 +174,7 @@ def shift_witness(x: MatFac, y: MatFac, zeta: CycloElem):
         for j in range(d):
             base, w = (j + 1) % d * nm, ring.scalar(zeta ** (j - k))
             images += [(base + s, w) for s in range(nm)]
-        comps.append(_weighted_permutation(ring, images))
+        comps.append(Matrix.weighted_permutation(ring, images))
     return Morphism(source=src, target=txy, comps=comps), equality
 
 
@@ -207,7 +192,7 @@ def distribute_witness(x: MatFac, x2: MatFac, y: MatFac, zeta: CycloElem) -> Mor
                     images.append((j * n1 * m + a * m + b, one))
                 else:
                     images.append((d * n1 * m + j * n2 * m + (a - n1) * m + b, one))
-    pmat = _weighted_permutation(x.ring, images)
+    pmat = Matrix.weighted_permutation(x.ring, images)
     return Morphism(source=src, target=tgt, comps=[pmat] * d)
 
 
@@ -241,7 +226,7 @@ def assoc_check(x: MatFac, y: MatFac, z: MatFac, zeta: CycloElem):
                             + c
                         )
                         images.append((t, one))
-    sigma = _weighted_permutation(x.ring, images)
+    sigma = Matrix.weighted_permutation(x.ring, images)
     regroup = Morphism(source=left, target=right, comps=[sigma] * d)
     return regroup.is_morphism(), regroup
 

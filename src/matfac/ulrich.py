@@ -325,28 +325,27 @@ def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
 # -- the Ulrich constructions ----------------------------------------------------------
 
 
-def _noted_stats(spec: SumOfProducts, x: MatFac,
-                 downgrade: str) -> tuple[PresentationMatrix, ModuleStats]:
-    """The first factor's cokernel and its stats, read as every cokernel's
-    are (`_cokernel_stats`): the build's verification cut that factor's
+def _noted_stats(spec: SumOfProducts, x: MatFac, downgrade: str) -> ModuleStats:
+    """Stats of the first factor's cokernel, read as every cokernel's are
+    (`_cokernel_stats`): the build's verification cut that factor's
     determinant already, so the exponent is a memo read.  The stats carry a
     note (ending in `downgrade`) when the entries per row differ from
     ord(f)."""
-    pres = x.cokernel_presentation(1, 1)
-    stats = _cokernel_stats(x, pres)
+    stats = _cokernel_stats(x, x.cokernel_presentation(1, 1))
     if spec.k != stats.ord_f:
         stats = replace(stats, note=(
             f"entries per row ({spec.k}) differ from ord(f) = {stats.ord_f}; {downgrade}"
         ))
-    return pres, stats
+    return stats
 
 
 def _ulrich_build(spec: SumOfProducts, zeta: CycloElem | None):
     """`build_ulrich`, also returning the factorization it took the cokernel
     of: (factorization, presentation, stats)."""
     x = build_from_sum(spec, zeta)[0]
-    return (x, *_noted_stats(
-        spec, x, "the Ulrich guarantee does not apply, MCM statistics only"))
+    stats = _noted_stats(
+        spec, x, "the Ulrich guarantee does not apply, MCM statistics only")
+    return x, x.cokernel_presentation(1, 1), stats
 
 
 def build_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None):
@@ -461,11 +460,11 @@ def indecomposable_ulrich(spec: SumOfProducts, zeta: CycloElem | None = None) ->
         cert = propagate_strong_ind(cert, row_cert, zeta)
     x = cert.subject
     _verify_build(spec, x)
-    presentation, stats = _noted_stats(spec, x, "indecomposable MCM claims only, not Ulrich")
+    stats = _noted_stats(spec, x, "indecomposable MCM claims only, not Ulrich")
     consequences = strong_ind_consequences(cert)
     uc_bound = spec.k ** (spec.n_terms - 2)
     return UlrichBuild(
-        presentation=presentation,
+        presentation=x.cokernel_presentation(1, 1),
         certificate=cert,
         stats=stats,
         consequences=consequences,

@@ -142,6 +142,15 @@ def test_parser_reads_decimal_digits_only():
         assert str(e.value) == f"unexpected character '\u00b2' (at position {pos})"
 
 
+def test_unexpected_token_is_quoted_as_written():
+    # an int token carries its value, but the message names the source text
+    for text, quoted, pos in (("x 007", "007", 2), ("x \u0663", "\u0663", 2),
+                              ("x y", "y", 2), ("x )", ")", 2)):
+        with pytest.raises(PolyParseError) as e:
+            R.parse(text)
+        assert str(e.value) == f"unexpected {quoted!r} (at position {pos})"
+
+
 def test_parser_refuses_deep_nesting_and_reads_any_run_of_signs():
     assert R.parse("(" * 100 + "x" + ")" * 100) == x
     for opener, depth, pos in (("(", 101, 100), ("(", 1000, 100), ("-(", 101, 201)):

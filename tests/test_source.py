@@ -98,19 +98,30 @@ def test_stored_forms_have_one_reader_module():
     assert found == []
 
 
+def _grid_builders(tree):
+    """Names of `Matrix.block` / `Matrix.zero`, and rows of repeated entries
+    made in a comprehension (`[[z] * n for ...]`): the ways to lay out a
+    grid of blocks or a zero-filled matrix to fill in."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ("block", "zero")
+                and isinstance(node.value, ast.Name) and node.value.id == "Matrix"):
+            yield node.lineno, f"Matrix.{node.attr}"
+        elif (isinstance(node, ast.ListComp) and isinstance(node.elt, ast.BinOp)
+              and isinstance(node.elt.op, ast.Mult) and isinstance(node.elt.left, ast.List)):
+            yield node.lineno, "zero-filled rows"
+
+
 def test_block_grids_are_built_in_linalg_only():
-    # a grid of blocks, or a zero block to pad one, is assembled in linalg
-    # only (`Matrix.block_diagonal`, `Matrix.block_cyclic`), so each block
-    # shape keeps one builder module: no other module names `Matrix.block`
-    # or `Matrix.zero`
+    # a grid of blocks, a zero block to pad one, or a zero-filled matrix to
+    # fill in is assembled in linalg only (`Matrix.block_diagonal`,
+    # `Matrix.block_cyclic`, `Matrix.weighted_permutation`), so each block
+    # shape keeps one builder module
     found = []
     for path in sorted(Path(matfac.__file__).parent.rglob("*.py")):
         if path.name == "linalg.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno} Matrix.{node.attr}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in ("block", "zero")
-                  and isinstance(node.value, ast.Name) and node.value.id == "Matrix"]
+        found += [f"{path.name}:{line} {what}" for line, what in _grid_builders(tree)]
     assert found == []
 
 

@@ -25,7 +25,6 @@ from matfac import (
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
 from matfac.linalg import _det_power
-from matfac.tensor import _weighted_permutation
 
 from oracles import (
     admits_invertible_combination_symbolic,
@@ -194,8 +193,8 @@ def test_witness_components_are_the_grid_form(d, n, m):
 def test_witness_constructor_refuses_non_permutations(rows):
     one = R9.one()
     with pytest.raises(ValueError, match="not a permutation"):
-        _weighted_permutation(R9, [(i, one) for i in rows])
-    assert _weighted_permutation(R9, [(1, one), (0, -one)]) == Matrix(
+        Matrix.weighted_permutation(R9, [(i, one) for i in rows])
+    assert Matrix.weighted_permutation(R9, [(1, one), (0, -one)]) == Matrix(
         R9, [[R9.zero(), -one], [one, R9.zero()]])
 
 
