@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 
 from .cyclo import CycloElem, cyclotomic_field
-from .errors import MatfacError, Refusal
+from .errors import MatfacError, Refusal, _quote
 from .factorization import MatFac, scale_by_units
 from .knorrer import decompose_symmetric, omega_context
 from .linalg import Matrix
@@ -117,7 +117,7 @@ def _flag(cmd: dict, key: str, where: str, default: bool = False) -> bool:
 
 
 def _parse_poly(ring: PolynomialRing, text, where: str) -> Polynomial:
-    _expect(isinstance(text, str), where, f"expected an expression string, got {text!r}")
+    _expect(isinstance(text, str), where, f"expected an expression string, got {_quote(text)}")
     try:
         return ring.parse(text)
     except MatfacError as e:
@@ -146,7 +146,7 @@ def parse_document(data: dict) -> ProblemDoc:
     _expect(isinstance(data, dict), "document", "top level must be an object")
     allowed = {"ring", "polynomials", "factorizations", "morphisms", "commands"}
     for key in data:
-        _expect(key in allowed, "document", f"unknown section {key!r}")
+        _expect(key in allowed, "document", f"unknown section {_quote(key)}")
     _expect("ring" in data, "document", "missing required section 'ring'")
     _expect("commands" in data, "document", "missing required section 'commands'")
 
@@ -171,7 +171,7 @@ def parse_document(data: dict) -> ProblemDoc:
 
     def claim(name, where):
         _expect(isinstance(name, str) and name, where, "names must be nonempty strings")
-        _expect(name not in taken, where, f"name {name!r} is already in use")
+        _expect(name not in taken, where, f"name {_quote(name)} is already in use")
         taken.add(name)
 
     polynomials = {}
@@ -204,7 +204,7 @@ def parse_document(data: dict) -> ProblemDoc:
             _expect(key in spec, where, f"needs {key!r}")
         for end in ("source", "target"):
             _expect(isinstance(spec[end], str) and spec[end] in factorizations, where,
-                    f"{end} {spec[end]!r} is not a declared factorization")
+                    f"{end} {_quote(spec[end])} is not a declared factorization")
         comps_in = spec["components"]
         _expect(isinstance(comps_in, list), f"{where}.components", "expected an array")
         comps = [_parse_matrix(ring, c, f"{where}.components[{k}]") for k, c in enumerate(comps_in)]
@@ -220,11 +220,11 @@ def parse_document(data: dict) -> ProblemDoc:
         _expect(isinstance(cmd, dict), f"commands[{i}]", "must be an object")
         op = cmd.get("op")
         _expect(isinstance(op, str) and op in OP_KEYS, f"commands[{i}]",
-                f"unknown op {op!r}; known ops: {', '.join(OP_KEYS)}")
+                f"unknown op {_quote(op)}; known ops: {', '.join(OP_KEYS)}")
         allowed = OP_KEYS[op]
         for key in cmd:
             _expect(key == "op" or key in allowed, f"commands[{i}]",
-                    f"unknown key {key!r} for op {op!r}; allowed: "
+                    f"unknown key {_quote(key)} for op {op!r}; allowed: "
                     + (", ".join(allowed) or "none"))
 
     return ProblemDoc(
@@ -277,14 +277,14 @@ class Runner:
         name = cmd.get(key)
         _expect(isinstance(name, str), where, f"needs a factorization name under {key!r}")
         if name not in self.facs:
-            raise DocumentError(f"{where}: unknown factorization {name!r}")
+            raise DocumentError(f"{where}: unknown factorization {_quote(name)}")
         return self.facs[name]
 
     def mor(self, cmd, key, where) -> Morphism:
         name = cmd.get(key)
         _expect(isinstance(name, str), where, f"needs a morphism name under {key!r}")
         if name not in self.mors:
-            raise DocumentError(f"{where}: unknown morphism {name!r}")
+            raise DocumentError(f"{where}: unknown morphism {_quote(name)}")
         return self.mors[name]
 
     def store(self, cmd, value, where):
@@ -293,7 +293,7 @@ class Runner:
             return
         _expect(isinstance(name, str) and name, where, "'out' must be a nonempty string")
         if name in self.facs or name in self.mors or name in self.doc.polynomials:
-            raise DocumentError(f"{where}: out name {name!r} is already in use")
+            raise DocumentError(f"{where}: out name {_quote(name)} is already in use")
         self.facs[name] = value
 
     def twist(self, order: int) -> CycloElem:
@@ -668,7 +668,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: cannot read document: {e}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, an integer past the digit limit
         print(f"error: document is not valid JSON: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -29,7 +29,11 @@ import math
 from fractions import Fraction
 from operator import add, neg, sub
 
-from .errors import MatfacError
+from .errors import MatfacError, _quote
+
+# The largest conductor a field is built for: `CycloField` tabulates all m
+# powers of zeta_m as phi(m)-vectors, O(m phi(m)) work and memory
+_MAX_CONDUCTOR = 1000
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
@@ -79,11 +83,13 @@ class CycloField:
     """The field Q(zeta_m).  Obtain instances through `cyclotomic_field(m)`.
 
     Attributes:
-        m: the conductor.
+        m: the conductor, at most `_MAX_CONDUCTOR`.
         degree: phi(m), the dimension over Q.
     """
 
     def __init__(self, m: int):
+        if m > _MAX_CONDUCTOR:
+            raise ValueError(f"conductor {_quote(m)} exceeds the maximum {_MAX_CONDUCTOR}")
         self.m = m
         self.modulus = cyclotomic_polynomial(m)
         self.degree = deg = len(self.modulus) - 1

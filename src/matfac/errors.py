@@ -11,6 +11,19 @@ Two kinds of failure are kept apart deliberately:
 
 from __future__ import annotations
 
+# the longest repr a message quotes whole; see `_quote`
+_QUOTE_MAX = 60
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, cut to `_QUOTE_MAX` characters with
+    the cut marked, so a message that quotes an input value stays short
+    however large the value is."""
+    text = repr(value)
+    if len(text) <= _QUOTE_MAX:
+        return text
+    return f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
+
 
 class MatfacError(Exception):
     """Base class for contract violations raised by this package."""

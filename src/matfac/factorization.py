@@ -83,37 +83,37 @@ def _run_product(x, start: int, count: int) -> Matrix:
     return prod
 
 
-class MatFac:
-    """A d-fold matrix factorization of `f` over `ring`.
+class _Factorization:
+    """The core of `MatFac` and `JetMatFac`: the data, its one constructor
+    check, the accessors and the one cyclic-product check.
 
-    Construction checks shapes only; call `validate()` for the defining
-    identity (it is a report, not an exception, so near-miss data can be
-    inspected).
+    The twins differ only in their scalar space (the ring, or
+    `JetSpace(ring, N)`), which they hand to this constructor.  The check:
+    d >= 2, every factor a square n x n `Matrix` over that space, and f in
+    the ring.
     """
 
     # _report is set on the first validate() call, or by a construction that
     # derives it (`_derived`), and absent until then
     __slots__ = ("ring", "f", "mats", "d", "n", "_report")
 
-    def __init__(self, ring: PolynomialRing, f: Polynomial, mats):
+    def __init__(self, ring: PolynomialRing, f: Polynomial, mats, space):
         mats = tuple(mats)
         if len(mats) < 2:
             raise ValueError("a matrix factorization needs d >= 2 matrices")
         n = mats[0].nrows
         for m in mats:
-            if not isinstance(m, Matrix) or m.space != ring:
-                raise ValueError("factors must be matrices over the given ring")
+            if not isinstance(m, Matrix) or m.space != space:
+                raise ValueError(f"factors must be matrices over {space!r}")
             if m.shape != (n, n):
                 raise ValueError(f"all factors must be {n}x{n}; got {m.shape}")
-        if f.ring != ring:
+        if not isinstance(f, Polynomial) or f.ring != ring:
             raise ValueError("f lives in a different ring")
         self.ring = ring
         self.f = f
         self.mats = mats
         self.d = len(mats)
         self.n = n
-
-    # -- accessors -----------------------------------------------------------
 
     def phi(self, k: int) -> Matrix:
         """The 1-based factor phi_k (k taken modulo d; phi_0 is the last slot)."""
@@ -122,6 +122,26 @@ class MatFac:
     @property
     def rank(self) -> int:
         return self.n
+
+    def _cyclic_report(self, f_scalar) -> ValidationReport:
+        """All d cyclic products against f*I, f being `f_scalar` in the
+        factors' space.  Failures are entries, not errors."""
+        target = Matrix.scalar(self.mats[0].space, self.n, f_scalar)
+        return _check_slots((_run_product(self, i, self.d), target) for i in range(self.d))
+
+
+class MatFac(_Factorization):
+    """A d-fold matrix factorization of `f` over `ring`.
+
+    Construction checks shapes only; call `validate()` for the defining
+    identity (it is a report, not an exception, so near-miss data can be
+    inspected).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ring: PolynomialRing, f: Polynomial, mats):
+        super().__init__(ring, f, mats, ring)
 
     def __eq__(self, other):
         if not isinstance(other, MatFac):
@@ -147,9 +167,7 @@ class MatFac:
         report cannot go stale.
         """
         if not hasattr(self, "_report"):
-            target = Matrix.scalar(self.ring, self.n, self.f)
-            self._report = _check_slots(
-                (_run_product(self, i, self.d), target) for i in range(self.d))
+            self._report = self._cyclic_report(self.f)
         return self._report
 
     # -- structural operations ----------------------------------------------------
@@ -229,46 +247,23 @@ class PresentationMatrix:
         return self.matrix.det()
 
 
-class JetMatFac:
+class JetMatFac(_Factorization):
     """A factorization whose entries are known only modulo total degree N.
 
     Produced by localized operations (idempotent splitting); the defining
     identity is asserted modulo degree N.
     """
 
-    # _report is set on the first validate() call and absent until then
-    __slots__ = ("ring", "f", "precision", "mats", "d", "n", "_report")
+    __slots__ = ("precision",)
 
     def __init__(self, ring: PolynomialRing, f: Polynomial, precision: int, mats):
-        mats = tuple(mats)
-        space = JetSpace(ring, precision)
-        n = mats[0].nrows if mats else 0
-        for m in mats:
-            if m.space != space:
-                raise ValueError("jet factors must share ring and precision")
-            if m.shape != (n, n):
-                raise ValueError("jet factors must be square of equal size")
-        self.ring = ring
-        self.f = f
+        super().__init__(ring, f, mats, JetSpace(ring, precision))
         self.precision = precision
-        self.mats = mats
-        self.d = len(mats)
-        self.n = n
-
-    def phi(self, k: int) -> Matrix:
-        return self.mats[(k - 1) % self.d]
-
-    @property
-    def rank(self) -> int:
-        return self.n
 
     def validate(self) -> ValidationReport:
         """Cyclic products == f*I modulo degree N, for every start (computed once)."""
         if not hasattr(self, "_report"):
-            space = JetSpace(self.ring, self.precision)
-            target = Matrix.scalar(space, self.n, Jet(self.f, self.precision))
-            self._report = _check_slots(
-                (_run_product(self, i, self.d), target) for i in range(self.d))
+            self._report = self._cyclic_report(Jet(self.f, self.precision))
         return self._report
 
     def __repr__(self):

@@ -48,6 +48,7 @@ from .factorization import (
     MatFac,
     ValidationReport,
     _check_slots,
+    _Factorization,
     default_precision,
 )
 from .linalg import JetSpace, Matrix, _Echelon, jet_inverse, rref, sparse_nullspace
@@ -78,24 +79,29 @@ def _is_isomorphism(alpha) -> bool:
     return all(not c.constant_terms().det().is_zero() for c in alpha.comps)
 
 
-class Morphism:
-    """A morphism of d-fold factorizations with exact polynomial components."""
+class _Morphism:
+    """The core of `Morphism` and `JetMorphism`: the data, its one
+    constructor check and `component`.
+
+    The twins differ only in the scalar space of their components (the
+    shared ring, or `JetSpace(ring, N)`), which they hand to this
+    constructor.  The check: the endpoints share ring, d and f, and there
+    are d components, each target.n x source.n over that space.
+    """
 
     # _report is set on the first is_morphism() call, or by a construction
-    # that derives it (`factorization._derived`), and absent until then;
-    # _iso, a certified is_isomorphism() verdict, is set only by a
-    # constructor that checked it (see `_is_isomorphism`)
-    __slots__ = ("source", "target", "comps", "_report", "_iso")
+    # that derives it (`factorization._derived`), and absent until then
+    __slots__ = ("source", "target", "comps", "_report")
 
-    def __init__(self, source: MatFac, target: MatFac, comps):
+    def __init__(self, source, target, comps, space):
         comps = tuple(comps)
         if source.ring != target.ring or source.d != target.d or source.f != target.f:
             raise MatfacError("morphism endpoints must share ring, d, and f")
         if len(comps) != source.d:
             raise ValueError(f"need {source.d} components, got {len(comps)}")
         for c in comps:
-            if c.space != source.ring:
-                raise ValueError("components must be matrices over the shared ring")
+            if not isinstance(c, Matrix) or c.space != space:
+                raise ValueError(f"components must be matrices over {space!r}")
             if c.shape != (target.n, source.n):
                 raise ValueError(
                     f"component shape {c.shape} != (target rank {target.n}, source rank {source.n})"
@@ -104,11 +110,20 @@ class Morphism:
         self.target = target
         self.comps = comps
 
-    # -- basics ---------------------------------------------------------------
-
     def component(self, k: int) -> Matrix:
         """alpha_k, index modulo d."""
         return self.comps[k % self.source.d]
+
+
+class Morphism(_Morphism):
+    """A morphism of d-fold factorizations with exact polynomial components."""
+
+    # _iso, a certified is_isomorphism() verdict, is set only by a
+    # constructor that checked it (see `_is_isomorphism`)
+    __slots__ = ("_iso",)
+
+    def __init__(self, source: MatFac, target: MatFac, comps):
+        super().__init__(source, target, comps, source.ring)
 
     @classmethod
     def identity(cls, x: MatFac) -> Morphism:
@@ -189,7 +204,7 @@ class Morphism:
 
 def _mats_as_jets(x, precision: int):
     """Factor matrices of a MatFac or JetMatFac, as jets at the given precision."""
-    if not isinstance(x, (MatFac, JetMatFac)):
+    if not isinstance(x, _Factorization):
         raise TypeError(f"expected a factorization, got {type(x).__name__}")
     if isinstance(x, JetMatFac) and x.precision < precision:
         raise MatfacError(
@@ -198,34 +213,18 @@ def _mats_as_jets(x, precision: int):
     return tuple(m.to_jets(precision) for m in x.mats)
 
 
-class JetMorphism:
+class JetMorphism(_Morphism):
     """A morphism whose components are known modulo total degree N.
 
     Endpoints may be exact factorizations or jet-level ones; all identities
     are asserted modulo degree N.
     """
 
-    # _report is set on the first is_morphism() call and absent until then
-    __slots__ = ("source", "target", "comps", "precision", "_report")
+    __slots__ = ("precision",)
 
     def __init__(self, source, target, comps, precision: int):
-        comps = tuple(comps)
-        d = source.d
-        if target.d != d or source.ring != target.ring:
-            raise MatfacError("jet morphism endpoints must share ring and d")
-        space = JetSpace(source.ring, precision)
-        for c in comps:
-            if c.space != space:
-                raise ValueError("components must be jet matrices at the stated precision")
-            if c.shape != (target.n, source.n):
-                raise ValueError("component shape mismatch")
-        self.source = source
-        self.target = target
-        self.comps = comps
+        super().__init__(source, target, comps, JetSpace(source.ring, precision))
         self.precision = precision
-
-    def component(self, k: int) -> Matrix:
-        return self.comps[k % self.source.d]
 
     def is_morphism(self) -> bool:
         """The intertwining law modulo degree N, slot by slot (computed once)."""

@@ -16,7 +16,10 @@ are polynomial and exact.
 The expression grammar (see `parse_polynomial`): rational literals ``a`` or
 ``a/b``, the symbol ``z`` for the root of unity of the ring's field, variable
 identifiers, ``+ - * ^ ( )``, with ``^`` taking a nonnegative integer literal.
-Multiplication is always explicit.  Literals are decimal digits
+Multiplication is always explicit.  A ring takes a variable name only when
+the tokenizer reads it back as one identifier equal to it (`_reads_back`),
+so ``x·y`` or a letter with a combining accent is refused at the ring, not
+at the first polynomial.  Literals are decimal digits
 (`str.isdecimal`, so ``²`` is not one), no more than the interpreter
 converts to an integer (4,300 by default; a longer one is a parse error at
 its position).  Parentheses nest at most
@@ -30,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclo import CycloElem, CycloField
-from .errors import MatfacError, UndecidableError
+from .errors import MatfacError, UndecidableError, _quote
 
 Exponents = tuple[int, ...]
 
@@ -45,10 +48,10 @@ class PolynomialRing:
     def __init__(self, field: CycloField, variables):
         vars_tuple = tuple(variables)
         if len(set(vars_tuple)) != len(vars_tuple):
-            raise ValueError(f"duplicate variable names in {vars_tuple}")
+            raise ValueError(f"duplicate variable names in {_quote(vars_tuple)}")
         for v in vars_tuple:
-            if not v.isidentifier():
-                raise ValueError(f"bad variable name {v!r}")
+            if not _reads_back(v):
+                raise ValueError(f"bad variable name {_quote(v)}")
         self.field = field
         self.vars = vars_tuple
         self._index = {v: i for i, v in enumerate(vars_tuple)}
@@ -508,6 +511,15 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int, int]]:
     return tokens
 
 
+def _reads_back(name) -> bool:
+    """The one rule for ring variable names: `_tokenize` reads the name back
+    as one identifier token equal to it, so a printed variable parses."""
+    try:
+        return isinstance(name, str) and _tokenize(name) == [("ident", name, 0, len(name))]
+    except PolyParseError:
+        return False
+
+
 class _Parser:
     """Recursive descent over the token list; builds Polynomial values directly."""
 
@@ -532,7 +544,7 @@ class _Parser:
         value = self.expr()
         tok = self._peek()
         if tok is not None:
-            raise PolyParseError(f"unexpected {self.text[tok[2]:tok[3]]!r}", tok[2])
+            raise PolyParseError(f"unexpected {_quote(self.text[tok[2]:tok[3]])}", tok[2])
         return value
 
     def expr(self) -> Polynomial:
@@ -598,7 +610,7 @@ class _Parser:
             if value == "z":
                 return self.ring.scalar(self.ring.field.zeta())
             if value not in self.ring._index:
-                raise PolyParseError(f"unknown variable {value!r}", pos)
+                raise PolyParseError(f"unknown variable {_quote(value)}", pos)
             return self.ring.variable(value)
         if kind == "op" and value == "(":
             inner = self.expr()

@@ -96,6 +96,8 @@ class SumOfProducts:
         out = []
         if self.n_terms < 2:
             out.append(f"need at least 2 terms, got {self.n_terms}")
+            if not self.factors:  # no row to read d from
+                return out
         if self.d < 2:
             out.append(f"need at least 2 factors per term, got {self.d}")
         if any(len(row) != self.d for row in self.factors):

@@ -1,0 +1,136 @@
+"""The mutation record: hand-made faults that the tests must catch.
+
+Each entry of `MUTANTS` names a file, a piece of its text that occurs
+exactly once there, the text that replaces it, and the tests that must fail
+once it is replaced.  Run from anywhere, with the package's test
+dependencies installed:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+
+The runner copies the repository (without .git) to a temporary directory,
+checks that the named tests pass there unmutated, then applies each mutant
+to a fresh copy of its file and runs its tests with pytest.  A listed test
+that still passes is a survivor; the exit status is 1 when any mutant has
+one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
+30 s for the five seeded here on a 2-vCPU host); it only checks that every
+entry still applies (`tests/test_source.py`).
+
+A change that adds a fast path, a derived verdict or a refusal adds the
+mutants that its tests are meant to kill.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# name -> (file, text, replacement, tests that must fail)
+MUTANTS = {
+    "factorization-d-check": (
+        "src/matfac/factorization.py",
+        "        if len(mats) < 2:\n",
+        "        if len(mats) < 1:\n",
+        ["tests/test_factorization.py::test_jet_factorization_refuses_fewer_than_two_factors",
+         "tests/test_factorization.py::"
+         "test_exact_and_jet_constructors_accept_and_refuse_together"],
+    ),
+    "morphism-f-check": (
+        "src/matfac/morphisms.py",
+        "source.f != target.f:\n            raise MatfacError(\"morphism endpoints",
+        "False:\n            raise MatfacError(\"morphism endpoints",
+        ["tests/test_morphisms.py::test_endpoint_compatibility_enforced",
+         "tests/test_morphisms.py::test_jet_morphism_refuses_endpoints_of_different_f",
+         "tests/test_morphisms.py::test_exact_and_jet_morphisms_accept_and_refuse_together"],
+    ),
+    "conductor-maximum": (
+        "src/matfac/cyclo.py",
+        "        if m > _MAX_CONDUCTOR:\n",
+        "        if False:\n",
+        ["tests/test_cyclo.py::test_conductor_maximum_is_refused_before_any_table",
+         "tests/test_cli.py::test_conductor_above_the_maximum_exits_2_at_once"],
+    ),
+    "quote-bound": (
+        "src/matfac/errors.py",
+        "    if len(text) <= _QUOTE_MAX:\n",
+        "    if True:\n",
+        ["tests/test_cli.py::test_oversized_values_are_quoted_short",
+         "tests/test_cli.py::test_quote_cuts_long_reprs_only"],
+    ),
+    "ring-any-identifier": (
+        "src/matfac/rings.py",
+        "            if not _reads_back(v):\n",
+        "            if not v.isidentifier():\n",
+        ["tests/test_rings.py::test_ring_variable_names_print_and_parse_back",
+         "tests/test_cli.py::test_unreadable_ring_variable_names_exit_2_at_ring"],
+    ),
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+def _run_tests(copy: Path, tests: list[str]) -> tuple[set[str], str]:
+    """Run the tests in the copy; return the listed ids that failed (a
+    parametrized test fails when any of its cases does) and pytest's output."""
+    # no bytecode cache: a mutant of the same size written within the same
+    # second as the original would otherwise run the original's cached code
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return set(tests), f"timed out after {TIMEOUT_S} s"
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+?)(?:\[| |$)", proc.stdout, re.MULTILINE)
+    if proc.returncode not in (0, 1):  # collection error, usage error
+        return set(tests), proc.stdout[-2000:] + proc.stderr[-2000:]
+    return set(tests) & set(failed), proc.stdout
+
+
+def run(names: list[str]) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = names or list(MUTANTS)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        every_test = sorted({t for n in chosen for t in MUTANTS[n][3]})
+        failed, output = _run_tests(copy, every_test)
+        if failed:
+            print(f"the named tests fail unmutated: {sorted(failed)}\n{output}")
+            return 2
+        survivors = []
+        for name in chosen:
+            file, text, replacement, tests = MUTANTS[name]
+            path = copy / file
+            original = path.read_text(encoding="utf-8")
+            if original.count(text) != 1:
+                print(f"{name}: text does not occur exactly once in {file}")
+                return 2
+            path.write_text(original.replace(text, replacement), encoding="utf-8")
+            t0 = time.perf_counter()
+            failed, _ = _run_tests(copy, tests)
+            path.write_text(original, encoding="utf-8")
+            alive = [t for t in tests if t not in failed]
+            verdict = "killed" if not alive else f"SURVIVED by {', '.join(alive)}"
+            print(f"{name}: {verdict} ({time.perf_counter() - t0:.1f} s)")
+            if alive:
+                survivors.append(name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(sys.argv[1:]))

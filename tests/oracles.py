@@ -9,7 +9,7 @@ cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
 from fractions import Fraction
 from itertools import product
 
-from matfac import Matrix, PolynomialRing
+from matfac import MatfacError, Matrix, PolynomialRing
 from matfac.cyclo import CycloField
 
 
@@ -394,3 +394,43 @@ def admits_invertible_combination_symbolic(hom_basis) -> bool:
         if det_cofactor(Matrix(tring, rows)).is_zero():
             return False
     return True
+
+
+# -- constructor checks, restated ---------------------------------------------
+
+
+def verdict(build):
+    """(type, message) of the error build() raises, or None when it builds."""
+    try:
+        build()
+    except (MatfacError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+def factorization_verdict(ring, f, mats):
+    """The factorization constructor's check: d >= 2, square factors of one
+    size, then f in the ring."""
+    if len(mats) < 2:
+        return ValueError, "a matrix factorization needs d >= 2 matrices"
+    n = mats[0].nrows
+    for m in mats:
+        if m.shape != (n, n):
+            return ValueError, f"all factors must be {n}x{n}; got {m.shape}"
+    if f.ring != ring:
+        return ValueError, "f lives in a different ring"
+    return None
+
+
+def morphism_verdict(src, tgt, comps):
+    """The morphism constructor's check: shared ring, d and f, then d
+    components of shape target.n x source.n."""
+    if src.ring != tgt.ring or src.d != tgt.d or src.f != tgt.f:
+        return MatfacError, "morphism endpoints must share ring, d, and f"
+    if len(comps) != src.d:
+        return ValueError, f"need {src.d} components, got {len(comps)}"
+    for c in comps:
+        if c.shape != (tgt.n, src.n):
+            return ValueError, (f"component shape {c.shape} != (target rank {tgt.n}, "
+                                f"source rank {src.n})")
+    return None

@@ -524,3 +524,142 @@ def test_bad_start_is_rejected_before_the_build(tmp_path, capsys, count_calls, s
     assert rc == 2
     assert err.startswith("error: commands[0]: 'start' must be an integer")
     assert builds == []
+
+
+# -- bounded messages, bounded rings ----------------------------------------------
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"ring": RING, "polynomials": {"p": list(range(100_000))}, "commands": []},
+     "polynomials.p"),
+    ({"ring": RING, "factorizations": {"X": FAC},
+      "commands": [{"op": "validate", "subject": "X" * 100_000}]}, "commands[0]"),
+    ({"ring": RING, "commands": [{"op": "o" * 100_000}]}, "commands[0]"),
+])
+def test_oversized_values_are_quoted_short(tmp_path, capsys, doc, where):
+    # the quoted value is cut and the cut marked; the location stays whole
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith(f"error: {where}: ")
+    assert len(err.encode()) < 1024
+    assert "characters)" in err
+
+
+def test_short_values_are_quoted_whole(tmp_path, capsys):
+    doc = {"ring": RING, "factorizations": {"X": FAC},
+           "commands": [{"op": "validate", "subject": "Y"}]}
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err == "error: commands[0]: unknown factorization 'Y'\n"
+
+
+def test_quote_cuts_long_reprs_only():
+    from matfac.errors import _QUOTE_MAX, _quote
+
+    assert _quote("x") == "'x'"
+    edge = "y" * (_QUOTE_MAX - 2)
+    assert _quote(edge) == repr(edge)
+    long = "y" * (_QUOTE_MAX - 1)
+    assert _quote(long) == repr(long)[:_QUOTE_MAX] + f"... ({_QUOTE_MAX + 1} characters)"
+
+
+def test_conductor_above_the_maximum_exits_2_at_once(tmp_path):
+    # in a child process with a timeout: without the maximum the field's
+    # tables take far longer than any test should run
+    import time
+
+    doc = write_doc(tmp_path, {"ring": {"conductor": 100_003, "variables": ["x"]},
+                               "commands": []})
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "matfac.cli", "run", doc],
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ring: conductor 100003 exceeds the maximum")
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.load converts every integer literal; past the interpreter's digit
+    # limit that is a ValueError, not a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text('{"ring": {"conductor": ' + "1" * 5000 + ', "variables": ["x"]},'
+                    ' "commands": []}', encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: document is not valid JSON: ")
+
+
+def test_document_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"ring": "\xe9"}')
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: document is not valid JSON: ")
+
+
+@pytest.mark.parametrize("variables", [["x\u00b7y"], ["e\u0301"], ["a\u203fb"], ["1x"],
+                                       ["x", "x"]])
+def test_unreadable_ring_variable_names_exit_2_at_ring(tmp_path, capsys, variables):
+    # before, x·y and friends were accepted, and the document failed at its
+    # first polynomial with "unexpected character"
+    doc = {"ring": {"conductor": 3, "variables": variables},
+           "polynomials": {"p": variables[0]}, "commands": []}
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err.startswith("error: ring: ")
+    assert "variable name" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"ring": RING, "commands": [],
+      "factorizations": {"X": {"f": "x*y", "matrices": [[["x", "y"]], [["y"]]]}}},
+     "factorizations.X: all factors must be 1x1; got (1, 2)"),
+    ({"ring": RING, "commands": [], "factorizations": {"X": FAC},
+      "morphisms": {"e": {"source": "X", "target": "X", "components": [[["1"]]]}}},
+     "morphisms.e: need 2 components, got 1"),
+    ({"ring": RING, "commands": [], "factorizations": {"X": FAC, "Y": {
+        "f": "x^2", "matrices": [[["x"]], [["x"]]]}},
+      "morphisms": {"e": {"source": "X", "target": "Y", "components": [[["1"]], [["1"]]]}}},
+     "morphisms.e: morphism endpoints must share ring, d, and f"),
+    ({"ring": RING, "factorizations": {"X": FAC},
+      "commands": [{"op": "split-idempotent", "subject": "X", "idempotent": "e"}]},
+     "commands[0]: unknown morphism 'e'"),
+], ids=["factorization", "morphism-count", "morphism-endpoints", "unknown-morphism"])
+def test_constructor_refusals_exit_2_with_location(tmp_path, capsys, doc, message):
+    rc, err = run_machine(tmp_path, capsys, doc)
+    assert rc == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cmd, summary", [
+    ({"op": "ulrich", "rows": [["x1", "1"], ["y1", "y2"]]},
+     "malformed sum of products: factor 1 is a unit (nonzero constant term)"),
+    ({"op": "scale", "subject": "X", "units": ["x1", "1", "1"]}, "unit 0 is not a scalar: x1"),
+], ids=["unit-factor", "non-scalar-unit"])
+def test_unusable_command_values_fail_the_command(tmp_path, capsys, cmd, summary):
+    rc, rep = run_machine(tmp_path, capsys, dict(PIPELINE_DOC, commands=[cmd]))
+    assert rc == 1
+    assert rep["commands"][0]["status"] == "fail"
+    assert rep["commands"][0]["summary"] == summary
+
+
+def test_knorrer_at_odd_d_bootstraps_from_the_d_th_root(tmp_path, capsys):
+    # conductor 3 holds no primitive 6th root but -zeta_3 is one
+    doc = {"ring": {"conductor": 3, "variables": ["x", "y"]},
+           "factorizations": {
+               "X": {"f": "x^3", "matrices": [[["x"]], [["x"]], [["x"]]]},
+               "Y": {"f": "y^3", "matrices": [[["y"]], [["y"]], [["y"]]]}},
+           "commands": [{"op": "knorrer", "left": "X", "right": "Y"}]}
+    rc, rep = run_machine(tmp_path, capsys, doc)
+    assert rc == 0
+    assert rep["commands"][0]["data"]["witnesses_invertible"] is True
+
+
+def test_certify_spot_check_and_asserted_asymmetry(tmp_path, capsys):
+    doc = dict(PIPELINE_DOC, commands=[
+        {"op": "certify", "subject": "X", "spot_check": True},
+        {"op": "bound", "left": "X", "right": "Y", "asymmetric": [True, False]},
+    ])
+    rc, rep = run_machine(tmp_path, capsys, doc)
+    assert rc == 0
+    certify, bound = rep["commands"]
+    assert certify["data"]["constant_term_spot_check"] is True
+    assert bound["data"]["shift_asymmetric"] == [True, False]

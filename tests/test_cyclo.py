@@ -233,3 +233,16 @@ def test_canonical_zero_and_one():
 def test_cyclotomic_polynomial_is_integral():
     for m in ORACLE_CONDUCTORS + [15, 30]:
         assert all(type(c) is int for c in cyclotomic_polynomial(m))
+
+
+def test_conductor_maximum_is_refused_before_any_table():
+    from matfac.cyclo import _MAX_CONDUCTOR
+
+    assert cyclotomic_field(_MAX_CONDUCTOR).m == _MAX_CONDUCTOR
+    for m in (_MAX_CONDUCTOR + 1, 100_003):
+        with pytest.raises(ValueError, match=f"conductor {m} exceeds the maximum"):
+            cyclotomic_field(m)
+    # a conductor too long to print whole is quoted short
+    with pytest.raises(ValueError, match=r"characters\) exceeds the maximum") as info:
+        CycloField(10 ** 4000)
+    assert len(str(info.value)) < 120

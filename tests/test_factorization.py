@@ -16,6 +16,7 @@ from matfac import (
     projective,
     scale_by_units,
 )
+from oracles import factorization_verdict, verdict
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -257,3 +258,49 @@ def test_shift_carries_the_validation_over(monkeypatch):
     y = rank_one(a, b, c)
     assert not hasattr(y.shift(1), "_report")
     assert y.shift(1).validate().passed
+
+
+# -- one constructor check for exact and jet factorizations ---------------------
+
+OTHER = PolynomialRing(F, ("u",))
+
+
+def test_jet_factorization_refuses_fewer_than_two_factors():
+    # these used to build, and validate() then passed vacuously
+    one = Matrix.identity(R, 1).to_jets(2)
+    for mats in ([], [one]):
+        with pytest.raises(ValueError, match="d >= 2"):
+            JetMatFac(R, a, 2, mats)
+
+
+def test_jet_factorization_refuses_f_from_another_ring():
+    one = Matrix.identity(R, 1).to_jets(2)
+    with pytest.raises(ValueError, match="f lives in a different ring"):
+        JetMatFac(R, OTHER.variable("u"), 2, [one, one])
+
+
+def test_factors_over_the_wrong_space_name_the_expected_one():
+    exact = [Matrix.identity(R, 1)] * 2
+    jets = [m.to_jets(2) for m in exact]
+    with pytest.raises(ValueError, match=r"over PolynomialRing\("):
+        MatFac(R, a, jets)
+    with pytest.raises(ValueError, match=r"over JetSpace\(.*N=2\)"):
+        JetMatFac(R, a, 2, exact)
+    with pytest.raises(ValueError, match=r"over JetSpace\(.*N=3\)"):
+        JetMatFac(R, a, 3, jets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(0, 2), data=st.data(),
+       f=st.sampled_from([a * b, R.zero(), OTHER.variable("u")]))
+def test_exact_and_jet_constructors_accept_and_refuse_together(d, n, data, f):
+    # the jet constructor given to_jets of the same data gives the exact
+    # constructor's verdict, message included, and both give the oracle's
+    widths = data.draw(st.lists(st.sampled_from([n, n, n + 1]), min_size=d, max_size=d))
+    heights = data.draw(st.lists(st.sampled_from([n, n, n + 1]), min_size=d, max_size=d))
+    mats = [Matrix(R, [[data.draw(st.sampled_from(ENTRIES)) for _ in range(w)]
+                       for _ in range(h)]) for w, h in zip(widths, heights)]
+    precision = data.draw(st.integers(1, 3))
+    exact = verdict(lambda: MatFac(R, f, mats))
+    jet = verdict(lambda: JetMatFac(R, f, precision, [m.to_jets(precision) for m in mats]))
+    assert exact == jet == factorization_verdict(R, f, mats)

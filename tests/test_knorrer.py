@@ -1,6 +1,8 @@
 """Symmetric tensor products split into shifted copies of a linear pencil:
 root-of-unity sums, circulant base changes, and the decomposition itself."""
 
+import re
+
 import pytest
 
 from matfac import (
@@ -361,3 +363,45 @@ def test_sum_of_shifts_validates_exactly_when_the_summand_does(d):
         tampered_total = tampered_total.direct_sum(tampered.shift(i))
     assert not tampered.validate().passed
     assert not any(e.ok for e in tampered_total.validate().entries)
+
+
+@pytest.mark.parametrize("d, kwargs, message", [
+    (1, dict(omega=cyclotomic_field(2).zeta(1)), "need d >= 2"),
+    (3, {}, "supply omega (a 2d-th root) or, for odd d, zeta"),
+    (3, dict(zeta=cyclotomic_field(3).one()), "zeta is not a primitive 3-th root of unity"),
+    (3, dict(omega=cyclotomic_field(3).zeta(1)), "omega is not a primitive 6-th root of unity"),
+], ids=["d-one", "no-root", "zeta-not-primitive", "omega-not-primitive"])
+def test_omega_context_refuses_roots_it_cannot_use(d, kwargs, message):
+    with pytest.raises(MatfacError, match=re.escape(message)):
+        omega_context(d, **kwargs)
+
+
+def test_block_diagonalize_refuses_unequal_shapes_and_spaces():
+    F = cyclotomic_field(4)
+    R = PolynomialRing(F, ("x", "y"))
+    ctx = omega_context(2, omega=F.zeta(1))
+    a = Matrix(R, [[R.variable("x")]])
+    with pytest.raises(MatfacError, match="need square matrices of equal size"):
+        block_diagonalize(ctx, a, Matrix.identity(R, 2))
+    other = PolynomialRing(F, ("u",))
+    with pytest.raises(MatfacError, match="matrices live over different spaces"):
+        block_diagonalize(ctx, a, Matrix(other, [[other.variable("u")]]))
+
+
+def test_decompose_refuses_mismatched_inputs():
+    F = cyclotomic_field(3)
+    R = PolynomialRing(F, ("x", "y"))
+    x_var, y_var = R.variable("x"), R.variable("y")
+    X = MatFac(R, x_var ** 3, [Matrix(R, [[x_var]])] * 3)
+    Y = MatFac(R, y_var ** 3, [Matrix(R, [[y_var]])] * 3)
+    ctx = omega_context(3, zeta=F.zeta(1))
+    S = PolynomialRing(F, ("y",))
+    other = MatFac(S, S.variable("y") ** 3, [Matrix(S, [[S.variable("y")]])] * 3)
+    with pytest.raises(MatfacError, match="factors live over different rings"):
+        decompose_symmetric(X, other, ctx)
+    with pytest.raises(MatfacError, match="context and factorizations disagree on d"):
+        decompose_symmetric(X, Y, omega_context(2, omega=cyclotomic_field(4).zeta(1)))
+    asym = MatFac(R, y_var ** 2 * (y_var + y_var),
+                  [Matrix(R, [[y_var]]), Matrix(R, [[y_var]]), Matrix(R, [[y_var + y_var]])])
+    with pytest.raises(MatfacError, match="second factor is not shift-symmetric"):
+        decompose_symmetric(X, asym, ctx)

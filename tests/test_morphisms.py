@@ -1,6 +1,7 @@
 """Morphisms between factorizations, jet hom spaces, idempotent splitting."""
 
 import hashlib
+import re
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from matfac import (
     JetHomBasis,
+    JetMorphism,
     MatFac,
     MatfacError,
     Matrix,
@@ -27,6 +29,7 @@ from matfac import (
     sum_of_products,
     tensor,
 )
+from matfac import morphisms
 from matfac.cli import run_document
 from matfac.linalg import _det_power, sparse_nullspace
 from matfac.morphisms import (
@@ -480,3 +483,108 @@ def test_true_verdict_computes_no_symbolic_determinant(count_calls):
     assert all(admits_invertible_combination(hb) for hb in bases)
     assert admits_invertible_combination(fabricated_basis([1, 3]))
     assert dets == []
+
+
+# -- one constructor check for exact and jet morphisms ---------------------------
+
+OTHER = PolynomialRing(F, ("a", "b"))
+
+
+def test_jet_morphism_refuses_endpoints_of_different_f():
+    # this used to build; Morphism refused it
+    other = rank_one(a, a, a)
+    comps = [Matrix.identity(R, 1)] * 3
+    with pytest.raises(MatfacError, match="share ring, d, and f"):
+        JetMorphism(X, other, [c.to_jets(2) for c in comps], 2)
+    with pytest.raises(MatfacError, match="share ring, d, and f"):
+        JetMorphism(X.to_jets(2), other.to_jets(2), [c.to_jets(2) for c in comps], 2)
+
+
+def test_components_over_the_wrong_space_name_the_expected_one():
+    comps = [Matrix.identity(R, 1)] * 3
+    with pytest.raises(ValueError, match=r"over PolynomialRing\("):
+        Morphism(X, X, [c.to_jets(2) for c in comps])
+    with pytest.raises(ValueError, match=r"over JetSpace\(.*N=2\)"):
+        JetMorphism(X, X, comps, 2)
+
+
+# endpoints of every kind of mismatch: rank, f, d and ring
+ENDPOINTS = [X, X.direct_sum(X), rank_one(a, a, a), rank_one(a * b, c),
+             MatFac(OTHER, OTHER.variable("a"), [Matrix.identity(OTHER, 1)] * 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(src=st.sampled_from(ENDPOINTS), tgt=st.sampled_from(ENDPOINTS),
+       count=st.integers(1, 4), data=st.data())
+def test_exact_and_jet_morphisms_accept_and_refuse_together(src, tgt, count, data):
+    # the jet constructor, given to_jets of the same components (and exact
+    # or jet endpoints), gives the exact constructor's verdict, message
+    # included, and both give the oracle's
+    ring = src.ring
+    shapes = data.draw(st.lists(st.sampled_from(
+        [(tgt.n, src.n)] * 2 + [(tgt.n + 1, src.n), (tgt.n, src.n + 1)]),
+        min_size=count, max_size=count))
+    comps = [Matrix(ring, [[ring.one()] * w for _ in range(h)]) for h, w in shapes]
+    precision = data.draw(st.integers(1, 3))
+    jet_src, jet_tgt = ((x.to_jets(precision) if data.draw(st.booleans()) else x)
+                        for x in (src, tgt))
+    exact = oracles.verdict(lambda: Morphism(src, tgt, comps))
+    jet = oracles.verdict(lambda: JetMorphism(
+        jet_src, jet_tgt, [c.to_jets(precision) for c in comps], precision))
+    assert exact == jet == oracles.morphism_verdict(src, tgt, comps)
+
+
+S = X.direct_sum(X.shift(1))
+PROJ = Morphism(S, S, [Matrix(R, [[R.one(), R.zero()], [R.zero(), R.zero()]])] * 3)
+
+
+@pytest.mark.parametrize("x, e, message", [
+    (X, Morphism.identity(rank_one(a, c, b)),
+     "idempotent must be an endomorphism of the given factorization"),
+    (X, Morphism(X, X.shift(1), [Matrix.identity(R, 1)] * 3),
+     "idempotent must be an endomorphism"),
+    (X, Morphism(X, X, [Matrix(R, [[R.scalar(2)]])] + [Matrix.identity(R, 1)] * 2),
+     "idempotent candidate is not a morphism"),
+    (MatFac(R, X.f, [Matrix(R, [[e]]) for e in (a, b, a)]),
+     Morphism.identity(MatFac(R, X.f, [Matrix(R, [[e]]) for e in (a, b, a)])),
+     "factorization does not validate; refusing to split"),
+], ids=["other-factorization", "not-endo", "not-morphism", "invalid"])
+def test_split_idempotent_refuses_unmet_hypotheses(x, e, message):
+    with pytest.raises(MatfacError, match=re.escape(message)):
+        split_idempotent(x, e)
+
+
+def test_split_idempotent_refuses_disagreeing_origin_ranks(monkeypatch):
+    # a true idempotent's components share their origin rank; one pivot
+    # dropped from the first component's reduction is refused, not split
+    original = morphisms.rref
+    seen = []
+
+    def lopsided(m):
+        reduced, pivots = original(m)
+        seen.append(m)
+        return reduced, pivots if len(seen) > 1 else pivots[:-1]
+
+    monkeypatch.setattr(morphisms, "rref", lopsided)
+    with pytest.raises(MatfacError, match=re.escape("origin-ranks of idempotent "
+                                                    "components disagree: [0, 1, 1]")):
+        split_idempotent(S, PROJ)
+
+
+def test_split_idempotent_refuses_a_basis_change_that_mixes_summands(monkeypatch):
+    # a wrong inverse of the basis change leaves off-diagonal blocks
+    def shear(u):
+        one, zero = u.space.one(), u.space.zero()
+        return Matrix(u.space, [[one, one], [zero, one]])
+
+    monkeypatch.setattr(morphisms, "jet_inverse", shear)
+    with pytest.raises(MatfacError, match="did not block-diagonalize"):
+        split_idempotent(S, PROJ)
+
+
+def test_invertible_combination_at_unequal_ranks_and_rank_zero():
+    # no component of a map between ranks 1 and 2 is square, so none is
+    # invertible; between rank-0 factorizations the empty map is
+    assert not admits_invertible_combination(hom_space_jets(X, S, 1))
+    empty = MatFac(R, X.f, [Matrix(R, [])] * 3)
+    assert admits_invertible_combination(hom_space_jets(empty, empty, 1))

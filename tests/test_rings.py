@@ -227,3 +227,52 @@ def test_ring_equality_with_itself_compares_nothing(monkeypatch):
     assert calls == []
     assert R == PolynomialRing(cyclotomic_field(3), ("x", "y", "w"))
     assert calls
+
+
+# ASCII letters (z among them), digits and _, then a middle dot, a combining
+# acute accent, an undertie, a superscript two and an Arabic-Indic three
+NAME_CHARS = ("abcxyzXYZ", "0129", "_", "\u00b7", "\u0301", "\u203f", "\u00b2", "\u0663")
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.text(st.sampled_from("".join(NAME_CHARS)), min_size=1, max_size=4))
+def test_ring_variable_names_print_and_parse_back(name):
+    # a ring takes a name only if its printed variable parses back to it;
+    # `z` alone is the field generator, which the parser keeps for itself
+    if name == "z":
+        return
+    try:
+        ring = PolynomialRing(F, (name,))
+    except ValueError as e:
+        assert str(e).startswith("bad variable name ")
+        return
+    v = ring.variable(name)
+    assert ring.parse(str(v)) == v
+
+
+@pytest.mark.parametrize("variables, message", [
+    (("x", "y", "x"), "duplicate variable names in ('x', 'y', 'x')"),
+    (("x\u00b7y",), "bad variable name 'x\u00b7y'"),
+    (("2x",), "bad variable name '2x'"),
+    (("x", "y" * 100 + "\u00b7"), "bad variable name 'yyyyyyyyyy"),
+])
+def test_bad_ring_variable_names_are_refused(variables, message):
+    with pytest.raises(ValueError) as info:
+        PolynomialRing(F, variables)
+    assert str(info.value).startswith(message)
+    assert len(str(info.value)) < 100
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^-2", "negative exponent (at position 2)"),
+    ("x^", "expected a nonnegative integer exponent (at position 2)"),
+    ("x^y", "expected a nonnegative integer exponent (at position 2)"),
+    ("1/x", "expected an integer denominator (at position 2)"),
+    ("3/0", "zero denominator (at position 2)"),
+    ("q" * 200, "unknown variable 'qqqq"),
+])
+def test_parse_errors_name_what_is_wrong_and_where(text, message):
+    with pytest.raises(PolyParseError) as info:
+        R.parse(text)
+    assert str(info.value).startswith(message)
+    assert len(str(info.value)) < 120

@@ -167,3 +167,22 @@ def test_every_tracer_entry_resolves():
             if owner is None or attr not in vars(owner):
                 missing.append(f"{entry}: {modname}.{qual}")
     assert missing == []
+
+
+def test_every_mutant_still_applies():
+    # the mutation record (tests/mutants.py) cannot rot silently: each
+    # mutant's text occurs exactly once in its file, and each test it names
+    # is a test function of its file
+    import mutants
+
+    root = Path(__file__).resolve().parents[1]
+    stale = []
+    for name, (file, text, _, tests) in mutants.MUTANTS.items():
+        if (root / file).read_text(encoding="utf-8").count(text) != 1:
+            stale.append(f"{name}: text not exactly once in {file}")
+        for test in tests:
+            path, _, func = test.partition("::")
+            tree = ast.parse((root / path).read_text(encoding="utf-8"))
+            if func not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}:
+                stale.append(f"{name}: no test {test}")
+    assert stale == []

@@ -394,3 +394,109 @@ def test_constant_term_spot_check_fails_on_a_direct_sum():
     xx = xyz_rank_one("xyz").direct_sum(xyz_rank_one("xyz"))
     assert [hom_space_jets(xx, xx.shift(i), 1).dimension for i in range(3)] == [4, 0, 0]
     assert not constant_term_spot_check(xx)
+
+
+# -- refusals: each names the hypothesis that does not hold ----------------------
+
+# (x1 x2 x0, 1, 1): validates, but is not reduced; the same on the y side
+P_X = MatFac(R, X.f, [Matrix(R, [[e]]) for e in (X.f, R.one(), R.one())])
+P_Y = MatFac(R, Y.f, [Matrix(R, [[e]]) for e in (Y.f, R.one(), R.one())])
+
+
+def zero_morphism(source, target):
+    return Morphism(source, target, [Matrix(R, [[R.zero()] * source.n
+                                                for _ in range(target.n)])] * source.d)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reduce_tensor_witness(X, Y, ZETA, "middle"), "side must be 'left' or 'right'"),
+    (lambda: reduce_tensor_witness(X, P_Y, ZETA, "right"),
+     "right reduction requires the right factor to be reduced"),
+    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(X, Y, ZETA)), "middle"),
+     "side must be 'left' or 'right'"),
+    (lambda: reduce_morphism_blocks(
+        Morphism(tensor(X, Y, ZETA), tensor(X, Y, ZETA),
+                 [Matrix.identity(R, 3).scale(R.scalar(2))] + [Matrix.identity(R, 3)] * 2),
+        "left"), "input is not a morphism"),
+    (lambda: reduce_morphism_blocks(
+        zero_morphism(tensor(X, Y, ZETA), tensor(X, Y, ZETA ** 2)), "left"),
+     "source and target tensors use different twist scalars"),
+    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(P_X, Y, ZETA)), "left"),
+     "left reduction requires both left factors reduced"),
+    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(X, P_Y, ZETA)), "right"),
+     "right reduction requires both right factors reduced"),
+], ids=["witness-side", "witness-right-unreduced", "blocks-side", "blocks-not-morphism",
+        "blocks-twists", "blocks-left-unreduced", "blocks-right-unreduced"])
+def test_reductions_refuse_what_they_cannot_reduce(call, message):
+    with pytest.raises((MatfacError, ValueError), match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("x, message", [
+    (X.direct_sum(X), "certificate needs a rank-one factorization, got rank 2"),
+    (MatFac(R, X.f, [Matrix(R, [[R.parse(e)]]) for e in ("x1", "x2", "x1")]),
+     "factorization does not validate"),
+    (P_X, "certificate needs a reduced factorization"),
+], ids=["rank-two", "invalid", "unreduced"])
+def test_coprime_cert_refuses_unmet_hypotheses(x, message):
+    with pytest.raises(MatfacError, match=re.escape(message)):
+        coprime_rank_one_cert(x)
+
+
+def _axiom(subject):
+    return StrongIndCert(subject=subject, basis=AxiomCoprimeRankOne(
+        entries=tuple(m[0, 0] for m in subject.mats)))
+
+
+@pytest.mark.parametrize("cert, problem", [
+    (_axiom(X.direct_sum(X)), "axiom subject must have rank 1, has 2"),
+    (_axiom(P_X), "axiom subject is not reduced"),
+    (_axiom(rank1("x1", "x1", "x2")), "entries are not pairwise coprime"),
+    (StrongIndCert(subject=tensor(X, X, ZETA), basis=TensorPropagation(
+        left=_axiom(X), right=_axiom(X), zeta=ZETA,
+        split=VarSplit(left_vars=variable_support(X), right_vars=variable_support(X)))),
+     "children share variables ['x0', 'x1', 'x2']"),
+], ids=["axiom-rank", "axiom-unreduced", "axiom-not-coprime", "shared-variables"])
+def test_certificate_lists_each_unmet_hypothesis(cert, problem):
+    assert problem in cert.problems()
+
+
+SYM_Y = rank1("y1", "y1", "y1")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(y=P_Y, symmetry=Morphism.identity(P_Y)), "the symmetric factor must be reduced"),
+    (dict(y=Y, symmetry=Morphism.identity(Y)),
+     "symmetry witness must connect the right factor and its first shift"),
+    (dict(y=SYM_Y, symmetry=Morphism(SYM_Y, SYM_Y, [Matrix(R, [[R.parse("y1")]])] * 3)),
+     "symmetry witness is not an isomorphism"),
+    (dict(y=Y.direct_sum(Y), asymmetry=jet_refute_shift_iso(X, 1)),
+     "the asymmetry route needs a rank-one right factor"),
+    (dict(y=P_Y, asymmetry=jet_refute_shift_iso(X, 1)), "the rank-one factor must be reduced"),
+    (dict(x=P_X, asymmetry=jet_refute_shift_iso(X, 1)), "the asymmetric factor must be reduced"),
+    (dict(x=rank1("x2", "x1", "x0"), asymmetry=jet_refute_shift_iso(X, 1)),
+     "the shift refutation certifies a different factorization"),
+], ids=["sym-unreduced", "sym-endpoints", "sym-not-iso", "asym-rank", "asym-y-unreduced",
+        "asym-x-unreduced", "asym-other-subject"])
+def test_tensor_indecomposable_refuses_unmet_hypotheses(kwargs, message):
+    args = dict(x=X, y=Y, zeta=ZETA) | kwargs
+    with pytest.raises(MatfacError, match=re.escape(message)):
+        tensor_indecomposable(args.pop("x"), args.pop("y"), args.pop("zeta"), **args)
+
+
+def test_reduced_block_failing_its_law_is_refused(monkeypatch):
+    # every block is checked: target copies built with the opposite unit
+    # make the identity's diagonal blocks fail the law
+    import matfac.structure
+
+    original = matfac.structure._contiguous_copies
+    calls = []
+
+    def opposite_targets(y, copies, unit, i):
+        calls.append(i)
+        return original(y, copies, unit if len(calls) <= y.d else -unit, i)
+
+    monkeypatch.setattr(matfac.structure, "_contiguous_copies", opposite_targets)
+    with pytest.raises(MatfacError, match=re.escape("reduced block (0,0) fails the "
+                                                    "intertwining law")):
+        reduce_morphism_blocks(Morphism.identity(tensor(X, Y, ZETA)), "left")

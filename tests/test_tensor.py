@@ -1,6 +1,8 @@
 """The twisted tensor product: worked 3x3 and 9x9 examples, determinant law,
 naturality witnesses, projectivity preservation."""
 
+import sys
+
 import pytest
 
 from matfac import (
@@ -8,6 +10,7 @@ from matfac import (
     MatfacError,
     Matrix,
     PolynomialRing,
+    Refusal,
     TensorMatFac,
     assoc_check,
     cyclotomic_field,
@@ -324,3 +327,24 @@ def test_projective_tensor_below_precision_one_raises():
     assert is_projective_tensor(p, y1, zeta, precision=1).passed
     with pytest.raises(ValueError, match="at least 1"):
         is_projective_tensor(p, y1, zeta, precision=0)
+
+
+def test_projective_tensor_at_rank_zero_and_at_a_unit_origin():
+    # rank 0 is the empty sum of projectives; f + g that is a unit at the
+    # origin has no origin ranks to read, which is refused
+    empty = MatFac(R9, X.f, [Matrix(R9, [])] * 3)
+    rep = is_projective_tensor(empty, Y, ZETA)
+    assert rep.passed and rep.input_shifts == [] and rep.shifts_found == []
+    unit_at_origin = projective(R9, 3, X.f + R9.one(), 0)
+    with pytest.raises(Refusal, match="f \\+ g is a unit at the origin"):
+        is_projective_tensor(unit_at_origin, Y, ZETA)
+
+
+def test_projective_tensor_with_inconsistent_origin_ranks_is_refuted(monkeypatch):
+    # P (x) Y is a sum of projectives, so its origin coranks add up to its
+    # rank; with every factor read as rank 0 at the origin they add up to
+    # d times that, which no sum of projectives has
+    # the package's `tensor` is the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["matfac.tensor"], "rank", lambda m: 0)
+    rep = is_projective_tensor(projective(R9, 3, X.f, 0), Y, ZETA)
+    assert not rep.passed and rep.shifts_found == [] and rep.input_shifts == [0]

@@ -9,6 +9,7 @@ import matfac.ulrich as ulrich
 from matfac import (
     MatFac,
     MatfacError,
+    Matrix,
     Polynomial,
     PolynomialRing,
     Refusal,
@@ -406,3 +407,52 @@ def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
     monkeypatch.setattr(MatFac, "validate", failing_above_rank_one)
     with pytest.raises(MatfacError, match="validates=False"):
         build_from_sum(sum_of_products(R9, ROWS[:2]))
+
+
+def test_empty_sum_of_products_is_a_problem_not_an_index_error():
+    ring = PolynomialRing(cyclotomic_field(3), ("x",))
+    spec = sum_of_products(ring, [])
+    assert spec.problems() == ["need at least 2 terms, got 0"]
+    with pytest.raises(MatfacError, match="need at least 2 terms, got 0"):
+        build_from_sum(spec)
+
+
+def _rows(*rows):
+    return [[R9.parse(e) for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("rows, partition, problems", [
+    (_rows(["x1"], ["y1"]), None, ["need at least 2 factors per term, got 1"]),
+    (_rows(["x1", "x2"], ["y1", "y2", "y0"]), None, ["rows have unequal lengths"]),
+    (_rows(["x1", "x2", "x0"], ["y1", "y2", "y0"]), (((0, 1), (2,)),),
+     ["partition must have one grouping per row"]),
+    (_rows(["x1", "x2", "x0"], ["y1", "y2", "y0"]), (((0, 1, 2),), ((0, 1, 2),)),
+     ["partition blocks per row must be >= 2, got 1"]),
+    (_rows(["x1", "x2", "x0"], ["y1", "y2", "y0"]), (((0, 1), (2,)), ((0,), (1,), (2,))),
+     ["row 1: expected 2 blocks, got 3"]),
+], ids=["one-factor", "unequal-rows", "partition-rows", "one-block", "block-count"])
+def test_malformed_sum_of_products_lists_its_problems(rows, partition, problems):
+    spec = sum_of_products(R9, rows, partition)
+    assert spec.problems() == problems
+    with pytest.raises(MatfacError, match="malformed sum of products: "):
+        build_from_sum(spec)
+
+
+def test_module_statistics_refuse_unmet_hypotheses(trinomial):
+    _, x, _ = trinomial
+    invalid = MatFac(R9, x.f, [x.mats[0], x.mats[0], x.mats[2]])
+    with pytest.raises(MatfacError, match="factorization does not validate"):
+        mcm_stats(invalid, 1, irreducible=True)
+    with pytest.raises(MatfacError, match="factorization does not validate"):
+        extension_ses(invalid)
+    x1 = R9.variable("x1")
+    projective_like = MatFac(R9, x1, [Matrix(R9, [[e]]) for e in (x1, R9.one(), R9.one())])
+    with pytest.raises(MatfacError, match="needs a reduced factorization"):
+        mcm_stats(projective_like, 1, irreducible=True)
+    two_fold = MatFac(R9, x1 * x1, [Matrix(R9, [[x1]])] * 2)
+    with pytest.raises(MatfacError, match="extension sequence needs d >= 3"):
+        extension_ses(two_fold)
+    # (x1, 0) factors f = 0: validated and reduced, but phi_2 presents nothing
+    zero_f = MatFac(R9, R9.zero(), [Matrix(R9, [[x1]]), Matrix(R9, [[R9.zero()]])])
+    with pytest.raises(MatfacError, match="presentation determinant is zero"):
+        mcm_stats(zero_f, 1, irreducible=True, start=2)
