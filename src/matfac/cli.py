@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 
 from .cyclo import CycloElem, cyclotomic_field
-from .errors import MatfacError, Refusal, _quote
+from .errors import MatfacError, Refusal, _cut, _quote
 from .factorization import MatFac, scale_by_units
 from .knorrer import decompose_symmetric, omega_context
 from .linalg import Matrix
@@ -135,6 +135,12 @@ def _parse_matrix(ring: PolynomialRing, rows, where: str) -> Matrix:
     return Matrix(ring, out)
 
 
+def _located(section: str, name: str) -> str:
+    """The location of a declared name, `section.name`, with a long name cut
+    as quoted values are, so that an error line stays short."""
+    return f"{section}.{_cut(name)}"
+
+
 def _section(data: dict, key: str) -> dict:
     """An optional top-level section: an object, or absent / null for none."""
     value = data.get(key)
@@ -159,8 +165,6 @@ def parse_document(data: dict) -> ProblemDoc:
         and all(isinstance(v, str) for v in variables),
         "ring", "needs a nonempty 'variables' array of strings",
     )
-    _expect("z" not in variables, "ring",
-            "'z' is reserved for the root of unity and cannot be a variable")
     try:
         fld = cyclotomic_field(rd["conductor"])
         ring = PolynomialRing(fld, tuple(variables))
@@ -177,12 +181,12 @@ def parse_document(data: dict) -> ProblemDoc:
     polynomials = {}
     for name, text in _section(data, "polynomials").items():
         claim(name, "polynomials")
-        polynomials[name] = _parse_poly(ring, text, f"polynomials.{name}")
+        polynomials[name] = _parse_poly(ring, text, _located("polynomials", name))
 
     factorizations = {}
     for name, spec in _section(data, "factorizations").items():
         claim(name, "factorizations")
-        where = f"factorizations.{name}"
+        where = _located("factorizations", name)
         _expect(isinstance(spec, dict), where, "must be an object")
         _expect("f" in spec and "matrices" in spec, where, "needs 'f' and 'matrices'")
         f = _parse_poly(ring, spec["f"], f"{where}.f")
@@ -198,7 +202,7 @@ def parse_document(data: dict) -> ProblemDoc:
     morphisms = {}
     for name, spec in _section(data, "morphisms").items():
         claim(name, "morphisms")
-        where = f"morphisms.{name}"
+        where = _located("morphisms", name)
         _expect(isinstance(spec, dict), where, "must be an object")
         for key in ("source", "target", "components"):
             _expect(key in spec, where, f"needs {key!r}")

@@ -11,18 +11,22 @@ Two kinds of failure are kept apart deliberately:
 
 from __future__ import annotations
 
-# the longest repr a message quotes whole; see `_quote`
+# the longest text a message holds whole; see `_cut`
 _QUOTE_MAX = 60
 
 
-def _quote(value) -> str:
-    """repr(value) for an error message, cut to `_QUOTE_MAX` characters with
-    the cut marked, so a message that quotes an input value stays short
-    however large the value is."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text for an error message, cut to `_QUOTE_MAX` characters with the
+    cut marked, so a message that holds an input value or name stays short
+    however long it is."""
     if len(text) <= _QUOTE_MAX:
         return text
     return f"{text[:_QUOTE_MAX]}... ({len(text)} characters)"
+
+
+def _quote(value) -> str:
+    """repr(value) for an error message, cut by `_cut`."""
+    return _cut(repr(value))
 
 
 class MatfacError(Exception):

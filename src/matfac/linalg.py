@@ -1,27 +1,32 @@
 """Exact matrix arithmetic over the package's scalar types.
 
-A `Matrix` is an immutable grid of scalars together with the `space` the
+A `Matrix` is an immutable matrix of scalars together with the `space` the
 scalars live in: a `CycloField` (field constants), a `PolynomialRing`, or a
 `JetSpace` (polynomials truncated at a shared precision).  The space provides
 zero()/one(), which is all the generic operations need; fancier routines
 dispatch on the space type:
 
+* storage: each row is kept as its nonzero entries, (column, entry) pairs
+  with the columns ascending, the row-sparse form of Gustavson (ACM TOMS
+  4(3), 1978).  `Matrix._store` is its one writer and drops every zero
+  entry (zeros in dense input, cancelled sums, jets truncated to zero), so
+  equal matrices store equal rows and compare and hash by them.  Every
+  operation and builder below reads and writes the stored pairs only;
+  `map` therefore needs a function that sends zero to zero;
+* entries: `Matrix.nonzero()` hands out the stored pairs, scanning nothing.
+  Every other module reads a matrix's nonzero entries through it (or
+  through the operations below), and none reads the stored form.  The
+  dense reads `rows`, `m[i, j]` and `column` fill in the zeros; the one
+  dense working copy is `det_bareiss`'s;
 * block shapes: `Matrix.block_diagonal` builds direct sums and
   `Matrix.block_cyclic` the block-cyclic factors of tensor products, the
   shape `_block_cyclic_cut` below recognizes; no other module assembles a
   grid of blocks or a zero block (`Matrix.block`, `Matrix.zero`);
-* entries: `Matrix.nonzero()` lists each row's nonzero entries with their
-  columns, ascending.  Every other module reads a matrix's nonzero entries
-  through it (or through the operations below), and none reads the dense
-  `rows`, so another storage of the entries would change this module only.
-  Here it serves `is_zero`, `max_degree`, the right operand of `@` and both
-  operands of `kron`; the left operand of `@` and the determinant's shape
-  tests walk the rows in place;
-* products: `@` is Gustavson's row-sparse product (ACM TOMS 4(3), 1978):
-  each row of the result accumulates a_ik * B[k] over the nonzero a_ik
-  only, so block-diagonal and kron-with-identity operands cost what their
-  nonzeros cost; `kron` likewise forms only products of two nonzero
-  entries and places the left entry itself against a one;
+* products: `@` is the row-sparse product: each row of the result
+  accumulates a_ik * B[k] over the stored a_ik only, so block-diagonal and
+  kron-with-identity operands cost what their nonzeros cost; `kron`
+  likewise forms only products of two stored entries and places the left
+  entry itself against a one;
 * determinants: `Matrix.det` is the one dispatch.  Over a field it is
   `_det_field` on the one field elimination below; over a polynomial ring
   it is `_det_power`, which cuts a block-cyclic matrix with scalar diagonal
@@ -40,9 +45,9 @@ dispatch on the space type:
   touching the older ones, and back-substitutes once into the reduced form
   when asked (`_Echelon.reduced`; the forward-then-back split of Faugere and
   Lachartre, PASCO 2010).  `rref` reads R and the pivots off the reduced
-  rows (`rank` and `inverse_field` work on `rref`), `sparse_nullspace`
-  reads a kernel basis off them, and `_det_field` multiplies the leads the
-  forward pass divides out;
+  rows (`rank` works on `rref`, and `inverse_field` on the `rref` of
+  [m | I]), `sparse_nullspace` reads a kernel basis off them, and
+  `_det_field` multiplies the leads the forward pass divides out;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
 
@@ -52,6 +57,7 @@ translate their own 1-based block conventions at the boundary.
 
 from __future__ import annotations
 
+import operator
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -88,42 +94,58 @@ class JetSpace:
 
 
 class Matrix:
-    """Immutable rectangular matrix over a scalar space."""
+    """Immutable rectangular matrix over a scalar space.
+
+    Each row is stored as its nonzero entries, (column, entry) pairs with
+    the columns ascending and no zeros; `_store` is the one writer of that
+    form, and the dense reads `rows`, `m[i, j]` and `column` fill in the
+    zeros it leaves out.
+    """
 
     # _det, absent until the determinant is first asked for, holds the field
     # value of a field matrix and the `_Power` of a polynomial one
-    __slots__ = ("space", "rows", "nrows", "ncols", "_det")
+    __slots__ = ("space", "_rows", "nrows", "ncols", "_det")
 
     def __init__(self, space, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        """The matrix of the dense `rows`, zeros included, all of one length."""
+        rows = [tuple(r) for r in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        self._store(space, len(rows), ncols, [enumerate(r) for r in rows])
+
+    @classmethod
+    def _sparse(cls, space, nrows: int, ncols: int, rows) -> Matrix:
+        """The nrows x ncols matrix whose row i holds the (column, entry)
+        pairs of rows[i], columns ascending; built without `__init__`."""
+        m = cls.__new__(cls)
+        m._store(space, nrows, ncols, rows)
+        return m
+
+    def _store(self, space, nrows: int, ncols: int, rows) -> None:
+        """Keep each row's (column, entry) pairs, dropping the zero entries
+        (cancelled sums, truncated jets, zeros in dense input): the stored
+        form holds nonzeros only, so that equal matrices store equal rows.
+        A matrix without rows has no columns."""
         self.space = space
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = width
+        self._rows = tuple(tuple([p for p in row if not p[1].is_zero()]) for row in rows)
+        self.nrows = nrows
+        self.ncols = ncols if nrows else 0
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, space, nrows: int, ncols: int) -> Matrix:
-        z = space.zero()
-        return cls(space, [[z] * ncols for _ in range(nrows)])
+        return cls._sparse(space, nrows, ncols, [()] * nrows)
 
     @classmethod
     def identity(cls, space, n: int) -> Matrix:
-        z, o = space.zero(), space.one()
-        return cls(space, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.scalar(space, n, space.one())
 
     @classmethod
     def scalar(cls, space, n: int, value) -> Matrix:
         """value * identity, n x n."""
-        z = space.zero()
-        return cls(space, [[value if i == j else z for j in range(n)] for i in range(n)])
+        return cls._sparse(space, n, n, [((i, value),) for i in range(n)])
 
     @classmethod
     def permutation(cls, space, perm) -> Matrix:
@@ -140,46 +162,37 @@ class Matrix:
         targets = [i for i, _ in images]
         if sorted(targets) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {targets}")
-        z = space.zero()
-        rows = [[z] * n for _ in range(n)]
+        rows = [()] * n
         for j, (i, w) in enumerate(images):
-            rows[i][j] = w
-        return cls(space, rows)
+            rows[i] = ((j, w),)
+        return cls._sparse(space, n, n, rows)
 
     @classmethod
     def block(cls, space, grid) -> Matrix:
         """Assemble from a grid (list of lists) of conforming matrices."""
-        out_rows = []
+        rows, widths = [], set()
         for block_row in grid:
             height = block_row[0].nrows
             if any(b.nrows != height for b in block_row):
                 raise ValueError("block row heights disagree")
+            widths.add(sum(b.ncols for b in block_row))
             for i in range(height):
-                row = []
+                row, c0 = [], 0
                 for b in block_row:
-                    row.extend(b.rows[i])
-                out_rows.append(row)
-        m = cls(space, out_rows)
-        if m.nrows and any(
-            sum(b.ncols for b in block_row) != m.ncols for block_row in grid
-        ):
+                    row += [(c0 + j, a) for j, a in b._rows[i]]
+                    c0 += b.ncols
+                rows.append(row)
+        if rows and len(widths) > 1:
             raise ValueError("block column widths disagree")
-        return m
+        return cls._sparse(space, len(rows), max(widths, default=0), rows)
 
     @classmethod
     def block_diagonal(cls, space, blocks) -> Matrix:
-        blocks = list(blocks)
-        total_r = sum(b.nrows for b in blocks)
-        total_c = sum(b.ncols for b in blocks)
-        z = space.zero()
-        rows = [[z] * total_c for _ in range(total_r)]
-        r0 = c0 = 0
+        rows, c0 = [], 0
         for b in blocks:
-            for i, row in enumerate(b.rows):
-                rows[r0 + i][c0:c0 + b.ncols] = row
-            r0 += b.nrows
+            rows += [[(c0 + j, a) for j, a in row] for row in b._rows]
             c0 += b.ncols
-        return cls(space, rows)
+        return cls._sparse(space, len(rows), c0, rows)
 
     @classmethod
     def block_cyclic(cls, space, diagonal, cyclic) -> Matrix:
@@ -200,9 +213,18 @@ class Matrix:
 
     # -- access ---------------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The entries row by row, zeros included: a dense read of the
+        stored form, built on every call."""
+        z = self.space.zero()
+        return tuple(tuple(entries.get(j, z) for j in range(self.ncols))
+                     for entries in map(dict, self._rows))
+
     def __getitem__(self, ij):
+        # out of range is an IndexError, as it is for a dense row
         i, j = ij
-        return self.rows[i][j]
+        return dict(self._rows[i]).get(range(self.ncols)[j], self.space.zero())
 
     @property
     def shape(self):
@@ -213,20 +235,25 @@ class Matrix:
 
     def nonzero(self) -> list[list[tuple[int, object]]]:
         """Each row's nonzero entries as (column, entry) pairs, columns
-        ascending: how every other module reads which entries are nonzero.
-        It is computed on every call; nothing is kept."""
-        return [[(j, a) for j, a in enumerate(row) if not a.is_zero()]
-                for row in self.rows]
+        ascending: the stored form, as lists.  Every other module reads a
+        matrix's nonzero entries through it."""
+        return [list(row) for row in self._rows]
 
     def is_zero(self) -> bool:
-        return not any(self.nonzero())
+        return not any(self._rows)
 
     def submatrix(self, row_indices, col_indices) -> Matrix:
+        """The entries at the given rows and columns, in the order given."""
         ri, ci = list(row_indices), list(col_indices)
-        return Matrix(self.space, [[self.rows[i][j] for j in ci] for i in ri])
+        where = {}  # column -> the places it takes in the submatrix
+        for k, j in enumerate(ci):
+            where.setdefault(range(self.ncols)[j], []).append(k)
+        return Matrix._sparse(self.space, len(ri), len(ci),
+                              [sorted((k, a) for j, a in self._rows[i] for k in where.get(j, ()))
+                               for i in ri])
 
     def column(self, j: int):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        return tuple(self[i, j] for i in range(self.nrows))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -236,97 +263,88 @@ class Matrix:
         if other.space != self.space:
             raise ValueError("matrices over different scalar spaces")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op) -> Matrix:
+        """op(a, b) at each position either matrix stores an entry at."""
         self._check(other)
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix(
-            self.space,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        z = self.space.zero()
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            acc = dict(r1)
+            for j, b in r2:
+                acc[j] = op(acc.get(j, z), b)
+            out.append(sorted(acc.items()))
+        return Matrix._sparse(self.space, self.nrows, self.ncols, out)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix(
-            self.space,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return Matrix(self.space, [[-a for a in r] for r in self.rows])
+        return self.map(operator.neg)
 
     def __matmul__(self, other):
         """Row-sparse product (Gustavson, "Two fast algorithms for sparse
         matrices", ACM TOMS 4(3), 1978).
 
-        Row i of the product accumulates a_ik * B[k] over the nonzero a_ik
-        only, into a col -> value dict; the nonzeros of each row of B are
-        read once per call.  Work is proportional to the nonzero products,
-        so the circulant and block-diagonal operands of the Knorrer
-        witnesses cost what their nonzeros cost.
+        Row i of the product accumulates a_ik * B[k] over the stored a_ik
+        only, into a col -> value dict.  Work is proportional to the nonzero
+        products, so the circulant and block-diagonal operands of the
+        Knorrer witnesses cost what their nonzeros cost.
         """
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        z = self.space.zero()
-        ncols = other.ncols
-        b_rows = other.nonzero()
+        b_rows = other._rows
         out = []
-        for row in self.rows:
+        for row in self._rows:
             acc = {}
-            for a, b_row in zip(row, b_rows):
-                if b_row and not a.is_zero():
-                    for j, b in b_row:
-                        prev = acc.get(j)
-                        acc[j] = a * b if prev is None else prev + a * b
-            out.append([acc.get(j, z) for j in range(ncols)])
-        return Matrix(self.space, out)
+            for k, a in row:
+                for j, b in b_rows[k]:
+                    prev = acc.get(j)
+                    acc[j] = a * b if prev is None else prev + a * b
+            out.append(sorted(acc.items()))
+        return Matrix._sparse(self.space, self.nrows, other.ncols, out)
 
     def scale(self, c) -> Matrix:
         """Entrywise multiplication by a scalar of the space (or coercible)."""
-        return Matrix(self.space, [[a * c for a in r] for r in self.rows])
+        return self.map(lambda a: a * c)
 
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product: block (i,j) is self[i][j] * other.
 
-        Only the products of two nonzero entries are formed, and a right
+        Only the products of two stored entries are formed, and a right
         entry equal to one places the left entry itself, so alpha (x) I_n
         costs the nonzeros of alpha and multiplies nothing.
         """
         self._check(other)
-        z, one = self.space.zero(), self.space.one()
+        one = self.space.one()
         width = other.ncols
-        b_rows = [[(j, b, b == one) for j, b in row] for row in other.nonzero()]
-        out = []
-        for a_row in self.nonzero():
-            for b_row in b_rows:
-                row = [z] * (self.ncols * width)
-                for ja, a in a_row:
-                    offset = ja * width
-                    for j, b, is_one in b_row:
-                        row[offset + j] = a if is_one else a * b
-                out.append(row)
-        return Matrix(self.space, out)
+        b_rows = [[(j, b, b == one) for j, b in row] for row in other._rows]
+        out = [[(ja * width + j, a if is_one else a * b)
+                for ja, a in a_row for j, b, is_one in b_row]
+               for a_row in self._rows for b_row in b_rows]
+        return Matrix._sparse(self.space, self.nrows * other.nrows, self.ncols * width, out)
 
     def map(self, fn, space=None) -> Matrix:
-        return Matrix(space if space is not None else self.space,
-                      [[fn(a) for a in r] for r in self.rows])
+        """fn applied to every entry, over `space` (this one by default).
+        Only the stored entries are visited, so fn must send zero to zero."""
+        if not fn(self.space.zero()).is_zero():
+            raise ValueError("map needs a function that sends zero to zero")
+        return Matrix._sparse(self.space if space is None else space, self.nrows, self.ncols,
+                              [[(j, fn(a)) for j, a in row] for row in self._rows])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.shape == other.shape
-            and all(
-                a == b for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
-            )
-        )
+        return (self.space == other.space and self.shape == other.shape
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.space, self.rows))
+        return hash((self.space, self.shape, self._rows))
 
     def __str__(self):
         return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"
@@ -340,8 +358,7 @@ class Matrix:
         """Max total degree over entries of a polynomial matrix; 0 if all zero."""
         if not isinstance(self.space, PolynomialRing):
             raise TypeError("max_degree applies to polynomial matrices")
-        return max((p.total_degree() for row in self.nonzero() for _, p in row),
-                   default=0)
+        return max((p.total_degree() for row in self._rows for _, p in row), default=0)
 
     # -- conversions ---------------------------------------------------------
 
@@ -495,15 +512,13 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     _require_field(m)
     ech = _Echelon()
-    for row in m.rows:
-        ech.add(dict(enumerate(row)))
+    for row in m._rows:
+        ech.add(dict(row))
     ech.reduced()
     reduced = ech.pivots
     pivots = sorted(reduced)
-    zero = m.space.zero()
-    rows = [[reduced[c].get(j, zero) for j in range(m.ncols)] for c in pivots]
-    rows += [[zero] * m.ncols for _ in range(m.nrows - len(pivots))]
-    return Matrix(m.space, rows), pivots
+    rows = [sorted(reduced[c].items()) for c in pivots]
+    return Matrix._sparse(m.space, m.nrows, m.ncols, rows + [()] * (m.nrows - len(pivots))), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -539,14 +554,11 @@ def inverse_field(m: Matrix) -> Matrix:
     _require_field(m)
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    aug = Matrix(
-        m.space,
-        [list(r) + list(e) for r, e in zip(m.rows, Matrix.identity(m.space, m.nrows).rows)],
-    )
-    R, pivots = rref(aug)
-    if pivots != list(range(m.nrows)):
+    n = m.nrows
+    R, pivots = rref(Matrix.block(m.space, [[m, Matrix.identity(m.space, n)]]))
+    if pivots != list(range(n)):
         raise MatfacError("matrix is singular over the field")
-    return Matrix(m.space, [row[m.nrows:] for row in R.rows])
+    return R.submatrix(range(n), range(n, 2 * n))
 
 
 def _det_field(m: Matrix) -> CycloElem:
@@ -559,8 +571,8 @@ def _det_field(m: Matrix) -> CycloElem:
     ech = _Echelon()
     det = field.one()
     cols = []
-    for row in m.rows:
-        found = ech.add(dict(enumerate(row)))
+    for row in m._rows:
+        found = ech.add(dict(row))
         if found is None:
             return field.zero()
         cols.append(found[0])
@@ -605,32 +617,27 @@ class _Power(NamedTuple):
         return 1 if mine == theirs else -1 if mine == -theirs else 0
 
 
-def _is_scalar(rows) -> bool:
-    """True iff the nonempty square grid `rows` is g * I_n for g = rows[0][0]."""
-    if not rows:
+def _is_scalar(m: Matrix) -> bool:
+    """True iff the nonempty square m is g * I_n for g = m[0, 0]."""
+    if not m.nrows:
         return False
-    g = rows[0][0]
-    return all(a == g if i == j else a.is_zero()
-               for i, row in enumerate(rows) for j, a in enumerate(row))
+    g = m[0, 0]
+    return m.is_zero() if g.is_zero() else all(
+        row == ((i, g),) for i, row in enumerate(m._rows))
 
 
-def _is_block_cyclic(rows, d: int) -> bool:
-    """True iff the square grid `rows`, cut into d x d blocks of size n, has a
-    scalar matrix c_I * I_n in every diagonal block (I, I), anything in the
-    blocks (I, (I+1) mod d), and zeros everywhere else."""
-    n = len(rows) // d
-    for r, row in enumerate(rows):
-        block = r // n
-        c = rows[block * n][block * n]
-        lo = (block + 1) % d * n
-        for j, a in enumerate(row):
-            if lo <= j < lo + n:
-                continue
-            if j == r:
-                if a != c:
-                    return False
-            elif not a.is_zero():
-                return False
+def _is_block_cyclic(m: Matrix, d: int) -> bool:
+    """True iff the square m, cut into d x d blocks of size n, has a scalar
+    matrix c_I * I_n in every diagonal block (I, I), anything in the blocks
+    (I, (I+1) mod d), and zeros everywhere else."""
+    n = m.nrows // d
+    diagonal = [m[block * n, block * n] for block in range(d)]
+    for r, row in enumerate(m._rows):
+        c = diagonal[r // n]
+        lo = (r // n + 1) % d * n
+        outside = [(j, a) for j, a in row if not lo <= j < lo + n]
+        if outside != ([] if c.is_zero() else [(r, c)]):
+            return False
     return True
 
 
@@ -641,14 +648,14 @@ def _block_cyclic_cut(m: Matrix) -> Matrix | None:
     None if no d does."""
     size = m.nrows
     for d in range(2, size + 1):
-        if size % d or not _is_block_cyclic(m.rows, d):
+        if size % d or not _is_block_cyclic(m, d):
             continue
         n = size // d
         c = m.space.one()
         prod = None
         for block in range(d):
             r, j = block * n, (block + 1) % d * n
-            c = c * m.rows[r][r]
+            c = c * m[r, r]
             a = m.submatrix(range(r, r + n), range(j, j + n))
             prod = a if prod is None else prod @ a
         scalar = Matrix.scalar(m.space, n, c)
@@ -681,13 +688,13 @@ def _det_power(m: Matrix) -> _Power:
     if hasattr(m, "_det"):
         return m._det
     rest = m
-    while not _is_scalar(rest.rows):
+    while not _is_scalar(rest):
         cut = _block_cyclic_cut(rest)
         if cut is None:
             m._det = _Power(1, det_bareiss(rest), 1, rest.nrows)
             return m._det
         rest = cut
-    m._det = _Power(1, rest.rows[0][0], rest.nrows)
+    m._det = _Power(1, rest[0, 0], rest.nrows)
     return m._det
 
 

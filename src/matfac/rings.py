@@ -17,9 +17,10 @@ The expression grammar (see `parse_polynomial`): rational literals ``a`` or
 ``a/b``, the symbol ``z`` for the root of unity of the ring's field, variable
 identifiers, ``+ - * ^ ( )``, with ``^`` taking a nonnegative integer literal.
 Multiplication is always explicit.  A ring takes a variable name only when
-the tokenizer reads it back as one identifier equal to it (`_reads_back`),
-so ``x·y`` or a letter with a combining accent is refused at the ring, not
-at the first polynomial.  Literals are decimal digits
+the tokenizer reads it back as one identifier equal to it (`_reads_back`)
+and the name is not ``z``, so ``x·y``, a letter with a combining accent or
+``z`` itself is refused at the ring, not at the first polynomial.
+Literals are decimal digits
 (`str.isdecimal`, so ``²`` is not one), no more than the interpreter
 converts to an integer (4,300 by default; a longer one is a parse error at
 its position).  Parentheses nest at most
@@ -50,6 +51,8 @@ class PolynomialRing:
         if len(set(vars_tuple)) != len(vars_tuple):
             raise ValueError(f"duplicate variable names in {_quote(vars_tuple)}")
         for v in vars_tuple:
+            if v == "z":
+                raise ValueError("'z' is reserved for the root of unity and cannot be a variable")
             if not _reads_back(v):
                 raise ValueError(f"bad variable name {_quote(v)}")
         self.field = field
@@ -512,8 +515,10 @@ def _tokenize(text: str) -> list[tuple[str, str | int, int, int]]:
 
 
 def _reads_back(name) -> bool:
-    """The one rule for ring variable names: `_tokenize` reads the name back
-    as one identifier token equal to it, so a printed variable parses."""
+    """The tokenizer's rule for ring variable names: `_tokenize` reads the
+    name back as one identifier token equal to it, so a printed variable
+    parses.  (The ring refuses `z` besides, which parses as the field
+    generator.)"""
     try:
         return isinstance(name, str) and _tokenize(name) == [("ident", name, 0, len(name))]
     except PolyParseError:
@@ -627,7 +632,5 @@ def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     The symbol `z` denotes the generator of the ring's cyclotomic field;
     every other identifier must be a declared ring variable.
     """
-    if "z" in ring.vars:
-        raise ValueError("'z' is reserved for the root of unity and cannot be a variable")
     tokens = _tokenize(text)
     return _Parser(tokens, ring, text).parse()

@@ -13,8 +13,9 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-30 s for the five seeded here on a 2-vCPU host); it only checks that every
-entry still applies (`tests/test_source.py`).
+150 s for the nine here on a 2-vCPU host, most of it hypothesis shrinking
+the failing examples); it only checks that every entry still applies
+(`tests/test_source.py`).
 
 A change that adds a fast path, a derived verdict or a refusal adds the
 mutants that its tests are meant to kill.
@@ -69,6 +70,36 @@ MUTANTS = {
         "            if not v.isidentifier():\n",
         ["tests/test_rings.py::test_ring_variable_names_print_and_parse_back",
          "tests/test_cli.py::test_unreadable_ring_variable_names_exit_2_at_ring"],
+    ),
+    "matrix-keeps-zeros": (
+        "src/matfac/linalg.py",
+        "tuple([p for p in row if not p[1].is_zero()])",
+        "tuple(row)",
+        ["tests/test_linalg.py::test_matmul_identity_zero",
+         "tests/test_linalg.py::test_every_operation_stores_the_canonical_form"],
+    ),
+    "matmul-unsorted-rows": (
+        "src/matfac/linalg.py",
+        "prev + a * b\n            out.append(sorted(acc.items()))\n",
+        "prev + a * b\n            out.append(list(acc.items()))\n",
+        ["tests/test_linalg.py::test_matmul_identity_zero",
+         "tests/test_linalg.py::test_every_operation_stores_the_canonical_form"],
+    ),
+    "map-moves-zero": (
+        "src/matfac/linalg.py",
+        "        if not fn(self.space.zero()).is_zero():\n",
+        "        if False:\n",
+        ["tests/test_linalg.py::test_map_refuses_a_function_that_moves_zero"],
+    ),
+    "echelon-no-back-substitution": (
+        "src/matfac/linalg.py",
+        "        for pc in sorted(pivots, reverse=True):\n",
+        "        for pc in []:\n",
+        ["tests/test_echelon.py::test_rref_matches_oracle",
+         "tests/test_echelon.py::test_rref_back_substitutes",
+         "tests/test_echelon.py::test_inverse_field",
+         "tests/test_linalg.py::test_inverse_field_of_a_triangular_matrix",
+         "tests/test_linalg.py::test_sparse_nullspace_matches_dense"],
     ),
 }
 

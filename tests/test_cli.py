@@ -535,9 +535,17 @@ def test_bad_start_is_rejected_before_the_build(tmp_path, capsys, count_calls, s
     ({"ring": RING, "factorizations": {"X": FAC},
       "commands": [{"op": "validate", "subject": "X" * 100_000}]}, "commands[0]"),
     ({"ring": RING, "commands": [{"op": "o" * 100_000}]}, "commands[0]"),
+    ({"ring": RING, "commands": [], "polynomials": {"p" * 100_000: 1}},
+     "polynomials." + "p" * 60 + "... (100000 characters)"),
+    ({"ring": RING, "commands": [],
+      "factorizations": {"X" * 100_000: {"f": 1, "matrices": FAC["matrices"]}}},
+     "factorizations." + "X" * 60 + "... (100000 characters).f"),
+    ({"ring": RING, "commands": [], "factorizations": {"X": FAC}, "morphisms": {"e" * 100_000: 1}},
+     "morphisms." + "e" * 60 + "... (100000 characters)"),
 ])
 def test_oversized_values_are_quoted_short(tmp_path, capsys, doc, where):
-    # the quoted value is cut and the cut marked; the location stays whole
+    # the quoted value is cut and the cut marked, and so is a long declared
+    # name in the location
     rc, err = run_machine(tmp_path, capsys, doc)
     assert rc == 2
     assert err.startswith(f"error: {where}: ")

@@ -24,6 +24,7 @@ from matfac.linalg import (
     inverse_field,
     sparse_nullspace,
 )
+from matfac.linalg import rref as rref_matrix
 from matfac.rings import Jet
 
 from oracles import det_cofactor, kron, matmul, nullspace, rref
@@ -37,8 +38,15 @@ def test_construction_and_indexing():
     m = Matrix(R, [[x, y], [R.zero(), R.one()]])
     assert m.shape == (2, 2)
     assert m[0, 1] == y
+    assert m[1, 0].is_zero() and m[-1, -1] == R.one() and m.column(0) == (x, R.zero())
     with pytest.raises(ValueError):
         Matrix(R, [[x], [x, y]])  # ragged rows
+    # out of range raises IndexError, as a dense row does, stored entry or not
+    for ij in [(2, 0), (0, 2), (1, 2), (-3, 0), (0, -3)]:
+        with pytest.raises(IndexError):
+            m[ij]
+    with pytest.raises(IndexError):
+        m.column(2)
 
 
 def test_matmul_identity_zero():
@@ -48,6 +56,9 @@ def test_matmul_identity_zero():
     assert eye @ m == m
     assert (m - m).is_zero()
     assert Matrix.zero(R, 2, 2).is_zero()
+    # a product that meets each row's columns in descending order still
+    # stores them ascending
+    assert m @ Matrix.permutation(R, [1, 0]) == Matrix(R, [[y, x], [x, y]])
 
 
 # Scalars of the three spaces a product runs over; each pool holds zero and
@@ -135,6 +146,59 @@ def test_nonzero_is_the_dense_walk(kind, n, k, data):
     m = data.draw(_sparse_matrix(space, pool, n, k))
     assert m.nonzero() == dense_nonzero(m)
     assert m.is_zero() == all(a.is_zero() for row in m.rows for a in row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(PRODUCT_SPACES)), st.integers(0, 3), st.integers(0, 3),
+       st.data())
+def test_every_operation_stores_the_canonical_form(kind, n, k, data):
+    # explicit zeros, sums that cancel and jets whose products truncate to
+    # zero: whatever builds a matrix stores its nonzero entries only, columns
+    # ascending, so that it equals and hashes as its dense twin does
+    space, pool = PRODUCT_SPACES[kind]
+    a, b = (data.draw(_sparse_matrix(space, pool, n, k)) for _ in range(2))
+    c = data.draw(_sparse_matrix(space, pool, a.ncols, n))
+    s = data.draw(_sparse_matrix(space, pool, n, n))
+    v = data.draw(st.sampled_from(pool))
+    perm = data.draw(st.permutations(range(n)))
+    ri = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if a.nrows else []
+    ci = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if a.ncols else []
+    built = {
+        "dense": a, "zero": Matrix.zero(space, n, k), "identity": Matrix.identity(space, n),
+        "scalar": Matrix.scalar(space, n, v),
+        "weighted_permutation": Matrix.weighted_permutation(space, [(i, v) for i in perm]),
+        "block": Matrix.block(space, [[a, b], [b, a]]),
+        "block_diagonal": Matrix.block_diagonal(space, [a, c, b]),
+        "block_cyclic": Matrix.block_cyclic(space, [Matrix.scalar(space, n, v), s], [s, s]),
+        "add": a + b, "sub": a - b, "cancel": a - a, "neg": -a, "matmul": a @ c,
+        # a's nonzeros land in descending columns, stored ascending
+        "reversed": a @ Matrix.permutation(space, reversed(range(a.ncols))),
+        "kron": a.kron(c), "scale": a.scale(v), "map": a.map(lambda e: e * v),
+        "submatrix": a.submatrix(ri, ci),
+    }
+    if kind == "field":
+        built["rref"] = rref_matrix(a)[0]
+        if not s.det().is_zero():
+            built["inverse"] = inverse_field(s)
+    else:
+        built["constant_terms"] = a.constant_terms()
+        built["to_jets"] = a.to_jets(1)
+    for name, m in built.items():
+        assert m.nonzero() == dense_nonzero(m), name
+        twin = Matrix(m.space, m.rows)
+        assert m == twin and hash(m) == hash(twin), name
+    assert built["cancel"] == built["zero"] and hash(built["cancel"]) == hash(built["zero"])
+    assert built["matmul"] == matmul(a, c) and hash(built["matmul"]) == hash(matmul(a, c))
+    assert built["kron"] == kron(a, c) and hash(built["kron"]) == hash(kron(a, c))
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+
+
+def test_map_refuses_a_function_that_moves_zero():
+    # map visits the stored entries only, so the zeros it skips must stay zero
+    m = Matrix(R, [[x, R.zero()]])
+    with pytest.raises(ValueError, match="zero to zero"):
+        m.map(lambda p: p + R.one())
+    assert m.map(lambda p: p * y) == Matrix(R, [[x * y, R.zero()]])
 
 
 def dense_projective_sum(p: MatFac) -> list[int]:

@@ -302,12 +302,12 @@ def full_system_kernel(source, target, precision, slots=None):
 
 
 def test_last_slot_is_kept_without_its_certificate():
-    # (xy, z^2, x) against its second shift (x, xy, z^2): the degree-one part
+    # (xy, w^2, x) against its second shift (x, xy, w^2): the degree-one part
     # of the target's slot 1 is zero, so the certificate fails and all three
     # slots are solved; leaving the last one out would be unsound
-    ring = PolynomialRing(cyclotomic_field(2), ("x", "y", "z"))
-    x, y, z = (ring.variable(v) for v in "xyz")
-    xf = rank_one_over(ring, [x * y, z * z, x])
+    ring = PolynomialRing(cyclotomic_field(2), ("x", "y", "w"))
+    x, y, w = (ring.variable(v) for v in "xyw")
+    xf = rank_one_over(ring, [x * y, w * w, x])
     target = xf.shift(2)
     assert not _last_slot_implied(xf, target)
     dims = [hom_space_jets(xf, target, n).dimension for n in range(1, 5)]
@@ -327,7 +327,7 @@ def test_last_slot_is_kept_when_an_endpoint_does_not_validate():
     assert len(full_system_kernel(X, bad, 1, slots=2)) == 1
 
 
-HOM_RINGS = {m: PolynomialRing(cyclotomic_field(m), ("x", "y", "z")) for m in (2, 3, 4)}
+HOM_RINGS = {m: PolynomialRing(cyclotomic_field(m), ("x", "y", "w")) for m in (2, 3, 4)}
 ENTRY_MONOMIALS = [e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2]
 
 

@@ -73,11 +73,12 @@ def test_reports_are_written_by_memo_methods_or_derived():
 
 
 def test_stored_forms_have_one_reader_module():
-    # the dense rows of a Matrix are read in linalg only (everything else
-    # asks `Matrix.nonzero()` or the rest of its API), and the jet hom-space
-    # layout in morphisms only (everything else asks `JetHomBasis`): another
-    # storage of either changes one module
-    owners = {"rows": "linalg.py", "_layout": "morphisms.py", "_JetLayout": "morphisms.py"}
+    # the stored rows of a Matrix and their dense read are read in linalg
+    # only (everything else asks `Matrix.nonzero()` or the rest of its API),
+    # and the jet hom-space layout in morphisms only (everything else asks
+    # `JetHomBasis`): another storage of either changes one module
+    owners = {"rows": "linalg.py", "_rows": "linalg.py",
+              "_layout": "morphisms.py", "_JetLayout": "morphisms.py"}
 
     def names(node):
         if isinstance(node, ast.Name):

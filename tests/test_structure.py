@@ -359,20 +359,20 @@ def test_tensor_indecomposable_needs_exactly_one_route():
                               asymmetry=jet_refute_shift_iso(X, 1))
 
 
-XYZ = PolynomialRing(F, ("x", "y", "z"))
+XYW = PolynomialRing(F, ("x", "y", "w"))
 
 
-def xyz_rank_one(names):
-    entries = [XYZ.variable(nm) for nm in names]
-    f = XYZ.one()
+def xyw_rank_one(names):
+    entries = [XYW.variable(nm) for nm in names]
+    f = XYW.one()
     for e in entries:
         f = f * e
-    return MatFac(XYZ, f, [Matrix(XYZ, [[e]]) for e in entries])
+    return MatFac(XYW, f, [Matrix(XYW, [[e]]) for e in entries])
 
 
 def test_constant_term_spot_check():
     assert constant_term_spot_check(X)
-    assert constant_term_spot_check(xyz_rank_one("xyz"))
+    assert constant_term_spot_check(xyw_rank_one("xyw"))
     cx, cy = coprime_rank_one_cert(X), coprime_rank_one_cert(Y)
     cxy = propagate_strong_ind(cx, cy, ZETA)
     assert constant_term_spot_check(cxy.subject)
@@ -382,7 +382,7 @@ def test_constant_term_spot_check_fails_on_a_shift_symmetric_subject():
     # (x, x, x) is its own shift, so the identity is a morphism to T X that
     # is nonzero at the origin; its endomorphisms at precision 1 are scalars,
     # so only the shift clause can say False
-    sym = xyz_rank_one("xxx")
+    sym = xyw_rank_one("xxx")
     assert sym.shift(1) == sym
     assert hom_space_jets(sym, sym, 1).dimension == 1
     assert not constant_term_spot_check(sym)
@@ -391,7 +391,7 @@ def test_constant_term_spot_check_fails_on_a_shift_symmetric_subject():
 def test_constant_term_spot_check_fails_on_a_direct_sum():
     # X (+) X has the non-scalar constant endomorphisms of 1 (+) 1 and no
     # nonzero morphism to a shift, so only the scalar clause can say False
-    xx = xyz_rank_one("xyz").direct_sum(xyz_rank_one("xyz"))
+    xx = xyw_rank_one("xyw").direct_sum(xyw_rank_one("xyw"))
     assert [hom_space_jets(xx, xx.shift(i), 1).dimension for i in range(3)] == [4, 0, 0]
     assert not constant_term_spot_check(xx)
 
