@@ -46,16 +46,20 @@ def _check_slots(pairs) -> ValidationReport:
     i-th pair (got, want) of matrices are equal.
 
     Failures are entries, not errors; a failing slot names its first wrong
-    entry (row, column and the value found there).  Pairs are consumed one
-    at a time, so a generator keeps only one slot's products alive.
+    entry (row, column and the value found there): the first row whose
+    nonzero entries differ, and in it the smallest column of a (column,
+    entry) pair that only one side holds, so a failure costs what the
+    nonzeros cost.  Pairs are consumed one at a time, so a generator keeps
+    only one slot's products alive.
     """
     entries = []
     for i, (g, w) in enumerate(pairs):
         ok = g == w
         detail = None
         if not ok:
-            bad = next(((r, c) for r in range(g.nrows) for c in range(g.ncols)
-                        if g[r, c] != w[r, c]), None)
+            bad = next(((r, min(c for c, _ in set(got) ^ set(want)))
+                        for r, (got, want) in enumerate(zip(g.nonzero(), w.nonzero()))
+                        if got != want), None)
             if bad is not None:
                 detail = f"entry ({bad[0]},{bad[1]}): got {g[bad]}"
         entries.append(ValidationEntry(start=i, ok=ok, detail=detail))

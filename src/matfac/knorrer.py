@@ -188,7 +188,8 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
         alpha_(k-1) Phi == Phi'_k alpha_k        for every k in Z_d,
 
     where Phi'_k is block diagonal with blocks a - w^(2k + 2I - 1) b and the
-    alphas are the circulant scalar matrices blown up to block size.
+    alphas are the circulant scalar matrices (`_alphas`) blown up to block
+    size.
     Returns (alphas, diag_blocks, report): alphas and diag_blocks are indexed
     by k in Z_d, and report entry p checks the identity at k = p + 1.
     """
@@ -204,7 +205,7 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
     phi = Matrix.block_cyclic(space, [b.scale(ctx.omega_pow(2 * i)) for i in range(d)],
                               [a] * d)
 
-    scalars = [alpha_matrix(ctx, k) for k in range(d)]
+    scalars = _alphas(ctx)
     if isinstance(space, PolynomialRing):
         scalars = [s.map(space.scalar, space) for s in scalars]
     elif space != ctx.field:
@@ -245,6 +246,15 @@ class SymmetricDecomposition:
 def _rotate_rows(m: Matrix, k: int) -> Matrix:
     """m with its rows moved up k places: row i is row (i + k) mod n of m."""
     return m.submatrix([(i + k) % m.nrows for i in range(m.nrows)], range(m.ncols))
+
+
+def _alphas(ctx: OmegaContext) -> list[Matrix]:
+    """alpha_0, ..., alpha_(d-1): alpha_matrix(ctx, 0), with its determinant
+    check, and its rows moved up k places for alpha_k, since alpha_k(i, j) =
+    w^p(j-i-k) = alpha_0(i + k, j).  A row permutation keeps alpha_0's
+    certified invertibility."""
+    alpha_0 = alpha_matrix(ctx, 0)
+    return [_rotate_rows(alpha_0, k) for k in range(ctx.d)]
 
 
 def _rotate_cols(m: Matrix, k: int) -> Matrix:
@@ -329,9 +339,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     # the whole isomorphism.
     nm = x.n * y.n
     ident_nm = Matrix.identity(ring, nm)
-    alpha_0 = alpha_matrix(ctx, 0)
-    alpha_0_inv = inverse_field(alpha_0)
-    alphas = [_rotate_rows(alpha_0, k) for k in range(d)]
+    alphas = _alphas(ctx)
+    alpha_0_inv = inverse_field(alphas[0])
     alpha_invs = [_rotate_cols(alpha_0_inv, k) for k in range(d)]
     forward = Morphism(source=t, target=total, comps=[
         alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas])

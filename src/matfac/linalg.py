@@ -34,12 +34,14 @@ dispatch on the space type:
   to an n x n one by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
   Gazette 84, 2000), stops as soon as the matrix is scalar, g * I_n, and
-  keeps the determinant factored as (unit, g, n); a non-scalar rest goes to
+  keeps the determinant factored as (g, n); a non-scalar rest goes to
   `det_bareiss`, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-  with row-swap sign tracking and exact division.  `det` expands the
-  factored value; the tensor and Ulrich checks compare it with their
-  determinant law factor by factor (`_Power.relative_sign`), so a power of
-  f is never expanded just to compare it;
+  with row-swap sign tracking and exact division, and is kept as (det, 1).
+  The factored form is this module's alone: `det` expands it, and
+  `Matrix.det_as_power(g)` answers the one question the tensor and Ulrich
+  checks ask of a polynomial determinant, det = u * g^s with u = +-1 and
+  which s, from the factors when the base is +-g, so a power of f is never
+  expanded just to compare it;
 * field linear algebra: one elimination, `_Echelon`, keeps a row echelon
   form of sparse rows (col -> CycloElem), adding a row at a time without
   touching the older ones, and back-substitutes once into the reduced form
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import operator
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
@@ -103,7 +104,8 @@ class Matrix:
     """
 
     # _det, absent until the determinant is first asked for, holds the field
-    # value of a field matrix and the `_Power` of a polynomial one
+    # value of a field matrix and the factored (base, exponent) of a
+    # polynomial one, whose determinant is base ** exponent
     __slots__ = ("space", "_rows", "nrows", "ncols", "_det")
 
     def __init__(self, space, rows):
@@ -396,12 +398,39 @@ class Matrix:
         if not self.is_square():
             raise ValueError(f"determinant of a non-square {self.shape} matrix")
         if isinstance(self.space, PolynomialRing):
-            return _det_power(self).value()
+            base, exponent = _det_power(self)
+            return base if exponent == 1 else base ** exponent
         if not isinstance(self.space, CycloField):
             raise TypeError(f"no determinant over {self.space!r}")
         if not hasattr(self, "_det"):
             self._det = _det_field(self)
         return self._det
+
+    def det_as_power(self, g: Polynomial) -> tuple[int, int] | None:
+        """(u, s) with det = u * g**s and u = +-1 for this square polynomial
+        matrix, or None when there is no such pair: a zero determinant, a
+        g of degree 0 (a unit or zero, whose powers do not fix s), or a
+        determinant that is no signed power of g.
+
+        When the factored determinant (`_det_power`) has base +-g, the
+        factors decide without expanding anything: (-g)^n = (-1)^n g^n.
+        Otherwise the degrees allow one s at most, and the determinant and
+        g**s are each expanded once and compared up to sign.
+        """
+        if not self.is_square():
+            raise ValueError(f"determinant of a non-square {self.shape} matrix")
+        base, exponent = _det_power(self)
+        if base.is_zero() or g.total_degree() <= 0:
+            return None
+        if base == g:
+            return 1, exponent
+        if base == -g:
+            return (-1) ** exponent, exponent
+        s, off = divmod(base.total_degree() * exponent, g.total_degree())
+        if off:
+            return None
+        det, power = self.det(), g ** s
+        return (1, s) if det == power else (-1, s) if det == -power else None
 
 
 # -- field linear algebra (CycloElem entries) ---------------------------------
@@ -584,39 +613,6 @@ def _det_field(m: Matrix) -> CycloElem:
 # -- polynomial determinant -----------------------------------------------------
 
 
-class _Power(NamedTuple):
-    """A polynomial determinant in factored form, unit * base ** exponent
-    with unit +-1.
-
-    `rest` is 0 when the block-cyclic cut ended at the scalar matrix
-    base * I_exponent; otherwise it is the size of the non-scalar matrix the
-    cut ended at, base is that matrix's Bareiss determinant (row-swap sign
-    included) and the exponent is 1."""
-
-    unit: int
-    base: Polynomial
-    exponent: int
-    rest: int = 0
-
-    def value(self) -> Polynomial:
-        """unit * base ** exponent, expanded."""
-        power = self.base if self.exponent == 1 else self.base ** self.exponent
-        return power if self.unit == 1 else -power
-
-    def relative_sign(self, other: _Power) -> int:
-        """u in {1, -1} with self = u * other, or 0 when there is none.  With
-        equal exponents and bases equal up to sign, the factors decide
-        without expanding anything: (-g)^n = (-1)^n g^n, and g^n is not a
-        zero divisor for g != 0.  Otherwise each side is expanded once."""
-        if self.exponent == other.exponent and not self.base.is_zero():
-            if self.base == other.base:
-                return self.unit * other.unit
-            if self.base == -other.base:
-                return self.unit * other.unit * (-1) ** self.exponent
-        mine, theirs = self.value(), other.value()
-        return 1 if mine == theirs else -1 if mine == -theirs else 0
-
-
 def _is_scalar(m: Matrix) -> bool:
     """True iff the nonempty square m is g * I_n for g = m[0, 0]."""
     if not m.nrows:
@@ -663,7 +659,7 @@ def _block_cyclic_cut(m: Matrix) -> Matrix | None:
     return None
 
 
-def _det_power(m: Matrix) -> _Power:
+def _det_power(m: Matrix) -> tuple[Polynomial, int]:
     """The determinant of a polynomial matrix in factored form, computed
     once per matrix (kept in its `_det` slot).
 
@@ -679,9 +675,10 @@ def _det_power(m: Matrix) -> _Power:
     and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for block-cyclic B; both
     sides are polynomials in the c_I, so it also holds when some c_I is 0.
     The cut stops as soon as the matrix is scalar, g * I_n, and the result is
-    (1, g, n): g is never raised to the n-th power.  For a valid tensor
-    factor that happens after one cut, with g = +-f.  A non-scalar matrix
-    the cut cannot shrink goes to `det_bareiss`.
+    (g, n): g is never raised to the n-th power.  For a valid tensor factor
+    that happens after one cut, with g = +-f.  A non-scalar matrix the cut
+    cannot shrink goes to `det_bareiss`, and the result is (its determinant,
+    1).  The determinant is base ** exponent either way.
     """
     if not isinstance(m.space, PolynomialRing):
         raise TypeError("a polynomial determinant requires polynomial entries")
@@ -691,10 +688,10 @@ def _det_power(m: Matrix) -> _Power:
     while not _is_scalar(rest):
         cut = _block_cyclic_cut(rest)
         if cut is None:
-            m._det = _Power(1, det_bareiss(rest), 1, rest.nrows)
+            m._det = (det_bareiss(rest), 1)
             return m._det
         rest = cut
-    m._det = _Power(1, rest[0, 0], rest.nrows)
+    m._det = (rest[0, 0], rest.nrows)
     return m._det
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, ValidationEntry, _derived, projective
-from .linalg import Matrix, _det_power, _Power, rank
+from .linalg import Matrix, rank
 from .morphisms import Morphism, admits_invertible_combination, hom_space_jets
 from .rings import Polynomial
 
@@ -248,37 +248,37 @@ class DetCheckReport:
     passed: bool
 
 
-def _det_law(t: TensorMatFac) -> _Power:
+def _det_law(t: TensorMatFac) -> tuple[int, int]:
     """The determinant law det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm}, shared by
-    every factor of the built tensor t, in factored form (sign, f + g, nm);
-    n and m are the ranks of t.left and t.right."""
+    every factor of the built tensor t, as the pair (sign, nm) that
+    `Matrix.det_as_power(t.f)` answers; n and m are the ranks of t.left
+    and t.right."""
     nm = t.left.n * t.right.n
-    return _Power(-1 if (nm * (t.d + 1)) % 2 else 1, t.f, nm)
+    return -1 if (nm * (t.d + 1)) % 2 else 1, nm
 
 
 def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     """Verify det Phi_k = (-1)^{nm(d+1)} (f+g)^{nm} for every k.
 
-    The law is `_det_law`.  With a rank-one right operand every Phi_k is
-    block-cyclic with scalar diagonal blocks, and its factored determinant
-    stops at a scalar g * I_nm (for a valid X after one cut); it is compared
-    with the law by its factors, g = +-(f+g) with the sign (-1)^{nm}
-    accounted for, and the report carries the law's value, expanded once.
-    A determinant the factors cannot match, and every Phi_k of a wider right
-    operand (which still pays for full elimination), is compared by value
-    and reported as its own expanded value.
+    The law is `_det_law`, and each Phi_k passes when
+    `Phi_k.det_as_power(f+g)` gives the law's pair.  With a rank-one right
+    operand every Phi_k is block-cyclic with scalar diagonal blocks, and its
+    factored determinant stops at a scalar g * I_nm (for a valid X after one
+    cut), so g = +-(f+g) decides by the factors; the report carries the
+    law's value, expanded once.  Every Phi_k of a wider right operand still
+    pays for full elimination.  A failing entry reports its own expanded
+    determinant.
     """
     if x.f.is_zero() or y.f.is_zero():
         raise MatfacError("determinant check requires nonzero f and g")
     t = tensor(x, y, zeta)
-    law = _det_law(t)
-    expected = law.value()
+    law = sign, nm = _det_law(t)
+    expected = sign * t.f ** nm
     entries = []
     for p, m in enumerate(t.mats):
-        power = _det_power(m)
-        ok = power.relative_sign(law) == 1
+        ok = m.det_as_power(t.f) == law
         entries.append(DetCheckEntry(k=(p + 1) % t.d, ok=ok,
-                                     determinant=expected if ok else power.value()))
+                                     determinant=expected if ok else m.det()))
     return DetCheckReport(entries=entries, expected=expected, passed=all(e.ok for e in entries))
 
 

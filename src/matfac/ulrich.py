@@ -25,11 +25,12 @@ strongly indecomposable, making the Ulrich modules indecomposable as well.
 
 Every build is verified once, whichever route made it: rank, reducedness
 and the factor determinants, each compared with the tensor determinant law
-of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), in factored form
-(base, exponent and sign, without expanding f^s).  Every cokernel's
-statistics, for every ell, are read one way (`_cokernel_stats`) from the
-factored determinant of its presentation; for a single factor of a build
-that is the determinant the verification cut, kept on the matrix.  Validation is not recomputed: each tensor carries
+of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), as the pair
+(sign, s) that `Matrix.det_as_power(f)` answers without expanding f^s.
+Every cokernel's statistics, for every ell, are read one way
+(`_cokernel_stats`) from that answer for its presentation; for a single
+factor of a build it is read from the determinant the verification cut,
+kept on the matrix.  Validation is not recomputed: each tensor carries
 the verdict the tensor theorem gives it (see `tensor.tensor`), from
 validated operands and a primitive twist, while rank, reducedness and the
 determinants are computed from the built matrices.  A failed check raises
@@ -45,7 +46,7 @@ from fractions import Fraction
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, PresentationMatrix
-from .linalg import Matrix, _det_power, _Power
+from .linalg import Matrix
 from .rings import Polynomial, PolynomialRing
 from .structure import (
     ConsequenceReport,
@@ -192,9 +193,10 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     last step, +-f^(k^(N-2)) with the law's sign.  These are computed here,
     independently of how x was made; its validation is the verdict x
     carries from `tensor`, read, not recomputed.
-    Both determinants stay factored: a factor whose cut stops at g * I_n
-    passes when g = +-f, n = k^(N-2) and the signs agree, without f^n being
-    expanded.  Raises MatfacError on any failure, naming what the cut found."""
+    Each factor passes when `det_as_power(f)` gives the law's pair: a
+    factor whose cut stops at g * I_n is decided by g = +-f, without f^n
+    being expanded.  Raises MatfacError on any failure, naming the factor
+    and what its determinant was found to be."""
     rank = spec.k ** (spec.n_terms - 1)
     validates, reduced = x.validate().passed, x.is_reduced()
     if x.n != rank or not validates or not reduced:
@@ -205,18 +207,17 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     det_exponent = spec.k ** (spec.n_terms - 2)
     law = _det_law(x)
     for p, m in enumerate(x.mats):
-        power = _det_power(m)
-        if power.relative_sign(law) != 1:
-            found = (f"the cut ended at a non-scalar {power.rest}x{power.rest}"
-                     if power.rest else
-                     f"found {'-' if power.unit < 0 else ''}({power.base})^{power.exponent}")
+        power = m.det_as_power(x.f)
+        if power != law:
+            found = ("no signed power of f" if power is None else
+                     f"found {'-' if power[0] < 0 else ''}f^{power[1]}")
             raise MatfacError(
                 f"factor {p}: determinant is not +-f^{det_exponent}: {found} "
                 "(hypothesis failure in the sum-of-products input)"
             )
     return BuildReport(rank_expected=rank, rank_ok=True, validates=True, reduced=True,
                        det_exponent=det_exponent,
-                       det_signs=("+" if law.unit == 1 else "-",) * x.d)
+                       det_signs=("+" if law[0] == 1 else "-",) * x.d)
 
 
 def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
@@ -275,8 +276,8 @@ def mcm_stats(
     hypersurface ring of f.
 
     mu is the rank of the factorization (the presentation is minimal because
-    x is reduced); rank_R is the exponent s in det = +-f^s, read off the
-    factored determinant and verified exactly (`_cokernel_stats`); e_R =
+    x is reduced); rank_R is the exponent s in det = +-f^s, as
+    `Matrix.det_as_power` answers it (`_cokernel_stats`); e_R =
     ord(f) * rank_R.  The exponent is only a module rank when f is
     irreducible, so the caller must pass irreducible=True (the assertion is
     recorded, not checked).
@@ -305,20 +306,17 @@ def _require_reduced(x: MatFac) -> None:
 
 def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
     """Stats of cok(pres), pres a product of consecutive factors of the
-    validated, reduced x: s is the exponent in det(pres) = +-f^s, read off
-    the factored determinant (one factor, which a build has cut already,
-    stays factored; a product of two is eliminated) and verified against
-    f^s with either sign."""
-    power = _det_power(pres.matrix)
-    if power.base.is_zero():
-        raise MatfacError("presentation determinant is zero")
-    deg_f = x.f.total_degree()
-    deg_det = power.base.total_degree() * power.exponent
-    if deg_f <= 0 or deg_det % deg_f:
+    validated, reduced x: s is the exponent in det(pres) = +-f^s, as
+    `Matrix.det_as_power` answers it (one factor, which a build has cut
+    already, is decided by its factors; a product of two is eliminated).
+    With f != 0 the determinant of a validated x's presentation is nonzero,
+    so only f = 0 is looked at for a zero one."""
+    power = pres.matrix.det_as_power(x.f)
+    if power is None:
+        if x.f.is_zero() and pres.matrix.det().is_zero():
+            raise MatfacError("presentation determinant is zero")
         raise MatfacError("determinant is not a pure signed power of f")
-    s = deg_det // deg_f
-    if not power.relative_sign(_Power(1, x.f, s)):
-        raise MatfacError("determinant is not a pure signed power of f")
+    s = power[1]
     ord_f = x.f.order_of()
     return ModuleStats(mu=x.n, rank_R=s, e_R=ord_f * s, ord_f=ord_f,
                        ulrich=x.n == ord_f * s, irreducible_asserted=True)

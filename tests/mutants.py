@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-150 s for the nine here on a 2-vCPU host, most of it hypothesis shrinking
+195 s for the twelve here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -100,6 +100,26 @@ MUTANTS = {
          "tests/test_echelon.py::test_inverse_field",
          "tests/test_linalg.py::test_inverse_field_of_a_triangular_matrix",
          "tests/test_linalg.py::test_sparse_nullspace_matches_dense"],
+    ),
+    "cut-sign": (
+        "src/matfac/linalg.py",
+        "        return scalar - prod if d % 2 == 0 else scalar + prod\n",
+        "        return scalar + prod if d % 2 == 0 else scalar - prod\n",
+        ["tests/test_tensor.py::test_determinant_law_on_grid",
+         "tests/test_ulrich.py::test_build_from_sum_rank_and_determinants"],
+    ),
+    "det-as-power-sign": (
+        "src/matfac/linalg.py",
+        "            return (-1) ** exponent, exponent\n",
+        "            return 1, exponent\n",
+        ["tests/test_linalg.py::test_det_as_power_matches_the_signed_power_oracle",
+         "tests/test_linalg.py::test_relative_sign_of_signed_powers"],
+    ),
+    "slot-detail-column": (
+        "src/matfac/factorization.py",
+        "min(c for c, _ in set(got) ^ set(want))",
+        "max(c for c, _ in set(got) ^ set(want))",
+        ["tests/test_factorization.py::test_failing_slot_names_the_entry_a_dense_scan_finds"],
     ),
 }
 

@@ -188,6 +188,29 @@ def det_cofactor(mat: Matrix):
     return minor(tuple(range(n)))
 
 
+def signed_power(det, g):
+    """(u, s) with det = u * g**s and u = +-1, found by comparing det with
+    +-g^0, +-g^1, ... until the power's degree passes det's; None when no
+    power matches (always for a zero det) and for a g of degree 0."""
+    if g.total_degree() <= 0:
+        return None
+    power, s = g.ring.one(), 0
+    while power.total_degree() <= det.total_degree():
+        if det == power:
+            return 1, s
+        if det == -power:
+            return -1, s
+        power, s = power * g, s + 1
+    return None
+
+
+def first_wrong_entry(got: Matrix, want: Matrix):
+    """(row, column) of the first entry, rows first, at which got and want
+    differ, by reading every position of both; None when none does."""
+    return next(((r, c) for r in range(got.nrows) for c in range(got.ncols)
+                 if got[r, c] != want[r, c]), None)
+
+
 def rref(rows: list[list], field: CycloField) -> list[list]:
     """Reduced row echelon form of a matrix of field elements (list of rows).
 

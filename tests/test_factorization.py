@@ -16,7 +16,8 @@ from matfac import (
     projective,
     scale_by_units,
 )
-from oracles import factorization_verdict, verdict
+from matfac.factorization import _check_slots
+from oracles import factorization_verdict, first_wrong_entry, verdict
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -203,6 +204,28 @@ def test_jet_validate_pinpoints_corruption():
     # every cyclic product carries the stray a into entry (1,0) as a^2*b
     assert all(not e.ok for e in rep.entries)
     assert {e.detail for e in rep.entries} == {f"entry (1,0): got {Jet(a * a * b, 4)}"}
+
+
+SLOT_ENTRIES = st.sampled_from([R.zero(), R.zero(), a, b, a + b, R.scalar(2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_failing_slot_names_the_entry_a_dense_scan_finds(nrows, ncols, data):
+    # want, and got = want with 0-3 entries redrawn (to zero, from zero, or
+    # to a value that may be the same): the slot fails exactly when they
+    # differ, and names the entry the dense scan of every position meets
+    # first, rows first
+    want = [[data.draw(SLOT_ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    got = [list(row) for row in want]
+    for _ in range(data.draw(st.integers(0, 3))):
+        r, c = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
+        got[r][c] = data.draw(SLOT_ENTRIES)
+    g, w = Matrix(R, got), Matrix(R, want)
+    (entry,) = _check_slots([(g, w)]).entries
+    bad = first_wrong_entry(g, w)
+    assert entry.ok == (bad is None)
+    assert entry.detail == (None if bad is None else f"entry ({bad[0]},{bad[1]}): got {g[bad]}")
 
 
 def test_validate_report_is_computed_once(monkeypatch):

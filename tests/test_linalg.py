@@ -19,7 +19,6 @@ from matfac.linalg import (
     JetSpace,
     _block_cyclic_cut,
     _det_power,
-    _Power,
     det_bareiss,
     inverse_field,
     sparse_nullspace,
@@ -27,7 +26,7 @@ from matfac.linalg import (
 from matfac.linalg import rref as rref_matrix
 from matfac.rings import Jet
 
-from oracles import det_cofactor, kron, matmul, nullspace, rref
+from oracles import det_cofactor, kron, matmul, nullspace, rref, signed_power
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y"))
@@ -538,52 +537,73 @@ def test_factored_determinant_matches_oracles(parts):
     # (n odd and even): the factored determinant, expanded, is the cofactor
     # oracle's and minus the determinant of a row-swapped copy
     m = block_cyclic(*parts)
-    power = _det_power(m)
+    base, exponent = _det_power(m)
     det = det_cofactor(m)
-    assert power.value() == det
+    assert base ** exponent == m.det() == det
     assert det == -det_bareiss(Matrix(R, [m.rows[1], m.rows[0], *m.rows[2:]]))
-    if power.rest == 0 and not power.base.is_zero():
-        # compared by its factors with the same value over the negated base,
-        # (-g)^n = (-1)^n g^n, and with the opposite value
-        n = power.exponent
-        flipped = _Power(power.unit * (-1) ** n, -power.base, n)
-        assert flipped.value() == det
-        assert power.relative_sign(flipped) == flipped.relative_sign(power) == 1
-        assert power.relative_sign(flipped._replace(unit=-flipped.unit)) == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scalar_cut_parts(), block_cyclic_parts(max_n=2)))
+def test_det_as_power_matches_the_signed_power_oracle(parts):
+    # the same matrices, asked for det = u g^s with g the base their factored
+    # determinant ends at, its negation ((-g)^n = (-1)^n g^n, decided by the
+    # factors), its square and an unrelated g: (u, s) exactly
+    # when the oracle finds det = u g^s in the cofactor determinant, None
+    # otherwise, and None for every g when the determinant is zero
+    m = block_cyclic(*parts)
+    base, _ = _det_power(m)
+    det = det_cofactor(m)
+    for g in (base, -base, base * base, x * x + y):
+        assert m.det_as_power(g) == signed_power(det, g)
+    if det.is_zero():
+        event("zero determinant")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_relative_sign_of_signed_powers(n):
-    # (-g)^n = (-1)^n g^n: decided by the factors at equal exponents, and by
-    # value (g^n expanded) when the exponents differ
+    # det_as_power(g) gives the sign of det relative to g^s: by the factors
+    # when the cut stops at (+-g) I_n, (-g)^n = (-1)^n g^n, and by value (g^n
+    # expanded) when the determinant ends as +-g^n itself
     g = x + y
-    for unit in (1, -1):
-        power = _Power(unit, g, n)
-        assert power.relative_sign(_Power(1, g, n)) == unit
-        assert power.relative_sign(_Power(1, -g, n)) == unit * (-1) ** n
-        assert power.relative_sign(_Power(-1, -g, n)) == -unit * (-1) ** n
-        assert power.relative_sign(_Power(1, g + g, n)) == 0
-        assert power.relative_sign(_Power(1, -(g ** n), 1)) == -unit
-        assert _Power(1, g ** n, 1).relative_sign(_Power(unit, -g, n)) == unit * (-1) ** n
-    assert _Power(1, g, n).relative_sign(_Power(1, g ** n + x, 1)) == 0
+    for base in (g, -g):
+        sign = 1 if base == g else (-1) ** n
+        scalar = Matrix.scalar(R, n, base)
+        assert scalar.det_as_power(g) == (sign, n)
+        assert scalar.det_as_power(-g) == (sign * (-1) ** n, n)
+        for unit in (1, -1):
+            value = base ** n if unit == 1 else -(base ** n)
+            assert Matrix(R, [[value]]).det_as_power(g) == (unit * sign, n)
+    assert Matrix.scalar(R, n, g).det_as_power(g * g) == (None if n % 2 else (1, n // 2))
+    assert Matrix.scalar(R, n, g + g).det_as_power(g) is None
+    assert Matrix(R, [[g ** n + x]]).det_as_power(g) is None
+    # no answer for a zero determinant, nor for a g of degree 0, whose
+    # powers do not fix s
+    assert Matrix.zero(R, n, n).det_as_power(g) is None
+    for unit_or_zero in (R.one(), -R.one(), R.zero()):
+        assert Matrix.scalar(R, n, g).det_as_power(unit_or_zero) is None
+        assert Matrix.identity(R, n).det_as_power(unit_or_zero) is None
 
 
 def test_det_memo_holds_the_factored_power_of_a_polynomial_matrix():
-    # one slot: the field value of a field matrix, the factored power of a
-    # polynomial one; det() expands the power, which stays memoized
+    # one slot: the field value of a field matrix, the factored (base,
+    # exponent) of a polynomial one; det() expands it, and it stays memoized
     m = Matrix.scalar(R, 3, x + y)
     assert m.det() == (x + y) ** 3
-    assert m._det == _Power(1, x + y, 3) and _det_power(m) is m._det
+    assert m._det == (x + y, 3) and _det_power(m) is m._det
+    assert m.det_as_power(-x - y) == (-1, 3) and m._det == (x + y, 3)
     c = Matrix(F, [[F.rational(2), F.one()], [F.one(), F.one()]])
     assert c.det() == F.one() == c._det
     with pytest.raises(TypeError):
         _det_power(c)
+    with pytest.raises(ValueError):
+        Matrix(R, [[x, y]]).det_as_power(x)
 
 
 def test_scalar_matrices_stop_before_any_cut():
     g = x + y
     for n in (1, 2, 3, 4):
-        assert _det_power(Matrix.scalar(R, n, g)) == _Power(1, g, n)
+        assert _det_power(Matrix.scalar(R, n, g)) == (g, n)
 
 
 @pytest.mark.parametrize("n_rows,k", [(3, 3), (4, 2)])

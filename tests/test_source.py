@@ -75,9 +75,12 @@ def test_reports_are_written_by_memo_methods_or_derived():
 def test_stored_forms_have_one_reader_module():
     # the stored rows of a Matrix and their dense read are read in linalg
     # only (everything else asks `Matrix.nonzero()` or the rest of its API),
-    # and the jet hom-space layout in morphisms only (everything else asks
-    # `JetHomBasis`): another storage of either changes one module
+    # as is the factored determinant (everything else asks `Matrix.det` or
+    # `Matrix.det_as_power`), and the jet hom-space layout in morphisms only
+    # (everything else asks `JetHomBasis`): another storage of any of them
+    # changes one module
     owners = {"rows": "linalg.py", "_rows": "linalg.py",
+              "_det": "linalg.py", "_det_power": "linalg.py",
               "_layout": "morphisms.py", "_JetLayout": "morphisms.py"}
 
     def names(node):

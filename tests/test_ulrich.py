@@ -371,28 +371,29 @@ def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
 
 
 @pytest.mark.parametrize("corrupt,found", [
-    (lambda power: power._replace(base=power.base + power.base),
-     r"found \(2\*x1\*x2\*x0 \+ 2\*y1\*y2\*y0\)\^1"),
-    (lambda power: power._replace(unit=-power.unit), r"found -\(x1\*x2\*x0 \+ y1\*y2\*y0\)\^1"),
-    # what Bareiss would give on a non-scalar 3 x 3 with determinant -f
-    (lambda power: linalg._Power(1, -power.base, 1, 3), "the cut ended at a non-scalar 3x3"),
+    (lambda power: (power[0], 2 * power[1]), r"found f\^2"),
+    (lambda power: (-power[0], power[1]), r"found -f\^1"),
+    # what a cut ending at a non-scalar matrix of determinant 2f would give
+    (lambda power: None, "no signed power of f"),
 ], ids=["doubled", "negated", "non-scalar"])
 def test_build_from_sum_raises_on_a_corrupted_factor_determinant(monkeypatch, corrupt, found):
-    # the factored determinant of factor 1 of the rank-3 build is corrupted;
-    # a negated one is still (+-f)^1, but not the sign the tensor
-    # determinant law gives.  The message names what the cut found.
+    # factor 1's answer to det = +-f^s of the rank-3 build (law: f^1) is
+    # corrupted: a doubled exponent, a negated sign (still +-f^1, but not
+    # the sign the tensor determinant law gives), no power at all.  The
+    # message names the factor and what was found.
     spec = sum_of_products(R9, ROWS[:2])
     seen = []
-    original = linalg._det_power
+    original = linalg.Matrix.det_as_power
 
-    def corrupting(m):
-        power = original(m)
+    def corrupting(m, g):
+        power = original(m, g)
         seen.append(m)
         return corrupt(power) if len(seen) == 2 else power
 
-    monkeypatch.setattr(ulrich, "_det_power", corrupting)
+    monkeypatch.setattr(linalg.Matrix, "det_as_power", corrupting)
     with pytest.raises(MatfacError, match=r"factor 1: determinant is not \+-f\^1: " + found):
         build_from_sum(spec)
+    assert len(seen) == 2
 
 
 def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
@@ -456,3 +457,6 @@ def test_module_statistics_refuse_unmet_hypotheses(trinomial):
     zero_f = MatFac(R9, R9.zero(), [Matrix(R9, [[x1]]), Matrix(R9, [[R9.zero()]])])
     with pytest.raises(MatfacError, match="presentation determinant is zero"):
         mcm_stats(zero_f, 1, irreducible=True, start=2)
+    # phi_1 = (x1) presents with determinant x1, no signed power of f = 0
+    with pytest.raises(MatfacError, match="not a pure signed power of f"):
+        mcm_stats(zero_f, 1, irreducible=True, start=1)
