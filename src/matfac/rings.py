@@ -8,6 +8,20 @@ more.  Printing in descending graded-lex gives deterministic output, and the
 printer emits exactly the grammar the parser accepts, so print-then-parse is
 the identity.
 
+The kernels under every determinant (products, sums and differences, exact
+division) cost what their output costs.  A product with a one-term operand
+shifts the other operand's exponents and scales its coefficients, in that
+operand's own order, with no accumulation (Q(zeta_m) is a field, so no
+product of nonzeros is zero) and no coefficient product at all when the one
+term's coefficient is one.  A sum or a difference is one pass over the
+second operand's terms into a copy of the first's, dropping each term that
+cancels.  Exact division is heap-ordered sparse division (Johnson, "Sparse
+polynomial arithmetic", SIGSAM Bull. 8(3), 1974; Monagan and Pearce, CASC
+2007): the remainder is one dict updated in place, its exponents sit in a
+heap in descending graded-lex order, and each quotient term subtracts only
+the divisor's non-lead terms.  Results keep the key order of the plain
+double loop and of greedy division.
+
 Jets are polynomials truncated below a total-degree bound N.  They stand in
 for power-series arithmetic where a genuinely local operation is required
 (unit inversion, idempotent splitting); all other identities in the package
@@ -32,6 +46,8 @@ recursion limit.  A run of signs is read in a loop, at any length.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError, UndecidableError, _quote
@@ -41,6 +57,12 @@ Exponents = tuple[int, ...]
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
+
+
+def _descending(exps: Exponents) -> tuple[int, Exponents, Exponents]:
+    """Heap entry for exps: the smallest entry has the largest `grlex_key`
+    (negating every component reverses both comparisons); exps rides last."""
+    return (-sum(exps), tuple(map(neg, exps)), exps)
 
 
 class PolynomialRing:
@@ -118,8 +140,10 @@ class PolynomialRing:
 class Polynomial:
     """Immutable sparse polynomial.  Construct through PolynomialRing methods.
 
-    `terms` maps exponent tuples to nonzero coefficients; constructors strip
-    zeros, so the representation is canonical up to dict iteration order.
+    `terms` maps exponent tuples to nonzero coefficients; the constructor
+    strips zeros, and the kernels that know their terms are nonzero build
+    through `_of`, so the representation is canonical up to dict iteration
+    order.
     """
 
     __slots__ = ("ring", "terms", "_hash")
@@ -128,6 +152,16 @@ class Polynomial:
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
         self._hash = None
+
+    @classmethod
+    def _of(cls, ring: PolynomialRing, terms: dict[Exponents, CycloElem]) -> Polynomial:
+        """The polynomial whose terms are `terms`, kept as given, which the
+        caller guarantees hold no zero coefficient; built without `__init__`."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- queries ---------------------------------------------------------
 
@@ -193,8 +227,13 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in o.terms.items():
             s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return Polynomial(self.ring, terms)
+            if s is None:
+                terms[e] = c
+            elif (s := s + c).is_zero():
+                del terms[e]
+            else:
+                terms[e] = s
+        return Polynomial._of(self.ring, terms)
 
     __radd__ = __add__
 
@@ -202,7 +241,16 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        terms = dict(self.terms)
+        for e, c in o.terms.items():
+            s = terms.get(e)
+            if s is None:
+                terms[e] = -c
+            elif (s := s - c).is_zero():
+                del terms[e]
+            else:
+                terms[e] = s
+        return Polynomial._of(self.ring, terms)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -211,16 +259,29 @@ class Polynomial:
         return o - self
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.terms, o.terms
+        if len(a) == 1 and (len(b) != 1 or not next(iter(b.values())).is_one()):
+            a, b = b, a
+        if len(b) == 1:
+            # shift and scale a's terms, in their order, by b's one term (of
+            # coefficient one if either operand's is); c != 0 in a field, so
+            # no product is zero
+            ((shift, c),) = b.items()
+            if c.is_one():
+                return Polynomial._of(self.ring, {tuple(map(add, e, shift)): d
+                                                  for e, d in a.items()})
+            return Polynomial._of(self.ring, {tuple(map(add, e, shift)): d * c
+                                              for e, d in a.items()})
         terms: dict[Exponents, CycloElem] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 terms[e] = c if s is None else s + c
@@ -243,6 +304,8 @@ class Polynomial:
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
+            if isinstance(other, CycloElem) and other.field != self.ring.field:
+                return False
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
@@ -264,7 +327,7 @@ class Polynomial:
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         idx = [self.ring._index[v] for v in kill]
-        return Polynomial(
+        return Polynomial._of(
             self.ring,
             {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)},
         )
@@ -272,30 +335,61 @@ class Polynomial:
     def divexact(self, g: Polynomial) -> Polynomial:
         """Exact quotient self / g; raises MatfacError if the division is not exact.
 
-        Greedy lead-term elimination in graded-lex order.  In a polynomial
-        ring over a field this terminates and succeeds exactly when g divides
-        self, because lead terms multiply.
+        Greedy lead-term elimination in graded-lex order: while the remainder
+        r is nonzero, the next quotient term is lead(r) / lead(g), and r loses
+        that term times g.  In a polynomial ring over a field this terminates
+        and succeeds exactly when g divides self, because lead terms multiply:
+        if g divides r, lead(g) divides lead(r), and r minus a multiple of g
+        is again a multiple of g with a smaller lead.
+
+        The remainder is one dict updated in place, and a heap holds its
+        exponents in descending graded-lex order (Johnson 1974; Monagan and
+        Pearce, CASC 2007), with g's lead coefficient inverted once.  A term
+        that cancels leaves the dict and its heap entry is skipped when popped
+        (lazy deletion); a term is pushed each time it enters the dict.  Each
+        quotient term removes the remainder's lead, which cancels exactly, and
+        subtracts its multiple of g's non-lead terms, so a monomial divisor
+        subtracts nothing.  The remainder passes through the same states as
+        in the greedy loop: quotient terms come out in descending graded-lex
+        order, and a failing division names the same leads.
         """
         if g.ring != self.ring:
             raise ValueError("polynomials from different rings")
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        qterms: dict[Exponents, CycloElem] = {}
         ge, gc = g.lead()
-        while not rem.is_zero():
-            re_, rc = rem.lead()
-            qe = tuple(a - b for a, b in zip(re_, ge))
+        ginv = gc.inverse()
+        tail = [(e, c) for e, c in g.terms.items() if e != ge]
+        rem = dict(self.terms)
+        heap = [_descending(e) for e in rem]
+        heapify(heap)
+        quotient: dict[Exponents, CycloElem] = {}
+        while heap:
+            re_ = heappop(heap)[2]
+            rc = rem.pop(re_, None)
+            if rc is None:  # stale: the term left the dict after this push
+                continue
+            qe = tuple(map(sub, re_, ge))
             if any(k < 0 for k in qe):
                 raise MatfacError(f"not an exact division: remainder lead {re_} vs divisor lead {ge}")
-            qc = rc / gc
-            qterms[qe] = qc
-            rem = rem - Polynomial(self.ring, {qe: qc}) * g
-        return Polynomial(self.ring, qterms)
+            qc = rc * ginv
+            quotient[qe] = qc
+            for e2, c2 in tail:
+                e = tuple(map(add, qe, e2))
+                t = qc * c2
+                s = rem.get(e)
+                if s is None:
+                    rem[e] = -t
+                    heappush(heap, _descending(e))
+                elif (s := s - t).is_zero():
+                    del rem[e]
+                else:
+                    rem[e] = s
+        return Polynomial._of(self.ring, quotient)
 
     def truncate(self, precision: int) -> Polynomial:
         """Drop every term of total degree >= precision."""
-        return Polynomial(
+        return Polynomial._of(
             self.ring, {e: c for e, c in self.terms.items() if sum(e) < precision}
         )
 
@@ -436,6 +530,8 @@ class Jet:
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
+            if isinstance(other, CycloElem) and other.field != self.ring.field:
+                return False
             o = self._coerce(other)
             if o is None:
                 return NotImplemented

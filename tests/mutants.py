@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-195 s for the twelve here on a 2-vCPU host, most of it hypothesis shrinking
+215 s for the fifteen here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -120,6 +120,25 @@ MUTANTS = {
         "min(c for c, _ in set(got) ^ set(want))",
         "max(c for c, _ in set(got) ^ set(want))",
         ["tests/test_factorization.py::test_failing_slot_names_the_entry_a_dense_scan_finds"],
+    ),
+    "division-exactness": (
+        "src/matfac/rings.py",
+        "            if any(k < 0 for k in qe):\n",
+        "            if False:\n",
+        ["tests/test_rings.py::test_divexact_matches_the_greedy_oracle"],
+    ),
+    "one-term-scale": (
+        "src/matfac/rings.py",
+        "{tuple(map(add, e, shift)): d * c\n",
+        "{tuple(map(add, e, shift)): d\n",
+        ["tests/test_rings.py::test_sum_difference_and_product_match_their_oracles"],
+    ),
+    "sub-sign": (
+        "src/matfac/rings.py",
+        "                terms[e] = -c\n",
+        "                terms[e] = c\n",
+        ["tests/test_rings.py::test_sum_difference_and_product_match_their_oracles",
+         "tests/test_rings.py::test_jet_kernels_match_the_oracles"],
     ),
 }
 

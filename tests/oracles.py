@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately naive: cofactor expansion for determinants, textbook row
-reduction for kernels, the dense triple loop for matrix products,
+reduction for kernels, the dense triple loop for matrix products, the double
+loop and greedy lead-term division for sparse polynomials,
 `Fraction`-coordinate vectors and the extended Euclidean algorithm for
 cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
 """
@@ -9,7 +10,7 @@ cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
 from fractions import Fraction
 from itertools import product
 
-from matfac import MatfacError, Matrix, PolynomialRing
+from matfac import MatfacError, Matrix, Polynomial, PolynomialRing
 from matfac.cyclo import CycloField
 
 
@@ -119,6 +120,52 @@ def cyclo_str(coeffs) -> str:
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+# -- polynomial kernels: the double loop and greedy division ------------------
+
+
+def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Sum by merging q's terms into a copy of p's, zeros dropped after."""
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        s = terms.get(e)
+        terms[e] = c if s is None else s + c
+    return Polynomial(p.ring, terms)
+
+
+def poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Difference as p + (-q), the negated copy built first."""
+    return poly_add(p, Polynomial(q.ring, {e: -c for e, c in q.terms.items()}))
+
+
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Product by the double loop over p's terms, then q's, accumulating."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            s = terms.get(e)
+            terms[e] = c if s is None else s + c
+    return Polynomial(p.ring, terms)
+
+
+def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Greedy division: the remainder's lead over g's lead, subtracted as a
+    whole product each time, until the remainder is zero."""
+    rem = f
+    qterms = {}
+    ge, gc = g.lead()
+    while not rem.is_zero():
+        re_, rc = rem.lead()
+        qe = tuple(a - b for a, b in zip(re_, ge))
+        if any(k < 0 for k in qe):
+            raise MatfacError(f"not an exact division: remainder lead {re_} vs divisor lead {ge}")
+        qc = rc / gc
+        qterms[qe] = qc
+        rem = poly_sub(rem, poly_mul(Polynomial(f.ring, {qe: qc}), g))
+    return Polynomial(f.ring, qterms)
 
 
 # -- matrices ------------------------------------------------------------------

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from matfac import (
     Jet,
     MatfacError,
     Matrix,
+    Polynomial,
     PolynomialRing,
     UndecidableError,
     cyclotomic_field,
@@ -18,6 +19,7 @@ from matfac import (
 )
 from matfac.linalg import JetSpace, jet_inverse
 from matfac.rings import PolyParseError
+from oracles import poly_add, poly_divexact, poly_mul, poly_sub
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y", "w"))
@@ -96,6 +98,150 @@ def test_divexact():
         (x + y).divexact(w)
     with pytest.raises(ZeroDivisionError):
         x.divexact(R.zero())
+
+
+# The kernels against their oracles: a ring of 3 variables over Q(zeta_3)
+# and one of 24 over Q(zeta_4); zero, one-term operands with coefficient one
+# and with other coefficients, and terms in any insertion order, because the
+# key order of every result is pinned as well as its value.
+R24 = PolynomialRing(cyclotomic_field(4), [f"x{i}" for i in range(24)])
+
+
+def _coefficients(field):
+    # nonzero: an all-zero coordinate vector stands for zeta
+    return st.one_of(
+        st.just(field.one()),
+        st.sampled_from([-3, -2, -1, 2, 3]).map(field.rational),
+        st.lists(st.fractions(-2, 2, max_denominator=3), min_size=1, max_size=field.degree)
+        .map(lambda v: field.element(v) if any(v) else field.zeta()),
+    )
+
+
+def _exponents(ring):
+    n = len(ring.vars)
+
+    def build(pairs):
+        exps = [0] * n
+        for i, k in pairs:
+            exps[i] = k
+        return tuple(exps)
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=3).map(build)
+
+
+def _kernel_poly(ring, zero=True):
+    one_term = st.tuples(_exponents(ring), _coefficients(ring.field))
+    many_terms = st.dictionaries(_exponents(ring), _coefficients(ring.field),
+                                 min_size=2, max_size=5).map(lambda ts: Polynomial(ring, ts))
+    shapes = [_exponents(ring).map(lambda e: Polynomial(ring, {e: ring.field.one()})),
+              one_term.map(lambda t: Polynomial(ring, dict([t]))),
+              many_terms, many_terms]
+    return st.one_of(*shapes, st.just(ring.zero())) if zero else st.one_of(*shapes)
+
+
+def _operands(ring):
+    # the second operand is sometimes the first or its negation, so that
+    # sums and differences cancel to zero
+    poly = _kernel_poly(ring)
+    return poly.flatmap(lambda f: st.tuples(
+        st.just(f), st.one_of(poly, poly, st.just(f), st.just(poly_sub(ring.zero(), f))), poly))
+
+
+OPERANDS = st.sampled_from([R, R24]).flatmap(_operands)
+
+
+def _size(p):
+    return ("zero", "one term")[len(p.terms)] if len(p.terms) < 2 else "more terms"
+
+
+def _same(got, want):
+    # equal values, and the same keys in the same order
+    return got == want and list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=OPERANDS)
+@example(case=(R24.parse("x0 + 2*x23 - z*x5^2"), R24.parse("x0*x5 - x23 + 1/2"), R24.zero()))
+def test_sum_difference_and_product_match_their_oracles(case):
+    f, g, _ = case
+    event(f"{len(f.ring.vars)} variables: {_size(f)} by {_size(g)}")
+    event(f"difference {'is' if (f - g).is_zero() else 'is not'} zero")
+    for a, b in ((f, g), (g, f)):
+        assert _same(a + b, poly_add(a, b))
+        assert _same(a - b, poly_sub(a, b))
+        assert _same(a * b, poly_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from([R, R24]).flatmap(
+    lambda ring: st.tuples(_kernel_poly(ring), _kernel_poly(ring, zero=False), _kernel_poly(ring))))
+# a monomial divisor that does not divide: no non-lead terms to subtract
+@example(case=(R.zero(), y, x))
+@example(case=(R.zero(), R.scalar(3) * x * y, x * w))
+def test_divexact_matches_the_greedy_oracle(case):
+    # f = q*g + r with r sometimes zero (an exact division) and sometimes not;
+    # a failing division raises the oracle's message
+    q, g, r = case
+    f = poly_add(poly_mul(q, g), r)
+    event(f"divisor of {_size(g)}")
+    try:
+        want = poly_divexact(f, g)
+    except MatfacError as e:
+        event("not exact")
+        with pytest.raises(MatfacError) as got:
+            f.divexact(g)
+        assert str(got.value) == str(e)
+    else:
+        assert _same(f.divexact(g), want)
+    assert poly_mul(q, g).divexact(g) == q  # quotients come out in descending grlex
+
+
+def _truncated(p, precision):
+    return Polynomial(p.ring, {e: c for e, c in p.terms.items() if sum(e) < precision})
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=OPERANDS, precision=st.integers(0, 5))
+def test_jet_kernels_match_the_oracles(case, precision):
+    f, g = (_truncated(p, precision) for p in case[:2])
+    a, b = Jet(f, precision), Jet(g, precision)
+    assert _same((a * b).poly, _truncated(poly_mul(f, g), precision))
+    assert _same((a - b).poly, poly_sub(f, g))
+    assert _same((a + b).poly, poly_add(f, g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=OPERANDS)
+def test_trusted_builder_stores_no_zero(case):
+    # `Polynomial._of` keeps the terms it is given: every kernel that builds
+    # through it must hand over nonzero coefficients only
+    f, g, h = case
+    built = []
+    of = Polynomial._of
+
+    def recording(ring, terms):
+        built.append(terms)
+        return of(ring, terms)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Polynomial, "_of", staticmethod(recording))
+        [f + g, f - g, f - f, f + (-f), -f, f * g, g * h, f * h * g,
+         f.truncate(3), f.reduce_mod_vars(f.ring.vars[:1]), Jet(f, 2) * Jet(g, 2) - Jet(h, 2)]
+        if not g.is_zero():
+            (f * g).divexact(g)
+    assert built
+    assert all(not c.is_zero() for terms in built for c in terms.values())
+
+
+def test_equality_with_a_scalar_of_another_field_is_false():
+    # a scalar of another field is unequal, as another ring's polynomial is;
+    # arithmetic with it still raises
+    other = cyclotomic_field(4).one()
+    for a in (x, R.one(), Jet(x, 2), Jet(R.one(), 2)):
+        assert not a == other and a != other
+        assert not other == a and other != a
+    assert R.one() == F.one() and Jet(R.one(), 2) == F.one() and R.scalar(2) == 2
+    with pytest.raises(ValueError, match="scalar from a different field"):
+        x + other
 
 
 def test_truncate_and_homogeneous_part():

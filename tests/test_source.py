@@ -77,11 +77,13 @@ def test_stored_forms_have_one_reader_module():
     # only (everything else asks `Matrix.nonzero()` or the rest of its API),
     # as is the factored determinant (everything else asks `Matrix.det` or
     # `Matrix.det_as_power`), and the jet hom-space layout in morphisms only
-    # (everything else asks `JetHomBasis`): another storage of any of them
-    # changes one module
+    # (everything else asks `JetHomBasis`); a polynomial's terms are taken
+    # unchecked (`Polynomial._of`) in rings only: another storage of any of
+    # them changes one module
     owners = {"rows": "linalg.py", "_rows": "linalg.py",
               "_det": "linalg.py", "_det_power": "linalg.py",
-              "_layout": "morphisms.py", "_JetLayout": "morphisms.py"}
+              "_layout": "morphisms.py", "_JetLayout": "morphisms.py",
+              "_of": "rings.py"}
 
     def names(node):
         if isinstance(node, ast.Name):
