@@ -550,7 +550,10 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     Otherwise the symbolic determinants decide.
 
     A True here is only a candidate (jet solutions need not lift to exact
-    morphisms); a False at any valid precision is a sound refutation.
+    morphisms); a False at any valid precision is a sound refutation.  A
+    False at precision M is also the verdict at every precision N >= M: the
+    truncation below M of a precision-N solution is a precision-M solution
+    with the same constant terms (`_invertible_jet_exists`).
     """
     src, tgt = hom_basis.source, hom_basis.target
     if src.n != tgt.n:
@@ -571,6 +574,31 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
     tvars = [tring.variable(f"t{i + 1}") for i in range(nb)]
     return all(not Matrix(tring, _combination(cs, tvars, tring.zero(), n)).det().is_zero()
                for cs in consts)
+
+
+def _invertible_jet_exists(source: MatFac, target: MatFac, precision: int | None) -> bool:
+    """Whether a jet morphism source -> target at `precision` has all
+    components invertible at the origin: `admits_invertible_combination` of
+    `hom_space_jets(source, target, N)`, decided at precision 1 first.
+
+    None means `default_precision`, and a precision below 1 raises
+    ValueError, as in `hom_space_jets`, before any system is solved.  The
+    rungs are (1, N), or (1,) when N = 1, and the first False is returned.
+
+    Truncation lemma: take M <= N.  Every entry of either endpoint has
+    degree >= delta (the delta of `hom_space_jets`), so the coefficients of
+    E_p = comps[p] src[p] - tgt[p] comps[p+1] below degree M + delta read
+    only the unknowns below degree M.  The truncation below M of a
+    precision-N solution therefore solves the precision-M system, with the
+    same constant terms.  No invertible candidate at M means none at N, so
+    the verdict is the precision-N one on every input.
+    """
+    if precision is None:
+        precision = default_precision(source, target)
+    if precision < 1:
+        raise ValueError(f"jet precision must be at least 1, got {precision}")
+    return all(admits_invertible_combination(hom_space_jets(source, target, p))
+               for p in sorted({1, precision}))
 
 
 # -- idempotent splitting -----------------------------------------------------

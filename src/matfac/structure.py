@@ -48,7 +48,7 @@ from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, PresentationMatrix
 from .linalg import Matrix
-from .morphisms import Morphism, admits_invertible_combination, hom_space_jets
+from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
 from .rings import monomial_coprime
 from .tensor import TensorMatFac, swap_witness, tensor
 
@@ -543,13 +543,20 @@ class ShiftRefutation:
     """Outcome of the jet-level search for isomorphisms X -> T^i X.
 
     refuted[i] is True when no jet morphism with invertible constant part
-    exists at the stated precision -- a sound proof that X and T^i X are not
-    isomorphic.  False means undetermined (a candidate exists at this
-    precision), never a proof of isomorphism.
+    exists at `precision`, the precision requested (None: the
+    `default_precision` of X) and the one certified -- a sound proof that X
+    and T^i X are not isomorphic.  False means undetermined (a candidate
+    exists at that precision), never a proof of isomorphism.  The keys are
+    1 .. d-1, in order.
+
+    Each verdict is decided at precision 1 first; a refutation there is one
+    at `precision` (the truncation lemma of
+    `morphisms._invertible_jet_exists`), and refuted[i] == refuted[d-i]
+    always (the pairing lemma of `jet_refute_shift_iso`).
     """
 
     subject: MatFac
-    precision: int
+    precision: int | None
     refuted: dict[int, bool]
 
     @property
@@ -557,13 +564,29 @@ class ShiftRefutation:
         return all(self.refuted.values())
 
 
-def jet_refute_shift_iso(x: MatFac, precision: int = 1) -> ShiftRefutation:
-    """For each i != 0, try to refute X ~ T^i X at the given jet precision."""
-    flags = {}
-    for i in range(1, x.d):
-        hb = hom_space_jets(x, x.shift(i), precision)
-        flags[i] = not admits_invertible_combination(hb)
-    return ShiftRefutation(subject=x, precision=precision, refuted=flags)
+def jet_refute_shift_iso(x: MatFac, precision: int | None = 1) -> ShiftRefutation:
+    """For each i != 0, try to refute X ~ T^i X at the given jet precision.
+
+    Only the shifts i <= d - i are solved, and refuted[d-i] is refuted[i].
+    Pairing lemma: let alpha: X -> T^i X be a precision-N jet morphism with
+    invertible constant part.  Then gamma = T^(d-i) alpha: T^(d-i) X -> X is
+    one too, since T^d X = X as data.  Write phi for the factors of
+    T^(d-i) X and psi for those of X.  The power-series inverse beta of
+    gamma satisfies
+
+        beta_p psi_p - phi_p beta_{p+1}
+            = beta_p (psi_p gamma_{p+1} - gamma_p phi_p) beta_{p+1},
+
+    which vanishes below degree N + delta.  Truncated below N, beta is a
+    precision-N solution X -> T^(d-i) X with invertible constant part
+    beta(0) = gamma(0)^-1.  So the verdicts for i and d - i are equal at
+    every precision.
+    """
+    d, refuted = x.d, {}
+    for i in range(1, d // 2 + 1):
+        refuted[i] = not _invertible_jet_exists(x, x.shift(i), precision)
+    return ShiftRefutation(subject=x, precision=precision,
+                           refuted={i: refuted[min(i, d - i)] for i in range(1, d)})
 
 
 # -- indecomposability of tensors with a rank-one factor -------------------------

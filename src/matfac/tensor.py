@@ -34,7 +34,7 @@ from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
 from .factorization import MatFac, ValidationEntry, _derived, projective
 from .linalg import Matrix, rank
-from .morphisms import Morphism, admits_invertible_combination, hom_space_jets
+from .morphisms import Morphism, _invertible_jet_exists
 from .rings import Polynomial
 
 
@@ -332,9 +332,10 @@ def is_projective_tensor(
     claimed isomorphism onto that sum is then decided on the jet hom space
     alone: a combination of its basis invertible at the origin exists iff no
     component's symbolic determinant vanishes identically
-    (`admits_invertible_combination`).  passed=True is a jet-level
-    candidate, since jet solutions need not lift to exact morphisms;
-    passed=False is a sound refutation.
+    (`admits_invertible_combination`), at precision 1 first and then at the
+    requested one (`morphisms._invertible_jet_exists`).  passed=True is a
+    jet-level candidate, since jet solutions need not lift to exact
+    morphisms; passed=False is a sound refutation at the stated precision.
     """
     input_shifts = recognize_projective_sum(p)
     t = tensor(p, y, zeta)
@@ -368,7 +369,7 @@ def is_projective_tensor(
     # that grows quickly with the number of variables).
     n = precision if precision is not None else 1
     return ProjectiveTensorReport(
-        passed=admits_invertible_combination(hom_space_jets(t, target, n)),
+        passed=_invertible_jet_exists(t, target, n),
         input_shifts=input_shifts,
         shifts_found=shifts_found,
         precision=n,

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-215 s for the fifteen here on a 2-vCPU host, most of it hypothesis shrinking
+245 s for the eighteen here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -139,6 +139,27 @@ MUTANTS = {
         "                terms[e] = c\n",
         ["tests/test_rings.py::test_sum_difference_and_product_match_their_oracles",
          "tests/test_rings.py::test_jet_kernels_match_the_oracles"],
+    ),
+    "ladder-no-escalation": (
+        "src/matfac/morphisms.py",
+        "for p in sorted({1, precision}))",
+        "for p in (1,))",
+        ["tests/test_structure.py::test_refutation_escalates_past_precision_one",
+         "tests/test_structure.py::test_refutation_solves_the_cheapest_sound_systems",
+         "tests/test_structure.py::test_refutation_equals_the_direct_verdict"],
+    ),
+    "ladder-skips-rung-one": (
+        "src/matfac/morphisms.py",
+        "for p in sorted({1, precision}))",
+        "for p in (precision,))",
+        ["tests/test_structure.py::test_refutation_escalates_past_precision_one",
+         "tests/test_structure.py::test_refutation_solves_the_cheapest_sound_systems"],
+    ),
+    "pair-index": (
+        "src/matfac/structure.py",
+        "refuted={i: refuted[min(i, d - i)] for i in range(1, d)})",
+        "refuted={i: refuted[i if 2 * i < d else 1] for i in range(1, d)})",
+        ["tests/test_structure.py::test_refutation_pairs_each_shift_with_its_complement"],
     ),
 }
 

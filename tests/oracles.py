@@ -4,13 +4,22 @@ Deliberately naive: cofactor expansion for determinants, textbook row
 reduction for kernels, the dense triple loop for matrix products, the double
 loop and greedy lead-term division for sparse polynomials,
 `Fraction`-coordinate vectors and the extended Euclidean algorithm for
-cyclotomic field arithmetic.  Slow is fine; these only run on small inputs.
+cyclotomic field arithmetic, and one jet hom system per shift at the
+requested precision for jet verdicts.  Slow is fine; these only run on small
+inputs.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from matfac import MatfacError, Matrix, Polynomial, PolynomialRing
+from matfac import (
+    MatfacError,
+    Matrix,
+    Polynomial,
+    PolynomialRing,
+    admits_invertible_combination,
+    hom_space_jets,
+)
 from matfac.cyclo import CycloField
 
 
@@ -464,6 +473,18 @@ def admits_invertible_combination_symbolic(hom_basis) -> bool:
         if det_cofactor(Matrix(tring, rows)).is_zero():
             return False
     return True
+
+
+def invertible_jet_exists(source, target, precision: int) -> bool:
+    """The direct verdict at one precision: the hom system at `precision`
+    alone, with no cheaper precision tried first."""
+    return admits_invertible_combination(hom_space_jets(source, target, precision))
+
+
+def shift_refutation(x, precision: int) -> dict[int, bool]:
+    """refuted[i] for every shift i = 1..d-1, each decided on its own
+    system, with no shift paired with another."""
+    return {i: not invertible_jet_exists(x, x.shift(i), precision) for i in range(1, x.d)}
 
 
 # -- constructor checks, restated ---------------------------------------------

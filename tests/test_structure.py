@@ -2,8 +2,11 @@
 indecomposability certificates, and shift-isomorphism refutations."""
 
 import re
+from itertools import product
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from matfac import (
     AxiomCoprimeRankOne,
@@ -11,6 +14,7 @@ from matfac import (
     MatfacError,
     Matrix,
     Morphism,
+    Polynomial,
     PolynomialRing,
     Refusal,
     StrongIndCert,
@@ -22,7 +26,9 @@ from matfac import (
     coprime_rank_one_cert,
     cyclotomic_field,
     hom_space_jets,
+    is_projective_tensor,
     jet_refute_shift_iso,
+    projective,
     propagate_strong_ind,
     reduce_morphism_blocks,
     reduce_tensor_witness,
@@ -35,6 +41,7 @@ from matfac import (
     variable_support,
 )
 from matfac.structure import VarSplit
+from oracles import invertible_jet_exists, shift_refutation
 
 F = cyclotomic_field(3)
 ZETA = F.zeta(1)
@@ -394,6 +401,115 @@ def test_constant_term_spot_check_fails_on_a_direct_sum():
     xx = xyw_rank_one("xyw").direct_sum(xyw_rank_one("xyw"))
     assert [hom_space_jets(xx, xx.shift(i), 1).dimension for i in range(3)] == [4, 0, 0]
     assert not constant_term_spot_check(xx)
+
+
+# -- jet refutation: precision 1 first, each shift pair {i, d-i} once --------------
+
+
+def test_refutation_escalates_past_precision_one(count_calls):
+    # (x^2, y^2, w^2) has candidates X -> T^i X at precision 1 and none at 2:
+    # a precision-1 True is not the verdict, the requested precision is
+    sq = MatFac(XYW, XYW.parse("x^2*y^2*w^2"),
+                [Matrix(XYW, [[XYW.parse(e)]]) for e in ("x^2", "y^2", "w^2")])
+    assert jet_refute_shift_iso(sq, 1).refuted == {1: False, 2: False}
+    assert jet_refute_shift_iso(sq, 2).refuted == {1: True, 2: True}
+    # None is default_precision, 1 + the largest entry degree
+    calls = count_calls(hom_space_jets)
+    r = jet_refute_shift_iso(sq, None)
+    assert r.refuted == {1: True, 2: True} and r.precision is None
+    assert [(c[1], c[2]) for c in calls] == [(sq.shift(1), 1), (sq.shift(1), 3)]
+
+
+@pytest.mark.parametrize("precision", [1, 2])
+def test_refutation_pairs_each_shift_with_its_complement(precision):
+    # (x, y, x, y) equals its second shift, and T^1 = T^3 of it is (y, x, y, x)
+    r = jet_refute_shift_iso(xyw_rank_one("xyxy"), precision)
+    assert list(r.refuted.items()) == [(1, True), (2, False), (3, True)]
+    assert r.precision == precision
+
+
+def test_refutation_solves_the_cheapest_sound_systems(count_calls):
+    # d = 3 solves shift 1 only; the coprime rank-9 tensor is refuted at
+    # precision 1, so precision 2 is never solved, while (x1, x1, x1) has a
+    # candidate at precision 1 and escalates
+    x9 = tensor(tensor(X, Y, ZETA), Z, ZETA)
+    calls = count_calls(hom_space_jets)
+    assert jet_refute_shift_iso(x9, 2).refuted == {1: True, 2: True}
+    assert [(c[1], c[2]) for c in calls] == [(x9.shift(1), 1)]
+    calls.clear()
+    sym = rank1("x1", "x1", "x1")
+    assert jet_refute_shift_iso(sym, 2).refuted == {1: False, 2: False}
+    assert [(c[1], c[2]) for c in calls] == [(sym.shift(1), 1), (sym.shift(1), 2)]
+
+
+LADDER_RINGS = {d: PolynomialRing(cyclotomic_field(d), ("x", "y", "w")) for d in range(2, 6)}
+LADDER_MONOMIALS = [e for e in product(range(4), repeat=3) if 1 <= sum(e) <= 3]
+
+
+@st.composite
+def rank_one_entries(draw, ring, d):
+    """d entries of one or two terms of degree 1 to 3, repeating with a
+    period q dividing d, so that T^q X = X for q < d."""
+    field = ring.field
+    coeffs = [field.one(), -field.one(), field.rational(2), field.zeta(1)]
+    period = draw(st.sampled_from([q for q in range(1, d + 1) if d % q == 0]))
+    entries = []
+    for _ in range(period):
+        monos = draw(st.lists(st.sampled_from(LADDER_MONOMIALS), min_size=1, max_size=2,
+                              unique=True))
+        entries.append(Polynomial(ring, {e: draw(st.sampled_from(coeffs)) for e in monos}))
+    entries *= d // period
+    f = ring.one()
+    for e in entries:
+        f = f * e
+    return MatFac(ring, f, [Matrix(ring, [[e]]) for e in entries])
+
+
+@st.composite
+def refutation_subjects(draw):
+    """A rank-one factorization with d = 2..5, the tensor of two of them
+    (d <= 3), or X (+) T^i X; and a precision from 1 to 3."""
+    d = draw(st.integers(2, 5))
+    ring = LADDER_RINGS[d]
+    x = draw(rank_one_entries(ring, d))
+    kind = draw(st.sampled_from(["rank one", "tensor", "sum"] if d <= 3 else ["rank one", "sum"]))
+    if kind == "tensor":
+        x = tensor(x, draw(rank_one_entries(ring, d)), ring.field.root_of_unity(d, 1))
+    elif kind == "sum":
+        x = x.direct_sum(x.shift(draw(st.integers(0, d - 1))))
+    return kind, x, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(refutation_subjects())
+def test_refutation_equals_the_direct_verdict(subject):
+    # each shift decided on its own system at the requested precision
+    kind, x, precision = subject
+    refuted = jet_refute_shift_iso(x, precision).refuted
+    event(f"{kind}: {sum(refuted.values())} of {len(refuted)} refuted")
+    if refuted != shift_refutation(x, 1):
+        event("refuted above precision 1 only")
+    assert refuted == shift_refutation(x, precision)
+    assert all(refuted[i] == refuted[x.d - i] for i in refuted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_projective_tensor_equals_the_direct_verdict(data):
+    # P (x) Y against the sum of projectives its origin ranks force, decided
+    # on the one hom system at the requested precision
+    d = data.draw(st.integers(2, 5))
+    ring = LADDER_RINGS[d]
+    y = data.draw(rank_one_entries(ring, d))
+    shifts = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2))
+    p = MatFac.direct_sum(*(projective(ring, d, y.f, i) for i in shifts))
+    precision = data.draw(st.integers(1, 3))
+    rep = is_projective_tensor(p, y, ring.field.root_of_unity(d, 1), precision)
+    t = tensor(p, y, ring.field.root_of_unity(d, 1))
+    target = MatFac.direct_sum(*(projective(ring, d, t.f, i) for i in rep.shifts_found))
+    event(f"passed={rep.passed}")
+    assert rep.precision == precision
+    assert rep.passed == invertible_jet_exists(t, target, precision)
 
 
 # -- refusals: each names the hypothesis that does not hold ----------------------
