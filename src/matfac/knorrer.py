@@ -16,18 +16,23 @@ the tensor.  Conjugating Phi by the circulant scalar matrices
 
 diagonalizes every component simultaneously into the pencils A - w^(odd) B,
 and those reassemble into the d shifts of a single factorization Z whose
-slot p is A - w^(2p+1) B.  Everything is certified exactly: the alpha
-determinants factor into root sums, each of which multiplies with its
-conjugate sum to the integer d, so invertibility never rests on a numeric
-rank guess.
+slot p is A - w^(2p+1) B.  Everything is certified exactly, and
+invertibility never rests on a numeric rank guess: `alpha_matrix` checks
+its determinant against a product of root sums, each of which multiplies
+with its conjugate sum to the integer d, and `decompose_symmetric` checks
+that its inverses are inverses.
 
+alpha_k and its inverse alpha_k^-1 = alpha_k*/d (the conjugate transpose
+over d) are both written in closed form, entry by entry (`_alpha`).
 `decompose_symmetric` certifies its witnesses alpha_k (x) I_nm and
-alpha_k^-1 (x) I_nm with two checked identities and derives the rest:
+alpha_k^-1 (x) I_nm with two checked identities, computes no determinant,
+root sum or elimination, and derives the rest:
 
 * forward's intertwining law, checked at rank dnm slot by slot, ties the
   witnesses to the tensor and to the sum of shifts;
-* the round trip alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1, checked by
-  d x d products for every k;
+* the round trip alpha_k^-1 alpha_k = I_d, checked by one d x d product for
+  every k (a left inverse of a square matrix over a field is also a right
+  inverse);
 * backward's law follows from both (multiply forward's slot p by
   alpha_p^-1 on the left and alpha_(p+1)^-1 on the right), and so does
   "isomorphism" for both witnesses: each has a two-sided inverse morphism.
@@ -40,12 +45,13 @@ exponents of w are reduced mod 2d (p(m) is well defined there).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
 from .factorization import MatFac, ValidationEntry, ValidationReport, _derived
-from .linalg import Matrix, inverse_field
+from .linalg import Matrix
 from .morphisms import Morphism, _intertwining_report
 from .rings import PolynomialRing
 from .tensor import tensor
@@ -112,16 +118,11 @@ def omega_context(d: int, omega: CycloElem | None = None,
         if zeta.multiplicative_order(limit=2 * d) != d:
             raise MatfacError(f"zeta is not a primitive {d}-th root of unity")
         omega = -zeta
+    # order 2d is the whole context: then w^d is a square root of 1 other
+    # than 1, so -1, and w^2 has order 2d / gcd(2, 2d) = d
     if omega.multiplicative_order(limit=4 * d) != 2 * d:
         raise MatfacError(f"omega is not a primitive {2 * d}-th root of unity")
-    field = omega.field
-    zeta_sq = omega * omega
-    # sanity: the defining identities of the context
-    if omega ** d != -field.one():
-        raise MatfacError(f"omega^{d} is not -1")
-    if zeta_sq.multiplicative_order(limit=2 * d) != d:
-        raise MatfacError(f"omega^2 is not a primitive {d}-th root of unity")
-    return OmegaContext(d=d, omega=omega, zeta=zeta_sq)
+    return OmegaContext(d=d, omega=omega, zeta=omega * omega)
 
 
 def _pexp(d: int, m: int) -> int:
@@ -132,6 +133,31 @@ def _pexp(d: int, m: int) -> int:
     defined without any parity hypothesis.
     """
     return (-m * m + d * m) % (2 * d)
+
+
+def _alpha(ctx: OmegaContext, k: int, inverse: bool = False) -> Matrix:
+    """alpha_k(i, j) = w^p(j-i-k), or with inverse=True its inverse
+    alpha_k^-1(i, j) = w^-p(i-j-k) / d, that is alpha_k*/d; entry by entry.
+
+    Proof of the inverse: put a = i - l - k and b = j - l - k.  Then
+    p(b) - p(a) = a^2 - b^2 - d(a - b) = (a - b)(a + b - d), with a - b =
+    i - j and a + b - d = i + j - 2k - d - 2l, so
+
+        (alpha_k* alpha_k)(i, j) = sum_l w^(p(b) - p(a))
+            = w^((i-j)(i+j-2k-d)) * sum_l zeta^(-l(i-j)),
+
+    and by the orthogonality of the characters l -> zeta^(cl) of Z_d the sum
+    is d when i = j (where the prefactor is 1) and 0 otherwise.  No caller
+    rests a verdict on this: `alpha_matrix` checks its determinant and
+    `decompose_symmetric` the round trip.
+    """
+    d = ctx.d
+    if not inverse:
+        return Matrix(ctx.field, [[ctx.omega_pow(_pexp(d, j - i - k)) for j in range(d)]
+                                  for i in range(d)])
+    inv_d = Fraction(1, d)
+    return Matrix(ctx.field, [[ctx.omega_pow(-_pexp(d, i - j - k)) * inv_d for j in range(d)]
+                              for i in range(d)])
 
 
 def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
@@ -160,17 +186,16 @@ def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
 def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     """The d x d circulant change-of-basis matrix with (i,j) entry w^(p(j-i-k)).
 
-    Entries depend only on (j - i) mod d, so the determinant factors over
-    the d-th roots of unity into the sums w^(2sk) * root_sum(d + 2s),
-    s = 1..d; each factor is a unit, and the computed determinant is checked
-    against the product, so the returned matrix is certifiably invertible.
-    The root sums do not depend on k and are computed once per context.
+    Built by `_alpha`.  Entries depend only on (j - i) mod d, so the
+    determinant factors over the d-th roots of unity into the sums
+    w^(2sk) * root_sum(d + 2s), s = 1..d; each factor is a unit, and the
+    computed determinant is checked against the product, so the returned
+    matrix is certifiably invertible.  The root sums do not depend on k and
+    are computed once per context.  `decompose_symmetric` does not call
+    this: it certifies its witnesses by their round trip instead.
     """
-    d = ctx.d
     field = ctx.field
-    rows = [[ctx.omega_pow(_pexp(d, j - i - k)) for j in range(d)]
-            for i in range(d)]
-    mat = Matrix(field, rows)
+    mat = _alpha(ctx, k)
     expected_det = field.one()
     for s, root in enumerate(ctx._root_sums, start=1):
         expected_det = expected_det * ctx.omega_pow(2 * s * k) * root
@@ -188,8 +213,8 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
         alpha_(k-1) Phi == Phi'_k alpha_k        for every k in Z_d,
 
     where Phi'_k is block diagonal with blocks a - w^(2k + 2I - 1) b and the
-    alphas are the circulant scalar matrices (`_alphas`) blown up to block
-    size.
+    alphas are the circulant scalar matrices `alpha_matrix(ctx, k)`, each
+    with its determinant certificate, blown up to block size.
     Returns (alphas, diag_blocks, report): alphas and diag_blocks are indexed
     by k in Z_d, and report entry p checks the identity at k = p + 1.
     """
@@ -205,7 +230,7 @@ def block_diagonalize(ctx: OmegaContext, a: Matrix, b: Matrix):
     phi = Matrix.block_cyclic(space, [b.scale(ctx.omega_pow(2 * i)) for i in range(d)],
                               [a] * d)
 
-    scalars = _alphas(ctx)
+    scalars = [alpha_matrix(ctx, k) for k in range(d)]
     if isinstance(space, PolynomialRing):
         scalars = [s.map(space.scalar, space) for s in scalars]
     elif space != ctx.field:
@@ -243,26 +268,6 @@ class SymmetricDecomposition:
         return [self.forward, self.backward]
 
 
-def _rotate_rows(m: Matrix, k: int) -> Matrix:
-    """m with its rows moved up k places: row i is row (i + k) mod n of m."""
-    return m.submatrix([(i + k) % m.nrows for i in range(m.nrows)], range(m.ncols))
-
-
-def _alphas(ctx: OmegaContext) -> list[Matrix]:
-    """alpha_0, ..., alpha_(d-1): alpha_matrix(ctx, 0), with its determinant
-    check, and its rows moved up k places for alpha_k, since alpha_k(i, j) =
-    w^p(j-i-k) = alpha_0(i + k, j).  A row permutation keeps alpha_0's
-    certified invertibility."""
-    alpha_0 = alpha_matrix(ctx, 0)
-    return [_rotate_rows(alpha_0, k) for k in range(ctx.d)]
-
-
-def _rotate_cols(m: Matrix, k: int) -> Matrix:
-    """m with its columns moved left k places: column j is column (j + k)
-    mod n of m."""
-    return m.submatrix(range(m.nrows), [(j + k) % m.ncols for j in range(m.ncols)])
-
-
 def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDecomposition:
     """Split X (x) Y into the d shifts of one factorization Z.
 
@@ -281,24 +286,22 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     Z's cyclic products starting at p, p+1, ..., p+d-1, which run through
     all d slots, so it validates exactly when Z does.
 
-    The witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm.  Only
-    forward's law is computed at rank dnm.  The round trip is certified over
-    the field, alpha_k^-1 alpha_k = I_d = alpha_k alpha_k^-1 by d x d
-    products for every k: lifting into the ring and taking kron with I_nm is
-    a ring homomorphism, so these are the rank-dnm round trips.  Backward's
-    law is derived from the two: forward's slot p, alpha_p Phi_p =
-    Phi'_p alpha_(p+1), multiplied by alpha_p^-1 on the left and by
-    alpha_(p+1)^-1 on the right, is backward's slot p, Phi_p alpha_(p+1)^-1
-    = alpha_p^-1 Phi'_p.  backward's kept report (`_derived`) has one
-    entry per slot, ok exactly when forward's entry and the round trip are.
-    Two morphisms inverse to each other are isomorphisms, so
-    `is_isomorphism()` of both reads that same verdict and computes no
-    determinant.
-
-    Only alpha_0 and its inverse are computed: alpha_k(i, j) = w^p(j-i-k)
-    is alpha_0 with its rows moved up k places, alpha_k = P_k alpha_0 for a
-    permutation P_k, so alpha_k^-1 = alpha_0^-1 P_k^-1 is alpha_0^-1 with
-    its columns moved left k places.  No verdict rests on that: a wrong
+    The witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, both
+    written in closed form by `_alpha` (alpha_k^-1 = alpha_k*/d); no
+    determinant, root sum or elimination is computed.  Each fact is checked
+    once.  Only forward's law is computed at rank dnm.  The round trip is
+    certified over the field, alpha_k^-1 alpha_k = I_d by one d x d product
+    for every k: a left inverse of a square matrix over a field is also a
+    right inverse, so alpha_k alpha_k^-1 = I_d as well, and lifting into the
+    ring and taking kron with I_nm is a ring homomorphism, so these are the
+    rank-dnm round trips.  Backward's law is derived from the two: forward's
+    slot p, alpha_p Phi_p = Phi'_p alpha_(p+1), multiplied by alpha_p^-1 on
+    the left and by alpha_(p+1)^-1 on the right, is backward's slot p,
+    Phi_p alpha_(p+1)^-1 = alpha_p^-1 Phi'_p.  backward's kept report
+    (`_derived`) has one entry per slot, ok exactly when forward's entry and
+    the round trip are.  Two morphisms inverse to each other are
+    isomorphisms, so `is_isomorphism()` of both reads that same verdict and
+    computes no determinant.  No verdict rests on the closed forms: a wrong
     alpha_k fails forward's law, a wrong inverse the round trip.
     """
     if x.ring is not y.ring and x.ring != y.ring:
@@ -339,9 +342,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     # the whole isomorphism.
     nm = x.n * y.n
     ident_nm = Matrix.identity(ring, nm)
-    alphas = _alphas(ctx)
-    alpha_0_inv = inverse_field(alphas[0])
-    alpha_invs = [_rotate_cols(alpha_0_inv, k) for k in range(d)]
+    alphas = [_alpha(ctx, k) for k in range(d)]
+    alpha_invs = [_alpha(ctx, k, inverse=True) for k in range(d)]
     forward = Morphism(source=t, target=total, comps=[
         alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas])
     backward = Morphism(source=total, target=t, comps=[
@@ -353,8 +355,7 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     entries.append(ValidationEntry(
         start=-1, ok=summand.validate().passed, detail="summand validates"))
     ident_d = Matrix.identity(ctx.field, d)
-    round_trip = all(inv @ alpha == ident_d and alpha @ inv == ident_d
-                     for alpha, inv in zip(alphas, alpha_invs))
+    round_trip = all(inv @ alpha == ident_d for alpha, inv in zip(alphas, alpha_invs))
     entries.append(ValidationEntry(
         start=-3, ok=round_trip, detail="witnesses are mutually inverse"))
     report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))

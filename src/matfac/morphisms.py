@@ -576,14 +576,14 @@ def admits_invertible_combination(hom_basis: JetHomBasis) -> bool:
                for cs in consts)
 
 
-def _invertible_jet_exists(source: MatFac, target: MatFac, precision: int | None) -> bool:
+def _invertible_jet_exists(source: MatFac, target: MatFac, precision: int) -> bool:
     """Whether a jet morphism source -> target at `precision` has all
     components invertible at the origin: `admits_invertible_combination` of
     `hom_space_jets(source, target, N)`, decided at precision 1 first.
 
-    None means `default_precision`, and a precision below 1 raises
-    ValueError, as in `hom_space_jets`, before any system is solved.  The
-    rungs are (1, N), or (1,) when N = 1, and the first False is returned.
+    A precision below 1 raises ValueError, as in `hom_space_jets`, before
+    any system is solved.  The rungs are (1, N), or (1,) when N = 1, and the
+    first False is returned.
 
     Truncation lemma: take M <= N.  Every entry of either endpoint has
     degree >= delta (the delta of `hom_space_jets`), so the coefficients of
@@ -593,8 +593,6 @@ def _invertible_jet_exists(source: MatFac, target: MatFac, precision: int | None
     same constant terms.  No invertible candidate at M means none at N, so
     the verdict is the precision-N one on every input.
     """
-    if precision is None:
-        precision = default_precision(source, target)
     if precision < 1:
         raise ValueError(f"jet precision must be at least 1, got {precision}")
     return all(admits_invertible_combination(hom_space_jets(source, target, p))

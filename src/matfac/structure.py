@@ -46,7 +46,7 @@ from math import gcd
 
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
-from .factorization import MatFac, PresentationMatrix
+from .factorization import MatFac, PresentationMatrix, default_precision
 from .linalg import Matrix
 from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
 from .rings import monomial_coprime
@@ -543,11 +543,11 @@ class ShiftRefutation:
     """Outcome of the jet-level search for isomorphisms X -> T^i X.
 
     refuted[i] is True when no jet morphism with invertible constant part
-    exists at `precision`, the precision requested (None: the
-    `default_precision` of X) and the one certified -- a sound proof that X
-    and T^i X are not isomorphic.  False means undetermined (a candidate
-    exists at that precision), never a proof of isomorphism.  The keys are
-    1 .. d-1, in order.
+    exists at `precision`, the precision certified -- a sound proof that X
+    and T^i X are not isomorphic.  It is always an integer: a request of
+    None is stored as the `default_precision` of X it resolved to.  False
+    means undetermined (a candidate exists at that precision), never a proof
+    of isomorphism.  The keys are 1 .. d-1, in order.
 
     Each verdict is decided at precision 1 first; a refutation there is one
     at `precision` (the truncation lemma of
@@ -556,7 +556,7 @@ class ShiftRefutation:
     """
 
     subject: MatFac
-    precision: int | None
+    precision: int
     refuted: dict[int, bool]
 
     @property
@@ -567,7 +567,9 @@ class ShiftRefutation:
 def jet_refute_shift_iso(x: MatFac, precision: int | None = 1) -> ShiftRefutation:
     """For each i != 0, try to refute X ~ T^i X at the given jet precision.
 
-    Only the shifts i <= d - i are solved, and refuted[d-i] is refuted[i].
+    None means `default_precision(x)`, resolved once here (T^i X has the
+    entries of X, so it is every system's default too).  Only the shifts
+    i <= d - i are solved, and refuted[d-i] is refuted[i].
     Pairing lemma: let alpha: X -> T^i X be a precision-N jet morphism with
     invertible constant part.  Then gamma = T^(d-i) alpha: T^(d-i) X -> X is
     one too, since T^d X = X as data.  Write phi for the factors of
@@ -582,6 +584,8 @@ def jet_refute_shift_iso(x: MatFac, precision: int | None = 1) -> ShiftRefutatio
     beta(0) = gamma(0)^-1.  So the verdicts for i and d - i are equal at
     every precision.
     """
+    if precision is None:
+        precision = default_precision(x)
     d, refuted = x.d, {}
     for i in range(1, d // 2 + 1):
         refuted[i] = not _invertible_jet_exists(x, x.shift(i), precision)

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-245 s for the eighteen here on a 2-vCPU host, most of it hypothesis shrinking
+200 s for the twenty here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -160,6 +160,24 @@ MUTANTS = {
         "refuted={i: refuted[min(i, d - i)] for i in range(1, d)})",
         "refuted={i: refuted[i if 2 * i < d else 1] for i in range(1, d)})",
         ["tests/test_structure.py::test_refutation_pairs_each_shift_with_its_complement"],
+    ),
+    "knorrer-inverse-scale": (
+        "src/matfac/knorrer.py",
+        "ctx.omega_pow(-_pexp(d, i - j - k)) * inv_d for j",
+        "ctx.omega_pow(-_pexp(d, i - j - k)) for j",
+        ["tests/test_knorrer.py::test_closed_form_witnesses_equal_the_field_inverse",
+         "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
+         "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one"],
+    ),
+    "knorrer-inverse-sign": (
+        "src/matfac/knorrer.py",
+        "ctx.omega_pow(-_pexp(d, i - j - k)) * inv_d",
+        "ctx.omega_pow(_pexp(d, i - j - k)) * inv_d",
+        ["tests/test_knorrer.py::test_closed_form_witnesses_equal_the_field_inverse",
+         "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
+         "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one"],
     ),
 }
 

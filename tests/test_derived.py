@@ -202,12 +202,17 @@ def test_backward_law_equals_the_fresh_one(derivations, d, n):
 
 
 def test_backward_law_fails_where_the_round_trip_does(monkeypatch, derivations):
-    # alpha_0^-1 rotated the wrong way: forward's law holds, backward's
-    # components are wrong, and only the round trip sees it
-    original = knorrer._rotate_cols
-    monkeypatch.setattr(knorrer, "_rotate_cols", lambda m, k: original(m, -k))
+    # alpha_k^-1 built with the exponents of alpha_(-k)^-1: forward's law
+    # holds, backward's components are wrong for k = 1, 2, and only the round
+    # trip sees it
+    original = knorrer._alpha
+    monkeypatch.setattr(knorrer, "_alpha", lambda ctx, k, inverse=False:
+                        original(ctx, -k if inverse else k, inverse))
     dec = decompose_symmetric(*symmetric_inputs(3, 1))
     assert dec.forward.is_morphism()
+    assert [e.start for e in dec.report.entries if not e.ok] == [-3]
+    assert (dec.backward.is_morphism(), dec.forward.is_isomorphism(),
+            dec.backward.is_isomorphism()) == (False, False, False)
     computed = check_derivations(derivations)
     assert not computed[-1].passed
     assert not any(e.ok for e in dec.backward._report.entries)

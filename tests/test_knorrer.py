@@ -22,7 +22,7 @@ from matfac import (
 )
 
 from matfac import knorrer, morphisms
-from matfac.linalg import _det_field, inverse_field
+from matfac.linalg import _det_field, inverse_field, rref
 from oracles import det_cofactor
 
 
@@ -246,54 +246,56 @@ def test_decompose_computes_forward_law_once(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_verdicts_compute_no_determinant_above_d(d, count_calls):
+    # the witnesses are written in closed form and certified by forward's law
+    # and the round trip: no determinant, root sum or elimination at any size
     fld = cyclotomic_field(2 * d)
     R = PolynomialRing(fld, ("x", "y"))
     x_var, y_var = R.variable("x"), R.variable("y")
     X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d).direct_sum(
         MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d))
     Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
-    dets = count_calls(_det_field)
+    counted = {fn.__name__: count_calls(fn)
+               for fn in (_det_field, inverse_field, rref, alpha_matrix, root_sum)}
     dec = decompose_symmetric(X, Y, omega_context(d, omega=fld.zeta(1)))
     assert four_verdicts(dec) == (True, True, True, True) and dec.report.passed
     assert dec.forward.source.n == 2 * d
-    assert dets and max(m.nrows for (m,) in dets) <= d
+    assert {name: len(calls) for name, calls in counted.items()} == dict.fromkeys(counted, 0)
 
     # the same components outside decompose_symmetric take the determinant
     # route, and agree
-    dets.clear()
+    dets = counted["_det_field"]
     for w in dec.witnesses:
         plain = Morphism(source=w.source, target=w.target, comps=w.comps)
         assert plain.is_isomorphism()
     assert sorted(m.nrows for (m,) in dets) == [2 * d] * (2 * d)
 
 
-def test_witnesses_are_rotations_of_alpha_zero():
-    # alpha_k is alpha_0 with its rows moved up k places, and the backward
-    # components are the field inverses, for every k
-    for d in range(2, 9):
+def test_closed_form_witnesses_equal_the_field_inverse():
+    # alpha_k and alpha_k^-1 = alpha_k*/d, written entry by entry, equal the
+    # determinant-certified alpha_matrix and its inverse by elimination, and
+    # so do the constant terms of decompose_symmetric's components
+    for d in range(2, 11):
         fld = cyclotomic_field(2 * d)
         R = PolynomialRing(fld, ("x", "y"))
         ctx = omega_context(d, omega=fld.zeta(1))
-        alpha_0 = alpha_matrix(ctx, 0)
-        for k in range(d):
-            assert knorrer._rotate_rows(alpha_0, k) == alpha_matrix(ctx, k)
-            assert (knorrer._rotate_cols(inverse_field(alpha_0), k)
-                    == inverse_field(alpha_matrix(ctx, k)))
+        alphas = [alpha_matrix(ctx, k) for k in range(d)]
+        inverses = [inverse_field(alpha) for alpha in alphas]
+        assert [knorrer._alpha(ctx, k) for k in range(d)] == alphas
+        assert [knorrer._alpha(ctx, k, inverse=True) for k in range(d)] == inverses
         x_var, y_var = R.variable("x"), R.variable("y")
         X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
         Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
         dec = decompose_symmetric(X, Y, ctx)
-        assert [c.constant_terms() for c in dec.forward.comps] == [
-            alpha_matrix(ctx, k) for k in range(d)]
-        assert [c.constant_terms() for c in dec.backward.comps] == [
-            inverse_field(alpha_matrix(ctx, k)) for k in range(d)]
+        assert [c.constant_terms() for c in dec.forward.comps] == alphas
+        assert [c.constant_terms() for c in dec.backward.comps] == inverses
 
 
 def test_inverse_rotated_the_wrong_way_fails_every_derived_verdict(monkeypatch):
-    # alpha_0^-1 with its columns moved right instead of left: alpha_k^-1 is
-    # then wrong for k = 1, 2, which only the d x d round trip can see
-    original = knorrer._rotate_cols
-    monkeypatch.setattr(knorrer, "_rotate_cols", lambda m, k: original(m, -k))
+    # alpha_k^-1 built with the exponents of alpha_(-k)^-1: wrong for k = 1, 2,
+    # which only the d x d round trip can see
+    original = knorrer._alpha
+    monkeypatch.setattr(knorrer, "_alpha", lambda ctx, k, inverse=False:
+                        original(ctx, -k if inverse else k, inverse))
     dec = decompose_symmetric(*three_fold_inputs())
     assert [e.start for e in dec.report.entries if not e.ok] == [-3]
     assert dec.forward._report.passed
@@ -326,20 +328,24 @@ def test_corrupted_forward_component_fails_every_derived_verdict(monkeypatch):
 
 
 def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):
-    # alpha^-1 with two unequal entries of its first row swapped
-    original = knorrer.inverse_field
+    # every alpha_k^-1 with two unequal entries of its first row swapped
+    original = knorrer._alpha
 
-    def corrupted(m):
-        rows = [list(r) for r in original(m).rows]
+    def corrupted(ctx, k, inverse=False):
+        m = original(ctx, k, inverse)
+        if not inverse:
+            return m
+        rows = [list(r) for r in m.rows]
         j = next(j for j in range(1, m.ncols) if rows[0][j] != rows[0][0])
         rows[0][0], rows[0][j] = rows[0][j], rows[0][0]
         return Matrix(m.space, rows)
 
-    monkeypatch.setattr(knorrer, "inverse_field", corrupted)
+    monkeypatch.setattr(knorrer, "_alpha", corrupted)
     dec = decompose_symmetric(*three_fold_inputs())
     assert not dec.report.passed
     assert [e.start for e in dec.report.entries if not e.ok] == [-3]
     assert not dec.backward.is_morphism()
+    assert four_verdicts(dec) == (True, False, False, False)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

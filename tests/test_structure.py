@@ -25,6 +25,7 @@ from matfac import (
     constant_term_spot_check,
     coprime_rank_one_cert,
     cyclotomic_field,
+    default_precision,
     hom_space_jets,
     is_projective_tensor,
     jet_refute_shift_iso,
@@ -349,6 +350,15 @@ def test_tensor_indecomposable_asymmetric_route():
     assert rep.route == "asymmetric-partner"
 
 
+def test_asymmetry_hypothesis_names_the_resolved_precision():
+    # None resolves to default_precision(X) = 2 for the linear (x1, x2, x0),
+    # and the refutation and the hypothesis both state that integer
+    refutation = jet_refute_shift_iso(X, None)
+    assert refutation.precision == default_precision(X) == 2
+    rep = tensor_indecomposable(X, Y, ZETA, asymmetry=refutation)
+    assert rep.hypotheses[-1].endswith("(jet refutation at precision 2)")
+
+
 def test_tensor_indecomposable_refuses_unrefuted_shifts():
     sym = rank1("x1", "x1", "x1")
     with pytest.raises(Refusal):
@@ -416,7 +426,7 @@ def test_refutation_escalates_past_precision_one(count_calls):
     # None is default_precision, 1 + the largest entry degree
     calls = count_calls(hom_space_jets)
     r = jet_refute_shift_iso(sq, None)
-    assert r.refuted == {1: True, 2: True} and r.precision is None
+    assert r.refuted == {1: True, 2: True} and r.precision == 3
     assert [(c[1], c[2]) for c in calls] == [(sq.shift(1), 1), (sq.shift(1), 3)]
 
 
