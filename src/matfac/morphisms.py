@@ -31,8 +31,9 @@ Two genuinely local computations are done at jet precision N:
   jet matrices (`_JetLayout.decode`) only when it is read.  No other module
   reads the layout.
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
-  sum decomposition, changing basis by columns of e and 1-e and inverting at
-  precision N.
+  sum decomposition, changing basis by the columns of e and of 1-e at the
+  rref pivots of their constant terms (idempotence makes them a basis at the
+  origin) and inverting at precision N.
 """
 
 from __future__ import annotations
@@ -379,11 +380,15 @@ class JetHomBasis:
         return [layout.constants(vec) for vec in self.vectors]
 
     def vectorize(self, alpha: Morphism) -> dict[int, CycloElem]:
-        """Flatten a morphism's truncation into the unknown coordinate order."""
+        """Flatten a morphism's truncation into the unknown coordinate order.
+        alpha must run between the basis's own source and target."""
+        if alpha.source != self.source or alpha.target != self.target:
+            raise MatfacError("morphism endpoints differ from the hom basis's")
         return self._layout.encode(alpha.comps)
 
     def contains_truncation(self, alpha: Morphism) -> bool:
-        """Whether alpha's truncation below N lies in the span of the basis."""
+        """Whether alpha's truncation below N lies in the span of the basis
+        (raises MatfacError for a morphism between other endpoints)."""
         ech = _Echelon()
         for v in self.vectors:
             ech.add(v)
@@ -610,31 +615,25 @@ class SplitResult:
     witness: JetMorphism    # from image (+) complement onto the original X
 
 
-def _greedy_columns(candidates: Matrix, seed: list, want: int) -> list[int]:
-    """Indices of columns of `candidates` that extend `seed` to an independent
-    family, chosen greedily left to right.  `seed` is a list of column tuples."""
-    ech = _Echelon()
-    for col in seed:
-        ech.add(dict(enumerate(col)))
-    chosen: list[int] = []
-    for j in range(candidates.ncols):
-        if len(chosen) == want:
-            break
-        if ech.add(dict(enumerate(candidates.column(j)))) is not None:
-            chosen.append(j)
-    if len(chosen) != want:
-        raise MatfacError("could not select enough independent columns")
-    return chosen
-
-
 def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> SplitResult:
     """Split X along an exact idempotent endomorphism e = e*e.
 
     The image and complement factorizations are produced at jet precision N
     (basis-change inverses live in the local ring, not the polynomial ring).
-    Basis per component: r columns of e_k plus n-r columns of (1-e)_k, chosen
-    greedily leftmost among those independent at the origin; r is the shared
-    origin-rank of the components.
+    Basis per component: the columns of e_k at the rref pivots of e_k(0),
+    then the columns of (1-e)_k at the rref pivots of (1-e_k)(0); r is the
+    shared origin-rank of the components.
+
+    Together they are a basis at the origin.  e.compose(e) == e is checked
+    exactly, so e_k(0) is idempotent and F^n = im e_k(0) (+) im (1-e_k)(0):
+    every v is e_k(0)v + (1-e_k)(0)v, and a v = (1-e_k)(0)u in im e_k(0)
+    has v = e_k(0)v = e_k(0)(1-e_k)(0)u = 0.  The pivot columns of a matrix are
+    a basis of its column space, so those of e_k(0) and of (1-e_k)(0), r and
+    n-r of them, make a basis of F^n.  They are also the columns a greedy
+    left-to-right search would choose from (1-e_k)(0) after e_k(0)'s: the
+    chosen columns of e_k(0) span im e_k(0), which meets im (1-e_k)(0) only
+    in 0, so a column of (1-e_k)(0) is independent of them and of the
+    earlier choices exactly when it is independent of the earlier choices.
     """
     if e.source is not x and e.source != x:
         raise MatfacError("idempotent must be an endomorphism of the given factorization")
@@ -666,10 +665,8 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
     for k in range(d):
         ek = e.comps[k]
         fk = ident - ek
-        e0 = ek.constant_terms()
         e_cols = e_pivots[k]  # exactly r of them: ranks checked above
-        seed = [e0.column(j) for j in e_cols]
-        f_cols = _greedy_columns(fk.constant_terms(), seed, n - r)
+        f_cols = rref(fk.constant_terms())[1]  # n - r, by idempotence
         cols = [ek.column(j) for j in e_cols] + [fk.column(j) for j in f_cols]
         u_mats.append(Matrix(ring, [list(rowvals) for rowvals in zip(*cols)]))
 

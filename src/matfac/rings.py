@@ -146,12 +146,11 @@ class Polynomial:
     order.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolynomialRing, terms: dict[Exponents, CycloElem]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self._hash = None
 
     @classmethod
     def _of(cls, ring: PolynomialRing, terms: dict[Exponents, CycloElem]) -> Polynomial:
@@ -160,7 +159,6 @@ class Polynomial:
         p = cls.__new__(cls)
         p.ring = ring
         p.terms = terms
-        p._hash = None
         return p
 
     # -- queries ---------------------------------------------------------
@@ -313,10 +311,8 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            items = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))
-            self._hash = hash((self.ring, items))
-        return self._hash
+        items = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))
+        return hash((self.ring, items))
 
     # -- structural operations ----------------------------------------------
 

@@ -50,7 +50,7 @@ from .factorization import MatFac, PresentationMatrix, default_precision
 from .linalg import Matrix
 from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
 from .rings import monomial_coprime
-from .tensor import TensorMatFac, swap_witness, tensor
+from .tensor import TensorMatFac, _check_operands, swap_witness, tensor
 
 
 def variable_support(x: MatFac) -> frozenset[str]:
@@ -265,13 +265,15 @@ class DecompBound:
 def summand_bound(x: MatFac, y: MatFac, sym_flags=(False, False)) -> DecompBound:
     """Bound the indecomposable-summand count of X (x) Y.
 
-    Both factors must be reduced; their indecomposability is the caller's
-    assertion and is recorded in the hypotheses rather than checked.
+    X and Y must share a ring and d, as `tensor` requires, and both must be
+    reduced; their indecomposability is the caller's assertion and is
+    recorded in the hypotheses rather than checked.
     sym_flags = (x_shifts_refuted, y_shifts_refuted) states that T^i X is not
     isomorphic to X for every i != 0 (and likewise for Y); certify the flags
     with jet_refute_shift_iso.  Both flags together sharpen the bound from
     d*r to r.
     """
+    _check_operands(x, y)
     if not x.is_reduced():
         raise MatfacError("summand bound requires a reduced left factor")
     if not y.is_reduced():

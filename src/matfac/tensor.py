@@ -45,6 +45,14 @@ def _check_primitive(zeta: CycloElem, d: int, field):
         raise MatfacError(f"twist scalar is not a primitive d-th root of unity (d = {d})")
 
 
+def _check_operands(x: MatFac, y: MatFac):
+    """The operands of X (x) Y share a ring and d."""
+    if x.ring != y.ring:
+        raise MatfacError("tensor operands must share a ring")
+    if x.d != y.d:
+        raise MatfacError(f"tensor operands must share d; got {x.d} and {y.d}")
+
+
 def _require_validated(*xs: MatFac):
     for x in xs:
         if not x.validate().passed:
@@ -73,10 +81,7 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     hypotheses are checked here first.  So every slot holds, and the report
     is the one `validate` would compute: d passing entries, no detail.
     """
-    if x.ring != y.ring:
-        raise MatfacError("tensor operands must share a ring")
-    if x.d != y.d:
-        raise MatfacError(f"tensor operands must share d; got {x.d} and {y.d}")
+    _check_operands(x, y)
     d = x.d
     ring = x.ring
     _check_primitive(zeta, d, ring.field)

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-200 s for the twenty here on a 2-vCPU host, most of it hypothesis shrinking
+240 s for the twenty-two here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -178,6 +178,19 @@ MUTANTS = {
          "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
          "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
          "tests/test_derived.py::test_backward_law_equals_the_fresh_one"],
+    ),
+    "split-complement": (
+        "src/matfac/morphisms.py",
+        "        f_cols = rref(fk.constant_terms())[1]",
+        "        f_cols = [j for j in range(n) if j not in e_cols]",
+        ["tests/test_morphisms.py::test_split_idempotent_bases_are_the_greedy_columns"],
+    ),
+    "last-slot-always-implied": (
+        "src/matfac/morphisms.py",
+        "slots = source.d - 1 if reduced and _last_slot_implied(source, target) else source.d",
+        "slots = source.d - 1 if reduced else source.d",
+        ["tests/test_morphisms.py::test_last_slot_is_kept_without_its_certificate",
+         "tests/test_morphisms.py::test_last_slot_is_kept_when_an_endpoint_does_not_validate"],
     ),
 }
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Deliberately naive: cofactor expansion for determinants, textbook row
-reduction for kernels, the dense triple loop for matrix products, the double
+reduction for kernels, one rank comparison per column for the greedy choice
+of independent columns, the dense triple loop for matrix products, the double
 loop and greedy lead-term division for sparse polynomials,
 `Fraction`-coordinate vectors and the extended Euclidean algorithm for
 cyclotomic field arithmetic, and one jet hom system per shift at the
@@ -304,6 +305,20 @@ def rref(rows: list[list], field: CycloField) -> list[list]:
             if not factor.is_zero():
                 reduced[j] = [a - factor * b for a, b in zip(reduced[j], reduced[i])]
     return reduced
+
+
+def greedy_columns(candidates: Matrix, seed: list) -> list[int]:
+    """Indices of the columns of `candidates` that extend the column tuples
+    of `seed` to an independent family, chosen left to right: column j is
+    taken when it raises the `rref` rank of the seed and the columns taken
+    before it."""
+    field = candidates.space
+    chosen: list[int] = []
+    for j in range(candidates.ncols):
+        family = list(seed) + [candidates.column(i) for i in chosen]
+        if len(rref(family + [candidates.column(j)], field)) > len(rref(family, field)):
+            chosen.append(j)
+    return chosen
 
 
 def nullspace(m: Matrix) -> list[tuple]:

@@ -359,6 +359,22 @@ def test_missing_root_of_unity_fails_the_command(tmp_path, capsys, op):
     assert "no primitive root of order 3" in rep["commands"][0]["summary"]
 
 
+def test_bound_of_operands_of_different_d_fails_the_command(tmp_path, capsys):
+    # X (d = 3) and Y (d = 2) cannot be tensored, so their bound is refused
+    doc = {
+        "ring": {"conductor": 6, "variables": ["x1", "x2", "x0", "y1", "y0"]},
+        "factorizations": {
+            "X": {"f": "x1*x2*x0", "matrices": [[["x1"]], [["x2"]], [["x0"]]]},
+            "Y": {"f": "y1*y0", "matrices": [[["y1"]], [["y0"]]]},
+        },
+        "commands": [{"op": "bound", "left": "X", "right": "Y"}],
+    }
+    rc, rep = run_machine(tmp_path, capsys, doc)
+    assert rc == 1
+    assert rep["commands"][0]["status"] == "fail"
+    assert rep["commands"][0]["summary"] == "tensor operands must share d; got 3 and 2"
+
+
 def test_knorrer_with_non_primitive_power_fails_the_command(tmp_path, capsys):
     # conductor 4 = 2d: omega is the --zeta power of zeta_4, and zeta_4^2 = -1
     # is not a primitive 4th root

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from matfac import MatFac, Matrix, Morphism, PolynomialRing, cyclotomic_field
 from matfac.errors import MatfacError
 from matfac.linalg import _Echelon, inverse_field, rank, rref
-from matfac.morphisms import JetHomBasis, _greedy_columns, _monomials_below
+from matfac.morphisms import JetHomBasis, _monomials_below
 
 import oracles
 
@@ -102,24 +102,6 @@ def test_inverse_field(m):
     inv = inverse_field(m)
     eye = Matrix.identity(field, m.nrows)
     assert m @ inv == eye and inv @ m == eye
-
-
-@SETTINGS
-@given(field_matrices(), st.data())
-def test_greedy_columns_match_brute_force(candidates, data):
-    field = candidates.space
-    seed = [tuple(r) for r in data.draw(
-        rows_over(field, data.draw(st.integers(0, 3)), candidates.nrows))]
-    # greedy left to right, deciding each column by the oracle rank
-    brute: list[int] = []
-    for j in range(candidates.ncols):
-        family = seed + [candidates.column(i) for i in brute]
-        if oracle_rank(family + [candidates.column(j)], field) > oracle_rank(family, field):
-            brute.append(j)
-    want = data.draw(st.integers(0, len(brute)))
-    assert _greedy_columns(candidates, seed, want) == brute[:want]
-    with pytest.raises(MatfacError):
-        _greedy_columns(candidates, seed, len(brute) + 1)
 
 
 def test_rref_back_substitutes():

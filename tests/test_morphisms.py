@@ -5,7 +5,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from matfac import (
@@ -31,7 +31,7 @@ from matfac import (
 )
 from matfac import morphisms
 from matfac.cli import run_document
-from matfac.linalg import _det_power, sparse_nullspace
+from matfac.linalg import _det_power, inverse_field, sparse_nullspace
 from matfac.morphisms import (
     _evaluation_point,
     _JetLayout,
@@ -131,6 +131,19 @@ def test_hom_space_to_shift_is_empty():
 def test_hom_space_contains_identity_truncation():
     basis = hom_space_jets(X, X, precision=2)
     assert basis.contains_truncation(Morphism.identity(X))
+
+
+def test_hom_space_refuses_a_morphism_between_other_endpoints():
+    # X's 1x1 components would be read as coordinates of X (+) X's 2x2 ones;
+    # the shifted sum's fit the layout, but it is another factorization
+    s = X.direct_sum(X)
+    basis = hom_space_jets(s, s, precision=1)
+    for alpha in (Morphism.identity(X), Morphism.identity(X.shift(1).direct_sum(X.shift(1)))):
+        with pytest.raises(MatfacError, match="endpoints differ from the hom basis"):
+            basis.contains_truncation(alpha)
+        with pytest.raises(MatfacError, match="endpoints differ from the hom basis"):
+            basis.vectorize(alpha)
+    assert basis.contains_truncation(Morphism.identity(s))
 
 
 def test_hom_space_of_direct_sum_counts_blocks():
@@ -513,25 +526,28 @@ ENDPOINTS = [X, X.direct_sum(X), rank_one(a, a, a), rank_one(a * b, c),
              MatFac(OTHER, OTHER.variable("a"), [Matrix.identity(OTHER, 1)] * 3)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(src=st.sampled_from(ENDPOINTS), tgt=st.sampled_from(ENDPOINTS),
-       count=st.integers(1, 4), data=st.data())
-def test_exact_and_jet_morphisms_accept_and_refuse_together(src, tgt, count, data):
-    # the jet constructor, given to_jets of the same components (and exact
-    # or jet endpoints), gives the exact constructor's verdict, message
-    # included, and both give the oracle's
-    ring = src.ring
-    shapes = data.draw(st.lists(st.sampled_from(
-        [(tgt.n, src.n)] * 2 + [(tgt.n + 1, src.n), (tgt.n, src.n + 1)]),
-        min_size=count, max_size=count))
-    comps = [Matrix(ring, [[ring.one()] * w for _ in range(h)]) for h, w in shapes]
-    precision = data.draw(st.integers(1, 3))
-    jet_src, jet_tgt = ((x.to_jets(precision) if data.draw(st.booleans()) else x)
-                        for x in (src, tgt))
-    exact = oracles.verdict(lambda: Morphism(src, tgt, comps))
-    jet = oracles.verdict(lambda: JetMorphism(
-        jet_src, jet_tgt, [c.to_jets(precision) for c in comps], precision))
-    assert exact == jet == oracles.morphism_verdict(src, tgt, comps)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_exact_and_jet_morphisms_accept_and_refuse_together(data):
+    # for every (src, tgt) pair of ENDPOINTS in every example, so that each
+    # kind of mismatch is met on every run: the jet constructor, given
+    # to_jets of the same components (and exact or jet endpoints), gives the
+    # exact constructor's verdict, message included, and both give the
+    # oracle's
+    for src, tgt in product(ENDPOINTS, repeat=2):
+        ring = src.ring
+        count = data.draw(st.integers(1, 4))
+        shapes = data.draw(st.lists(st.sampled_from(
+            [(tgt.n, src.n)] * 2 + [(tgt.n + 1, src.n), (tgt.n, src.n + 1)]),
+            min_size=count, max_size=count))
+        comps = [Matrix(ring, [[ring.one()] * w for _ in range(h)]) for h, w in shapes]
+        precision = data.draw(st.integers(1, 3))
+        jet_src, jet_tgt = ((x.to_jets(precision) if data.draw(st.booleans()) else x)
+                            for x in (src, tgt))
+        exact = oracles.verdict(lambda: Morphism(src, tgt, comps))
+        jet = oracles.verdict(lambda: JetMorphism(
+            jet_src, jet_tgt, [c.to_jets(precision) for c in comps], precision))
+        assert exact == jet == oracles.morphism_verdict(src, tgt, comps)
 
 
 S = X.direct_sum(X.shift(1))
@@ -580,6 +596,52 @@ def test_split_idempotent_refuses_a_basis_change_that_mixes_summands(monkeypatch
     monkeypatch.setattr(morphisms, "jet_inverse", shear)
     with pytest.raises(MatfacError, match="did not block-diagonalize"):
         split_idempotent(S, PROJ)
+
+
+def field_entries():
+    """Elements of F with small coordinates, many of them zero."""
+    coords = st.lists(st.integers(-2, 2), min_size=F.degree, max_size=F.degree)
+    return st.one_of(st.just(F.zero()), coords.map(F.element))
+
+
+@st.composite
+def constant_idempotents(draw):
+    """e(0) = g D g^-1 for g in GL_n(F), n <= 4, and D a 0/1 diagonal."""
+    n = draw(st.integers(1, 4))
+    g = Matrix(F, [[draw(field_entries()) for _ in range(n)] for _ in range(n)])
+    assume(not g.det().is_zero())
+    ones = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    diag = Matrix(F, [[F.one() if i == j and ones[i] else F.zero() for j in range(n)]
+                      for i in range(n)])
+    return g @ diag @ inverse_field(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_idempotents())
+@example(Matrix(F, [[F.zero(), F.zero()], [F.one(), F.one()]]))
+def test_split_idempotent_bases_are_the_greedy_columns(e0):
+    # the constant idempotent e(0) of X^n: the witness's constant columns are
+    # those of e(0), then of 1 - e(0), that a brute-force greedy search picks;
+    # at e(0) = [[0, 0], [1, 1]] both pick column 0, so the complement is not
+    # the columns left over by e(0)'s
+    n = e0.nrows
+    xn = X
+    for _ in range(n - 1):
+        xn = xn.direct_sum(X)
+    e = Morphism(xn, xn, [e0.map(R.scalar, R)] * xn.d)
+    res = split_idempotent(xn, e)
+    f0 = Matrix.identity(F, n) - e0
+    e_cols = oracles.greedy_columns(e0, [])
+    f_cols = oracles.greedy_columns(f0, [e0.column(j) for j in e_cols])
+    expected = [e0.column(j) for j in e_cols] + [f0.column(j) for j in f_cols]
+    r = len(e_cols)
+    event(f"rank {r} of {n}")
+    assert len(expected) == n
+    for u in res.witness.comps:
+        assert [u.constant_terms().column(j) for j in range(n)] == expected
+    assert (res.rank_image, res.image.rank, res.complement.rank) == (r, r, n - r)
+    assert res.image.validate().passed and res.complement.validate().passed
+    assert res.witness.is_morphism() and res.witness.is_isomorphism()
 
 
 def test_invertible_combination_at_unequal_ranks_and_rank_zero():

@@ -192,6 +192,29 @@ def test_summand_bound_requires_reduced():
         summand_bound(projective_like, Y)
 
 
+def test_summand_bound_refuses_operands_that_cannot_be_tensored():
+    # rank-one X (d = 3) and Y (d = 2) over Q(zeta_6) have no tensor product
+    # to bound; the bound refuses as `tensor` does, with its message, and so
+    # does a pair over two rings
+    ring = PolynomialRing(cyclotomic_field(6), ("x1", "x2", "x0", "y1", "y0"))
+
+    def row(*names):
+        entries = [ring.parse(nm) for nm in names]
+        f = ring.one()
+        for e in entries:
+            f = f * e
+        return MatFac(ring, f, [Matrix(ring, [[e]]) for e in entries])
+
+    x6, y6 = row("x1", "x2", "x0"), row("y1", "y0")
+    zeta = ring.field.zeta(1)
+    for left, right, message in [(x6, y6, "tensor operands must share d; got 3 and 2"),
+                                 (X, y6, "tensor operands must share a ring")]:
+        with pytest.raises(MatfacError, match=re.escape(message)):
+            tensor(left, right, zeta)
+        with pytest.raises(MatfacError, match=re.escape(message)):
+            summand_bound(left, right)
+
+
 def test_coprime_rank_one_cert():
     cert = coprime_rank_one_cert(X)
     assert cert.problems() == []
