@@ -18,6 +18,15 @@ An inverse is the product of the other Galois conjugates z |-> z^a over the
 norm, all in integers; since the modulus is irreducible over Q, the norm of a
 nonzero element is a nonzero rational.
 
+The signed roots of unity +-zeta^a are the whole torsion of Q(zeta_m)^x, a
+cyclic group of order lcm(2, m), and each field keeps them as one table: the
+powers w^k of a generator, indexed by numerator tuple.  Knorrer's circulant
+conjugations make most products have such an operand.  A product of two roots
+is the table entry w^(j+k), with no arithmetic; a product with a signed basis
+vector +-z^s is the other operand rotated up by s and folded through the
+reduction table, with its denominator kept; the inverse of w^k is w^(-k), and
+its multiplicative order is read from k.  Every other product convolves.
+
 Fields of different conductors never mix silently: `embed` moves an element
 of Q(zeta_m) into Q(zeta_m2) for m | m2 via z_m |-> z_m2^(m2/m).
 """
@@ -71,6 +80,14 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+def _rotation(num: tuple[int, ...]) -> tuple[int, int] | None:
+    """(a, sign) when num is the signed basis vector sign * z^a, else None."""
+    support = [i for i, c in enumerate(num) if c]
+    if len(support) == 1 and num[support[0]] in (1, -1):
+        return support[0], num[support[0]]
+    return None
+
+
 def _totient(m: int) -> int:
     count = 0
     for k in range(1, m + 1):
@@ -111,6 +128,8 @@ class CycloField:
         self._zero_tail = (0,) * (deg - 1)
         self._zero = CycloElem(self, (0,) * deg, 1)
         self._one = CycloElem(self, (1,) + self._zero_tail, 1)
+        # Empty while the powers below are formed, so their products convolve.
+        self._root_index = {}
         # zeta^0, ..., zeta^(m-1): each power is the previous one times the
         # generator, so no raw degree ever exceeds the table's reach.  In
         # degree one the generator is the root of x + modulus[0] itself.
@@ -119,6 +138,20 @@ class CycloField:
         for _ in range(m - 1):
             powers.append(powers[-1] * z)
         self._zeta_powers = powers
+        # The signed roots +-zeta^a, the torsion of Q(zeta_m)^x: a cyclic
+        # group of order lcm(2, m), listed as w^0, w^1, ... for the generator
+        # w = zeta (m even, where -zeta^a = zeta^(a + m/2)) or w =
+        # -zeta^((m+1)/2) (m odd: w^2 = zeta and w^m = -1).  The index maps
+        # each numerator tuple to (k, rotation): w^k = +-z^a with a < degree
+        # gives rotation (a, sign), any other root None.
+        if m % 2 == 0:
+            roots = powers
+        else:
+            half = (m + 1) // 2
+            roots = [-powers[k * half % m] if k % 2 else powers[k * half % m]
+                     for k in range(2 * m)]
+        self._roots = roots
+        self._root_index = {r.num: (k, _rotation(r.num)) for k, r in enumerate(roots)}
 
     def __repr__(self):
         return f"CycloField({self.m})"
@@ -277,6 +310,20 @@ class CycloElem:
         return CycloElem(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
+        """The product; a signed root of unity costs an index or a rotation.
+
+        Two signed roots multiply by adding their exponents in the field's
+        table of roots.  A signed basis vector +-z^s (s < degree) shifts the
+        other operand's numerators up by s, folds the overflow through the
+        reduction table and keeps the denominator with no gcd: z^s is a unit
+        of Z[z] (its inverse z^(m-s) is integral) and the power basis is a
+        Z-basis of Z[z], so multiplying by it is a bijection of the integer
+        numerator vectors that maps g*Z[z] onto itself for every integer g.
+        An integer dividing every numerator of z^s * num thus divides every
+        numerator of num, and gcd(den, *num) = 1 still holds.  Any other
+        product is an integer convolution reduced through the table, over the
+        product of the denominators, brought to lowest terms by one gcd.
+        """
         o = other
         if type(o) is not CycloElem or o.field is not self.field:
             o = self._coerce(other)
@@ -284,6 +331,27 @@ class CycloElem:
                 return NotImplemented
         field = self.field
         a, b = self.num, o.num
+        index = field._root_index
+        ra = index.get(a) if self.den == 1 else None
+        rb = index.get(b) if o.den == 1 else None
+        if ra is not None and rb is not None:
+            roots = field._roots
+            return roots[(ra[0] + rb[0]) % len(roots)]
+        x, root = (o, ra) if ra is not None else (self, rb)
+        if root is not None and root[1] is not None:
+            # x * (+-z^s): shift up by s, fold the overflow z^deg..z^(deg+s-1)
+            # through the table's first s rows; the denominator stays
+            s, sign = root[1]
+            num = x.num
+            cut = len(num) - s
+            out = [0] * s + list(num[:cut])
+            for c, (_, row) in zip(num[cut:], field._reduction):
+                if c:
+                    for i, t in row:
+                        out[i] += c * t
+            if sign < 0:
+                out = map(neg, out)
+            return CycloElem(field, tuple(out), x.den)
         deg = len(a)
         # Integer convolution over the power basis, then the reduction table.
         raw = [0] * (2 * deg - 1)
@@ -306,8 +374,9 @@ class CycloElem:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloElem:
-        """Multiplicative inverse as the product of the other Galois
-        conjugates over the norm.
+        """Multiplicative inverse: w^(-k) from the field's table for a signed
+        root w^k, else the product of the other Galois conjugates over the
+        norm.
 
         sigma_a (a prime to m) sends z to z^a, and x * prod_{a != 1}
         sigma_a(x) = N(x) is a positive rational.  Everything stays in
@@ -315,9 +384,14 @@ class CycloElem:
         table of powers of z, and the norm of that algebraic integer is an
         integer, so (num/den)^-1 = den * prod_{a != 1} sigma_a(num) / N(num).
         """
+        field = self.field
+        if self.den == 1:
+            root = field._root_index.get(self.num)
+            if root is not None:
+                roots = field._roots
+                return roots[-root[0] % len(roots)]
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        field = self.field
         if self.is_rational():
             return field.rational(Fraction(self.den, self.num[0]))
         m, deg, powers = field.m, field.degree, field._zeta_powers
@@ -374,16 +448,28 @@ class CycloElem:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a rational element equals its Fraction (`__eq__` coerces), so it
+        # hashes as one
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.field.m, self.num, self.den))
 
     def multiplicative_order(self, limit: int = 1000) -> int | None:
-        """Order of the element in the unit group, or None if it exceeds `limit`."""
-        acc = self
-        for k in range(1, limit + 1):
-            if acc.is_one():
-                return k
-            acc = acc * self
-        return None
+        """Order of the element in the unit group, or None if it is infinite
+        or exceeds `limit`.
+
+        The elements of finite order in Q(zeta_m)^x are its roots of unity,
+        the signed roots +-zeta^a: a cyclic group of order M = lcm(2, m),
+        which the field lists as the powers of a generator w.  So w^k has
+        order M / gcd(k, M), and an element outside the table (zero included)
+        has none.
+        """
+        root = self.field._root_index.get(self.num) if self.den == 1 else None
+        if root is None:
+            return None
+        size = len(self.field._roots)
+        order = size // math.gcd(root[0], size)
+        return order if order <= limit else None
 
     # -- display -------------------------------------------------------------
 

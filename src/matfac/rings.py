@@ -311,6 +311,10 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its coefficient (`__eq__` coerces scalars), so it
+        # hashes as one
+        if self.total_degree() <= 0:
+            return hash(self.constant_term())
         items = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))
         return hash((self.ring, items))
 

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-240 s for the twenty-two here on a 2-vCPU host, most of it hypothesis shrinking
+240 s for the twenty-four here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -34,6 +34,19 @@ from pathlib import Path
 
 # name -> (file, text, replacement, tests that must fail)
 MUTANTS = {
+    "root-rotate-fold": (
+        "src/matfac/cyclo.py",
+        "            for c, (_, row) in zip(num[cut:], field._reduction):\n",
+        "            for c, (_, row) in zip((), field._reduction):\n",
+        ["tests/test_cyclo.py::test_root_products_inverses_and_orders_match_the_oracles"],
+    ),
+    "root-sign": (
+        "src/matfac/cyclo.py",
+        "[-powers[k * half % m] if k % 2 else powers[k * half % m]",
+        "[powers[k * half % m] if k % 2 else powers[k * half % m]",
+        ["tests/test_cyclo.py::test_root_products_inverses_and_orders_match_the_oracles",
+         "tests/test_cyclo.py::test_root_of_unity_order_two_any_conductor"],
+    ),
     "factorization-d-check": (
         "src/matfac/factorization.py",
         "        if len(mats) < 2:\n",

@@ -4,12 +4,13 @@ Deliberately naive: cofactor expansion for determinants, textbook row
 reduction for kernels, one rank comparison per column for the greedy choice
 of independent columns, the dense triple loop for matrix products, the double
 loop and greedy lead-term division for sparse polynomials,
-`Fraction`-coordinate vectors and the extended Euclidean algorithm for
-cyclotomic field arithmetic, and one jet hom system per shift at the
-requested precision for jet verdicts.  Slow is fine; these only run on small
-inputs.
+`Fraction`-coordinate vectors, the extended Euclidean algorithm and a
+power-by-power order loop for cyclotomic field arithmetic, and one jet hom
+system per shift at the requested precision for jet verdicts.  Slow is fine;
+these only run on small inputs.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -27,7 +28,8 @@ from matfac.cyclo import CycloField
 # -- cyclotomic field arithmetic on Fraction coordinate vectors --------------
 
 
-def cyclo_power_table(field: CycloField) -> list[tuple[Fraction, ...]]:
+@functools.lru_cache(maxsize=None)
+def cyclo_power_table(field: CycloField) -> tuple[tuple[Fraction, ...], ...]:
     """z^k for k in [degree, 2*degree - 2] as dense Fraction vectors."""
     modulus = [Fraction(c) for c in field.modulus]
     table = []
@@ -40,7 +42,7 @@ def cyclo_power_table(field: CycloField) -> list[tuple[Fraction, ...]]:
         nxt = [s + lead * t for s, t in zip(shifted, table[0])]
         table.append(tuple(nxt))
         prev = nxt
-    return table
+    return tuple(table)
 
 
 def cyclo_reduce(field: CycloField, raw: list[Fraction]) -> tuple[Fraction, ...]:
@@ -67,6 +69,18 @@ def cyclo_mul(field: CycloField, a, b) -> tuple[Fraction, ...]:
                 if bj:
                     raw[i + j] += ai * bj
     return cyclo_reduce(field, raw)
+
+
+def cyclo_order(field: CycloField, a, limit: int) -> int | None:
+    """The least k <= limit with a^k = 1, found by multiplying power after
+    power; None when there is none."""
+    one = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    acc = tuple(a)
+    for k in range(1, limit + 1):
+        if acc == one:
+            return k
+        acc = cyclo_mul(field, acc, a)
+    return None
 
 
 def _qpoly_divmod(num: list, den: list) -> tuple[list, list]:

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import cyclo_inverse, cyclo_mul, cyclo_str
+from oracles import cyclo_inverse, cyclo_mul, cyclo_order, cyclo_str
 
-from matfac import MatfacError, cyclotomic_field, cyclotomic_polynomial, embed
+from matfac import MatfacError, PolynomialRing, cyclotomic_field, cyclotomic_polynomial, embed
 from matfac.cyclo import CycloField, _totient
 
 
@@ -246,3 +246,74 @@ def test_conductor_maximum_is_refused_before_any_table():
     with pytest.raises(ValueError, match=r"characters\) exceeds the maximum") as info:
         CycloField(10 ** 4000)
     assert len(str(info.value)) < 120
+
+
+@st.composite
+def _root_operands(draw):
+    """A conductor m <= 60 (12, 15 and 30 have phi(m) < m - 1; odd m have
+    signed roots -zeta^a that are no power of zeta), two operands, each a
+    signed root +-zeta^a with a < m (a >= phi(m) included), zero, such a root
+    over a denominator, or a vector of rationals, the first one's kind, and a
+    limit for its order: up to past lcm(2, m) for a root, small for any other
+    element, whose powers only grow."""
+    m = draw(st.one_of(st.sampled_from([12, 15, 30]), st.integers(1, 60)))
+    field = cyclotomic_field(m)
+    vec = st.lists(_rationals, min_size=field.degree, max_size=field.degree)
+
+    def operand():
+        root = draw(st.sampled_from([1, -1])) * field.zeta(draw(st.integers(0, m - 1)))
+        kind = draw(st.sampled_from(["root", "root", "zero", "scaled", "vector"]))
+        if kind == "root":
+            return root, kind
+        if kind == "zero":
+            return field.zero(), kind
+        if kind == "scaled":
+            q = Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(2, 7)))
+            return root * q, kind
+        return field.element(draw(vec)), kind
+
+    (x, kind), (y, _) = operand(), operand()
+    return field, x, kind, y, draw(st.integers(1, 2 * m + 1 if kind == "root" else 4))
+
+
+_F15 = cyclotomic_field(15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_root_operands())
+# all but the first coordinate of x overflow under -z^7, a negative root of odd m
+@example((_F15, _F15.element([Fraction(k, 3) for k in range(1, 9)]), "vector",
+          -_F15.zeta(7), 4))
+def test_root_products_inverses_and_orders_match_the_oracles(case):
+    field, x, kind, y, limit = case
+    for got, want in ((x * y, cyclo_mul(field, x.coeffs, y.coeffs)),
+                      (y * x, cyclo_mul(field, y.coeffs, x.coeffs))):
+        _assert_canonical(got)
+        assert got.coeffs == want
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        inv = x.inverse()
+        _assert_canonical(inv)
+        if kind == "vector":
+            # the Euclid oracle's coefficients explode on dense vectors of
+            # degree about 50; the inverse is the one y with x * y = 1
+            assert cyclo_mul(field, x.coeffs, inv.coeffs) == field.one().coeffs
+        else:
+            assert inv.coeffs == cyclo_inverse(field, x.coeffs)
+    assert x.multiplicative_order(limit) == cyclo_order(field, x.coeffs, limit)
+
+
+def test_rationals_and_constants_hash_as_the_scalars_they_equal():
+    F = cyclotomic_field(12)
+    R = PolynomialRing(F, ["x", "y"])
+    for q in (0, 3, -1, Fraction(-2, 7)):
+        c = F.rational(q)
+        assert c == q and hash(c) == hash(q) and q in {c} and c in {q}
+        for p in (R.scalar(q), R.scalar(c)):
+            assert p == c and p == q and hash(p) == hash(c)
+            assert p in {c} and c in {p} and q in {p}
+    z = F.zeta(1)
+    assert R.scalar(z) == z and hash(R.scalar(z)) == hash(z) and z in {R.scalar(z)}
+    assert R.zero() == 0 and hash(R.zero()) == hash(0)
