@@ -28,7 +28,11 @@ report says so.
 
 Machine reports are deterministic: the same document bytes produce the
 same report bytes, because every value is rendered through the canonical
-term order and container keys are sorted on output.
+term order and container keys are sorted on output.  Library reports become
+report data through one renderer, `_data`: a dataclass is the dict of its
+fields, so a report type's fields and verdict are stated once, in the
+library.  Each run serialises its report once, and stdout and `--report`
+receive that one string.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .cyclo import CycloElem, cyclotomic_field
 from .errors import MatfacError, Refusal, _cut, _quote
@@ -244,6 +248,19 @@ def canonical_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _data(value):
+    """Report data of a library value: a dataclass is the dict of its fields,
+    a list or tuple a list, a polynomial or field element its string, and
+    anything else itself."""
+    if is_dataclass(value):
+        return {f.name: _data(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_data(v) for v in value]
+    if isinstance(value, (Polynomial, CycloElem)):
+        return str(value)
+    return value
+
+
 # -- command execution --------------------------------------------------------------
 
 
@@ -254,15 +271,6 @@ class CommandResult:
     status: str      # pass | fail | refused
     summary: str
     data: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "op": self.op,
-            "status": self.status,
-            "summary": self.summary,
-            "data": self.data,
-        }
 
 
 class Runner:
@@ -277,19 +285,19 @@ class Runner:
 
     # -- helpers -------------------------------------------------------------
 
-    def fac(self, cmd, key, where) -> MatFac:
+    @staticmethod
+    def _lookup(table: dict, kind: str, cmd, key, where):
         name = cmd.get(key)
-        _expect(isinstance(name, str), where, f"needs a factorization name under {key!r}")
-        if name not in self.facs:
-            raise DocumentError(f"{where}: unknown factorization {_quote(name)}")
-        return self.facs[name]
+        _expect(isinstance(name, str), where, f"needs a {kind} name under {key!r}")
+        if name not in table:
+            raise DocumentError(f"{where}: unknown {kind} {_quote(name)}")
+        return table[name]
+
+    def fac(self, cmd, key, where) -> MatFac:
+        return self._lookup(self.facs, "factorization", cmd, key, where)
 
     def mor(self, cmd, key, where) -> Morphism:
-        name = cmd.get(key)
-        _expect(isinstance(name, str), where, f"needs a morphism name under {key!r}")
-        if name not in self.mors:
-            raise DocumentError(f"{where}: unknown morphism {_quote(name)}")
-        return self.mors[name]
+        return self._lookup(self.mors, "morphism", cmd, key, where)
 
     def store(self, cmd, value, where):
         name = cmd.get("out")
@@ -353,20 +361,15 @@ class Runner:
             if isinstance(e, DocumentError):
                 raise
             status, summary, data = "fail", str(e), {}
-        return CommandResult(index=i, op=op, status=status, summary=summary, data=data)
+        return CommandResult(i, op, status, summary, data)
 
     def op_validate(self, cmd, where):
         x = self.fac(cmd, "subject", where)
         rep = x.validate()
-        entries = [
-            {"start": e.start, "ok": e.ok, "detail": e.detail}
-            for e in rep.entries
-        ]
         bad = [e.start for e in rep.entries if not e.ok]
         summary = (f"all {x.d} cyclic products equal f*I" if rep.passed
                    else f"cyclic products starting at {bad} do not equal f*I")
-        return ("pass" if rep.passed else "fail", summary,
-                {"passed": rep.passed, "entries": entries, "rank": x.n, "d": x.d})
+        return ("pass" if rep.passed else "fail", summary, {**_data(rep), "rank": x.n, "d": x.d})
 
     def op_tensor(self, cmd, where):
         x = self.fac(cmd, "left", where)
@@ -413,28 +416,17 @@ class Runner:
         side = cmd.get("side", "left")
         _expect(side in ("left", "right"), where, "'side' must be 'left' or 'right'")
         witness, rep = reduce_tensor_witness(x, y, self.twist(x.d), side)
-        data = {
-            "side": rep.side,
-            "killed": list(rep.killed),
-            "sum_matches_reduction": rep.sum_matches_reduction,
-            "witness_is_isomorphism": rep.witness_is_isomorphism,
-            "reduction_validates": rep.reduction_validates,
-            "sum_validates": rep.sum_validates,
-        }
         summary = ("reduction equals the shifted-copy sum with an exact witness"
                    if rep.passed else "reduction law failed")
-        return ("pass" if rep.passed else "fail", summary, data)
+        return ("pass" if rep.passed else "fail", summary, _data(rep))
 
     def op_det_check(self, cmd, where):
         x = self.fac(cmd, "left", where)
         y = self.fac(cmd, "right", where)
         rep = det_check(x, y, self.twist(x.d))
-        entries = [{"k": e.k, "ok": e.ok, "determinant": str(e.determinant)}
-                   for e in rep.entries]
-        summary = (f"all {len(entries)} determinants equal the closed form"
+        summary = (f"all {len(rep.entries)} determinants equal the closed form"
                    if rep.passed else "determinant mismatch")
-        return ("pass" if rep.passed else "fail", summary,
-                {"expected": str(rep.expected), "entries": entries, "passed": rep.passed})
+        return ("pass" if rep.passed else "fail", summary, _data(rep))
 
     def op_knorrer(self, cmd, where):
         x = self.fac(cmd, "left", where)
@@ -494,11 +486,7 @@ class Runner:
         if _flag(cmd, "spot_check", where):
             data["constant_term_spot_check"] = constant_term_spot_check(x)
         if _flag(cmd, "consequences", where):
-            rep = strong_ind_consequences(cert)
-            data["claims"] = [
-                {"claim": c.claim, "index": c.index, "detail": c.detail}
-                for c in rep.claims
-            ]
+            data["claims"] = _data(strong_ind_consequences(cert).claims)
         ok = not problems and data.get("constant_term_spot_check", True)
         return ("pass" if ok else "fail",
                 "strong indecomposability certified" if ok else "; ".join(problems) or
@@ -541,28 +529,14 @@ class Runner:
         zeta = self.twist(spec.k)
         if _flag(cmd, "certify", where, default=True):
             ub = indecomposable_ulrich(spec, zeta)
-            self.store(cmd, ub.certificate.subject, where)
-            data = {
-                "f": str(spec.f),
-                "stats": self._stats_dict(ub.stats),
-                "presentation_size": ub.presentation.size,
-                "uc_bound": ub.uc_bound,
-                "uc_note": ub.uc_note,
-                "certificate": ub.certificate.as_dict(),
-                "claims": [
-                    {"claim": c.claim, "index": c.index, "detail": c.detail}
-                    for c in ub.consequences.claims
-                ],
-            }
-            stats = ub.stats
+            x, pres, stats = ub.certificate.subject, ub.presentation, ub.stats
+            data = {"uc_bound": ub.uc_bound, "uc_note": ub.uc_note,
+                    "certificate": ub.certificate.as_dict(),
+                    "claims": _data(ub.consequences.claims)}
         else:
-            x, pres, stats = _ulrich_build(spec, zeta)
-            self.store(cmd, x, where)
-            data = {
-                "f": str(spec.f),
-                "stats": self._stats_dict(stats),
-                "presentation_size": pres.size,
-            }
+            (x, pres, stats), data = _ulrich_build(spec, zeta), {}
+        self.store(cmd, x, where)
+        data.update(f=str(spec.f), stats=self._stats_dict(stats), presentation_size=pres.size)
         summary = (f"Ulrich module: mu = e = {stats.mu}" if stats.ulrich
                    else f"MCM module with mu = {stats.mu}, e = {stats.e_R} (ratio {stats.ratio})")
         return ("pass", summary, data)
@@ -613,35 +587,29 @@ class Runner:
 # -- entry point ----------------------------------------------------------------------
 
 
-def _human_lines(results: list[CommandResult]) -> list[str]:
-    lines = []
-    for r in results:
-        lines.append(f"[{r.index}] {r.op}: {r.status.upper()} - {r.summary}")
-    n_fail = sum(1 for r in results if r.status == "fail")
-    n_ref = sum(1 for r in results if r.status == "refused")
-    tail = f"{len(results)} commands, {n_fail} failed"
-    if n_ref:
-        tail += f", {n_ref} refused"
-    lines.append(tail)
-    return lines
+def _human_lines(report: dict) -> list[str]:
+    """The human rendering of a machine report, reading its counts."""
+    commands = report["commands"]
+    lines = [f"[{r['index']}] {r['op']}: {r['status'].upper()} - {r['summary']}"
+             for r in commands]
+    tail = f"{len(commands)} commands, {report['failed']} failed"
+    if report["refused"]:
+        tail += f", {report['refused']} refused"
+    return lines + [tail]
 
 
 def run_document(data: dict, precision: int | None = None, zeta_power: int = 1):
     """Parse and execute a problem document; returns (results, exit_status)."""
-    doc = parse_document(data)
-    runner = Runner(doc, precision, zeta_power)
-    results = runner.run()
-    status = 1 if any(r.status == "fail" for r in results) else 0
-    return results, status
+    results = Runner(parse_document(data), precision, zeta_power).run()
+    return results, 1 if any(r.status == "fail" for r in results) else 0
 
 
 def machine_report(results: list[CommandResult], exit_status: int) -> dict:
-    return {
-        "commands": [r.as_dict() for r in results],
-        "failed": sum(1 for r in results if r.status == "fail"),
-        "refused": sum(1 for r in results if r.status == "refused"),
-        "exit_status": exit_status,
-    }
+    """The report of a run: its command records and the one count of its
+    failed and refused commands."""
+    statuses = [r.status for r in results]
+    return {"commands": _data(results), "failed": statuses.count("fail"),
+            "refused": statuses.count("refused"), "exit_status": exit_status}
 
 
 def main(argv=None) -> int:
@@ -686,15 +654,15 @@ def main(argv=None) -> int:
         return 2
 
     report = machine_report(results, status)
+    text = canonical_json(report) if args.format == "machine" or args.report else ""
     if args.format == "machine":
-        sys.stdout.write(canonical_json(report))
+        sys.stdout.write(text)
     else:
-        for line in _human_lines(results):
-            print(line)
+        print("\n".join(_human_lines(report)))
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report))
+                fh.write(text)
         except OSError as e:
             print(f"error: cannot write report: {e}", file=sys.stderr)
             return 2

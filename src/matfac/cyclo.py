@@ -454,9 +454,8 @@ class CycloElem:
             return hash(Fraction(self.num[0], self.den))
         return hash((self.field.m, self.num, self.den))
 
-    def multiplicative_order(self, limit: int = 1000) -> int | None:
-        """Order of the element in the unit group, or None if it is infinite
-        or exceeds `limit`.
+    def multiplicative_order(self) -> int | None:
+        """Order of the element in the unit group, or None if it is infinite.
 
         The elements of finite order in Q(zeta_m)^x are its roots of unity,
         the signed roots +-zeta^a: a cyclic group of order M = lcm(2, m),
@@ -468,8 +467,7 @@ class CycloElem:
         if root is None:
             return None
         size = len(self.field._roots)
-        order = size // math.gcd(root[0], size)
-        return order if order <= limit else None
+        return size // math.gcd(root[0], size)
 
     # -- display -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ direct sums and make summand bookkeeping uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 from .cyclo import CycloElem
 from .errors import MatfacError
@@ -34,8 +34,14 @@ class ValidationEntry:
 
 @dataclass
 class ValidationReport:
+    """Entries and their verdict: the report passes when every entry does,
+    a rule stated here and nowhere else."""
+
     entries: list[ValidationEntry]
-    passed: bool
+    passed: bool = dc_field(init=False)
+
+    def __post_init__(self):
+        self.passed = all(e.ok for e in self.entries)
 
     def __bool__(self):
         return self.passed
@@ -50,7 +56,8 @@ def _check_slots(pairs) -> ValidationReport:
     nonzero entries differ, and in it the smallest column of a (column,
     entry) pair that only one side holds, so a failure costs what the
     nonzeros cost.  Pairs are consumed one at a time, so a generator keeps
-    only one slot's products alive.
+    only one slot's products alive.  The verdict `passed` is the report
+    type's own, read from the entries.
     """
     entries = []
     for i, (g, w) in enumerate(pairs):
@@ -63,7 +70,7 @@ def _check_slots(pairs) -> ValidationReport:
             if bad is not None:
                 detail = f"entry ({bad[0]},{bad[1]}): got {g[bad]}"
         entries.append(ValidationEntry(start=i, ok=ok, detail=detail))
-    return ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+    return ValidationReport(entries)
 
 
 def _derived(obj, entries: list[ValidationEntry]) -> ValidationReport:
@@ -71,11 +78,11 @@ def _derived(obj, entries: list[ValidationEntry]) -> ValidationReport:
     computing them, and return that report.
 
     The package's one writer of a report that is not computed; every caller
-    states the lemma its entries rest on.  `passed` is read from the entries,
-    as `_check_slots` reads it, and the memo method (`validate`,
+    states the lemma its entries rest on.  `ValidationReport` reads `passed`
+    from the entries, as for every report, and the memo method (`validate`,
     `is_morphism`) returns the report from then on.
     """
-    obj._report = ValidationReport(entries=entries, passed=all(e.ok for e in entries))
+    obj._report = ValidationReport(entries)
     return obj._report
 
 

@@ -465,6 +465,10 @@ class Jet:
 
     Arithmetic truncates after each operation; two jets interoperate only at
     equal precision (mixing cutoffs silently would make results meaningless).
+    A jet equals what its stored, truncated polynomial equals, and hashes as
+    it: an operand is not truncated again, so equality is an equivalence
+    that agrees with the hash, and jets storing one polynomial are equal at
+    any precision (`JetSpace` equality still tells precisions apart).
     """
 
     __slots__ = ("poly", "precision")
@@ -529,21 +533,10 @@ class Jet:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, Jet):
-            if isinstance(other, CycloElem) and other.field != self.ring.field:
-                return False
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-            other = o
-        return (
-            self.ring == other.ring
-            and self.precision == other.precision
-            and self.poly == other.poly
-        )
+        return self.poly.__eq__(other.poly if isinstance(other, Jet) else other)
 
     def __hash__(self):
-        return hash((self.poly, self.precision))
+        return hash(self.poly)
 
     def __str__(self):
         return f"{self.poly} + O(deg {self.precision})"

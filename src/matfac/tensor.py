@@ -28,7 +28,7 @@ are not a permutation are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .cyclo import CycloElem
 from .errors import MatfacError, Refusal
@@ -41,7 +41,7 @@ from .rings import Polynomial
 def _check_primitive(zeta: CycloElem, d: int, field):
     if zeta.field != field:
         raise MatfacError("twist scalar lives in a different field than the ring")
-    if zeta.multiplicative_order(limit=d) != d:
+    if zeta.multiplicative_order() != d:
         raise MatfacError(f"twist scalar is not a primitive d-th root of unity (d = {d})")
 
 
@@ -248,9 +248,14 @@ class DetCheckEntry:
 
 @dataclass
 class DetCheckReport:
+    """Entries and their verdict: the report passes when every entry does."""
+
     entries: list[DetCheckEntry]
     expected: Polynomial
-    passed: bool
+    passed: bool = dc_field(init=False)
+
+    def __post_init__(self):
+        self.passed = all(e.ok for e in self.entries)
 
 
 def _det_law(t: TensorMatFac) -> tuple[int, int]:
@@ -284,7 +289,7 @@ def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
         ok = m.det_as_power(t.f) == law
         entries.append(DetCheckEntry(k=(p + 1) % t.d, ok=ok,
                                      determinant=expected if ok else m.det()))
-    return DetCheckReport(entries=entries, expected=expected, passed=all(e.ok for e in entries))
+    return DetCheckReport(entries, expected)
 
 
 # -- projectivity preservation -------------------------------------------------------

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-240 s for the twenty-four here on a 2-vCPU host, most of it hypothesis shrinking
+250 s for the twenty-seven here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -204,6 +204,29 @@ MUTANTS = {
         "slots = source.d - 1 if reduced else source.d",
         ["tests/test_morphisms.py::test_last_slot_is_kept_without_its_certificate",
          "tests/test_morphisms.py::test_last_slot_is_kept_when_an_endpoint_does_not_validate"],
+    ),
+    "jet-eq-truncates": (
+        "src/matfac/rings.py",
+        "self.poly.__eq__(other.poly if isinstance(other, Jet) else other)",
+        "self.poly.__eq__(other.poly if isinstance(other, Jet)\n"
+        "                                else other.truncate(self.precision)\n"
+        "                                if isinstance(other, Polynomial) else other)",
+        ["tests/test_rings.py::test_jet_equality_is_an_equivalence_that_agrees_with_the_hash",
+         "tests/test_rings.py::test_jets_equal_their_stored_polynomial"],
+    ),
+    "report-passed-any": (
+        "src/matfac/factorization.py",
+        "        self.passed = all(e.ok for e in self.entries)\n",
+        "        self.passed = any(e.ok for e in self.entries)\n",
+        ["tests/test_factorization.py::test_a_report_passes_when_every_entry_does",
+         "tests/test_cli.py::test_one_failing_start_fails_the_validation"],
+    ),
+    "cli-render-str": (
+        "src/matfac/cli.py",
+        "    if isinstance(value, (Polynomial, CycloElem)):\n        return str(value)\n",
+        "    if isinstance(value, (Polynomial, CycloElem)):\n        return value\n",
+        ["tests/test_goldens.py::test_cli_docs_reports_match_goldens",
+         "tests/test_cli.py::test_mutated_cli_docs_exit_0_1_or_2"],
     ),
 }
 

@@ -7,18 +7,20 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from matfac import Polynomial, PolynomialRing, cyclotomic_field, parse_polynomial
 from matfac.cli import (
     Runner,
+    canonical_json,
     main,
     machine_report,
     parse_document,
     run_document,
 )
 from matfac.rings import PolyParseError
+from test_goldens import workloads  # noqa: F401  (the fixture that loads perfbench's documents)
 
 PIPELINE_DOC = {
     "ring": {"conductor": 3,
@@ -341,6 +343,18 @@ def test_conductor_four_tensor_with_third_power_twist(tmp_path, capsys):
 def run_machine(tmp_path, capsys, doc, *flags):
     rc = main(["run", write_doc(tmp_path, doc), "--format", "machine", *flags])
     return rc, json.loads(capsys.readouterr().out) if rc != 2 else capsys.readouterr().err
+
+
+def test_one_failing_start_fails_the_validation(tmp_path, capsys):
+    # with f = 0 the cyclic products can differ: AB = 0 but BA != 0
+    doc = {"ring": {"conductor": 3, "variables": ["x"]},
+           "factorizations": {"N": {"f": "0", "matrices": [[["0", "1"], ["0", "0"]],
+                                                            [["1", "0"], ["0", "0"]]]}},
+           "commands": [{"op": "validate", "subject": "N"}]}
+    rc, rep = run_machine(tmp_path, capsys, doc)
+    assert rc == 1
+    data = rep["commands"][0]["data"]
+    assert [e["ok"] for e in data["entries"]] == [False, True] and data["passed"] is False
 
 
 THREE_ROWS = [["x1", "x2", "x0"], ["y1", "y2", "y0"]]
@@ -687,3 +701,108 @@ def test_certify_spot_check_and_asserted_asymmetry(tmp_path, capsys):
     certify, bound = rep["commands"]
     assert certify["data"]["constant_term_spot_check"] is True
     assert bound["data"]["shift_asymmetric"] == [True, False]
+
+
+# -- robustness: mutated cli-docs documents ------------------------------------------
+
+# Values of every JSON type, none above 3: unbounded inputs (a precision of
+# 10^6, a power of 5000) are refused by no budget yet, so none is drawn.
+_SUBSTITUTES = [None, True, False, 0, 3, -1, "", "X", "x^3", [], {}, ["1"], [[["1"]]],
+                {"op": "report"}]
+
+
+def _values(value, path=()):
+    """(path, value) for every value in a document, the path being the keys
+    and indices from the top."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _values(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of value with the value at path replaced by new."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _declared(doc) -> list:
+    """The names a document declares or stores under "out"."""
+    return sorted({*doc.get("factorizations", ()), *doc.get("morphisms", ()),
+                   *(c["out"] for c in doc["commands"] if "out" in c)})
+
+
+def _run_mutated(tmp_path, canonical_calls, doc, zeta) -> int:
+    """Run doc through main with `--format machine --report`; main returns
+    0, 1 or 2, and a run that reaches its report serialises it once and
+    writes the same bytes to stdout and the file."""
+    path, report = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report.unlink(missing_ok=True)
+    canonical_calls.clear()
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(["run", str(path), "--format", "machine", "--report", str(report),
+                   "--zeta", str(zeta)])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert not canonical_calls and not report.exists()
+    else:
+        assert len(canonical_calls) == 1
+        assert report.read_bytes() == out.getvalue().encode("utf-8")
+    return rc
+
+
+@pytest.fixture
+def cli_docs(workloads) -> dict:
+    return {name: (doc, zeta) for name, doc, zeta in workloads._cli_docs(workloads.DEFAULT_SEED)}
+
+
+@pytest.fixture
+def canonical_calls(count_calls) -> list:
+    return count_calls(canonical_json)
+
+
+# each exit status, from one mutation of each kind or none
+@pytest.mark.parametrize("name, path, value, rc", [
+    ("pipeline-z1", None, None, 0),
+    ("pipeline-z2", ("commands", 4, "right"), "X", 1),      # a swap: X (x) X shares variables
+    ("split-idempotent", ("commands", 1, "idempotent"), "XX", 2),   # a swap of kinds
+    ("knorrer-d3", ("commands", 0, "subject"), 0, 2),
+    ("hom-jets", ("commands", 2, "precision"), 3, 0),
+    ("ulrich-plain", ("commands", 0, "rows", 1), [], 2),
+])
+def test_mutated_cli_docs_exit_0_1_or_2(tmp_path, canonical_calls, cli_docs, name, path, value,
+                                        rc):
+    doc, zeta = cli_docs[name]
+    if path is not None:
+        doc = _replaced(doc, path, value)
+    assert _run_mutated(tmp_path, canonical_calls, doc, zeta) == rc
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_cli_docs_never_raise(tmp_path, canonical_calls, cli_docs, data):
+    # type-changing values at any key, references swapped among the declared
+    # names, and small integers
+    name = data.draw(st.sampled_from(sorted(cli_docs)))
+    doc, zeta = cli_docs[name]
+    names = _declared(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = dict(_values(doc))
+        targets = {
+            "type": (list(at), st.sampled_from(_SUBSTITUTES)),
+            "swap": ([p for p, v in at.items() if isinstance(v, str) and v in names],
+                     st.sampled_from(names)),
+            "int": ([p for p, v in at.items() if type(v) is int], st.integers(-3, 3)),
+        }
+        kind = data.draw(st.sampled_from([k for k, (paths, _) in targets.items() if paths]))
+        paths, values = targets[kind]
+        event(kind)
+        doc = _replaced(doc, data.draw(st.sampled_from(paths)), data.draw(values))
+    rc = _run_mutated(tmp_path, canonical_calls, doc, zeta)
+    event(f"exit {rc}")

@@ -108,6 +108,13 @@ def test_root_of_unity_orders():
         F.root_of_unity(4, power=2)  # not primitive
 
 
+def test_orders_past_a_thousand_are_read():
+    # the signed roots of Q(zeta_999) form a group of order 1998
+    F = cyclotomic_field(999)
+    assert (-F.zeta(1)).multiplicative_order() == 1998
+    assert F.zeta(1).multiplicative_order() == 999
+
+
 def test_root_of_unity_order_two_any_conductor():
     # -1 is rational, so every field has it, odd conductors included
     F = cyclotomic_field(3)
@@ -253,9 +260,7 @@ def _root_operands(draw):
     """A conductor m <= 60 (12, 15 and 30 have phi(m) < m - 1; odd m have
     signed roots -zeta^a that are no power of zeta), two operands, each a
     signed root +-zeta^a with a < m (a >= phi(m) included), zero, such a root
-    over a denominator, or a vector of rationals, the first one's kind, and a
-    limit for its order: up to past lcm(2, m) for a root, small for any other
-    element, whose powers only grow."""
+    over a denominator, or a vector of rationals, and the first one's kind."""
     m = draw(st.one_of(st.sampled_from([12, 15, 30]), st.integers(1, 60)))
     field = cyclotomic_field(m)
     vec = st.lists(_rationals, min_size=field.degree, max_size=field.degree)
@@ -273,7 +278,7 @@ def _root_operands(draw):
         return field.element(draw(vec)), kind
 
     (x, kind), (y, _) = operand(), operand()
-    return field, x, kind, y, draw(st.integers(1, 2 * m + 1 if kind == "root" else 4))
+    return field, x, kind, y
 
 
 _F15 = cyclotomic_field(15)
@@ -283,9 +288,9 @@ _F15 = cyclotomic_field(15)
 @given(_root_operands())
 # all but the first coordinate of x overflow under -z^7, a negative root of odd m
 @example((_F15, _F15.element([Fraction(k, 3) for k in range(1, 9)]), "vector",
-          -_F15.zeta(7), 4))
+          -_F15.zeta(7)))
 def test_root_products_inverses_and_orders_match_the_oracles(case):
-    field, x, kind, y, limit = case
+    field, x, kind, y = case
     for got, want in ((x * y, cyclo_mul(field, x.coeffs, y.coeffs)),
                       (y * x, cyclo_mul(field, y.coeffs, x.coeffs))):
         _assert_canonical(got)
@@ -302,7 +307,12 @@ def test_root_products_inverses_and_orders_match_the_oracles(case):
             assert cyclo_mul(field, x.coeffs, inv.coeffs) == field.one().coeffs
         else:
             assert inv.coeffs == cyclo_inverse(field, x.coeffs)
-    assert x.multiplicative_order(limit) == cyclo_order(field, x.coeffs, limit)
+    # every root's order divides lcm(2, m), the oracle's bound; it multiplies
+    # out that many powers, 18 s for a dense vector of degree 58, so a
+    # vector's order is checked in fields of degree <= 8 only (roots of every
+    # degree are drawn as the "root" kind)
+    if kind != "vector" or field.degree <= 8:
+        assert x.multiplicative_order() == cyclo_order(field, x.coeffs, math.lcm(2, field.m))
 
 
 def test_rationals_and_constants_hash_as_the_scalars_they_equal():

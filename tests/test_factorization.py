@@ -16,7 +16,8 @@ from matfac import (
     projective,
     scale_by_units,
 )
-from matfac.factorization import _check_slots
+from matfac.factorization import ValidationEntry, ValidationReport, _check_slots
+from matfac.tensor import DetCheckEntry, DetCheckReport
 from oracles import factorization_verdict, first_wrong_entry, verdict
 
 F = cyclotomic_field(3)
@@ -327,3 +328,14 @@ def test_exact_and_jet_constructors_accept_and_refuse_together(d, n, data, f):
     exact = verdict(lambda: MatFac(R, f, mats))
     jet = verdict(lambda: JetMatFac(R, f, precision, [m.to_jets(precision) for m in mats]))
     assert exact == jet == factorization_verdict(R, f, mats)
+
+
+@given(oks=st.lists(st.booleans(), max_size=4))
+def test_a_report_passes_when_every_entry_does(oks):
+    # the verdict is the report type's own, read from its entries
+    rep = ValidationReport([ValidationEntry(start=i, ok=ok) for i, ok in enumerate(oks)])
+    assert rep.passed is all(oks) and bool(rep) is all(oks)
+    one = R.one()
+    rep = DetCheckReport([DetCheckEntry(k=i, ok=ok, determinant=one) for i, ok in enumerate(oks)],
+                         one)
+    assert rep.passed is all(oks)

@@ -360,6 +360,43 @@ def test_jet_inverse():
         jet_inverse(Matrix(space, [[Jet(x, 4)]]))  # zero constant term: not a unit
 
 
+_EQUALITY_BASES = [R.zero(), R.one(), R.scalar(3), x, R.one() + x, x * x + 1, x * x, x * y + x]
+
+
+@st.composite
+def _jet_operands(draw):
+    """A jet, a polynomial or an int, drawn from few bases so that equal
+    pairs and triples are common."""
+    p = draw(st.sampled_from(_EQUALITY_BASES) | poly_strategy(max_terms=2, max_exp=2))
+    kind = draw(st.sampled_from(["jet", "jet", "poly", "int"]))
+    if kind == "int":
+        return draw(st.integers(-1, 3))
+    return p if kind == "poly" else Jet(p, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_jet_operands(), b=_jet_operands(), c=_jet_operands())
+# Jet(x^2 + 1, 2) stores 1: it equals 1 but not x^2 + 1
+@example(a=x * x + 1, b=Jet(x * x + 1, 2), c=1)
+@example(a=Jet(R.scalar(3), 2), b=3, c=Jet(R.scalar(3), 1))
+def test_jet_equality_is_an_equivalence_that_agrees_with_the_hash(a, b, c):
+    assert a == a and not a != a
+    assert (a == b) == (b == a) == (not a != b)
+    if a == b and b == c:
+        assert a == c
+    if a == b:
+        assert hash(a) == hash(b) and a in {b} and b in {a}
+
+
+def test_jets_equal_their_stored_polynomial():
+    j = Jet(x * x + 1, 2)
+    assert j == 1 and j != x * x + 1 and hash(j) == hash(1)
+    assert 3 in {Jet(R.scalar(3), 2)}
+    assert Jet(x, 2) == Jet(x, 3) and hash(Jet(x, 2)) == hash(Jet(x, 3))
+    # matrices still tell precisions apart, through their spaces
+    assert Matrix(JetSpace(R, 2), [[Jet(x, 2)]]) != Matrix(JetSpace(R, 3), [[Jet(x, 3)]])
+
+
 def test_jet_mixed_precision_rejected():
     with pytest.raises(ValueError):
         Jet(x, 2) + Jet(x, 3)

@@ -22,7 +22,7 @@ from matfac import (
     mcm_stats,
     sum_of_products,
 )
-from matfac.factorization import ValidationReport
+from matfac.factorization import ValidationEntry, ValidationReport
 
 F3 = cyclotomic_field(3)
 R9 = PolynomialRing(F3, ("x1", "x2", "x0", "y1", "y2", "y0", "z1", "z2", "z0"))
@@ -403,7 +403,7 @@ def test_build_from_sum_raises_when_the_build_does_not_validate(monkeypatch):
     def failing_above_rank_one(self):
         if self.n == 1:
             return original(self)
-        return ValidationReport(entries=[], passed=False)
+        return ValidationReport([ValidationEntry(start=0, ok=False)])
 
     monkeypatch.setattr(MatFac, "validate", failing_above_rank_one)
     with pytest.raises(MatfacError, match="validates=False"):
