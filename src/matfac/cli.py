@@ -282,14 +282,21 @@ class Runner:
         self.facs = dict(doc.factorizations)
         self.mors = dict(doc.morphisms)
         self.results: list[CommandResult] = []
+        # out name -> the result of the command that failed or refused
+        # without binding it
+        self.unproduced: dict[str, CommandResult] = {}
 
     # -- helpers -------------------------------------------------------------
 
-    @staticmethod
-    def _lookup(table: dict, kind: str, cmd, key, where):
+    def _lookup(self, table: dict, kind: str, cmd, key, where):
         name = cmd.get(key)
         _expect(isinstance(name, str), where, f"needs a {kind} name under {key!r}")
         if name not in table:
+            missing = self.unproduced.get(name)
+            if missing is not None:
+                raise MatfacError(
+                    f"{kind} {_quote(name)} was not produced: commands[{missing.index}] "
+                    f"({missing.op}) {'failed' if missing.status == 'fail' else 'was refused'}")
             raise DocumentError(f"{where}: unknown {kind} {_quote(name)}")
         return table[name]
 
@@ -304,9 +311,14 @@ class Runner:
         if name is None:
             return
         _expect(isinstance(name, str) and name, where, "'out' must be a nonempty string")
-        if name in self.facs or name in self.mors or name in self.doc.polynomials:
+        if not self._free(name):
             raise DocumentError(f"{where}: out name {_quote(name)} is already in use")
         self.facs[name] = value
+
+    def _free(self, name: str) -> bool:
+        """Whether `store` may bind name: no factorization, morphism or
+        document polynomial has it."""
+        return name not in self.facs and name not in self.mors and name not in self.doc.polynomials
 
     def twist(self, order: int) -> CycloElem:
         """The --zeta power of the canonical primitive `order`-th root; a
@@ -361,7 +373,13 @@ class Runner:
             if isinstance(e, DocumentError):
                 raise
             status, summary, data = "fail", str(e), {}
-        return CommandResult(i, op, status, summary, data)
+        result = CommandResult(i, op, status, summary, data)
+        name = cmd.get("out")
+        # only a name that `store` would have bound: a later reference to any
+        # other stays unusable input
+        if status != "pass" and isinstance(name, str) and name and self._free(name):
+            self.unproduced[name] = result
+        return result
 
     def op_validate(self, cmd, where):
         x = self.fac(cmd, "subject", where)

@@ -12,7 +12,9 @@ once per conductor by the classical "divide x^m - 1 by the proper divisors'
 cyclotomic polynomials" recursion.  It is monic with integer coefficients,
 so the reduction table of z^phi(m), ..., z^(2 phi(m) - 2) is integral too: a
 product is an integer convolution reduced through the table, over the
-product of the denominators, brought to lowest terms by one gcd.
+product of the denominators, brought to lowest terms by one gcd.  The
+reduction is one function, `_fold`, which the polynomial product also calls
+once per output coefficient, on a sum of convolutions.
 
 An inverse is the product of the other Galois conjugates z |-> z^a over the
 norm, all in integers; since the modulus is irreducible over Q, the norm of a
@@ -112,13 +114,14 @@ class CycloField:
         self.degree = deg = len(self.modulus) - 1
         if deg != _totient(m):
             raise MatfacError(f"cyclotomic polynomial of conductor {m} has the wrong degree")
-        # Reduction table: z^k for k in [degree, 2*degree - 2], each as the
-        # sparse (index, integer coefficient) pairs of its power-basis vector.
-        # A product of reduced elements has raw degree <= 2*degree - 2.
+        # Reduction table: z^k for k in [degree, 2*degree - 2], in that
+        # order, each as the sparse (index, integer coefficient) pairs of its
+        # power-basis vector.  A product of reduced elements has raw degree
+        # <= 2*degree - 2.
         rows = []
         vec = [-c for c in self.modulus[:-1]]  # z^degree; the modulus is monic
-        for k in range(deg, 2 * deg - 1):
-            rows.append((k, tuple((i, c) for i, c in enumerate(vec) if c)))
+        for _ in range(deg - 1):
+            rows.append(tuple((i, c) for i, c in enumerate(vec) if c))
             # times z: the overflowing lead * z^degree is -lead * (modulus minus its top)
             lead = vec[-1]
             vec = [0] + vec[:-1]
@@ -213,6 +216,22 @@ class CycloField:
 @functools.lru_cache(maxsize=None)
 def cyclotomic_field(m: int) -> CycloField:
     return CycloField(m)
+
+
+def _fold(field: CycloField, raw: list[int]) -> list[int]:
+    """The power-basis numerators of the integer vector raw over z^0, z^1,
+    ..., z^(2 degree - 2): its first degree coordinates, plus each higher
+    coordinate times its row of the reduction table.  Every product in the
+    package, of two elements or of two polynomials' coefficients, is reduced
+    here once."""
+    deg = field.degree
+    out = raw[:deg]
+    for k, row in enumerate(field._reduction, deg):
+        c = raw[k]
+        if c:
+            for i, t in row:
+                out[i] += c * t
+    return out
 
 
 def _lowest_terms(field: CycloField, num, den: int) -> CycloElem:
@@ -337,35 +356,25 @@ class CycloElem:
         if ra is not None and rb is not None:
             roots = field._roots
             return roots[(ra[0] + rb[0]) % len(roots)]
+        deg = len(a)
+        raw = [0] * (2 * deg - 1)
         x, root = (o, ra) if ra is not None else (self, rb)
         if root is not None and root[1] is not None:
             # x * (+-z^s): shift up by s, fold the overflow z^deg..z^(deg+s-1)
             # through the table's first s rows; the denominator stays
             s, sign = root[1]
-            num = x.num
-            cut = len(num) - s
-            out = [0] * s + list(num[:cut])
-            for c, (_, row) in zip(num[cut:], field._reduction):
-                if c:
-                    for i, t in row:
-                        out[i] += c * t
+            raw[s:s + deg] = x.num
+            out = _fold(field, raw)
             if sign < 0:
                 out = map(neg, out)
             return CycloElem(field, tuple(out), x.den)
-        deg = len(a)
         # Integer convolution over the power basis, then the reduction table.
-        raw = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
                     if bj:
                         raw[j] += ai * bj
-        out = raw[:deg]
-        for k, row in field._reduction:
-            c = raw[k]
-            if c:
-                for i, t in row:
-                    out[i] += c * t
+        out = _fold(field, raw)
         den = self.den * o.den
         if den == 1:
             return CycloElem(field, tuple(out), 1)

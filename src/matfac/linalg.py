@@ -702,7 +702,10 @@ def det_bareiss(m: Matrix) -> Polynomial:
     (entries stay minors of the original matrix), so the computation never
     leaves the ring.  Row swaps are allowed and tracked by sign.  It cuts
     nothing: `Matrix.det` (through `_det_power`) is the determinant to ask
-    for, and calls this on what its cuts leave."""
+    for, and calls this on what its cuts leave.  The cross product
+    rows[i][k] * rows[k][j] and the difference are formed only when both
+    factors are nonzero; otherwise the update is rows[i][j] * pivot / prev
+    alone, and with rows[i][j] zero too it is zero, with no division."""
     ring = m.space
     if not isinstance(ring, PolynomialRing):
         raise TypeError("det_bareiss requires polynomial entries")
@@ -719,12 +722,17 @@ def det_bareiss(m: Matrix) -> Polynomial:
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
-        pivot = rows[k][k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = rows[i]
+            below = row[k]
             for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                rows[i][j] = num.divexact(prev) if not num.is_zero() else ring.zero()
-            rows[i][k] = ring.zero()
+                num = row[j] * pivot
+                if not (below.is_zero() or pivot_row[j].is_zero()):
+                    num -= below * pivot_row[j]
+                row[j] = num.divexact(prev) if not num.is_zero() else ring.zero()
+            row[k] = ring.zero()
         prev = pivot
     det = rows[n - 1][n - 1]
     return det if sign == 1 else -det

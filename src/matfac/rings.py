@@ -1,26 +1,46 @@
 """Sparse multivariate polynomials over a cyclotomic field, plus jets.
 
-A polynomial is a dict from exponent tuples (aligned with the ring's variable
-order) to nonzero CycloElem coefficients.  The canonical term order everywhere
-— printing, lead terms, hashing — is graded lexicographic: compare total
-degree first, then the exponent tuple itself, with earlier variables weighing
-more.  Printing in descending graded-lex gives deterministic output, and the
-printer emits exactly the grammar the parser accepts, so print-then-parse is
-the identity.
+A polynomial is a dict from packed monomials to nonzero CycloElem
+coefficients.  A packed monomial is one integer (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): fields of `_FIELD_BITS` bits hold the total degree,
+most significant, and then the exponents, the ring's first variable most
+significant.  The top bit of every field is a guard, zero in every stored
+key, so a total degree, and with it every exponent, is at most
+`_MAX_DEGREE` = 32,767; a product or a monomial past that is refused
+(`Refusal`, naming the limit) before anything is packed, never truncated or
+aliased.  Integer order on the keys is then graded lexicographic order
+(`grlex_key`): compare total degree first, then the exponent tuple itself,
+with earlier variables weighing more.  So a lead term is the largest key, a
+graded-lex sort is an integer sort, the product of two monomials is the sum
+of their keys, and `terms` reads the keys back as exponent tuples.  The
+canonical term order everywhere — printing, lead terms — is descending
+graded-lex; the printer emits exactly the grammar the parser accepts, so
+print-then-parse is the identity.
 
 The kernels under every determinant (products, sums and differences, exact
 division) cost what their output costs.  A product with a one-term operand
-shifts the other operand's exponents and scales its coefficients, in that
-operand's own order, with no accumulation (Q(zeta_m) is a field, so no
-product of nonzeros is zero) and no coefficient product at all when the one
-term's coefficient is one.  A sum or a difference is one pass over the
-second operand's terms into a copy of the first's, dropping each term that
+adds that term's key to every key of the other operand and scales its
+coefficients, in that operand's own order, with no accumulation (Q(zeta_m)
+is a field, so no product of nonzeros is zero) and no coefficient product
+at all when the one term's coefficient is one.  A product of two multi-term
+operands reduces each output coefficient once: each operand's numerators
+are put over its coefficients' common denominator, each numerator vector is
+evaluated at 2^b (Kronecker substitution, with b wide enough that no
+coordinate of an accumulated convolution reaches 2^(b-1)), and the term
+pairs accumulate one integer product per output monomial.  Each sum is read
+back as the raw integer convolution, folded through the field's reduction
+table by `cyclo._fold`, the fold `CycloElem.__mul__` uses, and brought to
+lowest terms by one gcd.  A sum or a difference is one pass over the second
+operand's terms into a copy of the first's, dropping each term that
 cancels.  Exact division is heap-ordered sparse division (Johnson, "Sparse
 polynomial arithmetic", SIGSAM Bull. 8(3), 1974; Monagan and Pearce, CASC
-2007): the remainder is one dict updated in place, its exponents sit in a
-heap in descending graded-lex order, and each quotient term subtracts only
-the divisor's non-lead terms.  Results keep the key order of the plain
-double loop and of greedy division.
+2007) by the monic divisor g / lc(g): the remainder is one dict updated in
+place, its keys sit negated in a heap, and each quotient term subtracts
+only the divisor's non-lead terms.  Whether the divisor's lead divides the
+remainder's is one subtraction with the guard bits set and one mask: a
+field that borrows clears its guard.
+Results keep the key order of the plain double loop and of greedy division.
 
 Jets are polynomials truncated below a total-degree bound N.  They stand in
 for power-series arithmetic where a genuinely local operation is required
@@ -45,28 +65,36 @@ recursion limit.  A run of signs is read in a loop, at any length.
 
 from __future__ import annotations
 
+import math
+import struct
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from types import MappingProxyType
 
-from .cyclo import CycloElem, CycloField
-from .errors import MatfacError, UndecidableError, _quote
+from .cyclo import CycloElem, CycloField, _fold, _lowest_terms
+from .errors import MatfacError, Refusal, UndecidableError, _quote
 
 Exponents = tuple[int, ...]
+
+# The width of each field of a packed monomial, one struct "H" (unsigned
+# 16-bit) field when written big-endian; its top bit is the guard.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _descending(exps: Exponents) -> tuple[int, Exponents, Exponents]:
-    """Heap entry for exps: the smallest entry has the largest `grlex_key`
-    (negating every component reverses both comparisons); exps rides last."""
-    return (-sum(exps), tuple(map(neg, exps)), exps)
+def _degree_refusal(degree: int) -> Refusal:
+    return Refusal(f"total degree {degree} exceeds the limit {_MAX_DEGREE} of a packed monomial")
 
 
 class PolynomialRing:
-    """A polynomial ring field[vars] with a fixed variable order."""
+    """A polynomial ring field[vars] with a fixed variable order, and the
+    layout of its packed monomials (see the module docstring)."""
 
     def __init__(self, field: CycloField, variables):
         vars_tuple = tuple(variables)
@@ -80,6 +108,19 @@ class PolynomialRing:
         self.field = field
         self.vars = vars_tuple
         self._index = {v: i for i, v in enumerate(vars_tuple)}
+        n = len(vars_tuple)
+        # the shift of each variable's field, the first variable's highest,
+        # and of the total degree's, above them all
+        self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._degree_shift = _FIELD_BITS * n
+        # the struct formats of a key's bytes, big-endian: the degree's
+        # field, then the exponents' (struct caches their compiled forms)
+        self._fields = f">{n + 1}H"
+        self._exponents = f">{n}H"
+        self._bytes = 2 * (n + 1)
+        # every key of total degree <= _MAX_DEGREE is below _limit
+        self._limit = (_MAX_DEGREE + 1) << self._degree_shift
+        self._guards = sum(1 << (_FIELD_BITS - 1 + _FIELD_BITS * i) for i in range(n + 1))
 
     def __repr__(self):
         return f"PolynomialRing(Q(zeta_{self.field.m}), {list(self.vars)})"
@@ -96,11 +137,27 @@ class PolynomialRing:
     def __hash__(self):
         return hash(("PolynomialRing", self.field, self.vars))
 
+    def _pack(self, exps) -> int:
+        """The packed key of an exponent tuple aligned with `vars`."""
+        exps = tuple(exps)
+        if len(exps) != len(self.vars):
+            raise ValueError(f"expected {len(self.vars)} exponents, got {len(exps)}")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        degree = sum(exps)
+        if degree > _MAX_DEGREE:
+            raise _degree_refusal(degree)
+        return int.from_bytes(struct.pack(self._fields, degree, *exps), "big")
+
+    def _unpack(self, key: int) -> Exponents:
+        """The exponent tuple of a packed key."""
+        return struct.unpack_from(self._exponents, key.to_bytes(self._bytes, "big"), 2)
+
     def zero(self) -> Polynomial:
-        return Polynomial(self, {})
+        return Polynomial._of(self, {})
 
     def one(self) -> Polynomial:
-        return Polynomial(self, {(0,) * len(self.vars): self.field.one()})
+        return Polynomial._of(self, {0: self.field.one()})
 
     def scalar(self, c) -> Polynomial:
         """Constant polynomial from a CycloElem, int, or Fraction."""
@@ -111,101 +168,193 @@ class PolynomialRing:
             c = self.field.rational(c)
         if c.is_zero():
             return self.zero()
-        return Polynomial(self, {(0,) * len(self.vars): c})
+        return Polynomial._of(self, {0: c})
 
     def variable(self, name: str) -> Polynomial:
         if name not in self._index:
             raise ValueError(f"unknown variable {name!r} in {self.vars}")
-        exps = [0] * len(self.vars)
-        exps[self._index[name]] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()})
+        key = 1 << self._degree_shift | 1 << self._shifts[self._index[name]]
+        return Polynomial._of(self, {key: self.field.one()})
 
     def monomial(self, exps, coeff=1) -> Polynomial:
         """Monomial from an exponent iterable (aligned with ring.vars) and a coefficient."""
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.vars):
-            raise ValueError(f"expected {len(self.vars)} exponents, got {len(exps)}")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        key = self._pack(int(e) for e in exps)
         if not isinstance(coeff, CycloElem):
             coeff = self.field.rational(coeff)
         if coeff.is_zero():
             return self.zero()
-        return Polynomial(self, {exps: coeff})
+        return Polynomial._of(self, {key: coeff})
 
     def parse(self, text: str) -> Polynomial:
         return parse_polynomial(text, self)
 
 
+def _kronecker(num, bits: int) -> int:
+    """The integer sum of num[i] * 2^(bits * i)."""
+    value = 0
+    for c in reversed(num):
+        value = (value << bits) + c
+    return value
+
+
+def _digits(value: int, bits: int, count: int) -> list[int]:
+    """The inverse of `_kronecker` for count coordinates, each of absolute
+    value below 2^(bits-1): balanced base-2^bits digits, lowest first."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(count):
+        d = ((value + half) & mask) - half
+        out.append(d)
+        value = (value - d) >> bits
+    return out
+
+
+def _numerators(terms: dict[int, CycloElem]) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """(d, [(key, numerator vector over d), ...]) for the terms' coefficients
+    over their common denominator d."""
+    d = math.lcm(*[c.den for c in terms.values()])
+    return d, [(k, c.num if c.den == d else tuple(x * (d // c.den) for x in c.num))
+               for k, c in terms.items()]
+
+
+def _convolve(field: CycloField, a: dict[int, CycloElem],
+              b: dict[int, CycloElem]) -> dict[int, CycloElem]:
+    """The nonzero terms of the product of two term dicts, in the order of
+    the double loop over a's terms, then b's.
+
+    a's coefficients are put over their common denominator da and b's over
+    db, and each numerator vector is evaluated at 2^bits.  One output
+    coefficient is a sum of at most min(|a|, |b|) coefficient products, and
+    each coordinate of one convolution is a sum of at most `degree` integer
+    products, so every coordinate of an accumulated convolution is below
+    min(|a|, |b|) * degree * max|A| * max|B| < 2^(bits-1) in absolute
+    value, and the balanced digits of the accumulated integer are exactly
+    those coordinates.  Each is folded once and brought to lowest terms over
+    da * db once.
+    """
+    deg = field.degree
+    da, na = _numerators(a)
+    db, nb = _numerators(b)
+    bits = (max(abs(x) for _, v in na for x in v).bit_length()
+            + max(abs(x) for _, v in nb for x in v).bit_length()
+            + (deg * min(len(a), len(b))).bit_length() + 1)
+    pb = [(k, _kronecker(v, bits)) for k, v in nb]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for ka, va in na:
+        va = _kronecker(va, bits)
+        for kb, vb in pb:
+            k = ka + kb
+            acc[k] = get(k, 0) + va * vb
+    den, width = da * db, 2 * deg - 1
+    terms = {}
+    for k, v in acc.items():
+        if v:
+            num = _fold(field, _digits(v, bits, width))
+            if any(num):
+                terms[k] = (CycloElem(field, tuple(num), 1) if den == 1
+                            else _lowest_terms(field, num, den))
+    return terms
+
+
+def _quotient_key(ring: PolynomialRing, lead: int, ge: int) -> int:
+    """The key of the monomial lead / ge, or MatfacError when ge does not
+    divide lead.  With every guard bit of lead set, a field of lead below
+    ge's borrows its own guard bit and no more, so one subtraction and one
+    mask decide divisibility, and clearing the guards leaves the quotient."""
+    guards = ring._guards
+    qe = (lead | guards) - ge
+    if qe & guards != guards:
+        raise MatfacError(f"not an exact division: remainder lead "
+                          f"{ring._unpack(lead)} vs divisor lead {ring._unpack(ge)}")
+    return qe ^ guards
+
+
 class Polynomial:
     """Immutable sparse polynomial.  Construct through PolynomialRing methods.
 
-    `terms` maps exponent tuples to nonzero coefficients; the constructor
-    strips zeros, and the kernels that know their terms are nonzero build
-    through `_of`, so the representation is canonical up to dict iteration
-    order.
+    `_terms` maps packed monomials (see the module docstring) to nonzero
+    coefficients; the constructor takes exponent tuples and strips zeros,
+    and the kernels, which know their keys are packed and their terms
+    nonzero, build through `_of`, so the representation is canonical up to
+    dict iteration order.  `terms` reads the same terms back keyed by
+    exponent tuple.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms", "_view")
 
     def __init__(self, ring: PolynomialRing, terms: dict[Exponents, CycloElem]):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        pack = ring._pack
+        self._terms = {pack(e): c for e, c in terms.items() if not c.is_zero()}
 
     @classmethod
-    def _of(cls, ring: PolynomialRing, terms: dict[Exponents, CycloElem]) -> Polynomial:
-        """The polynomial whose terms are `terms`, kept as given, which the
-        caller guarantees hold no zero coefficient; built without `__init__`."""
+    def _of(cls, ring: PolynomialRing, terms: dict[int, CycloElem]) -> Polynomial:
+        """The polynomial whose packed terms are `terms`, kept as given, which
+        the caller guarantees hold no zero coefficient; built without
+        `__init__`."""
         p = cls.__new__(cls)
         p.ring = ring
-        p.terms = terms
+        p._terms = terms
         return p
+
+    @property
+    def terms(self) -> Mapping[Exponents, CycloElem]:
+        """The terms keyed by exponent tuple, in the stored order: a
+        read-only view, built from the packed keys when it is first read and
+        kept from then on.  The kernels never read it, so a polynomial that
+        only passes through arithmetic keeps no tuple-keyed copy."""
+        try:
+            view = self._view
+        except AttributeError:
+            unpack = self.ring._unpack
+            view = self._view = {unpack(k): c for k, c in self._terms.items()}
+        return MappingProxyType(view)
 
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_one(self) -> bool:
         return self == self.ring.one()
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def constant_term(self) -> CycloElem:
-        zero_exp = (0,) * len(self.ring.vars)
-        return self.terms.get(zero_exp, self.ring.field.zero())
+        return self._terms.get(0, self.ring.field.zero())
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> self.ring._degree_shift
 
     def order_of(self) -> int:
         """Min total degree of a term; the order of f in the variable-ideal filtration."""
-        if not self.terms:
+        if not self._terms:
             raise MatfacError("order of the zero polynomial is undefined")
-        return min(sum(e) for e in self.terms)
+        return min(self._terms) >> self.ring._degree_shift
 
     def variables_used(self) -> frozenset[str]:
-        used = set()
-        for e in self.terms:
-            for v, k in zip(self.ring.vars, e):
-                if k:
-                    used.add(v)
-        return frozenset(used)
+        used = 0
+        for k in self._terms:
+            used |= k
+        return frozenset(v for v, s in zip(self.ring.vars, self.ring._shifts)
+                         if used >> s & _FIELD_MASK)
 
     def lead(self) -> tuple[Exponents, CycloElem]:
         """Lead term under graded-lex; errors on zero."""
-        if not self.terms:
+        if not self._terms:
             raise MatfacError("lead term of the zero polynomial")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        k = max(self._terms)
+        return self.ring._unpack(k), self._terms[k]
 
     def sorted_terms(self) -> list[tuple[Exponents, CycloElem]]:
         """Terms in descending graded-lex order (the canonical iteration order)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        unpack, terms = self.ring._unpack, self._terms
+        return [(unpack(k), terms[k]) for k in sorted(terms, reverse=True)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -222,15 +371,15 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e)
+        terms = dict(self._terms)
+        for k, c in o._terms.items():
+            s = terms.get(k)
             if s is None:
-                terms[e] = c
+                terms[k] = c
             elif (s := s + c).is_zero():
-                del terms[e]
+                del terms[k]
             else:
-                terms[e] = s
+                terms[k] = s
         return Polynomial._of(self.ring, terms)
 
     __radd__ = __add__
@@ -239,15 +388,15 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e)
+        terms = dict(self._terms)
+        for k, c in o._terms.items():
+            s = terms.get(k)
             if s is None:
-                terms[e] = -c
+                terms[k] = -c
             elif (s := s - c).is_zero():
-                del terms[e]
+                del terms[k]
             else:
-                terms[e] = s
+                terms[k] = s
         return Polynomial._of(self.ring, terms)
 
     def __rsub__(self, other):
@@ -257,33 +406,30 @@ class Polynomial:
         return o - self
 
     def __neg__(self):
-        return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ring, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.terms, o.terms
+        ring = self.ring
+        a, b = self._terms, o._terms
+        if not a or not b:
+            return ring.zero()
         if len(a) == 1 and (len(b) != 1 or not next(iter(b.values())).is_one()):
             a, b = b, a
+        # the largest key of the product is the sum of the operands' largest
+        if (top := max(a) + max(b)) >= ring._limit:
+            raise _degree_refusal(top >> ring._degree_shift)
         if len(b) == 1:
-            # shift and scale a's terms, in their order, by b's one term (of
-            # coefficient one if either operand's is); c != 0 in a field, so
-            # no product is zero
+            # add b's one key to a's keys, in their order, and scale by its
+            # coefficient (one if either operand's is); c != 0 in a field,
+            # so no product is zero
             ((shift, c),) = b.items()
             if c.is_one():
-                return Polynomial._of(self.ring, {tuple(map(add, e, shift)): d
-                                                  for e, d in a.items()})
-            return Polynomial._of(self.ring, {tuple(map(add, e, shift)): d * c
-                                              for e, d in a.items()})
-        terms: dict[Exponents, CycloElem] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-        return Polynomial(self.ring, terms)
+                return Polynomial._of(ring, {k + shift: d for k, d in a.items()})
+            return Polynomial._of(ring, {k + shift: d * c for k, d in a.items()})
+        return Polynomial._of(ring, _convolve(ring.field, a, b))
 
     __rmul__ = __mul__
 
@@ -308,15 +454,14 @@ class Polynomial:
             if o is None:
                 return NotImplemented
             other = o
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
         # a constant equals its coefficient (`__eq__` coerces scalars), so it
         # hashes as one
         if self.total_degree() <= 0:
             return hash(self.constant_term())
-        items = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0])))
-        return hash((self.ring, items))
+        return hash((self.ring, tuple(sorted(self._terms.items()))))
 
     # -- structural operations ----------------------------------------------
 
@@ -326,11 +471,10 @@ class Polynomial:
         unknown = kill - set(self.ring.vars)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        idx = [self.ring._index[v] for v in kill]
-        return Polynomial._of(
-            self.ring,
-            {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)},
-        )
+        fields = 0
+        for v in kill:
+            fields |= _FIELD_MASK << self.ring._shifts[self.ring._index[v]]
+        return Polynomial._of(self.ring, {k: c for k, c in self._terms.items() if not k & fields})
 
     def divexact(self, g: Polynomial) -> Polynomial:
         """Exact quotient self / g; raises MatfacError if the division is not exact.
@@ -342,61 +486,58 @@ class Polynomial:
         if g divides r, lead(g) divides lead(r), and r minus a multiple of g
         is again a multiple of g with a smaller lead.
 
-        The remainder is one dict updated in place, and a heap holds its
-        exponents in descending graded-lex order (Johnson 1974; Monagan and
-        Pearce, CASC 2007), with g's lead coefficient inverted once.  A term
-        that cancels leaves the dict and its heap entry is skipped when popped
-        (lazy deletion); a term is pushed each time it enters the dict.  Each
-        quotient term removes the remainder's lead, which cancels exactly, and
-        subtracts its multiple of g's non-lead terms, so a monomial divisor
-        subtracts nothing.  The remainder passes through the same states as
-        in the greedy loop: quotient terms come out in descending graded-lex
-        order, and a failing division names the same leads.
+        The division runs by the monic divisor h = g / lc(g), whose non-lead
+        terms are formed once, and each quotient term is the remainder's lead
+        term over lead(h), times lc(g)^-1.  The remainder is one dict updated
+        in place, and a heap holds its keys negated, so that the largest, the
+        graded-lex lead, pops first (Johnson 1974; Monagan and Pearce, CASC
+        2007).  Each quotient term subtracts its multiple of h's non-lead
+        terms only, all at keys below the lead it removed: so no key enters
+        the remainder after it has been popped, each key is pushed once, and
+        the value a key holds when it pops is final.  A key whose value
+        cancelled to zero is skipped when it pops.  The remainder passes
+        through the same states as in the greedy loop: quotient terms come
+        out in descending graded-lex order, and a failing division names the
+        same leads.
         """
         if g.ring != self.ring:
             raise ValueError("polynomials from different rings")
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        ge, gc = g.lead()
-        ginv = gc.inverse()
-        tail = [(e, c) for e, c in g.terms.items() if e != ge]
-        rem = dict(self.terms)
-        heap = [_descending(e) for e in rem]
+        ge = max(g._terms)
+        ginv = g._terms[ge].inverse()
+        tail = [(k, c * ginv) for k, c in g._terms.items() if k != ge]
+        rem = dict(self._terms)
+        heap = [-k for k in rem]
         heapify(heap)
-        quotient: dict[Exponents, CycloElem] = {}
+        quotient: dict[int, CycloElem] = {}
         while heap:
-            re_ = heappop(heap)[2]
-            rc = rem.pop(re_, None)
-            if rc is None:  # stale: the term left the dict after this push
+            lead = -heappop(heap)
+            rc = rem.pop(lead)
+            if rc.is_zero():
                 continue
-            qe = tuple(map(sub, re_, ge))
-            if any(k < 0 for k in qe):
-                raise MatfacError(f"not an exact division: remainder lead {re_} vs divisor lead {ge}")
-            qc = rc * ginv
-            quotient[qe] = qc
-            for e2, c2 in tail:
-                e = tuple(map(add, qe, e2))
-                t = qc * c2
-                s = rem.get(e)
+            qe = _quotient_key(self.ring, lead, ge)
+            quotient[qe] = rc * ginv
+            for k2, c2 in tail:
+                k = qe + k2
+                s = rem.get(k)
                 if s is None:
-                    rem[e] = -t
-                    heappush(heap, _descending(e))
-                elif (s := s - t).is_zero():
-                    del rem[e]
+                    rem[k] = -(rc * c2)
+                    heappush(heap, -k)
                 else:
-                    rem[e] = s
+                    rem[k] = s - rc * c2
         return Polynomial._of(self.ring, quotient)
 
     def truncate(self, precision: int) -> Polynomial:
         """Drop every term of total degree >= precision."""
-        return Polynomial._of(
-            self.ring, {e: c for e, c in self.terms.items() if sum(e) < precision}
-        )
+        # a key is below precision << degree_shift iff its degree is below precision
+        bound = precision << self.ring._degree_shift
+        return Polynomial._of(self.ring, {k: c for k, c in self._terms.items() if k < bound})
 
     # -- display --------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
         for e, c in self.sorted_terms():

@@ -806,3 +806,49 @@ def test_mutated_cli_docs_never_raise(tmp_path, canonical_calls, cli_docs, data)
         doc = _replaced(doc, data.draw(st.sampled_from(paths)), data.draw(values))
     rc = _run_mutated(tmp_path, canonical_calls, doc, zeta)
     event(f"exit {rc}")
+
+
+def _with_command(doc, cmd):
+    """doc with cmd inserted before its closing report command."""
+    return dict(doc, commands=doc["commands"][:-1] + [cmd, doc["commands"][-1]])
+
+
+@pytest.mark.parametrize("name, conductor, extra, statuses, summaries", [
+    # Q(zeta_3) holds no primitive 4th root, so knorrer fails and binds no
+    # Zp; the shift of Zp then binds no TZp
+    ("knorrer-d2", 3, {"op": "validate", "subject": "TZp"},
+     ["pass", "pass", "fail", "fail", "fail", "pass", "pass", "fail", "pass"],
+     {3: "factorization 'Zp' was not produced: commands[2] (knorrer) failed",
+      4: "factorization 'Zp' was not produced: commands[2] (knorrer) failed",
+      7: "factorization 'TZp' was not produced: commands[4] (shift) failed"}),
+    # certifying rows with a sum in an entry is refused, and binds no U
+    ("ulrich-certify", None, {"op": "validate", "subject": "U"},
+     ["refused", "pass", "pass", "pass", "pass", "fail", "pass"],
+     {5: "factorization 'U' was not produced: commands[0] (ulrich) was refused"}),
+])
+def test_a_name_a_failed_command_did_not_bind_fails_the_commands_naming_it(
+        tmp_path, capsys, cli_docs, name, conductor, extra, statuses, summaries):
+    # the run goes on and ends with its report, exit 1, instead of exiting 2
+    # at the first command that names the missing output
+    doc, zeta = cli_docs[name]
+    if conductor is not None:
+        doc = dict(doc, ring=dict(doc["ring"], conductor=conductor))
+    rc, rep = run_machine(tmp_path, capsys, _with_command(doc, extra), "--zeta", str(zeta))
+    assert rc == 1 and rep["exit_status"] == 1
+    assert [c["status"] for c in rep["commands"]] == statuses
+    assert {i: rep["commands"][i]["summary"] for i in summaries} == summaries
+
+
+@pytest.mark.parametrize("out", ["", "f"])
+def test_an_out_name_store_refuses_stays_unknown_after_a_failed_command(tmp_path, capsys,
+                                                                        cli_docs, out):
+    # the knorrer command fails before its out name is checked; a name it
+    # could never have bound (empty, or a document polynomial's) is no
+    # output it did not produce, so the command naming it ends the run
+    doc, zeta = cli_docs["knorrer-d2"]
+    commands = [dict(c) for c in doc["commands"]]
+    commands[2]["out"] = commands[3]["subject"] = out
+    doc = dict(doc, ring=dict(doc["ring"], conductor=3), polynomials={"f": "x"},
+               commands=commands)
+    rc, err = run_machine(tmp_path, capsys, doc, "--zeta", str(zeta))
+    assert rc == 2 and f"commands[3]: unknown factorization {out!r}" in err

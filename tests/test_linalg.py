@@ -24,7 +24,7 @@ from matfac.linalg import (
     sparse_nullspace,
 )
 from matfac.linalg import rref as rref_matrix
-from matfac.rings import Jet
+from matfac.rings import Jet, Polynomial
 
 from oracles import det_cofactor, kron, matmul, nullspace, rref, signed_power
 
@@ -322,6 +322,40 @@ def test_det_matches_cofactor_oracle(entries):
     expected = det_cofactor(m)
     assert m.det() == expected
     assert det_bareiss(m) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(R.zero()), poly_entry()), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.sampled_from(["full", "upper", "lower"]))
+def test_bareiss_forms_no_difference_with_a_zero_cross_factor(entries, shape):
+    # an update whose rows[i][k] or rows[k][j] is zero is rows[i][j] * pivot
+    # alone; in a triangular matrix with a nonzero diagonal every update is,
+    # so no difference is formed at all
+    n = len(entries)
+    if shape != "full":
+        kept = [[e if (j >= i if shape == "upper" else j <= i) else R.zero()
+                 for j, e in enumerate(row)] for i, row in enumerate(entries)]
+        entries = [[R.one() + x if i == j and e.is_zero() else e for j, e in enumerate(row)]
+                   for i, row in enumerate(kept)]
+    m = Matrix(R, entries)
+    event(f"{shape}, {sum(e.is_zero() for row in entries for e in row)} zero entries")
+    sub, differences = Polynomial.__sub__, []
+
+    def recording(a, b):
+        differences.append((a, b))
+        return sub(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Polynomial, "__sub__", recording)
+        det = det_bareiss(m)
+    assert det == det_cofactor(m)
+    if shape != "full":
+        assert differences == []
+        diagonal = R.one()
+        for i in range(n):
+            diagonal = diagonal * entries[i][i]
+        assert det == diagonal
 
 
 def field_entry():

@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic, the expression parser, and jets."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,13 +14,15 @@ from matfac import (
     Matrix,
     Polynomial,
     PolynomialRing,
+    Refusal,
     UndecidableError,
     cyclotomic_field,
+    cyclotomic_polynomial,
     monomial_coprime,
     parse_polynomial,
 )
 from matfac.linalg import JetSpace, jet_inverse
-from matfac.rings import PolyParseError
+from matfac.rings import _MAX_DEGREE, PolyParseError, grlex_key
 from oracles import poly_add, poly_divexact, poly_mul, poly_sub
 
 F = cyclotomic_field(3)
@@ -177,6 +181,8 @@ def test_sum_difference_and_product_match_their_oracles(case):
 # a monomial divisor that does not divide: no non-lead terms to subtract
 @example(case=(R.zero(), y, x))
 @example(case=(R.zero(), R.scalar(3) * x * y, x * w))
+# the remainder's y^2 term cancels to zero before it would be the lead
+@example(case=(x - y, x + y, R.zero()))
 def test_divexact_matches_the_greedy_oracle(case):
     # f = q*g + r with r sometimes zero (an exact division) and sometimes not;
     # a failing division raises the oracle's message
@@ -193,6 +199,146 @@ def test_divexact_matches_the_greedy_oracle(case):
     else:
         assert _same(f.divexact(g), want)
     assert poly_mul(q, g).divexact(g) == q  # quotients come out in descending grlex
+
+
+# Coefficients over several denominators at once: each operand of a product
+# is put over its own common denominator, and each output coefficient is
+# brought to lowest terms once.
+def _mixed_poly(ring):
+    coeff = st.lists(st.fractions(-3, 3, max_denominator=7), min_size=1,
+                     max_size=ring.field.degree).map(ring.field.element)
+    return st.dictionaries(_exponents(ring), coeff, min_size=2, max_size=5).map(
+        lambda ts: Polynomial(ring, ts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([R, R24, PolynomialRing(cyclotomic_field(7), ("x", "y"))]).flatmap(
+    lambda ring: st.tuples(_mixed_poly(ring), _mixed_poly(ring))))
+@example(case=(R.parse("1/2*x + 1/3*y + 1/5*z"), R.parse("2/7*x - 3/4*z*y + 1/6")))
+def test_products_over_mixed_denominators_match_the_oracle(case):
+    f, g = case
+    dens = {c.den for p in case for c in p.terms.values()}
+    event(f"{len(dens)} denominators")
+    assert _same(f * g, poly_mul(f, g))
+    assert _same(g * f, poly_mul(g, f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([R, R24]).flatmap(
+    lambda ring: st.tuples(_kernel_poly(ring, zero=False), _kernel_poly(ring),
+                           st.sampled_from(ring.vars))))
+def test_products_whose_terms_cancel_match_the_oracle(case):
+    # (p*u + q)(p*u - q) = p^2 u^2 - q^2: every cross term cancels
+    p, q, u = case
+    u = p.ring.variable(u)
+    a, b = p * u + q, p * u - q
+    assert _same(a * b, poly_mul(a, b))
+    assert a * b == p * p * u * u - q * q
+
+
+def test_a_convolution_that_folds_to_zero_leaves_no_term():
+    # the x*y*w coefficient is 1*1 + 1*z + z*z: its raw convolution is
+    # 1 + z + z^2, nonzero as a vector and zero in Q(zeta_3)
+    a = R.parse("x + y + z*w")
+    b = R.parse("y*w + z*x*w + z*x*y")
+    product = a * b
+    assert _same(product, poly_mul(a, b))
+    assert (1, 1, 1) not in product.terms and len(product.terms) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring=st.sampled_from([R, R24]), data=st.data())
+def test_packed_key_order_is_graded_lex_order(ring, data):
+    # a key reads back as its exponents, and keys compare as `grlex_key`
+    e1, e2 = data.draw(_exponents(ring)), data.draw(_exponents(ring))
+    k1, k2 = ring._pack(e1), ring._pack(e2)
+    assert ring._unpack(k1) == e1 and ring._unpack(k2) == e2
+    assert (k1 < k2) == (grlex_key(e1) < grlex_key(e2))
+    assert k1 + k2 == ring._pack(map(sum, zip(e1, e2)))
+    f = Polynomial(ring, {e1: ring.field.one(), e2: ring.field.rational(2)})
+    assert [e for e, _ in f.sorted_terms()] == sorted(f.terms, key=grlex_key, reverse=True)
+    assert f.lead()[0] == max(f.terms, key=grlex_key)
+
+
+def test_exponents_at_the_degree_limit_and_past_it():
+    # every field holds up to _MAX_DEGREE; one past it is refused, naming
+    # the limit, and never wraps into the neighbouring field
+    top = R.monomial((_MAX_DEGREE, 0, 0))
+    assert top.terms == {(_MAX_DEGREE, 0, 0): F.one()}
+    assert top.total_degree() == _MAX_DEGREE
+    assert (R.monomial((0, 0, _MAX_DEGREE - 1)) * w).terms == {(0, 0, _MAX_DEGREE): F.one()}
+    assert (x ** (_MAX_DEGREE - 1) * (x + y)).terms == {
+        (_MAX_DEGREE, 0, 0): F.one(), (_MAX_DEGREE - 1, 1, 0): F.one()}
+    assert (top * R.scalar(3)).divexact(x ** 2) == R.scalar(3) * x ** (_MAX_DEGREE - 2)
+    limit = f"total degree {_MAX_DEGREE + 1} exceeds the limit {_MAX_DEGREE}"
+    for past in (lambda: top * w, lambda: w * top, lambda: (top + 1) * (y + 1),
+                 lambda: R.monomial((0, _MAX_DEGREE + 1, 0)),
+                 lambda: R.monomial((1, _MAX_DEGREE, 0)),
+                 lambda: Polynomial(R, {(0, 0, _MAX_DEGREE + 1): F.one()}),
+                 lambda: w ** (_MAX_DEGREE + 1)):
+        with pytest.raises(Refusal, match=limit):
+            past()
+    with pytest.raises(Refusal, match=limit):
+        R.parse(f"x^{_MAX_DEGREE} * y")
+
+
+def test_bad_exponent_tuples_are_refused_not_packed():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(R, {(2, -1, 0): F.one()})
+    with pytest.raises(ValueError, match="expected 3 exponents, got 2"):
+        Polynomial(R, {(1, 0): F.one()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=OPERANDS, c=_coefficients(F))
+def test_hash_contract(case, c):
+    # a constant hashes as its coefficient, and equal polynomials hash
+    # equally however their terms were ordered
+    f, g, _ = case
+    assert hash(R.scalar(c)) == hash(c) and R.scalar(c) == c
+    assert hash(R.scalar(3)) == hash(3) and hash(R.zero()) == hash(0)
+    for a, b in ((f * g, g * f), (f + g, g + f), (f * g, poly_mul(f, g))):
+        assert a == b and hash(a) == hash(b)
+    reordered = Polynomial(f.ring, dict(reversed(list(f.terms.items()))))
+    assert reordered == f and hash(reordered) == hash(f)
+
+
+def test_polynomials_copy_and_pickle():
+    # a polynomial keeps its packed terms and any exponent-tuple view it has
+    # built
+    for read_first in (False, True):
+        f = R.parse("x^2*w + z*y - 1/3")
+        if read_first:
+            f.terms
+        for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and g.ring == R and _same(g, f)
+            assert g * x == f * x
+
+
+def test_exact_division_with_quotients_larger_than_the_dividend():
+    # x^n - y^n by x - y, where a remainder coefficient meets up to n
+    # quotient terms; a quotient whose coefficients outgrow the dividend's;
+    # and a quotient with 100-digit coefficients
+    for n in (2, 9, 40):
+        f = x ** n - y ** n
+        assert _same(f.divexact(x - y), poly_divexact(f, x - y))
+        assert f.divexact(x - y) * (x - y) == f
+    # x^140 - 1 over the product g of its other cyclotomic factors: the
+    # quotient Phi_1 Phi_4 Phi_10 Phi_14 has a coefficient of absolute value
+    # 19, where every coefficient of the dividend is +-1
+    def cyclotomic(d):
+        return sum((R.scalar(c) * x ** i for i, c in enumerate(cyclotomic_polynomial(d))),
+                   R.zero())
+    q = cyclotomic(1) * cyclotomic(4) * cyclotomic(10) * cyclotomic(14)
+    g = R.one()
+    for d in (2, 5, 7, 20, 28, 35, 70, 140):
+        g = g * cyclotomic(d)
+    assert q * g == x ** 140 - 1 and max(abs(c.num[0]) for c in q.terms.values()) == 19
+    assert _same((x ** 140 - 1).divexact(g), poly_divexact(x ** 140 - 1, g))
+    g = R.parse("x - 3*z*y + 2")
+    q = (R.scalar(10 ** 100) * x + R.parse("z*y - 1/7")) ** 3
+    assert _same((q * g).divexact(g), poly_divexact(q * g, g))
+    assert _same((q * g).divexact(q), poly_divexact(q * g, q))
 
 
 def _truncated(p, precision):
