@@ -25,7 +25,7 @@ dispatch on the space type:
 * products: `@` is the row-sparse product: each row of the result
   accumulates a_ik * B[k] over the stored a_ik only, so block-diagonal and
   kron-with-identity operands cost what their nonzeros cost; `kron`
-  likewise forms only products of two stored entries and places the left
+  likewise forms only products of two stored entries and places either
   entry itself against a one;
 * determinants: `Matrix.det` is the one dispatch.  Over a field it is
   `_det_field` on the one field elimination below; over a polynomial ring
@@ -33,10 +33,12 @@ dispatch on the space type:
   blocks (every factor of a tensor product with a rank-one right operand)
   to an n x n one by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
-  Gazette 84, 2000), stops as soon as the matrix is scalar, g * I_n, and
-  keeps the determinant factored as (g, n); a non-scalar rest goes to
-  `det_bareiss`, fraction-free elimination (Bareiss, Math. Comp. 22, 1968)
-  with row-swap sign tracking and exact division, and is kept as (det, 1).
+  Gazette 84, 2000), reading A_0...A_{d-1} from the builder when
+  `Matrix.block_cyclic` was handed it, stops as soon as the matrix is
+  scalar, g * I_n, and keeps the determinant factored as (g, n); a
+  non-scalar rest goes to `det_bareiss`, fraction-free elimination
+  (Bareiss, Math. Comp. 22, 1968) with row-swap sign tracking and exact
+  division, and is kept as (det, 1).
   The factored form is this module's alone: `det` expands it, and
   `Matrix.det_as_power(g)` answers the one question the tensor and Ulrich
   checks ask of a polynomial determinant, det = u * g^s with u = +-1 and
@@ -59,6 +61,7 @@ translate their own 1-based block conventions at the boundary.
 
 from __future__ import annotations
 
+import math
 import operator
 from heapq import heapify, heappop, heappush
 
@@ -105,8 +108,11 @@ class Matrix:
 
     # _det, absent until the determinant is first asked for, holds the field
     # value of a field matrix and the factored (base, exponent) of a
-    # polynomial one, whose determinant is base ** exponent
-    __slots__ = ("space", "_rows", "nrows", "ncols", "_det")
+    # polynomial one, whose determinant is base ** exponent; _cycle, set only
+    # by `block_cyclic` when its caller holds the product of the cyclic
+    # blocks, holds (d, g) with A_0 ... A_{d-1} = g * I_n, and is absent on
+    # every other matrix, derived ones included
+    __slots__ = ("space", "_rows", "nrows", "ncols", "_det", "_cycle")
 
     def __init__(self, space, rows):
         """The matrix of the dense `rows`, zeros included, all of one length."""
@@ -197,12 +203,19 @@ class Matrix:
         return cls._sparse(space, len(rows), c0, rows)
 
     @classmethod
-    def block_cyclic(cls, space, diagonal, cyclic) -> Matrix:
+    def block_cyclic(cls, space, diagonal, cyclic, *, _product=None) -> Matrix:
         """The d x d grid of n x n blocks with diagonal[I] at (I, I),
         cyclic[I] at (I, (I+1) mod d) and zeros elsewhere, d >= 2: every
         factor of a twisted tensor product has this shape (Knorrer; Yoshino,
         Nagoya Math. J. 152, 1998).  With scalar diagonal blocks it is the
-        shape `_is_block_cyclic` recognizes and `_block_cyclic_cut` cuts."""
+        shape `_is_block_cyclic` recognizes and `_block_cyclic_cut` cuts.
+
+        `_product`, private to `tensor.tensor`, is the scalar g with
+        cyclic[0] ... cyclic[d-1] = g * I_n when the caller holds that
+        product certified (there, by the left operand's validation).  It is
+        kept as (d, g) in the matrix's `_cycle` slot, and the cut reads it
+        instead of forming the product, so its determinants rest on that
+        certificate; it is not checked here."""
         d = len(diagonal)
         if d < 2 or len(cyclic) != d:
             raise ValueError("a block-cyclic matrix needs d >= 2 diagonal "
@@ -210,8 +223,11 @@ class Matrix:
         zero = cls.zero(space, diagonal[0].nrows, diagonal[0].nrows)
         if any(b.shape != zero.shape for b in (*diagonal, *cyclic)):
             raise ValueError(f"block-cyclic blocks must all be {zero.nrows}x{zero.nrows}")
-        return cls.block(space, [[diagonal[i] if j == i else cyclic[i] if j == (i + 1) % d
-                                  else zero for j in range(d)] for i in range(d)])
+        m = cls.block(space, [[diagonal[i] if j == i else cyclic[i] if j == (i + 1) % d
+                               else zero for j in range(d)] for i in range(d)])
+        if _product is not None:
+            m._cycle = (d, _product)
+        return m
 
     # -- access ---------------------------------------------------------------
 
@@ -318,16 +334,16 @@ class Matrix:
     def kron(self, other: Matrix) -> Matrix:
         """Kronecker product: block (i,j) is self[i][j] * other.
 
-        Only the products of two stored entries are formed, and a right
-        entry equal to one places the left entry itself, so alpha (x) I_n
-        costs the nonzeros of alpha and multiplies nothing.
+        Only the products of two stored entries are formed, and an entry
+        equal to one places the other entry itself, so alpha (x) I_n and
+        I_n (x) alpha cost the nonzeros of alpha and multiply nothing.
         """
         self._check(other)
         one = self.space.one()
         width = other.ncols
         b_rows = [[(j, b, b == one) for j, b in row] for row in other._rows]
-        out = [[(ja * width + j, a if is_one else a * b)
-                for ja, a in a_row for j, b, is_one in b_row]
+        out = [[(ja * width + j, a if b_one else b if a == one else a * b)
+                for ja, a in a_row for j, b, b_one in b_row]
                for a_row in self._rows for b_row in b_rows]
         return Matrix._sparse(self.space, self.nrows * other.nrows, self.ncols * width, out)
 
@@ -639,10 +655,23 @@ def _is_block_cyclic(m: Matrix, d: int) -> bool:
 
 def _block_cyclic_cut(m: Matrix) -> Matrix | None:
     """The n x n matrix c_0...c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1}, whose
-    determinant is det m, for the smallest d >= 2 that cuts m into the
-    block-cyclic shape of `_is_block_cyclic` (A_I is block (I, (I+1) mod d));
-    None if no d does."""
+    determinant is det m, when m has the block-cyclic shape of
+    `_is_block_cyclic` for some d >= 2 (A_I is block (I, (I+1) mod d));
+    None if no d fits.
+
+    A matrix whose builder recorded A_0 ... A_{d-1} = g * I_n (its `_cycle`,
+    see `Matrix.block_cyclic`) and that has the shape at that recorded d is
+    read: the cut is (c_0...c_{d-1} - (-1)^d g) * I_n, with the c_I read off
+    m itself, and no product of blocks is formed.  The record holds for the
+    builder's d only, so it is not read at any other.  Every other matrix is
+    cut at the smallest d that fits, by forming the product."""
     size = m.nrows
+    cycle = getattr(m, "_cycle", None)
+    if cycle is not None and _is_block_cyclic(m, cycle[0]):
+        d, g = cycle
+        n = size // d
+        c = math.prod((m[r, r] for r in range(0, size, n)), start=m.space.one())
+        return Matrix.scalar(m.space, n, c - g if d % 2 == 0 else c + g)
     for d in range(2, size + 1):
         if size % d or not _is_block_cyclic(m, d):
             continue
@@ -675,8 +704,12 @@ def _det_power(m: Matrix) -> tuple[Polynomial, int]:
     and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for block-cyclic B; both
     sides are polynomials in the c_I, so it also holds when some c_I is 0.
     The cut stops as soon as the matrix is scalar, g * I_n, and the result is
-    (g, n): g is never raised to the n-th power.  For a valid tensor factor
-    that happens after one cut, with g = +-f.  A non-scalar matrix the cut
+    (g, n): g is never raised to the n-th power.  For a tensor factor with a
+    rank-one right operand that happens after one cut, with g = +-f, and
+    that cut is read, not multiplied out: `tensor` records the product of
+    the cyclic blocks, f_x * I_n, which the left operand's validation
+    certifies (see `_block_cyclic_cut`), so such a determinant rests on that
+    validation, as the tensor's own does.  A non-scalar matrix the cut
     cannot shrink goes to `det_bareiss`, and the result is (its determinant,
     1).  The determinant is base ** exponent either way.
     """

@@ -338,11 +338,7 @@ class Polynomial:
         return min(self._terms) >> self.ring._degree_shift
 
     def variables_used(self) -> frozenset[str]:
-        used = 0
-        for k in self._terms:
-            used |= k
-        return frozenset(v for v, s in zip(self.ring.vars, self.ring._shifts)
-                         if used >> s & _FIELD_MASK)
+        return variables_in(self.ring, (self,))
 
     def lead(self) -> tuple[Exponents, CycloElem]:
         """Lead term under graded-lex; errors on zero."""
@@ -578,6 +574,18 @@ def _format_term(c: CycloElem, mono: str) -> str:
         return f"{sign}{zs}*{mono}" if mono else f"{sign}{zs}"
     body = f"({c})"
     return f"{body}*{mono}" if mono else body
+
+
+def variables_in(ring: PolynomialRing, polys) -> frozenset[str]:
+    """The names of the variables that some term of the polynomials `polys`,
+    all of `ring`, uses: every packed key is ORed into one integer, whose
+    exponent fields are read once, so the cost is one OR per term and one
+    pass over the ring's variables in all."""
+    used = 0
+    for p in polys:
+        for k in p._terms:
+            used |= k
+    return frozenset(v for v, s in zip(ring.vars, ring._shifts) if used >> s & _FIELD_MASK)
 
 
 def monomial_coprime(polys) -> bool:

@@ -49,18 +49,15 @@ from .errors import MatfacError, Refusal
 from .factorization import MatFac, PresentationMatrix, default_precision
 from .linalg import Matrix
 from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
-from .rings import monomial_coprime
+from .rings import monomial_coprime, variables_in
 from .tensor import TensorMatFac, _check_operands, swap_witness, tensor
 
 
 def variable_support(x: MatFac) -> frozenset[str]:
-    """All variable names appearing in the factors or in f."""
-    used = set(x.f.variables_used())
-    for m in x.mats:
-        for row in m.nonzero():
-            for _, p in row:
-                used |= p.variables_used()
-    return frozenset(used)
+    """All variable names appearing in the factors or in f, read at once
+    from every entry's terms (`rings.variables_in`)."""
+    return variables_in(x.ring, [x.f, *(p for m in x.mats for row in m.nonzero()
+                                         for _, p in row)])
 
 
 def _require_disjoint(x: MatFac, y: MatFac):

@@ -80,6 +80,17 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     of f and g and zeta is a primitive d-th root of unity, and both
     hypotheses are checked here first.  So every slot holds, and the report
     is the one `validate` would compute: d passing entries, no detail.
+
+    Every slot is built by `Matrix.block_cyclic` with the product of its
+    cyclic blocks recorded, f_x * I_nm (f_x is x.f), which x's validation,
+    checked first, certifies: the blocks are A_I = kron(phi_{I+1}, I_m), so
+    A_0 ... A_{d-1} = kron(phi_1 ... phi_d, I_m) = kron(f_x I_n, I_m).  With
+    a rank-one right operand the diagonal blocks are the scalars
+    c_I = zeta^I psi_{p+1-I}, whose product is zeta^(d(d-1)/2) f_y =
+    (-1)^(d-1) f_y, so the determinant cut reads (c - (-1)^d f_x) I_nm =
+    (-1)^(d-1) (f_x + f_y) I_nm without multiplying a block: det Phi =
+    (+-f)^nm, and the determinant checks (`det_check`, the Ulrich
+    verification) rest on x's validation, as the tensor's report does.
     """
     _check_operands(x, y)
     d = x.d
@@ -89,13 +100,12 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     eye_n = Matrix.identity(ring, x.n)
     eye_m = Matrix.identity(ring, y.n)
     zpow = [ring.scalar(zeta ** e) for e in range(d)]
-    # mats[p] is Phi_{p+1}: diagonal block I is zeta^I kron(I_n, psi_{p+1-I}),
+    # mats[p] is Phi_{p+1}: diagonal block I is kron(I_n, zeta^I psi_{p+1-I}),
     # psi_{p+1-I} being y.mats[(p - I) % d]; the cyclic blocks
     # kron(phi_{I+1}, I_m) are the same at every slot
     cyclic = [x.phi(i + 1).kron(eye_m) for i in range(d)]
-    psis = [eye_n.kron(psi) for psi in y.mats]
-    mats = [Matrix.block_cyclic(ring, [psis[(p - i) % d].scale(zpow[i]) for i in range(d)],
-                                cyclic)
+    mats = [Matrix.block_cyclic(ring, [eye_n.kron(y.mats[(p - i) % d].scale(zpow[i]))
+                                       for i in range(d)], cyclic, _product=x.f)
             for p in range(d)]
     out = TensorMatFac(ring, x.f + y.f, mats)
     out.left, out.right, out.zeta = x, y, zeta
@@ -273,10 +283,13 @@ def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     The law is `_det_law`, and each Phi_k passes when
     `Phi_k.det_as_power(f+g)` gives the law's pair.  With a rank-one right
     operand every Phi_k is block-cyclic with scalar diagonal blocks, and its
-    factored determinant stops at a scalar g * I_nm (for a valid X after one
-    cut), so g = +-(f+g) decides by the factors; the report carries the
-    law's value, expanded once.  Every Phi_k of a wider right operand still
-    pays for full elimination.  A failing entry reports its own expanded
+    factored determinant stops after one cut at a scalar g * I_nm, read
+    from its diagonal scalars and the product of its cyclic blocks that
+    `tensor` recorded, f * I (see `tensor`), so g = +-(f+g) decides by the
+    factors.  The check therefore rests on X's validation, which `tensor`
+    requires, not on a product formed here; the report carries the law's
+    value, expanded once.  Every Phi_k of a wider right operand still pays
+    for full elimination.  A failing entry reports its own expanded
     determinant.
     """
     if x.f.is_zero() or y.f.is_zero():

@@ -32,9 +32,14 @@ Every cokernel's statistics, for every ell, are read one way
 factor of a build it is read from the determinant the verification cut,
 kept on the matrix.  Validation is not recomputed: each tensor carries
 the verdict the tensor theorem gives it (see `tensor.tensor`), from
-validated operands and a primitive twist, while rank, reducedness and the
-determinants are computed from the built matrices.  A failed check raises
-MatfacError rather than returning a failing report.
+validated operands and a primitive twist.  Rank and reducedness are
+computed from the built matrices; each determinant is read off its factor
+(the diagonal scalars) together with the product of the cyclic blocks that
+the last tensor step recorded, f_x * I, which its left operand's
+validation certifies.  So the determinants rest on that validation, which
+Yoshino's theorem derives, step by step, from the rows' computed
+validations.  A failed check raises MatfacError rather than returning a
+failing report.
 """
 
 from __future__ import annotations
@@ -190,8 +195,12 @@ def _checked_zeta(spec: SumOfProducts, zeta: CycloElem | None) -> CycloElem:
 def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     """Check the tensor built from spec: rank k^(N-1), reducedness, and
     every factor's determinant against the tensor determinant law of its
-    last step, +-f^(k^(N-2)) with the law's sign.  These are computed here,
-    independently of how x was made; its validation is the verdict x
+    last step, +-f^(k^(N-2)) with the law's sign.  Rank and reducedness are
+    computed here from the matrices.  Each determinant is cut to g * I_n
+    from the factor's own diagonal scalars and the product of its cyclic
+    blocks that `tensor` recorded, f_x * I, so it rests on the validation of
+    the last step's left operand, which Yoshino's theorem derives from the
+    rows' computed validations; x's own validation is the verdict it
     carries from `tensor`, read, not recomputed.
     Each factor passes when `det_as_power(f)` gives the law's pair: a
     factor whose cut stops at g * I_n is decided by g = +-f, without f^n
@@ -233,10 +242,14 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     report from the tensor theorem, so no cyclic product of the
     rank-k^(N-1) factors is formed.
     Each step tensors with a rank-one row factorization, so every factor is
-    block-cyclic: its determinant is cut, without elimination, to the scalar
-    matrix g * I_s and compared with the law as factors (g = +-f with the
-    sign (-1)^s accounted for), so f^s is never expanded; the cost lies in
-    the tensor products and in those cuts.  zeta
+    block-cyclic: its determinant is cut, without elimination or any block
+    product, to the scalar matrix g * I_s, read from the factor's diagonal
+    scalars and the product of its cyclic blocks that the last step
+    recorded, f_x * I, and compared with the law as factors (g = +-f with
+    the sign (-1)^s accounted for), so f^s is never expanded.  The
+    determinants therefore rest on the last step's left operand's
+    validation, derived by Yoshino's theorem from the rows' computed
+    validations; the cost lies in the tensor products.  zeta
     defaults to the first primitive k-th root of unity of the coefficient
     field; the field must contain one.
 

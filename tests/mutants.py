@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-250 s for the thirty-three here on a 2-vCPU host, most of it hypothesis shrinking
+450 s for the thirty-seven here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -31,6 +31,21 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+# `tensor.tensor` from the validation check on: the slots it builds, each
+# recording the product of its cyclic blocks
+_TENSOR_SLOTS = (
+    "    eye_n = Matrix.identity(ring, x.n)\n"
+    "    eye_m = Matrix.identity(ring, y.n)\n"
+    "    zpow = [ring.scalar(zeta ** e) for e in range(d)]\n"
+    "    # mats[p] is Phi_{p+1}: diagonal block I is kron(I_n, zeta^I psi_{p+1-I}),\n"
+    "    # psi_{p+1-I} being y.mats[(p - I) % d]; the cyclic blocks\n"
+    "    # kron(phi_{I+1}, I_m) are the same at every slot\n"
+    "    cyclic = [x.phi(i + 1).kron(eye_m) for i in range(d)]\n"
+    "    mats = [Matrix.block_cyclic(ring, [eye_n.kron(y.mats[(p - i) % d].scale(zpow[i]))\n"
+    "                                       for i in range(d)], cyclic, _product=x.f)\n"
+    "            for p in range(d)]\n"
+)
 
 # name -> (file, text, replacement, tests that must fail)
 MUTANTS = {
@@ -118,8 +133,47 @@ MUTANTS = {
         "src/matfac/linalg.py",
         "        return scalar - prod if d % 2 == 0 else scalar + prod\n",
         "        return scalar + prod if d % 2 == 0 else scalar - prod\n",
-        ["tests/test_tensor.py::test_determinant_law_on_grid",
+        ["tests/test_linalg.py::test_block_cyclic_reduction_matches_cofactor_oracle",
+         "tests/test_linalg.py::test_factored_determinant_matches_oracles",
+         "tests/test_tensor.py::test_read_determinants_equal_the_computed_cut"],
+    ),
+    "cycle-read-sign": (
+        "src/matfac/linalg.py",
+        "c - g if d % 2 == 0 else c + g)",
+        "c + g if d % 2 == 0 else c - g)",
+        ["tests/test_tensor.py::test_read_determinants_equal_the_computed_cut",
+         "tests/test_tensor.py::test_determinant_law_on_grid",
          "tests/test_ulrich.py::test_build_from_sum_rank_and_determinants"],
+    ),
+    "cycle-read-smallest-d": (
+        "src/matfac/linalg.py",
+        "        d, g = cycle\n",
+        "        d, g = next(e for e in range(2, size + 1)\n"
+        "                    if size % e == 0 and _is_block_cyclic(m, e)), cycle[1]\n",
+        ["tests/test_tensor.py::test_the_record_is_read_at_the_builders_d"],
+    ),
+    "cycle-records-right-f": (
+        "src/matfac/tensor.py",
+        "cyclic, _product=x.f)",
+        "cyclic, _product=y.f)",
+        ["tests/test_tensor.py::test_read_determinants_equal_the_computed_cut",
+         "tests/test_tensor.py::test_determinant_law_on_grid",
+         "tests/test_ulrich.py::test_build_from_sum_rank_and_determinants"],
+    ),
+    "cycle-records-tensor-f": (
+        "src/matfac/tensor.py",
+        "cyclic, _product=x.f)",
+        "cyclic, _product=x.f + y.f)",
+        ["tests/test_tensor.py::test_read_determinants_equal_the_computed_cut",
+         "tests/test_tensor.py::test_determinant_law_on_grid",
+         "tests/test_ulrich.py::test_build_from_sum_rank_and_determinants"],
+    ),
+    "cycle-records-before-validation": (
+        "src/matfac/tensor.py",
+        "    _require_validated(x, y)\n" + _TENSOR_SLOTS,
+        _TENSOR_SLOTS + "    _require_validated(x, y)\n",
+        ["tests/test_tensor.py::"
+         "test_tensor_refuses_an_unvalidated_operand_before_building_a_slot"],
     ),
     "det-as-power-sign": (
         "src/matfac/linalg.py",

@@ -389,6 +389,18 @@ def tensor_factor(x, y, zeta, p: int) -> Matrix:
     return _block_grid(ring, d, x.n * y.n, block)
 
 
+def tensor_factors_twisted_late(x, y, zeta) -> list[Matrix]:
+    """The factors of X (x)_zeta Y through `Matrix.block_cyclic`, with each
+    diagonal block formed as kron(I_n, psi) first and then scaled whole by
+    zeta^I, n * m products where scaling psi first takes m."""
+    ring, d = x.ring, x.d
+    eye_n, eye_m = Matrix.identity(ring, x.n), Matrix.identity(ring, y.n)
+    cyclic = [x.mats[i].kron(eye_m) for i in range(d)]
+    return [Matrix.block_cyclic(ring, [eye_n.kron(y.mats[(p - i) % d]).scale(ring.scalar(zeta ** i))
+                                       for i in range(d)], cyclic)
+            for p in range(d)]
+
+
 def swap_component(x, y, zeta, k: int) -> Matrix:
     """Component k of the swap X (x) Y -> Y (x)_{zeta^-1} X: block
     ((k - J) mod d, J) is zeta^(J (k - J mod d)) times the commutation

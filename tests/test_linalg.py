@@ -112,7 +112,7 @@ def test_matmul_matches_dense_oracle(kind, n, k, m, data):
        st.integers(0, 3), st.integers(0, 3), st.booleans(), st.data())
 def test_kron_matches_dense_oracle(kind, n, k, p, q, right_identity, data):
     # non-square and empty operands, zeroed rows and columns, and an identity
-    # on the right, where the sparse product places the left entry itself
+    # on either side, where the sparse product places the other entry itself
     space, pool = PRODUCT_SPACES[kind]
     a = data.draw(_sparse_matrix(space, pool, n, k))
     b = (Matrix.identity(space, p) if right_identity
@@ -120,9 +120,15 @@ def test_kron_matches_dense_oracle(kind, n, k, p, q, right_identity, data):
     got = a.kron(b)
     assert got.shape == (a.nrows * b.nrows, a.ncols * b.ncols)
     assert got == kron(a, b)
-    assert Matrix.identity(space, p).kron(a) == kron(Matrix.identity(space, p), a)
+    left = Matrix.identity(space, p).kron(a)
+    assert left == kron(Matrix.identity(space, p), a)
+    # I_p (x) a places a's entries themselves, but for its ones, where the
+    # identity's one is placed: nothing is multiplied
+    assert all(left[l * n + i, l * k + j] is a[i, j]
+               for i in range(n) for j in range(k) for l in range(p)
+               if not (a[i, j].is_zero() or a[i, j] == space.one()))
     if right_identity:
-        # a (x) I_p places a's entries themselves: nothing is multiplied
+        # a (x) I_p likewise
         assert all(got[i * p + l, j * p + l] is a[i, j]
                    for i in range(a.nrows) for j in range(a.ncols) for l in range(p)
                    if not a[i, j].is_zero())

@@ -22,7 +22,7 @@ from matfac import (
     parse_polynomial,
 )
 from matfac.linalg import JetSpace, jet_inverse
-from matfac.rings import _MAX_DEGREE, PolyParseError, grlex_key
+from matfac.rings import _MAX_DEGREE, PolyParseError, grlex_key, variables_in
 from oracles import poly_add, poly_divexact, poly_mul, poly_sub
 
 F = cyclotomic_field(3)
@@ -244,6 +244,18 @@ def test_a_convolution_that_folds_to_zero_leaves_no_term():
     product = a * b
     assert _same(product, poly_mul(a, b))
     assert (1, 1, 1) not in product.terms and len(product.terms) == 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=st.sampled_from([R, R24]), data=st.data())
+def test_variables_in_is_the_union_of_each_polynomials_support(ring, data):
+    # the keys of every polynomial ORed and read once, against the union of
+    # the variables each term's exponent tuple uses, polynomial by polynomial
+    polys = data.draw(st.lists(_kernel_poly(ring), max_size=5))
+    supports = [frozenset(v for exps in p.terms for v, e in zip(ring.vars, exps) if e)
+                for p in polys]
+    assert variables_in(ring, polys) == frozenset().union(*supports)
+    assert [p.variables_used() for p in polys] == supports
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,12 @@
 """The twisted tensor product: worked 3x3 and 9x9 examples, determinant law,
 naturality witnesses, projectivity preservation."""
 
+import math
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from matfac import (
     MatFac,
@@ -27,7 +30,8 @@ from matfac import (
 )
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
-from matfac.linalg import _det_power
+from matfac.linalg import _det_power, _is_block_cyclic, det_bareiss
+from matfac.tensor import _det_law
 
 from oracles import (
     admits_invertible_combination_symbolic,
@@ -35,6 +39,7 @@ from oracles import (
     shift_component,
     swap_component,
     tensor_factor,
+    tensor_factors_twisted_late,
 )
 
 F3 = cyclotomic_field(3)
@@ -172,9 +177,143 @@ def test_determinant_law_on_grid(d, n, m):
     if (nm * (d + 1)) % 2:
         expected = -expected
     assert rep.expected == expected
+    assert list(t.mats) == tensor_factors_twisted_late(x, y, zeta)
     for p, mat in enumerate(t.mats):
         assert mat == tensor_factor(x, y, zeta, p)
         assert det_cofactor(mat) == expected
+
+
+# -- determinants read from the left operand's validation ---------------------------
+
+
+def _record_free(m):
+    """m rebuilt from its stored rows: the same matrix, with no recorded
+    product of its cyclic blocks, so its determinant is computed."""
+    return Matrix._sparse(m.space, m.nrows, m.ncols, m._rows)
+
+
+def _read_ring(d):
+    names = ("a", "b", "c") + tuple(f"v{i}" for i in range(d))
+    return PolynomialRing(cyclotomic_field(d), names)
+
+
+_READ_RINGS = {d: _read_ring(d) for d in range(2, 6)}
+
+
+def _read_entries(ring):
+    a, b, c = (ring.variable(v) for v in "abc")
+    z = ring.scalar(ring.field.zeta())
+    return [a, b, c, a + b, a * c - b, z * b + c, a * a, ring.one(), ring.zero()]
+
+
+@st.composite
+def read_cases(draw):
+    """(x, y, zeta) with a validated left operand x of any rank the tensor
+    allows up to rank 729: a chain of tensors of rank-one rows of
+    polynomial entries, sometimes a direct sum with its shift, and shifted.
+    y is a rank-one row, or (one case in four) the wide rank-two y1 + T y1
+    of distinct variables, whose diagonal blocks are not scalar, so that its
+    slots go to elimination; x is then one row.  A zero entry makes f_x = 0
+    or f_y = 0; x takes one only while it is one row, since a zero block
+    can let the computed cut fit a smaller d and leave elimination at the
+    full rank."""
+    d = draw(st.integers(2, 5))
+    ring = _READ_RINGS[d]
+    zeta = ring.field.root_of_unity(d, 1)
+    entries = _read_entries(ring)
+
+    def row(zero=True):
+        pool = entries if zero else [e for e in entries if not e.is_zero()]
+        es = draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d))
+        return MatFac(ring, math.prod(es, start=ring.one()), [Matrix(ring, [[e]]) for e in es])
+
+    x = row()
+    if draw(st.sampled_from(("rank one", "chain", "chain", "wide"))) == "wide":
+        y1 = rank_one(ring, *(f"v{i}" for i in range(d)))
+        return x.shift(draw(st.integers(0, d - 1))), y1.direct_sum(y1.shift(1)), zeta
+    # rows tensored onto x: the tensor's rank d^(rows + 2) stays <= 729
+    rows = 0 if x.f.is_zero() else draw(st.integers(0, int(math.log(729, d) + 1e-9) - 2))
+    for _ in range(rows):
+        x = tensor(x, row(zero=False), zeta)
+    if 2 * d * x.n <= 729 and draw(st.booleans()):
+        x = x.direct_sum(x.shift(1))
+    return x.shift(draw(st.integers(0, d - 1))), row(), zeta
+
+
+@settings(max_examples=30, deadline=None)
+@given(read_cases(), st.data())
+def test_read_determinants_equal_the_computed_cut(case, data):
+    # every slot's determinant, read from the recorded product f_x * I, is
+    # the one the record-free copy computes, and the law's when f is not
+    # constant; elimination agrees at rank <= 9.  A wide right operand's
+    # slots are not block-cyclic at d, so a record, even a wrong one, is not
+    # read.  Matrices derived from a slot carry no record, and the shift of a
+    # tensor, built before any determinant is asked for, reads the same.
+    x, y, zeta = case
+    t = tensor(x, y, zeta)
+    shift = data.draw(st.integers(1, t.d - 1))
+    shifted = tensor(x, y, zeta).shift(shift)
+    law = _det_law(t)
+    event(f"d={t.d}, rank {next(r for r in (9, 81, 729) if t.n <= r)}"
+          + (", wide" if y.n > 1 else ""))
+    assert list(t.mats) == tensor_factors_twisted_late(x, y, zeta)
+    for p, m in enumerate(t.mats):
+        assert m._cycle == (t.d, x.f)
+        free = _record_free(m)
+        want = free.det_as_power(t.f)
+        assert m.det_as_power(t.f) == want
+        assert shifted.mats[(p - shift) % t.d].det_as_power(t.f) == want
+        if t.f.total_degree() > 0:
+            assert want == law
+        if t.n <= 9:
+            assert m.det() == det_bareiss(free)
+        if y.n > 1:
+            assert not _is_block_cyclic(m, t.d)
+            wrong = _record_free(m)
+            wrong._cycle = (t.d, y.f)
+            assert _det_power(wrong) == _det_power(free)
+    m = t.mats[0]
+    for derived in (m.map(lambda a: a), m.scale(t.ring.one()),
+                    m.kron(Matrix.identity(t.ring, 1)), Matrix.identity(t.ring, 1).kron(m),
+                    m.submatrix(range(m.nrows), range(m.ncols))):
+        assert derived == m and not hasattr(derived, "_cycle")
+
+
+def test_the_record_is_read_at_the_builders_d():
+    # x = (0, a, 0, c) validates with f_x = 0 and zero blocks A_0 and A_2, and
+    # y's entries make c_0 = c_1 and c_2 = c_3 at slots 0 and 2: those slots
+    # are block-cyclic at d = 2 as well as at the builder's d = 4.  The read
+    # uses d = 4 and stops at (-f) * I_1; the computed cut takes the smallest
+    # d that fits, 2, and stops at (v0 v1) * I_2 with the same determinant
+    ring = _READ_RINGS[4]
+    a, c, v0, v1 = (ring.variable(v) for v in ("a", "c", "v0", "v1"))
+    zeta = ring.field.root_of_unity(4, 1)
+    z = ring.scalar(zeta)
+    zero = ring.zero()
+    x = MatFac(ring, zero, [Matrix(ring, [[e]]) for e in (zero, a, zero, c)])
+    y = MatFac(ring, z * z * v0 * v0 * v1 * v1,
+               [Matrix(ring, [[e]]) for e in (z * v1, v0, z * v0, v1)])
+    t = tensor(x, y, zeta)
+    assert t.f == -(v0 * v0 * v1 * v1)
+    for p, m in enumerate(t.mats):
+        assert _det_power(m) == (-t.f, 1)
+        free = _record_free(m)
+        assert _is_block_cyclic(m, 2) == (p % 2 == 0)
+        assert _det_power(free) == ((v0 * v1, 2) if p % 2 == 0 else (-t.f, 1))
+        assert m.det() == free.det()
+
+
+def test_tensor_refuses_an_unvalidated_operand_before_building_a_slot(count_calls):
+    # the record rests on x's validation, so no slot is built before it is
+    # checked
+    built = count_calls(Matrix.block_cyclic)
+    bad = MatFac(R9, X.f + R9.one(), X.mats)
+    for left, right in ((bad, Y), (X, bad)):
+        with pytest.raises(MatfacError, match="does not validate"):
+            tensor(left, right, ZETA)
+    assert built == []
+    tensor(X, Y, ZETA)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
