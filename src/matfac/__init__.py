@@ -47,7 +47,6 @@ from .structure import (
     AxiomCoprimeRankOne,
     ConsequenceReport,
     DecompBound,
-    IndecomposabilityReport,
     ReductionReport,
     ShiftRefutation,
     StrongIndCert,
@@ -56,16 +55,13 @@ from .structure import (
     coprime_rank_one_cert,
     jet_refute_shift_iso,
     propagate_strong_ind,
-    reduce_morphism_blocks,
     reduce_tensor_witness,
     strong_ind_consequences,
     summand_bound,
-    tensor_indecomposable,
     variable_support,
 )
 from .tensor import (
     TensorMatFac,
-    assoc_check,
     det_check,
     distribute_witness,
     is_projective_tensor,
@@ -73,8 +69,6 @@ from .tensor import (
     shift_witness,
     swap_witness,
     tensor,
-    tensor_morphism_left,
-    tensor_morphism_right,
 )
 from .ulrich import (
     ExtensionSES,
@@ -120,12 +114,9 @@ __all__ = [
     "split_idempotent",
     "TensorMatFac",
     "tensor",
-    "tensor_morphism_left",
-    "tensor_morphism_right",
     "swap_witness",
     "shift_witness",
     "distribute_witness",
-    "assoc_check",
     "det_check",
     "recognize_projective_sum",
     "is_projective_tensor",
@@ -138,7 +129,6 @@ __all__ = [
     "variable_support",
     "ReductionReport",
     "reduce_tensor_witness",
-    "reduce_morphism_blocks",
     "DecompBound",
     "summand_bound",
     "AxiomCoprimeRankOne",
@@ -150,8 +140,6 @@ __all__ = [
     "strong_ind_consequences",
     "ShiftRefutation",
     "jet_refute_shift_iso",
-    "IndecomposabilityReport",
-    "tensor_indecomposable",
     "constant_term_spot_check",
     "SumOfProducts",
     "sum_of_products",

@@ -2,8 +2,7 @@
 
 When X uses one set of variables and Y uses a disjoint set, killing either
 set of variables collapses X (x) Y onto a direct sum of shifted copies of the
-surviving factor, and every morphism between such tensors collapses blockwise
-along with it.  This module implements that reduction calculus and the
+surviving factor.  This module implements that reduction and the
 indecomposability bookkeeping built on top of it:
 
 * `reduce_tensor_witness` produces the direct-sum form of the reduced tensor
@@ -14,12 +13,6 @@ indecomposability bookkeeping built on top of it:
   cyclic block matrix at every slot; the constant components of the swap
   isomorphism carry it onto the reduction of Y (x)_{zeta^-1} X, which is in
   direct-sum form.
-* `reduce_morphism_blocks` slices a morphism of tensors into the d x d grid
-  of morphisms between those shifted copies.  With the left variables killed,
-  block (i, j) has components sigma_p(i, j) (the same block position at every
-  slot); with the right variables killed the position rotates with the slot:
-  block (i, j) has components sigma_p((p - i) % d, (p - j) % d), acting
-  between the untwisted realizations kron((T^-j X).mats[p], I_m).
 * summand-count bounds: a tensor of reduced indecomposables has at most d*r
   indecomposable summands (r = gcd of the ranks), and at most r when neither
   factor is isomorphic to any nonzero shift of itself.
@@ -50,7 +43,7 @@ from .factorization import MatFac, PresentationMatrix, default_precision
 from .linalg import Matrix
 from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
 from .rings import monomial_coprime, variables_in
-from .tensor import TensorMatFac, _check_operands, swap_witness, tensor
+from .tensor import _check_operands, swap_witness, tensor
 
 
 def variable_support(x: MatFac) -> frozenset[str]:
@@ -79,15 +72,6 @@ def _contiguous_copies(y: MatFac, copies: int, unit: CycloElem, i: int) -> MatFa
     scalar = ring.scalar(unit)
     shifted = y.shift(-i)
     return MatFac(ring, y.f, [eye.kron(m).scale(scalar) for m in shifted.mats])
-
-
-def _interleaved_copies(x: MatFac, copies: int, i: int) -> MatFac:
-    """copies-fold direct sum of T^-i X with the copies interleaved:
-    slot p is kron((T^-i X).mats[p], I_copies)."""
-    ring = x.ring
-    eye = Matrix.identity(ring, copies)
-    shifted = x.shift(-i)
-    return MatFac(ring, x.f, [m.kron(eye) for m in shifted.mats])
 
 
 @dataclass
@@ -158,82 +142,6 @@ def reduce_tensor_witness(x: MatFac, y: MatFac, zeta: CycloElem, side: str):
         sum_validates=total.validate().passed,
     )
     return witness, report
-
-
-# -- reduction of morphisms ----------------------------------------------------
-
-
-def _tensor_factors(t: MatFac):
-    if not isinstance(t, TensorMatFac):
-        raise MatfacError(
-            "morphism endpoints must be tensor products built by tensor() "
-            "(the factors are needed to form the reduced blocks)"
-        )
-    return t.left, t.right, t.zeta
-
-
-def reduce_morphism_blocks(alpha: Morphism, side: str) -> list[list[Morphism]]:
-    """Slice a morphism of tensor products into the d x d block grid of
-    morphisms between shifted copies of the surviving factors.
-
-    Entry [i][j] maps the j-th source summand to the i-th target summand.
-    With side='left' (left variables killed, left factors reduced) the
-    summands are the zeta-scaled contiguous copies of the right factors and
-    block (i, j) has components sigma_p(i, j).  With side='right' the
-    summands are the untwisted interleaved copies of the left factors and
-    block (i, j) has components sigma_p((p - i) % d, (p - j) % d).
-
-    Every returned block is checked against the intertwining law over the
-    reduced ring.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not alpha.is_morphism():
-        raise MatfacError("input is not a morphism")
-    xs, ys, zs = _tensor_factors(alpha.source)
-    xt, yt, zt = _tensor_factors(alpha.target)
-    if zs != zt:
-        raise MatfacError("source and target tensors use different twist scalars")
-    zeta = zs
-    d = alpha.source.d
-    _require_disjoint(xs, ys)
-    _require_disjoint(xt, yt)
-    if side == "left":
-        if not (xs.is_reduced() and xt.is_reduced()):
-            raise MatfacError("left reduction requires both left factors reduced")
-        kill = variable_support(xs) | variable_support(xt)
-        sources = [_contiguous_copies(ys, xs.n, zeta**j, j) for j in range(d)]
-        targets = [_contiguous_copies(yt, xt.n, zeta**i, i) for i in range(d)]
-    else:
-        if not (ys.is_reduced() and yt.is_reduced()):
-            raise MatfacError("right reduction requires both right factors reduced")
-        kill = variable_support(ys) | variable_support(yt)
-        sources = [_interleaved_copies(xs, ys.n, j) for j in range(d)]
-        targets = [_interleaved_copies(xt, yt.n, i) for i in range(d)]
-    reduced = [c.map(lambda e: e.reduce_mod_vars(kill)) for c in alpha.comps]
-    hs, ws = xt.n * yt.n, xs.n * ys.n
-
-    def sub(mat: Matrix, bi: int, bj: int) -> Matrix:
-        return mat.submatrix(
-            range(bi * hs, (bi + 1) * hs), range(bj * ws, (bj + 1) * ws)
-        )
-
-    blocks: list[list[Morphism]] = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if side == "left":
-                comps = [sub(reduced[p], i, j) for p in range(d)]
-            else:
-                comps = [sub(reduced[p], (p - i) % d, (p - j) % d) for p in range(d)]
-            block = Morphism(source=sources[j], target=targets[i], comps=comps)
-            if not block.is_morphism():
-                raise MatfacError(
-                    f"reduced block ({i},{j}) fails the intertwining law"
-                )
-            row.append(block)
-        blocks.append(row)
-    return blocks
 
 
 # -- summand-count bounds ------------------------------------------------------
@@ -590,89 +498,6 @@ def jet_refute_shift_iso(x: MatFac, precision: int | None = 1) -> ShiftRefutatio
         refuted[i] = not _invertible_jet_exists(x, x.shift(i), precision)
     return ShiftRefutation(subject=x, precision=precision,
                            refuted={i: refuted[min(i, d - i)] for i in range(1, d)})
-
-
-# -- indecomposability of tensors with a rank-one factor -------------------------
-
-
-@dataclass
-class IndecomposabilityReport:
-    subject: MatFac
-    route: str
-    hypotheses: tuple[str, ...]
-    claim: str = "indecomposable"
-
-
-def tensor_indecomposable(
-    x: MatFac,
-    y: MatFac,
-    zeta: CycloElem,
-    *,
-    symmetry: Morphism | None = None,
-    asymmetry: ShiftRefutation | None = None,
-) -> IndecomposabilityReport:
-    """Certify that X (x)_zeta Y is indecomposable, via one of two routes.
-
-    symmetry route: X is rank one with pairwise coprime monomial entries, and
-    `symmetry` is an isomorphism between Y and its first shift (either
-    direction).  asymmetry route: Y is rank one (any entries) and `asymmetry`
-    is a ShiftRefutation for X with every nonzero shift refuted.
-
-    In both routes the factors must use disjoint variables and be reduced;
-    their indecomposability is the caller's assertion, recorded in the
-    hypotheses.  Pass exactly one of symmetry= / asymmetry=.
-    """
-    if (symmetry is None) == (asymmetry is None):
-        raise ValueError(
-            "pass exactly one of symmetry= (isomorphism between Y and TY) or "
-            "asymmetry= (ShiftRefutation for X)"
-        )
-    _require_disjoint(x, y)
-    hyps = [
-        "factors use disjoint variables (checked)",
-        "both factors indecomposable (caller-asserted)",
-    ]
-    if symmetry is not None:
-        cert = coprime_rank_one_cert(x)  # raises on any hypothesis failure
-        if not y.is_reduced():
-            raise MatfacError("the symmetric factor must be reduced")
-        ty = y.shift(1)
-        endpoints = {symmetry.source, symmetry.target}
-        if endpoints != {y, ty}:
-            raise MatfacError(
-                "symmetry witness must connect the right factor and its first shift"
-            )
-        if not symmetry.is_isomorphism():
-            raise MatfacError("symmetry witness is not an isomorphism")
-        hyps.append(
-            "left factor is rank one with pairwise coprime monomial entries: "
-            + ", ".join(str(e) for e in cert.basis.entries)
-        )
-        hyps.append("right factor is isomorphic to its first shift (verified witness)")
-        route = "symmetric-partner"
-    else:
-        if y.n != 1:
-            raise MatfacError("the asymmetry route needs a rank-one right factor")
-        if not y.is_reduced():
-            raise MatfacError("the rank-one factor must be reduced")
-        if not x.is_reduced():
-            raise MatfacError("the asymmetric factor must be reduced")
-        if asymmetry.subject != x:
-            raise MatfacError("the shift refutation certifies a different factorization")
-        undetermined = [i for i, ok in sorted(asymmetry.refuted.items()) if not ok]
-        if undetermined:
-            raise Refusal(
-                "shift inequivalence undetermined for i in "
-                f"{undetermined} at precision {asymmetry.precision}"
-            )
-        hyps.append("right factor is rank one")
-        hyps.append(
-            "no nonzero shift of the left factor is isomorphic to it "
-            f"(jet refutation at precision {asymmetry.precision})"
-        )
-        route = "asymmetric-partner"
-    subject = tensor(x, y, zeta)
-    return IndecomposabilityReport(subject=subject, route=route, hypotheses=tuple(hyps))
 
 
 # -- constant-term spot-check ----------------------------------------------------

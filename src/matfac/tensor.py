@@ -17,8 +17,8 @@ the block-cyclic shape (Knorrer; Yoshino, Nagoya Math. J. 152, 1998) that
 The twist scalar zeta must be a primitive d-th root of unity in the
 coefficient field and is always passed explicitly — the choice matters.
 
-All witnesses constructed here (swap, shift, distribution, associativity
-regrouping) are weighted permutations of the tensor's basis, derived by
+All witnesses constructed here (swap, shift, distribution) are weighted
+permutations of the tensor's basis, derived by
 tracking degrees: an element x (x) y of degrees (|x|, |y|) sits in block
 J = |x| of piece |x| + |y|.  Each component is built one way, by
 `Matrix.weighted_permutation` (which `Matrix.permutation` also uses), from
@@ -63,9 +63,11 @@ class TensorMatFac(MatFac):
     """A tensor product that remembers its factors and twist scalar.
 
     Identical to the underlying MatFac in data and behaviour (equality and
-    hashing ignore the extra fields); the provenance lets the structure
-    module slice morphisms between tensors into blocks without being handed
-    the factors again.
+    hashing ignore the extra fields).  The provenance is read by `_det_law`,
+    which takes the factor ranks from it for `det_check` and for the Ulrich
+    build's verification (`ulrich._verify_build`), and by the CLI's
+    `_certify`, which builds a certificate tree from a stored tensor's
+    factors and twist.
     """
 
     __slots__ = ("left", "right", "zeta")
@@ -111,35 +113,6 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     out.left, out.right, out.zeta = x, y, zeta
     _derived(out, [ValidationEntry(start=p, ok=True) for p in range(d)])
     return out
-
-
-# -- functoriality ---------------------------------------------------------------
-
-
-def tensor_morphism_left(alpha: Morphism, y: MatFac, zeta: CycloElem) -> Morphism:
-    """alpha (x) 1_Y: acts by alpha on the X-side of each block, no twist.
-    Block J of piece k carries alpha_J, whatever k, so all d components are
-    the same matrix."""
-    src = tensor(alpha.source, y, zeta)
-    tgt = tensor(alpha.target, y, zeta)
-    eye_m = Matrix.identity(y.ring, y.n)
-    comp = Matrix.block_diagonal(y.ring, [alpha.component(j).kron(eye_m)
-                                          for j in range(y.d)])
-    return Morphism(source=src, target=tgt, comps=[comp] * y.d)
-
-
-def tensor_morphism_right(x: MatFac, beta: Morphism, zeta: CycloElem) -> Morphism:
-    """1_X (x) beta: block J of piece k carries beta_{k-J} on the Y-side."""
-    src = tensor(x, beta.source, zeta)
-    tgt = tensor(x, beta.target, zeta)
-    d = x.d
-    ring = x.ring
-    eye_n = Matrix.identity(ring, x.n)
-    comps = []
-    for k in range(d):
-        blocks = [eye_n.kron(beta.component(k - j)) for j in range(d)]
-        comps.append(Matrix.block_diagonal(ring, blocks))
-    return Morphism(source=src, target=tgt, comps=comps)
 
 
 # -- witnesses --------------------------------------------------------------------
@@ -209,41 +182,6 @@ def distribute_witness(x: MatFac, x2: MatFac, y: MatFac, zeta: CycloElem) -> Mor
                     images.append((d * n1 * m + j * n2 * m + (a - n1) * m + b, one))
     pmat = Matrix.weighted_permutation(x.ring, images)
     return Morphism(source=src, target=tgt, comps=[pmat] * d)
-
-
-def assoc_check(x: MatFac, y: MatFac, z: MatFac, zeta: CycloElem):
-    """Compare (X (x) Y) (x) Z with X (x) (Y (x) Z) as data.
-
-    The canonical regrouping sends the left label (A, J, a, b, c) — outer
-    block A, inner block J — to the right label (I, L) = (J, (A - J) mod d)
-    with the same within-block indices; the twist exponents agree degreewise,
-    so conjugation by this permutation must give literal equality.  Returns
-    (ok, regrouping morphism).
-    """
-    left = tensor(tensor(x, y, zeta), z, zeta)
-    right = tensor(x, tensor(y, z, zeta), zeta)
-    d, n, m, p = x.d, x.n, y.n, z.n
-    one = x.ring.one()
-    n2 = d * m * p   # rank of Y (x) Z
-    images = []
-    for a_blk in range(d):
-        for j_blk in range(d):
-            for a in range(n):
-                for b in range(m):
-                    for c in range(p):
-                        i_blk = j_blk
-                        l_blk = (a_blk - j_blk) % d
-                        t = (
-                            i_blk * n * n2
-                            + a * n2
-                            + l_blk * m * p
-                            + b * p
-                            + c
-                        )
-                        images.append((t, one))
-    sigma = Matrix.weighted_permutation(x.ring, images)
-    regroup = Morphism(source=left, target=right, comps=[sigma] * d)
-    return regroup.is_morphism(), regroup
 
 
 # -- determinant check -------------------------------------------------------------

@@ -435,6 +435,22 @@ def shift_component(x, y, zeta, k: int) -> Matrix:
 # -- jet hom spaces ----------------------------------------------------------------
 
 
+def assoc_regrouping(x, y, z) -> Matrix:
+    """The regrouping (X (x) Y) (x) Z -> X (x) (Y (x) Z), the same at every
+    slot: the basis element (A, J, a, b, c) of the left grouping (outer
+    block A, inner block J, then the indices into X, Y and Z) goes to the
+    element (J, (A - J) mod d, a, b, c) of the right grouping, weight 1."""
+    ring, d, n, m, p = x.ring, x.d, x.n, y.n, z.n
+    target = {}
+    for big_a, j, a, b, c in product(range(d), range(d), range(n), range(m), range(p)):
+        source = (((big_a * d + j) * n + a) * m + b) * p + c
+        target[source] = (((j * n + a) * d + (big_a - j) % d) * m + b) * p + c
+    one, zero = ring.one(), ring.zero()
+    size = len(target)
+    return Matrix(ring, [[one if target[s] == r else zero for s in range(size)]
+                         for r in range(size)])
+
+
 def hom_equation_rows(source, target, precision: int) -> list[list[dict]]:
     """The jet intertwining equations of every slot, written out directly.
 

@@ -13,12 +13,10 @@ from matfac import (
     MatFac,
     MatfacError,
     Matrix,
-    Morphism,
     Polynomial,
     PolynomialRing,
     Refusal,
     StrongIndCert,
-    TensorMatFac,
     TensorPropagation,
     UndecidableError,
     admits_invertible_combination,
@@ -31,14 +29,10 @@ from matfac import (
     jet_refute_shift_iso,
     projective,
     propagate_strong_ind,
-    reduce_morphism_blocks,
     reduce_tensor_witness,
     strong_ind_consequences,
     summand_bound,
     tensor,
-    tensor_indecomposable,
-    tensor_morphism_left,
-    tensor_morphism_right,
     variable_support,
 )
 from matfac.structure import VarSplit
@@ -102,65 +96,6 @@ def test_reduce_tensor_witness_requires_reduced_killed_side():
 def test_reduce_tensor_witness_requires_disjoint_variables():
     with pytest.raises(MatfacError):
         reduce_tensor_witness(X, X.shift(1), ZETA, "left")
-
-
-def test_reduce_morphism_blocks_identity():
-    t = tensor(X, Y, ZETA)
-    assert isinstance(t, TensorMatFac)
-    ident = Morphism.identity(t)
-    for side in ("left", "right"):
-        blocks = reduce_morphism_blocks(ident, side)
-        for i in range(3):
-            for j in range(3):
-                comps = blocks[i][j].comps
-                if i == j:
-                    assert all(c == Matrix.identity(R, 1) for c in comps)
-                else:
-                    assert all(c.is_zero() for c in comps)
-
-
-def test_reduce_morphism_blocks_of_left_multiplication():
-    mult = Morphism(X, X, [Matrix(R, [[R.parse("x0")]])] * 3)
-    alpha = tensor_morphism_left(mult, Y, ZETA)
-    assert alpha.is_morphism()
-    # killing the x variables kills the morphism entirely
-    blocks = reduce_morphism_blocks(alpha, "left")
-    assert all(c.is_zero() for row in blocks for blk in row for c in blk.comps)
-    # killing the y variables leaves multiplication by x0 on each diagonal block
-    blocks = reduce_morphism_blocks(alpha, "right")
-    x0 = R.parse("x0")
-    for i in range(3):
-        assert all(blocks[i][i].comps[p][0, 0] == x0 for p in range(3))
-
-
-def test_reduce_morphism_blocks_reassemble_exactly():
-    mult = Morphism(X, X, [Matrix(R, [[R.parse("x0")]])] * 3)
-    alpha = tensor_morphism_left(mult, Y, ZETA)
-    kill_left = variable_support(X)
-    kill_right = variable_support(Y)
-    blocks_l = reduce_morphism_blocks(alpha, "left")
-    blocks_r = reduce_morphism_blocks(alpha, "right")
-    for p in range(3):
-        red = alpha.comps[p].map(lambda e: e.reduce_mod_vars(kill_left))
-        grid = [[blocks_l[a][b].comps[p] for b in range(3)] for a in range(3)]
-        assert Matrix.block(R, grid) == red
-        red = alpha.comps[p].map(lambda e: e.reduce_mod_vars(kill_right))
-        grid = [[blocks_r[(p - a) % 3][(p - b) % 3].comps[p] for b in range(3)]
-                for a in range(3)]
-        assert Matrix.block(R, grid) == red
-
-
-def test_reduce_morphism_blocks_right_factor_morphism():
-    multy = Morphism(Y, Y, [Matrix(R, [[R.parse("y1+y2")]])] * 3)
-    beta = tensor_morphism_right(X, multy, ZETA)
-    blocks = reduce_morphism_blocks(beta, "left")
-    assert all(blk.is_morphism() for row in blocks for blk in row)
-
-
-def test_reduce_morphism_blocks_requires_tensor_endpoints():
-    ident = Morphism.identity(X)
-    with pytest.raises(MatfacError):
-        reduce_morphism_blocks(ident, "left")
 
 
 def test_summand_bound_general_and_sharpened():
@@ -359,44 +294,13 @@ def test_tensor_and_swap_not_isomorphic():
     assert not admits_invertible_combination(hb)
 
 
-def test_tensor_indecomposable_symmetric_route():
-    sym_y = rank1("y1", "y1", "y1")
-    rep = tensor_indecomposable(X, sym_y, ZETA, symmetry=Morphism.identity(sym_y))
-    assert rep.route == "symmetric-partner"
-    assert rep.claim == "indecomposable"
-    assert rep.subject == tensor(X, sym_y, ZETA)
-
-
-def test_tensor_indecomposable_asymmetric_route():
-    rep = tensor_indecomposable(X, rank1("y1", "y2", "y0"), ZETA,
-                                asymmetry=jet_refute_shift_iso(X, 1))
-    assert rep.route == "asymmetric-partner"
-
-
 def test_asymmetry_hypothesis_names_the_resolved_precision():
     # None resolves to default_precision(X) = 2 for the linear (x1, x2, x0),
-    # and the refutation and the hypothesis both state that integer
+    # and the refutation, the evidence for summand_bound's asymmetry flags,
+    # states that integer
     refutation = jet_refute_shift_iso(X, None)
     assert refutation.precision == default_precision(X) == 2
-    rep = tensor_indecomposable(X, Y, ZETA, asymmetry=refutation)
-    assert rep.hypotheses[-1].endswith("(jet refutation at precision 2)")
-
-
-def test_tensor_indecomposable_refuses_unrefuted_shifts():
-    sym = rank1("x1", "x1", "x1")
-    with pytest.raises(Refusal):
-        tensor_indecomposable(sym, rank1("y1", "y2", "y0"), ZETA,
-                              asymmetry=jet_refute_shift_iso(sym, 1))
-
-
-def test_tensor_indecomposable_needs_exactly_one_route():
-    sym_y = rank1("y1", "y1", "y1")
-    with pytest.raises(ValueError):
-        tensor_indecomposable(X, sym_y, ZETA)
-    with pytest.raises(ValueError):
-        tensor_indecomposable(X, sym_y, ZETA,
-                              symmetry=Morphism.identity(sym_y),
-                              asymmetry=jet_refute_shift_iso(X, 1))
+    assert refutation.all_refuted
 
 
 XYW = PolynomialRing(F, ("x", "y", "w"))
@@ -552,30 +456,11 @@ P_X = MatFac(R, X.f, [Matrix(R, [[e]]) for e in (X.f, R.one(), R.one())])
 P_Y = MatFac(R, Y.f, [Matrix(R, [[e]]) for e in (Y.f, R.one(), R.one())])
 
 
-def zero_morphism(source, target):
-    return Morphism(source, target, [Matrix(R, [[R.zero()] * source.n
-                                                for _ in range(target.n)])] * source.d)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: reduce_tensor_witness(X, Y, ZETA, "middle"), "side must be 'left' or 'right'"),
     (lambda: reduce_tensor_witness(X, P_Y, ZETA, "right"),
      "right reduction requires the right factor to be reduced"),
-    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(X, Y, ZETA)), "middle"),
-     "side must be 'left' or 'right'"),
-    (lambda: reduce_morphism_blocks(
-        Morphism(tensor(X, Y, ZETA), tensor(X, Y, ZETA),
-                 [Matrix.identity(R, 3).scale(R.scalar(2))] + [Matrix.identity(R, 3)] * 2),
-        "left"), "input is not a morphism"),
-    (lambda: reduce_morphism_blocks(
-        zero_morphism(tensor(X, Y, ZETA), tensor(X, Y, ZETA ** 2)), "left"),
-     "source and target tensors use different twist scalars"),
-    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(P_X, Y, ZETA)), "left"),
-     "left reduction requires both left factors reduced"),
-    (lambda: reduce_morphism_blocks(Morphism.identity(tensor(X, P_Y, ZETA)), "right"),
-     "right reduction requires both right factors reduced"),
-], ids=["witness-side", "witness-right-unreduced", "blocks-side", "blocks-not-morphism",
-        "blocks-twists", "blocks-left-unreduced", "blocks-right-unreduced"])
+], ids=["witness-side", "witness-right-unreduced"])
 def test_reductions_refuse_what_they_cannot_reduce(call, message):
     with pytest.raises((MatfacError, ValueError), match=re.escape(message)):
         call()
@@ -608,44 +493,3 @@ def _axiom(subject):
 ], ids=["axiom-rank", "axiom-unreduced", "axiom-not-coprime", "shared-variables"])
 def test_certificate_lists_each_unmet_hypothesis(cert, problem):
     assert problem in cert.problems()
-
-
-SYM_Y = rank1("y1", "y1", "y1")
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(y=P_Y, symmetry=Morphism.identity(P_Y)), "the symmetric factor must be reduced"),
-    (dict(y=Y, symmetry=Morphism.identity(Y)),
-     "symmetry witness must connect the right factor and its first shift"),
-    (dict(y=SYM_Y, symmetry=Morphism(SYM_Y, SYM_Y, [Matrix(R, [[R.parse("y1")]])] * 3)),
-     "symmetry witness is not an isomorphism"),
-    (dict(y=Y.direct_sum(Y), asymmetry=jet_refute_shift_iso(X, 1)),
-     "the asymmetry route needs a rank-one right factor"),
-    (dict(y=P_Y, asymmetry=jet_refute_shift_iso(X, 1)), "the rank-one factor must be reduced"),
-    (dict(x=P_X, asymmetry=jet_refute_shift_iso(X, 1)), "the asymmetric factor must be reduced"),
-    (dict(x=rank1("x2", "x1", "x0"), asymmetry=jet_refute_shift_iso(X, 1)),
-     "the shift refutation certifies a different factorization"),
-], ids=["sym-unreduced", "sym-endpoints", "sym-not-iso", "asym-rank", "asym-y-unreduced",
-        "asym-x-unreduced", "asym-other-subject"])
-def test_tensor_indecomposable_refuses_unmet_hypotheses(kwargs, message):
-    args = dict(x=X, y=Y, zeta=ZETA) | kwargs
-    with pytest.raises(MatfacError, match=re.escape(message)):
-        tensor_indecomposable(args.pop("x"), args.pop("y"), args.pop("zeta"), **args)
-
-
-def test_reduced_block_failing_its_law_is_refused(monkeypatch):
-    # every block is checked: target copies built with the opposite unit
-    # make the identity's diagonal blocks fail the law
-    import matfac.structure
-
-    original = matfac.structure._contiguous_copies
-    calls = []
-
-    def opposite_targets(y, copies, unit, i):
-        calls.append(i)
-        return original(y, copies, unit if len(calls) <= y.d else -unit, i)
-
-    monkeypatch.setattr(matfac.structure, "_contiguous_copies", opposite_targets)
-    with pytest.raises(MatfacError, match=re.escape("reduced block (0,0) fails the "
-                                                    "intertwining law")):
-        reduce_morphism_blocks(Morphism.identity(tensor(X, Y, ZETA)), "left")
