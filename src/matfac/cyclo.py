@@ -187,10 +187,13 @@ class CycloField:
         return self._one
 
     def rational(self, a) -> CycloElem:
+        """The rational a, given exactly: an int or a Fraction, as
+        `CycloElem` arithmetic takes them; anything else is a TypeError."""
         if type(a) is int:
             return CycloElem(self, (a,) + self._zero_tail, 1)
-        q = a if isinstance(a, Fraction) else Fraction(a)
-        return CycloElem(self, (q.numerator,) + self._zero_tail, q.denominator)
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"a rational must be an int or a Fraction, not {type(a).__name__}")
+        return CycloElem(self, (a.numerator,) + self._zero_tail, a.denominator)
 
     def zeta(self, power: int = 1) -> CycloElem:
         """zeta_m^power, for any integer power (negative allowed)."""

@@ -230,14 +230,6 @@ class MatFac(_Factorization):
             raise ValueError(f"ell must be in 1..{self.d}, got {ell}")
         return PresentationMatrix(matrix=_run_product(self, k, ell), ring=self.ring, f=self.f)
 
-    def to_jets(self, precision: int) -> JetMatFac:
-        return JetMatFac(
-            ring=self.ring,
-            f=self.f,
-            precision=precision,
-            mats=tuple(m.to_jets(precision) for m in self.mats),
-        )
-
     def max_entry_degree(self) -> int:
         return max(m.max_degree() for m in self.mats)
 
@@ -253,9 +245,6 @@ class PresentationMatrix:
     @property
     def size(self) -> int:
         return self.matrix.nrows
-
-    def det(self) -> Polynomial:
-        return self.matrix.det()
 
 
 class JetMatFac(_Factorization):

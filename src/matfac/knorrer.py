@@ -263,10 +263,6 @@ class SymmetricDecomposition:
     backward: Morphism
     report: ValidationReport
 
-    @property
-    def witnesses(self) -> list[Morphism]:
-        return [self.forward, self.backward]
-
 
 def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDecomposition:
     """Split X (x) Y into the d shifts of one factorization Z.

@@ -156,12 +156,6 @@ class Matrix:
         return cls._sparse(space, n, n, [((i, value),) for i in range(n)])
 
     @classmethod
-    def permutation(cls, space, perm) -> Matrix:
-        """P with P e_j = e_{perm[j]}: column j carries a 1 in row perm[j]."""
-        o = space.one()
-        return cls.weighted_permutation(space, [(i, o) for i in perm])
-
-    @classmethod
     def weighted_permutation(cls, space, images) -> Matrix:
         """P with P e_j = w e_i for the j-th pair (i, w) of `images`: column j
         holds w in row i.  The rows i must be a permutation of 0..n-1."""

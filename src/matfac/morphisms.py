@@ -24,12 +24,10 @@ Two genuinely local computations are done at jet precision N:
   det L_p is certified nonzero by its value at one point, and then the
   last slot's rows are not built (`_last_slot_implied`).
   The kernel vectors, in `_JetLayout` coordinates, are the only stored form
-  of the solutions (`JetHomBasis.vectors`).  The layout's readers are
+  of the solutions (`JetHomBasis.vectors`).  The layout's one reader is
   `JetHomBasis.constants()`, which gives the constant terms that
   `admits_invertible_combination` and `constant_term_spot_check` decide on
-  (through `_JetLayout.constants`), and `JetHomBasis.basis`, which builds
-  jet matrices (`_JetLayout.decode`) only when it is read.  No other module
-  reads the layout.
+  (through `_JetLayout.constants`).  No other module reads the layout.
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by the columns of e and of 1-e at the
   rref pivots of their constant terms (idempotence makes them a basis at the
@@ -38,7 +36,7 @@ Two genuinely local computations are done at jet precision N:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -52,8 +50,8 @@ from .factorization import (
     _Factorization,
     default_precision,
 )
-from .linalg import JetSpace, Matrix, _Echelon, jet_inverse, rref, sparse_nullspace
-from .rings import Jet, Polynomial, PolynomialRing, grlex_key
+from .linalg import JetSpace, Matrix, jet_inverse, rref, sparse_nullspace
+from .rings import Polynomial, PolynomialRing, grlex_key
 
 
 def _intertwining_report(comps, src, tgt) -> ValidationReport:
@@ -81,8 +79,8 @@ def _is_isomorphism(alpha) -> bool:
 
 
 class _Morphism:
-    """The core of `Morphism` and `JetMorphism`: the data, its one
-    constructor check and `component`.
+    """The core of `Morphism` and `JetMorphism`: the data and its one
+    constructor check.
 
     The twins differ only in the scalar space of their components (the
     shared ring, or `JetSpace(ring, N)`), which they hand to this
@@ -110,10 +108,6 @@ class _Morphism:
         self.source = source
         self.target = target
         self.comps = comps
-
-    def component(self, k: int) -> Matrix:
-        """alpha_k, index modulo d."""
-        return self.comps[k % self.source.d]
 
 
 class Morphism(_Morphism):
@@ -152,16 +146,6 @@ class Morphism(_Morphism):
             comps=[a @ b for a, b in zip(self.comps, other.comps)],
         )
 
-    def direct_sum(self, other: Morphism) -> Morphism:
-        return Morphism(
-            source=self.source.direct_sum(other.source),
-            target=self.target.direct_sum(other.target),
-            comps=[
-                Matrix.block_diagonal(self.source.ring, [a, b])
-                for a, b in zip(self.comps, other.comps)
-            ],
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -180,27 +164,6 @@ class Morphism(_Morphism):
     # -- invertibility -----------------------------------------------------------
 
     is_isomorphism = _is_isomorphism
-
-    def inverse_jets(self, precision: int | None = None) -> JetMorphism:
-        """Inverse witness at jet precision (the exact inverse need not be
-        polynomial).  Requires is_isomorphism()."""
-        if not self.is_isomorphism():
-            raise MatfacError("inverse witness requested for a non-isomorphism")
-        n = precision if precision is not None else default_precision(
-            self.source, self.target, *self.comps
-        )
-        inv_comps = [jet_inverse(c.to_jets(n)) for c in self.comps]
-        return JetMorphism(
-            source=self.target, target=self.source, comps=inv_comps, precision=n
-        )
-
-    def to_jets(self, precision: int) -> JetMorphism:
-        return JetMorphism(
-            source=self.source,
-            target=self.target,
-            comps=[c.to_jets(precision) for c in self.comps],
-            precision=precision,
-        )
 
 
 def _mats_as_jets(x, precision: int):
@@ -271,10 +234,7 @@ class _JetLayout:
       form of a `JetHomBasis`;
     * `constants`, the constant terms of a kernel vector's components, which
       `JetHomBasis.constants()` gives to `admits_invertible_combination` and
-      `constant_term_spot_check`;
-    * `decode`, the jet components themselves (`JetHomBasis.basis`, on
-      demand);
-    * `encode`, the inverse of `decode` (`JetHomBasis.vectorize`).
+      `constant_term_spot_check`.
     """
 
     source: MatFac
@@ -287,19 +247,6 @@ class _JetLayout:
 
     def index(self, k: int, i: int, j: int, midx: int = 0) -> int:
         return ((k * self.target.n + i) * self.source.n + j) * len(self.monomials) + midx
-
-    def encode(self, comps) -> dict[int, CycloElem]:
-        """Sparse coordinates of polynomial components on the layout's monomials."""
-        pos = {m: midx for midx, m in enumerate(self.monomials)}
-        vec: dict[int, CycloElem] = {}
-        for k, comp in enumerate(comps):
-            for i, row in enumerate(comp.nonzero()):
-                for j, p in row:
-                    base = self.index(k, i, j)
-                    for mono, c in p.terms.items():
-                        if mono in pos:
-                            vec[base + pos[mono]] = c
-        return vec
 
     def constants(self, vec: dict[int, CycloElem]) -> list[dict[tuple[int, int], CycloElem]]:
         """The constant terms of the components with coordinates `vec`, one
@@ -316,36 +263,13 @@ class _JetLayout:
                 consts[k][divmod(ij, ns)] = c
         return consts
 
-    def decode(self, vec: dict[int, CycloElem], space: JetSpace) -> tuple[Matrix, ...]:
-        """The jet components with coordinates `vec`: the inverse of `encode`.
-        Entries without coordinates share one zero jet."""
-
-        # the terms of each entry, keyed by index(k, i, j) // nm; ascending
-        # keys put each entry's terms in monomial order
-        nm = len(self.monomials)
-        terms: dict[int, dict[tuple[int, ...], CycloElem]] = {}
-        for key in sorted(vec):
-            terms.setdefault(key // nm, {})[self.monomials[key % nm]] = vec[key]
-        zero = space.zero()
-
-        def entry(k, i, j):
-            t = terms.get(self.index(k, i, j) // nm)
-            return zero if t is None else Jet(Polynomial(space.ring, t), space.precision)
-
-        return tuple(
-            Matrix(space, [[entry(k, i, j) for j in range(self.source.n)]
-                           for i in range(self.target.n)])
-            for k in range(self.source.d)
-        )
-
 
 @dataclass
 class JetHomBasis:
     """Basis of the space of jet-level morphism solutions below degree N.
 
     `vectors[b]` is the b-th basis element as a sparse map in the `_JetLayout`
-    coordinates over `monomials`; it is the only stored form.  `basis[b]`, the
-    same element as a d-tuple of jet matrices, is decoded on first access.
+    coordinates over `monomials`; it is the only stored form.
     """
 
     source: MatFac
@@ -353,20 +277,6 @@ class JetHomBasis:
     precision: int
     monomials: list[tuple[int, ...]]
     vectors: list[dict[int, CycloElem]]
-    _decoded: tuple[tuple[Matrix, ...], ...] | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
-    def _layout(self) -> _JetLayout:
-        return _JetLayout(self.source, self.target, self.monomials)
-
-    @property
-    def basis(self) -> tuple[tuple[Matrix, ...], ...]:
-        """The basis elements as jet components, decoded once, on first access."""
-        if self._decoded is None:
-            layout, space = self._layout, JetSpace(self.source.ring, self.precision)
-            self._decoded = tuple(layout.decode(vec, space) for vec in self.vectors)
-        return self._decoded
 
     @property
     def dimension(self) -> int:
@@ -375,24 +285,9 @@ class JetHomBasis:
     def constants(self) -> list[list[dict[tuple[int, int], CycloElem]]]:
         """The constant terms of every basis element, read from its
         coordinates (`_JetLayout.constants`): one sparse map (i, j) -> value
-        per component, zeros left out.  Nothing is decoded."""
-        layout = self._layout
+        per component, zeros left out."""
+        layout = _JetLayout(self.source, self.target, self.monomials)
         return [layout.constants(vec) for vec in self.vectors]
-
-    def vectorize(self, alpha: Morphism) -> dict[int, CycloElem]:
-        """Flatten a morphism's truncation into the unknown coordinate order.
-        alpha must run between the basis's own source and target."""
-        if alpha.source != self.source or alpha.target != self.target:
-            raise MatfacError("morphism endpoints differ from the hom basis's")
-        return self._layout.encode(alpha.comps)
-
-    def contains_truncation(self, alpha: Morphism) -> bool:
-        """Whether alpha's truncation below N lies in the span of the basis
-        (raises MatfacError for a morphism between other endpoints)."""
-        ech = _Echelon()
-        for v in self.vectors:
-            ech.add(v)
-        return not ech.reduce(self.vectorize(alpha))
 
 
 def _evaluation_point(field, count: int) -> list[CycloElem]:
@@ -464,8 +359,7 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     dimension 0 here means there are no nonzero morphisms at all.  It needs
     N >= 1: below that there are no unknowns, and ValueError is raised.
 
-    The result holds the kernel vectors only; `JetHomBasis.basis` decodes
-    them into jet matrices when it is first read.
+    The result holds the kernel vectors only.
     """
     if source.ring != target.ring or source.d != target.d or source.f != target.f:
         raise MatfacError("hom space endpoints must share ring, d, and f")
@@ -634,7 +528,12 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
     chosen columns of e_k(0) span im e_k(0), which meets im (1-e_k)(0) only
     in 0, so a column of (1-e_k)(0) is independent of them and of the
     earlier choices exactly when it is independent of the earlier choices.
+
+    A precision below 1 raises ValueError, as in `hom_space_jets`, before
+    any check or basis change is computed.
     """
+    if precision is not None and precision < 1:
+        raise ValueError(f"jet precision must be at least 1, got {precision}")
     if e.source is not x and e.source != x:
         raise MatfacError("idempotent must be an endomorphism of the given factorization")
     if e.target != e.source:

@@ -337,16 +337,6 @@ class Polynomial:
             raise MatfacError("order of the zero polynomial is undefined")
         return min(self._terms) >> self.ring._degree_shift
 
-    def variables_used(self) -> frozenset[str]:
-        return variables_in(self.ring, (self,))
-
-    def lead(self) -> tuple[Exponents, CycloElem]:
-        """Lead term under graded-lex; errors on zero."""
-        if not self._terms:
-            raise MatfacError("lead term of the zero polynomial")
-        k = max(self._terms)
-        return self.ring._unpack(k), self._terms[k]
-
     def sorted_terms(self) -> list[tuple[Exponents, CycloElem]]:
         """Terms in descending graded-lex order (the canonical iteration order)."""
         unpack, terms = self.ring._unpack, self._terms

@@ -176,14 +176,16 @@ def summand_bound(x: MatFac, y: MatFac, sym_flags=(False, False)) -> DecompBound
     sym_flags = (x_shifts_refuted, y_shifts_refuted) states that T^i X is not
     isomorphic to X for every i != 0 (and likewise for Y); certify the flags
     with jet_refute_shift_iso.  Both flags together sharpen the bound from
-    d*r to r.
+    d*r to r.  Anything but exactly two bools is a ValueError.
     """
+    if len(sym_flags) != 2 or not all(isinstance(v, bool) for v in sym_flags):
+        raise ValueError(f"sym_flags must be a pair of booleans, got {sym_flags!r}")
     _check_operands(x, y)
     if not x.is_reduced():
         raise MatfacError("summand bound requires a reduced left factor")
     if not y.is_reduced():
         raise MatfacError("summand bound requires a reduced right factor")
-    x_flag, y_flag = bool(sym_flags[0]), bool(sym_flags[1])
+    x_flag, y_flag = sym_flags
     n, m, d = x.n, y.n, x.d
     r = gcd(n, m)
     hyps = [

@@ -21,9 +21,8 @@ All witnesses constructed here (swap, shift, distribution) are weighted
 permutations of the tensor's basis, derived by
 tracking degrees: an element x (x) y of degrees (|x|, |y|) sits in block
 J = |x| of piece |x| + |y|.  Each component is built one way, by
-`Matrix.weighted_permutation` (which `Matrix.permutation` also uses), from
-the target row and the unit weight of every basis element, and targets that
-are not a permutation are refused.
+`Matrix.weighted_permutation`, from the target row and the unit weight of
+every basis element, and targets that are not a permutation are refused.
 """
 
 from __future__ import annotations

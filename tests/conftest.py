@@ -10,7 +10,7 @@ from matfac.tensor import tensor
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(fn) wraps every binding of fn in the matfac modules, or
-    the class attribute when fn is a method such as `_JetLayout.decode`, and
+    the class attribute when fn is a method such as `Matrix.block_cyclic`, and
     returns the list its calls are appended to."""
 
     def count(fn) -> list:

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-450 s for the thirty-seven here on a 2-vCPU host, most of it hypothesis shrinking
+260 s for the forty here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -312,6 +312,25 @@ MUTANTS = {
         "    if isinstance(value, (Polynomial, CycloElem)):\n        return value\n",
         ["tests/test_goldens.py::test_cli_docs_reports_match_goldens",
          "tests/test_cli.py::test_mutated_cli_docs_exit_0_1_or_2"],
+    ),
+    "rational-takes-anything": (
+        "src/matfac/cyclo.py",
+        "            raise TypeError(f\"a rational must be an int or a Fraction, "
+        "not {type(a).__name__}\")\n",
+        "            a = Fraction(a)\n",
+        ["tests/test_cyclo.py::test_only_exact_scalars_become_field_elements"],
+    ),
+    "split-precision-unchecked": (
+        "src/matfac/morphisms.py",
+        "    if precision is not None and precision < 1:\n",
+        "    if False:\n",
+        ["tests/test_morphisms.py::test_split_idempotent_refuses_a_precision_below_one"],
+    ),
+    "bound-flags-unchecked": (
+        "src/matfac/structure.py",
+        "    if len(sym_flags) != 2 or not all(isinstance(v, bool) for v in sym_flags):\n",
+        "    if False:\n",
+        ["tests/test_structure.py::test_summand_bound_refuses_anything_but_a_pair_of_bools"],
     ),
 }
 

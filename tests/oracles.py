@@ -5,8 +5,9 @@ reduction for kernels, one rank comparison per column for the greedy choice
 of independent columns, the dense triple loop for matrix products, the double
 loop and greedy lead-term division for sparse polynomials,
 `Fraction`-coordinate vectors, the extended Euclidean algorithm and a
-power-by-power order loop for cyclotomic field arithmetic, and one jet hom
-system per shift at the requested precision for jet verdicts.  Slow is fine;
+power-by-power order loop for cyclotomic field arithmetic, one jet hom
+system per shift at the requested precision for jet verdicts, and the
+coordinates of a jet hom basis written out entry by entry.  Slow is fine;
 these only run on small inputs.
 """
 
@@ -15,6 +16,8 @@ from fractions import Fraction
 from itertools import product
 
 from matfac import (
+    Jet,
+    JetMatFac,
     MatfacError,
     Matrix,
     Polynomial,
@@ -23,6 +26,7 @@ from matfac import (
     hom_space_jets,
 )
 from matfac.cyclo import CycloField
+from matfac.linalg import JetSpace
 
 
 # -- cyclotomic field arithmetic on Fraction coordinate vectors --------------
@@ -175,14 +179,23 @@ def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(p.ring, terms)
 
 
+def lead(p: Polynomial):
+    """The graded-lex lead term (exponents, coefficient) of a nonzero
+    polynomial: the largest total degree, ties broken lexicographically."""
+    if p.is_zero():
+        raise MatfacError("lead term of the zero polynomial")
+    e = max(p.terms, key=lambda e: (sum(e), e))
+    return e, p.terms[e]
+
+
 def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Greedy division: the remainder's lead over g's lead, subtracted as a
     whole product each time, until the remainder is zero."""
     rem = f
     qterms = {}
-    ge, gc = g.lead()
+    ge, gc = lead(g)
     while not rem.is_zero():
-        re_, rc = rem.lead()
+        re_, rc = lead(rem)
         qe = tuple(a - b for a, b in zip(re_, ge))
         if any(k < 0 for k in qe):
             raise MatfacError(f"not an exact division: remainder lead {re_} vs divisor lead {ge}")
@@ -509,6 +522,55 @@ def hom_equation_rows(source, target, precision: int) -> list[list[dict]]:
     return slots
 
 
+def hom_coordinate(hom_basis, k: int, i: int, j: int, midx: int) -> int:
+    """The unknown of a JetHomBasis's kernel vectors that holds the
+    coefficient of monomials[midx] in entry (i, j) of component k: the
+    order (k, i, j, monomial), written out."""
+    return ((k * hom_basis.target.n + i) * hom_basis.source.n + j) * len(
+        hom_basis.monomials) + midx
+
+
+def hom_basis_decode(hom_basis) -> list[tuple[Matrix, ...]]:
+    """The elements of a JetHomBasis as d-tuples of jet matrices at its
+    precision, read entry by entry from their kernel vectors."""
+    src, tgt, monos = hom_basis.source, hom_basis.target, hom_basis.monomials
+    space = JetSpace(src.ring, hom_basis.precision)
+
+    def entry(vec, k, i, j):
+        terms = {mono: vec[col] for midx, mono in enumerate(monos)
+                 if (col := hom_coordinate(hom_basis, k, i, j, midx)) in vec}
+        return Jet(Polynomial(src.ring, terms), hom_basis.precision)
+
+    return [tuple(Matrix(space, [[entry(vec, k, i, j) for j in range(src.n)]
+                                 for i in range(tgt.n)]) for k in range(src.d))
+            for vec in hom_basis.vectors]
+
+
+def hom_basis_encode(hom_basis, comps) -> dict:
+    """The coordinates of polynomial components in a JetHomBasis's unknown
+    order: their nonzero coefficients on its monomials, so terms of degree
+    at or above its precision are dropped."""
+    return {hom_coordinate(hom_basis, k, i, j, midx): m[i, j].terms[mono]
+            for k, m in enumerate(comps) for i in range(m.nrows) for j in range(m.ncols)
+            for midx, mono in enumerate(hom_basis.monomials) if mono in m[i, j].terms}
+
+
+def truncation_in_span(hom_basis, alpha) -> bool:
+    """Whether the truncation of a polynomial morphism below the precision
+    of a JetHomBasis lies in the span of its kernel vectors: its
+    coordinates raise no `rref` rank."""
+    field = hom_basis.source.ring.field
+    size = hom_basis.source.d * hom_basis.target.n * hom_basis.source.n * len(
+        hom_basis.monomials)
+
+    def dense(vec):
+        return [vec.get(col, field.zero()) for col in range(size)]
+
+    rows = [dense(vec) for vec in hom_basis.vectors]
+    with_alpha = rows + [dense(hom_basis_encode(hom_basis, alpha.comps))]
+    return len(rref(with_alpha, field)) == len(rref(rows, field))
+
+
 def admits_invertible_combination_symbolic(hom_basis) -> bool:
     """Whether every component's constant-term matrix sum_b t_b * B_b[k], over
     fresh unknowns t_b, has a determinant that is not identically zero; by
@@ -524,7 +586,7 @@ def admits_invertible_combination_symbolic(hom_basis) -> bool:
     tring = PolynomialRing(src.ring.field, [f"t{b}" for b in range(nb)])
     ts = [tring.variable(f"t{b}") for b in range(nb)]
     for k in range(src.d):
-        consts = [comps[k].constant_terms() for comps in hom_basis.basis]
+        consts = [comps[k].constant_terms() for comps in hom_basis_decode(hom_basis)]
         rows = [[sum((ts[b] * consts[b][i, j] for b in range(nb)), tring.zero())
                  for j in range(src.n)] for i in range(src.n)]
         if det_cofactor(Matrix(tring, rows)).is_zero():
@@ -554,6 +616,11 @@ def verdict(build):
     except (MatfacError, ValueError) as e:
         return type(e), str(e)
     return None
+
+
+def as_jets(x, precision: int):
+    """The factorization x with its factors read as jets at `precision`."""
+    return JetMatFac(x.ring, x.f, precision, [m.to_jets(precision) for m in x.mats])
 
 
 def factorization_verdict(ring, f, mats):

@@ -1,6 +1,7 @@
 """Cyclotomic field arithmetic: construction, inverses, roots of unity."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import cyclo_inverse, cyclo_mul, cyclo_order, cyclo_str
 
-from matfac import MatfacError, PolynomialRing, cyclotomic_field, cyclotomic_polynomial, embed
+from matfac import (
+    MatFac,
+    MatfacError,
+    Matrix,
+    PolynomialRing,
+    cyclotomic_field,
+    cyclotomic_polynomial,
+    embed,
+    scale_by_units,
+)
 from matfac.cyclo import CycloField, _totient
 
 
@@ -48,6 +58,25 @@ def test_rational_arithmetic_embeds():
     b = F.rational(2)
     assert a + b == F.rational(Fraction(17, 7))
     assert a * b == F.rational(Fraction(6, 7))
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/3", Decimal("0.5")],
+                         ids=["float", "str", "Decimal"])
+def test_only_exact_scalars_become_field_elements(inexact):
+    # wherever a scalar becomes a field element, as in CycloElem arithmetic,
+    # only an int or a Fraction is taken: 0.1 would be a binary fraction,
+    # and a units product of 0.1 and 10 would not be 1
+    F = cyclotomic_field(4)
+    R = PolynomialRing(F, ("x",))
+    x = R.variable("x")
+    X = MatFac(R, x * x, [Matrix(R, [[x]])] * 2)
+    exact = "a rational must be an int or a Fraction"
+    for make in (lambda: F.rational(inexact), lambda: R.scalar(inexact),
+                 lambda: R.monomial((1,), inexact), lambda: scale_by_units(X, [inexact, 10])):
+        with pytest.raises(TypeError, match=exact):
+            make()
+    with pytest.raises(TypeError):
+        F.one() + inexact
 
 
 def test_inverse_small_cases():

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matfac import MatFac, Matrix, Morphism, PolynomialRing, cyclotomic_field
+from matfac import Matrix, cyclotomic_field
 from matfac.errors import MatfacError
 from matfac.linalg import _Echelon, inverse_field, rank, rref
-from matfac.morphisms import JetHomBasis, _monomials_below
 
 import oracles
 
@@ -58,10 +57,6 @@ def field_matrices(draw, square=False):
     kinds = ("free",) if draw(st.booleans()) else ("free", "free", "zero", "copy", "combo")
     rows = draw(rows_over(field, nrows, nrows, kinds))
     return Matrix(field, [rows[i] for i in draw(st.permutations(range(nrows)))])
-
-
-def oracle_rank(vectors, field) -> int:
-    return len(oracles.rref([list(v) for v in vectors], field))
 
 
 def leading_column(row) -> int:
@@ -136,47 +131,3 @@ def test_pivot_rows_stay_in_echelon_form(m):
     reduced = ech.pivots
     assert all(min(prow) == pc and prow[pc].is_one() for pc, prow in reduced.items())
     assert all(cc == pc or cc not in reduced for pc, prow in reduced.items() for cc in prow)
-
-
-# -- span membership of jet-level hom bases ------------------------------------
-
-PRECISION = 2
-
-
-def rank_one_factorization(field):
-    ring = PolynomialRing(field, ("x", "y"))
-    x, y = ring.variable("x"), ring.variable("y")
-    return MatFac(ring, x * y, [Matrix(ring, [[x]]), Matrix(ring, [[y]])])
-
-
-@SETTINGS
-@given(st.sampled_from(sorted(FIELDS)), st.booleans(), st.data())
-def test_contains_truncation(m, member, data):
-    field = FIELDS[m]
-    X = rank_one_factorization(field)
-    ring = X.ring
-    monos = _monomials_below(ring, PRECISION)
-    nunk = X.d * len(monos)  # rank one: one entry per component
-    vectors = data.draw(rows_over(field, data.draw(st.integers(0, 6)), nunk))
-    if member:  # a combination of the basis vectors
-        coeffs = data.draw(rows_over(field, 1, len(vectors)))[0]
-        w = [sum((c * v[i] for c, v in zip(coeffs, vectors)), field.zero())
-             for i in range(nunk)]
-    else:
-        w = data.draw(rows_over(field, 1, nunk))[0]
-    expected = oracle_rank(vectors + [w], field) == oracle_rank(vectors, field)
-    assert expected or not member
-    # components carry w below the precision and a term at it, which the
-    # truncation drops
-    x2 = ring.variable("x") ** PRECISION
-    comps = []
-    for k in range(X.d):
-        entry = x2
-        for midx, mono in enumerate(monos):
-            entry = entry + ring.scalar(w[k * len(monos) + midx]) * ring.monomial(mono)
-        comps.append(Matrix(ring, [[entry]]))
-    basis = JetHomBasis(
-        source=X, target=X, precision=PRECISION, monomials=monos,
-        vectors=[{i: c for i, c in enumerate(v) if not c.is_zero()} for v in vectors],
-    )
-    assert basis.contains_truncation(Morphism(X, X, comps)) == expected

@@ -1,16 +1,19 @@
 """Source-level checks on the package itself."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import matfac
-from test_goldens import workloads  # noqa: F401 (the fixture that loads the workloads)
 
 
 def test_no_assert_statements_in_package():
@@ -45,9 +48,9 @@ def test_every_private_function_is_called():
     assert unused == []
 
 
-# Exported functions that no workload reaches and the acceptance gate does
-# not import, each kept for its reason
-UNREACHED_KEPT = {
+# Exported functions that the workloads and the acceptance gate do not
+# reach, each kept for its reason
+UNREACHED_FUNCTIONS = {
     # bound by the benchmark tracer's ENTRIES, which
     # test_every_tracer_entry_resolves checks; it goes when Knorrer
     # decomposition of a tensor to its summand bound replaces it
@@ -64,37 +67,100 @@ UNREACHED_KEPT = {
     "embed",
 }
 
+# Methods (Class.name) that the workloads and the acceptance gate do not
+# reach, each kept for its reason
+UNREACHED_METHODS = {
+    # the tuple-keyed constructors of the public API (`ring.monomial(exps)`,
+    # `Polynomial(ring, {exps: c})`) are built on these two
+    "PolynomialRing.monomial",
+    "PolynomialRing._pack",
+    # read only by `recognize_projective_sum`, which is kept above
+    "Polynomial.is_one",
+}
 
-def test_every_exported_function_is_reached(workloads, tmp_path):
-    # code that nothing calls is deleted: every plain function in
-    # matfac.__all__ runs in one pass of the four benchmark workloads at the
-    # default seed, or the acceptance gate imports it by name, or it is kept
-    # above with its reason (and the list holds nothing else)
-    built = [workloads.build(name, workloads.DEFAULT_SEED, tmp_path)
-             for name in workloads.NAMES]
+
+def _methods(package: Path) -> dict[tuple[str, int], str]:
+    """Every non-dunder method, property, classmethod and staticmethod
+    defined in a class body of the package, keyed by (file, first line) as
+    its code object records them: a decorated one starts at its first
+    decorator."""
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__") and node.name.endswith("__"))):
+                        first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                        found[str(path.resolve()), first] = f"{cls.name}.{node.name}"
+    return found
+
+
+def _reach_probe() -> dict:
+    """One pass of the four benchmark workloads at the default seed, and
+    every test of the acceptance gate, under a profiler that records each
+    Python frame entered; returns the ops that ended in an error and the
+    exported functions and methods that were never entered.
+
+    It needs a fresh interpreter: cached set-up, such as a
+    `cyclotomic_field` an earlier test built, would otherwise go unseen."""
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
     called, outcomes = set(), []
 
     def profile(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
 
-    saved = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for wl in built:
-            for task in wl.tasks:
-                outcomes += [(op, outcome) for op, _, outcome in task.run()]
+        import workloads
+
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in workloads.NAMES:
+                wl = workloads.build(name, workloads.DEFAULT_SEED, Path(tmp))
+                for task in wl.tasks:
+                    outcomes += [(op, outcome) for op, _, outcome in task.run()]
+        import test_acceptance
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, test in vars(test_acceptance).items():
+                if name.startswith("test_"):
+                    test()
     finally:
-        sys.setprofile(saved)
-    assert [(op, outcome) for op, outcome in outcomes
-            if isinstance(outcome, tuple) and outcome[:1] == ("error",)] == []
-    gate = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(gate) if isinstance(node, ast.ImportFrom)
-                and (node.module or "").split(".")[0] == "matfac" for alias in node.names}
-    unreached = [name for name in matfac.__all__
-                 if inspect.isfunction(fn := getattr(matfac, name))
-                 and fn.__code__ not in called and name not in imported]
-    assert sorted(unreached) == sorted(UNREACHED_KEPT)
+        sys.setprofile(None)
+    entered = {(str(Path(code.co_filename).resolve()), code.co_firstlineno)
+               for code in called}
+    return {
+        "errors": [[op, list(outcome)] for op, outcome in outcomes
+                   if isinstance(outcome, tuple) and outcome[:1] == ("error",)],
+        "functions": [name for name in matfac.__all__
+                      if inspect.isfunction(fn := getattr(matfac, name))
+                      and fn.__code__ not in called],
+        "methods": [name for key, name in _methods(Path(matfac.__file__).parent).items()
+                    if key not in entered],
+    }
+
+
+def test_every_function_and_method_is_reached(tmp_path):
+    # code that nothing calls is deleted: every plain function in
+    # matfac.__all__ and every method of the package runs in one pass of the
+    # four benchmark workloads at the default seed or in the acceptance
+    # gate, or it is kept above with its reason (and the lists hold nothing
+    # else)
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = tmp_path / "reach.json"
+    # -B: importing the workloads writes no __pycache__ under perfbench/
+    proc = subprocess.run([sys.executable, "-B", __file__, str(out)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    reach = json.loads(out.read_text(encoding="utf-8"))
+    assert reach["errors"] == []
+    assert sorted(reach["functions"]) == sorted(UNREACHED_FUNCTIONS)
+    assert sorted(reach["methods"]) == sorted(UNREACHED_METHODS)
 
 
 def test_reports_are_written_by_memo_methods_or_derived():
@@ -246,3 +312,7 @@ def test_every_mutant_still_applies():
             if func not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}:
                 stale.append(f"{name}: no test {test}")
     assert stale == []
+
+
+if __name__ == "__main__":
+    Path(sys.argv[1]).write_text(json.dumps(_reach_probe()), encoding="utf-8")

@@ -108,6 +108,13 @@ def test_summand_bound_general_and_sharpened():
     assert b.basis == "general"
 
 
+@pytest.mark.parametrize("flags", [(True,), (True, True, False), (1, 0)],
+                         ids=["short", "long", "not-bool"])
+def test_summand_bound_refuses_anything_but_a_pair_of_bools(flags):
+    with pytest.raises(ValueError, match="sym_flags must be a pair of booleans"):
+        summand_bound(X, Y, flags)
+
+
 def test_summand_bound_gcd_arithmetic():
     X2 = X.direct_sum(X)
     Y3 = Y.direct_sum(Y).direct_sum(Y)
