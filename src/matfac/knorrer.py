@@ -24,18 +24,21 @@ that its inverses are inverses.
 
 alpha_k and its inverse alpha_k^-1 = alpha_k*/d (the conjugate transpose
 over d) are both written in closed form, entry by entry (`_alpha`).
-`decompose_symmetric` certifies its witnesses alpha_k (x) I_nm and
-alpha_k^-1 (x) I_nm with two checked identities, computes no determinant,
-root sum or elimination, and derives the rest:
+`decompose_symmetric` computes no determinant, root sum or elimination,
+and no product at rank nm or dnm: every verdict is certified in d x d
+coordinates, by three lemmas stated and proved in its docstring:
 
-* forward's intertwining law, checked at rank dnm slot by slot, ties the
-  witnesses to the tensor and to the sum of shifts;
-* the round trip alpha_k^-1 alpha_k = I_d, checked by one d x d product for
-  every k (a left inverse of a square matrix over a field is also a right
-  inverse);
-* backward's law follows from both (multiply forward's slot p by
-  alpha_p^-1 on the left and alpha_(p+1)^-1 on the right), and so does
-  "isomorphism" for both witnesses: each has a two-sided inverse morphism.
+* forward's intertwining law follows, by the mixed-product rule, from two
+  d x d identities per slot, once the tensor slots, the slots of the sum
+  of shifts and forward's components are seen, as data, to be Kronecker
+  forms over the pair A = kron(phi, I), B = kron(I, psi);
+* the summand validates because A and B commute and its pencil roots are
+  the d roots of t^d + 1;
+* the round trip alpha_k^-1 alpha_k = I_d is one d x d product at k = 0,
+  every other alpha_k and its inverse being a rotation of alpha_0 and
+  alpha_0^-1 (a data check); backward's law follows from forward's and
+  the round trip, and so does "isomorphism" for both witnesses: each has
+  a two-sided inverse morphism.
 
 Index conventions match the rest of the package: matrices in a tuple are
 0-based with slot p holding the component whose 1-based label is p+1, and
@@ -50,7 +53,7 @@ from functools import cached_property
 
 from .cyclo import CycloElem, CycloField
 from .errors import MatfacError
-from .factorization import MatFac, ValidationEntry, ValidationReport, _derived
+from .factorization import MatFac, ValidationEntry, ValidationReport, _check_slots, _derived
 from .linalg import Matrix
 from .morphisms import Morphism, _intertwining_report
 from .rings import PolynomialRing
@@ -270,35 +273,68 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     Both inputs must be strictly shift-symmetric: every matrix of the tuple
     equal, as data, to the first one (that is what TX == X means here; mere
     isomorphism to the shift is not enough for this construction).  The
-    tensor is taken at the context's twist w^2.  The summand Z has slot p
-    equal to kron(phi, I) - w^(2p+1) kron(I, psi); the direct sum of its
-    shifts T^0 Z, ..., T^(d-1) Z literally equals the conjugated diagonal
-    form, and the circulant alphas give exact isomorphisms both ways.
+    tensor is taken at the context's twist w^2.  With a = kron(phi, I_m),
+    b = kron(I_n, psi) and c_q = w^(2q+1), the summand Z has slot p equal to
+    a - c_p b; the direct sum of its shifts T^0 Z, ..., T^(d-1) Z literally
+    equals the conjugated diagonal form, and the circulant alphas give exact
+    isomorphisms both ways.
 
-    The report holds forward's intertwining law (entries 0..d-1, the same
-    report `forward.is_morphism()` keeps), the validation of Z (start -1)
-    and the round trip (start -3).  The sum of shifts needs no check of its
-    own: its cyclic product starting at slot p is block diagonal with blocks
-    Z's cyclic products starting at p, p+1, ..., p+d-1, which run through
-    all d slots, so it validates exactly when Z does.
+    The report holds forward's intertwining law (entries 0..d-1, the report
+    `forward.is_morphism()` keeps), the validation of Z (start -1) and the
+    round trip (start -3).  The sum of shifts needs no check of its own:
+    its cyclic product starting at slot p is block diagonal with blocks Z's
+    cyclic products starting at p, p+1, ..., p+d-1, which run through all d
+    slots, so it validates exactly when Z does.
 
-    The witnesses are alpha_k (x) I_nm and alpha_k^-1 (x) I_nm, both
-    written in closed form by `_alpha` (alpha_k^-1 = alpha_k*/d); no
-    determinant, root sum or elimination is computed.  Each fact is checked
-    once.  Only forward's law is computed at rank dnm.  The round trip is
-    certified over the field, alpha_k^-1 alpha_k = I_d by one d x d product
-    for every k: a left inverse of a square matrix over a field is also a
-    right inverse, so alpha_k alpha_k^-1 = I_d as well, and lifting into the
-    ring and taking kron with I_nm is a ring homomorphism, so these are the
-    rank-dnm round trips.  Backward's law is derived from the two: forward's
-    slot p, alpha_p Phi_p = Phi'_p alpha_(p+1), multiplied by alpha_p^-1 on
-    the left and by alpha_(p+1)^-1 on the right, is backward's slot p,
-    Phi_p alpha_(p+1)^-1 = alpha_p^-1 Phi'_p.  backward's kept report
-    (`_derived`) has one entry per slot, ok exactly when forward's entry and
-    the round trip are.  Two morphisms inverse to each other are
-    isomorphisms, so `is_isomorphism()` of both reads that same verdict and
-    computes no determinant.  No verdict rests on the closed forms: a wrong
-    alpha_k fails forward's law, a wrong inverse the round trip.
+    The witnesses are A_k (x) I_nm and A_k^-1 (x) I_nm, where A_k = alpha_k
+    and A_k^-1 = alpha_k*/d are written in closed form by `_alpha`.  No
+    determinant, root sum or elimination is computed, and no product at
+    rank nm or dnm: three lemmas reduce every verdict to d x d products
+    over the field and to equalities of stored data.
+
+    1. Forward's law.  Every tensor slot is T_b (x) b + T_a (x) a, with
+       T_b = diag(zeta^I) and T_a = sum_I E_(I, I+1 mod d), and slot p of
+       the sum of shifts is I_d (x) a - W_p (x) b, with W_p =
+       diag_i(c_(p+i mod d)).  By the mixed-product rule
+       (A (x) B)(C (x) D) = AC (x) BD, forward's slot p,
+       (A_p (x) I)(T_b (x) b + T_a (x) a) = (I_d (x) a - W_p (x) b)(A_(p+1) (x) I),
+       is A_p T_b (x) b + A_p T_a (x) a = A_(p+1) (x) a - W_p A_(p+1) (x) b,
+       which holds when A_p T_a = A_(p+1) and A_p T_b = -W_p A_(p+1).  The
+       stored tensor slots, slots of the sum of shifts and components of
+       forward are compared with these forms as data (no product), and the
+       two d x d identities are checked by `_check_slots`.  They hold for
+       the closed form: T_a shifts the columns of A_p by one, and with
+       m = j - i - p, p(m-1) = p(m) + 2m - 1 - d, so (W_p A_(p+1))(i, j) =
+       w^(2(p+i)+1 + p(m-1)) = w^(p(m) + 2j - d) = -(A_p T_b)(i, j).
+    2. Z validates.  a and b commute (both products are kron(phi, psi)), so
+       Z's cyclic product from every start is the product of all the
+       a - c_q b, in any order.  When the c_q are pairwise distinct and
+       c_q^d = -1, they are the d roots of t^d + 1, so that product is
+       a^d + b^d = kron(phi^d, I_m) + kron(I_n, psi^d) = (f_x + f_y) I_nm
+       by the validations of x and y, which `tensor` requires.  Only the
+       c_q are checked; Z's report is derived: d passing entries without
+       detail, the report `validate` would compute.
+    3. The round trip.  A_0^-1 A_0 = I_d is one d x d product.  A data check
+       shows A_k(i, j) = A_0(i, j-k) and A_k^-1(i, j) = A_0^-1(i-k, j)
+       (indices mod d), that is A_k = A_0 Q and A_k^-1 = Q^-1 A_0^-1 for a
+       permutation matrix Q, so A_k^-1 A_k = Q^-1 (A_0^-1 A_0) Q = I_d.  A
+       left inverse of a square matrix over a field is also a right
+       inverse, and lifting into the ring and taking kron with I_nm is a
+       ring homomorphism, so these are the round trips at rank dnm.
+
+    Backward's law follows from forward's and the round trip: forward's slot
+    p, multiplied by A_p^-1 on the left and by A_(p+1)^-1 on the right, is
+    backward's slot p, Phi_p A_(p+1)^-1 = A_p^-1 Phi'_p (with backward's
+    components compared, as data, with the lifted inverses).  Both kept laws
+    are derived (`_derived`), one entry per slot naming its lemma.  Two
+    morphisms inverse to each other are isomorphisms, so `is_isomorphism()`
+    of both reads backward's verdict and computes no determinant.  The
+    conditions are sufficient, not necessary (a and b may be dependent, as
+    when x and y use one variable), so a derived entry may fail where the
+    computed law would hold, but never the reverse; for the closed-form
+    witnesses they hold on every input.  No verdict rests on the closed
+    forms: a wrong alpha_k fails forward's identities, a wrong inverse the
+    round trip.
     """
     if x.ring is not y.ring and x.ring != y.ring:
         raise MatfacError("factors live over different rings")
@@ -317,49 +353,75 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
             )
 
     d = ctx.d
-    ring = x.ring
+    ring, field = x.ring, ctx.field
     t = tensor(x, y, ctx.zeta)
 
-    phi = x.mats[0]
-    psi = y.mats[0]
-    ident_n = Matrix.identity(ring, x.n)
-    ident_m = Matrix.identity(ring, y.n)
-    a = phi.kron(ident_m)
-    b = ident_n.kron(psi)
-
-    summand = MatFac(ring, t.f, [
-        a - b.scale(ctx.omega_pow(2 * p + 1)) for p in range(d)
-    ])
-
+    a = x.mats[0].kron(Matrix.identity(ring, y.n))
+    b = Matrix.identity(ring, x.n).kron(y.mats[0])
+    c = [ctx.omega_pow(2 * q + 1) for q in range(d)]
+    pencils = [a - b.scale(cq) for cq in c]
+    summand = MatFac(ring, t.f, pencils)
     total = summand.direct_sum(*(summand.shift(i) for i in range(1, d)))
 
-    # The direct sum of the shifts is, slot for slot, the diagonalized form
-    # of the (constant-in-k) tensor component, so the circulant alphas are
-    # the whole isomorphism.
-    nm = x.n * y.n
-    ident_nm = Matrix.identity(ring, nm)
+    ident_nm = Matrix.identity(ring, x.n * y.n)
     alphas = [_alpha(ctx, k) for k in range(d)]
     alpha_invs = [_alpha(ctx, k, inverse=True) for k in range(d)]
-    forward = Morphism(source=t, target=total, comps=[
-        alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas])
-    backward = Morphism(source=total, target=t, comps=[
-        inv.map(ring.scalar, ring).kron(ident_nm) for inv in alpha_invs])
+    comps = [alpha.map(ring.scalar, ring).kron(ident_nm) for alpha in alphas]
+    inv_comps = [inv.map(ring.scalar, ring).kron(ident_nm) for inv in alpha_invs]
+    forward = Morphism(source=t, target=total, comps=comps)
+    backward = Morphism(source=total, target=t, comps=inv_comps)
 
-    # forward's intertwining law is the conjugation identity, slot by slot
-    forward.is_morphism()
-    entries = list(forward._report.entries)
-    entries.append(ValidationEntry(
-        start=-1, ok=summand.validate().passed, detail="summand validates"))
-    ident_d = Matrix.identity(ctx.field, d)
-    round_trip = all(inv @ alpha == ident_d for alpha, inv in zip(alphas, alpha_invs))
-    entries.append(ValidationEntry(
-        start=-3, ok=round_trip, detail="witnesses are mutually inverse"))
-    report = ValidationReport(entries)
+    # lemma 1: the stored forms as data, then the d x d identities
+    t_a = Matrix.weighted_permutation(field, [((j - 1) % d, field.one()) for j in range(d)])
+    t_b = Matrix.weighted_permutation(field, [(i, ctx.omega_pow(2 * i)) for i in range(d)])
+    tensor_slot = t_b.map(ring.scalar, ring).kron(b) + t_a.map(ring.scalar, ring).kron(a)
+    rotations = [[(p + i) % d for i in range(d)] for p in range(d)]
+    w_mats = [Matrix.weighted_permutation(field, [(i, c[q]) for i, q in enumerate(rot)])
+              for rot in rotations]
+    held = [s == e for s, e in zip(forward.comps, comps)]
+    shifts = _check_slots((alphas[p] @ t_a, alphas[(p + 1) % d]) for p in range(d))
+    twists = _check_slots((alphas[p] @ t_b, -(w_mats[p] @ alphas[(p + 1) % d]))
+                          for p in range(d))
+    entries = []
+    for p in range(d):
+        failed = [what for what, ok in (
+            ("tensor slot", t.mats[p] == tensor_slot),
+            ("slot of the sum of shifts",
+             total.mats[p] == Matrix.block_diagonal(ring, [pencils[q] for q in rotations[p]])),
+            (f"component {p}", held[p]),
+            (f"component {(p + 1) % d}", held[(p + 1) % d]),
+            (f"A_p T_a = A_(p+1), {shifts.entries[p].detail}", shifts.entries[p].ok),
+            (f"A_p T_b = -W_p A_(p+1), {twists.entries[p].detail}", twists.entries[p].ok))
+            if not ok]
+        detail = f"from the d x d identities at slot {p} by the mixed-product rule"
+        entries.append(ValidationEntry(
+            start=p, ok=not failed,
+            detail=f"{detail}; fails: {'; '.join(failed)}" if failed else detail))
+    _derived(forward, entries)
 
+    # lemma 2: the c_q are the d roots of t^d + 1
+    minus_one = -field.one()
+    roots = len(set(c)) == d and all(cq ** d == minus_one for cq in c)
+    _derived(summand, [ValidationEntry(
+        start=s, ok=roots, detail=None if roots else "the c_q are not the d roots of t^d + 1")
+        for s in range(d)])
+
+    # lemma 3: one d x d round trip, and each alpha_k a rotation of alpha_0
+    rotated = all(
+        alphas[k] == alphas[0].submatrix(range(d), [(j - k) % d for j in range(d)])
+        and alpha_invs[k] == alpha_invs[0].submatrix([(i - k) % d for i in range(d)], range(d))
+        for k in range(d))
+    round_trip = rotated and alpha_invs[0] @ alphas[0] == Matrix.identity(field, d)
+
+    report = ValidationReport(entries + [
+        ValidationEntry(start=-1, ok=summand.validate().passed, detail="summand validates"),
+        ValidationEntry(start=-3, ok=round_trip, detail="witnesses are mutually inverse")])
+    inv_held = [s == e for s, e in zip(backward.comps, inv_comps)]
     certified = _derived(backward, [
-        ValidationEntry(start=e.start, ok=e.ok and round_trip,
+        ValidationEntry(start=e.start, ok=e.ok and round_trip and inv_held[e.start]
+                        and inv_held[(e.start + 1) % d],
                         detail=f"from forward's law at slot {e.start} and the round trip")
-        for e in forward._report.entries]).passed
+        for e in entries]).passed
     forward._iso = backward._iso = certified
     return SymmetricDecomposition(summand=summand, total=total,
                                   forward=forward, backward=backward,

@@ -209,16 +209,25 @@ class Matrix:
         product certified (there, by the left operand's validation).  It is
         kept as (d, g) in the matrix's `_cycle` slot, and the cut reads it
         instead of forming the product, so its determinants rest on that
-        certificate; it is not checked here."""
+        certificate; it is not checked here.
+
+        Each row is written from its two stored blocks only, the diagonal
+        block's entries before the cyclic one's except in the last block
+        row, whose cyclic block is block column 0."""
         d = len(diagonal)
         if d < 2 or len(cyclic) != d:
             raise ValueError("a block-cyclic matrix needs d >= 2 diagonal "
                              "and as many cyclic blocks")
-        zero = cls.zero(space, diagonal[0].nrows, diagonal[0].nrows)
-        if any(b.shape != zero.shape for b in (*diagonal, *cyclic)):
-            raise ValueError(f"block-cyclic blocks must all be {zero.nrows}x{zero.nrows}")
-        m = cls.block(space, [[diagonal[i] if j == i else cyclic[i] if j == (i + 1) % d
-                               else zero for j in range(d)] for i in range(d)])
+        n = diagonal[0].nrows
+        if any(b.shape != (n, n) for b in (*diagonal, *cyclic)):
+            raise ValueError(f"block-cyclic blocks must all be {n}x{n}")
+        rows = []
+        for i in range(d):
+            on = [[(i * n + j, a) for j, a in row] for row in diagonal[i]._rows]
+            off = [[((i + 1) % d * n + j, a) for j, a in row] for row in cyclic[i]._rows]
+            first, second = (off, on) if i == d - 1 else (on, off)
+            rows += [p + q for p, q in zip(first, second)]
+        m = cls._sparse(space, d * n, d * n, rows)
         if _product is not None:
             m._cycle = (d, _product)
         return m

@@ -13,7 +13,7 @@ checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-260 s for the forty here on a 2-vCPU host, most of it hypothesis shrinking
+260 s for the forty-five here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -276,6 +276,43 @@ MUTANTS = {
          "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
          "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
          "tests/test_derived.py::test_backward_law_equals_the_fresh_one"],
+    ),
+    "block-cyclic-row-order": (
+        "src/matfac/linalg.py",
+        "first, second = (off, on) if i == d - 1 else (on, off)",
+        "first, second = (on, off)",
+        ["tests/test_linalg.py::test_block_cyclic_reduction_matches_cofactor_oracle"],
+    ),
+    "knorrer-w-rotation": (
+        "src/matfac/knorrer.py",
+        "[(i, c[q]) for i, q in enumerate(rot)]",
+        "[(i, c[(q + 1) % d]) for i, q in enumerate(rot)]",
+        ["tests/test_knorrer.py::test_two_fold_decomposition_matches_display",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one",
+         "tests/test_derived.py::test_knorrer_derived_reports_equal_the_fresh_ones"],
+    ),
+    "knorrer-twist-sign": (
+        "src/matfac/knorrer.py",
+        "-(w_mats[p] @ alphas[(p + 1) % d])",
+        "(w_mats[p] @ alphas[(p + 1) % d])",
+        ["tests/test_knorrer.py::test_three_fold_decomposition_matches_display",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one",
+         "tests/test_derived.py::test_knorrer_derived_reports_equal_the_fresh_ones"],
+    ),
+    "knorrer-component-unchecked": (
+        "src/matfac/knorrer.py",
+        "    held = [s == e for s, e in zip(forward.comps, comps)]\n",
+        "    held = [True] * d\n",
+        ["tests/test_knorrer.py::test_corrupted_forward_component_fails_every_derived_verdict",
+         "tests/test_derived.py::test_backward_law_fails_where_forward_does"],
+    ),
+    "knorrer-summand-roots": (
+        "src/matfac/knorrer.py",
+        "c = [ctx.omega_pow(2 * q + 1) for q in range(d)]",
+        "c = [ctx.omega_pow(2 * q) for q in range(d)]",
+        ["tests/test_knorrer.py::test_three_fold_decomposition_matches_display",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one",
+         "tests/test_derived.py::test_knorrer_derived_reports_equal_the_fresh_ones"],
     ),
     "split-complement": (
         "src/matfac/morphisms.py",

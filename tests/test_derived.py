@@ -3,11 +3,13 @@ checked against a fresh computation of the same identity.
 
 `factorization._derived` is the one writer of such reports, so wrapping it
 records every derivation a construction makes.  A derived factorization
-report (a shift, a tensor) must equal a fresh `validate()` of the same
-matrices, entry by entry: start, ok and detail.  Knorrer's derived backward
-law rests on a sufficient condition (forward's law and the round trip), so
-it must never pass a slot whose fresh `_intertwining_report` fails, it
-equals the fresh law on valid inputs, and each entry names its lemma.
+report (a shift, a tensor, Knorrer's summand) must equal a fresh
+`validate()` of the same matrices, entry by entry: start, ok and detail.
+Knorrer's derived forward law rests on sufficient conditions (d x d
+identities and data checks), and its backward law on forward's and the
+round trip, so neither may pass a slot whose fresh `_intertwining_report`
+fails; both equal the fresh law on valid inputs, and each entry names its
+lemma.
 """
 
 import math
@@ -33,6 +35,7 @@ from matfac import (
 from matfac import knorrer
 from matfac.factorization import _derived
 from matfac.morphisms import Morphism, _intertwining_report
+from matfac.tensor import TensorMatFac
 
 GRID = [(d, n, m) for d in (2, 3, 4, 5) for n in (1, 2) for m in (1, 2)]
 
@@ -63,9 +66,12 @@ def check_derivations(calls):
             continue
         assert [e.start for e in derived.entries] == [e.start for e in computed.entries]
         assert all(c.ok for e, c in zip(derived.entries, computed.entries) if e.ok)
-        assert [e.detail for e in derived.entries] == [
-            f"from forward's law at slot {e.start} and the round trip"
-            for e in derived.entries]
+        # a failing forward entry goes on to name what failed
+        lemma = ("from the d x d identities at slot {} by the mixed-product rule"
+                 if isinstance(obj.source, TensorMatFac) else
+                 "from forward's law at slot {} and the round trip")
+        assert [e.detail.split("; fails: ")[0] for e in derived.entries] == [
+            lemma.format(e.start) for e in derived.entries]
     return out
 
 
@@ -194,8 +200,9 @@ def symmetric_inputs(d, n):
 @pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 1), (4, 1)])
 def test_backward_law_equals_the_fresh_one(derivations, d, n):
     dec = decompose_symmetric(*symmetric_inputs(d, n))
-    backward = [obj for obj, _ in derivations if isinstance(obj, Morphism)]
-    assert backward == [dec.backward]
+    laws = [obj for obj, _ in derivations if isinstance(obj, Morphism)]
+    assert laws == [dec.forward, dec.backward]
+    assert dec.summand in [obj for obj, _ in derivations]
     computed = check_derivations(derivations)
     assert all(r.passed for r in computed)
     assert [e.ok for e in dec.backward._report.entries] == [True] * d
@@ -235,3 +242,54 @@ def test_backward_law_fails_where_forward_does(monkeypatch, derivations):
     computed = check_derivations(derivations)
     assert computed[-1].passed
     assert [e.ok for e in dec.backward._report.entries] == [False, False, True]
+
+
+@st.composite
+def symmetric_operands(draw):
+    """Strictly shift-symmetric operands of ranks n, m in {1, 2} and their
+    context, from a primitive 2d-th root (`omega=`) or, for odd d, from a
+    primitive d-th root (`zeta=`), d = 2..7.  Each operand repeats one phi
+    with phi^d = u^d I: (u) at rank one, S diag(u, z^j u) S^-1 with
+    S = [[1, s], [0, 1]] and z^d = 1 at rank two, where u is a linear form
+    in its own variable or, for both operands, in x."""
+    d = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["omega", "zeta"] if d % 2 else ["omega"]))
+    order = 2 * d if kind == "omega" else d
+    fld = cyclotomic_field(order)
+    power = draw(st.sampled_from([k for k in range(1, order) if math.gcd(k, order) == 1]))
+    ctx = omega_context(d, **{kind: fld.root_of_unity(order, power)})
+    ring = PolynomialRing(fld, ("x", "y"))
+    names = ("x", "x") if draw(st.booleans()) else ("x", "y")
+
+    def const(c):
+        return ring.scalar(fld.rational(c))
+
+    def operand(name):
+        u = const(draw(st.integers(1, 3))) * ring.variable(name) + const(draw(st.integers(-2, 2)))
+        if draw(st.sampled_from([1, 2])) == 1:
+            phi = Matrix(ring, [[u]])
+        else:
+            v = ring.scalar(fld.root_of_unity(d, 1) ** draw(st.integers(0, d - 1))) * u
+            phi = Matrix(ring, [[u, const(draw(st.integers(-1, 2))) * (v - u)],
+                                [ring.zero(), v]])
+        return MatFac(ring, u ** d, [phi] * d)
+
+    return operand(names[0]), operand(names[1]), ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands=symmetric_operands())
+def test_knorrer_derived_reports_equal_the_fresh_ones(operands):
+    # the oracle: forward's and backward's laws computed at rank dnm, and
+    # the summand's cyclic products multiplied out
+    dec = decompose_symmetric(*operands)
+    for law in (dec.forward, dec.backward):
+        derived, computed = law._report, fresh(law)
+        assert all(c.ok for e, c in zip(derived.entries, computed.entries) if e.ok)
+        assert [(e.start, e.ok) for e in derived.entries] == [
+            (c.start, c.ok) for c in computed.entries]
+        assert derived.passed
+    z = dec.summand
+    assert z.validate() == MatFac(z.ring, z.f, z.mats).validate()
+    assert dec.report.passed
+    assert dec.forward.is_isomorphism() and dec.backward.is_isomorphism()

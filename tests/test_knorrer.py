@@ -222,8 +222,8 @@ def four_verdicts(dec):
 
 
 def test_decompose_computes_forward_law_once(monkeypatch):
-    # forward's law is the one law computed at rank dnm; backward's is derived
-    # from it and the d x d round trip
+    # no law is computed at rank dnm: forward's is derived from d x d
+    # identities and data checks, backward's from it and the d x d round trip
     laws = []
     original = morphisms._intertwining_report
 
@@ -235,9 +235,13 @@ def test_decompose_computes_forward_law_once(monkeypatch):
     monkeypatch.setattr(knorrer, "_intertwining_report", counted)
     dec = decompose_symmetric(*three_fold_inputs())
     assert four_verdicts(dec) == (True, True, True, True)
-    assert [c is dec.forward.comps for c in laws] == [True]
-    # the report's law entries are the ones the morphism keeps
+    assert laws == []
+    # the report's law entries are the ones the morphism keeps, each naming
+    # its lemma
     assert dec.report.entries[:3] == dec.forward._report.entries
+    assert [(e.start, e.ok, e.detail) for e in dec.forward._report.entries] == [
+        (p, True, f"from the d x d identities at slot {p} by the mixed-product rule")
+        for p in range(3)]
     derived = dec.backward._report
     assert derived.passed
     assert [(e.start, e.ok) for e in derived.entries] == [(0, True), (1, True), (2, True)]
