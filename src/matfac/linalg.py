@@ -19,9 +19,10 @@ dispatch on the space type:
   dense reads `rows`, `m[i, j]` and `column` fill in the zeros; the one
   dense working copy is `det_bareiss`'s;
 * block shapes: `Matrix.block_diagonal` builds direct sums and
-  `Matrix.block_cyclic` the block-cyclic factors of tensor products, the
-  shape `_block_cyclic_cut` below recognizes; no other module assembles a
-  grid of blocks or a zero block (`Matrix.block`, `Matrix.zero`);
+  `Matrix.block_cyclic` the block-cyclic factors of tensor products, whose
+  recorded determinants `_block_cyclic_cut` below reads; no other module
+  assembles a grid of blocks or a zero block (`Matrix.block`,
+  `Matrix.zero`);
 * products: `@` is the row-sparse product: each row of the result
   accumulates a_ik * B[k] over the stored a_ik only, so block-diagonal and
   kron-with-identity operands cost what their nonzeros cost; `kron`
@@ -29,16 +30,15 @@ dispatch on the space type:
   entry itself against a one;
 * determinants: `Matrix.det` is the one dispatch.  Over a field it is
   `_det_field` on the one field elimination below; over a polynomial ring
-  it is `_det_power`, which cuts a block-cyclic matrix with scalar diagonal
-  blocks (every factor of a tensor product with a rank-one right operand)
-  to an n x n one by the commuting-block identity
+  it is `_det_power`, which keeps the determinant factored and has three
+  outcomes: a scalar matrix g * I_n is (g, n); a block-cyclic matrix whose
+  builder recorded the product of its cyclic blocks, g * I_n (every factor
+  of a tensor product), is read by the commuting-block identity
   det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
-  Gazette 84, 2000), reading A_0...A_{d-1} from the builder when
-  `Matrix.block_cyclic` was handed it, stops as soon as the matrix is
-  scalar, g * I_n, and keeps the determinant factored as (g, n); a
-  non-scalar rest goes to `det_bareiss`, fraction-free elimination
-  (Bareiss, Math. Comp. 22, 1968) with row-swap sign tracking and exact
-  division, and is kept as (det, 1).
+  Gazette 84, 2000) as (c_0...c_{d-1} - (-1)^d g, n), with no product of
+  blocks formed; every other matrix goes to `det_bareiss`, fraction-free
+  elimination (Bareiss, Math. Comp. 22, 1968) with row-swap sign tracking
+  and exact division, and is kept as (det, 1).
   The factored form is this module's alone: `det` expands it, and
   `Matrix.det_as_power(g)` answers the one question the tensor and Ulrich
   checks ask of a polynomial determinant, det = u * g^s with u = +-1 and
@@ -202,14 +202,15 @@ class Matrix:
         cyclic[I] at (I, (I+1) mod d) and zeros elsewhere, d >= 2: every
         factor of a twisted tensor product has this shape (Knorrer; Yoshino,
         Nagoya Math. J. 152, 1998).  With scalar diagonal blocks it is the
-        shape `_is_block_cyclic` recognizes and `_block_cyclic_cut` cuts.
+        shape `_is_block_cyclic` recognizes.
 
-        `_product`, private to `tensor.tensor`, is the scalar g with
-        cyclic[0] ... cyclic[d-1] = g * I_n when the caller holds that
-        product certified (there, by the left operand's validation).  It is
-        kept as (d, g) in the matrix's `_cycle` slot, and the cut reads it
-        instead of forming the product, so its determinants rest on that
-        certificate; it is not checked here.
+        `_product` is the scalar g with cyclic[0] ... cyclic[d-1] = g * I_n
+        when the caller holds that product certified (`tensor.tensor`, by
+        the left operand's validation).  It is kept as (d, g) in the
+        matrix's `_cycle` slot, and `_block_cyclic_cut` reads the
+        determinant from it, so that determinant rests on that certificate;
+        it is not checked here.  Without it the determinant is eliminated
+        (`det_bareiss`): no product of the blocks is ever formed.
 
         Each row is written from its two stored blocks only, the diagonal
         block's entries before the cyclic one's except in the last block
@@ -656,78 +657,55 @@ def _is_block_cyclic(m: Matrix, d: int) -> bool:
     return True
 
 
-def _block_cyclic_cut(m: Matrix) -> Matrix | None:
-    """The n x n matrix c_0...c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1}, whose
-    determinant is det m, when m has the block-cyclic shape of
-    `_is_block_cyclic` for some d >= 2 (A_I is block (I, (I+1) mod d));
-    None if no d fits.
-
-    A matrix whose builder recorded A_0 ... A_{d-1} = g * I_n (its `_cycle`,
-    see `Matrix.block_cyclic`) and that has the shape at that recorded d is
-    read: the cut is (c_0...c_{d-1} - (-1)^d g) * I_n, with the c_I read off
-    m itself, and no product of blocks is formed.  The record holds for the
-    builder's d only, so it is not read at any other.  Every other matrix is
-    cut at the smallest d that fits, by forming the product."""
-    size = m.nrows
+def _block_cyclic_cut(m: Matrix) -> tuple[Polynomial, int] | None:
+    """(c_0...c_{d-1} - (-1)^d g, n), with det m = that base ** n, when m's
+    builder recorded A_0 ... A_{d-1} = g * I_n (its `_cycle`, see
+    `Matrix.block_cyclic`) and m has the shape of `_is_block_cyclic` at that
+    recorded d, A_I being block (I, (I+1) mod d); None for every other
+    matrix.  The c_I are read off m itself and no product of blocks is
+    formed.  The record holds for the builder's d only, so it is not read at
+    any other."""
     cycle = getattr(m, "_cycle", None)
-    if cycle is not None and _is_block_cyclic(m, cycle[0]):
-        d, g = cycle
-        n = size // d
-        c = math.prod((m[r, r] for r in range(0, size, n)), start=m.space.one())
-        return Matrix.scalar(m.space, n, c - g if d % 2 == 0 else c + g)
-    for d in range(2, size + 1):
-        if size % d or not _is_block_cyclic(m, d):
-            continue
-        n = size // d
-        c = m.space.one()
-        prod = None
-        for block in range(d):
-            r, j = block * n, (block + 1) % d * n
-            c = c * m[r, r]
-            a = m.submatrix(range(r, r + n), range(j, j + n))
-            prod = a if prod is None else prod @ a
-        scalar = Matrix.scalar(m.space, n, c)
-        return scalar - prod if d % 2 == 0 else scalar + prod
-    return None
+    if cycle is None or not _is_block_cyclic(m, cycle[0]):
+        return None
+    d, g = cycle
+    n = m.nrows // d
+    c = math.prod((m[r, r] for r in range(0, m.nrows, n)), start=m.space.one())
+    return (c - g if d % 2 == 0 else c + g), n
 
 
 def _det_power(m: Matrix) -> tuple[Polynomial, int]:
-    """The determinant of a polynomial matrix in factored form, computed
-    once per matrix (kept in its `_det` slot).
+    """The determinant of a polynomial matrix in factored form, (base,
+    exponent) with det = base ** exponent, computed once per matrix (kept in
+    its `_det` slot).  There are three outcomes:
 
-    While the matrix is not scalar but block-cyclic with central diagonal
-    blocks (see `_is_block_cyclic`; every factor of a tensor product with a
-    rank-one right operand is), it is cut to n x n by the commuting-block
-    identity
+    * a scalar matrix g * I_n gives (g, n): g is never raised to the n-th
+      power;
+    * a block-cyclic matrix whose builder recorded the product of its cyclic
+      blocks, g * I_n, at d blocks is read by `_block_cyclic_cut` as
+      (c_0 ... c_{d-1} - (-1)^d g, n).  This is the commuting-block identity
 
-        det M = det(c_0 c_1 ... c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1})
+          det M = det(c_0 c_1 ... c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1})
 
-    (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000):
-    over the fraction field M = C(I + C^-1 S) with C = diag(c_I I_n) central,
-    and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for block-cyclic B; both
-    sides are polynomials in the c_I, so it also holds when some c_I is 0.
-    The cut stops as soon as the matrix is scalar, g * I_n, and the result is
-    (g, n): g is never raised to the n-th power.  For a tensor factor with a
-    rank-one right operand that happens after one cut, with g = +-f, and
-    that cut is read, not multiplied out: `tensor` records the product of
-    the cyclic blocks, f_x * I_n, which the left operand's validation
-    certifies (see `_block_cyclic_cut`), so such a determinant rests on that
-    validation, as the tensor's own does.  A non-scalar matrix the cut
-    cannot shrink goes to `det_bareiss`, and the result is (its determinant,
-    1).  The determinant is base ** exponent either way.
+      (Silvester, "Determinants of block matrices", Math. Gazette 84, 2000):
+      over the fraction field M = C(I + C^-1 S) with C = diag(c_I I_n)
+      central, and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for
+      block-cyclic B; both sides are polynomials in the c_I, so it also
+      holds when some c_I is 0.  Every factor of a tensor product is built
+      with such a record, f_x * I_n, which the left operand's validation
+      certifies (see `tensor.tensor`), so its determinant rests on that
+      validation, as the tensor's own does; with a rank-one right operand
+      the base is +-f;
+    * every other matrix goes to `det_bareiss`, and the result is (its
+      determinant, 1).
     """
     if not isinstance(m.space, PolynomialRing):
         raise TypeError("a polynomial determinant requires polynomial entries")
-    if hasattr(m, "_det"):
-        return m._det
-    rest = m
-    while not _is_scalar(rest):
-        cut = _block_cyclic_cut(rest)
-        if cut is None:
-            m._det = (det_bareiss(rest), 1)
-            return m._det
-        rest = cut
-    m._det = (rest[0, 0], rest.nrows)
+    if not hasattr(m, "_det"):
+        if _is_scalar(m):
+            m._det = (m[0, 0], m.nrows)
+        else:
+            m._det = _block_cyclic_cut(m) or (det_bareiss(m), 1)
     return m._det
 
 
@@ -736,9 +714,10 @@ def det_bareiss(m: Matrix) -> Polynomial:
     ("Sylvester's identity and multistep integer-preserving Gaussian
     elimination", Math. Comp. 22, 1968): every interior division is exact
     (entries stay minors of the original matrix), so the computation never
-    leaves the ring.  Row swaps are allowed and tracked by sign.  It cuts
+    leaves the ring.  Row swaps are allowed and tracked by sign.  It reads
     nothing: `Matrix.det` (through `_det_power`) is the determinant to ask
-    for, and calls this on what its cuts leave.  The cross product
+    for, and calls this on every matrix that is neither scalar nor read
+    from its builder's record.  The cross product
     rows[i][k] * rows[k][j] and the difference are formed only when both
     factors are nonzero; otherwise the update is rows[i][j] * pivot / prev
     alone, and with rows[i][j] zero too it is zero, with no division."""

@@ -20,7 +20,8 @@ indecomposability bookkeeping built on top of it:
   pairwise coprime monomial entries are strongly indecomposable (axiom case),
   and the property propagates through tensor products over disjoint variable
   sets.  Certificates are explicit trees, verified once, on the first
-  `problems()` call; their consequences (indecomposability,
+  `problems()` call, each tensor node by the provenance `tensor` records
+  (no tensor is rebuilt); their consequences (indecomposability,
   shift-inequivalence, indecomposable cokernels, scalar residue
   endomorphisms) are emitted as claims, not recomputed facts.
 
@@ -43,7 +44,7 @@ from .factorization import MatFac, PresentationMatrix, default_precision
 from .linalg import Matrix
 from .morphisms import Morphism, _invertible_jet_exists, hom_space_jets
 from .rings import monomial_coprime, variables_in
-from .tensor import _check_operands, swap_witness, tensor
+from .tensor import TensorMatFac, _check_operands, swap_witness, tensor
 
 
 def variable_support(x: MatFac) -> frozenset[str]:
@@ -266,6 +267,16 @@ class StrongIndCert:
     the whole tree and returns a list of violations (empty means valid).
     The first call keeps the verdict, which cannot go stale (the certificate
     is frozen and its subject immutable); each call returns a fresh list.
+
+    An inner node is checked by provenance, not by rebuilding its tensor:
+    its subject must be a `TensorMatFac` whose `left` and `right` are the
+    children's subjects themselves (`is`) and whose `zeta` equals the
+    recorded one.  `tensor` is the one writer of that provenance and is
+    deterministic, so a rebuild could only compare `tensor` with itself,
+    and the subject's validation is already derived from `tensor`
+    (`factorization._derived`): the node rests on what its validation rests
+    on.  The recorded variable split and the children's disjointness are
+    the certificate's own data and are checked against the subjects.
     """
 
     subject: MatFac
@@ -277,8 +288,6 @@ class StrongIndCert:
         return list(self._problems)
 
     def _verify(self) -> list[str]:
-        # rebuilding each propagation node's tensor is the one independent
-        # check that the subject is what the tree claims
         out: list[str] = []
         if not self.subject.validate().passed:
             out.append("subject does not validate")
@@ -304,13 +313,11 @@ class StrongIndCert:
                 out.append("recorded variable split differs from the subjects' supports")
             if lsup & rsup:
                 out.append(f"children share variables {sorted(lsup & rsup)}")
-            try:
-                rebuilt = tensor(prop.left.subject, prop.right.subject, prop.zeta)
-            except MatfacError as exc:
-                out.append(f"subject cannot be rebuilt: {exc}")
-            else:
-                if rebuilt != self.subject:
-                    out.append("subject is not the tensor of the child subjects")
+            if not (isinstance(self.subject, TensorMatFac)
+                    and self.subject.left is prop.left.subject
+                    and self.subject.right is prop.right.subject
+                    and self.subject.zeta == prop.zeta):
+                out.append("subject is not the tensor of the child subjects")
             out.extend(f"left: {p}" for p in prop.left.problems())
             out.extend(f"right: {p}" for p in prop.right.problems())
         return out
@@ -351,7 +358,8 @@ def _propagated(
 ) -> StrongIndCert:
     """Certify `subject`, the zeta-twisted tensor of the two certified
     subjects, by propagation: check and record their disjoint variables.
-    The subject is taken as given; `problems()` rebuilds it to compare."""
+    The subject is taken as given; `problems()` checks that `tensor` built
+    it from those subjects and zeta (its recorded provenance)."""
     lsup = variable_support(cx.subject)
     rsup = variable_support(cy.subject)
     if lsup & rsup:

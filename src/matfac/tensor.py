@@ -62,10 +62,13 @@ class TensorMatFac(MatFac):
     """A tensor product that remembers its factors and twist scalar.
 
     Identical to the underlying MatFac in data and behaviour (equality and
-    hashing ignore the extra fields).  The provenance is read by `_det_law`,
-    which takes the factor ranks from it for `det_check` and for the Ulrich
-    build's verification (`ulrich._verify_build`), and by the CLI's
-    `_certify`, which builds a certificate tree from a stored tensor's
+    hashing ignore the extra fields).  `tensor` is the one writer of `left`,
+    `right` and `zeta`: they are the very operands and twist it was called
+    with.  The provenance is read by `_det_law`, which takes the factor
+    ranks from it for `det_check` and for the Ulrich build's verification
+    (`ulrich._verify_build`); by `StrongIndCert`, which checks a
+    propagation node by it instead of rebuilding the tensor; and by the
+    CLI's `_certify`, which builds a certificate tree from a stored tensor's
     factors and twist.
     """
 
@@ -88,10 +91,11 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     A_0 ... A_{d-1} = kron(phi_1 ... phi_d, I_m) = kron(f_x I_n, I_m).  With
     a rank-one right operand the diagonal blocks are the scalars
     c_I = zeta^I psi_{p+1-I}, whose product is zeta^(d(d-1)/2) f_y =
-    (-1)^(d-1) f_y, so the determinant cut reads (c - (-1)^d f_x) I_nm =
-    (-1)^(d-1) (f_x + f_y) I_nm without multiplying a block: det Phi =
-    (+-f)^nm, and the determinant checks (`det_check`, the Ulrich
-    verification) rest on x's validation, as the tensor's report does.
+    (-1)^(d-1) f_y, so the determinant read (`linalg._block_cyclic_cut`)
+    gives (c - (-1)^d f_x)^nm = ((-1)^(d-1) (f_x + f_y))^nm without
+    multiplying a block: det Phi = (+-f)^nm, and the determinant checks
+    (`det_check`, the Ulrich verification) rest on x's validation, as the
+    tensor's report does.
     """
     _check_operands(x, y)
     d = x.d
@@ -220,14 +224,13 @@ def det_check(x: MatFac, y: MatFac, zeta: CycloElem) -> DetCheckReport:
     The law is `_det_law`, and each Phi_k passes when
     `Phi_k.det_as_power(f+g)` gives the law's pair.  With a rank-one right
     operand every Phi_k is block-cyclic with scalar diagonal blocks, and its
-    factored determinant stops after one cut at a scalar g * I_nm, read
-    from its diagonal scalars and the product of its cyclic blocks that
-    `tensor` recorded, f * I (see `tensor`), so g = +-(f+g) decides by the
-    factors.  The check therefore rests on X's validation, which `tensor`
-    requires, not on a product formed here; the report carries the law's
-    value, expanded once.  Every Phi_k of a wider right operand still pays
-    for full elimination.  A failing entry reports its own expanded
-    determinant.
+    factored determinant is read as g^nm, g from its diagonal scalars and
+    the product of its cyclic blocks that `tensor` recorded, f * I (see
+    `tensor`), so g = +-(f+g) decides by the factors.  The check therefore
+    rests on X's validation, which `tensor` requires, not on a product
+    formed here; the report carries the law's value, expanded once.  Every
+    Phi_k of a wider right operand still pays for full elimination.  A
+    failing entry reports its own expanded determinant.
     """
     if x.f.is_zero() or y.f.is_zero():
         raise MatfacError("determinant check requires nonzero f and g")

@@ -29,7 +29,7 @@ of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), as the pair
 (sign, s) that `Matrix.det_as_power(f)` answers without expanding f^s.
 Every cokernel's statistics, for every ell, are read one way
 (`_cokernel_stats`) from that answer for its presentation; for a single
-factor of a build it is read from the determinant the verification cut,
+factor of a build it is read from the determinant the verification read,
 kept on the matrix.  Validation is not recomputed: each tensor carries
 the verdict the tensor theorem gives it (see `tensor.tensor`), from
 validated operands and a primitive twist.  Rank and reducedness are
@@ -196,15 +196,15 @@ def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
     """Check the tensor built from spec: rank k^(N-1), reducedness, and
     every factor's determinant against the tensor determinant law of its
     last step, +-f^(k^(N-2)) with the law's sign.  Rank and reducedness are
-    computed here from the matrices.  Each determinant is cut to g * I_n
+    computed here from the matrices.  Each determinant is read as g^n
     from the factor's own diagonal scalars and the product of its cyclic
     blocks that `tensor` recorded, f_x * I, so it rests on the validation of
     the last step's left operand, which Yoshino's theorem derives from the
     rows' computed validations; x's own validation is the verdict it
     carries from `tensor`, read, not recomputed.
     Each factor passes when `det_as_power(f)` gives the law's pair: a
-    factor whose cut stops at g * I_n is decided by g = +-f, without f^n
-    being expanded.  Raises MatfacError on any failure, naming the factor
+    factor whose determinant is read as g^n is decided by g = +-f, without
+    f^n being expanded.  Raises MatfacError on any failure, naming the factor
     and what its determinant was found to be."""
     rank = spec.k ** (spec.n_terms - 1)
     validates, reduced = x.validate().passed, x.is_reduced()
@@ -242,8 +242,8 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
     report from the tensor theorem, so no cyclic product of the
     rank-k^(N-1) factors is formed.
     Each step tensors with a rank-one row factorization, so every factor is
-    block-cyclic: its determinant is cut, without elimination or any block
-    product, to the scalar matrix g * I_s, read from the factor's diagonal
+    block-cyclic: its determinant is read, without elimination or any block
+    product, as g^s, with g read from the factor's diagonal
     scalars and the product of its cyclic blocks that the last step
     recorded, f_x * I, and compared with the law as factors (g = +-f with
     the sign (-1)^s accounted for), so f^s is never expanded.  The
@@ -320,8 +320,9 @@ def _require_reduced(x: MatFac) -> None:
 def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
     """Stats of cok(pres), pres a product of consecutive factors of the
     validated, reduced x: s is the exponent in det(pres) = +-f^s, as
-    `Matrix.det_as_power` answers it (one factor, which a build has cut
-    already, is decided by its factors; a product of two is eliminated).
+    `Matrix.det_as_power` answers it (one factor, whose determinant a build
+    has read already, is decided by its factors; a product of two is
+    eliminated).
     With f != 0 the determinant of a validated x's presentation is nonzero,
     so only f = 0 is looked at for a zero one."""
     power = pres.matrix.det_as_power(x.f)
@@ -340,7 +341,7 @@ def _cokernel_stats(x: MatFac, pres: PresentationMatrix) -> ModuleStats:
 
 def _noted_stats(spec: SumOfProducts, x: MatFac, downgrade: str) -> ModuleStats:
     """Stats of the first factor's cokernel, read as every cokernel's are
-    (`_cokernel_stats`): the build's verification cut that factor's
+    (`_cokernel_stats`): the build's verification read that factor's
     determinant already, so the exponent is a memo read.  The stats carry a
     note (ending in `downgrade`) when the entries per row differ from
     ord(f)."""

@@ -12,8 +12,11 @@ The runner copies the repository (without .git) to a temporary directory,
 checks that the named tests pass there unmutated, then applies each mutant
 to a fresh copy of its file and runs its tests with pytest.  A listed test
 that still passes is a survivor; the exit status is 1 when any mutant has
-one, else 0.  Tier-1 does not run this (one pytest run per mutant, about
-260 s for the forty-five here on a 2-vCPU host, most of it hypothesis shrinking
+one, else 0.  A run stopped after `TIMEOUT_S` counts every listed test as
+failed, so its mutant is reported as "killed (timed out after 600 s)" and
+counted apart in the summary: a timeout is no proof that a test caught the
+fault.  Tier-1 does not run this (one pytest run per mutant, about 220 s
+for the forty-seven here on a 2-vCPU host, most of it hypothesis shrinking
 the failing examples); it only checks that every entry still applies
 (`tests/test_source.py`).
 
@@ -129,14 +132,6 @@ MUTANTS = {
          "tests/test_linalg.py::test_inverse_field_of_a_triangular_matrix",
          "tests/test_linalg.py::test_sparse_nullspace_matches_dense"],
     ),
-    "cut-sign": (
-        "src/matfac/linalg.py",
-        "        return scalar - prod if d % 2 == 0 else scalar + prod\n",
-        "        return scalar + prod if d % 2 == 0 else scalar - prod\n",
-        ["tests/test_linalg.py::test_block_cyclic_reduction_matches_cofactor_oracle",
-         "tests/test_linalg.py::test_factored_determinant_matches_oracles",
-         "tests/test_tensor.py::test_read_determinants_equal_the_computed_cut"],
-    ),
     "cycle-read-sign": (
         "src/matfac/linalg.py",
         "c - g if d % 2 == 0 else c + g)",
@@ -147,10 +142,17 @@ MUTANTS = {
     ),
     "cycle-read-smallest-d": (
         "src/matfac/linalg.py",
-        "        d, g = cycle\n",
-        "        d, g = next(e for e in range(2, size + 1)\n"
-        "                    if size % e == 0 and _is_block_cyclic(m, e)), cycle[1]\n",
+        "    d, g = cycle\n",
+        "    d, g = next(e for e in range(2, m.nrows + 1)\n"
+        "                if m.nrows % e == 0 and _is_block_cyclic(m, e)), cycle[1]\n",
         ["tests/test_tensor.py::test_the_record_is_read_at_the_builders_d"],
+    ),
+    "cycle-read-unshaped": (
+        "src/matfac/linalg.py",
+        "    if cycle is None or not _is_block_cyclic(m, cycle[0]):\n",
+        "    if cycle is None:\n",
+        ["tests/test_tensor.py::test_read_determinants_equal_the_computed_cut",
+         "tests/test_tensor.py::test_a_record_is_read_only_at_the_shape_it_was_made_for"],
     ),
     "cycle-records-right-f": (
         "src/matfac/tensor.py",
@@ -363,6 +365,22 @@ MUTANTS = {
         "    if False:\n",
         ["tests/test_morphisms.py::test_split_idempotent_refuses_a_precision_below_one"],
     ),
+    "cert-provenance-isinstance": (
+        "src/matfac/structure.py",
+        "            if not (isinstance(self.subject, TensorMatFac)\n"
+        "                    and self.subject.left is prop.left.subject\n"
+        "                    and self.subject.right is prop.right.subject\n"
+        "                    and self.subject.zeta == prop.zeta):\n",
+        "            if not isinstance(self.subject, TensorMatFac):\n",
+        ["tests/test_structure.py::test_tampered_certificate_reports_its_problem"],
+    ),
+    "cert-zeta-unchecked": (
+        "src/matfac/structure.py",
+        "                    and self.subject.right is prop.right.subject\n"
+        "                    and self.subject.zeta == prop.zeta):\n",
+        "                    and self.subject.right is prop.right.subject):\n",
+        ["tests/test_structure.py::test_tampered_certificate_reports_its_problem"],
+    ),
     "bound-flags-unchecked": (
         "src/matfac/structure.py",
         "    if len(sym_flags) != 2 or not all(isinstance(v, bool) for v in sym_flags):\n",
@@ -373,6 +391,8 @@ MUTANTS = {
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMEOUT_S = 600
+# the output `_run_tests` gives for a run that `TIMEOUT_S` stopped
+TIMED_OUT = f"timed out after {TIMEOUT_S} s"
 
 
 def _run_tests(copy: Path, tests: list[str]) -> tuple[set[str], str]:
@@ -386,7 +406,7 @@ def _run_tests(copy: Path, tests: list[str]) -> tuple[set[str], str]:
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
             cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return set(tests), f"timed out after {TIMEOUT_S} s"
+        return set(tests), TIMED_OUT
     failed = re.findall(r"^(?:FAILED|ERROR) (\S+?)(?:\[| |$)", proc.stdout, re.MULTILINE)
     if proc.returncode not in (0, 1):  # collection error, usage error
         return set(tests), proc.stdout[-2000:] + proc.stderr[-2000:]
@@ -409,7 +429,7 @@ def run(names: list[str]) -> int:
         if failed:
             print(f"the named tests fail unmutated: {sorted(failed)}\n{output}")
             return 2
-        survivors = []
+        survivors, timeouts = [], []
         for name in chosen:
             file, text, replacement, tests = MUTANTS[name]
             path = copy / file
@@ -419,15 +439,22 @@ def run(names: list[str]) -> int:
                 return 2
             path.write_text(original.replace(text, replacement), encoding="utf-8")
             t0 = time.perf_counter()
-            failed, _ = _run_tests(copy, tests)
+            failed, output = _run_tests(copy, tests)
             path.write_text(original, encoding="utf-8")
             alive = [t for t in tests if t not in failed]
-            verdict = "killed" if not alive else f"SURVIVED by {', '.join(alive)}"
-            print(f"{name}: {verdict} ({time.perf_counter() - t0:.1f} s)")
             if alive:
+                verdict = f"SURVIVED by {', '.join(alive)}"
                 survivors.append(name)
+            elif output == TIMED_OUT:
+                verdict = f"killed ({TIMED_OUT})"
+                timeouts.append(name)
+            else:
+                verdict = "killed"
+            print(f"{name}: {verdict} ({time.perf_counter() - t0:.1f} s)")
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
-          f"in {time.perf_counter() - start:.1f} s")
+          f"in {time.perf_counter() - start:.1f} s"
+          + (f", {len(timeouts)} of them by timing out: {', '.join(timeouts)}"
+             if timeouts else ""))
     return 1 if survivors else 0
 
 

@@ -1,17 +1,19 @@
 """Independent reference implementations used to cross-check the package.
 
-Deliberately naive: cofactor expansion for determinants, textbook row
-reduction for kernels, one rank comparison per column for the greedy choice
-of independent columns, the dense triple loop for matrix products, the double
-loop and greedy lead-term division for sparse polynomials,
-`Fraction`-coordinate vectors, the extended Euclidean algorithm and a
-power-by-power order loop for cyclotomic field arithmetic, one jet hom
-system per shift at the requested precision for jet verdicts, and the
-coordinates of a jet hom basis written out entry by entry.  Slow is fine;
-these only run on small inputs.
+Deliberately naive: cofactor expansion for determinants, and the
+block-cyclic cut that forms the product of the cyclic blocks where the
+library reads it from the builder's record, textbook row reduction for
+kernels, one rank comparison per column for the greedy choice of independent
+columns, the dense triple loop for matrix products, the double loop and
+greedy lead-term division for sparse polynomials, `Fraction`-coordinate
+vectors, the extended Euclidean algorithm and a power-by-power order loop
+for cyclotomic field arithmetic, one jet hom system per shift at the
+requested precision for jet verdicts, and the coordinates of a jet hom basis
+written out entry by entry.  Slow is fine; these only run on small inputs.
 """
 
 import functools
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +28,7 @@ from matfac import (
     hom_space_jets,
 )
 from matfac.cyclo import CycloField
-from matfac.linalg import JetSpace
+from matfac.linalg import JetSpace, det_bareiss
 
 
 # -- cyclotomic field arithmetic on Fraction coordinate vectors --------------
@@ -270,6 +272,62 @@ def det_cofactor(mat: Matrix):
         return total
 
     return minor(tuple(range(n)))
+
+
+def _is_scalar(m: Matrix) -> bool:
+    """True iff the nonempty square m is g * I_n for g = m[0, 0]."""
+    return m.nrows > 0 and m == Matrix.scalar(m.space, m.nrows, m[0, 0])
+
+
+def block_cyclic_cut(m: Matrix):
+    """The n x n matrix c_0...c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1} at the
+    smallest d >= 2 at which m is block-cyclic: c_I * I_n in each diagonal
+    block (I, I), any A_I in block (I, (I+1) mod d) and zeros elsewhere;
+    None if no d fits.  Its determinant is det m by the commuting-block
+    identity (Silvester, "Determinants of block matrices", Math. Gazette 84,
+    2000).  The product of the cyclic blocks is formed, so this is the
+    computed reference for the determinants the library reads from a
+    builder's record."""
+    size = m.nrows
+    for d in range(2, size + 1):
+        if size % d:
+            continue
+        n = size // d
+
+        def block(i, j):
+            return m.submatrix(range(i * n, i * n + n), range(j * n, j * n + n))
+
+        cs = [m[i * n, i * n] for i in range(d)]
+        if not all(block(i, j) == (Matrix.scalar(m.space, n, cs[i]) if j == i else
+                                   Matrix.zero(m.space, n, n))
+                   for i in range(d) for j in range(d) if j != (i + 1) % d):
+            continue
+        prod = block(0, 1)
+        for i in range(1, d):
+            prod = prod @ block(i, (i + 1) % d)
+        c = Matrix.scalar(m.space, n, math.prod(cs, start=m.space.one()))
+        return c - prod if d % 2 == 0 else c + prod
+    return None
+
+
+def cut_det_power(m: Matrix):
+    """det m as (base, exponent) by computed cuts, whatever m records: m is
+    cut by `block_cyclic_cut` until it is scalar, g * I_n, giving (g, n),
+    and a rest that cannot be cut gives (det_bareiss(rest), 1)."""
+    rest = m
+    while not _is_scalar(rest):
+        cut = block_cyclic_cut(rest)
+        if cut is None:
+            return det_bareiss(rest), 1
+        rest = cut
+    return rest[0, 0], rest.nrows
+
+
+def cut_det_as_power(m: Matrix, g):
+    """`Matrix.det_as_power(g)` of m's determinant as `cut_det_power`
+    factors it, decided on the scalar matrix base * I_exponent."""
+    base, exponent = cut_det_power(m)
+    return Matrix.scalar(m.space, exponent, base).det_as_power(g)
 
 
 def signed_power(det, g):

@@ -1,5 +1,8 @@
 """Exact matrices: construction, kron/blocks, determinants, kernels."""
 
+import math
+from unittest import mock
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,15 @@ from matfac.linalg import (
 from matfac.linalg import rref as rref_matrix
 from matfac.rings import Jet, Polynomial
 
-from oracles import det_cofactor, kron, matmul, nullspace, rref, signed_power
+from oracles import (
+    block_cyclic_cut,
+    det_cofactor,
+    kron,
+    matmul,
+    nullspace,
+    rref,
+    signed_power,
+)
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("x", "y"))
@@ -500,12 +511,19 @@ def block_cyclic_parts(draw, entry=poly_entry(), ds=(2, 3, 4), max_n=3):
 @given(block_cyclic_parts())
 def test_block_cyclic_reduction_matches_cofactor_oracle(parts):
     # random blocks: non-commuting A_I, non-scalar products, some c_I zero;
-    # the library's builder gives the zero-grid assembly, which the cut takes
+    # the library's builder gives the zero-grid assembly.  The computed cut
+    # of the oracles keeps the cofactor determinant; the library, handed no
+    # product of the blocks, reads nothing and eliminates once
     cs, blocks, n = parts
     m = Matrix.block_cyclic(R, [Matrix.scalar(R, n, c) for c in cs], blocks)
     assert m == block_cyclic(*parts)
-    assert _block_cyclic_cut(m) is not None
-    assert m.det() == det_cofactor(m)
+    det = det_cofactor(m)
+    cut = block_cyclic_cut(m)
+    assert cut is not None and det_cofactor(cut) == det
+    with mock.patch("matfac.linalg.det_bareiss", wraps=det_bareiss) as elimination:
+        assert m.det() == det
+    scalar = m == Matrix.scalar(R, m.nrows, m[0, 0])
+    assert elimination.call_count == (0 if scalar else 1)
 
 
 def test_block_cyclic_needs_d_at_least_two_and_equal_square_blocks():
@@ -527,7 +545,7 @@ def test_stray_entry_falls_back_to_elimination(parts, data):
     # a nonzero entry in block (0, 2), which must be zero for d >= 3
     rows[data.draw(st.integers(0, n - 1))][2 * n + data.draw(st.integers(0, n - 1))] = x
     m = Matrix(R, rows)
-    assert _block_cyclic_cut(m) is None
+    assert block_cyclic_cut(m) is None
     assert m.det() == det_cofactor(m)
 
 
@@ -543,14 +561,15 @@ def test_unequal_diagonal_falls_back_to_elimination(parts, data):
     r = data.draw(st.integers(0, len(cs) - 1)) * n + n - 1
     rows[r][r] = rows[r][r] + R.one()
     m = Matrix(R, rows)
-    assert _block_cyclic_cut(m) is None
+    assert block_cyclic_cut(m) is None
     assert m.det() == det_cofactor(m)
 
 
 @st.composite
 def scalar_cut_parts(draw):
-    """Block-cyclic parts whose block product is the scalar a_0...a_{d-1} I_n,
-    so the cut reaches g * I_n: A_0 = a_0 P U and A_1 = a_1 U^-1 P^-1 for a
+    """The block-cyclic matrix of blocks whose product is the scalar
+    a_0...a_{d-1} I_n, built with that product recorded, so its determinant
+    is read as (g, n): A_0 = a_0 P U and A_1 = a_1 U^-1 P^-1 for a
     permutation P and a shear U = I + t E_ij, the other A_I = a_I I_n.  The
     diagonal scalars are sometimes all equal, so the matrix is not scalar
     only because of its off-diagonal blocks."""
@@ -572,16 +591,23 @@ def scalar_cut_parts(draw):
         shear[i][j], unshear[i][j] = t, -t
     blocks = [(p @ Matrix(R, shear)).scale(a[0]), (Matrix(R, unshear) @ p_inv).scale(a[1])]
     blocks += [Matrix.scalar(R, n, c) for c in a[2:]]
-    return cs, blocks, n
+    return Matrix.block_cyclic(R, [Matrix.scalar(R, n, c) for c in cs], blocks,
+                               _product=math.prod(a, start=R.one()))
+
+
+def det_cases():
+    """Block-cyclic matrices of rank <= 8: read ones (`scalar_cut_parts`),
+    whose determinants are (g, n) for n odd and even, and record-free ones,
+    which are eliminated."""
+    return st.one_of(scalar_cut_parts(),
+                     block_cyclic_parts(max_n=2).map(lambda parts: block_cyclic(*parts)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(scalar_cut_parts(), block_cyclic_parts(max_n=2)))
-def test_factored_determinant_matches_oracles(parts):
-    # block-cyclic matrices of rank <= 8, many of whose cuts stop at g * I_n
-    # (n odd and even): the factored determinant, expanded, is the cofactor
-    # oracle's and minus the determinant of a row-swapped copy
-    m = block_cyclic(*parts)
+@given(det_cases())
+def test_factored_determinant_matches_oracles(m):
+    # the factored determinant, expanded, is the cofactor oracle's and
+    # minus the determinant of a row-swapped copy
     base, exponent = _det_power(m)
     det = det_cofactor(m)
     assert base ** exponent == m.det() == det
@@ -589,14 +615,13 @@ def test_factored_determinant_matches_oracles(parts):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(scalar_cut_parts(), block_cyclic_parts(max_n=2)))
-def test_det_as_power_matches_the_signed_power_oracle(parts):
+@given(det_cases())
+def test_det_as_power_matches_the_signed_power_oracle(m):
     # the same matrices, asked for det = u g^s with g the base their factored
     # determinant ends at, its negation ((-g)^n = (-1)^n g^n, decided by the
     # factors), its square and an unrelated g: (u, s) exactly
     # when the oracle finds det = u g^s in the cofactor determinant, None
     # otherwise, and None for every g when the determinant is zero
-    m = block_cyclic(*parts)
     base, _ = _det_power(m)
     det = det_cofactor(m)
     for g in (base, -base, base * base, x * x + y):
@@ -653,8 +678,9 @@ def test_scalar_matrices_stop_before_any_cut():
 
 @pytest.mark.parametrize("n_rows,k", [(3, 3), (4, 2)])
 def test_tensor_factor_determinants_match_elimination(n_rows, k):
-    # cofactor expansion is too slow at these ranks; swapping rows 0 and 1
-    # breaks the block-cyclic shape, so elimination sees the negated matrix
+    # cofactor expansion is too slow at these ranks; each factor's
+    # determinant is read from its record, and swapping rows 0 and 1 gives a
+    # record-free copy, which elimination sees as the negated matrix
     ring = PolynomialRing(cyclotomic_field(k),
                           tuple(f"x{i}_{j}" for i in range(n_rows) for j in range(k)))
     rows = [[ring.variable(f"x{i}_{j}") for j in range(k)] for i in range(n_rows)]

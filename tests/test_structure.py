@@ -207,12 +207,13 @@ def test_certificate_is_verified_once(count_tensors):
     cert = propagate_strong_ind(propagate_strong_ind(cx, cy, ZETA), cz, ZETA)
     count_tensors.clear()
     first = cert.problems()
-    # one rebuild per propagation node, then the kept verdict
-    assert first == [] and len(count_tensors) == 2
+    # each propagation node is checked by its provenance, so no tensor is
+    # rebuilt; the verdict is kept
+    assert first == [] and count_tensors == []
     first.append("edited by the caller")
     assert cert.problems() == []
     strong_ind_consequences(cert)
-    assert len(count_tensors) == 2
+    assert count_tensors == []
 
 
 def _tampered_certificates():
@@ -225,14 +226,19 @@ def _tampered_certificates():
 
     wrong_entries = StrongIndCert(subject=X, basis=AxiomCoprimeRankOne(
         entries=tuple(m[0, 0] for m in Y.mats)))
-    # same variables as X, but x1 * x2 * x0^2 != f: the rebuild's tensor()
-    # refuses this child, and the problems are still listed
+    # same variables as X, but x1 * x2 * x0^2 != f: tensor() would refuse
+    # this child, and its problems are listed
     invalid = MatFac(R, X.f, [Matrix(R, [[R.parse(e)]]) for e in ("x1", "x2", "x0^2")])
     invalid_child = StrongIndCert(subject=invalid, basis=AxiomCoprimeRankOne(
         entries=tuple(m[0, 0] for m in invalid.mats)))
     entries_problem = "recorded entries differ from the subject's entries"
     not_the_tensor = "subject is not the tensor of the child subjects"
     swapped_split = VarSplit(left_vars=split.right_vars, right_vars=split.left_vars)
+    # equal data without provenance, and a tensor whose left operand was
+    # reassigned after it was built
+    t = tensor(X, Y, ZETA)
+    reassigned = tensor(X, Y, ZETA)
+    reassigned.left = MatFac(X.ring, X.f, X.mats)
     return [
         pytest.param(wrong_entries, entries_problem, id="axiom-entries"),
         pytest.param(prop(tensor(X, Y, ZETA ** 2)), not_the_tensor, id="other-zeta"),
@@ -242,9 +248,9 @@ def _tampered_certificates():
                      id="wrong-split"),
         pytest.param(prop(tensor(X, Y, ZETA), left=wrong_entries),
                      "left: " + entries_problem, id="tampered-child"),
-        pytest.param(prop(tensor(X, Y, ZETA), zeta=F.one()),
-                     "subject cannot be rebuilt: twist scalar is not a primitive "
-                     "d-th root of unity (d = 3)", id="zeta-one"),
+        pytest.param(prop(tensor(X, Y, ZETA), zeta=F.one()), not_the_tensor, id="zeta-one"),
+        pytest.param(prop(MatFac(t.ring, t.f, t.mats)), not_the_tensor, id="plain-copy"),
+        pytest.param(prop(reassigned), not_the_tensor, id="reassigned-left"),
         pytest.param(prop(tensor(X, Y, ZETA), left=invalid_child),
                      "left: subject does not validate", id="invalid-child"),
     ]

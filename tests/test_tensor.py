@@ -27,12 +27,14 @@ from matfac import (
 )
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
-from matfac.linalg import _det_power, _is_block_cyclic, det_bareiss
+from matfac.linalg import _block_cyclic_cut, _det_power, _is_block_cyclic, det_bareiss
 from matfac.tensor import _det_law
 
 from oracles import (
     admits_invertible_combination_symbolic,
     assoc_regrouping,
+    cut_det_as_power,
+    cut_det_power,
     det_cofactor,
     shift_component,
     swap_component,
@@ -213,8 +215,8 @@ def read_cases(draw):
     of distinct variables, whose diagonal blocks are not scalar, so that its
     slots go to elimination; x is then one row.  A zero entry makes f_x = 0
     or f_y = 0; x takes one only while it is one row, since a zero block
-    can let the computed cut fit a smaller d and leave elimination at the
-    full rank."""
+    can let the oracle's computed cut fit a smaller d and leave it
+    eliminating at the full rank."""
     d = draw(st.integers(2, 5))
     ring = _READ_RINGS[d]
     zeta = ring.field.root_of_unity(d, 1)
@@ -242,11 +244,12 @@ def read_cases(draw):
 @given(read_cases(), st.data())
 def test_read_determinants_equal_the_computed_cut(case, data):
     # every slot's determinant, read from the recorded product f_x * I, is
-    # the one the record-free copy computes, and the law's when f is not
-    # constant; elimination agrees at rank <= 9.  A wide right operand's
-    # slots are not block-cyclic at d, so a record, even a wrong one, is not
-    # read.  Matrices derived from a slot carry no record, and the shift of a
-    # tensor, built before any determinant is asked for, reads the same.
+    # the one the oracle's computed cut gives, and the law's when f is not
+    # constant; elimination of the record-free copy agrees at rank <= 9.  A
+    # wide right operand's slots are not block-cyclic at d, so a record, even
+    # a wrong one, is not read.  Matrices derived from a slot carry no
+    # record, and the shift of a tensor, built before any determinant is
+    # asked for, reads the same.
     x, y, zeta = case
     t = tensor(x, y, zeta)
     shift = data.draw(st.integers(1, t.d - 1))
@@ -258,7 +261,7 @@ def test_read_determinants_equal_the_computed_cut(case, data):
     for p, m in enumerate(t.mats):
         assert m._cycle == (t.d, x.f)
         free = _record_free(m)
-        want = free.det_as_power(t.f)
+        want = cut_det_as_power(m, t.f)
         assert m.det_as_power(t.f) == want
         assert shifted.mats[(p - shift) % t.d].det_as_power(t.f) == want
         if t.f.total_degree() > 0:
@@ -281,8 +284,9 @@ def test_the_record_is_read_at_the_builders_d():
     # x = (0, a, 0, c) validates with f_x = 0 and zero blocks A_0 and A_2, and
     # y's entries make c_0 = c_1 and c_2 = c_3 at slots 0 and 2: those slots
     # are block-cyclic at d = 2 as well as at the builder's d = 4.  The read
-    # uses d = 4 and stops at (-f) * I_1; the computed cut takes the smallest
-    # d that fits, 2, and stops at (v0 v1) * I_2 with the same determinant
+    # uses d = 4 and gives (-f)^1; the oracle's computed cut takes the
+    # smallest d that fits, 2, and stops at (v0 v1) * I_2 with the same
+    # determinant, which the record-free copy eliminates
     ring = _READ_RINGS[4]
     a, c, v0, v1 = (ring.variable(v) for v in ("a", "c", "v0", "v1"))
     zeta = ring.field.root_of_unity(4, 1)
@@ -297,8 +301,27 @@ def test_the_record_is_read_at_the_builders_d():
         assert _det_power(m) == (-t.f, 1)
         free = _record_free(m)
         assert _is_block_cyclic(m, 2) == (p % 2 == 0)
-        assert _det_power(free) == ((v0 * v1, 2) if p % 2 == 0 else (-t.f, 1))
+        assert cut_det_power(m) == ((v0 * v1, 2) if p % 2 == 0 else (-t.f, 1))
         assert m.det() == free.det()
+
+
+def test_a_record_is_read_only_at_the_shape_it_was_made_for():
+    # y is the rank-two factorization of v0 v1 + v2 v3 with non-diagonal
+    # factors, so the slots carry the record f_x * I but their diagonal
+    # blocks are not scalar: nothing is read (a read would give
+    # (v0 v1 + ab)^2 at slot 0), each determinant is eliminated, and
+    # det_check finds the law
+    ring = PolynomialRing(cyclotomic_field(2), ("a", "b", "v0", "v1", "v2", "v3"))
+    v0, v1, v2, v3 = (ring.variable(f"v{i}") for i in range(4))
+    x = rank_one(ring, "a", "b")
+    y = MatFac(ring, v0 * v1 + v2 * v3, [Matrix(ring, [[v0, v2], [-v3, v1]]),
+                                         Matrix(ring, [[v1, -v2], [v3, v0]])])
+    zeta = ring.field.root_of_unity(2, 1)
+    t = tensor(x, y, zeta)
+    for m in t.mats:
+        assert m._cycle == (2, x.f) and _block_cyclic_cut(m) is None
+        assert _det_power(m) == (det_bareiss(_record_free(m)), 1)
+    assert det_check(x, y, zeta).passed
 
 
 def test_tensor_refuses_an_unvalidated_operand_before_building_a_slot(count_calls):

@@ -295,7 +295,7 @@ def test_malformed_sums_rejected():
                          ids=["monomial-7x2", "linear-6x2"])
 def test_build_ulrich_at_rank_64_and_32(n_rows, linear):
     # rows x_i0 * x_i1, or (x_i0 + x_i1) * x_i1 with a dense linear factor;
-    # every factor's cut stops at (-f) * I_s with s = 2^(N-2)
+    # every factor's determinant is read as (-f)^s with s = 2^(N-2)
     names = [f"x{i}_{j}" for i in range(n_rows) for j in range(2)]
     ring = PolynomialRing(cyclotomic_field(2), tuple(names))
     var = ring.variable
@@ -309,7 +309,8 @@ def test_build_ulrich_at_rank_64_and_32(n_rows, linear):
 
 def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_tensors):
     # each factor's determinant is computed once, in factored form, by one
-    # block-cyclic cut in the build's verification; the stats ask for the
+    # read of its recorded block product (`_block_cyclic_cut`) in the
+    # build's verification; the stats ask for the
     # first factor's determinant again and read it from the matrix, and a
     # build eliminates nothing: det_bareiss never runs
     ring = PolynomialRing(cyclotomic_field(2), ("x1", "x2", "y1", "y2", "z1", "z2"))
@@ -322,13 +323,13 @@ def test_build_ulrich_computes_each_factor_determinant_once(count_calls, count_t
     assert [m.nrows for (m,) in cuts] == [4] * spec.k
     assert eliminations == []
     # the certified route builds the chain once (N - 1 tensors), the
-    # certificate's verification rebuilds it once more, and each factor's
+    # certificate's verification builds none, and each factor's
     # determinant is still computed once
     cuts.clear()
     count_tensors.clear()
     ub = indecomposable_ulrich(spec)
     assert ub.stats.ulrich and ub.presentation.size == 4
-    assert len(count_tensors) == 2 * (spec.n_terms - 1)
+    assert len(count_tensors) == spec.n_terms - 1
     assert [m.nrows for (m,) in cuts] == [4] * spec.k
     assert eliminations == []
     # the certificate keeps its verdict: asking again rebuilds nothing
@@ -373,7 +374,7 @@ def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
 @pytest.mark.parametrize("corrupt,found", [
     (lambda power: (power[0], 2 * power[1]), r"found f\^2"),
     (lambda power: (-power[0], power[1]), r"found -f\^1"),
-    # what a cut ending at a non-scalar matrix of determinant 2f would give
+    # what a determinant of 2f would give
     (lambda power: None, "no signed power of f"),
 ], ids=["doubled", "negated", "non-scalar"])
 def test_build_from_sum_raises_on_a_corrupted_factor_determinant(monkeypatch, corrupt, found):
