@@ -18,11 +18,12 @@ dispatch on the space type:
   through the operations below), and none reads the stored form.  The
   dense reads `rows`, `m[i, j]` and `column` fill in the zeros; the one
   dense working copy is `det_bareiss`'s;
-* block shapes: `Matrix.block_diagonal` builds direct sums and
+* block shapes: `Matrix.block_diagonal` builds direct sums,
   `Matrix.block_cyclic` the block-cyclic factors of tensor products, whose
-  recorded determinants `_block_cyclic_cut` below reads; no other module
-  assembles a grid of blocks or a zero block (`Matrix.block`,
-  `Matrix.zero`);
+  recorded determinants `_block_cyclic_cut` below reads, and
+  `Matrix.circulant` the circulant base changes of Knorrer's decomposition;
+  no other module assembles a grid of blocks or a zero block
+  (`Matrix.block`, `Matrix.zero`);
 * products: `@` is the row-sparse product: each row of the result
   accumulates a_ik * B[k] over the stored a_ik only, so block-diagonal and
   kron-with-identity operands cost what their nonzeros cost; `kron`
@@ -168,6 +169,17 @@ class Matrix:
         for j, (i, w) in enumerate(images):
             rows[i] = ((j, w),)
         return cls._sparse(space, n, n, rows)
+
+    @classmethod
+    def circulant(cls, space, first_row) -> Matrix:
+        """The n x n matrix whose (i, j) entry is first_row[(j - i) mod n]:
+        row i is the first row rotated i places to the right.  Such matrices
+        are the polynomials in the cyclic shift (the circulant of e_1), so
+        they form a commutative algebra."""
+        c = list(first_row)
+        n = len(c)
+        return cls._sparse(space, n, n, [[(j, c[(j - i) % n]) for j in range(n)]
+                                         for i in range(n)])
 
     @classmethod
     def block(cls, space, grid) -> Matrix:
@@ -645,7 +657,10 @@ def _is_scalar(m: Matrix) -> bool:
 def _is_block_cyclic(m: Matrix, d: int) -> bool:
     """True iff the square m, cut into d x d blocks of size n, has a scalar
     matrix c_I * I_n in every diagonal block (I, I), anything in the blocks
-    (I, (I+1) mod d), and zeros everywhere else."""
+    (I, (I+1) mod d), and zeros everywhere else; False when m is empty,
+    which has no blocks to read."""
+    if not m.nrows:
+        return False
     n = m.nrows // d
     diagonal = [m[block * n, block * n] for block in range(d)]
     for r, row in enumerate(m._rows):

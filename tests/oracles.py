@@ -227,6 +227,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.space, rows)
 
 
+def circulant(space, first_row) -> Matrix:
+    """Dense circulant: row i is the first row rotated i places to the right,
+    every entry written, zeros included."""
+    c = list(first_row)
+    return Matrix(space, [c[len(c) - i:] + c[:len(c) - i] for i in range(len(c))])
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Dense Kronecker product: entry (i*p + k, j*q + l) is a[i, j] * b[k, l]
     for b of shape p x q, every product formed."""

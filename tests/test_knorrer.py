@@ -22,6 +22,7 @@ from matfac import (
 )
 
 from matfac import knorrer, morphisms
+from matfac.cyclo import CycloElem
 from matfac.linalg import _det_field, inverse_field, rref
 from oracles import det_cofactor
 
@@ -350,6 +351,53 @@ def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):
     assert [e.start for e in dec.report.entries if not e.ok] == [-3]
     assert not dec.backward.is_morphism()
     assert four_verdicts(dec) == (True, False, False, False)
+
+
+def test_inverse_corrupted_off_its_first_row_fails_the_round_trip(monkeypatch):
+    # alpha_0^-1 with one entry of row 1 doubled, and every alpha_k^-1 that
+    # matrix with its rows rotated k places down: alpha_k^-1 = Q^-k alpha_0^-1
+    # still holds as data and the first row of alpha_0^-1 alpha_0 is still
+    # e_0, so only the check that alpha_0^-1 is a circulant sees the fault
+    original = knorrer._alpha
+
+    def corrupted(ctx, k, inverse=False):
+        if not inverse:
+            return original(ctx, k)
+        rows = [list(r) for r in original(ctx, 0, inverse=True).rows]
+        rows[1][0] = rows[1][0] * ctx.field.rational(2)
+        return Matrix(ctx.field, rows).submatrix([(i - k) % ctx.d for i in range(ctx.d)],
+                                                 range(ctx.d))
+
+    monkeypatch.setattr(knorrer, "_alpha", corrupted)
+    dec = decompose_symmetric(*three_fold_inputs())
+    assert [e.start for e in dec.report.entries if not e.ok] == [-3]
+    assert four_verdicts(dec) == (True, False, False, False)
+    bwd = dec.backward
+    assert not morphisms._intertwining_report(bwd.comps, bwd.source.mats, bwd.target.mats).passed
+
+
+def test_decompose_makes_quadratically_many_field_products(monkeypatch):
+    # the twist identity at slot 0, one row of the round trip and d entries
+    # per inverse: doubling d about quadruples the field products, where
+    # d x d products at every slot would multiply them by 8
+    counts = []
+    for d in (16, 32):
+        fld = cyclotomic_field(2 * d)
+        R = PolynomialRing(fld, ("x", "y"))
+        x_var, y_var = R.variable("x"), R.variable("y")
+        X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
+        Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
+        ctx = omega_context(d, omega=fld.zeta(1))
+        decompose_symmetric(X, Y, ctx)  # the field's and the context's tables
+        calls = []
+        original = CycloElem.__mul__
+        monkeypatch.setattr(CycloElem, "__mul__",
+                            lambda a, b: calls.append(None) or original(a, b))
+        dec = decompose_symmetric(X, Y, ctx)
+        monkeypatch.setattr(CycloElem, "__mul__", original)
+        assert dec.report.passed
+        counts.append(len(calls))
+    assert counts[1] <= 4.5 * counts[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

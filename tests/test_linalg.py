@@ -31,6 +31,7 @@ from matfac.rings import Jet, Polynomial
 
 from oracles import (
     block_cyclic_cut,
+    circulant,
     det_cofactor,
     kron,
     matmul,
@@ -148,6 +149,24 @@ def test_kron_matches_dense_oracle(kind, n, k, p, q, right_identity, data):
         assert all(got[i * p + l, j * p + l] is a[i, j]
                    for i in range(a.nrows) for j in range(a.ncols) for l in range(p)
                    if not a[i, j].is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["field", "poly"]), st.integers(1, 9), st.data())
+def test_circulant_matches_dense_oracle(kind, n, data):
+    # entry (i, j) is first_row[(j - i) mod n]; the zeros of the first row
+    # are not stored, and circulants multiply as a commutative algebra, each
+    # product the circulant of its own first row (the round trip of the
+    # Knorrer witnesses rests on it)
+    space, pool = PRODUCT_SPACES[kind]
+    rows = [data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            for _ in range(2)]
+    got, other = (Matrix.circulant(space, r) for r in rows)
+    assert got == circulant(space, rows[0])
+    assert got.nonzero() == dense_nonzero(got)
+    assert [len(r) for r in got.nonzero()] == [sum(not a.is_zero() for a in rows[0])] * n
+    product = got @ other
+    assert product == other @ got == Matrix.circulant(space, product.rows[0])
 
 
 # -- the one nonzero reader ---------------------------------------------------------

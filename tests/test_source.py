@@ -240,8 +240,8 @@ def _grid_builders(tree):
 def test_block_grids_are_built_in_linalg_only():
     # a grid of blocks, a zero block to pad one, or a zero-filled matrix to
     # fill in is assembled in linalg only (`Matrix.block_diagonal`,
-    # `Matrix.block_cyclic`, `Matrix.weighted_permutation`), so each block
-    # shape keeps one builder module
+    # `Matrix.block_cyclic`, `Matrix.circulant`, `Matrix.weighted_permutation`),
+    # so each block shape keeps one builder module
     found = []
     for path in sorted(Path(matfac.__file__).parent.rglob("*.py")):
         if path.name == "linalg.py":

@@ -324,6 +324,18 @@ def test_a_record_is_read_only_at_the_shape_it_was_made_for():
     assert det_check(x, y, zeta).passed
 
 
+def test_determinant_law_at_a_rank_zero_left_operand():
+    # z, a 0 x 0 matrix in each of its three slots, validates; its tensor
+    # slots are empty and carry the record f_z * I_0, which has no blocks to
+    # read: each determinant is the empty one, 1 = (f + g)^0
+    z = MatFac(R9, X.f, [Matrix(R9, [])] * 3)
+    t = tensor(z, Y, ZETA)
+    assert all(m.shape == (0, 0) and not _is_block_cyclic(m, 3) for m in t.mats)
+    rep = det_check(z, Y, ZETA)
+    assert rep.passed and rep.expected == R9.one()
+    assert [e.determinant for e in rep.entries] == [R9.one()] * 3
+
+
 def test_tensor_refuses_an_unvalidated_operand_before_building_a_slot(count_calls):
     # the record rests on x's validation, so no slot is built before it is
     # checked
