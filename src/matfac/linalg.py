@@ -39,7 +39,10 @@ dispatch on the space type:
   Gazette 84, 2000) as (c_0...c_{d-1} - (-1)^d g, n), with no product of
   blocks formed; every other matrix goes to `det_bareiss`, fraction-free
   elimination (Bareiss, Math. Comp. 22, 1968) with row-swap sign tracking
-  and exact division, and is kept as (det, 1).
+  and exact division, and is kept as (det, 1).  It scales rows lazily: a
+  row whose entry below the pivot is zero is left as the last step that
+  changed it made it, and is brought up to date once, when it next changes
+  or becomes the pivot row.
   The factored form is this module's alone: `det` expands it, and
   `Matrix.det_as_power(g)` answers the one question the tensor and Ulrich
   checks ask of a polynomial determinant, det = u * g^s with u = +-1 and
@@ -727,45 +730,76 @@ def _det_power(m: Matrix) -> tuple[Polynomial, int]:
 def det_bareiss(m: Matrix) -> Polynomial:
     """Fraction-free Bareiss elimination of a square polynomial matrix
     ("Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22, 1968): every interior division is exact
-    (entries stay minors of the original matrix), so the computation never
-    leaves the ring.  Row swaps are allowed and tracked by sign.  It reads
-    nothing: `Matrix.det` (through `_det_power`) is the determinant to ask
-    for, and calls this on every matrix that is neither scalar nor read
-    from its builder's record.  The cross product
-    rows[i][k] * rows[k][j] and the difference are formed only when both
-    factors are nonzero; otherwise the update is rows[i][j] * pivot / prev
-    alone, and with rows[i][j] zero too it is zero, with no division."""
+    elimination", Math. Comp. 22, 1968), with each row scaled lazily.  It
+    reads nothing: `Matrix.det` (through `_det_power`) is the determinant to
+    ask for, and calls this on every matrix that is neither scalar nor read
+    from its builder's record.
+
+    Write a^(k) for the matrix after k steps (a^(0) = m), p_k = a_kk^(k) for
+    the pivot of step k and p_-1 = 1.  Step k sets, for i, j > k,
+
+        a_ij^(k+1) = (a_ij^(k) p_k - a_ik^(k) a_kj^(k)) / p_(k-1),
+
+    an exact division, since a_ij^(k+1) is a minor of m (Sylvester's
+    identity).  When a_ik^(k) = 0 this is a_ij^(k) p_k / p_(k-1), a mere
+    rescaling.  So if row i had a zero in the pivot column at steps s..k-1,
+    the quotients telescope:
+
+        a_ij^(k) = a_ij^(s) (p_s / p_(s-1)) (p_(s+1) / p_s) ... (p_(k-1) / p_(k-2))
+                 = a_ij^(s) p_(k-1) / p_(s-1),
+
+    and step k's update of that row, the p_(k-1) cancelling, is
+
+        a_ij^(k+1) = (a_ij^(s) p_k - a_ik^(s) a_kj^(k)) / p_(s-1),
+
+    again exact, since the left side is a minor of m.  The elimination
+    therefore keeps each row as a^(s) for the last step s that really
+    changed it (its stamp): a step whose entry below the pivot is zero costs
+    that row nothing.  Row swaps are tracked by sign, and a swapped row
+    keeps its stamp.  A row that becomes the pivot row, the last one
+    included, is brought up to date once, times p_(k-1), exact-divided by
+    p_(s-1).  Every pivot is nonzero, so a stored entry is zero exactly when
+    the true one is: the pivot search reads the stored rows, and the pivot
+    order, the row-swap sign and the determinant p_(n-1) are those of the
+    eager elimination.  The cross product a_ik^(s) a_kj^(k) and the
+    difference are formed only when a_kj^(k) is nonzero, and a zero
+    dividend is never divided."""
     ring = m.space
     if not isinstance(ring, PolynomialRing):
         raise TypeError("det_bareiss requires polynomial entries")
     n = m.nrows
-    if n == 0:
-        return ring.one()
     rows = [list(r) for r in m.rows]
+    stamps = [0] * n  # rows[i] holds row i of a^(stamps[i])
+    divisors = [ring.one()]  # divisors[s] = p_(s-1)
     sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
+    for k in range(n):
         piv = next((i for i in range(k, n) if not rows[i][k].is_zero()), None)
         if piv is None:
             return ring.zero()
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
+            stamps[k], stamps[piv] = stamps[piv], stamps[k]
             sign = -sign
         pivot_row = rows[k]
+        if stamps[k] < k:
+            scale, prev = divisors[k], divisors[stamps[k]]
+            pivot_row[k:] = [a if a.is_zero() else (a * scale).divexact(prev)
+                             for a in pivot_row[k:]]
         pivot = pivot_row[k]
         for i in range(k + 1, n):
             row = rows[i]
             below = row[k]
+            if below.is_zero():
+                continue
+            prev = divisors[stamps[i]]
             for j in range(k + 1, n):
                 num = row[j] * pivot
-                if not (below.is_zero() or pivot_row[j].is_zero()):
+                if not pivot_row[j].is_zero():
                     num -= below * pivot_row[j]
                 row[j] = num.divexact(prev) if not num.is_zero() else ring.zero()
-            row[k] = ring.zero()
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+            stamps[i] = k + 1
+        divisors.append(pivot)
+    return divisors[n] if sign == 1 else -divisors[n]
 
 
 # -- jet matrices ----------------------------------------------------------------

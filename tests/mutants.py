@@ -15,10 +15,10 @@ that still passes is a survivor; the exit status is 1 when any mutant has
 one, else 0.  A run stopped after `TIMEOUT_S` counts every listed test as
 failed, so its mutant is reported as "killed (timed out after 600 s)" and
 counted apart in the summary: a timeout is no proof that a test caught the
-fault.  Tier-1 does not run this (one pytest run per mutant, about 280 s
-for the forty-nine here on a 2-vCPU host, 440 s on a shared one, most of it
-hypothesis shrinking the failing examples); it only checks that every
-entry still applies (`tests/test_source.py`).
+fault.  Tier-1 does not run this (one pytest run per mutant, about 335 s
+for the fifty-one here on a 2-vCPU host, most of it hypothesis shrinking
+the failing examples); it only checks that every entry still applies
+(`tests/test_source.py`).
 
 A change that adds a fast path, a derived verdict or a refusal adds the
 mutants that its tests are meant to kill.
@@ -236,9 +236,21 @@ MUTANTS = {
     ),
     "bareiss-zero-products": (
         "src/matfac/linalg.py",
-        "                if not (below.is_zero() or pivot_row[j].is_zero()):\n",
+        "                if not pivot_row[j].is_zero():\n",
         "                if True:\n",
         ["tests/test_linalg.py::test_bareiss_forms_no_difference_with_a_zero_cross_factor"],
+    ),
+    "bareiss-stale-divisor": (
+        "src/matfac/linalg.py",
+        "            prev = divisors[stamps[i]]\n",
+        "            prev = divisors[k]\n",
+        ["tests/test_linalg.py::test_bareiss_matches_cofactor_on_half_zero_matrices"],
+    ),
+    "bareiss-pivot-not-caught-up": (
+        "src/matfac/linalg.py",
+        "        if stamps[k] < k:\n",
+        "        if False:\n",
+        ["tests/test_linalg.py::test_bareiss_matches_cofactor_on_half_zero_matrices"],
     ),
     "ladder-no-escalation": (
         "src/matfac/morphisms.py",

@@ -4,7 +4,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from matfac import (
@@ -363,6 +363,76 @@ def test_det_matches_cofactor_oracle(entries):
     expected = det_cofactor(m)
     assert m.det() == expected
     assert det_bareiss(m) == expected
+
+
+def nonzero_poly_entry():
+    return poly_entry().map(lambda p: R.one() if p.is_zero() else p)
+
+
+# '*' is a nonzero entry.  Step 0 updates row 4, which is then zero in
+# columns 1 and 2 and lags two steps; at step 3 row 3 is zero in column 3,
+# so row 4 becomes the pivot row through a swap and is caught up.  Row 5
+# lags three steps and is then updated by step 3.  Row 3 lags to the end:
+# step 4 swaps it below row 5, and it is caught up as the last row.  Any
+# other course would make rows 0 and 4 proportional or leave a column
+# without a pivot, so a nonzero determinant forces this one.
+LAGGING_PATTERN = ["*..*..",
+                   ".*...*",
+                   "..*.*.",
+                   ".....*",
+                   "*..*..",
+                   "...**."]
+# column 4 is zero; rows 1 and 3 lag before the elimination reaches it
+ZERO_COLUMN_PATTERN = ["*.*..",
+                       "..**.",
+                       "*..*.",
+                       ".*...",
+                       "...*."]
+
+
+def planted(pattern, values) -> Matrix:
+    values = iter(values)
+    return Matrix(R, [[next(values) if c == "*" else R.zero() for c in row] for row in pattern])
+
+
+def linear_entries(count):
+    return [R.scalar(i + 1) + R.scalar(i % 3 - 1) * x + R.scalar(1 - i % 2) * y
+            for i in range(count)]
+
+
+@st.composite
+def half_zero_matrices(draw):
+    # n <= 6 with at least half of the n^2 entries zero: LAGGING_PATTERN with
+    # drawn entries, or random positions made zero, and sometimes a whole
+    # zero column; returns the matrix and that column
+    if draw(st.integers(0, 3)) == 0:
+        return planted(LAGGING_PATTERN, draw(st.lists(nonzero_poly_entry(),
+                                                      min_size=17, max_size=17))), None
+    n = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.one_of(st.just(R.zero()), poly_entry()),
+                            min_size=n * n, max_size=n * n))
+    for pos in draw(st.permutations(range(n * n)))[:(n * n + 1) // 2]:
+        entries[pos] = R.zero()
+    zero_column = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    if zero_column is not None:
+        entries[zero_column::n] = [R.zero()] * n
+    return Matrix(R, [entries[i * n:(i + 1) * n] for i in range(n)]), zero_column
+
+
+@settings(max_examples=80, deadline=None)
+@given(half_zero_matrices())
+@example((planted(LAGGING_PATTERN, linear_entries(17)), None))
+@example((planted(ZERO_COLUMN_PATTERN, linear_entries(10)), 4))
+def test_bareiss_matches_cofactor_on_half_zero_matrices(drawn):
+    # the lazily scaled rows give the cofactor determinant; the explicit
+    # examples take the forced courses above (LAGGING_PATTERN's entries
+    # there give a nonzero determinant)
+    m, zero_column = drawn
+    event("zero column" if zero_column is not None else f"n = {m.nrows}")
+    det = det_bareiss(m)
+    assert det == det_cofactor(m)
+    if zero_column is not None:
+        assert det.is_zero()
 
 
 @settings(max_examples=40, deadline=None)

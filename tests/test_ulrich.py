@@ -111,6 +111,36 @@ def test_extension_ses(trinomial):
     assert ses2.passed and ses2.m_stats.ratio == Fraction(1, 2)
 
 
+def test_extension_ses_at_rank_twenty_seven():
+    # the monomial build with N = 4 rows of k = 3 variables: M is the
+    # product of two rank-27 factors, whose elimination is the bulk of the
+    # sequence (its determinant is +-f^18)
+    ring = PolynomialRing(F3, tuple(f"x{i}_{j}" for i in range(4) for j in range(3)))
+    rows = [[ring.variable(f"x{i}_{j}") for j in range(3)] for i in range(4)]
+    x, _ = build_from_sum(sum_of_products(ring, rows))
+    ses = extension_ses(x)
+    assert ses.m.size == 27 and ses.squares_commute
+    assert ses.l_stats.ulrich and ses.n_stats.ulrich
+    assert ses.m_stats.ratio == Fraction(1, 2)
+
+
+def test_extension_ses_divides_little(monkeypatch):
+    # the elimination of the rank-9 M rescales no row whose entry below the
+    # pivot is zero: the dividends of all its exact divisions hold 244
+    # terms, where rescaling every row at every step divides 538
+    x, _ = build_from_sum(sum_of_products(R9, ROWS))
+    dividend_terms = []
+    divexact = Polynomial.divexact
+
+    def counted(self, g):
+        dividend_terms.append(len(self.terms))
+        return divexact(self, g)
+
+    monkeypatch.setattr(Polynomial, "divexact", counted)
+    assert extension_ses(x).passed
+    assert 0 < sum(dividend_terms) <= 538 // 2
+
+
 def test_extension_ses_expands_no_single_factor_power(monkeypatch):
     # L and N present by one factor each (ell = 1), whose determinant the
     # build holds as (+-f)^3 and compares by factors; only M's product of two
