@@ -13,7 +13,7 @@ are sparse dicts keyed by exponent tuples, and all linear algebra is
 fraction-free or field-exact.
 """
 
-from .cyclo import CycloElem, CycloField, cyclotomic_field, cyclotomic_polynomial, embed
+from .cyclo import CycloElem, CycloField, cyclotomic_field, cyclotomic_polynomial
 from .errors import MatfacError, Refusal, UndecidableError
 from .factorization import (
     JetMatFac,
@@ -88,7 +88,6 @@ __all__ = [
     "CycloField",
     "cyclotomic_field",
     "cyclotomic_polynomial",
-    "embed",
     "MatfacError",
     "Refusal",
     "UndecidableError",

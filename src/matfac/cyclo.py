@@ -28,9 +28,6 @@ is the table entry w^(j+k), with no arithmetic; a product with a signed basis
 vector +-z^s is the other operand rotated up by s and folded through the
 reduction table, with its denominator kept; the inverse of w^k is w^(-k), and
 its multiplicative order is read from k.  Every other product convolves.
-
-Fields of different conductors never mix silently: `embed` moves an element
-of Q(zeta_m) into Q(zeta_m2) for m | m2 via z_m |-> z_m2^(m2/m).
 """
 
 from __future__ import annotations
@@ -509,14 +506,3 @@ class CycloElem:
         return out
 
 
-def embed(elem: CycloElem, target: CycloField) -> CycloElem:
-    """Embed Q(zeta_m) into Q(zeta_m2) for m | m2, sending zeta_m to zeta_m2^(m2/m)."""
-    m, m2 = elem.field.m, target.m
-    if m2 % m != 0:
-        raise ValueError(f"no standard embedding of Q(zeta_{m}) into Q(zeta_{m2})")
-    step = m2 // m
-    out = target.zero()
-    for i, c in enumerate(elem.num):
-        if c:
-            out = out + target.zeta(i * step) * c
-    return out * Fraction(1, elem.den)

@@ -23,26 +23,28 @@ with its conjugate sum to the integer d, and `decompose_symmetric` checks
 that its inverses are inverses.
 
 alpha_k and its inverse alpha_k^-1 = alpha_k*/d (the conjugate transpose
-over d) are both circulants written in closed form from their first rows
-(`_alpha`, `Matrix.circulant`).  `decompose_symmetric` computes no
-determinant, root sum or elimination, no product at rank nm or dnm, and
-O(d^2) field products in all: every verdict is certified in d x d
-coordinates, by three lemmas stated and proved in its docstring:
+over d) are both circulants, each held as its first row, written in closed
+form by `_alpha`; `Matrix.circulant` expands a row where a matrix is
+needed.  `decompose_symmetric` computes no determinant, root sum or
+elimination, no product at rank nm or dnm, and O(d^2) field products in
+all: every verdict is certified on first rows and d x d coordinates, by
+three lemmas stated and proved in its docstring:
 
 * forward's intertwining law follows, by the mixed-product rule, from two
   d x d identities per slot, once the tensor slots, the slots of the sum
   of shifts and forward's components are seen, as data, to be Kronecker
   forms over the pair A = kron(phi, I), B = kron(I, psi); both identities
   are slot-0 identities carried to every slot by rotation, since every
-  alpha_k is alpha_0 times a power of the cyclic shift (a data check);
+  alpha_k is alpha_0 times a power of the cyclic shift (its first row is
+  alpha_0's rotated, a comparison of rows);
 * the summand validates because A and B commute and its pencil roots are
   the d roots of t^d + 1;
 * the round trip alpha_0^-1 alpha_0 = I_d is read off the first row of
-  the product, both factors being circulants (a data check) and circulants
-  a commutative algebra; every other alpha_k and its inverse is a rotation
-  of alpha_0 and alpha_0^-1, and backward's law follows from forward's and
-  the round trip, and so does "isomorphism" for both witnesses: each has a
-  two-sided inverse morphism.
+  the product, both factors being circulants by representation and
+  circulants a commutative algebra; every other alpha_k^-1 is a rotation
+  of alpha_0^-1 (again a comparison of rows), and backward's law follows
+  from forward's and the round trip, and so does "isomorphism" for both
+  witnesses: each has a two-sided inverse morphism.
 
 Index conventions match the rest of the package: matrices in a tuple are
 0-based with slot p holding the component whose 1-based label is p+1, and
@@ -142,12 +144,13 @@ def _pexp(d: int, m: int) -> int:
     return (-m * m + d * m) % (2 * d)
 
 
-def _alpha(ctx: OmegaContext, k: int, inverse: bool = False) -> Matrix:
-    """alpha_k(i, j) = w^p(j-i-k), or with inverse=True its inverse
-    alpha_k^-1(i, j) = w^-p(i-j-k) / d, that is alpha_k*/d.  Either entry
-    depends on j - i mod d only (p is well defined mod d, see `_pexp`), so
-    the matrix is the circulant of its first row: only those d entries are
-    computed, and alpha_k^-1 costs d products by 1/d.
+def _alpha(ctx: OmegaContext, k: int, inverse: bool = False) -> list[CycloElem]:
+    """The first row of alpha_k(i, j) = w^p(j-i-k), or with inverse=True of
+    its inverse alpha_k^-1(i, j) = w^-p(i-j-k) / d, that is alpha_k*/d.
+    Either entry depends on j - i mod d only (p is well defined mod d, see
+    `_pexp`), so the matrix is the circulant of that row (`Matrix.circulant`),
+    and the row is all that is computed: d entries, and for alpha_k^-1 d
+    products by 1/d.
 
     Proof of the inverse: put a = i - l - k and b = j - l - k.  Then
     p(b) - p(a) = a^2 - b^2 - d(a - b) = (a - b)(a + b - d), with a - b =
@@ -163,10 +166,10 @@ def _alpha(ctx: OmegaContext, k: int, inverse: bool = False) -> Matrix:
     """
     d = ctx.d
     if not inverse:
-        return Matrix.circulant(ctx.field, [ctx.omega_pow(_pexp(d, j - k)) for j in range(d)])
+        return [ctx.omega_pow(_pexp(d, j - k)) for j in range(d)]
     inv_d = Fraction(1, d)
-    return Matrix.circulant(ctx.field, [ctx.omega_pow(-_pexp(d, -j - k)) * inv_d
-                                        for j in range(d)])
+    return [ctx.omega_pow(-_pexp(d, -j - k)) * inv_d
+            for j in range(d)]
 
 
 def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
@@ -195,16 +198,17 @@ def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
 def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     """The d x d circulant change-of-basis matrix with (i,j) entry w^(p(j-i-k)).
 
-    Built by `_alpha`.  Entries depend only on (j - i) mod d, so the
-    determinant factors over the d-th roots of unity into the sums
-    w^(2sk) * root_sum(d + 2s), s = 1..d; each factor is a unit, and the
-    computed determinant is checked against the product, so the returned
-    matrix is certifiably invertible.  The root sums do not depend on k and
-    are computed once per context.  `decompose_symmetric` does not call
-    this: it certifies its witnesses by their round trip instead.
+    The circulant of the first row `_alpha` writes.  Entries depend only on
+    (j - i) mod d, so the determinant factors over the d-th roots of unity
+    into the sums w^(2sk) * root_sum(d + 2s), s = 1..d; each factor is a
+    unit, and the computed determinant is checked against the product, so
+    the returned matrix is certifiably invertible.  The root sums do not
+    depend on k and are computed once per context.  `decompose_symmetric`
+    does not call this: it certifies its witnesses by their round trip
+    instead.
     """
     field = ctx.field
-    mat = _alpha(ctx, k)
+    mat = Matrix.circulant(field, _alpha(ctx, k))
     expected_det = field.one()
     for s, root in enumerate(ctx._root_sums, start=1):
         expected_det = expected_det * ctx.omega_pow(2 * s * k) * root
@@ -293,12 +297,13 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     slots, so it validates exactly when Z does.
 
     The witnesses are A_k (x) I_nm and A_k^-1 (x) I_nm, where A_k = alpha_k
-    and A_k^-1 = alpha_k*/d are written in closed form by `_alpha`; each
-    component is built as the circulant of the A_k's first row, lifted into
-    the ring, tensored with I_nm.  No determinant, root sum or elimination
-    is computed, and no product at rank nm or dnm: three lemmas reduce
-    every verdict to O(d^2) field products (the twist identity at slot 0,
-    one row of the round trip) and to equalities of stored data.  Below,
+    and A_k^-1 = alpha_k*/d are held as the first rows `_alpha` writes in
+    closed form: a circulant by representation.  Each component is the
+    circulant of its row, lifted into the ring, tensored with I_nm.  No
+    determinant, root sum or elimination is computed, and no product at
+    rank nm or dnm: three lemmas reduce every verdict to O(d^2) field
+    products (the twist identity at slot 0, one row of the round trip) and
+    to equalities of stored data and of rows.  Below,
     Q = sum_I E_(I, I+1 mod d) is the cyclic shift, (M Q)(i, j) =
     M(i, j-1) and (Q^-1 M)(i, j) = M(i-1, j) (indices mod d), and Q^d = I.
 
@@ -312,9 +317,10 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
        stored tensor slots, slots of the sum of shifts and components of
        forward are compared with these forms as data (no product).  Both
        identities come from slot 0:
-       * A data check shows A_k(i, j) = A_0(i, j-k), that is A_k = A_0 Q^k,
-         so A_p T_a = A_0 Q^(p+1) = A_(p+1) at every slot (Q^d = I), with
-         no product.
+       * A_k's row is A_0's rotated right by k places (a comparison of
+         rows), so A_k(i, j) = A_0(i, j-k), that is A_k = A_0 Q^k, and
+         A_p T_a = A_0 Q^(p+1) = A_(p+1) at every slot (Q^d = I), with no
+         product.
        * When b = 0 the twist term vanishes.  Otherwise w^2 = zeta: block
          (1, 1) of a tensor slot is zeta b, and of the form it is compared
          with, w^2 b; and zeta^d = 1, since `tensor` checks that zeta is a
@@ -322,14 +328,13 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
          (Q T_b)(i, j) = [j = i+1] zeta^j = zeta (T_b Q)(i, j), the wrap
          entry (d-1, 0) included because zeta^d = 1.  And W_p = w^(2p) W_0,
          since c_(p+i mod d) = w^(2(p+i)+1) = w^(2p) c_i, again by
-         w^(2d) = 1.  So from A_0 T_b = -W_0 A_1, multiplied out once,
+         w^(2d) = 1.  So from A_0 T_b = -W_0 A_1, multiplied out once on
+         the circulants of rows 0 and 1,
          A_p T_b = A_0 Q^p T_b = w^(2p) A_0 T_b Q^p
                  = -w^(2p) W_0 A_0 Q^(p+1) = -W_p A_(p+1).
        The slot-0 identity holds for the closed form: with m = j - i,
        p(m-1) = p(m) + 2m - 1 - d, so (W_0 A_1)(i, j) = w^(2i+1 + p(m-1))
-       = w^(p(m) + 2j - d) = -(A_0 T_b)(i, j).  The components are the
-       A_k (x) I_nm because A_0 is a circulant (a data check: it equals
-       `Matrix.circulant` of its own first row) and so is A_0 Q^k.
+       = w^(p(m) + 2j - d) = -(A_0 T_b)(i, j).
     2. Z validates.  a and b commute (both products are kron(phi, psi)), so
        Z's cyclic product from every start is the product of all the
        a - c_q b, in any order.  When the c_q are pairwise distinct and
@@ -338,17 +343,16 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
        by the validations of x and y, which `tensor` requires.  Only the
        c_q are checked; Z's report is derived: d passing entries without
        detail, the report `validate` would compute.
-    3. The round trip.  A_0 and A_0^-1 are circulants (data checks, which
-       do not rest on how `_alpha` builds them).  Circulants are the
-       polynomials in Q, a commutative algebra, so A_0^-1 A_0 is a
-       circulant, fixed by its first row: it is I_d exactly when that row,
-       e_0 A_0^-1 A_0, is e_0 (d^2 products).  A data check shows
-       A_k^-1(i, j) = A_0^-1(i-k, j), that is A_k^-1 = Q^-k A_0^-1, so
-       A_k^-1 A_k = Q^-k (A_0^-1 A_0) Q^k = I_d, and every A_k^-1 is a
-       circulant, whose components are therefore A_k^-1 (x) I_nm.  A left
-       inverse of a square matrix over a field is also a right inverse,
-       and lifting into the ring and taking kron with I_nm is a ring
-       homomorphism, so these are the round trips at rank dnm.
+    3. The round trip.  A_0 and A_0^-1 are circulants by representation,
+       whatever rows `_alpha` writes.  Circulants are the polynomials in
+       Q, a commutative algebra, so A_0^-1 A_0 is a circulant, fixed by its
+       first row: it is I_d exactly when that row, A_0^-1's row times A_0,
+       is e_0 (d^2 products).  A_k^-1's row is A_0^-1's rotated left by k
+       places (a comparison of rows), so A_k^-1(i, j) = A_0^-1(i-k, j),
+       that is A_k^-1 = Q^-k A_0^-1, and A_k^-1 A_k = Q^-k (A_0^-1 A_0) Q^k
+       = I_d.  A left inverse of a square matrix over a field is also a
+       right inverse, and lifting into the ring and taking kron with I_nm
+       is a ring homomorphism, so these are the round trips at rank dnm.
 
     Backward's law follows from forward's and the round trip: forward's slot
     p, multiplied by A_p^-1 on the left and by A_(p+1)^-1 on the right, is
@@ -392,28 +396,21 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     total = summand.direct_sum(*(summand.shift(i) for i in range(1, d)))
 
     ident_nm = Matrix.identity(ring, x.n * y.n)
-    alphas = [_alpha(ctx, k) for k in range(d)]
-    alpha_invs = [_alpha(ctx, k, inverse=True) for k in range(d)]
+    rows = [_alpha(ctx, k) for k in range(d)]
+    inv_rows = [_alpha(ctx, k, inverse=True) for k in range(d)]
 
-    def first_row(m):  # its d entries, zeros included
-        row = dict(m.submatrix([0], range(d)).nonzero()[0])
-        return [row.get(j, m.space.zero()) for j in range(d)]
+    def lifted(row):  # its circulant, lifted into the ring, (x) I_nm
+        return Matrix.circulant(ring, map(ring.scalar, row)).kron(ident_nm)
 
-    def lifted(m):  # the circulant of m's first row, lifted into the ring, (x) I_nm
-        return Matrix.circulant(ring, map(ring.scalar, first_row(m))).kron(ident_nm)
-
-    comps = [lifted(m) for m in alphas]
-    inv_comps = [lifted(m) for m in alpha_invs]
+    comps = [lifted(row) for row in rows]
+    inv_comps = [lifted(row) for row in inv_rows]
     forward = Morphism(source=t, target=total, comps=comps)
     backward = Morphism(source=total, target=t, comps=inv_comps)
 
-    # lemmas 1 and 3: A_0 and A_0^-1 are circulants, every A_k a rotation of A_0
-    circulant = [m == Matrix.circulant(field, first_row(m)) for m in (alphas[0], alpha_invs[0])]
-    rotated = [
-        all(alphas[k] == alphas[0].submatrix(range(d), [(j - k) % d for j in range(d)])
-            for k in range(d)),
-        all(alpha_invs[k] == alpha_invs[0].submatrix([(i - k) % d for i in range(d)], range(d))
-            for k in range(d))]
+    # lemmas 1 and 3: A_k's row is A_0's rotated right by k, A_k^-1's is
+    # A_0^-1's rotated left by k
+    rotated = [all(rows[k] == rows[0][d - k:] + rows[0][:d - k] for k in range(d)),
+               all(inv_rows[k] == inv_rows[0][k:] + inv_rows[0][:k] for k in range(d))]
 
     # lemma 1: the stored forms as data, then the twist identity at slot 0
     t_a = Matrix.weighted_permutation(field, [((j - 1) % d, field.one()) for j in range(d)])
@@ -421,9 +418,9 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     w_0 = Matrix.weighted_permutation(field, list(enumerate(c)))
     tensor_slot = t_b.map(ring.scalar, ring).kron(b) + t_a.map(ring.scalar, ring).kron(a)
     held = [s == e for s, e in zip(forward.comps, comps)]
-    twist = _check_slots([(alphas[0] @ t_b, -(w_0 @ alphas[1]))]).entries[0]
+    a_0, a_1 = Matrix.circulant(field, rows[0]), Matrix.circulant(field, rows[1])
+    twist = _check_slots([(a_0 @ t_b, -(w_0 @ a_1))]).entries[0]
     carried = [what for what, ok in (
-        ("A_0 is a circulant", circulant[0]),
         ("A_k = A_0 Q^k", rotated[0]),
         (f"A_0 T_b = -W_0 A_1, {twist.detail}", twist.ok)) if not ok]
     entries = []
@@ -448,9 +445,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
         for s in range(d)])
 
     # lemma 3: the first row of A_0^-1 A_0 is e_0
-    e_0 = Matrix.identity(field, d).submatrix([0], range(d))
-    round_trip = (all(circulant) and all(rotated)
-                  and alpha_invs[0].submatrix([0], range(d)) @ alphas[0] == e_0)
+    e_0 = Matrix(field, [[field.one()] + [field.zero()] * (d - 1)])
+    round_trip = all(rotated) and Matrix(field, [inv_rows[0]]) @ a_0 == e_0
 
     report = ValidationReport(entries + [
         ValidationEntry(start=-1, ok=summand.validate().passed, detail="summand validates"),

@@ -16,7 +16,6 @@ from matfac import (
     PolynomialRing,
     cyclotomic_field,
     cyclotomic_polynomial,
-    embed,
     scale_by_units,
 )
 from matfac.cyclo import CycloField, _totient
@@ -152,20 +151,6 @@ def test_root_of_unity_order_two_any_conductor():
     assert w.multiplicative_order() == 2
     with pytest.raises(ValueError):
         F.root_of_unity(2, power=2)
-
-
-def test_embed_compatible_with_arithmetic():
-    F3 = cyclotomic_field(3)
-    F12 = cyclotomic_field(12)
-    z3 = F3.zeta(1)
-    img = embed(z3, F12)
-    assert img == F12.zeta(4)
-    assert img ** 3 == F12.one()
-    # embedding is a ring map
-    x = F3.one() + z3
-    assert embed(x * x, F12) == embed(x, F12) * embed(x, F12)
-    with pytest.raises(ValueError):
-        embed(z3, cyclotomic_field(4))
 
 
 def test_str_is_reparseable_shape():

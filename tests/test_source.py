@@ -63,8 +63,6 @@ UNREACHED_FUNCTIONS = {
     "recognize_projective_sum",
     # the rank-one projective generators, which that decision compares with
     "projective",
-    # cyclo's way to move an element from one conductor to another
-    "embed",
 }
 
 # Methods (Class.name) that the workloads and the acceptance gate do not
