@@ -54,8 +54,10 @@ dispatch on the space type:
   when asked (`_Echelon.reduced`; the forward-then-back split of Faugere and
   Lachartre, PASCO 2010).  `rref` reads R and the pivots off the reduced
   rows (`rank` works on `rref`, and `inverse_field` on the `rref` of
-  [m | I]), `sparse_nullspace` reads a kernel basis off them, and
-  `_det_field` multiplies the leads the forward pass divides out;
+  [m | I]), `sparse_nullspace` first strikes the columns that one-term rows
+  force to zero, with no field operation, and reads a kernel basis off the
+  reduced rows of what is left, and `_det_field` multiplies the leads the
+  forward pass divides out;
 * `jet_inverse`: Newton iteration for matrices of jets whose constant-term
   matrix is invertible.
 
@@ -592,23 +594,59 @@ def rank(m: Matrix) -> int:
 def sparse_nullspace(rows: list[dict[int, CycloElem]], ncols: int, field: CycloField) -> list[dict[int, CycloElem]]:
     """Right-kernel basis of a sparsely given matrix (one dict col->coeff per row).
 
-    The rows go through `_Echelon` in order, and the basis is read off its
-    reduced pivot rows: one vector per free column, ascending, with a unit at
-    its free column and minus that column's pivot-row entries at the pivots
-    (in the order the pivots were found).  A reduced pivot row holds free
-    columns only, so one pass over the rows, in the order the pivots were
-    found, transposes them into the basis.  The tests compare it with the
-    dense textbook oracle `nullspace` in tests/oracles.py.
+    Singleton rows go first, with no field operation: the singleton step of
+    structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90) and
+    the singleton-row rule of LP presolve (Andersen and Andersen, Math.
+    Programming 71, 1995).  The forcing lemma: if e_w lies in the row space
+    for every forced column w, a row whose one nonzero coefficient off the
+    forced columns is c at column u puts e_u in the row space too (subtract
+    its forced entries, divide by c), so u = 0 in every kernel vector, u is
+    a pivot of the reduced row echelon form, its reduced row is e_u, and no
+    other reduced row holds u.  A sweep reads each row with the columns
+    forced so far struck, forcing the column of every row left with one;
+    sweeps repeat until one forces nothing new.  A stored zero coefficient
+    is no entry.  Only the rows left with two or more columns go through
+    `_Echelon`, in order, with the forced columns struck; the caller's rows
+    are not changed.
+
+    The basis is read off the reduced pivot rows: one vector per free column
+    (neither forced nor a pivot), ascending, with a unit at its free column
+    first, then minus that column's pivot-row entries at the pivots,
+    ascending.  A reduced pivot row holds free columns only, so one pass over
+    the pivot rows transposes them into the basis.  Forced columns are
+    neither free nor keys of any vector, so the basis is the one the reduced
+    row echelon form of all the rows gives, and its key order is canonical:
+    it depends neither on which rows are eliminated nor on their order.  The
+    tests compare it with the dense textbook oracle `nullspace` in
+    tests/oracles.py.
     """
+    forced: set[int] = set()
+    live = rows  # the rows that had two or more columns left when last swept
+    while True:
+        swept = len(forced)
+        kept = []
+        for row in live:
+            left = 0  # the row's nonzero coefficients off the forced columns
+            for c, v in row.items():
+                if c not in forced and not v.is_zero():
+                    left += 1
+                    u = c
+            if left == 1:
+                forced.add(u)
+            elif left:
+                kept.append(row)
+        live = kept
+        if len(forced) == swept:
+            break
     ech = _Echelon()
-    for row in rows:
-        ech.add(row)
+    for row in live:
+        ech.add({c: v for c, v in row.items() if c not in forced})
     ech.reduced()
     reduced = ech.pivots
     one = field.one()
-    basis = {fc: {fc: one} for fc in range(ncols) if fc not in reduced}
-    for pc, prow in reduced.items():
-        for fc, v in prow.items():
+    basis = {fc: {fc: one} for fc in range(ncols) if fc not in reduced and fc not in forced}
+    for pc in sorted(reduced):
+        for fc, v in reduced[pc].items():
             if fc != pc:
                 basis[fc][pc] = -v
     return list(basis.values())

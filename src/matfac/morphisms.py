@@ -12,11 +12,12 @@ which is the single law everything in this module checks against.
 Two genuinely local computations are done at jet precision N:
 
 * `hom_space_jets` solves the intertwining equations on all jet coefficients
-  below degree N, numbered by the one layout `_JetLayout`, by exact
-  elimination over the coefficient field.  Any exact morphism truncates to a
-  solution, so an empty (or too-small) solution space soundly refutes
-  existence; a solution found is only a candidate, since jet solutions need
-  not lift.  The last slot's equations are implied by the others when both
+  below degree N, numbered by the one layout `_JetLayout`, with
+  `sparse_nullspace`: the one-term equations force their unknowns to zero
+  with no field operation, and exact elimination over the coefficient field
+  solves the rest.  Any exact morphism truncates to a solution, so an empty
+  (or too-small) solution space soundly refutes existence; a solution found
+  is only a candidate, since jet solutions need not lift.  The last slot's equations are implied by the others when both
   endpoints validate and are reduced and the degree-one part L_p of every
   target factor but the last has det L_p != 0: the residuals
   E_p = comps[p] src[p] - tgt[p] comps[p+1] satisfy the telescoping
@@ -351,9 +352,9 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     are reduced, and the degree-one part L_p of target.mats[p] has a nonzero
     determinant for every p <= d-2.  Then the telescoping identity
     sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0 makes E_{d-1} vanish
-    below the bound whenever E_0..E_{d-2} do.  The left-out rows would come
-    last and lie in the span of the others, so the elimination, and every
-    kernel vector with its key order, is the same as with all d slots.
+    below the bound whenever E_0..E_{d-2} do.  The left-out rows lie in the
+    span of the others, so the kernel is the same as with all d slots, each
+    vector with its keys in the canonical order of `sparse_nullspace`.
 
     Soundness: the truncation of any exact morphism solves this system, so
     dimension 0 here means there are no nonzero morphisms at all.  It needs

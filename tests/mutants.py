@@ -19,7 +19,7 @@ is 1 when any mutant has one, else 0.  A run stopped after `TIMEOUT_S`
 counts every listed test as failed, so its mutant is reported as "killed
 (timed out after 600 s)" and counted apart in the summary: a timeout is no
 proof that a test caught the fault.  Tier-1 does not run this (one pytest
-run per mutant, about 390 s for the fifty-three here on a 2-vCPU host, most
+run per mutant, about 335 s for the fifty-six here on a 2-vCPU host, most
 of it hypothesis shrinking the failing examples); it only checks that every
 entry still applies (`tests/test_source.py`).
 
@@ -134,6 +134,28 @@ MUTANTS = {
          "tests/test_echelon.py::test_inverse_field",
          "tests/test_linalg.py::test_inverse_field_of_a_triangular_matrix",
          "tests/test_linalg.py::test_sparse_nullspace_matches_dense"],
+    ),
+    "nullspace-zero-live": (
+        "src/matfac/linalg.py",
+        "                if c not in forced and not v.is_zero():\n",
+        "                if c not in forced:\n",
+        ["tests/test_linalg.py::test_sparse_nullspace_matches_dense",
+         "tests/test_linalg.py::test_sparse_nullspace_is_the_documented_basis"],
+    ),
+    "nullspace-forced-free": (
+        "src/matfac/linalg.py",
+        "if fc not in reduced and fc not in forced}",
+        "if fc not in reduced}",
+        ["tests/test_linalg.py::test_sparse_nullspace_matches_dense",
+         "tests/test_linalg.py::test_sparse_nullspace_is_the_documented_basis"],
+    ),
+    # the same kernels, with the rows a later sweep would force eliminated
+    "nullspace-one-sweep": (
+        "src/matfac/linalg.py",
+        "        if len(forced) == swept:\n            break\n",
+        "        break\n",
+        ["tests/test_linalg.py::"
+         "test_singleton_sweeps_force_every_unknown_with_no_elimination"],
     ),
     "cycle-read-sign": (
         "src/matfac/linalg.py",

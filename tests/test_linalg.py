@@ -16,11 +16,13 @@ from matfac import (
     cyclotomic_field,
     recognize_projective_sum,
     sum_of_products,
+    tensor,
     variable_support,
 )
 from matfac.linalg import (
     JetSpace,
     _block_cyclic_cut,
+    _Echelon,
     _det_power,
     det_bareiss,
     inverse_field,
@@ -29,6 +31,7 @@ from matfac.linalg import (
 from matfac.linalg import rref as rref_matrix
 from matfac.rings import Jet, Polynomial
 
+import oracles
 from oracles import (
     block_cyclic_cut,
     circulant,
@@ -475,22 +478,65 @@ def field_entry():
     )
 
 
+def one_term_rows(ncols):
+    """Rows with at most one nonzero coefficient, some of them holding a
+    stored zero coefficient as well or in its place."""
+    return st.lists(st.integers(0, ncols - 1), min_size=1, max_size=2, unique=True).flatmap(
+        lambda cols: st.one_of(st.just(F.zero()), field_entry()).map(
+            lambda v: {cols[0]: v, **{c: F.zero() for c in cols[1:]}}))
+
+
+@st.composite
+def sparse_systems(draw, nrows, ncols, entry, dependent=False):
+    """(rows, ncols): nrows x ncols rows of `entry` draws as sparse dicts,
+    zeros left out, then (when `dependent`, maybe) the sum of the first and
+    the last of them, then up to three one-term rows, all shuffled."""
+    ncols = draw(ncols)
+    entries = [[draw(entry) for _ in range(ncols)] for _ in range(draw(nrows))]
+    if dependent and len(entries) > 1 and draw(st.booleans()):
+        entries.append([p + q for p, q in zip(entries[0], entries[-1])])
+    rows = [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in entries]
+    rows += draw(st.lists(one_term_rows(ncols), max_size=3))
+    return draw(st.permutations(rows)), ncols
+
+
+# Systems whose forced columns take every course of the singleton sweep: a
+# stored zero coefficient, which is no entry; a chain that needs three
+# sweeps; a row whose entries are all forced; a duplicated singleton row; an
+# empty row.
+CASCADE_SYSTEMS = [
+    ([{0: 0, 1: 1}, {0: 0}], 2),
+    ([{1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1}], 3),
+    ([{0: 1, 1: 1}, {1: 1}, {0: 1}], 3),
+    ([{1: 1}, {1: 1}, {0: 1, 1: 1, 2: 1}], 3),
+    ([{}, {0: 1, 1: 1}], 2),
+]
+
+
+def over_f(system):
+    rows, ncols = system
+    return [{c: F.rational(v) for c, v in row.items()} for row in rows], ncols
+
+
+def with_cascade_examples(test):
+    for system in CASCADE_SYSTEMS:
+        test = example(over_f(system))(test)
+    return test
+
+
+def dense_entries(rows, ncols) -> list[list]:
+    return [[row.get(j, F.zero()) for j in range(ncols)] for row in rows]
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.integers(2, 5),
-    st.data(),
-)
-def test_sparse_nullspace_matches_dense(nrows, ncols, data):
-    entries = [
-        [data.draw(field_entry()) for _ in range(ncols)] for _ in range(nrows)
-    ]
-    m = Matrix(F, entries)
-    dense = nullspace(m)
-    sparse_rows = [
-        {j: e for j, e in enumerate(row) if not e.is_zero()} for row in entries
-    ]
+@given(sparse_systems(st.integers(2, 4), st.integers(2, 5), field_entry()))
+@with_cascade_examples
+def test_sparse_nullspace_matches_dense(system):
+    sparse_rows, ncols = system
+    copies = [dict(row) for row in sparse_rows]
+    dense = nullspace(Matrix(F, dense_entries(sparse_rows, ncols)))
     sparse = sparse_nullspace(sparse_rows, ncols, F)
+    assert sparse_rows == copies  # the caller's rows are not changed
     assert len(dense) == len(sparse)
     # every sparse kernel vector is killed by m
     zero = F.zero()
@@ -507,39 +553,59 @@ def test_sparse_nullspace_matches_dense(nrows, ncols, data):
     assert rref(dense_rows, F) == rref(sparse_dense, F)
 
 
-def leading_columns(rows) -> set[int]:
-    return {next(j for j, e in enumerate(row) if not e.is_zero()) for row in rows}
-
-
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 6),
-    st.data(),
-)
-def test_sparse_nullspace_is_the_documented_basis(nrows, ncols, data):
+@given(sparse_systems(st.integers(1, 5), st.integers(1, 6),
+                      st.one_of(st.just(F.zero()), field_entry()), dependent=True))
+@with_cascade_examples
+def test_sparse_nullspace_is_the_documented_basis(system):
     # the exact kernel, not just its span: one vector per free column,
     # ascending, its unit first, then minus the free column's entries of the
-    # reduced pivot rows, in the order the rows found their pivots
-    pool = st.one_of(st.just(F.zero()), field_entry())
-    entries = [[data.draw(pool) for _ in range(ncols)] for _ in range(nrows)]
-    if nrows > 1 and data.draw(st.booleans()):  # a dependent row
-        entries.append([p + q for p, q in zip(entries[0], entries[-1])])
-    sparse_rows = [
-        {j: e for j, e in enumerate(row) if not e.is_zero()} for row in entries
-    ]
-    found: list[int] = []
-    for i in range(len(entries)):
-        found += sorted(leading_columns(rref(entries[:i + 1], F)) - set(found))
+    # reduced pivot rows, pivots ascending
+    sparse_rows, ncols = system
     reduced = {next(j for j, e in enumerate(row) if not e.is_zero()): row
-               for row in rref(entries, F)}
+               for row in rref(dense_entries(sparse_rows, ncols), F)}
     expected = [
-        [(fc, F.one())] + [(pc, -reduced[pc][fc]) for pc in found
+        [(fc, F.one())] + [(pc, -reduced[pc][fc]) for pc in sorted(reduced)
                            if not reduced[pc][fc].is_zero()]
         for fc in range(ncols) if fc not in reduced
     ]
     basis = sparse_nullspace(sparse_rows, ncols, F)
     assert [list(vec.items()) for vec in basis] == expected
+
+
+def coprime_tensor_rank_9():
+    """The tensor of the three rank-one factorizations x{i}_0 x{i}_1 x{i}_2
+    over Q(zeta_3) with twist zeta_3: rank 9, the shape of the benchmark's
+    `refute-3x3`."""
+    ring = PolynomialRing(cyclotomic_field(3), [f"x{i}_{j}" for i in range(3) for j in range(3)])
+    spec = sum_of_products(ring, [[ring.variable(f"x{i}_{j}") for j in range(3)]
+                                  for i in range(3)])
+    t = spec.row_factorization(0)
+    for i in range(1, 3):
+        t = tensor(t, spec.row_factorization(i), ring.field.root_of_unity(3))
+    return t
+
+
+def refute_3x3_rows():
+    """The precision-1 system that refutes the rank-9 coprime tensor against
+    its first shift: the oracle's rows of every slot but the last, which
+    `hom_space_jets` leaves out, over 3 * 9 * 9 unknowns."""
+    t = coprime_tensor_rank_9()
+    slots = oracles.hom_equation_rows(t, t.shift(1), 1)
+    return [r for slot in slots[:-1] for r in slot], t.d * t.n * t.n, t.ring.field
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(refute_3x3_rows, id="refute-3x3-precision-1"),
+    pytest.param(lambda: (*over_f(CASCADE_SYSTEMS[1]), F), id="three-sweep-chain"),
+])
+def test_singleton_sweeps_force_every_unknown_with_no_elimination(count_calls, system):
+    # every unknown is forced by a row that the earlier sweeps left with one
+    # entry, so no row reaches the elimination
+    rows, ncols, field = system()
+    adds = count_calls(_Echelon.add)
+    assert sparse_nullspace(rows, ncols, field) == []
+    assert adds == []
 
 
 def test_inverse_field_of_a_triangular_matrix():

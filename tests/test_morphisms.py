@@ -264,10 +264,11 @@ def coprime_tensor_rank_8():
     return x
 
 
-# sha256 of the kernel vectors, keys and their order included, as the
-# elimination that cleared every new pivot column from every older pivot row
-# produced them
-RANK_8_SHIFT_KERNEL_SHA256 = "6c53702683ffeca5a16335856d8b4d822cd6070e888d049999e7fee18f1840f9"
+# sha256 of the kernel vectors, keys and their canonical order included
+# (unit first, then the pivots ascending); it equals the hash of the vectors
+# that the elimination clearing every new pivot column from every older pivot
+# row produced, with their items put in that order
+RANK_8_SHIFT_KERNEL_SHA256 = "79bf797dad0ee7b9c255fbd921b4fa698ed24c807ec904c4e66c0a47f71f6f1d"
 
 
 def test_hom_space_kernel_is_pinned():
