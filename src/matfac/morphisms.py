@@ -15,15 +15,20 @@ Two genuinely local computations are done at jet precision N:
   below degree N, numbered by the one layout `_JetLayout`, with
   `sparse_nullspace`: the one-term equations force their unknowns to zero
   with no field operation, and exact elimination over the coefficient field
-  solves the rest.  Any exact morphism truncates to a solution, so an empty
-  (or too-small) solution space soundly refutes existence; a solution found
-  is only a candidate, since jet solutions need not lift.  The last slot's equations are implied by the others when both
-  endpoints validate and are reduced and the degree-one part L_p of every
-  target factor but the last has det L_p != 0: the residuals
-  E_p = comps[p] src[p] - tgt[p] comps[p+1] satisfy the telescoping
-  identity sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0.  Each
-  det L_p is certified nonzero by its value at one point, and then the
-  last slot's rows are not built (`_last_slot_implied`).
+  solves the rest.  The rows are built on packed monomial keys: a residual
+  monomial is one integer sum, and an integer sort is graded-lex order.
+  Any exact morphism truncates to a solution, so an empty (or too-small)
+  solution space soundly refutes existence; a solution found is only a
+  candidate, since jet solutions need not lift.  The last slot's equations
+  are implied by the others when both endpoints validate and are reduced
+  and the degree-one part L_p of every target factor but the last has
+  det L_p != 0: the residuals E_p = comps[p] src[p] - tgt[p] comps[p+1]
+  satisfy the telescoping identity
+  sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0.  A linear factor
+  (every nonzero entry homogeneous of degree 1) of an f != 0 is its own
+  L_p, and a factor of f^n = det(f I), so det L_p != 0 with no field
+  arithmetic; any other det L_p is certified nonzero by its value at one
+  point.  Then the last slot's rows are not built (`_last_slot_implied`).
   The kernel vectors, in `_JetLayout` coordinates, are the only stored form
   of the solutions (`JetHomBasis.vectors`).  The layout's one reader is
   `JetHomBasis.constants()`, which gives the constant terms that
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import add
 
 from .cyclo import CycloElem
 from .errors import MatfacError
@@ -52,7 +56,7 @@ from .factorization import (
     default_precision,
 )
 from .linalg import JetSpace, Matrix, jet_inverse, rref, sparse_nullspace
-from .rings import Polynomial, PolynomialRing, grlex_key
+from .rings import Polynomial, PolynomialRing
 
 
 def _intertwining_report(comps, src, tgt) -> ValidationReport:
@@ -228,8 +232,11 @@ class _JetLayout:
     """Coordinates of the jet-morphism unknowns between two factorizations.
 
     The coefficient of `monomials[midx]` in entry (i, j) of component k is
-    unknown `index(k, i, j, midx)`; `size` counts the unknowns.  Everything
-    that reads or writes jet hom-space coordinates goes through this one map:
+    unknown `index(k, i, j, midx)`; `size` counts the unknowns.  Columns are
+    `len(monomials)` apart, index(k, i, j, midx) = index(k, i, 0) +
+    j * len(monomials) + midx, the closed form `hom_space_jets` builds its
+    rows from.  Everything that reads or writes jet hom-space coordinates
+    goes through this one map:
 
     * the equations of `hom_space_jets`, whose kernel vectors are the stored
       form of a `JetHomBasis`;
@@ -304,6 +311,13 @@ def _evaluation_point(field, count: int) -> list[CycloElem]:
     return point
 
 
+def _is_linear(m: Matrix) -> bool:
+    """Whether every nonzero entry of the polynomial matrix m is homogeneous
+    of degree 1: each term's key has 1 in its total-degree field."""
+    shift = m.space._degree_shift
+    return all(k >> shift == 1 for row in m.nonzero() for _, p in row for k in p._terms)
+
+
 def _last_slot_implied(source: MatFac, target: MatFac) -> bool:
     """Whether, for reduced endpoints (the caller checks), the equations of
     slot d-1 follow from those of slots 0..d-2.
@@ -316,24 +330,38 @@ def _last_slot_implied(source: MatFac, target: MatFac) -> bool:
     its part of degree e + d - 1, for e the lowest degree of E_{d-1}, is
     L_0...L_{d-2} times the lowest part of E_{d-1}, where L_p is the
     degree-one part of tgt[p].  So when every det L_p is nonzero, E_{d-1}
-    vanishes below B as well.  det L_p is certified nonzero by its value at
-    `_evaluation_point`; a zero there only means the slot is kept.
+    vanishes below B as well.
+
+    Linear lemma: if f != 0 and every nonzero entry of tgt[p] is
+    homogeneous of degree 1 (`_is_linear`), then L_p = tgt[p], and
+    det tgt[0] ... det tgt[d-1] = det(f I) = f^n, which is nonzero in the
+    domain F[x]; so det L_p != 0, with no field arithmetic.  The guard
+    f != 0 is needed: a zero factor, possible only when f = 0, passes the
+    linearity test vacuously, yet its L_p is singular.  Every other tgt[p]
+    has det L_p certified nonzero by its value at `_evaluation_point`; a
+    zero there only means the slot is kept.
     """
     if not (source.validate().passed and target.validate().passed):
         return False
-    field = target.ring.field
-    point = _evaluation_point(field, len(target.ring.vars))
+    rest = [m for m in target.mats[:-1] if target.f.is_zero() or not _is_linear(m)]
+    if not rest:
+        return True
+    ring = target.ring
+    field = ring.field
     zero = field.zero()
+    # the point's coordinate per degree-one key: a key of total degree 1
+    # has 1 in exactly one variable's field
+    at = {1 << ring._degree_shift | 1 << s: t
+          for s, t in zip(ring._shifts, _evaluation_point(field, len(ring.vars)))}
 
     def linear_part_at_point(p: Polynomial) -> CycloElem:
         value = zero
-        for e, c in p.terms.items():
-            if sum(e) == 1:
-                value = value + c * point[e.index(1)]
+        for k, c in p._terms.items():
+            if k in at:
+                value = value + c * at[k]
         return value
 
-    return all(not m.map(linear_part_at_point, field).det().is_zero()
-               for m in target.mats[:-1])
+    return all(not m.map(linear_part_at_point, field).det().is_zero() for m in rest)
 
 
 def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None) -> JetHomBasis:
@@ -370,13 +398,13 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     if precision < 1:
         raise ValueError(f"jet precision must be at least 1, got {precision}")
     monos = _monomials_below(ring, precision)
+    keys = [ring._pack(m) for m in monos]
     layout = _JetLayout(source, target, monos)
     reduced = source.is_reduced() and target.is_reduced()
-    bound = precision + (1 if reduced else 0)
+    # a packed key is below `limit` iff its total degree is below the bound
+    limit = (precision + (1 if reduced else 0)) << ring._degree_shift
     slots = source.d - 1 if reduced and _last_slot_implied(source, target) else source.d
-    # monos is graded: its first below[t] monomials are those of degree < t,
-    # so a term e meets exactly the first below[max(bound - deg e, 0)]
-    below = [sum(1 for m in monos if sum(m) < t) for t in range(bound + 1)]
+    stride = len(monos)
 
     # One equation row per (p, i, j, residual monomial), a sparse map from
     # unknown to coefficient.  Residual entry (i, j) is sum_t comps[p][i, t]
@@ -385,38 +413,47 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
     # through one term at most, so each coefficient is one term: none cancels.
     # A zero entry adds nothing, so each (i, j) visits only the nonzero
     # entries of column j of src[p] and of row i of tgt[p], ascending, and
-    # each row keeps the key order of a walk over all entries.
-    shifted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # each row keeps the key order of a walk over all entries.  Monomials are
+    # packed keys: a term e meets monos[midx] at residual key e + keys[midx],
+    # and integer order on keys is graded-lex order, so an integer sort
+    # lists each entry's rows by residual monomial as the oracle does.
+    shifted: dict[int, list[tuple[int, int]]] = {}
 
-    def terms(poly: Polynomial, sign: int) -> list:
-        """(the residual monomials e + monos[midx] a term e meets, midx
-        ascending; its signed coefficient) for each term of poly."""
+    def meets(poly: Polynomial) -> list[tuple[int, int, CycloElem]]:
+        """(midx, residual key e + keys[midx] below the bound, coefficient of
+        e) for each term e of poly, and midx ascending."""
         out = []
-        for e, c in poly.terms.items():
+        for e, c in poly._terms.items():
             if e not in shifted:
-                shifted[e] = [tuple(map(add, m, e))
-                              for m in monos[:below[max(bound - sum(e), 0)]]]
-            out.append((shifted[e], c if sign > 0 else -c))
+                shifted[e] = [(midx, e + m) for midx, m in enumerate(keys) if e + m < limit]
+            out += [(midx, mu, c) for midx, mu in shifted[e]]
         return out
 
     rows: list[dict[int, CycloElem]] = []
     for p in range(slots):
         a, b, q = source.mats[p], target.mats[p], (p + 1) % source.d
+        # Unknown (k, i, j, midx) is index(k, i, 0) + j * stride + midx
+        # (`_JetLayout`).  So the unknown src[p][t, j] meets in entry (i, j)
+        # is index(p, i, 0) plus an offset t * stride + midx listed per
+        # column j, and the one tgt[p][i, s] meets is index(q, s, 0) + midx,
+        # listed per row i, plus j * stride.
         a_cols: list[list] = [[] for _ in range(source.n)]
         for t, row in enumerate(a.nonzero()):
             for j, e in row:
-                a_cols[j].append((t, terms(e, 1)))
-        b_rows = [[(s, terms(e, -1)) for s, e in row] for row in b.nonzero()]
-        for i in range(target.n):
-            for j in range(source.n):
-                sides = [(layout.index(p, i, t), ts) for t, ts in a_cols[j]]
-                sides += [(layout.index(q, s, j), ts) for s, ts in b_rows[i]]
-                acc: dict[tuple[int, ...], dict[int, CycloElem]] = {}
-                for base, ts in sides:
-                    for mus, c in ts:
-                        for col, mu in enumerate(mus, base):
-                            acc.setdefault(mu, {})[col] = c
-                rows.extend(acc[mu] for mu in sorted(acc, key=grlex_key))
+                a_cols[j] += [(t * stride + midx, mu, c) for midx, mu, c in meets(e)]
+        b_rows = [[(layout.index(q, s, 0) + midx, mu, -c)
+                   for s, e in row for midx, mu, c in meets(e)]
+                  for row in b.nonzero()]
+        for i, b_row in enumerate(b_rows):
+            base_i = layout.index(p, i, 0)
+            for j, a_col in enumerate(a_cols):
+                offset_j = j * stride
+                acc: dict[int, dict[int, CycloElem]] = {}
+                for offset, mu, c in a_col:
+                    acc.setdefault(mu, {})[base_i + offset] = c
+                for col, mu, c in b_row:
+                    acc.setdefault(mu, {})[col + offset_j] = c
+                rows += [acc[mu] for mu in sorted(acc)]
 
     kernel = sparse_nullspace(rows, layout.size, ring.field)
     return JetHomBasis(source, target, precision, monos, kernel)

@@ -9,9 +9,10 @@ significant.  The top bit of every field is a guard, zero in every stored
 key, so a total degree, and with it every exponent, is at most
 `_MAX_DEGREE` = 32,767; a product or a monomial past that is refused
 (`Refusal`, naming the limit) before anything is packed, never truncated or
-aliased.  Integer order on the keys is then graded lexicographic order
-(`grlex_key`): compare total degree first, then the exponent tuple itself,
-with earlier variables weighing more.  So a lead term is the largest key, a
+aliased.  Integer order on the keys is then graded lexicographic order:
+compare total degree first, then the exponent tuple itself, with earlier
+variables weighing more (the tests check the keys against a reference
+order on exponent tuples).  So a lead term is the largest key, a
 graded-lex sort is an integer sort, the product of two monomials is the sum
 of their keys, and `terms` reads the keys back as exponent tuples.  The
 canonical term order everywhere — printing, lead terms — is descending
@@ -82,10 +83,6 @@ Exponents = tuple[int, ...]
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 _MAX_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
-
-
-def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
-    return (sum(exps), exps)
 
 
 def _degree_refusal(degree: int) -> Refusal:

@@ -19,7 +19,7 @@ is 1 when any mutant has one, else 0.  A run stopped after `TIMEOUT_S`
 counts every listed test as failed, so its mutant is reported as "killed
 (timed out after 600 s)" and counted apart in the summary: a timeout is no
 proof that a test caught the fault.  Tier-1 does not run this (one pytest
-run per mutant, about 335 s for the fifty-six here on a 2-vCPU host, most
+run per mutant, about 286 s for the fifty-nine here on a 2-vCPU host, most
 of it hypothesis shrinking the failing examples); it only checks that every
 entry still applies (`tests/test_source.py`).
 
@@ -395,6 +395,24 @@ MUTANTS = {
         "slots = source.d - 1 if reduced else source.d",
         ["tests/test_morphisms.py::test_last_slot_is_kept_without_its_certificate",
          "tests/test_morphisms.py::test_last_slot_is_kept_when_an_endpoint_does_not_validate"],
+    ),
+    "last-slot-linear-ignores-f": (
+        "src/matfac/morphisms.py",
+        "if target.f.is_zero() or not _is_linear(m)]",
+        "if not _is_linear(m)]",
+        ["tests/test_morphisms.py::test_a_zero_factor_is_not_linear_for_the_last_slot"],
+    ),
+    "last-slot-linear-by-order": (
+        "src/matfac/morphisms.py",
+        "return all(k >> shift == 1 for row",
+        "return all(k >> shift >= 1 for row",
+        ["tests/test_morphisms.py::test_last_slot_is_kept_without_its_certificate"],
+    ),
+    "jet-rows-unsorted": (
+        "src/matfac/morphisms.py",
+        "rows += [acc[mu] for mu in sorted(acc)]",
+        "rows += [acc[mu] for mu in acc]",
+        ["tests/test_morphisms.py::test_hom_space_jets_leaves_out_the_last_slot"],
     ),
     "jet-eq-truncates": (
         "src/matfac/rings.py",

@@ -155,6 +155,13 @@ def cyclo_str(coeffs) -> str:
 # -- polynomial kernels: the double loop and greedy division ------------------
 
 
+def grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The reference graded-lex order on exponent tuples: total degree
+    first, then the tuple itself, earlier variables weighing more.  The
+    package's packed keys are tested to compare as it does."""
+    return (sum(exps), exps)
+
+
 def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
     """Sum by merging q's terms into a copy of p's, zeros dropped after."""
     terms = dict(p.terms)
@@ -186,7 +193,7 @@ def lead(p: Polynomial):
     polynomial: the largest total degree, ties broken lexicographically."""
     if p.is_zero():
         raise MatfacError("lead term of the zero polynomial")
-    e = max(p.terms, key=lambda e: (sum(e), e))
+    e = max(p.terms, key=grlex_key)
     return e, p.terms[e]
 
 
@@ -545,7 +552,7 @@ def hom_equation_rows(source, target, precision: int) -> list[list[dict]]:
     field = source.ring.field
     nv = len(source.ring.vars)
     monos = sorted((e for e in product(range(precision), repeat=nv) if sum(e) < precision),
-                   key=lambda e: (sum(e), e))
+                   key=grlex_key)
     nm = len(monos)
     reduced = all(p.constant_term().is_zero()
                   for x in (source, target) for m in x.mats for row in m.rows for p in row)
@@ -581,7 +588,7 @@ def hom_equation_rows(source, target, precision: int) -> list[list[dict]]:
                     accumulate(coeffs, source.mats[p][t, j], p, i, t, 1)
                 for s in range(nt):  # tgt[p][i, s] * comps[p+1][s, j]
                     accumulate(coeffs, target.mats[p][i, s], q, s, j, -1)
-                rows += [coeffs[mu] for mu in sorted(coeffs, key=lambda e: (sum(e), e))
+                rows += [coeffs[mu] for mu in sorted(coeffs, key=grlex_key)
                          if coeffs[mu]]
         slots.append(rows)
     return slots

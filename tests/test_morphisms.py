@@ -3,6 +3,7 @@
 import hashlib
 import re
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -31,17 +32,18 @@ from matfac import (
 )
 from matfac import morphisms
 from matfac.cli import run_document
-from matfac.linalg import _det_power, inverse_field, jet_inverse, sparse_nullspace
+from matfac.linalg import _det_field, _det_power, inverse_field, jet_inverse, sparse_nullspace
 from matfac.morphisms import (
     _evaluation_point,
     _JetLayout,
     _intertwining_report,
+    _is_linear,
     _last_slot_implied,
     _monomials_below,
 )
-from matfac.rings import grlex_key
-
 import oracles
+from oracles import grlex_key
+from test_linalg import coprime_tensor_rank_9
 
 F = cyclotomic_field(3)
 R = PolynomialRing(F, ("a", "b", "c"))
@@ -180,6 +182,24 @@ def test_hom_basis_coordinates_round_trip(source, target, precision):
         assert JetMorphism(source, target, comps, precision).is_morphism()
         polys = [m.map(lambda jet: jet.poly, source.ring) for m in comps]
         assert oracles.hom_basis_encode(hb, polys) == vec
+
+
+@pytest.mark.parametrize("source, target, precision", [
+    pytest.param(X, X, 3, id="end-X"),
+    pytest.param(*_swapped_tensors(), 2, id="hom-XY-YX"),
+    pytest.param(X.direct_sum(X), X.direct_sum(X).shift(1), 2, id="end-X-plus-X"),
+])
+def test_jet_layout_columns_are_a_stride_apart(source, target, precision):
+    # the closed form hom_space_jets builds its rows from:
+    # index(k, i, j, midx) = index(k, i, 0) + j * len(monomials) + midx
+    layout = _JetLayout(source, target, _monomials_below(source.ring, precision))
+    nm = len(layout.monomials)
+    assert [layout.index(k, i, j, midx)
+            for k in range(source.d) for i in range(target.n)
+            for j in range(source.n) for midx in range(nm)] == [
+        layout.index(k, i, 0) + j * nm + midx
+        for k in range(source.d) for i in range(target.n)
+        for j in range(source.n) for midx in range(nm)]
 
 
 def test_split_idempotent_projection():
@@ -329,6 +349,35 @@ def test_last_slot_is_kept_when_an_endpoint_does_not_validate():
     assert len(full_system_kernel(X, bad, 1, slots=2)) == 1
 
 
+@pytest.mark.parametrize("s", range(3))
+@pytest.mark.parametrize("precision", range(1, 4))
+def test_a_zero_factor_is_not_linear_for_the_last_slot(s, precision):
+    # (x, 0, y) factors f = 0 and its zero factor has no nonzero entry, so it
+    # passes the linearity test vacuously; its degree-one part is singular,
+    # and the last slot may be left out only where the point certifies the
+    # other factors (s = 2).  Dropping the f != 0 guard of the linear lemma
+    # gives End(X) two vectors at precision 1 where the full system has one.
+    ring = PolynomialRing(cyclotomic_field(3), ("x", "y"))
+    x, y = ring.variable("x"), ring.variable("y")
+    xf = rank_one_over(ring, [x, ring.zero(), y])
+    assert xf.f.is_zero() and xf.validate().passed
+    target = xf.shift(s)
+    assert _last_slot_implied(xf, target) == (s == 2)
+    hb = hom_space_jets(xf, target, precision)
+    assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(xf, target, precision))
+
+
+def test_linear_targets_certify_the_last_slot_with_no_field_determinant(count_calls):
+    # the refute-3x3 tensor's factors are linear and f != 0, so det L_p != 0
+    # follows from det(f I) = f^n: no determinant at the evaluation point
+    t = coprime_tensor_rank_9()
+    target = t.shift(1)
+    assert all(_is_linear(m) for m in target.mats)
+    dets = count_calls(_det_field)
+    assert _last_slot_implied(t, target)
+    assert dets == []
+
+
 HOM_RINGS = {m: PolynomialRing(cyclotomic_field(m), ("x", "y", "w")) for m in (2, 3, 4)}
 ENTRY_MONOMIALS = [e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2]
 
@@ -363,6 +412,61 @@ def test_hom_space_kernel_matches_the_full_system(pair):
     event("last slot left out" if _last_slot_implied(source, target) else "all slots")
     hb = hom_space_jets(source, target, precision)
     assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(source, target, precision))
+
+
+def nullspace_rows(source, target, precision) -> list[dict]:
+    """The rows that hom_space_jets hands to sparse_nullspace."""
+    calls = []
+
+    def record(rows, ncols, field):
+        calls.append(rows)
+        return sparse_nullspace(rows, ncols, field)
+
+    with mock.patch.object(morphisms, "sparse_nullspace", record):
+        hom_space_jets(source, target, precision)
+    (rows,) = calls
+    return rows
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Shifts of a tensor of two or three rank-one factorizations (four at
+    d = 3 and precision 1, rank 27) whose entries have one or two terms of
+    degree 1 or 2, so that linear and non-linear factors mix; and a
+    precision."""
+    d = draw(st.integers(2, 3))
+    ring = HOM_RINGS[3] if d == 3 else HOM_RINGS[draw(st.sampled_from([2, 4]))]
+    field = ring.field
+    coeffs = [field.one(), -field.one(), field.rational(2), field.zeta(1)]
+    precision = draw(st.integers(1, 2))
+    count = draw(st.integers(2, 4 if d == 3 and precision == 1 else 3))
+    t = None
+    for _ in range(count):
+        entries = []
+        for _ in range(d):
+            monos = draw(st.lists(st.sampled_from(ENTRY_MONOMIALS), min_size=1, max_size=2,
+                                  unique=True))
+            entries.append(Polynomial(ring, {e: draw(st.sampled_from(coeffs)) for e in monos}))
+        x = rank_one_over(ring, entries)
+        t = x if t is None else tensor(t, x, field.root_of_unity(d))
+    return (t.shift(draw(st.integers(0, d - 1))), t.shift(draw(st.integers(0, d - 1))),
+            precision)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensor_pairs())
+def test_hom_space_rows_are_the_oracle_rows(pair):
+    # the rows from packed residual keys and the closed-form unknown bases
+    # are the oracle's, row for row in its order, on every slot solved
+    source, target, precision = pair
+    linear = all(_is_linear(m) for m in target.mats[:-1])
+    event("linear target" if linear else "non-linear target")
+    implied = _last_slot_implied(source, target)
+    event("last slot left out" if implied else "all slots")
+    event(f"rank {source.n}")
+    slots = oracles.hom_equation_rows(source, target, precision)
+    assert nullspace_rows(source, target, precision) == [
+        r for slot in (slots[:-1] if implied else slots) for r in slot]
 
 
 def sparse_constants(m: Matrix) -> dict:

@@ -68,10 +68,9 @@ UNREACHED_FUNCTIONS = {
 # Methods (Class.name) that the workloads and the acceptance gate do not
 # reach, each kept for its reason
 UNREACHED_METHODS = {
-    # the tuple-keyed constructors of the public API (`ring.monomial(exps)`,
-    # `Polynomial(ring, {exps: c})`) are built on these two
+    # the tuple-keyed monomial constructor of the public API
+    # (`ring.monomial(exps)`)
     "PolynomialRing.monomial",
-    "PolynomialRing._pack",
     # read only by `recognize_projective_sum`, which is kept above
     "Polynomial.is_one",
 }
