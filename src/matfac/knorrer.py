@@ -31,9 +31,12 @@ all: every verdict is certified on first rows and d x d coordinates, by
 three lemmas stated and proved in its docstring:
 
 * forward's intertwining law follows, by the mixed-product rule, from two
-  d x d identities per slot, once the tensor slots, the slots of the sum
-  of shifts and forward's components are seen, as data, to be Kronecker
-  forms over the pair A = kron(phi, I), B = kron(I, psi); both identities
+  d x d identities per slot, since the tensor slots and the slots of the
+  sum of shifts are Kronecker forms over the pair A = kron(phi, I),
+  B = kron(I, psi) by construction (`tensor` at the twist w^2 of operands
+  that hold one matrix in every slot, and `direct_sum` of the summand's
+  shifts), and forward's components are compared with theirs as data;
+  both identities
   are slot-0 identities carried to every slot by rotation, since every
   alpha_k is alpha_0 times a power of the cyclic shift (its first row is
   alpha_0's rotated, a comparison of rows);
@@ -303,30 +306,36 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     determinant, root sum or elimination is computed, and no product at
     rank nm or dnm: three lemmas reduce every verdict to O(d^2) field
     products (the twist identity at slot 0, one row of the round trip) and
-    to equalities of stored data and of rows.  Below,
+    to equalities of stored components and of rows.  Below,
     Q = sum_I E_(I, I+1 mod d) is the cyclic shift, (M Q)(i, j) =
     M(i, j-1) and (Q^-1 M)(i, j) = M(i-1, j) (indices mod d), and Q^d = I.
 
     1. Forward's law.  Every tensor slot is T_b (x) b + T_a (x) a, with
-       T_b = diag(zeta^I) and T_a = Q, and slot p of the sum of shifts is
-       I_d (x) a - W_p (x) b, with W_p = diag_i(c_(p+i mod d)).  By the
+       T_b = diag(w^(2I)) and T_a = Q, and slot p of the sum of shifts is
+       I_d (x) a - W_p (x) b, with W_p = diag_i(c_(p+i mod d)); both hold
+       by construction.  The tensor is t = tensor(x, y, w^2) of operands
+       just checked to hold one matrix in every slot, phi and psi, so
+       `tensor` writes at every slot p the diagonal blocks
+       w^(2I) kron(I_n, psi) = w^(2I) b and the cyclic blocks
+       kron(phi, I_m) = a at (I, I+1 mod d).  The sum of shifts is
+       `summand.direct_sum` of the shifts T^i Z, whose slot p is Z's slot
+       p + i by the definition of `shift`, so its slot p is the block
+       diagonal of the pencils a - c_(p+i) b, i = 0..d-1.  By the
        mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, forward's slot p,
        (A_p (x) I)(T_b (x) b + T_a (x) a) = (I_d (x) a - W_p (x) b)(A_(p+1) (x) I),
        is A_p T_b (x) b + A_p T_a (x) a = A_(p+1) (x) a - W_p A_(p+1) (x) b,
-       which holds when A_p T_a = A_(p+1) and A_p T_b = -W_p A_(p+1).  The
-       stored tensor slots, slots of the sum of shifts and components of
-       forward are compared with these forms as data (no product).  Both
-       identities come from slot 0:
+       which holds when A_p T_a = A_(p+1) and A_p T_b = -W_p A_(p+1).
+       Forward's components are compared with their forms A_k (x) I_nm as
+       data (no product).  Both identities come from slot 0:
        * A_k's row is A_0's rotated right by k places (a comparison of
          rows), so A_k(i, j) = A_0(i, j-k), that is A_k = A_0 Q^k, and
          A_p T_a = A_0 Q^(p+1) = A_(p+1) at every slot (Q^d = I), with no
          product.
-       * When b = 0 the twist term vanishes.  Otherwise w^2 = zeta: block
-         (1, 1) of a tensor slot is zeta b, and of the form it is compared
-         with, w^2 b; and zeta^d = 1, since `tensor` checks that zeta is a
-         primitive d-th root.  So w^(2d) = 1, and Q^p T_b = w^(2p) T_b Q^p:
-         (Q T_b)(i, j) = [j = i+1] zeta^j = zeta (T_b Q)(i, j), the wrap
-         entry (d-1, 0) included because zeta^d = 1.  And W_p = w^(2p) W_0,
+       * When b = 0 the twist term vanishes.  Otherwise w^(2d) = 1, since
+         `tensor` checks that its twist w^2 is a primitive d-th root.  So
+         Q^p T_b = w^(2p) T_b Q^p: (Q T_b)(i, j) = [j = i+1] w^(2j) =
+         w^2 (T_b Q)(i, j), the wrap entry (d-1, 0) included because
+         w^(2d) = 1.  And W_p = w^(2p) W_0,
          since c_(p+i mod d) = w^(2(p+i)+1) = w^(2p) c_i, again by
          w^(2d) = 1.  So from A_0 T_b = -W_0 A_1, multiplied out once on
          the circulants of rows 0 and 1,
@@ -386,7 +395,7 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
 
     d = ctx.d
     ring, field = x.ring, ctx.field
-    t = tensor(x, y, ctx.zeta)
+    t = tensor(x, y, ctx.omega_pow(2))
 
     a = x.mats[0].kron(Matrix.identity(ring, y.n))
     b = Matrix.identity(ring, x.n).kron(y.mats[0])
@@ -412,11 +421,9 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     rotated = [all(rows[k] == rows[0][d - k:] + rows[0][:d - k] for k in range(d)),
                all(inv_rows[k] == inv_rows[0][k:] + inv_rows[0][:k] for k in range(d))]
 
-    # lemma 1: the stored forms as data, then the twist identity at slot 0
-    t_a = Matrix.weighted_permutation(field, [((j - 1) % d, field.one()) for j in range(d)])
+    # lemma 1: forward's components as data, then the twist identity at slot 0
     t_b = Matrix.weighted_permutation(field, [(i, ctx.omega_pow(2 * i)) for i in range(d)])
     w_0 = Matrix.weighted_permutation(field, list(enumerate(c)))
-    tensor_slot = t_b.map(ring.scalar, ring).kron(b) + t_a.map(ring.scalar, ring).kron(a)
     held = [s == e for s, e in zip(forward.comps, comps)]
     a_0, a_1 = Matrix.circulant(field, rows[0]), Matrix.circulant(field, rows[1])
     twist = _check_slots([(a_0 @ t_b, -(w_0 @ a_1))]).entries[0]
@@ -426,9 +433,6 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     entries = []
     for p in range(d):
         failed = [what for what, ok in (
-            ("tensor slot", t.mats[p] == tensor_slot),
-            ("slot of the sum of shifts",
-             total.mats[p] == Matrix.block_diagonal(ring, pencils[p:] + pencils[:p])),
             (f"component {p}", held[p]),
             (f"component {(p + 1) % d}", held[(p + 1) % d])) if not ok] + carried
         detail = f"from the d x d identities at slot {p} by the mixed-product rule"

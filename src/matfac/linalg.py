@@ -32,12 +32,15 @@ dispatch on the space type:
 * determinants: `Matrix.det` is the one dispatch.  Over a field it is
   `_det_field` on the one field elimination below; over a polynomial ring
   it is `_det_power`, which keeps the determinant factored and has three
-  outcomes: a scalar matrix g * I_n is (g, n); a block-cyclic matrix whose
-  builder recorded the product of its cyclic blocks, g * I_n (every factor
-  of a tensor product), is read by the commuting-block identity
-  det M = det(c_0...c_{d-1} I - (-1)^d A_0...A_{d-1}) (Silvester, Math.
-  Gazette 84, 2000) as (c_0...c_{d-1} - (-1)^d g, n), with no product of
-  blocks formed; every other matrix goes to `det_bareiss`, fraction-free
+  outcomes: a scalar matrix g * I_n is (g, n); a block-cyclic matrix built
+  with scalar diagonal blocks c_I * I_n and the product of its cyclic
+  blocks, g * I_n, recorded (every factor of a tensor product whose right
+  operand has scalar factors, every rank-one one among them), is read by
+  the commuting-block identity det M = det(c_0...c_{d-1} I - (-1)^d
+  A_0...A_{d-1}) (Silvester, Math. Gazette 84, 2000) as
+  (c_0...c_{d-1} - (-1)^d g, n), with no product of blocks formed and no
+  shape recognized: the builder decided the shape when it wrote the
+  record; every other matrix goes to `det_bareiss`, fraction-free
   elimination (Bareiss, Math. Comp. 22, 1968) with row-swap sign tracking
   and exact division, and is kept as (det, 1).  It scales rows lazily: a
   row whose entry below the pivot is zero is left as the last step that
@@ -116,8 +119,9 @@ class Matrix:
     # value of a field matrix and the factored (base, exponent) of a
     # polynomial one, whose determinant is base ** exponent; _cycle, set only
     # by `block_cyclic` when its caller holds the product of the cyclic
-    # blocks, holds (d, g) with A_0 ... A_{d-1} = g * I_n, and is absent on
-    # every other matrix, derived ones included
+    # blocks and every diagonal block is scalar, holds (d, g) with
+    # A_0 ... A_{d-1} = g * I_n, and is absent on every other matrix, derived
+    # ones included
     __slots__ = ("space", "_rows", "nrows", "ncols", "_det", "_cycle")
 
     def __init__(self, space, rows):
@@ -218,16 +222,19 @@ class Matrix:
         """The d x d grid of n x n blocks with diagonal[I] at (I, I),
         cyclic[I] at (I, (I+1) mod d) and zeros elsewhere, d >= 2: every
         factor of a twisted tensor product has this shape (Knorrer; Yoshino,
-        Nagoya Math. J. 152, 1998).  With scalar diagonal blocks it is the
-        shape `_is_block_cyclic` recognizes.
+        Nagoya Math. J. 152, 1998).
 
         `_product` is the scalar g with cyclic[0] ... cyclic[d-1] = g * I_n
         when the caller holds that product certified (`tensor.tensor`, by
-        the left operand's validation).  It is kept as (d, g) in the
+        the left operand's validation); it is not checked here.  When every
+        diagonal block is scalar, c_I * I_n (`_is_scalar`, on the blocks as
+        handed in, so an empty block is not), it is kept as (d, g) in the
         matrix's `_cycle` slot, and `_block_cyclic_cut` reads the
-        determinant from it, so that determinant rests on that certificate;
-        it is not checked here.  Without it the determinant is eliminated
-        (`det_bareiss`): no product of the blocks is ever formed.
+        determinant from it, so that determinant rests on that certificate.
+        The record thus states the whole shape the read needs: the scalar
+        diagonal here, zeros off the two block diagonals by construction.
+        Otherwise the determinant is eliminated (`det_bareiss`): no product
+        of the blocks is ever formed.
 
         Each row is written from its two stored blocks only, the diagonal
         block's entries before the cyclic one's except in the last block
@@ -246,7 +253,7 @@ class Matrix:
             first, second = (off, on) if i == d - 1 else (on, off)
             rows += [p + q for p, q in zip(first, second)]
         m = cls._sparse(space, d * n, d * n, rows)
-        if _product is not None:
+        if _product is not None and all(map(_is_scalar, diagonal)):
             m._cycle = (d, _product)
         return m
 
@@ -695,34 +702,16 @@ def _is_scalar(m: Matrix) -> bool:
         row == ((i, g),) for i, row in enumerate(m._rows))
 
 
-def _is_block_cyclic(m: Matrix, d: int) -> bool:
-    """True iff the square m, cut into d x d blocks of size n, has a scalar
-    matrix c_I * I_n in every diagonal block (I, I), anything in the blocks
-    (I, (I+1) mod d), and zeros everywhere else; False when m is empty,
-    which has no blocks to read."""
-    if not m.nrows:
-        return False
-    n = m.nrows // d
-    diagonal = [m[block * n, block * n] for block in range(d)]
-    for r, row in enumerate(m._rows):
-        c = diagonal[r // n]
-        lo = (r // n + 1) % d * n
-        outside = [(j, a) for j, a in row if not lo <= j < lo + n]
-        if outside != ([] if c.is_zero() else [(r, c)]):
-            return False
-    return True
-
-
 def _block_cyclic_cut(m: Matrix) -> tuple[Polynomial, int] | None:
     """(c_0...c_{d-1} - (-1)^d g, n), with det m = that base ** n, when m's
     builder recorded A_0 ... A_{d-1} = g * I_n (its `_cycle`, see
-    `Matrix.block_cyclic`) and m has the shape of `_is_block_cyclic` at that
-    recorded d, A_I being block (I, (I+1) mod d); None for every other
-    matrix.  The c_I are read off m itself and no product of blocks is
-    formed.  The record holds for the builder's d only, so it is not read at
-    any other."""
+    `Matrix.block_cyclic`), A_I being block (I, (I+1) mod d); None for every
+    other matrix.  A record is written only on a d x d grid of n x n blocks
+    with scalar diagonal blocks c_I * I_n and zeros off the two block
+    diagonals, so no shape is checked here: the c_I are read off m's
+    diagonal at the recorded d, and no product of blocks is formed."""
     cycle = getattr(m, "_cycle", None)
-    if cycle is None or not _is_block_cyclic(m, cycle[0]):
+    if cycle is None:
         return None
     d, g = cycle
     n = m.nrows // d
@@ -738,7 +727,8 @@ def _det_power(m: Matrix) -> tuple[Polynomial, int]:
     * a scalar matrix g * I_n gives (g, n): g is never raised to the n-th
       power;
     * a block-cyclic matrix whose builder recorded the product of its cyclic
-      blocks, g * I_n, at d blocks is read by `_block_cyclic_cut` as
+      blocks, g * I_n, at d blocks, which it does only when its diagonal
+      blocks are scalar, c_I * I_n, is read by `_block_cyclic_cut` as
       (c_0 ... c_{d-1} - (-1)^d g, n).  This is the commuting-block identity
 
           det M = det(c_0 c_1 ... c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1})
@@ -747,11 +737,11 @@ def _det_power(m: Matrix) -> tuple[Polynomial, int]:
       over the fraction field M = C(I + C^-1 S) with C = diag(c_I I_n)
       central, and det(I + B) = det(I - (-1)^d B_0 ... B_{d-1}) for
       block-cyclic B; both sides are polynomials in the c_I, so it also
-      holds when some c_I is 0.  Every factor of a tensor product is built
-      with such a record, f_x * I_n, which the left operand's validation
-      certifies (see `tensor.tensor`), so its determinant rests on that
-      validation, as the tensor's own does; with a rank-one right operand
-      the base is +-f;
+      holds when some c_I is 0.  Every factor of a tensor product whose
+      right operand's factors are scalar matrices is built with such a
+      record, f_x * I_n, which the left operand's validation certifies (see
+      `tensor.tensor`), so its determinant rests on that validation, as the
+      tensor's own does; with a rank-one right operand the base is +-f;
     * every other matrix goes to `det_bareiss`, and the result is (its
       determinant, 1).
     """

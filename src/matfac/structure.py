@@ -171,8 +171,10 @@ class DecompBound:
 def summand_bound(x: MatFac, y: MatFac, sym_flags=(False, False)) -> DecompBound:
     """Bound the indecomposable-summand count of X (x) Y.
 
-    X and Y must share a ring and d, as `tensor` requires, and both must be
-    reduced; their indecomposability is the caller's assertion and is
+    X and Y must share a ring and d, as `tensor` requires, have positive
+    rank (a rank-zero tensor has no summand to count, and r = gcd(n, m)
+    would be 0 at two rank-zero factors) and be reduced; their
+    indecomposability is the caller's assertion and is
     recorded in the hypotheses rather than checked.
     sym_flags = (x_shifts_refuted, y_shifts_refuted) states that T^i X is not
     isomorphic to X for every i != 0 (and likewise for Y); certify the flags
@@ -182,6 +184,8 @@ def summand_bound(x: MatFac, y: MatFac, sym_flags=(False, False)) -> DecompBound
     if len(sym_flags) != 2 or not all(isinstance(v, bool) for v in sym_flags):
         raise ValueError(f"sym_flags must be a pair of booleans, got {sym_flags!r}")
     _check_operands(x, y)
+    if not x.n or not y.n:
+        raise MatfacError(f"summand bound needs factors of positive rank, got {x.n} and {y.n}")
     if not x.is_reduced():
         raise MatfacError("summand bound requires a reduced left factor")
     if not y.is_reduced():

@@ -86,10 +86,14 @@ def tensor(x: MatFac, y: MatFac, zeta: CycloElem) -> TensorMatFac:
     is the one `validate` would compute: d passing entries, no detail.
 
     Every slot is built by `Matrix.block_cyclic` with the product of its
-    cyclic blocks recorded, f_x * I_nm (f_x is x.f), which x's validation,
-    checked first, certifies: the blocks are A_I = kron(phi_{I+1}, I_m), so
-    A_0 ... A_{d-1} = kron(phi_1 ... phi_d, I_m) = kron(f_x I_n, I_m).  With
-    a rank-one right operand the diagonal blocks are the scalars
+    cyclic blocks handed over, f_x * I_nm (f_x is x.f), which x's
+    validation, checked first, certifies: the blocks are
+    A_I = kron(phi_{I+1}, I_m), so A_0 ... A_{d-1} = kron(phi_1 ... phi_d,
+    I_m) = kron(f_x I_n, I_m).  The builder records it exactly when the
+    diagonal blocks kron(I_n, zeta^I psi_{p+1-I}) are scalar, that is when
+    every psi is a scalar matrix (a rank-one right operand, or one like
+    diag(v, v)) and nm > 0; every other slot is eliminated.  With a rank-one
+    right operand the diagonal blocks are the scalars
     c_I = zeta^I psi_{p+1-I}, whose product is zeta^(d(d-1)/2) f_y =
     (-1)^(d-1) f_y, so the determinant read (`linalg._block_cyclic_cut`)
     gives (c - (-1)^d f_x)^nm = ((-1)^(d-1) (f_x + f_y))^nm without

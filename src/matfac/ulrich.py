@@ -23,23 +23,25 @@ extensions unless R is regular.  When the rows are pairwise coprime
 monomials in disjoint variables, the structure module certifies the tensor
 strongly indecomposable, making the Ulrich modules indecomposable as well.
 
-Every build is verified once, whichever route made it: rank, reducedness
-and the factor determinants, each compared with the tensor determinant law
-of the last step, (-1)^(s(k+1)) f^s with s = k^(N-2), as the pair
+Every build is verified once, whichever route made it: rank and the factor
+determinants, each compared with the tensor determinant law of the last
+step, (-1)^(s(k+1)) f^s with s = k^(N-2), as the pair
 (sign, s) that `Matrix.det_as_power(f)` answers without expanding f^s.
 Every cokernel's statistics, for every ell, are read one way
 (`_cokernel_stats`) from that answer for its presentation; for a single
 factor of a build it is read from the determinant the verification read,
 kept on the matrix.  Validation is not recomputed: each tensor carries
 the verdict the tensor theorem gives it (see `tensor.tensor`), from
-validated operands and a primitive twist.  Rank and reducedness are
-computed from the built matrices; each determinant is read off its factor
-(the diagonal scalars) together with the product of the cyclic blocks that
-the last tensor step recorded, f_x * I, which its left operand's
-validation certifies.  So the determinants rest on that validation, which
-Yoshino's theorem derives, step by step, from the rows' computed
-validations.  A failed check raises MatfacError rather than returning a
-failing report.
+validated operands and a primitive twist, and reducedness is proved, not
+walked: the spec check refuses every unit factor before any tensor is
+built, and a tensor's entries are its operands' entries times roots of
+unity (`_verify_build`).  The rank is read from the built matrices; each
+determinant is read off its factor (the diagonal scalars) together with
+the product of the cyclic blocks that the last tensor step recorded,
+f_x * I, which its left operand's validation certifies.  So the
+determinants rest on that validation, which Yoshino's theorem derives,
+step by step, from the rows' computed validations.  A failed check raises
+MatfacError rather than returning a failing report.
 """
 
 from __future__ import annotations
@@ -193,25 +195,35 @@ def _checked_zeta(spec: SumOfProducts, zeta: CycloElem | None) -> CycloElem:
 
 
 def _verify_build(spec: SumOfProducts, x: TensorMatFac) -> BuildReport:
-    """Check the tensor built from spec: rank k^(N-1), reducedness, and
-    every factor's determinant against the tensor determinant law of its
-    last step, +-f^(k^(N-2)) with the law's sign.  Rank and reducedness are
-    computed here from the matrices.  Each determinant is read as g^n
-    from the factor's own diagonal scalars and the product of its cyclic
-    blocks that `tensor` recorded, f_x * I, so it rests on the validation of
-    the last step's left operand, which Yoshino's theorem derives from the
-    rows' computed validations; x's own validation is the verdict it
-    carries from `tensor`, read, not recomputed.
+    """Check the tensor built from spec: rank k^(N-1) and every factor's
+    determinant against the tensor determinant law of its last step,
+    +-f^(k^(N-2)) with the law's sign; its reducedness is proved, not
+    walked.  The rank is read off the matrices.  Each determinant is read
+    as g^n from the factor's own diagonal scalars and the product of its
+    cyclic blocks that `tensor` recorded, f_x * I, so it rests on the
+    validation of the last step's left operand, which Yoshino's theorem
+    derives from the rows' computed validations; x's own validation is the
+    verdict it carries from `tensor`, read, not recomputed.
     Each factor passes when `det_as_power(f)` gives the law's pair: a
     factor whose determinant is read as g^n is decided by g = +-f, without
     f^n being expanded.  Raises MatfacError on any failure, naming the factor
-    and what its determinant was found to be."""
+    and what its determinant was found to be.
+
+    Lemma: x is reduced.  `_checked_zeta` refuses, before any tensor is
+    built, a spec with a factor whose constant term is nonzero
+    (`SumOfProducts.problems`), so every entry of a row factorization, a
+    factor or a product of factors of one partition block, vanishes at the
+    origin.  Every entry of a slot of a tensor X (x) Y is an entry of a
+    factor of X (a cyclic block kron(phi, I)) or a root of unity times an
+    entry of a factor of Y (a diagonal block zeta^I kron(I, psi)), so each
+    tensor step keeps the entries' constant terms zero, and x, built from
+    the rows by such steps, is reduced."""
     rank = spec.k ** (spec.n_terms - 1)
-    validates, reduced = x.validate().passed, x.is_reduced()
-    if x.n != rank or not validates or not reduced:
+    validates = x.validate().passed
+    if x.n != rank or not validates:
         raise MatfacError(
             f"sum-of-products build failed verification: rank {x.n} "
-            f"(expected {rank}), validates={validates}, reduced={reduced}"
+            f"(expected {rank}), validates={validates}"
         )
     det_exponent = spec.k ** (spec.n_terms - 2)
     law = _det_law(x)
@@ -235,8 +247,10 @@ def build_from_sum(spec: SumOfProducts, zeta: CycloElem | None = None):
 
     The result has rank k^(N-1) (k entries per row, N rows) and each factor
     matrix has determinant (-1)^(s(k+1)) f^s, s = k^(N-2), by the tensor
-    determinant law of the last step; both are checked exactly, together
-    with reducedness, and a failed check raises MatfacError.  Validation is
+    determinant law of the last step; both are checked exactly, and a
+    failed check raises MatfacError.  Reducedness follows from the spec
+    check, which refuses a unit factor before anything is built (the lemma
+    of `_verify_build`), and is not walked.  Validation is
     carried: each row factorization is validated (rank one, d products of
     1x1 matrices) when it is tensored, and each tensor derives its own
     report from the tensor theorem, so no cyclic product of the

@@ -293,6 +293,15 @@ def _is_scalar(m: Matrix) -> bool:
     return m.nrows > 0 and m == Matrix.scalar(m.space, m.nrows, m[0, 0])
 
 
+def scalar_diagonal_blocks(m: Matrix, d: int) -> bool:
+    """True iff the square m, cut into d x d blocks of size n = m.nrows / d,
+    holds a scalar matrix c_I * I_n in every diagonal block (I, I); False
+    when the blocks are empty."""
+    n = m.nrows // d
+    return all(_is_scalar(m.submatrix(range(i * n, i * n + n), range(i * n, i * n + n)))
+               for i in range(d))
+
+
 def block_cyclic_cut(m: Matrix):
     """The n x n matrix c_0...c_{d-1} I_n - (-1)^d A_0 A_1 ... A_{d-1} at the
     smallest d >= 2 at which m is block-cyclic: c_I * I_n in each diagonal

@@ -134,6 +134,18 @@ def test_summand_bound_requires_reduced():
         summand_bound(projective_like, Y)
 
 
+def test_summand_bound_refuses_a_rank_zero_factor():
+    # a rank-zero factorization (three 0 x 0 slots) validates, but its tensor
+    # has no summand to count: the bound refuses it, naming both ranks,
+    # where r = gcd(0, 0) would divide by zero and gcd(0, 1) bound nothing
+    empty = MatFac(R, X.f, [Matrix(R, [])] * 3)
+    assert empty.validate().passed and empty.n == 0
+    for left, right, ranks in [(empty, empty, "0 and 0"), (empty, X, "0 and 1"),
+                               (X, empty, "1 and 0")]:
+        with pytest.raises(MatfacError, match=f"positive rank, got {ranks}"):
+            summand_bound(left, right)
+
+
 def test_summand_bound_refuses_operands_that_cannot_be_tensored():
     # rank-one X (d = 3) and Y (d = 2) over Q(zeta_6) have no tensor product
     # to bound; the bound refuses as `tensor` does, with its message, and so

@@ -27,15 +27,17 @@ from matfac import (
 )
 from matfac.morphisms import Morphism, admits_invertible_combination, hom_space_jets
 
-from matfac.linalg import _block_cyclic_cut, _det_power, _is_block_cyclic, det_bareiss
+from matfac.linalg import _block_cyclic_cut, _det_power, det_bareiss
 from matfac.tensor import _det_law
 
 from oracles import (
     admits_invertible_combination_symbolic,
     assoc_regrouping,
+    block_cyclic_cut,
     cut_det_as_power,
     cut_det_power,
     det_cofactor,
+    scalar_diagonal_blocks,
     shift_component,
     swap_component,
     tensor_factor,
@@ -211,12 +213,13 @@ def read_cases(draw):
     """(x, y, zeta) with a validated left operand x of any rank the tensor
     allows up to rank 729: a chain of tensors of rank-one rows of
     polynomial entries, sometimes a direct sum with its shift, and shifted.
-    y is a rank-one row, or (one case in four) the wide rank-two y1 + T y1
-    of distinct variables, whose diagonal blocks are not scalar, so that its
-    slots go to elimination; x is then one row.  A zero entry makes f_x = 0
-    or f_y = 0; x takes one only while it is one row, since a zero block
-    can let the oracle's computed cut fit a smaller d and leave it
-    eliminating at the full rank."""
+    y is a rank-one row, or (one case in five each) a wide rank-two one of
+    distinct variables: y1 + T y1, whose diagonal blocks are not scalar, so
+    that its slots carry no record and go to elimination, or y1 + y1, whose
+    factors diag(v_i, v_i) are scalar, so that its slots are read; x is
+    then one row.  A zero entry makes f_x = 0 or f_y = 0; x takes one only
+    while it is one row, since a zero block can let the oracle's computed
+    cut fit a smaller d and leave it eliminating at the full rank."""
     d = draw(st.integers(2, 5))
     ring = _READ_RINGS[d]
     zeta = ring.field.root_of_unity(d, 1)
@@ -228,9 +231,11 @@ def read_cases(draw):
         return MatFac(ring, math.prod(es, start=ring.one()), [Matrix(ring, [[e]]) for e in es])
 
     x = row()
-    if draw(st.sampled_from(("rank one", "chain", "chain", "wide"))) == "wide":
+    shape = draw(st.sampled_from(("rank one", "chain", "chain", "wide", "scalar wide")))
+    if shape in ("wide", "scalar wide"):
         y1 = rank_one(ring, *(f"v{i}" for i in range(d)))
-        return x.shift(draw(st.integers(0, d - 1))), y1.direct_sum(y1.shift(1)), zeta
+        y = y1.direct_sum(y1 if shape == "scalar wide" else y1.shift(1))
+        return x.shift(draw(st.integers(0, d - 1))), y, zeta
     # rows tensored onto x: the tensor's rank d^(rows + 2) stays <= 729
     rows = 0 if x.f.is_zero() else draw(st.integers(0, int(math.log(729, d) + 1e-9) - 2))
     for _ in range(rows):
@@ -243,36 +248,36 @@ def read_cases(draw):
 @settings(max_examples=30, deadline=None)
 @given(read_cases(), st.data())
 def test_read_determinants_equal_the_computed_cut(case, data):
-    # every slot's determinant, read from the recorded product f_x * I, is
-    # the one the oracle's computed cut gives, and the law's when f is not
-    # constant; elimination of the record-free copy agrees at rank <= 9.  A
-    # wide right operand's slots are not block-cyclic at d, so a record, even
-    # a wrong one, is not read.  Matrices derived from a slot carry no
-    # record, and the shift of a tensor, built before any determinant is
-    # asked for, reads the same.
+    # a slot carries the record f_x * I exactly when every diagonal block is
+    # scalar, and every slot's determinant, read from the record or
+    # eliminated without one, is the one the oracle's computed cut gives,
+    # and the law's when f is not constant; elimination of the record-free
+    # copy agrees at rank <= 9 and on every wide slot.  Matrices derived
+    # from a slot carry no record, and the shift of a tensor, built before
+    # any determinant is asked for, reads the same.
     x, y, zeta = case
     t = tensor(x, y, zeta)
     shift = data.draw(st.integers(1, t.d - 1))
     shifted = tensor(x, y, zeta).shift(shift)
     law = _det_law(t)
+    scalar = all(scalar_diagonal_blocks(m, t.d) for m in t.mats)
     event(f"d={t.d}, rank {next(r for r in (9, 81, 729) if t.n <= r)}"
-          + (", wide" if y.n > 1 else ""))
+          + ("" if y.n == 1 else ", scalar wide" if scalar else ", wide"))
     assert list(t.mats) == tensor_factors_twisted_late(x, y, zeta)
+    assert scalar == all(psi == Matrix.scalar(t.ring, y.n, psi[0, 0]) for psi in y.mats)
     for p, m in enumerate(t.mats):
-        assert m._cycle == (t.d, x.f)
+        assert getattr(m, "_cycle", None) == (
+            (t.d, x.f) if scalar_diagonal_blocks(m, t.d) else None)
         free = _record_free(m)
         want = cut_det_as_power(m, t.f)
         assert m.det_as_power(t.f) == want
         assert shifted.mats[(p - shift) % t.d].det_as_power(t.f) == want
         if t.f.total_degree() > 0:
             assert want == law
-        if t.n <= 9:
+        if t.n <= 9 or y.n > 1:
             assert m.det() == det_bareiss(free)
-        if y.n > 1:
-            assert not _is_block_cyclic(m, t.d)
-            wrong = _record_free(m)
-            wrong._cycle = (t.d, y.f)
-            assert _det_power(wrong) == _det_power(free)
+        if not scalar:
+            assert _det_power(m) == (det_bareiss(free), 1)
     m = t.mats[0]
     for derived in (m.map(lambda a: a), m.scale(t.ring.one()),
                     m.kron(Matrix.identity(t.ring, 1)), Matrix.identity(t.ring, 1).kron(m),
@@ -300,37 +305,44 @@ def test_the_record_is_read_at_the_builders_d():
     for p, m in enumerate(t.mats):
         assert _det_power(m) == (-t.f, 1)
         free = _record_free(m)
-        assert _is_block_cyclic(m, 2) == (p % 2 == 0)
+        assert m._cycle == (4, zero)
+        assert block_cyclic_cut(m).nrows == (2 if p % 2 == 0 else 1)
         assert cut_det_power(m) == ((v0 * v1, 2) if p % 2 == 0 else (-t.f, 1))
         assert m.det() == free.det()
 
 
 def test_a_record_is_read_only_at_the_shape_it_was_made_for():
     # y is the rank-two factorization of v0 v1 + v2 v3 with non-diagonal
-    # factors, so the slots carry the record f_x * I but their diagonal
-    # blocks are not scalar: nothing is read (a read would give
-    # (v0 v1 + ab)^2 at slot 0), each determinant is eliminated, and
-    # det_check finds the law
+    # factors, so the slots' diagonal blocks are not scalar and the builder
+    # records nothing: nothing is read (a read would give (v0 v1 + ab)^2 at
+    # slot 0), each determinant is eliminated, and det_check finds the law.
+    # s has the scalar factors v0 I_2 and v1 I_2, so its slots carry the
+    # record and are read, as the record-free copies eliminate them
     ring = PolynomialRing(cyclotomic_field(2), ("a", "b", "v0", "v1", "v2", "v3"))
     v0, v1, v2, v3 = (ring.variable(f"v{i}") for i in range(4))
     x = rank_one(ring, "a", "b")
     y = MatFac(ring, v0 * v1 + v2 * v3, [Matrix(ring, [[v0, v2], [-v3, v1]]),
                                          Matrix(ring, [[v1, -v2], [v3, v0]])])
+    s = MatFac(ring, v0 * v1, [Matrix.scalar(ring, 2, v0), Matrix.scalar(ring, 2, v1)])
     zeta = ring.field.root_of_unity(2, 1)
     t = tensor(x, y, zeta)
     for m in t.mats:
-        assert m._cycle == (2, x.f) and _block_cyclic_cut(m) is None
+        assert not hasattr(m, "_cycle") and _block_cyclic_cut(m) is None
         assert _det_power(m) == (det_bareiss(_record_free(m)), 1)
     assert det_check(x, y, zeta).passed
+    for m in tensor(x, s, zeta).mats:
+        assert m._cycle == (2, x.f) and _block_cyclic_cut(m) is not None
+        assert m.det() == det_bareiss(_record_free(m))
+    assert det_check(x, s, zeta).passed
 
 
 def test_determinant_law_at_a_rank_zero_left_operand():
     # z, a 0 x 0 matrix in each of its three slots, validates; its tensor
-    # slots are empty and carry the record f_z * I_0, which has no blocks to
-    # read: each determinant is the empty one, 1 = (f + g)^0
+    # slots are empty, so their diagonal blocks are not scalar and carry no
+    # record: each determinant is the empty one, 1 = (f + g)^0
     z = MatFac(R9, X.f, [Matrix(R9, [])] * 3)
     t = tensor(z, Y, ZETA)
-    assert all(m.shape == (0, 0) and not _is_block_cyclic(m, 3) for m in t.mats)
+    assert all(m.shape == (0, 0) and not hasattr(m, "_cycle") for m in t.mats)
     rep = det_check(z, Y, ZETA)
     assert rep.passed and rep.expected == R9.one()
     assert [e.determinant for e in rep.entries] == [R9.one()] * 3

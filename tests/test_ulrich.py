@@ -1,8 +1,12 @@
 """Sums of products -> matrix factorizations -> MCM/Ulrich statistics."""
 
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matfac.linalg as linalg
 import matfac.ulrich as ulrich
@@ -391,6 +395,77 @@ def test_ulrich_builds_expand_no_power_of_f(monkeypatch):
         build(spec)
         assert powers == []
         assert stats_calls == []
+
+
+def test_builds_walk_no_entry_of_the_rank_27_build_for_reducedness(count_calls):
+    # the build's reducedness is proved from its rows (`_verify_build`), not
+    # walked: the only walks are the certificate's, on the rank-one rows;
+    # the walk itself, asked afterwards, agrees with the report
+    ring = PolynomialRing(F3, tuple(f"x{i}_{j}" for i in range(4) for j in range(3)))
+    spec = sum_of_products(ring, [[ring.variable(f"x{i}_{j}") for j in range(3)]
+                                  for i in range(4)])
+    walks = count_calls(MatFac.is_reduced)
+    x, report = build_from_sum(spec)
+    assert x.n == 27 and report.reduced and walks == []
+    ub = indecomposable_ulrich(spec)
+    assert ub.presentation.size == 27 and {m.n for (m,) in walks} == {1}
+    walks.clear()
+    assert x.is_reduced() and ub.certificate.subject.is_reduced()
+
+
+_SPEC_RINGS = {k: PolynomialRing(cyclotomic_field(k), tuple(f"v{i}" for i in range(6)))
+               for k in (2, 3, 4)}
+
+
+@st.composite
+def build_specs(draw):
+    """A sum of N = 2..4 products of d factors over the ring of six
+    variables, with k = 2..4 entries per row: d = k, or d = k + 1 regrouped
+    by a partition that merges two factors of each row.  The factors are
+    all monomials (products of one or two variables) or all linear forms
+    with coefficients 1..3, so no sum cancels and f is not zero."""
+    k = draw(st.integers(2, 4))
+    ring = _SPEC_RINGS[k]
+    variable = st.sampled_from([ring.variable(v) for v in ring.vars])
+    if draw(st.booleans()):
+        factor = st.lists(variable, min_size=1, max_size=2).map(
+            lambda vs: math.prod(vs, start=ring.one()))
+    else:
+        factor = st.lists(st.tuples(st.integers(1, 3), variable), min_size=1, max_size=3).map(
+            lambda terms: sum((ring.scalar(c) * v for c, v in terms), ring.zero()))
+    partitioned = draw(st.booleans())
+    d = k + 1 if partitioned else k
+    n_terms = draw(st.integers(2, 4))
+    rows = [[draw(factor) for _ in range(d)] for _ in range(n_terms)]
+    partition = None
+    if partitioned:
+        partition = []
+        for _ in range(n_terms):
+            order = draw(st.permutations(range(d)))
+            partition.append((tuple(sorted(order[:2])),) + tuple((j,) for j in order[2:]))
+        partition = tuple(partition)
+    return sum_of_products(ring, rows, partition)
+
+
+@settings(max_examples=20, deadline=None)
+@given(build_specs(), st.data())
+def test_accepted_builds_are_reduced_and_unit_factors_build_nothing(spec, data):
+    # the lemma of `_verify_build`: a spec that passes its problems() check
+    # builds a reduced tensor, partition products included, as the walk
+    # (the oracle here) confirms; the same spec with one factor made a unit
+    # is refused before any tensor is built
+    x, report = build_from_sum(spec)
+    assert x.n == spec.k ** (spec.n_terms - 1)
+    assert report.reduced and x.is_reduced()
+    i = data.draw(st.integers(0, spec.n_terms - 1))
+    j = data.draw(st.integers(0, spec.d - 1))
+    rows = [list(row) for row in spec.factors]
+    rows[i][j] = rows[i][j] + spec.ring.one()
+    unit = sum_of_products(spec.ring, rows, spec.partition)
+    with mock.patch.object(ulrich, "tensor", wraps=ulrich.tensor) as tensors:
+        with pytest.raises(MatfacError, match="is a unit"):
+            build_from_sum(unit)
+    assert tensors.call_count == 0
 
 
 def test_uncertifiable_row_refuses_before_any_tensor(count_tensors):
