@@ -84,7 +84,7 @@ OP_KEYS = {
     "split-idempotent": ("subject", "idempotent", "precision"),
     "hom-jets": ("source", "target", "precision", "check_invertible"),
     "certify": ("subject", "spot_check", "consequences"),
-    "bound": ("left", "right", "refute_shifts", "precision", "asymmetric"),
+    "bound": ("left", "right", "refute_shifts", "precision"),
     "ulrich": ("rows", "partition", "certify", "out"),
     "extension-ses": ("rows", "partition", "start"),
     "report": (),
@@ -514,16 +514,11 @@ class Runner:
     def op_bound(self, cmd, where):
         x = self.fac(cmd, "left", where)
         y = self.fac(cmd, "right", where)
+        p = self.cmd_precision(cmd, where) or 1
+        flags = (False, False)
         if _flag(cmd, "refute_shifts", where):
-            p = self.cmd_precision(cmd, where) or 1
             flags = (jet_refute_shift_iso(x, p).all_refuted,
                      jet_refute_shift_iso(y, p).all_refuted)
-        else:
-            flags_in = cmd.get("asymmetric", [False, False])
-            _expect(isinstance(flags_in, list) and len(flags_in) == 2
-                    and all(isinstance(v, bool) for v in flags_in), where,
-                    "'asymmetric' must be a pair of booleans")
-            flags = tuple(flags_in)
         b = summand_bound(x, y, flags)
         return ("pass",
                 f"at most {b.bound} indecomposable summands, each of rank >= {b.min_summand_rank}",

@@ -23,12 +23,15 @@ with its conjugate sum to the integer d, and `decompose_symmetric` checks
 that its inverses are inverses.
 
 alpha_k and its inverse alpha_k^-1 = alpha_k*/d (the conjugate transpose
-over d) are both circulants, each held as its first row, written in closed
-form by `_alpha`; `Matrix.circulant` expands a row where a matrix is
-needed.  `decompose_symmetric` computes no determinant, root sum or
-elimination, no product at rank nm or dnm, and O(d^2) field products in
-all: every verdict is certified on first rows and d x d coordinates, by
-three lemmas stated and proved in its docstring:
+over d) are both circulants, each held as its first row.  `_alpha` writes
+the first rows of alpha_0 and alpha_0^-1 in closed form, and every other
+row is a rotation of one of them (`_rotated`): alpha_k's is alpha_0's
+rotated right by k, alpha_k^-1's is alpha_0^-1's rotated left by k.
+`Matrix.circulant` expands a row where a matrix is needed.
+`decompose_symmetric` computes no determinant, root sum or elimination,
+no product at rank nm or dnm, and O(d^2) field products in all: every
+verdict is certified on first rows and d x d coordinates, by three lemmas
+stated and proved in its docstring:
 
 * forward's intertwining law follows, by the mixed-product rule, from two
   d x d identities per slot, since the tensor slots and the slots of the
@@ -36,18 +39,17 @@ three lemmas stated and proved in its docstring:
   B = kron(I, psi) by construction (`tensor` at the twist w^2 of operands
   that hold one matrix in every slot, and `direct_sum` of the summand's
   shifts), and forward's components are compared with theirs as data;
-  both identities
-  are slot-0 identities carried to every slot by rotation, since every
-  alpha_k is alpha_0 times a power of the cyclic shift (its first row is
-  alpha_0's rotated, a comparison of rows);
+  both identities are slot-0 identities carried to every slot by
+  rotation, since every alpha_k is alpha_0 times a power of the cyclic
+  shift by construction of its row;
 * the summand validates because A and B commute and its pencil roots are
   the d roots of t^d + 1;
 * the round trip alpha_0^-1 alpha_0 = I_d is read off the first row of
   the product, both factors being circulants by representation and
   circulants a commutative algebra; every other alpha_k^-1 is a rotation
-  of alpha_0^-1 (again a comparison of rows), and backward's law follows
-  from forward's and the round trip, and so does "isomorphism" for both
-  witnesses: each has a two-sided inverse morphism.
+  of alpha_0^-1 by construction, and backward's law follows from forward's
+  and the round trip, and so does "isomorphism" for both witnesses: each
+  has a two-sided inverse morphism.
 
 Index conventions match the rest of the package: matrices in a tuple are
 0-based with slot p holding the component whose 1-based label is p+1, and
@@ -76,14 +78,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OmegaContext:
-    """A primitive 2d-th root of unity w and its square, in one field.
+    """A primitive 2d-th root of unity w, in its field.
 
-    zeta is always w^2 (a primitive d-th root).
+    The twist of the tensor it splits is w^2, a primitive d-th root, read
+    as `omega_pow(2)`.
     """
 
     d: int
     omega: CycloElem
-    zeta: CycloElem
 
     @property
     def field(self) -> CycloField:
@@ -115,10 +117,13 @@ def omega_context(d: int, omega: CycloElem | None = None,
     primitive 2d-th root, so the context can be bootstrapped from it; the
     twist the context carries is then zeta = (-z)^2 = z^2, which for odd d
     runs over all primitive d-th roots as z does.  For even d there is no
-    such shortcut and a genuine 2d-th root must be supplied.
+    such shortcut and a genuine 2d-th root must be supplied.  Given both, z
+    must be w^2, the one twist the context can carry.
     """
     if d < 2:
         raise MatfacError("need d >= 2")
+    if omega is not None and zeta is not None and zeta != omega * omega:
+        raise MatfacError(f"zeta = {zeta} is not omega^2 for omega = {omega}")
     if omega is None:
         if zeta is None:
             raise MatfacError("supply omega (a 2d-th root) or, for odd d, zeta")
@@ -134,7 +139,7 @@ def omega_context(d: int, omega: CycloElem | None = None,
     # than 1, so -1, and w^2 has order 2d / gcd(2, 2d) = d
     if omega.multiplicative_order() != 2 * d:
         raise MatfacError(f"omega is not a primitive {2 * d}-th root of unity")
-    return OmegaContext(d=d, omega=omega, zeta=omega * omega)
+    return OmegaContext(d=d, omega=omega)
 
 
 def _pexp(d: int, m: int) -> int:
@@ -147,32 +152,42 @@ def _pexp(d: int, m: int) -> int:
     return (-m * m + d * m) % (2 * d)
 
 
-def _alpha(ctx: OmegaContext, k: int, inverse: bool = False) -> list[CycloElem]:
-    """The first row of alpha_k(i, j) = w^p(j-i-k), or with inverse=True of
-    its inverse alpha_k^-1(i, j) = w^-p(i-j-k) / d, that is alpha_k*/d.
+def _alpha(ctx: OmegaContext, inverse: bool = False) -> list[CycloElem]:
+    """The first row of alpha_0(i, j) = w^p(j-i), or with inverse=True of
+    its inverse alpha_0^-1(i, j) = w^-p(i-j) / d, that is alpha_0*/d.
     Either entry depends on j - i mod d only (p is well defined mod d, see
     `_pexp`), so the matrix is the circulant of that row (`Matrix.circulant`),
-    and the row is all that is computed: d entries, and for alpha_k^-1 d
-    products by 1/d.
+    and the row is all that is computed: d entries, and for alpha_0^-1 d
+    products by 1/d.  Every other alpha_k and alpha_k^-1 is a rotation of
+    these rows (`_rotated`).
 
-    Proof of the inverse: put a = i - l - k and b = j - l - k.  Then
+    Proof of the inverse: put a = i - l and b = j - l.  Then
     p(b) - p(a) = a^2 - b^2 - d(a - b) = (a - b)(a + b - d), with a - b =
-    i - j and a + b - d = i + j - 2k - d - 2l, so
+    i - j and a + b - d = i + j - d - 2l, so
 
-        (alpha_k* alpha_k)(i, j) = sum_l w^(p(b) - p(a))
-            = w^((i-j)(i+j-2k-d)) * sum_l zeta^(-l(i-j)),
+        (alpha_0* alpha_0)(i, j) = sum_l w^(p(b) - p(a))
+            = w^((i-j)(i+j-d)) * sum_l w^(-2l(i-j)),
 
-    and by the orthogonality of the characters l -> zeta^(cl) of Z_d the sum
-    is d when i = j (where the prefactor is 1) and 0 otherwise.  No caller
-    rests a verdict on this: `alpha_matrix` checks its determinant and
-    `decompose_symmetric` the round trip.
+    and since w^2 is a primitive d-th root, by the orthogonality of the
+    characters l -> w^(2cl) of Z_d the sum is d when i = j (where the
+    prefactor is 1) and 0 otherwise.  No caller rests a verdict on this:
+    `alpha_matrix` checks its determinant and `decompose_symmetric` the
+    round trip.
     """
     d = ctx.d
     if not inverse:
-        return [ctx.omega_pow(_pexp(d, j - k)) for j in range(d)]
+        return [ctx.omega_pow(_pexp(d, j)) for j in range(d)]
     inv_d = Fraction(1, d)
-    return [ctx.omega_pow(-_pexp(d, -j - k)) * inv_d
-            for j in range(d)]
+    return [ctx.omega_pow(-_pexp(d, -j)) * inv_d for j in range(d)]
+
+
+def _rotated(row: list, k: int) -> list:
+    """row rotated right by k places, left when k < 0: entry j is
+    row[(j - k) mod d].  The circulant of alpha_0's first row rotated right
+    by k is alpha_k, w^p(j-i-k), and that of alpha_0^-1's rotated left by k
+    is alpha_k^-1, w^-p(i-j-k) / d."""
+    s = -k % len(row)
+    return row[s:] + row[:s]
 
 
 def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
@@ -201,7 +216,8 @@ def root_sum(ctx: OmegaContext, t: int) -> CycloElem:
 def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     """The d x d circulant change-of-basis matrix with (i,j) entry w^(p(j-i-k)).
 
-    The circulant of the first row `_alpha` writes.  Entries depend only on
+    The circulant of alpha_0's first row, as `_alpha` writes it, rotated
+    right by k places (`_rotated`).  Entries depend only on
     (j - i) mod d, so the determinant factors over the d-th roots of unity
     into the sums w^(2sk) * root_sum(d + 2s), s = 1..d; each factor is a
     unit, and the computed determinant is checked against the product, so
@@ -211,7 +227,7 @@ def alpha_matrix(ctx: OmegaContext, k: int) -> Matrix:
     instead.
     """
     field = ctx.field
-    mat = Matrix.circulant(field, _alpha(ctx, k))
+    mat = Matrix.circulant(field, _rotated(_alpha(ctx), k))
     expected_det = field.one()
     for s, root in enumerate(ctx._root_sums, start=1):
         expected_det = expected_det * ctx.omega_pow(2 * s * k) * root
@@ -300,15 +316,17 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     slots, so it validates exactly when Z does.
 
     The witnesses are A_k (x) I_nm and A_k^-1 (x) I_nm, where A_k = alpha_k
-    and A_k^-1 = alpha_k*/d are held as the first rows `_alpha` writes in
-    closed form: a circulant by representation.  Each component is the
-    circulant of its row, lifted into the ring, tensored with I_nm.  No
-    determinant, root sum or elimination is computed, and no product at
-    rank nm or dnm: three lemmas reduce every verdict to O(d^2) field
-    products (the twist identity at slot 0, one row of the round trip) and
-    to equalities of stored components and of rows.  Below,
-    Q = sum_I E_(I, I+1 mod d) is the cyclic shift, (M Q)(i, j) =
-    M(i, j-1) and (Q^-1 M)(i, j) = M(i-1, j) (indices mod d), and Q^d = I.
+    and A_k^-1 = alpha_k*/d are held as first rows: a circulant by
+    representation.  `_alpha` writes the rows of A_0 and A_0^-1 in closed
+    form, and `_rotated` turns them into the others: A_k's row is A_0's
+    rotated right by k places, A_k^-1's is A_0^-1's rotated left by k.  Each
+    component is the circulant of its row, lifted into the ring, tensored
+    with I_nm.  No determinant, root sum or elimination is computed, and no
+    product at rank nm or dnm: three lemmas reduce every verdict to O(d^2)
+    field products (the twist identity at slot 0, one row of the round
+    trip) and to equalities of stored components.  Below, Q =
+    sum_I E_(I, I+1 mod d) is the cyclic shift, (M Q)(i, j) = M(i, j-1) and
+    (Q^-1 M)(i, j) = M(i-1, j) (indices mod d), and Q^d = I.
 
     1. Forward's law.  Every tensor slot is T_b (x) b + T_a (x) a, with
        T_b = diag(w^(2I)) and T_a = Q, and slot p of the sum of shifts is
@@ -327,8 +345,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
        which holds when A_p T_a = A_(p+1) and A_p T_b = -W_p A_(p+1).
        Forward's components are compared with their forms A_k (x) I_nm as
        data (no product).  Both identities come from slot 0:
-       * A_k's row is A_0's rotated right by k places (a comparison of
-         rows), so A_k(i, j) = A_0(i, j-k), that is A_k = A_0 Q^k, and
+       * A_k's row is A_0's rotated right by k places, by construction,
+         so A_k(i, j) = A_0(i, j-k), that is A_k = A_0 Q^k, and
          A_p T_a = A_0 Q^(p+1) = A_(p+1) at every slot (Q^d = I), with no
          product.
        * When b = 0 the twist term vanishes.  Otherwise w^(2d) = 1, since
@@ -357,7 +375,7 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
        Q, a commutative algebra, so A_0^-1 A_0 is a circulant, fixed by its
        first row: it is I_d exactly when that row, A_0^-1's row times A_0,
        is e_0 (d^2 products).  A_k^-1's row is A_0^-1's rotated left by k
-       places (a comparison of rows), so A_k^-1(i, j) = A_0^-1(i-k, j),
+       places, by construction, so A_k^-1(i, j) = A_0^-1(i-k, j),
        that is A_k^-1 = Q^-k A_0^-1, and A_k^-1 A_k = Q^-k (A_0^-1 A_0) Q^k
        = I_d.  A left inverse of a square matrix over a field is also a
        right inverse, and lifting into the ring and taking kron with I_nm
@@ -374,8 +392,8 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     when x and y use one variable), so a derived entry may fail where the
     computed law would hold, but never the reverse; for the closed-form
     witnesses they hold on every input.  No verdict rests on the closed
-    forms: a wrong alpha_k fails forward's identities, a wrong inverse the
-    round trip.
+    forms: a wrong row of A_0 fails forward's identities, a wrong row of
+    A_0^-1 the round trip.
     """
     if x.ring is not y.ring and x.ring != y.ring:
         raise MatfacError("factors live over different rings")
@@ -405,8 +423,9 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     total = summand.direct_sum(*(summand.shift(i) for i in range(1, d)))
 
     ident_nm = Matrix.identity(ring, x.n * y.n)
-    rows = [_alpha(ctx, k) for k in range(d)]
-    inv_rows = [_alpha(ctx, k, inverse=True) for k in range(d)]
+    first, inv_first = _alpha(ctx), _alpha(ctx, inverse=True)
+    rows = [_rotated(first, k) for k in range(d)]
+    inv_rows = [_rotated(inv_first, -k) for k in range(d)]
 
     def lifted(row):  # its circulant, lifted into the ring, (x) I_nm
         return Matrix.circulant(ring, map(ring.scalar, row)).kron(ident_nm)
@@ -416,20 +435,13 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
     forward = Morphism(source=t, target=total, comps=comps)
     backward = Morphism(source=total, target=t, comps=inv_comps)
 
-    # lemmas 1 and 3: A_k's row is A_0's rotated right by k, A_k^-1's is
-    # A_0^-1's rotated left by k
-    rotated = [all(rows[k] == rows[0][d - k:] + rows[0][:d - k] for k in range(d)),
-               all(inv_rows[k] == inv_rows[0][k:] + inv_rows[0][:k] for k in range(d))]
-
     # lemma 1: forward's components as data, then the twist identity at slot 0
     t_b = Matrix.weighted_permutation(field, [(i, ctx.omega_pow(2 * i)) for i in range(d)])
     w_0 = Matrix.weighted_permutation(field, list(enumerate(c)))
     held = [s == e for s, e in zip(forward.comps, comps)]
     a_0, a_1 = Matrix.circulant(field, rows[0]), Matrix.circulant(field, rows[1])
     twist = _check_slots([(a_0 @ t_b, -(w_0 @ a_1))]).entries[0]
-    carried = [what for what, ok in (
-        ("A_k = A_0 Q^k", rotated[0]),
-        (f"A_0 T_b = -W_0 A_1, {twist.detail}", twist.ok)) if not ok]
+    carried = [] if twist.ok else [f"A_0 T_b = -W_0 A_1, {twist.detail}"]
     entries = []
     for p in range(d):
         failed = [what for what, ok in (
@@ -450,7 +462,7 @@ def decompose_symmetric(x: MatFac, y: MatFac, ctx: OmegaContext) -> SymmetricDec
 
     # lemma 3: the first row of A_0^-1 A_0 is e_0
     e_0 = Matrix(field, [[field.one()] + [field.zero()] * (d - 1)])
-    round_trip = all(rotated) and Matrix(field, [inv_rows[0]]) @ a_0 == e_0
+    round_trip = Matrix(field, [inv_rows[0]]) @ a_0 == e_0
 
     report = ValidationReport(entries + [
         ValidationEntry(start=-1, ok=summand.validate().passed, detail="summand validates"),

@@ -27,8 +27,9 @@ Two genuinely local computations are done at jet precision N:
   sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0.  A linear factor
   (every nonzero entry homogeneous of degree 1) of an f != 0 is its own
   L_p, and a factor of f^n = det(f I), so det L_p != 0 with no field
-  arithmetic; any other det L_p is certified nonzero by its value at one
-  point.  Then the last slot's rows are not built (`_last_slot_implied`).
+  arithmetic.  When f != 0 and every target factor but the last is
+  linear, the last slot's rows are not built (`_last_slot_implied`); any
+  other target keeps them, which is always sound.
   The kernel vectors, in `_JetLayout` coordinates, are the only stored form
   of the solutions (`JetHomBasis.vectors`).  The layout's one reader is
   `JetHomBasis.constants()`, which gives the constant terms that
@@ -37,7 +38,8 @@ Two genuinely local computations are done at jet precision N:
 * `split_idempotent` realizes an exact idempotent endomorphism as a direct
   sum decomposition, changing basis by the columns of e and of 1-e at the
   rref pivots of their constant terms (idempotence makes them a basis at the
-  origin) and inverting at precision N.
+  origin) and inverting at precision N; the conjugated factors, checked
+  block diagonal, are the factors of image (+) complement as they stand.
 """
 
 from __future__ import annotations
@@ -320,7 +322,8 @@ def _is_linear(m: Matrix) -> bool:
 
 def _last_slot_implied(source: MatFac, target: MatFac) -> bool:
     """Whether, for reduced endpoints (the caller checks), the equations of
-    slot d-1 follow from those of slots 0..d-2.
+    slot d-1 are certified to follow from those of slots 0..d-2, by the
+    linear lemma below.
 
     With E_p = comps[p] @ src[p] - tgt[p] @ comps[p+1], the sum over p of
     tgt[0]...tgt[p-1] @ E_p @ src[p+1]...src[d-1] telescopes to
@@ -337,31 +340,12 @@ def _last_slot_implied(source: MatFac, target: MatFac) -> bool:
     det tgt[0] ... det tgt[d-1] = det(f I) = f^n, which is nonzero in the
     domain F[x]; so det L_p != 0, with no field arithmetic.  The guard
     f != 0 is needed: a zero factor, possible only when f = 0, passes the
-    linearity test vacuously, yet its L_p is singular.  Every other tgt[p]
-    has det L_p certified nonzero by its value at `_evaluation_point`; a
-    zero there only means the slot is kept.
+    linearity test vacuously, yet its L_p is singular.  A target with a
+    non-linear factor among tgt[0..d-2] keeps its last slot: keeping it is
+    always sound, and the kernel is the same.
     """
-    if not (source.validate().passed and target.validate().passed):
-        return False
-    rest = [m for m in target.mats[:-1] if target.f.is_zero() or not _is_linear(m)]
-    if not rest:
-        return True
-    ring = target.ring
-    field = ring.field
-    zero = field.zero()
-    # the point's coordinate per degree-one key: a key of total degree 1
-    # has 1 in exactly one variable's field
-    at = {1 << ring._degree_shift | 1 << s: t
-          for s, t in zip(ring._shifts, _evaluation_point(field, len(ring.vars)))}
-
-    def linear_part_at_point(p: Polynomial) -> CycloElem:
-        value = zero
-        for k, c in p._terms.items():
-            if k in at:
-                value = value + c * at[k]
-        return value
-
-    return all(not m.map(linear_part_at_point, field).det().is_zero() for m in rest)
+    return (source.validate().passed and target.validate().passed
+            and not target.f.is_zero() and all(map(_is_linear, target.mats[:-1])))
 
 
 def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None) -> JetHomBasis:
@@ -377,10 +361,10 @@ def hom_space_jets(source: MatFac, target: MatFac, precision: int | None = None)
 
     The rows of the last slot, E_{d-1}, are left out when `_last_slot_implied`
     certifies that they follow from the others: both endpoints validate and
-    are reduced, and the degree-one part L_p of target.mats[p] has a nonzero
-    determinant for every p <= d-2.  Then the telescoping identity
-    sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0 makes E_{d-1} vanish
-    below the bound whenever E_0..E_{d-2} do.  The left-out rows lie in the
+    are reduced, f != 0, and target.mats[p] is linear for every p <= d-2, so
+    that its degree-one part L_p is itself and det L_p != 0.  Then the
+    telescoping identity sum_p tgt[0]...tgt[p-1] E_p src[p+1]...src[d-1] = 0
+    makes E_{d-1} vanish below the bound whenever E_0..E_{d-2} do.  The left-out rows lie in the
     span of the others, so the kernel is the same as with all d slots, each
     vector with its keys in the canonical order of `sparse_nullspace`.
 
@@ -567,6 +551,11 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
     in 0, so a column of (1-e_k)(0) is independent of them and of the
     earlier choices exactly when it is independent of the earlier choices.
 
+    The conjugated factors V_p x.mats[p] U_(p+1) are checked to have zero
+    off-diagonal blocks; each is then the block sum of its image and
+    complement blocks, so it is, as it stands, the factor of the witness's
+    source image (+) complement.
+
     A precision below 1 raises ValueError, as in `hom_space_jets`, before
     any check or basis change is computed.
     """
@@ -628,14 +617,6 @@ def split_idempotent(x: MatFac, e: Morphism, precision: int | None = None) -> Sp
 
     image = JetMatFac(ring=ring, f=x.f, precision=precision, mats=img_mats)
     complement = JetMatFac(ring=ring, f=x.f, precision=precision, mats=comp_mats)
-    summed = JetMatFac(
-        ring=ring,
-        f=x.f,
-        precision=precision,
-        mats=[
-            Matrix.block_diagonal(JetSpace(ring, precision), [a, b])
-            for a, b in zip(img_mats, comp_mats)
-        ],
-    )
+    summed = JetMatFac(ring=ring, f=x.f, precision=precision, mats=new_mats)
     witness = JetMorphism(source=summed, target=x, comps=u_jets, precision=precision)
     return SplitResult(rank_image=r, image=image, complement=complement, witness=witness)

@@ -19,7 +19,7 @@ is 1 when any mutant has one, else 0.  A run stopped after `TIMEOUT_S`
 counts every listed test as failed, so its mutant is reported as "killed
 (timed out after 600 s)" and counted apart in the summary: a timeout is no
 proof that a test caught the fault.  Tier-1 does not run this (one pytest
-run per mutant, about 392 s for the sixty here on a 2-vCPU host, most
+run per mutant, about 425 s for the sixty-three here on a 2-vCPU host, most
 of it hypothesis shrinking the failing examples); it only checks that every
 entry still applies (`tests/test_source.py`).
 
@@ -295,8 +295,8 @@ MUTANTS = {
     ),
     "knorrer-inverse-scale": (
         "src/matfac/knorrer.py",
-        "ctx.omega_pow(-_pexp(d, -j - k)) * inv_d\n",
-        "ctx.omega_pow(-_pexp(d, -j - k))\n",
+        "ctx.omega_pow(-_pexp(d, -j)) * inv_d for j in range(d)]",
+        "ctx.omega_pow(-_pexp(d, -j)) for j in range(d)]",
         ["tests/test_knorrer.py::test_closed_form_witnesses_equal_the_field_inverse",
          "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
          "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
@@ -304,8 +304,8 @@ MUTANTS = {
     ),
     "knorrer-inverse-sign": (
         "src/matfac/knorrer.py",
-        "ctx.omega_pow(-_pexp(d, -j - k)) * inv_d",
-        "ctx.omega_pow(_pexp(d, -j - k)) * inv_d",
+        "ctx.omega_pow(-_pexp(d, -j)) * inv_d",
+        "ctx.omega_pow(_pexp(d, -j)) * inv_d",
         ["tests/test_knorrer.py::test_closed_form_witnesses_equal_the_field_inverse",
          "tests/test_knorrer.py::test_verdicts_compute_no_determinant_above_d",
          "tests/test_knorrer.py::test_two_fold_witnesses_are_exact_inverses",
@@ -340,13 +340,29 @@ MUTANTS = {
         ["tests/test_knorrer.py::test_corrupted_forward_component_fails_every_derived_verdict",
          "tests/test_derived.py::test_backward_law_fails_where_forward_does"],
     ),
-    "knorrer-rotation-unchecked": (
+    # alpha_k's row rotated left: the slot-0 twist identity fails at d >= 3
+    "knorrer-alpha-rotation": (
         "src/matfac/knorrer.py",
-        "    rotated = [all(rows[k] == rows[0][d - k:] + rows[0][:d - k] for k in range(d)),\n"
-        "               all(inv_rows[k] == inv_rows[0][k:] + inv_rows[0][:k] for k in range(d))]\n",
-        "    rotated = [True, True]\n",
-        ["tests/test_knorrer.py::test_inverse_rotated_the_wrong_way_fails_every_derived_verdict",
-         "tests/test_derived.py::test_backward_law_fails_where_the_round_trip_does"],
+        "rows = [_rotated(first, k) for k in range(d)]",
+        "rows = [_rotated(first, -k) for k in range(d)]",
+        ["tests/test_knorrer.py::test_three_fold_decomposition_matches_display",
+         "tests/test_derived.py::test_backward_law_equals_the_fresh_one",
+         "tests/test_derived.py::test_knorrer_derived_reports_equal_the_fresh_ones"],
+    ),
+    # alpha_k^-1's row rotated right: the round trip reads row 0 only, so
+    # only a law computed afresh sees it
+    "knorrer-inverse-rotation": (
+        "src/matfac/knorrer.py",
+        "inv_rows = [_rotated(inv_first, -k) for k in range(d)]",
+        "inv_rows = [_rotated(inv_first, k) for k in range(d)]",
+        ["tests/test_derived.py::test_backward_law_equals_the_fresh_one",
+         "tests/test_derived.py::test_knorrer_derived_reports_equal_the_fresh_ones"],
+    ),
+    "omega-zeta-unchecked": (
+        "src/matfac/knorrer.py",
+        "    if omega is not None and zeta is not None and zeta != omega * omega:\n",
+        "    if False:\n",
+        ["tests/test_knorrer.py::test_omega_context_refuses_a_zeta_other_than_omega_squared"],
     ),
     # row 1 of A_0^-1 (its first row rotated right by one) in place of row 0
     "knorrer-round-trip-row": (
@@ -393,8 +409,8 @@ MUTANTS = {
     ),
     "last-slot-linear-ignores-f": (
         "src/matfac/morphisms.py",
-        "if target.f.is_zero() or not _is_linear(m)]",
-        "if not _is_linear(m)]",
+        "            and not target.f.is_zero() and all(",
+        "            and all(",
         ["tests/test_morphisms.py::test_a_zero_factor_is_not_linear_for_the_last_slot"],
     ),
     "last-slot-linear-by-order": (
@@ -474,6 +490,17 @@ MUTANTS = {
         "                if False:\n",
         ["tests/test_ulrich.py::test_accepted_builds_are_reduced_and_unit_factors_build_nothing",
          "tests/test_ulrich.py::test_malformed_sums_rejected"],
+    ),
+    # the bound's precision read only when the refutation runs
+    "bound-precision-unread": (
+        "src/matfac/cli.py",
+        "        p = self.cmd_precision(cmd, where) or 1\n"
+        "        flags = (False, False)\n"
+        "        if _flag(cmd, \"refute_shifts\", where):\n",
+        "        flags = (False, False)\n"
+        "        if _flag(cmd, \"refute_shifts\", where):\n"
+        "            p = self.cmd_precision(cmd, where) or 1\n",
+        ["tests/test_cli.py::test_bad_precision_names_its_command"],
     ),
     "bound-flags-unchecked": (
         "src/matfac/structure.py",

@@ -9,7 +9,8 @@ greedy lead-term division for sparse polynomials, `Fraction`-coordinate
 vectors, the extended Euclidean algorithm and a power-by-power order loop
 for cyclotomic field arithmetic, one jet hom system per shift at the
 requested precision for jet verdicts, and the coordinates of a jet hom basis
-written out entry by entry.  Slow is fine; these only run on small inputs.
+written out entry by entry, and Knorrer's alpha_k from its closed form
+entry by entry.  Slow is fine; these only run on small inputs.
 """
 
 import functools
@@ -239,6 +240,14 @@ def circulant(space, first_row) -> Matrix:
     every entry written, zeros included."""
     c = list(first_row)
     return Matrix(space, [c[len(c) - i:] + c[:len(c) - i] for i in range(len(c))])
+
+
+def knorrer_alpha(ctx, k: int) -> Matrix:
+    """Knorrer's alpha_k, entry by entry: (i, j) is w^p(j - i - k) with
+    p(m) = -m^2 + d*m, each power of w = ctx.omega taken afresh."""
+    d, w = ctx.d, ctx.omega
+    return Matrix(w.field, [[w ** ((-(j - i - k) ** 2 + d * (j - i - k)) % (2 * d))
+                             for j in range(d)] for i in range(d)])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

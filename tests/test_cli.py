@@ -412,17 +412,14 @@ def test_bool_is_not_an_integer(tmp_path, capsys, cmd):
 
 
 @pytest.mark.parametrize("cmd, key", [
-    # read by truthiness, a string would run the certified path or the
-    # invertibility check, or assert both shift-asymmetry hypotheses (which
-    # sharpens the bound from d*r to r)
+    # read by truthiness, a string would run the certified path, the
+    # invertibility check or the shift refutation
     ({"op": "ulrich", "rows": THREE_ROWS, "certify": "false"}, "certify"),
     ({"op": "certify", "subject": "X", "consequences": "yes"}, "consequences"),
     ({"op": "certify", "subject": "X", "spot_check": 1}, "spot_check"),
     ({"op": "hom-jets", "source": "X", "target": "X", "precision": 1,
       "check_invertible": "no"}, "check_invertible"),
     ({"op": "bound", "left": "X", "right": "Y", "refute_shifts": None}, "refute_shifts"),
-    ({"op": "bound", "left": "X", "right": "Y", "asymmetric": ["no", "no"]}, "asymmetric"),
-    ({"op": "bound", "left": "X", "right": "Y", "asymmetric": [True, 0]}, "asymmetric"),
 ])
 def test_boolean_key_must_be_a_json_boolean(tmp_path, capsys, cmd, key):
     doc = dict(PIPELINE_DOC, commands=[{"op": "validate", "subject": "X"}, cmd])
@@ -435,6 +432,8 @@ def test_boolean_key_must_be_a_json_boolean(tmp_path, capsys, cmd, key):
     ({"op": "shift", "subject": "X", "by": "a"}, "by"),
     ({"op": "validate", "subject": "X", "bogus": 1}, "bogus"),
     ({"op": "report", "out": "R"}, "out"),
+    # shift asymmetry is refuted (`refute_shifts`), never asserted
+    ({"op": "bound", "left": "X", "right": "Y", "asymmetric": [True, True]}, "asymmetric"),
 ])
 def test_unknown_command_key_rejected(tmp_path, capsys, cmd, key):
     doc = dict(PIPELINE_DOC, commands=[{"op": "validate", "subject": "X"}, cmd])
@@ -534,8 +533,10 @@ def test_partition_indices_must_be_json_integers(tmp_path, capsys, partition):
 @pytest.mark.parametrize("doc, cmd", [
     (PIPELINE_DOC, {"op": "hom-jets", "source": "X", "target": "X"}),
     (KNORRER_DOC, {"op": "split-idempotent", "subject": "XX", "idempotent": "e"}),
+    # read whether or not the shifts are refuted
+    (PIPELINE_DOC, {"op": "bound", "left": "X", "right": "Y"}),
 ])
-@pytest.mark.parametrize("precision", [0, True, "1"])
+@pytest.mark.parametrize("precision", [0, True, "1", "abc", -7])
 def test_bad_precision_names_its_command(tmp_path, capsys, doc, cmd, precision):
     doc = dict(doc, commands=[{"op": "validate", "subject": "X"},
                               dict(cmd, precision=precision)])
@@ -693,15 +694,13 @@ def test_knorrer_at_odd_d_bootstraps_from_the_d_th_root(tmp_path, capsys):
 
 
 def test_certify_spot_check_and_asserted_asymmetry(tmp_path, capsys):
-    doc = dict(PIPELINE_DOC, commands=[
-        {"op": "certify", "subject": "X", "spot_check": True},
-        {"op": "bound", "left": "X", "right": "Y", "asymmetric": [True, False]},
-    ])
+    # a document cannot assert shift asymmetry: the key is unknown to the
+    # bound op (`test_unknown_command_key_rejected`)
+    doc = dict(PIPELINE_DOC, commands=[{"op": "certify", "subject": "X", "spot_check": True}])
     rc, rep = run_machine(tmp_path, capsys, doc)
     assert rc == 0
-    certify, bound = rep["commands"]
+    (certify,) = rep["commands"]
     assert certify["data"]["constant_term_spot_check"] is True
-    assert bound["data"]["shift_asymmetric"] == [True, False]
 
 
 # -- robustness: mutated cli-docs documents ------------------------------------------

@@ -24,6 +24,7 @@ from matfac import (
 from matfac import knorrer, morphisms
 from matfac.cyclo import CycloElem
 from matfac.linalg import _det_field, inverse_field, rref
+import oracles
 from oracles import det_cofactor
 
 
@@ -91,6 +92,17 @@ def test_odd_d_bootstrap_from_d_th_root():
     assert ctx.omega_pow(2) == F3.zeta(2)
     with pytest.raises(MatfacError):
         omega_context(4, zeta=cyclotomic_field(4).zeta(1))  # even d needs a 2d-th root
+
+
+def test_omega_context_refuses_a_zeta_other_than_omega_squared():
+    # the context's twist is omega^2; a zeta given beside omega must be it
+    F6 = cyclotomic_field(6)
+    omega = F6.zeta(1)
+    ctx = omega_context(3, omega=omega, zeta=omega * omega)
+    assert ctx == omega_context(3, omega=omega)
+    with pytest.raises(MatfacError, match=re.escape(
+            f"zeta = {-omega} is not omega^2 for omega = {omega}")):
+        omega_context(3, omega=omega, zeta=-omega)
 
 
 def test_block_diagonalize_conjugation_identities():
@@ -203,7 +215,7 @@ def test_root_sum_rejects_a_non_root_omega():
     # hand-built context bypassing omega_context's checks: omega = 1 gives
     # sums 3 and 3, whose product 9 is not d = 3
     fld = cyclotomic_field(6)
-    bad = OmegaContext(d=3, omega=fld.one(), zeta=fld.one())
+    bad = OmegaContext(d=3, omega=fld.one())
     with pytest.raises(MatfacError, match="root sum product identity failed"):
         root_sum(bad, 1)
 
@@ -276,38 +288,26 @@ def test_verdicts_compute_no_determinant_above_d(d, count_calls):
 
 
 def test_closed_form_witnesses_equal_the_field_inverse():
-    # the circulants of the first rows of alpha_k and alpha_k^-1 = alpha_k*/d,
-    # written entry by entry, equal the determinant-certified alpha_matrix and
-    # its inverse by elimination, and so do the constant terms of
-    # decompose_symmetric's components
+    # alpha_k written entry by entry from its closed form (the oracle) equals
+    # the determinant-certified alpha_matrix, a rotation of alpha_0's first
+    # row; the circulants of the first rows of alpha_0 and alpha_0^-1 =
+    # alpha_0*/d equal it and its inverse by elimination; and so do the
+    # constant terms of decompose_symmetric's components at every k
     for d in range(2, 11):
         fld = cyclotomic_field(2 * d)
         R = PolynomialRing(fld, ("x", "y"))
         ctx = omega_context(d, omega=fld.zeta(1))
-        alphas = [alpha_matrix(ctx, k) for k in range(d)]
+        alphas = [oracles.knorrer_alpha(ctx, k) for k in range(d)]
         inverses = [inverse_field(alpha) for alpha in alphas]
-        assert [Matrix.circulant(fld, knorrer._alpha(ctx, k)) for k in range(d)] == alphas
-        assert [Matrix.circulant(fld, knorrer._alpha(ctx, k, inverse=True))
-                for k in range(d)] == inverses
+        assert [alpha_matrix(ctx, k) for k in range(d)] == alphas
+        assert Matrix.circulant(fld, knorrer._alpha(ctx)) == alphas[0]
+        assert Matrix.circulant(fld, knorrer._alpha(ctx, inverse=True)) == inverses[0]
         x_var, y_var = R.variable("x"), R.variable("y")
         X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
         Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
         dec = decompose_symmetric(X, Y, ctx)
         assert [c.constant_terms() for c in dec.forward.comps] == alphas
         assert [c.constant_terms() for c in dec.backward.comps] == inverses
-
-
-def test_inverse_rotated_the_wrong_way_fails_every_derived_verdict(monkeypatch):
-    # alpha_k^-1 built with the exponents of alpha_(-k)^-1: wrong for k = 1, 2,
-    # which only the d x d round trip can see
-    original = knorrer._alpha
-    monkeypatch.setattr(knorrer, "_alpha", lambda ctx, k, inverse=False:
-                        original(ctx, -k if inverse else k, inverse))
-    dec = decompose_symmetric(*three_fold_inputs())
-    assert [e.start for e in dec.report.entries if not e.ok] == [-3]
-    assert dec.forward._report.passed
-    assert four_verdicts(dec) == (True, False, False, False)
-    assert not any(e.ok for e in dec.backward._report.entries)
 
 
 def test_corrupted_forward_component_fails_every_derived_verdict(monkeypatch):
@@ -335,11 +335,12 @@ def test_corrupted_forward_component_fails_every_derived_verdict(monkeypatch):
 
 
 def test_corrupted_inverse_fails_the_round_trip_entry(monkeypatch):
-    # every alpha_k^-1 with two unequal entries of its first row swapped
+    # alpha_0^-1's first row with two unequal entries swapped, so every
+    # alpha_k^-1, a rotation of it, is wrong
     original = knorrer._alpha
 
-    def corrupted(ctx, k, inverse=False):
-        row = original(ctx, k, inverse)
+    def corrupted(ctx, inverse=False):
+        row = original(ctx, inverse)
         if inverse:
             j = next(j for j in range(1, len(row)) if row[j] != row[0])
             row[0], row[j] = row[j], row[0]
@@ -462,3 +463,17 @@ def test_decompose_refuses_mismatched_inputs():
                   [Matrix(R, [[y_var]]), Matrix(R, [[y_var]]), Matrix(R, [[y_var + y_var]])])
     with pytest.raises(MatfacError, match="second factor is not shift-symmetric"):
         decompose_symmetric(X, asym, ctx)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_decompose_writes_two_first_rows_in_closed_form(d, count_calls):
+    # alpha_0's row and alpha_0^-1's: every other witness row is a rotation
+    fld = cyclotomic_field(2 * d)
+    R = PolynomialRing(fld, ("x", "y"))
+    x_var, y_var = R.variable("x"), R.variable("y")
+    X = MatFac(R, x_var ** d, [Matrix(R, [[x_var]])] * d)
+    Y = MatFac(R, y_var ** d, [Matrix(R, [[y_var]])] * d)
+    calls = count_calls(knorrer._alpha)
+    dec = decompose_symmetric(X, Y, omega_context(d, omega=fld.zeta(1)))
+    assert dec.report.passed
+    assert len(calls) == 2

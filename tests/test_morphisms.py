@@ -354,15 +354,15 @@ def test_last_slot_is_kept_when_an_endpoint_does_not_validate():
 def test_a_zero_factor_is_not_linear_for_the_last_slot(s, precision):
     # (x, 0, y) factors f = 0 and its zero factor has no nonzero entry, so it
     # passes the linearity test vacuously; its degree-one part is singular,
-    # and the last slot may be left out only where the point certifies the
-    # other factors (s = 2).  Dropping the f != 0 guard of the linear lemma
-    # gives End(X) two vectors at precision 1 where the full system has one.
+    # and the last slot is kept at every shift.  Dropping the f != 0 guard of
+    # the linear lemma gives End(X) two vectors at precision 1 where the full
+    # system has one.
     ring = PolynomialRing(cyclotomic_field(3), ("x", "y"))
     x, y = ring.variable("x"), ring.variable("y")
     xf = rank_one_over(ring, [x, ring.zero(), y])
     assert xf.f.is_zero() and xf.validate().passed
     target = xf.shift(s)
-    assert _last_slot_implied(xf, target) == (s == 2)
+    assert not _last_slot_implied(xf, target)
     hb = hom_space_jets(xf, target, precision)
     assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(xf, target, precision))
 
@@ -467,6 +467,52 @@ def test_hom_space_rows_are_the_oracle_rows(pair):
     slots = oracles.hom_equation_rows(source, target, precision)
     assert nullspace_rows(source, target, precision) == [
         r for slot in (slots[:-1] if implied else slots) for r in slot]
+
+
+@st.composite
+def powered_pairs(draw):
+    """Shifts of one rank-one factorization, or of a tensor of two, whose
+    entries are g, g + g^2 (a nonsingular linear part, not linear) or g^2
+    (no linear part) for linear forms g of one or two terms; a rank-one
+    one may have a zero entry (f = 0).  And a precision."""
+    d = draw(st.integers(2, 3))
+    ring = HOM_RINGS[3] if d == 3 else HOM_RINGS[draw(st.sampled_from([2, 4]))]
+    field = ring.field
+    coeffs = [field.one(), -field.one(), field.rational(2), field.zeta(1)]
+    linear = [e for e in ENTRY_MONOMIALS if sum(e) == 1]
+    count = draw(st.integers(1, 2))
+    t = None
+    for _ in range(count):
+        entries = []
+        for _ in range(d):
+            monos = draw(st.lists(st.sampled_from(linear), min_size=1, max_size=2, unique=True))
+            g = Polynomial(ring, {e: draw(st.sampled_from(coeffs)) for e in monos})
+            forms = ["g", "g + g^2", "g^2"] + (["zero"] if count == 1 else [])
+            form = draw(st.sampled_from(forms))
+            entries.append({"g": g, "g + g^2": g + g * g, "g^2": g * g,
+                            "zero": ring.zero()}[form])
+        x = rank_one_over(ring, entries)
+        t = x if t is None else tensor(t, x, field.root_of_unity(d))
+    return (t.shift(draw(st.integers(0, d - 1))), t.shift(draw(st.integers(0, d - 1))),
+            draw(st.integers(1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(hom_pairs(), tensor_pairs(), powered_pairs()))
+def test_last_slot_is_implied_by_the_linear_lemma_alone(pair):
+    # no determinant, and exactly: both endpoints validate, f != 0 and every
+    # target factor but the last has only terms of total degree 1
+    source, target, precision = pair
+    expected = (source.validate().passed and target.validate().passed
+                and not target.f.is_zero()
+                and all(sum(e) == 1 for m in target.mats[:-1]
+                        for row in m.rows for entry in row for e in entry.terms))
+    event("implied" if expected else "kept")
+    with mock.patch.object(Matrix, "det", autospec=True, side_effect=Matrix.det) as det:
+        assert _last_slot_implied(source, target) == expected
+    assert det.call_count == 0
+    hb = hom_space_jets(source, target, precision)
+    assert kernel_items(hb.vectors) == kernel_items(full_system_kernel(source, target, precision))
 
 
 def sparse_constants(m: Matrix) -> dict:
@@ -695,6 +741,18 @@ def test_split_idempotent_refuses_a_basis_change_that_mixes_summands(monkeypatch
     monkeypatch.setattr(morphisms, "jet_inverse", shear)
     with pytest.raises(MatfacError, match="did not block-diagonalize"):
         split_idempotent(S, PROJ)
+
+
+def test_split_idempotent_takes_the_conjugated_factors_as_they_stand(count_calls):
+    # checked block diagonal, the conjugated factors are already the block
+    # sums of the image and complement factors: none is rebuilt
+    blocks = count_calls(Matrix.block_diagonal)
+    res = split_idempotent(S, PROJ)
+    assert blocks == []
+    assert res.witness.is_isomorphism()
+    assert list(res.witness.source.mats) == [
+        Matrix.block_diagonal(m.space, [p, q])
+        for m, p, q in zip(res.witness.source.mats, res.image.mats, res.complement.mats)]
 
 
 def field_entries():
